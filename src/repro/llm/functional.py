@@ -15,6 +15,27 @@ def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
     return exp / np.sum(exp, axis=axis, keepdims=True)
 
 
+def softmax_blocks_(first: np.ndarray, second: np.ndarray) -> None:
+    """In-place softmax over ``concatenate([first, second], axis=-1)``.
+
+    The two float32 blocks share every leading axis; each row is normalised
+    over both together (one row max, one denominator) without materialising
+    the concatenation — chunk attention's (cached | new) score blocks.
+    ``first`` may be empty, or hold ``-inf`` rows, as long as every row of
+    ``second`` has a finite entry.
+    """
+    row_max = np.maximum.reduce(second, axis=-1, keepdims=True)
+    np.maximum(row_max, np.maximum.reduce(first, axis=-1, keepdims=True,
+                                          initial=-np.inf), out=row_max)
+    for block in (first, second):
+        np.subtract(block, row_max, out=block)
+        np.exp(block, out=block)
+    denom = np.add.reduce(first, axis=-1, keepdims=True)
+    denom += np.add.reduce(second, axis=-1, keepdims=True)
+    first /= denom
+    second /= denom
+
+
 def log_softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
     """Numerically stable log-softmax along ``axis``."""
     x = np.asarray(x, dtype=np.float32)

@@ -6,9 +6,10 @@ provides two inference paths:
 * :meth:`DecoderLM.forward_full` -- full-sequence teacher-forced forward pass
   (used for training-data perplexity and as a reference for testing the
   incremental path);
-* :meth:`DecoderLM.prefill` / :meth:`DecoderLM.decode_step` -- the
-  prefill + auto-regressive decode path with a pluggable per-layer KV cache,
-  which is where the paper's policies plug in.
+* :meth:`DecoderLM.prefill` / :meth:`DecoderLM.forward_chunks` /
+  :meth:`DecoderLM.decode_step` -- whole-prompt prefill, ragged chunks over
+  existing caches (chunked prefill, speculative verify) and auto-regressive
+  decode with a pluggable per-layer KV cache, where the paper's policies plug in.
 
 Only configurations without grouped-query attention are instantiated
 (``n_kv_heads is None``); the full-size GQA configs are used purely for shape
@@ -32,6 +33,7 @@ from repro.llm.functional import (
     rope_frequencies,
     silu,
     softmax,
+    softmax_blocks_,
 )
 from repro.llm.workspace import StepWorkspace
 from repro.utils.rng import derive_rng
@@ -304,96 +306,152 @@ class DecoderLM:
         hidden = self._norm(hidden, "final_norm")
         return self._lm_head(hidden[-1])
 
-    def _attend_chunk(self, cache: LayerKVCache, queries: np.ndarray,
-                      keys_new: np.ndarray, values_new: np.ndarray,
-                      mask: np.ndarray, scale: float) -> np.ndarray:
-        """Causal chunk attention over the cached prefix plus the chunk itself.
+    # ------------------------------------------------------------------
+    # The ragged-chunk forward: chunked prefill and speculative verify
+    # ------------------------------------------------------------------
+    def _attend_chunk_group(self, caches: list[LayerKVCache], idx: np.ndarray,
+                            queries: np.ndarray, keys_new: np.ndarray,
+                            values_new: np.ndarray, context: np.ndarray) -> None:
+        """Causal chunk attention for ``G`` sequences of one ``(cached, chunk)`` shape.
 
-        ``queries``/``keys_new``/``values_new`` are ``[H, c, d]`` blocks for a
-        chunk whose queries attend to everything in ``cache`` (positions
-        before the chunk) and causally within the chunk — exactly the rows a
-        whole-sequence forward would compute.  Returns the ``[H, c, d]``
-        context; the caller extends the cache with the chunk's K/V.
+        ``idx`` ``[G, c]`` holds each member's rows of the step's flat token
+        axis, ``queries``/``keys_new``/``values_new`` are the step's
+        ``[H, N, d]`` projections, ``caches`` the members' equally long caches
+        at this layer.  Each query attends to its own cache and causally
+        within its chunk as stacked ``[G, H, c, ·]`` matmuls over two float32
+        score blocks (cached | new) normalised together, so nothing is
+        concatenated.  Writes ``context[idx]``; the caller extends the caches.
         """
-        keys_old, values_old, valid = cache.fetch()  # [H, n, d] views
-        n_old = keys_old.shape[1]
-        scores_new = queries @ keys_new.swapaxes(-1, -2) * scale + mask  # [H, c, c]
-        if n_old:
-            scores_old = queries @ keys_old.swapaxes(-1, -2) * scale  # [H, c, n]
+        ws = self._ws
+        n_groups, chunk = idx.shape
+        n_heads, head_dim = self.config.n_heads, self.config.head_dim
+        scale = np.float32(1.0 / np.sqrt(head_dim))
+        fetched = [cache.fetch() for cache in caches]  # ([H, n, d] views, valid)
+        n_old = fetched[0][0].shape[1]
+        if n_groups == 1:
+            k_old, v_old = fetched[0][0][None], fetched[0][1][None]
+        else:
+            k_old = ws.get("chunk.k_old", (n_groups, n_heads, n_old, head_dim))
+            v_old = ws.get("chunk.v_old", (n_groups, n_heads, n_old, head_dim))
+            for g, (keys_g, values_g, _valid) in enumerate(fetched):
+                k_old[g] = keys_g
+                v_old[g] = values_g
+        q = queries[:, idx].swapaxes(0, 1)  # [G, H, c, d]
+        s_old = np.matmul(q, k_old.swapaxes(-1, -2),
+                          out=ws.get("chunk.s_old", (n_groups, n_heads, chunk, n_old)))
+        s_old *= scale
+        for g, (_keys, _values, valid) in enumerate(fetched):
             if not valid.all():
-                scores_old = np.where(valid[:, None, :], scores_old, -np.inf)
-            probs = softmax(np.concatenate([scores_old, scores_new], axis=-1))
-            return probs[:, :, :n_old] @ values_old + probs[:, :, n_old:] @ values_new
-        return softmax(scores_new, axis=-1) @ values_new  # [H, c, d]
+                np.copyto(s_old[g], -np.inf, where=~valid[:, None, :])
+        s_new = np.matmul(q, keys_new[:, idx].swapaxes(0, 1).swapaxes(-1, -2),
+                          out=ws.get("chunk.s_new", (n_groups, n_heads, chunk, chunk)))
+        s_new *= scale
+        s_new += causal_mask(chunk)
+        softmax_blocks_(s_old, s_new)  # the new block's diagonal is never masked
+        ctx = s_old @ v_old
+        ctx += s_new @ values_new[:, idx].swapaxes(0, 1)  # [G, H, c, d]
+        context[idx] = ctx.transpose(0, 2, 1, 3).reshape(n_groups, chunk, -1)
 
-    def prefill_chunk(self, tokens: Sequence[int], position: int,
-                      caches: list[LayerKVCache]) -> np.ndarray:
-        """Prefill a *chunk* of context starting at absolute ``position``.
+    def forward_chunks(self, token_chunks: Sequence[Sequence[int]],
+                       positions: Sequence[int],
+                       caches_batch: Sequence[list[LayerKVCache]], *,
+                       logits: str = "last") -> "np.ndarray | list[np.ndarray]":
+        """Run one chunk of ``n_b >= 1`` tokens per sequence in ONE forward.
 
-        The chunk's queries attend causally to everything already in the
-        caches (positions ``0..position-1``) plus the chunk itself, exactly
-        as the corresponding rows of a whole-prompt :meth:`prefill` would —
-        this is what lets the serving engine split a long prompt into
-        token-budgeted pieces (chunked prefill) or resume after a shared
-        prefix restored from the radix cache.  Requires caches that hold
-        exactly ``position`` tokens and support chunked prefill
-        (``full``/``paged``).
+        ``token_chunks[b]`` starts at absolute position ``positions[b]`` and
+        ``caches_batch[b]`` (per-layer caches with chunked-prefill support:
+        ``full``/``paged``) must hold exactly that many tokens.  Each chunk
+        attends causally to everything already cached plus itself, exactly
+        as the corresponding rows of :meth:`forward_full` — which lets the
+        serving engine split prompts into token-budgeted pieces, resume
+        after a radix-restored prefix, and verify speculative proposals.
+        Embedding, norms, the fused QKV GEMM, RoPE, output projection and
+        MLP run once over the ``N = sum(n_b)`` concatenated tokens (no
+        padding); attention runs once per layer per group of sequences with
+        equal ``(cached_len, chunk_len)``.  Every cache is extended with its
+        whole chunk.
 
-        Returns the logits of the chunk's last position (shape ``[vocab]``).
+        ``logits="last"`` returns ``[B, vocab]``: each chunk's final row, the
+        LM head running on those ``B`` rows only.  ``logits="all"`` returns
+        one ``[n_b, vocab]`` array per sequence; row ``i`` is what sequential
+        :meth:`decode_step` calls feeding ``token_chunks[b][:i + 1]`` give.
         """
-        tokens = np.asarray(tokens, dtype=np.int64)
-        if tokens.ndim != 1 or tokens.size == 0:
-            raise ValueError("prefill_chunk expects a non-empty 1-D token sequence")
-        if not all(cache.supports_chunked_prefill for cache in caches):
-            raise ValueError("prefill_chunk requires caches with chunked-prefill "
-                             "support (e.g. 'full' or 'paged')")
-        if caches and caches[0].num_tokens != position:
-            raise ValueError(
-                f"caches hold {caches[0].num_tokens} tokens but the chunk starts "
-                f"at position {position}")
-        chunk = tokens.shape[0]
-        positions = np.arange(position, position + chunk)
-        hidden = self.params["embed.weight"][tokens].astype(np.float32)  # [c, C]
+        if logits not in ("last", "all"):
+            raise ValueError("logits must be 'last' or 'all'")
+        if len(token_chunks) == 0:
+            raise ValueError("forward_chunks expects at least one chunk")
+        if not len(token_chunks) == len(positions) == len(caches_batch):
+            raise ValueError("token_chunks, positions and caches_batch must have "
+                             "equal length")
+        chunks = [np.asarray(chunk, dtype=np.int64) for chunk in token_chunks]
+        groups: dict[tuple[int, int], list[int]] = {}
+        for b, (chunk, caches) in enumerate(zip(chunks, caches_batch)):
+            if chunk.ndim != 1 or chunk.size == 0:
+                raise ValueError("forward_chunks expects non-empty 1-D chunks")
+            if not all(cache.supports_chunked_prefill for cache in caches):
+                raise ValueError("forward_chunks requires caches with chunked-prefill "
+                                 "support (e.g. 'full' or 'paged')")
+            if any(cache.num_tokens != positions[b] for cache in caches):
+                raise ValueError(
+                    f"sequence {b}: caches hold {caches[0].num_tokens} tokens but "
+                    f"the chunk starts at position {positions[b]}")
+            groups.setdefault((int(positions[b]), chunk.size), []).append(b)
+        lengths = np.array([chunk.size for chunk in chunks])
+        ends = np.cumsum(lengths)
+        starts = ends - lengths
+        total = int(ends[-1])
+        flat_pos = np.arange(total) + np.repeat(np.asarray(positions) - starts, lengths)
+        # Per group: member sequences and their [G, c] rows of the flat axis.
+        plans = [(rows, starts[rows][:, None] + np.arange(size))
+                 for (_position, size), rows in groups.items()]
+        hidden = self.params["embed.weight"][np.concatenate(chunks)].astype(np.float32)
         if self.config.positional == "learned":
-            hidden = hidden + self.params["pos_embed.weight"][positions]
-        mask = causal_mask(chunk)
-        scale = 1.0 / np.sqrt(self.config.head_dim)
+            hidden = hidden + self.params["pos_embed.weight"][flat_pos]  # [N, C]
+        n_heads = self.config.n_heads
+        context = self._ws.get("chunk.context", (total, self.config.d_model))
         for layer in range(self.config.n_layers):
             prefix = f"layers.{layer}"
-            normed = self._norm(hidden, f"{prefix}.attn_norm")  # [c, C]
-            queries = self._split_heads(normed @ self.params[f"{prefix}.wq"])  # [H, c, d]
+            normed = self._norm(hidden, f"{prefix}.attn_norm")  # [N, C]
+            # One GEMM, viewed head-major: [3H, N, d] = queries | keys | values.
+            qkv = (normed @ self._qkv_weight(layer)).reshape(
+                total, 3 * n_heads, self.config.head_dim).transpose(1, 0, 2)
+            values_new = qkv[2 * n_heads:]
             if self.config.positional == "rope":
-                queries = apply_rope(queries, positions, self._rope_cos, self._rope_sin)
-            keys_new, values_new = self._project_kv(normed, layer, positions)
-            context = self._attend_chunk(caches[layer], queries, keys_new, values_new,
-                                         mask, scale)
-            caches[layer].extend_chunk(keys_new, values_new, normed, positions)
-            context = np.moveaxis(context, 0, -2).reshape(chunk, self.config.d_model)
+                qkv = apply_rope(qkv[:2 * n_heads], flat_pos, self._rope_cos, self._rope_sin)
+            queries, keys_new = qkv[:n_heads], qkv[n_heads:2 * n_heads]
+            for rows, idx in plans:
+                self._attend_chunk_group([caches_batch[b][layer] for b in rows], idx,
+                                         queries, keys_new, values_new, context)
+                for b in rows:
+                    sl = slice(starts[b], ends[b])
+                    caches_batch[b][layer].extend_chunk(
+                        keys_new[:, sl], values_new[:, sl], normed[sl], flat_pos[sl])
             hidden = hidden + context @ self.params[f"{prefix}.wo"]
             normed = self._norm(hidden, f"{prefix}.mlp_norm")
             hidden = hidden + self._mlp(normed, layer)
-        hidden = self._norm(hidden, "final_norm")
-        return self._lm_head(hidden[-1])
+        if logits == "last":
+            return self._lm_head(self._norm(hidden[ends - 1], "final_norm"))  # [B, vocab]
+        full = self._lm_head(self._norm(hidden, "final_norm"))  # [N, vocab]
+        return [full[start:end] for start, end in zip(starts, ends)]
 
-    # ------------------------------------------------------------------
-    # Speculative verification (single-sequence and batched)
-    # ------------------------------------------------------------------
+    def prefill_chunk(self, tokens: Sequence[int], position: int,
+                      caches: list[LayerKVCache]) -> np.ndarray:
+        """Single-sequence :meth:`forward_chunks` for a chunk of context at
+        absolute ``position``; returns its last position's logits ``[vocab]``."""
+        return self.forward_chunks([tokens], [position], [caches])[0]
+
     def verify_chunk(self, tokens: Sequence[int], position: int,
                      caches: list[LayerKVCache]) -> np.ndarray:
         """Score a chunk of proposed tokens in ONE forward pass.
 
         ``tokens`` is the next input token followed by the drafter's proposed
-        continuation, starting at absolute ``position`` (which must equal the
-        caches' current token count).  Reuses the :meth:`prefill_chunk`
-        attention-over-cached-prefix machinery, but returns the logits of
-        **every** chunk position (shape ``[len(tokens), vocab]``): row ``i``
-        is what sequential :meth:`decode_step` calls feeding
-        ``tokens[: i + 1]`` would produce, so the caller can find the longest
-        accepted proposal prefix and the first-mismatch token.  The caches
-        are extended with the whole chunk; the caller rolls rejected
-        positions back via :meth:`LayerKVCache.truncate`.
+        continuation, starting at absolute ``position``.  Returns the logits
+        of **every** chunk position (``[len(tokens), vocab]``, see
+        :meth:`forward_chunks`) so the caller can find the longest accepted
+        proposal prefix; the caches hold the whole chunk afterwards and the
+        caller rolls rejected positions back via ``LayerKVCache.truncate``.
         """
-        return self.verify_chunk_batch([tokens], [position], [caches])[0]
+        return self.forward_chunks([tokens], [position], [caches], logits="all")[0]
 
     def verify_chunk_batch(self, token_chunks: Sequence[Sequence[int]],
                            positions: Sequence[int],
@@ -401,69 +459,10 @@ class DecoderLM:
                            ) -> list[np.ndarray]:
         """Verify ``B`` ragged speculation chunks in one batched forward.
 
-        ``token_chunks[b]`` is sequence ``b``'s chunk (next input token +
-        proposed tokens) starting at absolute position ``positions[b]``;
-        ``caches_batch[b]`` its per-layer caches, which must hold exactly
-        ``positions[b]`` tokens and support chunked prefill.  As in
-        :meth:`decode_step_batch`, the dense projections (QKV, output, MLP,
-        LM head) run batched over the concatenated chunks while attention
-        reads each sequence's cache views, so ragged chunk lengths cost no
-        padding work.  Returns one ``[len(chunk_b), vocab]`` logits array per
-        sequence (see :meth:`verify_chunk` for row semantics); every cache is
-        extended with its full chunk.
+        Returns one ``[len(chunk_b), vocab]`` logits array per sequence
+        (:meth:`forward_chunks` with ``logits="all"``).
         """
-        if len(token_chunks) == 0:
-            raise ValueError("verify_chunk_batch expects at least one chunk")
-        if not len(token_chunks) == len(positions) == len(caches_batch):
-            raise ValueError("token_chunks, positions and caches_batch must have "
-                             "equal length")
-        chunks = [np.asarray(chunk, dtype=np.int64) for chunk in token_chunks]
-        for chunk in chunks:
-            if chunk.ndim != 1 or chunk.size == 0:
-                raise ValueError("verify_chunk_batch expects non-empty 1-D chunks")
-        for b, caches in enumerate(caches_batch):
-            if not all(cache.supports_chunked_prefill for cache in caches):
-                raise ValueError("verify_chunk requires caches with chunked-prefill "
-                                 "support (e.g. 'full' or 'paged')")
-            if caches and caches[0].num_tokens != positions[b]:
-                raise ValueError(
-                    f"sequence {b}: caches hold {caches[0].num_tokens} tokens but "
-                    f"the chunk starts at position {positions[b]}")
-        lengths = [chunk.size for chunk in chunks]
-        bounds = np.cumsum([0] + lengths)
-        slices = [slice(int(bounds[b]), int(bounds[b + 1])) for b in range(len(chunks))]
-        flat_tokens = np.concatenate(chunks)  # [N]
-        flat_pos = np.concatenate([np.arange(p, p + n, dtype=np.int64)
-                                   for p, n in zip(positions, lengths)])
-        pos_blocks = [flat_pos[sl] for sl in slices]
-        hidden = self.params["embed.weight"][flat_tokens].astype(np.float32)  # [N, C]
-        if self.config.positional == "learned":
-            hidden = hidden + self.params["pos_embed.weight"][flat_pos]
-        masks = [causal_mask(n) for n in lengths]
-        scale = 1.0 / np.sqrt(self.config.head_dim)
-        total = int(bounds[-1])
-        for layer in range(self.config.n_layers):
-            prefix = f"layers.{layer}"
-            normed = self._norm(hidden, f"{prefix}.attn_norm")  # [N, C]
-            queries = self._split_heads(normed @ self.params[f"{prefix}.wq"])  # [H, N, d]
-            if self.config.positional == "rope":
-                queries = apply_rope(queries, flat_pos, self._rope_cos, self._rope_sin)
-            keys_new, values_new = self._project_kv(normed, layer, flat_pos)
-            context = self._ws.get("verify.context", (total, self.config.d_model))
-            for b, sl in enumerate(slices):
-                cache = caches_batch[b][layer]
-                ctx = self._attend_chunk(cache, queries[:, sl], keys_new[:, sl],
-                                         values_new[:, sl], masks[b], scale)
-                cache.extend_chunk(keys_new[:, sl], values_new[:, sl], normed[sl],
-                                   pos_blocks[b])
-                context[sl] = np.moveaxis(ctx, 0, -2).reshape(lengths[b],
-                                                              self.config.d_model)
-            hidden = hidden + context @ self.params[f"{prefix}.wo"]
-            normed = self._norm(hidden, f"{prefix}.mlp_norm")
-            hidden = hidden + self._mlp(normed, layer)
-        hidden = self._norm(hidden, "final_norm")
-        logits = self._lm_head(hidden)  # [N, vocab]
-        return [logits[sl] for sl in slices]
+        return self.forward_chunks(token_chunks, positions, caches_batch, logits="all")
 
     def decode_step(self, token: int, position: int, caches: list[LayerKVCache]) -> np.ndarray:
         """Decode one token at absolute ``position`` using the caches.

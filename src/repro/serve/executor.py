@@ -3,12 +3,12 @@
 This is the *compute* layer of the serving core's three-layer split.  A
 :class:`ModelExecutor` turns one :class:`~repro.serve.scheduler.
 ScheduleDecision` into batched model calls —
-:meth:`~repro.llm.model.DecoderLM.prefill_batch` /
-:meth:`~repro.llm.model.DecoderLM.prefill_chunk` for prompt work,
-:meth:`~repro.llm.model.DecoderLM.decode_step_batch` for plain decode, and
-:meth:`~repro.llm.model.DecoderLM.verify_chunk_batch` for speculative
-verification with KV rollback — and emits a :class:`TokenEvent` for every
-generated token.
+:meth:`~repro.llm.model.DecoderLM.prefill_batch` for whole prompts, one
+:meth:`~repro.llm.model.DecoderLM.forward_chunks` for all of a step's
+prefill chunks, :meth:`~repro.llm.model.DecoderLM.decode_step_batch` for
+plain decode, and :meth:`~repro.llm.model.DecoderLM.verify_chunk_batch` for
+speculative verification with KV rollback — and emits a :class:`TokenEvent`
+for every generated token.
 
 The event stream is the engine's streaming surface: the ``on_token``
 callback fires the moment a token exists (first token at prefill
@@ -139,16 +139,24 @@ class ModelExecutor:
 
     def prefill_chunks(self, chunks: "list[tuple[SequenceState, int]]",
                        step: int) -> None:
-        """Chunked prefill: each sequence extends by its budgeted chunk."""
-        if chunks:
-            self._maybe_fail([state for state, _ in chunks])
-        for state, chunk in chunks:
-            logits = self.lm.prefill_chunk(
-                state.prefill_target[state.prefilled:state.prefilled + chunk],
-                state.prefilled, state.caches)
+        """Chunked prefill: every sequence's budgeted chunk in one forward.
+
+        The model call is shared; the bookkeeping after it stays per state
+        in list order, so radix inserts, LRU ticks and page accounting
+        happen in the order a per-sequence loop would produce.
+        """
+        if not chunks:
+            return
+        self._maybe_fail([state for state, _ in chunks])
+        logits = self.lm.forward_chunks(
+            [state.prefill_target[state.prefilled:state.prefilled + chunk]
+             for state, chunk in chunks],
+            [state.prefilled for state, _ in chunks],
+            [state.caches for state, _ in chunks])
+        for row, (state, chunk) in enumerate(chunks):
             state.prefilled += chunk
             if state.prefilled == len(state.prefill_target):
-                self._finish_prefill(state, logits, step, time.perf_counter())
+                self._finish_prefill(state, logits[row], step, time.perf_counter())
             self.kv.sync(state, state.cached_tokens)
 
     # -- decode / speculative verify -------------------------------------

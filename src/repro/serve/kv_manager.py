@@ -98,6 +98,11 @@ class KVSpaceManager:
 
         self.lm = lm
         self.cache_factory = cache_factory
+        if capacity_tokens is not None:
+            # Pools this manager bounds are allocated once, at final size.
+            presize = getattr(cache_factory, "reserve_capacity", None)
+            if presize is not None:
+                presize(capacity_tokens)
         # Probe the factory once (building a cache is cheap and side-effect
         # free — the paged cache allocates no pages until written).
         probe = (cache_factory or full_cache_factory)(

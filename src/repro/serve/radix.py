@@ -21,12 +21,14 @@ Entries are the unit of storage and eviction:
   remaining subtree (falling back to the deepest entry on the path).
 * a ``max_tokens`` budget evicts least-recently-used entries (token count
   is the sum of entry depths — an upper bound, since page-level CoW sharing
-  means the real footprint is smaller).
+  means the real footprint is smaller).  Resident entries sit in a recency
+  list (least recently used first), so picking a victim is O(1).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import OrderedDict
+from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from repro.llm.cache import LayerKVCache
@@ -77,23 +79,28 @@ class RadixPrefixIndex:
         self._root = _Node((), None)
         self._clock = 0
         self._stored_tokens = 0
-        self._n_entries = 0
+        #: Recency list: ``id(entry) -> node`` of every resident entry, least
+        #: recently used first (an entry is alive while listed, so its id is
+        #: stable).  Ordered exactly as ascending ``last_used``.
+        self._lru: "OrderedDict[int, _Node]" = OrderedDict()
         self.hits = 0
         self.misses = 0
 
     # -- stats ----------------------------------------------------------
     @property
     def n_entries(self) -> int:
-        return self._n_entries
+        return len(self._lru)
 
     @property
     def stored_tokens(self) -> int:
         """Sum of entry depths (an upper bound on unique cached tokens)."""
         return self._stored_tokens
 
-    def _tick(self) -> int:
+    def _touch(self, entry: PrefixEntry) -> None:
+        """Stamp ``entry`` as the most recently used."""
         self._clock += 1
-        return self._clock
+        entry.last_used = self._clock
+        self._lru.move_to_end(id(entry))
 
     # -- insertion ------------------------------------------------------
     def insert(self, tokens: Sequence[int], caches: list[LayerKVCache]) -> bool:
@@ -131,14 +138,14 @@ class RadixPrefixIndex:
                 mid.children[tokens[i]] = tail
                 node, i = tail, len(tokens)
         if node.entry is not None:
-            node.entry.last_used = self._tick()
+            self._touch(node.entry)
             for cache in caches:
                 cache.release()
             return False
-        node.entry = PrefixEntry(caches=list(caches), depth=len(tokens),
-                                 last_used=self._tick())
+        node.entry = PrefixEntry(caches=list(caches), depth=len(tokens))
+        self._lru[id(node.entry)] = node
+        self._touch(node.entry)
         self._stored_tokens += len(tokens)
-        self._n_entries += 1
         self._evict_over_budget()
         return True
 
@@ -176,13 +183,13 @@ class RadixPrefixIndex:
             if best is None or entry.last_used > best.last_used:
                 best = entry
         if best is not None:
-            best.last_used = self._tick()
+            self._touch(best)
             self.hits += 1
             return matched, best
         ancestor, depth = node.parent, matched - last_consumed
         while ancestor is not None:
             if ancestor.entry is not None:
-                ancestor.entry.last_used = self._tick()
+                self._touch(ancestor.entry)
                 self.hits += 1
                 return depth, ancestor.entry
             depth -= len(ancestor.edge)
@@ -251,32 +258,23 @@ class RadixPrefixIndex:
         calls this to reclaim snapshot pages under KV-pool pressure before
         resorting to preempting running sequences.
         """
-        if self._n_entries == 0:
+        if not self._lru:
             return 0
-        victim_node = min(
-            (node for node in self._iter_nodes() if node.entry is not None),
-            key=lambda node: node.entry.last_used)
+        victim_node = next(iter(self._lru.values()))
         depth = victim_node.entry.depth
         self._drop_entry(victim_node)
         return depth
 
     def _evict_over_budget(self) -> None:
         while (self.max_tokens is not None and self._stored_tokens > self.max_tokens
-               and self._n_entries > 0):
+               and self._lru):
             self.evict_lru()
-
-    def _iter_nodes(self) -> Iterator[_Node]:
-        stack = [self._root]
-        while stack:
-            current = stack.pop()
-            yield current
-            stack.extend(current.children.values())
 
     def _drop_entry(self, node: _Node) -> None:
         entry = node.entry
         assert entry is not None
         self._stored_tokens -= entry.depth
-        self._n_entries -= 1
+        del self._lru[id(entry)]
         entry.release()
         node.entry = None
         # Prune now-useless nodes back toward the root.
@@ -288,9 +286,8 @@ class RadixPrefixIndex:
 
     def clear(self) -> None:
         """Release every cached fork and reset the index."""
-        for node in list(self._iter_nodes()):
-            if node.entry is not None:
-                node.entry.release()
+        for node in self._lru.values():
+            node.entry.release()
         self._root = _Node((), None)
         self._stored_tokens = 0
-        self._n_entries = 0
+        self._lru.clear()

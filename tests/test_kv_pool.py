@@ -349,3 +349,68 @@ class TestAccountingDiagnostics:
         with pytest.raises(AssertionError,
                            match=rf"negative refcount on pages \[{page}\]"):
             pool.check_accounting()
+
+    def test_negative_refcounts_are_not_references(self, pool):
+        pages = [pool.alloc() for _ in range(3)]
+        pool._refcounts[pages[0]] = -2
+        assert pool.n_referenced == 2
+
+
+class TestPresizedPools:
+    """A KVSpaceManager bounding a *growable* factory by ``capacity_tokens``
+    has each pool's arena mapped once, at the size that capacity can fill;
+    the pool grows into the reserve without moving its pages."""
+
+    def test_manager_capacity_reserves_future_arenas(self, small_model):
+        from repro.serve.kv_manager import KVSpaceManager
+
+        factory = PagedCacheFactory(page_tokens=8)
+        KVSpaceManager(small_model, factory, capacity_tokens=1001)
+        small_model.make_caches(factory)
+        assert len(factory.pools) == small_model.config.n_layers
+        for pool in factory.pools:
+            assert pool._keys.shape[0] == pool._values.shape[0] == 126  # ceil(1001/8)
+            assert pool.n_pages == 64  # accounting starts where it always did
+        assert factory.capacity_tokens is None  # still growable
+
+    def test_growth_into_and_beyond_the_reserve(self):
+        rng = np.random.default_rng(0)
+        pool = KVPagePool(H, D, page_tokens=4, initial_pages=2, reserve_pages=10)
+        arena = pool._keys
+        first = pool.alloc()
+        keys, _values = _kv(rng, 4)
+        pool.key_page(first)[:] = keys
+        pages = [first] + [pool.alloc() for _ in range(9)]
+        assert pool.n_pages == 10 and pool._keys is arena  # 2 -> 4 -> 8 -> 10, in place
+        pages.append(pool.alloc())  # the 11th page outgrows the reserve
+        assert pool.n_pages == 20 and pool._keys is not arena
+        assert sorted(pages) == list(range(11))  # low page ids first, none twice
+        np.testing.assert_array_equal(pool.key_page(first), keys)
+        pool.check_accounting()
+
+    def test_smaller_capacity_and_bounded_factories_are_left_alone(self, small_model):
+        from repro.serve.kv_manager import KVSpaceManager
+
+        growable = PagedCacheFactory(page_tokens=8)
+        KVSpaceManager(small_model, growable, capacity_tokens=64)
+        KVSpaceManager(small_model, growable)  # no capacity: nothing to reserve
+        assert growable(0, H, D, C, None).pool._keys.shape[0] == 64
+        bounded = PagedCacheFactory(page_tokens=8, initial_pages=16, grow=False)
+        manager = KVSpaceManager(small_model, bounded, capacity_tokens=4096)
+        assert bounded.reserve_pages == 0 and bounded.capacity_tokens == 128
+        assert manager.capacity_tokens == 120  # physical pool minus CoW headroom
+        assert all(pool._keys.shape[0] == 16 for pool in bounded.pools)
+
+    def test_untouched_pages_of_a_big_arena_stay_uncommitted(self):
+        """The arena is its own mapping: a reserve far beyond what is used
+        must not cost resident memory (this is what makes reserving free)."""
+        import resource
+
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        pool = KVPagePool(8, 64, page_tokens=16, reserve_pages=4096)  # 2 x 128 MiB
+        keys = np.ones((8, 16, 64), dtype=np.float32)
+        for _ in range(4):
+            pool.key_page(pool.alloc())[:] = keys
+        pool.check_accounting()
+        grown_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before
+        assert grown_kib < 32 * 1024

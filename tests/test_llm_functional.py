@@ -19,6 +19,7 @@ from repro.llm.functional import (
     sigmoid,
     silu,
     softmax,
+    softmax_blocks_,
 )
 
 
@@ -36,6 +37,18 @@ class TestSoftmax:
     def test_log_softmax_consistency(self, rng):
         x = rng.standard_normal((4, 10))
         np.testing.assert_allclose(np.exp(log_softmax(x)), softmax(x), atol=1e-5)
+
+    @pytest.mark.parametrize("n_first", [0, 1, 7])
+    def test_two_block_softmax_matches_the_concatenation(self, rng, n_first):
+        first = rng.standard_normal((2, 3, 5, n_first)).astype(np.float32)
+        second = rng.standard_normal((2, 3, 5, 4)).astype(np.float32)
+        if n_first:
+            first[0, 1] = -np.inf  # a fully masked first-block row
+        want = softmax(np.concatenate([first, second], axis=-1))
+        softmax_blocks_(first, second)
+        assert first.dtype == second.dtype == np.float32
+        np.testing.assert_allclose(np.concatenate([first, second], axis=-1), want,
+                                   atol=1e-6)
 
 
 class TestActivations:

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.kv_pool import KVPagePool, PagedKVCache
 from repro.serve.radix import RadixPrefixIndex
@@ -148,6 +150,75 @@ class TestEviction:
         assert index.n_entries == 0 and index.stored_tokens == 0
         assert all(cache.released for cache in first + second)
         assert index.match([1, 2, 3]) == (0, None)
+
+
+class _LoggedCache:
+    """A cache stand-in whose release lands in a shared, ordered log."""
+
+    def __init__(self, prompt, log) -> None:
+        self.prompt, self.log = prompt, log
+
+    def release(self) -> None:
+        self.log.append(self.prompt)
+
+
+class _MinScanIndex(RadixPrefixIndex):
+    """The reference victim choice: scan the whole trie for the smallest
+    ``last_used`` stamp (what ``evict_lru`` did before the recency list)."""
+
+    def evict_lru(self) -> int:
+        victim, stack = None, [self._root]
+        while stack:
+            node = stack.pop()
+            stack.extend(node.children.values())
+            if node.entry is not None and (
+                    victim is None or node.entry.last_used < victim.entry.last_used):
+                victim = node
+        if victim is None:
+            return 0
+        depth = victim.entry.depth
+        self._drop_entry(victim)
+        return depth
+
+
+#: Short prompts over a 3-token alphabet: heavy prefix sharing, edge
+#: splits, inner entries, subtree and ancestor matches.
+_prompts = st.lists(st.integers(1, 3), min_size=1, max_size=6).map(tuple)
+_ops = st.one_of(
+    st.tuples(st.just("insert"), _prompts),
+    st.tuples(st.just("match"), _prompts),
+    st.tuples(st.just("budget"), st.one_of(st.none(), st.integers(1, 24))),
+    st.tuples(st.just("evict"), st.none()),
+    st.tuples(st.just("clear"), st.none()))
+
+
+class TestRecencyListMatchesMinScan:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.one_of(st.none(), st.integers(1, 24)), st.lists(_ops, max_size=60))
+    def test_same_victims_in_the_same_order(self, budget, ops):
+        logs = [], []
+        indices = RadixPrefixIndex(budget), _MinScanIndex(budget)
+        for op, arg in ops:
+            outcomes = []
+            for index, log in zip(indices, logs):
+                if op == "insert":
+                    outcomes.append(index.insert(arg, [_LoggedCache(arg, log)]))
+                elif op == "match":
+                    use_len, entry = index.match(arg)
+                    outcomes.append((use_len, entry and entry.caches[0].prompt))
+                elif op == "budget":
+                    outcomes.append(index.set_max_tokens(arg))
+                elif op == "evict":
+                    outcomes.append(index.evict_lru())
+                else:
+                    outcomes.append(index.clear())
+                outcomes.append((index.n_entries, index.stored_tokens,
+                                 index.hits, index.misses))
+            assert outcomes[:2] == outcomes[2:], (op, arg)
+            assert logs[0] == logs[1], (op, arg)
+            # The recency list is exactly the resident entries, oldest first.
+            stamps = [node.entry.last_used for node in indices[0]._lru.values()]
+            assert stamps == sorted(stamps) and len(stamps) == indices[0].n_entries
 
 
 class TestWithRealPagedCaches:

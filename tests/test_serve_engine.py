@@ -534,3 +534,118 @@ class TestSpeculativeServing:
         with pytest.raises(ValueError):
             repetitive_requests(n_requests=2, template_len=6, n_repeats=2,
                                 decode_len=4, vocab_size=32, noise=1.5)
+
+
+class TestSharedPrefillForward:
+    """Every prefill chunk of a step runs in one ``forward_chunks`` call and
+    the per-sequence bookkeeping (first token, radix insert, reservation
+    sync) follows it.  Wherever that could differ from a per-sequence loop —
+    prefix reuse, token budgets, speculation, preempt-and-resume, checkpoint
+    restore, transient-fault retry — every request must still end with
+    exactly one terminal status and the tokens of an isolated ``generate()``.
+    """
+
+    SPEC = "paged:page_tokens=8"
+    BOUNDED = "paged:page_tokens=8,initial_pages=12,grow=false"
+
+    @pytest.fixture(scope="class")
+    def lm(self):
+        from repro.llm.config import tiny_config
+        from repro.llm.model import DecoderLM
+
+        return DecoderLM(tiny_config("serve-chunks-tiny", n_layers=2, d_model=32,
+                                     n_heads=4, d_ff=64, vocab_size=48,
+                                     max_seq_len=512), seed=7)
+
+    @pytest.fixture(scope="class")
+    def requests(self):
+        from repro.workloads import bursty_requests, shared_prefix_requests
+
+        # Simultaneous arrivals, shared and unshared prompts, ragged lengths.
+        return (shared_prefix_requests(n_groups=2, requests_per_group=3,
+                                       prefix_len=18, suffix_len=5, decode_len=8,
+                                       vocab_size=48, seed=2)
+                + bursty_requests(n_bursts=1, burst_size=4, prompt_len=20,
+                                  decode_len=10, vocab_size=48,
+                                  length_jitter=0.3, seed=5))
+
+    @pytest.fixture()
+    def prefill_batches(self, lm, monkeypatch):
+        """Sequences per prefill forward, one entry per model call."""
+        sizes = []
+        forward = lm.forward_chunks
+
+        def spy(token_chunks, positions, caches_batch, *, logits="last"):
+            if logits == "last":
+                sizes.append(len(token_chunks))
+            return forward(token_chunks, positions, caches_batch, logits=logits)
+
+        monkeypatch.setattr(lm, "forward_chunks", spy)
+        return sizes
+
+    def _check(self, lm, requests, reports, prefill_batches):
+        from repro.llm.generation import generate
+
+        results = [result for report in reports for result in report.results]
+        assert (sorted(r.request.request_id for r in results)
+                == sorted(request.request_id for request in requests))
+        for result in results:
+            assert result.status == "finished"
+            reference = generate(lm, result.prompt_tokens,
+                                 result.request.decode_len,
+                                 cache_factory=resolve("cache", self.SPEC))
+            assert list(result.generated_tokens) == reference.generated_tokens, (
+                result.request.request_id)
+        assert max(prefill_batches) > 1  # some step prefilled several at once
+
+    @pytest.mark.parametrize("drafter", [None, "ngram:k=3"])
+    @pytest.mark.parametrize("token_budget", [16, 64])
+    @pytest.mark.parametrize("prefix_cache", [False, True])
+    def test_prefix_budget_drafter_matrix(self, lm, requests, prefill_batches,
+                                          prefix_cache, token_budget, drafter):
+        factory = resolve("cache", self.SPEC)
+        report = ServingEngine(max_concurrency=6).run_functional(
+            lm, requests, cache=factory, prefix_cache=prefix_cache,
+            token_budget=token_budget, drafter=drafter, paranoid=True)
+        self._check(lm, requests, [report], prefill_batches)
+        assert (report.reused_prefix_tokens > 0) == prefix_cache
+        factory.check_accounting()
+        assert factory.referenced_pages == 0
+
+    @pytest.mark.parametrize("drafter", [None, "ngram:k=3"])
+    def test_preempt_and_resume(self, lm, requests, prefill_batches, drafter):
+        factory = resolve("cache", self.BOUNDED)
+        report = ServingEngine(max_concurrency=6).run_functional(
+            lm, requests, cache=factory, prefix_cache=True, token_budget=32,
+            drafter=drafter, paranoid=True)
+        assert report.n_preemptions > 0  # resumed targets were re-prefilled
+        self._check(lm, requests, [report], prefill_batches)
+        assert factory.referenced_pages == 0
+
+    def test_transient_fault_retry(self, lm, requests, prefill_batches):
+        report = ServingEngine(max_concurrency=6).run_functional(
+            lm, requests, cache=self.BOUNDED, prefix_cache=True, token_budget=32,
+            faults="transient-exec:rate=0.15", paranoid=True)
+        assert report.n_retries > 0
+        self._check(lm, requests, [report], prefill_batches)
+
+    def test_checkpoint_restore_into_a_prefilling_session(self, lm, requests,
+                                                          prefill_batches):
+        """Decode-phase requests restored from checkpoints join a session
+        whose own arrivals are being chunk-prefilled in the same steps."""
+        kwargs = dict(cache=self.SPEC, prefix_cache=True, token_budget=32)
+        moved, stay = requests[:4], requests[4:]
+        src = ServingEngine(max_concurrency=6).start_functional(lm, **kwargs)
+        src.submit(moved)
+        for _ in range(4):
+            src.step()
+        dst = ServingEngine(max_concurrency=10).start_functional(lm, **kwargs)
+        dst.submit(stay)
+        for request in moved:
+            state, _ckpt = src.extract_request(request.request_id)
+            dst.inject_request(state)
+        while src.step() or dst.step():
+            pass
+        report_src, report_dst = src.finish(), dst.finish()
+        assert report_dst.n_restored > 0
+        self._check(lm, requests, [report_src, report_dst], prefill_batches)
