@@ -6,8 +6,15 @@ writes ``BENCH_decode.json``:
 * ``legacy`` — the pre-contiguous seed baseline: a full KV cache backed by a
   Python list of per-token arrays, re-stacked with ``np.stack`` on every
   fetch (re-implemented here so the regression is measurable forever);
-* ``policies`` — contiguous-cache policies, one sequence at a time and via
-  :meth:`DecoderLM.prefill_batch` / :meth:`DecoderLM.decode_step_batch`;
+* ``policies`` — cache policies, one sequence at a time and via
+  :meth:`DecoderLM.prefill_batch` / :meth:`DecoderLM.decode_step_batch`, the
+  latter both with per-row attention (``batched``, ``fused=False``) and on
+  the default path the engine runs (``batched_fused``: fused groups for
+  ``full``, stacked attention for the eviction caches), plus each policy's
+  ``batched_fused`` decode rate relative to ``full``.  The ``kelle`` rows
+  come in two sizes: a budget the sequence only outgrows late, and one the
+  *prompt* already exceeds, so AERP evicts on every step (reported, not
+  guarded);
 * ``fused`` — the fused grouped-attention decode path
   (``decode_step_batch(..., fused=True)``, one gathered length-masked BLAS
   attention call per layer per group) against the per-sequence batched
@@ -197,7 +204,8 @@ FUSED_SPECS = {
 def run_benchmark(quick: bool, repeats: int, seed: int) -> dict:
     if quick:
         prompt_len, decode_len, batch = 32, 64, 16
-        policies = ["full", "h2o:budget=32,sink_tokens=4,recent_window=8"]
+        policies = ["full", "h2o:budget=32,sink_tokens=4,recent_window=8",
+                    "kelle:budget=24,sink_tokens=4,recent_window=8,refresh=none"]
         n_waves, wave_size, engine_decode = 2, 12, 24
     else:
         prompt_len, decode_len, batch = 64, 128, 32
@@ -206,6 +214,7 @@ def run_benchmark(quick: bool, repeats: int, seed: int) -> dict:
             "streaming_llm:budget=128,sink_tokens=8",
             "h2o:budget=128,sink_tokens=8,recent_window=32",
             "kelle:budget=128,sink_tokens=8,recent_window=32,refresh=none",
+            "kelle:budget=48,sink_tokens=4,recent_window=16,refresh=none",
         ]
         n_waves, wave_size, engine_decode = 3, 24, 48
 
@@ -253,7 +262,11 @@ def run_benchmark(quick: bool, repeats: int, seed: int) -> dict:
         batched = _best_rates(
             lambda: _run_batched(model, prompts, decode_len, factory, fused=False),
             repeats, n_prefill, n_decode)
-        entry = {"sequential": sequential, "batched": batched}
+        batched_fused = _best_rates(
+            lambda: _run_batched(model, prompts, decode_len, factory, fused=True),
+            repeats, n_prefill, n_decode)
+        entry = {"sequential": sequential, "batched": batched,
+                 "batched_fused": batched_fused}
         if spec == "full":
             entry["decode_speedup_sequential_vs_legacy"] = (
                 sequential["decode_tokens_per_s"] / legacy["decode_tokens_per_s"])
@@ -262,6 +275,12 @@ def run_benchmark(quick: bool, repeats: int, seed: int) -> dict:
         results["policies"][spec] = entry
         _show(f"{spec} (seq)", sequential)
         _show(f"{spec} (batched B={batch}, per-seq attn)", batched)
+        _show(f"{spec} (batched B={batch}, default path)", batched_fused)
+    full_rate = results["policies"]["full"]["batched_fused"]["decode_tokens_per_s"]
+    for spec, entry in results["policies"].items():
+        if spec != "full":
+            entry["batched_fused_decode_vs_full"] = (
+                entry["batched_fused"]["decode_tokens_per_s"] / full_rate)
 
     # -- fused grouped attention vs the per-sequence batched reference --
     # One shared factory per spec (shared pools!); fused and unfused passes

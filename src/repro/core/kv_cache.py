@@ -16,18 +16,42 @@ The same code path provides the storage accounting used by the accelerator
 energy model and keeps the functional effect of fault injection honest: 2DRP
 bit flips are applied to whatever representation is actually stored.
 
-Storage layout: all live entries' K/V and importance values live in
-preallocated contiguous pools (``[H, capacity, d]`` / ``[H, capacity]``,
-amortised-doubling growth, freed rows recycled).  Each :class:`TokenEntry`'s
-``keys``/``values``/``importance`` arrays are *views* into its pool row, so
-``fetch`` gathers a head's slots with one fancy-indexed copy instead of a
-per-slot Python loop, and ``observe_attention`` updates importance with one
-vectorised scatter-add per head.
+Storage layout (struct of arrays; no per-token Python objects).  A live token
+owns one *row* of a preallocated pool (amortised-doubling growth, freed rows
+recycled through a free list); head ``h``'s share of row ``r`` is *cell*
+``r * n_heads + h``, which is stable across pool growth.
+
+* per cell, ``[capacity, H, ...]``: keys and values (``[.., d]`` float32),
+  accumulated importance (float64), a retained flag (a row is live while any
+  of its cells is retained) and the token position (repeated per head so a
+  cell id indexes it directly);
+* per row, ``[capacity]``: the input vector ``x`` (``[.., d_model]``), token
+  index, storage format, corrupted flag, creation step, observation count;
+* per head, ``_cells[h, :_count]``: the cells head ``h`` retains, in slot
+  order.  Every operation adds or removes exactly one slot in *every* head
+  (``prefill`` retains equally many tokens per head, ``append`` evicts from
+  all heads or none), so one ``_count`` serves all heads and ``fetch`` never
+  pads: its ``valid`` mask is all true.
+
+``append`` picks every head's victim with one masked ``argmin`` over the
+``[H, n]`` gathered importance and compacts the slot table in one masked
+copy; ``fetch`` is one ``take`` per K/V pool after materialising the (few)
+pending recomputation-format rows; ``observe_attention`` is one gather-add-
+scatter over the fetched cells.  ``recompute_fraction`` and the storage-format
+decision read running counters.  :class:`TokenEntry`, :attr:`AERPCache.entries`,
+:meth:`AERPCache.tokens_for_head` and :meth:`AERPCache.popularity` are
+introspection snapshots built on demand from the arrays.
+
+The previous dict / list / set implementation lives on as the test oracle
+(``tests/reference_aerp.py``); eviction victims, slot order, format choices,
+counters, importance values, ``fetch`` outputs and the fault injector's RNG
+draw order are identical to it for any call sequence with finite importance
+scores.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -43,26 +67,25 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers onl
 
 @dataclass
 class TokenEntry:
-    """Book-keeping for one token held by the cache (across heads).
+    """Snapshot of one token held by the cache (across heads).
 
-    ``keys``/``values``/``importance`` are views into the cache's contiguous
-    pools; mutate them in place (``entry.keys[...] = ...``) rather than
-    rebinding the attributes.
+    Built on demand by :attr:`AERPCache.entries`; every array is a copy, so
+    mutating an entry does not touch the cache.  ``importance[h]`` is zero for
+    heads that no longer retain the token.
     """
 
     token_index: int
     position: int
     x: np.ndarray
-    keys: np.ndarray  # [H, head_dim] pool view
-    values: np.ndarray  # [H, head_dim] pool view
-    importance: np.ndarray  # [H] pool view
+    keys: np.ndarray  # [H, head_dim]
+    values: np.ndarray  # [H, head_dim]
+    importance: np.ndarray  # [H]
     retaining_heads: set[int]
     storage_format: str = "kv"  # "kv" or "x"
     is_sink: bool = False
     corrupted: bool = False
     created_step: int = 0
     observation_count: int = 0
-    recomputed: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
 
     def mean_importance(self) -> float:
         """Mean accumulated score over the heads still retaining the token."""
@@ -84,6 +107,10 @@ class TokenEntry:
 class AERPCache(LayerKVCache):
     """Per-layer KV cache implementing AERP (Section 4.1) with optional 2DRP faults."""
 
+    #: Pool arrays indexed by row along axis 0 (grown together, dropped on release).
+    _POOLS = ("_keys", "_values", "_retained", "_position", "_x",
+              "_token_index", "_stored_x", "_corrupted", "_created_step", "_obs_count")
+
     def __init__(self, n_heads: int, head_dim: int, d_model: int, config: "AERPConfig",
                  recompute_fn: RecomputeFn, injector: KVFaultInjector | None = None,
                  seed: int = 0, layer_index: int = 0) -> None:
@@ -92,198 +119,274 @@ class AERPCache(LayerKVCache):
         self.recompute_fn = recompute_fn
         self.injector = injector or KVFaultInjector()
         self._rng = derive_rng(seed, "aerp", layer_index)
-        self._entries: dict[int, TokenEntry] = {}
-        self._slots: list[list[int]] = [[] for _ in range(n_heads)]
         self._next_token_index = 0
         self._current_position = -1
         self._step = 0
-        # Fetch snapshot: the slot lists are shared by reference and only
-        # copied if the cache mutates between fetch and observe_attention
-        # (copy-on-write; never happens in the decode loop).
-        self._last_fetch_slots: list[list[int]] | None = None
-        self._last_fetch_rows: list[np.ndarray] | None = None
-        self._fetch_stale = False
         self.eviction_count = 0
         self.recompute_count = 0
-        # Contiguous pools; rows are recycled through a free list.
         capacity = max(16, config.budget + config.sink_tokens + 1)
-        self._pool_k = np.zeros((n_heads, capacity, head_dim), dtype=np.float32)
-        self._pool_v = np.zeros((n_heads, capacity, head_dim), dtype=np.float32)
-        self._pool_imp = np.zeros((n_heads, capacity), dtype=np.float64)
-        self._rows: dict[int, int] = {}  # token_index -> pool row
+        # Per-cell pools.
+        self._keys = np.zeros((capacity, n_heads, head_dim), dtype=np.float32)
+        self._values = np.zeros((capacity, n_heads, head_dim), dtype=np.float32)
+        self._retained = np.zeros((capacity, n_heads), dtype=bool)
+        self._position = np.zeros((capacity, n_heads), dtype=np.int64)
+        # Per-row pools.
+        self._x = np.zeros((capacity, d_model), dtype=np.float32)
+        self._token_index = np.zeros(capacity, dtype=np.int64)
+        self._stored_x = np.zeros(capacity, dtype=bool)
+        self._corrupted = np.zeros(capacity, dtype=bool)
+        self._created_step = np.zeros(capacity, dtype=np.int64)
+        self._obs_count = np.zeros(capacity, dtype=np.int64)
         self._free_rows: list[int] = list(range(capacity - 1, -1, -1))
+        # Recomputation-format rows whose K/V cells do not hold their
+        # recomputed values yet (new, or x was corrupted since).
+        self._pending: set[int] = set()
+        self._n_live = 0
+        self._n_stored_x = 0
+        # Slot table: the cells each head retains, in slot order, and the
+        # importance each has accumulated in that head.
+        self._heads = np.arange(n_heads)
+        self._cells = np.zeros((n_heads, config.budget + 1), dtype=np.int64)
+        self._slot_importance = np.zeros(self._cells.shape, dtype=np.float64)
+        self._all_valid = np.ones(self._cells.shape, dtype=bool)  # fetch's mask
+        self._count = 0
+        # Fetch snapshot for observe_attention: nothing is copied unless the
+        # cache mutates between fetch and observe (never in the decode loop).
+        self._fetch_count: int | None = None
+        self._stale_cells: np.ndarray | None = None
+        self._stale_tokens: np.ndarray | None = None
 
     # ------------------------------------------------------------------
     # Pool management
     # ------------------------------------------------------------------
-    def _grow_pools(self, extra: int) -> None:
-        capacity = self._pool_k.shape[1]
-        needed = capacity - len(self._free_rows) + extra
-        if needed <= capacity:
-            return
-        new_capacity = capacity
-        while new_capacity < needed:
-            new_capacity *= 2
-        for name in ("_pool_k", "_pool_v", "_pool_imp"):
-            old = getattr(self, name)
-            grown = np.zeros(old.shape[:1] + (new_capacity,) + old.shape[2:], dtype=old.dtype)
-            grown[:, :capacity] = old
-            setattr(self, name, grown)
-        self._free_rows.extend(range(new_capacity - 1, capacity - 1, -1))
-        # Re-bind the per-entry views onto the reallocated pools.
-        for token_index, entry in self._entries.items():
-            row = self._rows[token_index]
-            entry.keys = self._pool_k[:, row, :]
-            entry.values = self._pool_v[:, row, :]
-            entry.importance = self._pool_imp[:, row]
-            if entry.recomputed is not None:
-                entry.recomputed = (entry.keys, entry.values)
+    def _alloc_rows(self, count: int) -> list[int]:
+        """Pop ``count`` free rows, doubling the pools first if they run out."""
+        capacity = self._keys.shape[0]
+        needed = capacity - len(self._free_rows) + count
+        if needed > capacity:
+            new_capacity = capacity
+            while new_capacity < needed:
+                new_capacity *= 2
+            for name in self._POOLS:
+                old = getattr(self, name)
+                grown = np.zeros((new_capacity,) + old.shape[1:], dtype=old.dtype)
+                grown[:capacity] = old
+                setattr(self, name, grown)
+            self._free_rows.extend(range(new_capacity - 1, capacity - 1, -1))
+        rows = self._free_rows[:-count - 1:-1]
+        del self._free_rows[-count:]
+        return rows
 
-    def _alloc_row(self, token_index: int) -> int:
-        self._grow_pools(1)
-        row = self._free_rows.pop()
-        self._rows[token_index] = row
-        return row
+    def _free_dead_rows(self, rows: np.ndarray) -> None:
+        """Recycle those of ``rows`` (which just lost a cell) no head retains."""
+        alive = np.logical_or.reduce(self._retained[rows], axis=1)
+        for row in {row for row, kept in zip(rows.tolist(), alive.tolist()) if not kept}:
+            self._free_rows.append(row)
+            self._n_live -= 1
+            if self._stored_x[row]:
+                self._stored_x[row] = False
+                self._n_stored_x -= 1
+                self._pending.discard(row)
 
     def _snapshot_before_mutation(self) -> None:
-        """Detach a live fetch snapshot before the slot lists change."""
-        if self._last_fetch_slots is not None and not self._fetch_stale:
-            self._last_fetch_slots = [list(slots) for slots in self._slots]
-            self._fetch_stale = True
+        """Detach a live fetch snapshot before the slot table changes."""
+        if self._fetch_count is not None and self._stale_cells is None:
+            self._stale_cells = self._cells[:, :self._fetch_count].copy()
+            self._stale_tokens = self._token_index[self._stale_cells // self.n_heads]
 
-    def _release_entry(self, token_index: int) -> None:
-        del self._entries[token_index]
-        self._free_rows.append(self._rows.pop(token_index))
+    def _ensure_slot_width(self, width: int) -> None:
+        if width > self._cells.shape[1]:
+            shape = (self.n_heads, max(width, 2 * self._cells.shape[1]))
+            for name in ("_cells", "_slot_importance"):
+                old = getattr(self, name)
+                grown = np.zeros(shape, dtype=old.dtype)
+                grown[:, :self._count] = old[:, :self._count]
+                setattr(self, name, grown)
+            self._all_valid = np.ones(shape, dtype=bool)
+
+    def release(self) -> None:
+        """Drop every pool; the cache is unusable afterwards."""
+        super().release()
+        for name in self._POOLS:
+            setattr(self, name, None)
+        self._cells = self._slot_importance = self._all_valid = None
+        self._free_rows = []
+        self._pending = set()
+        self._count = self._n_live = self._n_stored_x = 0
+        self._fetch_count = self._stale_cells = self._stale_tokens = None
 
     # ------------------------------------------------------------------
     # Introspection helpers used by tests and the experiments
     # ------------------------------------------------------------------
+    def _importance_by_cell(self) -> np.ndarray:
+        """``[capacity, H]`` accumulated importance; zero where not retained."""
+        by_cell = np.zeros(self._retained.shape, dtype=np.float64)
+        by_cell.reshape(-1)[self._cells[:, :self._count]] = (
+            self._slot_importance[:, :self._count])
+        return by_cell
+
+    def _live_rows(self) -> np.ndarray:
+        """Live pool rows in token-index (creation) order."""
+        rows = np.flatnonzero(self._retained.any(axis=1))
+        return rows[np.argsort(self._token_index[rows])]
+
     @property
     def entries(self) -> dict[int, TokenEntry]:
-        return self._entries
+        """Snapshot of every live token, keyed by token index (creation order)."""
+        sink_tokens = self.config.sink_tokens
+        importance = self._importance_by_cell()
+        entries = {}
+        for row in self._live_rows().tolist():
+            retained = self._retained[row]
+            position = int(self._position[row, 0])
+            entries[int(self._token_index[row])] = TokenEntry(
+                token_index=int(self._token_index[row]),
+                position=position,
+                x=self._x[row].copy(),
+                keys=self._keys[row].copy(),
+                values=self._values[row].copy(),
+                importance=importance[row],
+                retaining_heads=set(np.flatnonzero(retained).tolist()),
+                storage_format="x" if self._stored_x[row] else "kv",
+                is_sink=position < sink_tokens,
+                corrupted=bool(self._corrupted[row]),
+                created_step=int(self._created_step[row]),
+                observation_count=int(self._obs_count[row]),
+            )
+        return entries
 
     def tokens_for_head(self, head: int) -> list[int]:
         """Token indices currently retained by ``head`` (slot order)."""
-        return list(self._slots[head])
+        rows = self._cells[head, :self._count] // self.n_heads
+        return self._token_index[rows].tolist()
 
     def popularity(self, token_index: int) -> float:
         """Fraction of heads retaining the token."""
-        entry = self._entries[token_index]
-        return len(entry.retaining_heads) / self.n_heads
+        live = self._retained.any(axis=1) & (self._token_index == token_index)
+        if not live.any():
+            raise KeyError(token_index)
+        return int(self._retained[live].sum()) / self.n_heads
 
     @property
     def num_tokens(self) -> int:
-        return max((len(slots) for slots in self._slots), default=0)
+        return self._count
 
     @property
     def recompute_fraction(self) -> float:
         """Fraction of live entries stored in recomputation (x) format."""
-        if not self._entries:
+        if not self._n_live:
             return 0.0
-        stored_x = sum(1 for e in self._entries.values() if e.storage_format == "x")
-        return stored_x / len(self._entries)
+        return self._n_stored_x / self._n_live
 
     def stored_bytes(self, bits_per_element: int = 16) -> int:
-        total_elements = 0
-        for entry in self._entries.values():
-            if entry.storage_format == "x":
-                total_elements += self.d_model
-            else:
-                total_elements += 2 * self.head_dim * len(entry.retaining_heads)
+        kv_cells = int(self._retained[~self._stored_x].sum())
+        total_elements = self._n_stored_x * self.d_model + 2 * self.head_dim * kv_cells
         return total_elements * bits_per_element // 8
 
     # ------------------------------------------------------------------
     # Internal helpers
     # ------------------------------------------------------------------
-    def _is_protected(self, entry: TokenEntry) -> bool:
-        """Sink tokens and the most recent window are never evicted."""
-        if entry.is_sink:
-            return True
-        return entry.position > self._current_position - self.config.recent_window
-
-    def _classify_high_score(self, entry: TokenEntry) -> bool:
-        """HST/LST classification relative to the median live importance rate."""
-        if len(self._entries) <= 1:
-            return True
-        scores = np.array([e.importance_rate() for e in self._entries.values()])
-        return entry.importance_rate() >= float(np.median(scores))
-
-    def _corrupt_entry(self, entry: TokenEntry, is_high_score: bool) -> None:
-        """Apply the 2DRP fault model to whatever representation is stored."""
-        if entry.corrupted or self.injector.is_noop:
-            entry.corrupted = True
-            return
-        if entry.storage_format == "x":
-            entry.x = self.injector.corrupt(entry.x, is_high_score, self._rng)
-            entry.recomputed = None
-        else:
-            entry.keys[...] = self.injector.corrupt(entry.keys, is_high_score, self._rng)
-            entry.values[...] = self.injector.corrupt(entry.values, is_high_score, self._rng)
-        entry.corrupted = True
-
-    def _choose_format(self, retained_heads: int) -> str:
-        """Storage-format decision of Figure 7 (a)."""
+    def _stores_x(self, retained_heads: int) -> bool:
+        """Storage-format decision of Figure 7 (a) for the next new entry."""
         if not self.config.recompute_enabled:
-            return "kv"
-        popularity = retained_heads / self.n_heads
-        if popularity < self.config.popularity_threshold:
-            return "kv"
-        if self.recompute_fraction >= self.config.max_recompute_fraction:
-            return "kv"
-        return "x"
+            return False
+        if retained_heads / self.n_heads < self.config.popularity_threshold:
+            return False
+        return self.recompute_fraction < self.config.max_recompute_fraction
 
-    def _evict_from_head(self, head: int) -> None:
-        """Remove the lowest-importance eligible token from ``head``."""
-        slots = self._slots[head]
-        candidates = [tok for tok in slots if not self._is_protected(self._entries[tok])]
-        if not candidates:
-            candidates = [tok for tok in slots if not self._entries[tok].is_sink]
-        if not candidates:
-            candidates = list(slots)
-        victim = min(candidates, key=lambda tok: self._entries[tok].importance[head])
-        slots.remove(victim)
-        entry = self._entries[victim]
-        entry.retaining_heads.discard(head)
-        self.eviction_count += 1
-        if not entry.retaining_heads:
-            self._release_entry(victim)
+    def _register_rows(self, rows: list[int], retained_heads: list[int]) -> None:
+        """Choose each new row's storage format, in order, and count it live.
 
-    def _recomputed_kv(self, entry: TokenEntry) -> tuple[np.ndarray, np.ndarray]:
-        if entry.recomputed is None:
-            keys, values = self.recompute_fn(entry.x, entry.position)
-            # Recomputed K/V are written back into the entry's pool row so the
-            # fetch gather serves both storage formats from the same buffers.
-            entry.keys[...] = keys
-            entry.values[...] = values
-            entry.recomputed = (entry.keys, entry.values)
+        Sequential because every choice reads the recompute fraction the
+        earlier ones left behind.
+        """
+        for row, heads in zip(rows, retained_heads):
+            stores_x = self._stores_x(heads)
+            self._stored_x[row] = stores_x
+            self._n_live += 1
+            if stores_x:
+                self._n_stored_x += 1
+                self._pending.add(row)
+
+    def _evict_from_all_heads(self) -> None:
+        """Remove every head's lowest-importance eligible token.
+
+        Sink tokens and the most recent window are never evicted while another
+        candidate exists; ties go to the earliest slot.
+        """
+        n = self._count
+        heads = self._heads
+        cells = self._cells[:, :n]
+        positions = self._position.reshape(-1).take(cells)  # [H, n]
+        non_sink = positions >= self.config.sink_tokens
+        eligible = non_sink & (positions <= self._current_position - self.config.recent_window)
+        has_candidate = np.logical_or.reduce(eligible, axis=1)
+        if not np.logical_and.reduce(has_candidate):
+            eligible[~has_candidate] = non_sink[~has_candidate]
+            eligible[~eligible.any(axis=1)] = True
+        importance = self._slot_importance[:, :n]
+        victims = np.where(eligible, importance, np.inf).argmin(axis=1)  # slot per head
+        victim_cells = cells[heads, victims]
+        keep = np.ones((self.n_heads, n), dtype=bool)
+        keep[heads, victims] = False
+        self._cells[:, :n - 1] = cells[keep].reshape(self.n_heads, n - 1)
+        self._slot_importance[:, :n - 1] = importance[keep].reshape(self.n_heads, n - 1)
+        self._count = n - 1
+        self._retained.reshape(-1)[victim_cells] = False
+        self.eviction_count += self.n_heads
+        self._free_dead_rows(victim_cells // self.n_heads)
+
+    def _materialise_pending(self) -> None:
+        """Recompute K/V of recomputation-format rows into their pool cells,
+        so the fetch gather serves both storage formats from the same pools."""
+        for row in self._pending:
+            keys, values = self.recompute_fn(self._x[row], int(self._position[row, 0]))
+            self._keys[row] = keys
+            self._values[row] = values
             self.recompute_count += 1
-        return entry.recomputed
+        self._pending.clear()
 
-    def _make_entry(self, position: int, x: np.ndarray, keys: np.ndarray, values: np.ndarray,
-                    importance: np.ndarray, retaining_heads: set[int], *, is_sink: bool,
-                    observation_count: int = 0) -> TokenEntry:
-        """Allocate a pool row, write K/V/importance into it and build the entry."""
-        token_index = self._next_token_index
-        self._next_token_index += 1
-        row = self._alloc_row(token_index)
-        self._pool_k[:, row, :] = keys
-        self._pool_v[:, row, :] = values
-        self._pool_imp[:, row] = importance
-        entry = TokenEntry(
-            token_index=token_index,
-            position=position,
-            x=np.array(x, dtype=np.float32),
-            keys=self._pool_k[:, row, :],
-            values=self._pool_v[:, row, :],
-            importance=self._pool_imp[:, row],
-            retaining_heads=retaining_heads,
-            is_sink=is_sink,
-            created_step=self._step,
-            observation_count=observation_count,
-        )
-        entry.storage_format = self._choose_format(len(retaining_heads))
-        self._entries[token_index] = entry
-        return entry
+    def _mean_importance(self, rows: np.ndarray) -> np.ndarray:
+        """Mean accumulated score of each row over the heads retaining it.
+
+        Rows are reduced in groups of equal retaining-head count, each as a
+        contiguous ``[m, k]`` block, which is the summation order ``np.mean``
+        applies to one token's ``importance[heads]`` vector.
+        """
+        retained = self._retained[rows]
+        importance = self._importance_by_cell()[rows]
+        head_counts = retained.sum(axis=1)
+        means = np.empty(rows.size, dtype=np.float64)
+        for count in np.unique(head_counts).tolist():
+            group = head_counts == count
+            means[group] = importance[group][retained[group]].reshape(-1, count).mean(axis=1)
+        return means
+
+    def _inject_faults(self, created_before: int) -> None:
+        """Apply the 2DRP fault model once to every live, not yet corrupted
+        row created before step ``created_before``.
+
+        Rows are classified HST/LST against the median importance rate of all
+        live rows (corruption never changes importance, so one median serves
+        the whole call) and corrupted in token order, in whatever
+        representation is stored.
+        """
+        rows = self._live_rows()
+        targets = np.flatnonzero((self._created_step[rows] < created_before)
+                                 & ~self._corrupted[rows])
+        if targets.size == 0:
+            return
+        rates = self._mean_importance(rows) / np.maximum(1, self._obs_count[rows])
+        high_score = rates >= np.median(rates)
+        corrupt = self.injector.corrupt
+        for row, is_high in zip(rows[targets].tolist(), high_score[targets].tolist()):
+            if self._stored_x[row]:
+                self._x[row] = corrupt(self._x[row], is_high, self._rng)
+                self._pending.add(row)
+            else:
+                self._keys[row] = corrupt(self._keys[row], is_high, self._rng)
+                self._values[row] = corrupt(self._values[row], is_high, self._rng)
+            self._corrupted[row] = True
 
     # ------------------------------------------------------------------
     # LayerKVCache interface
@@ -295,134 +398,116 @@ class AERPCache(LayerKVCache):
         inputs = np.asarray(inputs, dtype=np.float32)
         self._snapshot_before_mutation()
         n_ctx = keys.shape[1]
+        n_heads = self.n_heads
         self._current_position = n_ctx - 1
         importance = ImportanceTracker.prefill_importance(attn_probs)  # [H, N]
         budget = self.config.budget
 
-        retained = np.zeros((self.n_heads, n_ctx), dtype=bool)  # head x token
-        forced = np.zeros(n_ctx, dtype=bool)
-        forced[:min(self.config.sink_tokens, n_ctx)] = True
-        forced[max(0, n_ctx - self.config.recent_window):] = True
-        for head in range(self.n_heads):
-            if n_ctx <= budget:
-                retained[head] = True
-                continue
+        retained = np.ones((n_heads, n_ctx), dtype=bool)  # head x token
+        if n_ctx > budget:
+            forced = np.zeros(n_ctx, dtype=bool)
+            forced[:min(self.config.sink_tokens, n_ctx)] = True
+            forced[max(0, n_ctx - self.config.recent_window):] = True
             remaining_budget = max(0, budget - int(forced.sum()))
-            others = np.nonzero(~forced)[0]
-            # Highest pre-fill importance first; stable sort keeps the original
-            # position order among ties, matching list.sort(reverse=True).
-            order = others[np.argsort(-importance[head, others], kind="stable")]
-            retained[head, forced] = True
-            retained[head, order[:remaining_budget]] = True
+            others = np.flatnonzero(~forced)
+            # Highest pre-fill importance first; the stable sort keeps the
+            # original position order among ties.
+            order = np.argsort(-importance[:, others], axis=1, kind="stable")
+            retained[:] = forced
+            retained[self._heads[:, None], others[order[:, :remaining_budget]]] = True
 
-        for n in range(n_ctx):
-            heads = np.nonzero(retained[:, n])[0]
-            if heads.size == 0:
-                continue
-            entry = self._make_entry(
-                position=n,
-                x=inputs[n],
-                keys=keys[:, n, :],
-                values=values[:, n, :],
-                importance=importance[:, n].astype(np.float64),
-                retaining_heads=set(int(h) for h in heads),
-                is_sink=n < self.config.sink_tokens,
-                observation_count=max(1, n_ctx - n),
-            )
-            for head in heads:
-                self._slots[int(head)].append(entry.token_index)
+        tokens = np.flatnonzero(retained.any(axis=0))
+        if tokens.size:
+            retained = retained[:, tokens]  # [H, m]
+            rows = self._alloc_rows(tokens.size)
+            self._keys[rows] = keys[:, tokens].transpose(1, 0, 2)
+            self._values[rows] = values[:, tokens].transpose(1, 0, 2)
+            self._retained[rows] = retained.T
+            self._position[rows] = tokens[:, None]
+            self._x[rows] = inputs[tokens]
+            self._token_index[rows] = self._next_token_index + np.arange(tokens.size)
+            self._next_token_index += tokens.size
+            self._corrupted[rows] = False
+            self._created_step[rows] = self._step
+            self._obs_count[rows] = np.maximum(1, n_ctx - tokens)
+            self._register_rows(rows, retained.sum(axis=0).tolist())
+            # Each head's new slots, in token order (equally many per head).
+            head_ids, token_ids = np.nonzero(retained)
+            new_cells = (np.asarray(rows)[token_ids] * n_heads + head_ids).reshape(n_heads, -1)
+            count = self._count + new_cells.shape[1]
+            self._ensure_slot_width(count)
+            self._cells[:, self._count:count] = new_cells
+            self._slot_importance[:, self._count:count] = (
+                importance[:, tokens][retained].reshape(n_heads, -1))
+            self._count = count
 
         # Fault injection for pre-filled entries: classification uses the
         # pre-filling importance ranking.
-        live = list(self._entries.values())
-        if live and not self.injector.is_noop:
-            median = float(np.median([e.importance_rate() for e in live]))
-            for entry in live:
-                self._corrupt_entry(entry, entry.importance_rate() >= median)
+        if self._n_live and not self.injector.is_noop:
+            self._inject_faults(created_before=self._step + 1)
 
     def append(self, key: np.ndarray, value: np.ndarray, x: np.ndarray, position: int) -> None:
         self._snapshot_before_mutation()
         self._current_position = max(self._current_position, position)
-        for head in range(self.n_heads):
-            if len(self._slots[head]) >= self.config.budget:
-                self._evict_from_head(head)
-        entry = self._make_entry(
-            position=position,
-            x=x,
-            keys=key,
-            values=value,
-            importance=np.zeros(self.n_heads, dtype=np.float64),
-            retaining_heads=set(range(self.n_heads)),
-            is_sink=position < self.config.sink_tokens,
-        )
-        for head in range(self.n_heads):
-            self._slots[head].append(entry.token_index)
+        if self._count >= self.config.budget:
+            self._evict_from_all_heads()
+        (row,) = self._alloc_rows(1)
+        self._keys[row] = key
+        self._values[row] = value
+        self._retained[row] = True
+        self._position[row] = position
+        self._x[row] = x
+        self._token_index[row] = self._next_token_index
+        self._next_token_index += 1
+        self._corrupted[row] = False
+        self._created_step[row] = self._step
+        self._obs_count[row] = 0
+        self._register_rows((row,), (self.n_heads,))
+        self._ensure_slot_width(self._count + 1)
+        self._cells[:, self._count] = row * self.n_heads + self._heads
+        self._slot_importance[:, self._count] = 0.0
+        self._count += 1
 
     def fetch(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        # Materialise any recomputation-format entries into their pool rows
-        # first, so the per-head gather below covers both storage formats.
-        for entry in self._entries.values():
-            if entry.storage_format == "x" and entry.recomputed is None:
-                self._recomputed_kv(entry)
-        n_max = self.num_tokens
-        keys = np.zeros((self.n_heads, n_max, self.head_dim), dtype=np.float32)
-        values = np.zeros((self.n_heads, n_max, self.head_dim), dtype=np.float32)
-        valid = np.zeros((self.n_heads, n_max), dtype=bool)
-        rows_by_head: list[np.ndarray] = []
-        for head in range(self.n_heads):
-            slots = self._slots[head]
-            rows = np.fromiter((self._rows[tok] for tok in slots), dtype=np.int64,
-                               count=len(slots))
-            rows_by_head.append(rows)
-            if rows.size:
-                keys[head, :rows.size] = self._pool_k[head, rows]
-                values[head, :rows.size] = self._pool_v[head, rows]
-                valid[head, :rows.size] = True
-        self._last_fetch_slots = self._slots  # shared; copied on mutation
-        self._last_fetch_rows = rows_by_head
-        self._fetch_stale = False
-        return keys, values, valid
+        if self._cells is None:
+            raise RuntimeError("fetch on a released AERPCache")
+        if self._pending:
+            self._materialise_pending()
+        n = self._count
+        cells = self._cells[:, :n]
+        keys = self._keys.reshape(-1, self.head_dim).take(cells, axis=0)  # [H, n, d]
+        values = self._values.reshape(-1, self.head_dim).take(cells, axis=0)
+        self._fetch_count = n
+        self._stale_cells = self._stale_tokens = None
+        return keys, values, self._all_valid[:, :n]
 
     def observe_attention(self, probs: np.ndarray) -> None:
-        if self._last_fetch_slots is None:
+        if self._fetch_count is None:
             raise RuntimeError("observe_attention called before fetch")
-        probs = np.asarray(probs, dtype=np.float64)
-        observed: set[int] = set()
-        # Fast path applies only when no append/eviction ran since the fetch
-        # (tracked copy-on-write): unchanged slot lists imply every
-        # (head, token) pair is still retained and every token still occupies
-        # its fetched pool row.
-        rows_valid = not self._fetch_stale
-        for head in range(self.n_heads):
-            slots = self._last_fetch_slots[head]
-            if not slots:
-                continue
-            if rows_valid:
-                rows = self._last_fetch_rows[head]
-                self._pool_imp[head, rows] += probs[head, :rows.size]
-                observed.update(slots)
-            else:
-                # Slow path: the cache mutated between fetch and observe.
-                for slot, token_index in enumerate(slots):
-                    entry = self._entries.get(token_index)
-                    if entry is not None and head in entry.retaining_heads:
-                        entry.importance[head] += probs[head, slot]
-                        observed.add(token_index)
-        for token_index in observed:
-            entry = self._entries.get(token_index)
-            if entry is not None:
-                entry.observation_count += 1
-        self._last_fetch_slots = None
-        self._last_fetch_rows = None
-        self._fetch_stale = False
+        probs = np.asarray(probs)[:, :self._fetch_count]  # float32 adds exactly
+        if self._stale_cells is None:
+            # Nothing changed since the fetch: the fetched slots are the
+            # current ones and cover every live row.
+            self._slot_importance[:, :self._fetch_count] += probs
+            self._obs_count += 1  # free rows are reset when allocated
+        else:
+            # The cache mutated between fetch and observe: credit only the
+            # fetched (head, token) pairs that are still retained, wherever
+            # their slots moved to.
+            slot_of = np.full(self._retained.size, -1)
+            slot_of[self._cells[:, :self._count]] = np.arange(self._count)
+            slots = slot_of[self._stale_cells]
+            rows = self._stale_cells // self.n_heads
+            kept = (slots >= 0) & (self._token_index[rows] == self._stale_tokens)
+            self._slot_importance[np.nonzero(kept)[0], slots[kept]] += probs[kept]
+            self._obs_count[np.unique(rows[kept])] += 1
+        self._fetch_count = None
+        self._stale_cells = self._stale_tokens = None
         # Lazy 2DRP fault injection: an entry is corrupted once, after it has
         # been resident for at least one step (so its HST/LST class reflects
         # observed importance rather than defaulting to "new token").
-        if self.injector.is_noop:
-            return
-        for entry in self._entries.values():
-            if not entry.corrupted and entry.created_step < self._step:
-                self._corrupt_entry(entry, self._classify_high_score(entry))
+        if not self.injector.is_noop:
+            self._inject_faults(created_before=self._step)
 
     def end_step(self) -> None:
         self._step += 1

@@ -159,9 +159,9 @@ class LayerKVCache(abc.ABC):
     #: * ``"contig"`` — private contiguous storage; same-length sequences
     #:   are stacked into a shared workspace;
     #: * ``None`` — no fused layout (eviction/importance policies whose
-    #:   validity masks and ``observe_attention`` hooks need the
-    #:   per-sequence path); the batched decode falls back to the
-    #:   sequence-at-a-time attention loop for them.
+    #:   validity masks and ``observe_attention`` hooks need their own
+    #:   ``append`` / ``fetch`` every step); the batched decode stacks the
+    #:   attention of such rows only where their fetched shapes agree.
     fused_kind: "str | None" = None
 
     #: Whether :meth:`append` stores the K/V vectors *verbatim* — no

@@ -219,9 +219,21 @@ class DecoderLM:
     def recompute_fn(self, layer: int):
         """Return the recompute callback the AERP cache uses for this layer."""
 
+        prefix = f"layers.{layer}"
+        n_heads, head_dim = self.config.n_heads, self.config.head_dim
+
         def recompute(x: np.ndarray, position: int) -> tuple[np.ndarray, np.ndarray]:
-            keys, values = self._project_kv(x[None, :], layer, np.array([position]))
-            return keys[:, 0, :], values[:, 0, :]
+            # :meth:`_project_kv` for one token (the same two M=1 GEMMs and
+            # elementwise RoPE, hence the same bits) without its per-call
+            # overhead: AERP calls this once per recomputed entry.
+            row = x[None, :]
+            keys = (row @ self.params[f"{prefix}.wk"]).reshape(n_heads, 1, head_dim)
+            values = (row @ self.params[f"{prefix}.wv"]).reshape(n_heads, head_dim)
+            if self.config.positional == "rope":
+                # Tables viewed from ``position`` on, int form: no gather.
+                keys = apply_rope(keys, 1, self._rope_cos[position:],
+                                  self._rope_sin[position:])
+            return keys[:, 0, :], values
 
         return recompute
 
@@ -486,14 +498,9 @@ class DecoderLM:
                 query = apply_rope(query, position_arr, self._rope_cos, self._rope_sin)
                 keys_new = apply_rope(keys_new, position_arr, self._rope_cos, self._rope_sin)
             query = query[:, 0, :]  # [H, d]
-            caches[layer].append(keys_new[:, 0, :], values_new[:, 0, :], normed, position)
-            keys, values, valid = caches[layer].fetch()
-            scores = (keys @ query[:, :, None])[:, :, 0] * scale  # [H, n]
-            if not valid.all():
-                scores = np.where(valid, scores, -np.inf)
-            probs = softmax(scores, axis=-1)
-            caches[layer].observe_attention(probs)
-            context = (probs[:, None, :] @ values)[:, 0, :].reshape(self.config.d_model)
+            cache = caches[layer]
+            cache.append(keys_new[:, 0, :], values_new[:, 0, :], normed, position)
+            context = self._attend_fetched(cache, cache.fetch(), query, scale)
             hidden = hidden + context @ self.params[f"{prefix}.wo"]
             normed = self._norm(hidden, f"{prefix}.mlp_norm")
             hidden = hidden + self._mlp(normed, layer)
@@ -835,6 +842,87 @@ class DecoderLM:
                         out=ws.get("fused.ctx", (n_groups, n_heads, 1, head_dim)))
         context[rows] = ctx.reshape(n_groups, n_heads * head_dim)
 
+    def _attend_fetched(self, cache: LayerKVCache,
+                        fetched: tuple[np.ndarray, np.ndarray, np.ndarray],
+                        query: np.ndarray, scale: float) -> np.ndarray:
+        """One sequence's decode attention over its just-``fetch``-ed K/V.
+
+        ``query`` is ``[H, d]``; feeds the probabilities back through
+        ``observe_attention`` and returns the ``[d_model]`` context row.
+        """
+        keys, values, valid = fetched  # zero-copy views or gathers, ragged n_b
+        scores = (keys @ query[:, :, None])[:, :, 0] * scale  # [H, n_b]
+        if not valid.all():
+            scores = np.where(valid, scores, -np.inf)
+        probs = softmax(scores, axis=-1)
+        cache.observe_attention(probs)
+        return (probs[:, None, :] @ values)[:, 0, :].reshape(self.config.d_model)
+
+    def _attend_loose_rows(self, rows: list[int], layer: int,
+                           caches_batch: Sequence[list[LayerKVCache]],
+                           query: np.ndarray, keys_new: np.ndarray,
+                           values_new: np.ndarray, normed: np.ndarray,
+                           positions: np.ndarray, context: np.ndarray,
+                           scale: float) -> None:
+        """Attention for the sequences no fused layout covers, stacked by shape.
+
+        Every cache still runs its own ``append`` -> ``fetch`` ->
+        ``observe_attention`` (eviction policies keep their storage transform
+        and their importance feedback), but rows whose fetched K/V have equal
+        length and an all-true mask — every eviction cache sitting at its
+        budget — share one :meth:`_attend_stacked_group` call.  Rows with a
+        partial mask or a length of their own take the per-row path.
+        """
+        groups: dict[int, list[tuple[int, LayerKVCache, tuple]]] = {}
+        for b in rows:
+            cache = caches_batch[b][layer]
+            cache.append(keys_new[:, b, :], values_new[:, b, :], normed[b],
+                         int(positions[b]))
+            fetched = cache.fetch()
+            # Keyed by fetched length; a partial mask gets a key of its own.
+            n_tokens = fetched[0].shape[1] if fetched[2].all() else -1 - b
+            groups.setdefault(n_tokens, []).append((b, cache, fetched))
+        for members in groups.values():
+            if len(members) > 1:
+                self._attend_stacked_group(members, query, context, scale)
+            else:
+                b, cache, fetched = members[0]
+                context[b] = self._attend_fetched(cache, fetched, query[:, b], scale)
+
+    def _attend_stacked_group(self, members: list[tuple[int, LayerKVCache, tuple]],
+                              query: np.ndarray, context: np.ndarray,
+                              scale: float) -> None:
+        """``scores -> softmax -> context`` once for ``G`` equal-shape rows.
+
+        ``members`` holds ``(batch row, cache, fetched)`` with all-valid
+        ``[H, n, d]`` K/V of one ``n``.  They are copied into ``[G, H, n, d]``
+        stacks in the shared workspace (nothing persists between steps) and
+        attended with the batched BLAS calls of :meth:`_attend_contig_group`;
+        each slice is the op :meth:`_attend_fetched` issues for one row, so
+        results are bit-identical to the per-row path.
+        """
+        ws = self._ws
+        n_groups = len(members)
+        n_heads, head_dim = self.config.n_heads, self.config.head_dim
+        n_tokens = members[0][2][0].shape[1]  # of the first member's keys
+        skeys = ws.get("loose.keys", (n_groups, n_heads, n_tokens, head_dim))
+        svalues = ws.get("loose.values", (n_groups, n_heads, n_tokens, head_dim))
+        for g, (_b, _cache, (keys, values, _valid)) in enumerate(members):
+            skeys[g] = keys
+            svalues[g] = values
+        rows = [b for b, _cache, _fetched in members]
+        q_rows = query[:, rows].swapaxes(0, 1)  # [G, H, d]
+        scores = np.matmul(
+            skeys, q_rows[:, :, :, None],
+            out=ws.get("loose.scores", (n_groups, n_heads, n_tokens, 1)))[..., 0]
+        scores *= scale  # [G, H, n]
+        probs = self._softmax_inplace(scores)
+        for g, (_b, cache, _fetched) in enumerate(members):
+            cache.observe_attention(probs[g])
+        ctx = np.matmul(probs[:, :, None, :], svalues,
+                        out=ws.get("loose.ctx", (n_groups, n_heads, 1, head_dim)))
+        context[rows] = ctx.reshape(n_groups, n_heads * head_dim)
+
     def decode_step_batch(self, tokens: Sequence[int], positions: Sequence[int],
                           caches_batch: Sequence[list[LayerKVCache]],
                           fused: bool = True) -> np.ndarray:
@@ -851,11 +939,12 @@ class DecoderLM:
         gathered, length-masked BLAS attention call per layer — paged-
         attention style — instead of per-sequence GEMVs.  Sequences whose
         caches need per-token attention feedback (``observe_attention``-
-        driven eviction policies) automatically keep the per-sequence
-        fallback, which reads each cache's zero-copy ``fetch`` views.
-        ``fused=False`` forces the fallback for everything — the pre-fusion
-        reference path used by equivalence tests and benchmarks.  Either
-        way each sequence's logits match the single-sequence
+        driven eviction policies) are appended, fetched and fed back one
+        cache at a time, with the attention arithmetic stacked per group of
+        equal fetched shape (:meth:`_attend_loose_rows`).
+        ``fused=False`` forces per-sequence attention for everything — the
+        pre-fusion reference path used by equivalence tests and benchmarks.
+        Either way each sequence's logits match the single-sequence
         :meth:`decode_step`.
 
         Returns logits of shape ``[B, vocab]``.
@@ -895,18 +984,16 @@ class DecoderLM:
             for rows in paged_groups:
                 self._attend_paged_group(rows, layer, caches_batch, query, keys_new,
                                          values_new, context, scale)
-            for b in loose:
-                cache = caches_batch[b][layer]
-                cache.append(keys_new[:, b, :], values_new[:, b, :], normed[b],
-                             int(positions[b]))
-                keys, values, valid = cache.fetch()  # zero-copy views, ragged n_b
-                scores = (keys @ query[:, b, :, None])[:, :, 0] * scale  # [H, n_b]
-                if not valid.all():
-                    scores = np.where(valid, scores, -np.inf)
-                probs = softmax(scores, axis=-1)
-                cache.observe_attention(probs)
-                context[b] = ((probs[:, None, :] @ values)[:, 0, :]
-                              .reshape(self.config.d_model))
+            if fused and len(loose) > 1:
+                self._attend_loose_rows(loose, layer, caches_batch, query, keys_new,
+                                        values_new, normed, positions, context, scale)
+            else:
+                for b in loose:
+                    cache = caches_batch[b][layer]
+                    cache.append(keys_new[:, b, :], values_new[:, b, :], normed[b],
+                                 int(positions[b]))
+                    context[b] = self._attend_fetched(cache, cache.fetch(),
+                                                      query[:, b], scale)
             hidden = hidden + context @ self.params[f"{prefix}.wo"]
             normed = self._norm(hidden, f"{prefix}.mlp_norm")
             hidden = hidden + self._mlp(normed, layer)

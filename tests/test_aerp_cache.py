@@ -204,6 +204,23 @@ class TestFaultInjection:
         np.testing.assert_array_equal(entry.keys, key)
 
 
+class TestRelease:
+    def test_release_drops_storage_and_fetch_fails_loudly(self, rng):
+        cache = _make_cache()
+        for position in range(9):
+            _append_token(cache, position, rng)
+            _observe_uniform(cache)
+        epoch = cache.write_epoch
+        cache.release()
+        assert cache.write_epoch == epoch + 1
+        assert cache.num_tokens == 0
+        held = [name for name, value in vars(cache).items()
+                if isinstance(value, np.ndarray) and name != "_heads"]  # arange(n_heads)
+        assert held == []
+        with pytest.raises(RuntimeError, match="released"):
+            cache.fetch()
+
+
 class TestFunctionalEquivalence:
     def test_large_budget_matches_full_cache_generation(self, small_model, rng):
         """With a budget larger than the sequence, AERP must match the full cache."""

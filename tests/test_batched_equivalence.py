@@ -294,3 +294,99 @@ class TestContiguousKVStore:
         store.append(np.zeros((2, 4), np.float32), np.zeros((2, 4), np.float32))
         keys, values = store.view()
         assert keys.base is not None and values.base is not None
+
+
+class TestStackedLooseAttention:
+    """``decode_step_batch`` stacks the attention of equal-shape rows that no
+    fused layout covers (eviction caches).  One step here holds groups of
+    several, groups of one and a partial-``valid`` row; logits must equal the
+    per-row path (``fused=False``) bit for bit and single-sequence
+    ``decode_step`` (whose dense ops run at batch 1) within float tolerance,
+    with identical greedy tokens.
+    """
+
+    KELLE = "kelle:budget=8,sink_tokens=2,recent_window=3,refresh=none"
+    H2O = "h2o:budget=8,sink_tokens=2,recent_window=3"
+    #: Three prompts over the budget (all sit at 8 slots), two equal short
+    #: ones, one on a length of its own.
+    LENGTHS = (12, 12, 14, 3, 3, 5)
+
+    @pytest.fixture()
+    def stacked_groups(self, small_model, monkeypatch):
+        """Group sizes seen by the stacked helper, one entry per call."""
+        sizes = []
+        stacked = small_model._attend_stacked_group
+
+        def spy(members, *args, **kwargs):
+            sizes.append(len(members))
+            return stacked(members, *args, **kwargs)
+
+        monkeypatch.setattr(small_model, "_attend_stacked_group", spy)
+        return sizes
+
+    @staticmethod
+    def _prefilled(lm, specs, prompts, masked=()):
+        """Per-sequence caches after a single-sequence prefill; sequences in
+        ``masked`` (full caches) get slot 1 invalidated in every head."""
+        caches_batch = []
+        for b, (spec, prompt) in enumerate(zip(specs, prompts)):
+            caches = lm.make_caches(spec)
+            lm.prefill(prompt, caches)
+            if b in masked:
+                for cache in caches:
+                    cache._store._valid[:, 1] = False
+            caches_batch.append(caches)
+        return caches_batch
+
+    def _check(self, lm, specs, prompts, masked=(), steps=6):
+        stacked, per_row, single = (self._prefilled(lm, specs, prompts, masked)
+                                    for _ in range(3))
+        tokens = [prompt[-1] for prompt in prompts]
+        positions = [len(prompt) for prompt in prompts]
+        for _ in range(steps):
+            got = lm.decode_step_batch(tokens, positions, stacked)
+            want = lm.decode_step_batch(tokens, positions, per_row, fused=False)
+            np.testing.assert_array_equal(got, want)
+            for b, caches in enumerate(single):
+                alone = lm.decode_step(tokens[b], positions[b], caches)
+                np.testing.assert_allclose(got[b], alone, atol=1e-5)
+                assert int(np.argmax(got[b])) == int(np.argmax(alone))
+            tokens = np.argmax(got, axis=-1).tolist()
+            positions = [p + 1 for p in positions]
+
+    @pytest.mark.parametrize("spec", [KELLE, H2O])
+    def test_ragged_groups_and_partial_valid_row(self, small_model, stacked_groups, spec):
+        factory = resolve("cache", spec)
+        prompts = _prompts(small_model.config.vocab_size, self.LENGTHS + (9,), seed=21)
+        # The lone full cache lands on the loose path too; its mask is partial.
+        specs = [factory] * len(self.LENGTHS) + [resolve("cache", "full")]
+        self._check(small_model, specs, prompts, masked={len(self.LENGTHS)})
+        assert {2, 3} <= set(stacked_groups)
+
+    def test_kelle_rows_beside_a_paged_group(self, small_model, stacked_groups):
+        kelle = resolve("cache", self.KELLE)
+        paged = resolve("cache", "paged:page_tokens=4")
+        prompts = _prompts(small_model.config.vocab_size, (12, 7, 13, 7, 12, 9), seed=22)
+        self._check(small_model, [kelle, paged, kelle, paged, kelle, paged], prompts)
+        assert 3 in stacked_groups
+
+    def test_eviction_state_matches_isolated_generation(self, small_model, stacked_groups):
+        """Stacking must not change what AERP evicts: compare the caches."""
+        factory = resolve("cache", self.KELLE)
+        prompts = _prompts(small_model.config.vocab_size, (12, 13, 14), seed=23)
+        batched = self._prefilled(small_model, [factory] * 3, prompts)
+        alone = self._prefilled(small_model, [factory] * 3, prompts)
+        tokens = [prompt[-1] for prompt in prompts]
+        positions = [len(prompt) for prompt in prompts]
+        for _ in range(8):
+            logits = small_model.decode_step_batch(tokens, positions, batched)
+            for b, caches in enumerate(alone):
+                small_model.decode_step(tokens[b], positions[b], caches)
+            tokens = np.argmax(logits, axis=-1).tolist()
+            positions = [p + 1 for p in positions]
+        assert stacked_groups and set(stacked_groups) == {3}
+        for bat, seq in zip(batched, alone):
+            for bat_cache, seq_cache in zip(bat, seq):
+                assert bat_cache.eviction_count == seq_cache.eviction_count > 0
+                for head in range(bat_cache.n_heads):
+                    assert bat_cache.tokens_for_head(head) == seq_cache.tokens_for_head(head)

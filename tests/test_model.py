@@ -118,6 +118,10 @@ class TestDecoderLM:
         np.testing.assert_allclose(k, keys[:, 3, :], atol=1e-5)
         np.testing.assert_allclose(v, values[:, 3, :], atol=1e-5)
         assert k.shape == (config.n_heads, config.head_dim)
+        # ... and, bit for bit, the one-token projection it stands in for.
+        one_k, one_v = small_model._project_kv(normed[3:4], 0, np.array([3]))
+        np.testing.assert_array_equal(k, one_k[:, 0, :])
+        np.testing.assert_array_equal(v, one_v[:, 0, :])
 
     def test_gqa_config_not_instantiable(self):
         with pytest.raises(ValueError):

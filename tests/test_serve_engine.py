@@ -203,6 +203,39 @@ class TestFunctionalServing:
         with pytest.raises(ValueError):
             engine.run_functional(lm, [Request("x", 0.0, 8, 4)], token_budget=0)
 
+    @pytest.mark.parametrize("spec", [
+        "kelle:budget=16,sink_tokens=2,recent_window=4,refresh=none",
+        "h2o:budget=16,sink_tokens=2,recent_window=4",
+    ])
+    def test_eviction_caches_decode_through_stacked_attention(self, lm, spec, monkeypatch):
+        """Prompts over and under the budget share decode steps: the rows at
+        the budget are attended as one stacked group, the others per row, and
+        every request still ends finished with its isolated-generate tokens."""
+        from repro.llm.generation import generate
+
+        group_sizes = []
+        stacked = lm._attend_stacked_group
+
+        def spy(members, *args, **kwargs):
+            group_sizes.append(len(members))
+            return stacked(members, *args, **kwargs)
+
+        monkeypatch.setattr(lm, "_attend_stacked_group", spy)
+        requests = [Request(f"r{i}", 0.0, prompt_len, decode_len)
+                    for i, (prompt_len, decode_len) in enumerate(
+                        [(24, 10), (30, 12), (20, 10), (6, 9), (6, 14), (11, 8), (26, 4)])]
+        report = ServingEngine(max_concurrency=6).run_functional(lm, requests, cache=spec,
+                                                                 seed=4)
+        assert (sorted(r.request.request_id for r in report.results)
+                == sorted(request.request_id for request in requests))
+        for result in report.results:
+            assert result.status == "finished"
+            reference = generate(lm, result.prompt_tokens, result.request.decode_len,
+                                 cache_factory=resolve("cache", spec))
+            assert list(result.generated_tokens) == reference.generated_tokens, (
+                result.request.request_id)
+        assert max(group_sizes) >= 3  # the over-budget rows ran stacked
+
 
 #: One spec per registered cache kind, sized for the tiny serving model.
 #: Prefix sharing must be output-transparent for every one of them: caches
