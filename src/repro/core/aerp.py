@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from repro.core.kv_cache import AERPCache
+from repro.core.kv_cache import AERPArena, AERPCache
 from repro.core.refresh import KVFaultInjector
 from repro.llm.cache import KVCacheFactory, LayerKVCache, RecomputeFn
 
@@ -103,10 +103,19 @@ def budget_for_dataset(dataset: str, scale: float = 1.0) -> AERPConfig:
 
 def aerp_cache_factory(config: AERPConfig, injector: KVFaultInjector | None = None,
                        seed: int = 0) -> KVCacheFactory:
-    """Build a cache factory that creates one :class:`AERPCache` per layer."""
+    """Build a cache factory that creates one :class:`AERPCache` per layer.
+
+    The factory owns one :class:`AERPArena` per layer (created with the first
+    cache of that layer and geometry); every cache it builds is a sequence
+    slot of it, which is what lets a decode group be stepped as one.
+    """
+    arenas: dict[tuple[int, int, int, int], AERPArena] = {}
 
     def factory(layer_index: int, n_heads: int, head_dim: int, d_model: int,
                 recompute_fn: RecomputeFn) -> LayerKVCache:
+        key = (layer_index, n_heads, head_dim, d_model)
+        if key not in arenas:
+            arenas[key] = AERPArena(n_heads, head_dim, d_model, config)
         return AERPCache(
             n_heads=n_heads,
             head_dim=head_dim,
@@ -116,6 +125,7 @@ def aerp_cache_factory(config: AERPConfig, injector: KVFaultInjector | None = No
             injector=injector,
             seed=seed,
             layer_index=layer_index,
+            arena=arenas[key],
         )
 
     return factory

@@ -19,15 +19,18 @@ is O(1) instead of the O(n) re-stacking a list-of-arrays layout pays.
 from __future__ import annotations
 
 import abc
-from typing import Callable, Protocol
+from typing import Callable, Hashable, Protocol, Sequence
 
 import numpy as np
 
 from repro.registry import register
 
-#: Recompute callback: maps (input vector ``x`` of size C, absolute position)
-#: to the per-head key and value vectors ``([H, d], [H, d])`` for this layer.
-RecomputeFn = Callable[[np.ndarray, int], tuple[np.ndarray, np.ndarray]]
+#: Recompute callback, rows in / rows out: maps ``P`` block input vectors
+#: ``x [P, C]`` at absolute ``positions [P]`` to this layer's per-head keys and
+#: values ``([P, H, d], [P, H, d])``.  Every row must be computed as its own
+#: ``M = 1`` projection (what ``decode_step`` stored for the token), not as one
+#: ``[P, C]`` GEMM, whose results differ in the last bits.
+RecomputeFn = Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
 
 
 class ContiguousKVStore:
@@ -240,6 +243,36 @@ class LayerKVCache(abc.ABC):
 
     def end_step(self) -> None:
         """Hook called once per decode step after attention; default no-op."""
+
+    # -- group protocol (batched decode of caches no fused layout covers) --
+    def group_key(self) -> "Hashable | None":
+        """Key under which this cache can share the next decode step.
+
+        Caches returning equal keys are stepped by ONE :meth:`step_group` /
+        :meth:`observe_group` call on any of them; equal keys promise equal
+        fetched lengths.  ``None`` (the default) steps the cache on its own.
+        """
+        return None
+
+    def step_group(self, caches: "Sequence[LayerKVCache]", keys: np.ndarray,
+                   values: np.ndarray, xs: np.ndarray, positions: np.ndarray,
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """:meth:`append` one token to each of ``caches``, then :meth:`fetch`.
+
+        ``keys``/``values`` are ``[G, H, d]``, ``xs`` ``[G, C]``, ``positions``
+        ``[G]``; returns ``(K, V, valid)`` as :meth:`fetch` does, with a
+        leading group axis.  The default is the per-cache calls, for the
+        group of one the default :meth:`group_key` forms.
+        """
+        (cache,) = caches
+        cache.append(keys[0], values[0], xs[0], int(positions[0]))
+        return tuple(part[None] for part in cache.fetch())
+
+    def observe_group(self, caches: "Sequence[LayerKVCache]", probs: np.ndarray) -> None:
+        """:meth:`observe_attention` for each of ``caches``: ``probs`` is
+        ``[G, H, n]``, aligned with the preceding :meth:`step_group`."""
+        for cache, cache_probs in zip(caches, probs):
+            cache.observe_attention(cache_probs)
 
     # -- chunked prefill and prefix forking (optional capabilities) -----
     def extend_chunk(self, keys: np.ndarray, values: np.ndarray, inputs: np.ndarray,

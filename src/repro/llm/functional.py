@@ -46,15 +46,22 @@ def log_softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
 def sigmoid(x: np.ndarray) -> np.ndarray:
     """Elementwise logistic sigmoid.
 
-    Piecewise-stable form: the ``exp`` argument is always non-positive
-    (``-x`` where ``x >= 0``, ``x`` elsewhere), so neither branch can
-    overflow; per-element results match evaluating each branch on its own
-    sign partition.
+    Piecewise-stable form: the ``exp`` argument ``-|x|`` is never positive, so
+    neither branch can overflow.  With ``ex = exp(-|x|)`` the result is
+    ``1 / (1 + ex)`` where ``x >= 0`` and ``ex / (1 + ex)`` elsewhere; the
+    numerator of both is ``maximum(ex, x >= 0)`` (``ex <= 1``), which selects
+    the branch without a ``where`` pass and leaves each element the same
+    float32 additions and division as evaluating its own branch.
     """
     x = np.asarray(x, dtype=np.float32)
-    pos = x >= 0
-    ex = np.exp(np.where(pos, -x, x))
-    return np.where(pos, 1.0 / (1.0 + ex), ex / (1.0 + ex))
+    ex = np.empty_like(x)  # an array for 0-d input too, so ``out=`` works
+    np.abs(x, out=ex)
+    np.negative(ex, out=ex)
+    np.exp(ex, out=ex)
+    out = np.maximum(ex, x >= 0)
+    ex += 1.0
+    out /= ex
+    return out
 
 
 def silu(x: np.ndarray) -> np.ndarray:

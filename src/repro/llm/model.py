@@ -102,6 +102,7 @@ class DecoderLM:
         # concat; nothing in the repo mutates weight arrays in place while
         # also running inference on the same model object.
         self._qkv_cache: dict[int, tuple[tuple[int, int, int], np.ndarray]] = {}
+        self._recompute_fns: dict = {}  # layer -> closure, see recompute_fn
         self.params = params if params is not None else self._init_params(config, seed)
         if config.positional == "rope":
             self._rope_cos, self._rope_sin = rope_frequencies(config.head_dim, config.max_seq_len)
@@ -217,24 +218,34 @@ class DecoderLM:
         return entry[1]
 
     def recompute_fn(self, layer: int):
-        """Return the recompute callback the AERP cache uses for this layer."""
+        """The recompute callback the AERP cache uses for this layer.
 
-        prefix = f"layers.{layer}"
+        One object per layer, so the caches of a decode group share it (and
+        with it one recompute call per step).
+        """
+        recompute = self._recompute_fns.get(layer)
+        if recompute is not None:
+            return recompute
+        wk, wv = f"layers.{layer}.wk", f"layers.{layer}.wv"
         n_heads, head_dim = self.config.n_heads, self.config.head_dim
+        # The closure is kept on the model, so it holds the parameter dict
+        # and the RoPE tables rather than the model (no reference cycle).
+        params, rope_cos, rope_sin = self.params, self._rope_cos, self._rope_sin
 
-        def recompute(x: np.ndarray, position: int) -> tuple[np.ndarray, np.ndarray]:
-            # :meth:`_project_kv` for one token (the same two M=1 GEMMs and
-            # elementwise RoPE, hence the same bits) without its per-call
-            # overhead: AERP calls this once per recomputed entry.
-            row = x[None, :]
-            keys = (row @ self.params[f"{prefix}.wk"]).reshape(n_heads, 1, head_dim)
-            values = (row @ self.params[f"{prefix}.wv"]).reshape(n_heads, head_dim)
-            if self.config.positional == "rope":
-                # Tables viewed from ``position`` on, int form: no gather.
-                keys = apply_rope(keys, 1, self._rope_cos[position:],
-                                  self._rope_sin[position:])
-            return keys[:, 0, :], values
+        def recompute(x: np.ndarray, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            # :meth:`_project_kv` of each of the ``P`` rows on its own: the
+            # stacked ``[P, 1, C] @ [C, C]`` matmul runs as P independent M=1
+            # GEMMs and RoPE is elementwise, hence the bits ``decode_step``
+            # stored for the token (one ``[P, C]`` GEMM would differ).
+            rows = x[:, None, :]
+            keys = (rows @ params[wk]).reshape(-1, n_heads, head_dim)
+            values = (rows @ params[wv]).reshape(-1, n_heads, head_dim)
+            if rope_cos is not None:
+                keys = apply_rope(keys.swapaxes(0, 1), positions, rope_cos,
+                                  rope_sin).swapaxes(0, 1)
+            return keys, values  # [P, H, d] each
 
+        self._recompute_fns[layer] = recompute
         return recompute
 
     # ------------------------------------------------------------------
@@ -866,59 +877,80 @@ class DecoderLM:
                            scale: float) -> None:
         """Attention for the sequences no fused layout covers, stacked by shape.
 
-        Every cache still runs its own ``append`` -> ``fetch`` ->
-        ``observe_attention`` (eviction policies keep their storage transform
-        and their importance feedback), but rows whose fetched K/V have equal
-        length and an all-true mask — every eviction cache sitting at its
-        budget — share one :meth:`_attend_stacked_group` call.  Rows with a
-        partial mask or a length of their own take the per-row path.
+        Caches that share a :meth:`~repro.llm.cache.LayerKVCache.group_key`
+        (AERP caches of one arena and slot count) take the step through one
+        ``step_group`` / ``observe_group`` call; every other cache runs its
+        own ``append`` -> ``fetch`` -> ``observe_attention`` behind the same
+        calls (eviction policies keep their storage transform and their
+        importance feedback).  Rows whose fetched K/V have equal length and an
+        all-true mask — every eviction cache sitting at its budget — then
+        share one :meth:`_attend_stacked_group` call; rows with a partial mask
+        or a length of their own take the per-row path.
         """
-        groups: dict[int, list[tuple[int, LayerKVCache, tuple]]] = {}
+        groups: dict = {}
         for b in rows:
             cache = caches_batch[b][layer]
-            cache.append(keys_new[:, b, :], values_new[:, b, :], normed[b],
-                         int(positions[b]))
-            fetched = cache.fetch()
-            # Keyed by fetched length; a partial mask gets a key of its own.
-            n_tokens = fetched[0].shape[1] if fetched[2].all() else -1 - b
-            groups.setdefault(n_tokens, []).append((b, cache, fetched))
+            key = cache.group_key()
+            groups.setdefault(cache if key is None else key, []).append(b)  # None: alone
+        stackable: dict[int, list[tuple[list[int], list[LayerKVCache], tuple]]] = {}
+        alone: list[tuple[int, LayerKVCache, tuple]] = []
         for members in groups.values():
-            if len(members) > 1:
-                self._attend_stacked_group(members, query, context, scale)
+            caches = [caches_batch[b][layer] for b in members]
+            fetched = caches[0].step_group(
+                caches, keys_new[:, members].swapaxes(0, 1),
+                values_new[:, members].swapaxes(0, 1), normed[members], positions[members])
+            if fetched[2].all():
+                stackable.setdefault(fetched[0].shape[2], []).append((members, caches, fetched))
             else:
-                b, cache, fetched = members[0]
-                context[b] = self._attend_fetched(cache, fetched, query[:, b], scale)
+                alone.extend((b, cache, tuple(part[g] for part in fetched))
+                             for g, (b, cache) in enumerate(zip(members, caches)))
+        for units in stackable.values():
+            if len(units) > 1 or len(units[0][0]) > 1:
+                self._attend_stacked_group(units, query, context, scale)
+            else:
+                (b,), (cache,), fetched = units[0]
+                alone.append((b, cache, tuple(part[0] for part in fetched)))
+        for b, cache, fetched in alone:
+            context[b] = self._attend_fetched(cache, fetched, query[:, b], scale)
 
-    def _attend_stacked_group(self, members: list[tuple[int, LayerKVCache, tuple]],
+    def _attend_stacked_group(self, units: list[tuple[list[int], list[LayerKVCache], tuple]],
                               query: np.ndarray, context: np.ndarray,
                               scale: float) -> None:
         """``scores -> softmax -> context`` once for ``G`` equal-shape rows.
 
-        ``members`` holds ``(batch row, cache, fetched)`` with all-valid
-        ``[H, n, d]`` K/V of one ``n``.  They are copied into ``[G, H, n, d]``
-        stacks in the shared workspace (nothing persists between steps) and
-        attended with the batched BLAS calls of :meth:`_attend_contig_group`;
-        each slice is the op :meth:`_attend_fetched` issues for one row, so
-        results are bit-identical to the per-row path.
+        ``units`` holds ``(batch rows, caches, fetched)`` per ``step_group``
+        call, with all-valid ``[g, H, n, d]`` K/V of one ``n``.  A single unit
+        is attended where its cache stacked it; several are copied into
+        ``[G, H, n, d]`` stacks in the shared workspace (nothing persists
+        between steps).  The batched BLAS calls are those of
+        :meth:`_attend_contig_group`; each slice is the op
+        :meth:`_attend_fetched` issues for one row, so results are
+        bit-identical to the per-row path.
         """
         ws = self._ws
-        n_groups = len(members)
         n_heads, head_dim = self.config.n_heads, self.config.head_dim
-        n_tokens = members[0][2][0].shape[1]  # of the first member's keys
-        skeys = ws.get("loose.keys", (n_groups, n_heads, n_tokens, head_dim))
-        svalues = ws.get("loose.values", (n_groups, n_heads, n_tokens, head_dim))
-        for g, (_b, _cache, (keys, values, _valid)) in enumerate(members):
-            skeys[g] = keys
-            svalues[g] = values
-        rows = [b for b, _cache, _fetched in members]
+        rows = [b for members, _caches, _fetched in units for b in members]
+        n_groups = len(rows)
+        skeys, svalues, _valid = units[0][2]
+        n_tokens = skeys.shape[2]
+        if len(units) > 1:
+            skeys = ws.get("loose.keys", (n_groups, n_heads, n_tokens, head_dim))
+            svalues = ws.get("loose.values", (n_groups, n_heads, n_tokens, head_dim))
+            start = 0
+            for members, _caches, (keys, values, _valid) in units:
+                skeys[start:start + len(members)] = keys
+                svalues[start:start + len(members)] = values
+                start += len(members)
         q_rows = query[:, rows].swapaxes(0, 1)  # [G, H, d]
         scores = np.matmul(
             skeys, q_rows[:, :, :, None],
             out=ws.get("loose.scores", (n_groups, n_heads, n_tokens, 1)))[..., 0]
         scores *= scale  # [G, H, n]
         probs = self._softmax_inplace(scores)
-        for g, (_b, cache, _fetched) in enumerate(members):
-            cache.observe_attention(probs[g])
+        start = 0
+        for members, caches, _fetched in units:
+            caches[0].observe_group(caches, probs[start:start + len(members)])
+            start += len(members)
         ctx = np.matmul(probs[:, :, None, :], svalues,
                         out=ws.get("loose.ctx", (n_groups, n_heads, 1, head_dim)))
         context[rows] = ctx.reshape(n_groups, n_heads * head_dim)
@@ -939,9 +971,11 @@ class DecoderLM:
         gathered, length-masked BLAS attention call per layer — paged-
         attention style — instead of per-sequence GEMVs.  Sequences whose
         caches need per-token attention feedback (``observe_attention``-
-        driven eviction policies) are appended, fetched and fed back one
-        cache at a time, with the attention arithmetic stacked per group of
-        equal fetched shape (:meth:`_attend_loose_rows`).
+        driven eviction policies) are appended, fetched and fed back through
+        the caches' group protocol — one call per group for AERP caches
+        sharing an arena, one cache at a time otherwise — with the attention
+        arithmetic stacked per group of equal fetched shape
+        (:meth:`_attend_loose_rows`).
         ``fused=False`` forces per-sequence attention for everything — the
         pre-fusion reference path used by equivalence tests and benchmarks.
         Either way each sequence's logits match the single-sequence

@@ -1079,6 +1079,16 @@ class ClusterEngine:
                             dst=dst, launched=step,
                             fork_len=len(state.generated), via=via)
 
+    @staticmethod
+    def _end_hedge(hedges: "dict[str, _HedgeFlight]", rid: str,
+                   report: ClusterReport) -> None:
+        """Forget ``rid``'s finished hedge flight.  The duplicate's id was
+        cluster-internal: it leaves the report's per-request maps with it, so
+        they only ever name requests somebody submitted."""
+        flight = hedges.pop(rid)
+        report.assignments.pop(flight.hedge_id, None)
+        report.requeues.pop(flight.hedge_id, None)
+
     def _take_result(self, sessions: "list[FunctionalSession]",
                      retired_reports: "list[FunctionalServingReport]",
                      rid: str) -> FunctionalRequestResult | None:
@@ -1246,7 +1256,7 @@ class ClusterEngine:
                             # the primary is still running, so re-routing
                             # the duplicate would just double the work.
                             rid = hedge_ids[state.request_id]
-                            hedges.pop(rid, None)
+                            self._end_hedge(hedges, rid, report)
                             report.hedge_events.append(
                                 (step, "hedge-lost-replica", rid, replica_id))
                             continue
@@ -1536,7 +1546,7 @@ class ClusterEngine:
                     # not re-decoded — only post-fork duplicates are waste.
                     waste = max(0, waste - flight.fork_len)
                 report.hedge_waste_tokens += waste
-                del hedges[rid]
+                self._end_hedge(hedges, rid, report)
             # 4. Health supervision and circuit breakers from this round's
             #    outcomes.
             for i in range(self.n_replicas):

@@ -27,3 +27,20 @@ def opt_style_model() -> DecoderLM:
 @pytest.fixture()
 def rng() -> np.random.Generator:
     return np.random.default_rng(1234)
+
+
+@pytest.fixture()
+def aerp_group_steps(monkeypatch) -> list[int]:
+    """Group sizes the AERP caches were stepped at: one entry per
+    ``AERPCache.step_group`` call (one arena append + fetch for the group)."""
+    from repro.core.kv_cache import AERPCache
+
+    sizes: list[int] = []
+    step_group = AERPCache.step_group
+
+    def spy(self, caches, *args, **kwargs):
+        sizes.append(len(caches))
+        return step_group(self, caches, *args, **kwargs)
+
+    monkeypatch.setattr(AERPCache, "step_group", spy)
+    return sizes

@@ -19,10 +19,11 @@ def _make_cache(n_heads=2, head_dim=4, d_model=8, **config_kwargs):
     config = AERPConfig(**{"budget": 6, "sink_tokens": 1, "recent_window": 2,
                            "recompute_enabled": True, **config_kwargs})
 
-    def recompute(x, position):
-        # A deterministic stand-in projection: split x into per-head slices.
-        k = np.stack([x[:head_dim] * (h + 1) for h in range(n_heads)])
-        v = np.stack([x[head_dim:2 * head_dim] * (h + 1) for h in range(n_heads)])
+    def recompute(x, positions):
+        # A deterministic stand-in projection (rows in, rows out): split each
+        # x into per-head slices.
+        k = np.stack([x[:, :head_dim] * (h + 1) for h in range(n_heads)], axis=1)
+        v = np.stack([x[:, head_dim:2 * head_dim] * (h + 1) for h in range(n_heads)], axis=1)
         return k.astype(np.float32), v.astype(np.float32)
 
     return AERPCache(n_heads, head_dim, d_model, config, recompute, seed=0)
@@ -142,9 +143,10 @@ class TestRecomputation:
         keys, values, valid = cache.fetch()
         entry = next(iter(cache.entries.values()))
         if entry.storage_format == "x":
-            expected_k, expected_v = cache.recompute_fn(entry.x, entry.position)
-            np.testing.assert_allclose(keys[:, 0, :], expected_k, atol=1e-5)
-            np.testing.assert_allclose(values[:, 0, :], expected_v, atol=1e-5)
+            expected_k, expected_v = cache.recompute_fn(entry.x[None],
+                                                        np.array([entry.position]))
+            np.testing.assert_allclose(keys[:, 0, :], expected_k[0], atol=1e-5)
+            np.testing.assert_allclose(values[:, 0, :], expected_v[0], atol=1e-5)
         assert cache.recompute_count >= 0
 
     def test_storage_accounting_reflects_format(self, rng):
@@ -179,7 +181,7 @@ class TestFaultInjection:
         injector = KVFaultInjector(0.5, 0.5, 0.5, 0.5)
         config = AERPConfig(budget=8, sink_tokens=1, recent_window=2, recompute_enabled=False)
         cache = AERPCache(2, 4, 8, config,
-                          lambda x, p: (np.zeros((2, 4), np.float32), np.zeros((2, 4), np.float32)),
+                          lambda x, p: (np.zeros((len(x), 2, 4), np.float32),) * 2,
                           injector=injector, seed=0)
         originals = {}
         for position in range(4):

@@ -58,6 +58,28 @@ class TestActivations:
         assert np.all((s >= 0) & (s <= 1))
         np.testing.assert_allclose(sigmoid(-x), 1 - s, atol=1e-6)
 
+    def test_sigmoid_matches_the_two_branch_formula_bit_for_bit(self, rng):
+        """The where-free form must round exactly like evaluating each sign
+        branch on its own (the formula it replaced, kept here as the oracle)."""
+
+        def two_branch(x):
+            x = np.asarray(x, dtype=np.float32)
+            pos = x >= 0
+            ex = np.exp(np.where(pos, -x, x))
+            return np.where(pos, 1.0 / (1.0 + ex), ex / (1.0 + ex))
+
+        special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1e-30, -1e-30, 88.0, -88.0,
+                            104.0, -104.0, 3e38, -3e38], dtype=np.float32)
+        blocks = [special] + [(rng.standard_normal((55, 1000)) * scale).astype(np.float32)
+                              for scale in (0.01, 0.1, 1.0, 10.0, 50.0, 200.0)]
+        for x in blocks:
+            got, want = sigmoid(x), two_branch(x)
+            assert got.dtype == want.dtype == np.float32 and got.shape == x.shape
+            np.testing.assert_array_equal(got.view(np.uint32), want.view(np.uint32))
+        strided = blocks[3][::2, ::3]  # a non-contiguous view, as silu(x @ w1) never is
+        np.testing.assert_array_equal(sigmoid(strided).view(np.uint32),
+                                      two_branch(strided).view(np.uint32))
+
     def test_silu_and_gelu_near_identity_for_large_positive(self):
         x = np.array([10.0, 20.0])
         np.testing.assert_allclose(silu(x), x, rtol=1e-3)

@@ -113,15 +113,25 @@ class TestDecoderLM:
         hidden = small_model._embed(np.asarray(tokens)[None, :])[0]
         normed = small_model._norm(hidden, "layers.0.attn_norm")
         recompute = small_model.recompute_fn(0)
-        k, v = recompute(normed[3], 3)
+        assert small_model.recompute_fn(0) is recompute  # one object per layer
+        k, v = recompute(normed[3:4], np.array([3]))  # rows in, rows out: P = 1
         keys, values = small_model._project_kv(normed, 0, np.arange(6))
-        np.testing.assert_allclose(k, keys[:, 3, :], atol=1e-5)
-        np.testing.assert_allclose(v, values[:, 3, :], atol=1e-5)
-        assert k.shape == (config.n_heads, config.head_dim)
+        np.testing.assert_allclose(k[0], keys[:, 3, :], atol=1e-5)
+        np.testing.assert_allclose(v[0], values[:, 3, :], atol=1e-5)
+        assert k.shape == v.shape == (1, config.n_heads, config.head_dim)
         # ... and, bit for bit, the one-token projection it stands in for.
         one_k, one_v = small_model._project_kv(normed[3:4], 0, np.array([3]))
-        np.testing.assert_array_equal(k, one_k[:, 0, :])
-        np.testing.assert_array_equal(v, one_v[:, 0, :])
+        np.testing.assert_array_equal(k[0], one_k[:, 0, :])
+        np.testing.assert_array_equal(v[0], one_v[:, 0, :])
+        # P rows at once are P one-row calls (M=1 GEMMs), not one [P, C] GEMM.
+        xs = rng.standard_normal((16, config.d_model)).astype(np.float32)
+        positions = rng.integers(0, config.max_seq_len, size=16)
+        many_k, many_v = recompute(xs, positions)
+        assert many_k.shape == many_v.shape == (16, config.n_heads, config.head_dim)
+        for i in range(16):
+            one_k, one_v = recompute(xs[i:i + 1], positions[i:i + 1])
+            np.testing.assert_array_equal(many_k[i], one_k[0])
+            np.testing.assert_array_equal(many_v[i], one_v[0])
 
     def test_gqa_config_not_instantiable(self):
         with pytest.raises(ValueError):

@@ -38,6 +38,7 @@ from repro.serve import (
     resolve_brownout,
     resolve_hedge,
 )
+from repro.serve.cluster import HEDGE_SUFFIX
 from repro.serve.overload import BreakerConfig, HedgePolicy
 from repro.workloads import multi_tenant_requests
 
@@ -442,6 +443,42 @@ class TestHedgedRequests:
         assert len(report.results[0].generated_tokens) == 24
         # The lost duplicate frees its hedge slot but is never re-hedged.
         assert report.n_hedges == 1
+
+    #: How each way a hedge flight can end is provoked (``hedge_events`` kind
+    #: -> extra cluster kwargs, cancellations, replica failures).
+    ENDINGS = {
+        "hedge-win": {},
+        # Reported latency inflates (the hedge trigger) but the primary loses
+        # no round, so it finishes ahead of the duplicate.
+        "primary-win": dict(faults="straggler:replica=0,slowdown=2.0"),
+        "primary-terminal": dict(cancel=("r0", 6)),
+        "hedge-terminal": dict(cancel=("r0" + HEDGE_SUFFIX, 7)),
+        "hedge-lost-replica": dict(fail=(1, 8)),
+    }
+
+    @pytest.mark.parametrize("ending", sorted(ENDINGS))
+    def test_report_maps_name_only_submitted_requests(self, lm, ending):
+        """However the flight ends, the duplicate's ``~hedge`` id leaves the
+        report with it: every per-request map is keyed by submitted ids."""
+        kwargs = dict(self.ENDINGS[ending])
+        cancel, fail = kwargs.pop("cancel", None), kwargs.pop("fail", None)
+        engine = self._cluster(**kwargs)
+        if cancel is not None:
+            engine.cancel(cancel[0], at_step=cancel[1])
+        if fail is not None:
+            engine.fail_replica(fail[0], at_step=fail[1])
+        requests = [_request("r0", self.PROMPT, decode_len=24),
+                    _request("r1", self.PROMPT[::-1], decode_len=4, arrival=0.01)]
+        report = engine.run(lm, requests)
+        assert [e[1] for e in report.hedge_events if e[2] == "r0"] == ["launch", ending]
+        submitted = {request.request_id for request in requests}
+        assert set(report.assignments) == submitted
+        assert set(report.requeues) <= submitted
+        assert sorted(r.request.request_id for r in report.results) == sorted(submitted)
+        # ... and no other map of the report mentions a duplicate either.
+        for name, value in vars(report).items():
+            if isinstance(value, dict):
+                assert not [key for key in value if str(key).endswith(HEDGE_SUFFIX)], name
 
     def test_hedge_rerun_byte_identical(self, lm):
         request = _request("r0", self.PROMPT, decode_len=24)

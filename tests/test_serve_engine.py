@@ -207,7 +207,8 @@ class TestFunctionalServing:
         "kelle:budget=16,sink_tokens=2,recent_window=4,refresh=none",
         "h2o:budget=16,sink_tokens=2,recent_window=4",
     ])
-    def test_eviction_caches_decode_through_stacked_attention(self, lm, spec, monkeypatch):
+    def test_eviction_caches_decode_through_stacked_attention(self, lm, spec, monkeypatch,
+                                                              aerp_group_steps):
         """Prompts over and under the budget share decode steps: the rows at
         the budget are attended as one stacked group, the others per row, and
         every request still ends finished with its isolated-generate tokens."""
@@ -221,6 +222,8 @@ class TestFunctionalServing:
             return stacked(members, *args, **kwargs)
 
         monkeypatch.setattr(lm, "_attend_stacked_group", spy)
+        if spec.startswith("kelle"):  # stacked by the arena: one append + fetch per group
+            group_sizes = aerp_group_steps
         requests = [Request(f"r{i}", 0.0, prompt_len, decode_len)
                     for i, (prompt_len, decode_len) in enumerate(
                         [(24, 10), (30, 12), (20, 10), (6, 9), (6, 14), (11, 8), (26, 4)])]
