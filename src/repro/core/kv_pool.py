@@ -1,44 +1,72 @@
-"""Paged KV memory pool: block-based arena, refcounted pages, CoW forks.
+"""Paged KV memory pool: one page table per sequence over per-layer arenas.
 
 The serving path of the reproduction originally gave every request an
 isolated, privately-grown KV cache, so two requests sharing a long system
 prompt stored — and, worse, *recomputed* — the shared prefix twice.  This
-module provides the vLLM/SGLang design point instead:
+module provides the vLLM/SGLang design point instead (PagedAttention's
+per-sequence block table, Kwon et al., SOSP '23):
 
-* :class:`KVPagePool` — a fixed-page-size arena per decoder layer.  Keys and
-  values live in preallocated ``[n_pages, H, page_tokens, d]`` buffers;
-  pages are handed out from a free list, reference-counted, and recycled the
-  moment their refcount drops to zero.  The accounting invariant
-  ``allocated = referenced + free`` is checkable at any time via
-  :meth:`KVPagePool.check_accounting`.
-* :class:`PagedKVCache` — a :class:`~repro.llm.cache.LayerKVCache` whose
-  token storage is a list of pool pages.  Semantically it is the full
-  (no-eviction) cache, but it supports :meth:`~PagedKVCache.fork`: a
-  **zero-copy copy-on-write fork** that shares every page of a prefix with
-  the parent.  Appending into a shared tail page triggers CoW — the writer
-  copies the partial page into a fresh one and releases its reference — so
-  forks can never observe each other's writes.
-* :class:`PagedCacheFactory` — a :class:`~repro.llm.cache.KVCacheFactory`
-  that owns one pool per decoder layer and shares it across every
-  ``make_caches`` call, which is what lets *different requests* of a serving
-  run share prefix pages.  It is registered as the ``"paged"`` cache spec.
+* :class:`KVPagePool` — **one accounting domain per cache factory**: one
+  refcount list, one free list, one growth path and one fault gate, over a
+  K/V arena per decoder layer (``[L, n_pages, H, page_tokens, d]``, reserved
+  once).  A **page id names the same slot in every layer's arena**, so the
+  page a sequence's token ``t`` lives on is one number for all ``L`` layers;
+  :attr:`~KVPagePool.bytes_per_page` covers every layer's slice.  Pages are
+  handed out from the free list, reference-counted, and recycled the moment
+  their refcount drops to zero; ``allocated = referenced + free`` is
+  checkable at any time via :meth:`KVPagePool.check_accounting`.
+* :class:`PageTable` — **one per sequence**: its page list and whether it
+  owns its tail page.  A page's refcount is the number of live tables that
+  list it, whatever the number of layers.
+* :class:`PagedKVCache` — the per-layer :class:`~repro.llm.cache.LayerKVCache`
+  **handle** on a table: it keeps only what differs between layers — its
+  token count, its flush watermark (tokens already written to pages) and its
+  contiguous mirror.  The ``L`` handles :meth:`PagedCacheFactory.make_stack`
+  builds for one sequence share one table.  Semantically every handle is the
+  full (no-eviction) cache with **zero-copy copy-on-write forks**: a fork
+  shares the pages of a prefix with its parent, and writing into a shared
+  page first copies it (every layer's slice at once) into a fresh page, so
+  forks never observe each other's writes.
+* :class:`PagedCacheFactory` — the ``"paged"`` cache spec: one pool per head
+  geometry, shared by every stack it builds, which is what lets *different
+  requests* of a serving run share prefix pages.
 
-The decode hot loop still needs contiguous ``[H, n, d]`` K/V views (the
-attention path is a dense matmul over the whole cache).  Each cache therefore
-keeps a per-sequence *mirror* — a :class:`~repro.llm.cache.ContiguousKVStore`
-lazily synchronised from the pages inside :meth:`fetch` — so steady-state
-fetches stay zero-copy and a freshly forked cache pays one bulk gather
-(O(prefix) memory traffic) instead of re-running prefill (O(prefix²)
-compute).  Pages remain the storage of record: all writes land in pages
-first, and the mirror is only ever filled from page contents.
+**The stack protocol.**  ``fork_stack`` / ``truncate_stack`` /
+``release_stack`` on a whole stack (every live handle of one table) are one
+table operation each: pages are retained, allocated, CoW-copied and released
+once per sequence while K/V data still moves once per layer; the fused
+decode claims a sequence's next ``(page, offset)`` once per step
+(:meth:`PagedKVCache.reserve_stack_slot`) and every layer writes its slice
+of that slot.  The per-handle :meth:`~PagedKVCache.fork`,
+:meth:`~PagedKVCache.truncate` and :meth:`~PagedKVCache.release` stay
+correct on their own: a per-handle fork gets a table of its own, a
+per-handle truncate lowers only that handle's watermark, and a per-handle
+release detaches the handle from its table.
+
+**When a page is freed.**  A table keeps exactly the pages its
+furthest-flushed live handle covers; it drops a page when its last live
+handle stops covering it (truncate, release), and the pool frees the page
+when the last table listing it drops it.
+
+The decode hot loop of a single sequence still needs contiguous
+``[H, n, d]`` K/V views, so each handle keeps a per-sequence *mirror* — a
+:class:`~repro.llm.cache.ContiguousKVStore` lazily synchronised from the
+pages inside :meth:`fetch` — so steady-state fetches stay zero-copy and a
+freshly forked cache pays one bulk gather (O(prefix) memory traffic) instead
+of re-running prefill (O(prefix²) compute).  Chunk and single-token appends
+land in the mirror and are flushed to pages when a fork, a checkpoint import
+or the fused decode needs them there; the fused decode then writes pages
+directly.
 """
 
 from __future__ import annotations
 
 import math
 import mmap
+import weakref
 from collections import Counter
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -95,9 +123,8 @@ class KVCheckpoint:
     Produced by :meth:`KVSpaceManager.checkpoint
     <repro.serve.kv_manager.KVSpaceManager.checkpoint>` from per-layer
     :meth:`PagedKVCache.export_state` calls; restorable into *any* pool with
-    matching head geometry via :meth:`KVPagePool.import_pages` /
-    :meth:`PagedKVCache.import_state` with clean page accounting on both
-    sides.  This is the KV-handoff primitive behind recompute-free failover
+    matching head geometry via :meth:`PagedKVCache.import_state` with clean
+    page accounting on both sides.  This is the KV-handoff primitive behind recompute-free failover
     and (later) disaggregated prefill/decode.
     """
 
@@ -162,18 +189,20 @@ def _arena(shape: tuple[int, ...], dtype: np.dtype) -> np.ndarray:
 
 
 class KVPagePool:
-    """A fixed-page-size KV arena with free-list allocation and refcounts.
+    """Fixed-size KV pages with free-list allocation and refcounts, every layer at once.
 
-    Storage is ``[n_pages, H, page_tokens, head_dim]`` for keys and values,
-    so one page is a natively-shaped ``[H, page_tokens, d]`` block.
-    ``grow=True`` (the default) doubles the page count when the free list
-    runs dry — in place while it fits the ``reserve_pages`` the arena was
-    mapped with, by moving to a bigger arena beyond that; ``grow=False``
-    models a hard memory budget and raises :class:`PoolExhausted` instead.  ``dtype`` selects the page storage
-    width: ``"fp32"`` (default, exact) or ``"fp16"`` (half the pool bytes;
-    every stored element is rounded to half precision once at write time and
-    widened back to fp32 for compute — the "stored half, computed full"
-    design point of fp16 KV serving stacks).
+    Storage is ``[n_layers, n_pages, H, page_tokens, head_dim]`` for keys and
+    values: one page id is a natively-shaped ``[H, page_tokens, d]`` block in
+    each layer's arena, and the accounting (refcounts, free list, growth,
+    fault gate) is per page id, not per layer.  ``grow=True`` (the default)
+    doubles the page count when the free list runs dry — in place while it
+    fits the ``reserve_pages`` the arenas were mapped with, by moving to
+    bigger arenas beyond that; ``grow=False`` models a hard memory budget
+    and raises :class:`PoolExhausted` instead.  ``dtype`` selects the page
+    storage width: ``"fp32"`` (default, exact) or ``"fp16"`` (half the pool
+    bytes; every stored element is rounded to half precision once at write
+    time and widened back to fp32 for compute — the "stored half, computed
+    full" design point of fp16 KV serving stacks).
     """
 
     __slots__ = ("n_heads", "head_dim", "page_tokens", "grow", "dtype",
@@ -182,10 +211,11 @@ class KVPagePool:
     def __init__(self, n_heads: int, head_dim: int, page_tokens: int = 16,
                  initial_pages: int = 64, grow: bool = True,
                  dtype: "str | np.dtype | type" = "fp32",
-                 reserve_pages: int = 0) -> None:
-        if n_heads <= 0 or head_dim <= 0 or page_tokens <= 0 or initial_pages <= 0:
-            raise ValueError("n_heads, head_dim, page_tokens and initial_pages "
-                             "must be positive")
+                 reserve_pages: int = 0, n_layers: int = 1) -> None:
+        if (n_heads <= 0 or head_dim <= 0 or page_tokens <= 0 or initial_pages <= 0
+                or n_layers <= 0):
+            raise ValueError("n_heads, head_dim, page_tokens, initial_pages and "
+                             "n_layers must be positive")
         self.n_heads = n_heads
         self.head_dim = head_dim
         self.page_tokens = page_tokens
@@ -194,9 +224,10 @@ class KVPagePool:
         #: Chaos hook (``repro.serve.faults``): a zero-argument callable that
         #: makes :meth:`try_alloc` spuriously fail when it returns True.
         self.fault_gate = None
-        # The arena may be mapped larger than the pages under accounting
+        # The arenas may be mapped larger than the pages under accounting
         # (``reserve_pages``): growing into the reserve copies nothing.
-        shape = (max(initial_pages, reserve_pages), n_heads, page_tokens, head_dim)
+        shape = (n_layers, max(initial_pages, reserve_pages), n_heads, page_tokens,
+                 head_dim)
         self._keys = _arena(shape, self.dtype)
         self._values = _arena(shape, self.dtype)
         # Plain-list refcounts: scalar bumps in the decode hot path are much
@@ -206,6 +237,11 @@ class KVPagePool:
         self._free: list[int] = list(range(initial_pages - 1, -1, -1))
 
     # -- capacity and accounting ----------------------------------------
+    @property
+    def n_layers(self) -> int:
+        """Layers whose arenas share these page ids."""
+        return self._keys.shape[0]
+
     @property
     def n_pages(self) -> int:
         """Total pages under accounting (free + referenced)."""
@@ -226,7 +262,9 @@ class KVPagePool:
 
     @property
     def bytes_per_page(self) -> int:
-        return 2 * self.n_heads * self.page_tokens * self.head_dim * self.dtype.itemsize
+        """Bytes one page id holds: K and V, every layer."""
+        return (2 * self.n_layers * self.n_heads * self.page_tokens * self.head_dim
+                * self.dtype.itemsize)
 
     @property
     def capacity_tokens(self) -> int | None:
@@ -279,18 +317,28 @@ class KVPagePool:
                 f"(refcounts {[refcounts[p] for p in negative]})")
 
     # -- allocation -----------------------------------------------------
+    def _remap(self, n_layers: int, capacity: int) -> None:
+        """Move to arenas of ``n_layers x capacity`` pages, keeping every page."""
+        used = self.n_pages
+        for name in ("_keys", "_values"):
+            buf = getattr(self, name)
+            grown = _arena((n_layers, capacity) + buf.shape[2:], self.dtype)
+            grown[:buf.shape[0], :used] = buf[:, :used]
+            setattr(self, name, grown)
+
     def _grow(self) -> None:
         old = self.n_pages
-        reserved = self._keys.shape[0]
+        reserved = self._keys.shape[1]
         new = min(old * 2, reserved) if old < reserved else old * 2
         if new > reserved:
-            for name in ("_keys", "_values"):
-                buf = getattr(self, name)
-                grown = _arena((new,) + buf.shape[1:], self.dtype)
-                grown[:old] = buf
-                setattr(self, name, grown)
+            self._remap(self.n_layers, new)
         self._refcounts.extend([0] * (new - old))
         self._free.extend(range(new - 1, old - 1, -1))
+
+    def add_layers(self, n_layers: int) -> None:
+        """Give every page a slice in at least ``n_layers`` layers' arenas."""
+        if n_layers > self.n_layers:
+            self._remap(n_layers, self._keys.shape[1])
 
     def try_alloc(self, *, faultable: bool = True) -> int | None:
         """Non-raising :meth:`alloc`: ``None`` when a bounded pool is dry or
@@ -306,7 +354,7 @@ class KVPagePool:
         return page
 
     def alloc(self) -> int:
-        """Pop a free page (refcount 1), growing the arena if allowed.
+        """Pop a free page (refcount 1), growing the arenas if allowed.
 
         Bypasses the fault gate: internal flushes allocate pages for space
         the serving layer already *reserved*, and a granted reservation must
@@ -334,97 +382,146 @@ class KVPagePool:
             self._free.append(page)
 
     # -- page views -----------------------------------------------------
-    def key_page(self, page: int) -> np.ndarray:
-        """Writable ``[H, page_tokens, d]`` view of one page's keys."""
-        return self._keys[page]
+    def key_page(self, page: int, layer: int = 0) -> np.ndarray:
+        """Writable ``[H, page_tokens, d]`` view of one page's keys in one layer."""
+        return self._keys[layer, page]
 
-    def value_page(self, page: int) -> np.ndarray:
-        return self._values[page]
+    def value_page(self, page: int, layer: int = 0) -> np.ndarray:
+        return self._values[layer, page]
+
+    def copy_page(self, src: int, dst: int) -> None:
+        """Copy page ``src`` into ``dst`` in every layer (the CoW copy)."""
+        self._keys[:, dst] = self._keys[:, src]
+        self._values[:, dst] = self._values[:, src]
 
     # -- fused-decode gather/scatter ------------------------------------
     def scatter_tokens(self, pages: np.ndarray, offsets: np.ndarray,
-                       keys: np.ndarray, values: np.ndarray) -> None:
-        """Write one ``[H, d]`` token into each ``(page, offset)`` slot.
+                       keys: np.ndarray, values: np.ndarray, layer: int = 0) -> None:
+        """Write one ``[H, d]`` token into each ``(page, offset)`` slot of ``layer``.
 
-        The fused batched append: every group member first claims its slot
-        via :meth:`PagedKVCache.reserve_slot`, then the whole group's new
-        K/V lands in two fancy-indexed scatters (an fp16 pool rounds in the
-        assignment) instead of 2·G single-token writes.
+        The fused batched append: every group member's slot is claimed once
+        for all layers (:meth:`PagedKVCache.reserve_stack_slot`), then each
+        layer lands the whole group's new K/V with two fancy-indexed scatters
+        (an fp16 pool rounds in the assignment) instead of 2·G single-token
+        writes.
         """
-        self._keys[pages, :, offsets] = keys
-        self._values[pages, :, offsets] = values
+        self._keys[layer][pages, :, offsets] = keys
+        self._values[layer][pages, :, offsets] = values
 
     def gather_pages(self, tables: np.ndarray, out_keys: np.ndarray,
-                     out_values: np.ndarray) -> None:
-        """Gather whole page-table rows into fp32 group workspaces.
+                     out_values: np.ndarray, layer: int = 0) -> None:
+        """Gather whole page-table rows of ``layer`` into fp32 group workspaces.
 
         ``tables`` is a ``[G, p_max]`` integer array of page ids (ragged
-        rows padded with any live page id — callers mask or zero the tail
-        tokens themselves); ``out_keys``/``out_values`` are
+        rows padded with any page id — callers mask or zero the tail tokens
+        themselves); ``out_keys``/``out_values`` are
         ``[G, H, p_max * page_tokens, d]`` fp32 arrays (contiguous or
         strided views) whose gathered region is fully overwritten.  This is
         the paged-attention *restack* of the fused decode path: one
-        fancy-indexed assignment per page column — ``self._keys[tables[:,
-        j]]`` is already ``[G, H, page_tokens, d]`` head-major, so there is
-        no transposed temporary, fp16 page storage widens back to fp32 in
-        the assignment itself, and strided destinations (a persistent group
+        fancy-indexed assignment per page column — ``keys[tables[:, j]]`` is
+        already ``[G, H, page_tokens, d]`` head-major, so there is no
+        transposed temporary, fp16 page storage widens back to fp32 in the
+        assignment itself, and strided destinations (a persistent group
         buffer's length-sliced view) are written in place.
         """
-        pages_per_row = tables.shape[1]
+        keys, values = self._keys[layer], self._values[layer]
         page_tokens = self.page_tokens
-        for j in range(pages_per_row):
+        for j in range(tables.shape[1]):
             column = tables[:, j]
-            out_keys[:, :, j * page_tokens:(j + 1) * page_tokens] = self._keys[column]
-            out_values[:, :, j * page_tokens:(j + 1) * page_tokens] = self._values[column]
+            out_keys[:, :, j * page_tokens:(j + 1) * page_tokens] = keys[column]
+            out_values[:, :, j * page_tokens:(j + 1) * page_tokens] = values[column]
 
-    # -- checkpoint import ----------------------------------------------
-    def import_pages(self, ckpt: KVLayerCheckpoint) -> list[int]:
-        """Materialise a layer checkpoint as freshly-allocated pages here.
 
-        The checkpoint's contiguous ``[H, n_tokens, d]`` arrays are
-        re-chunked to *this* pool's ``page_tokens`` (the source's page size
-        may differ), so a checkpoint is portable across pool geometries as
-        long as head geometry matches.  All-or-nothing: if the pool runs dry
-        mid-import every page allocated so far is released before
-        :class:`PoolExhausted` propagates, leaving accounting clean.
-        """
-        if ckpt.n_heads != self.n_heads or ckpt.head_dim != self.head_dim:
-            raise ValueError(
-                f"checkpoint geometry [H={ckpt.n_heads}, d={ckpt.head_dim}] "
-                f"does not match pool [H={self.n_heads}, d={self.head_dim}]")
-        pages: list[int] = []
-        done = 0
-        try:
-            while done < ckpt.n_tokens:
-                page = self.alloc()
-                pages.append(page)
-                take = min(self.page_tokens, ckpt.n_tokens - done)
-                self._keys[page, :, :take] = ckpt.keys[:, done:done + take]
-                self._values[page, :, :take] = ckpt.values[:, done:done + take]
-                done += take
-        except PoolExhausted:
-            for page in pages:
-                self.release(page)
-            raise
-        return pages
+class PageTable:
+    """One sequence's pages, shared by its per-layer :class:`PagedKVCache` handles.
+
+    ``pages`` lists the page ids in token order; token ``t`` of every layer
+    lives in slot ``t % page_tokens`` of page ``pages[t // page_tokens]``.
+    ``tail_owned`` True guarantees the tail page has refcount 1, so a write
+    into it can skip the refcount lookup; it is cleared when a fork shares
+    the tail or the table shrinks onto an older page, and restored by CoW or
+    a fresh allocation.
+
+    The table refers to its handles weakly, in layer order: handles keep
+    their table alive, never the reverse, so a dropped stack (and the pool
+    arenas it points at) is freed by reference counting alone.
+    """
+
+    __slots__ = ("pool", "pages", "tail_owned", "_handles")
+
+    def __init__(self, pool: KVPagePool, pages: "list[int] | None" = None) -> None:
+        self.pool = pool
+        self.pages: list[int] = [] if pages is None else pages
+        self.tail_owned = False
+        self._handles: list[weakref.ref] = []
+
+    def is_stack(self, caches: "Sequence[LayerKVCache]") -> bool:
+        """Whether ``caches`` are exactly this table's live handles, in order."""
+        refs = self._handles
+        return len(refs) == len(caches) and all(
+            ref() is cache for ref, cache in zip(refs, caches))
+
+    def writable_page(self, index: int) -> int:
+        """Page ``index``, ready for writing: allocated when it is one past
+        the end, CoW-copied first when another table shares it."""
+        pages = self.pages
+        last = len(pages) - 1
+        if index > last:
+            page = self.pool.alloc()
+            pages.append(page)
+            self.tail_owned = True
+            return page
+        page = pages[index]
+        if index == last and self.tail_owned:
+            return page
+        pool = self.pool
+        if pool._refcounts[page] > 1:
+            fresh = pool.alloc()
+            pool.copy_page(page, fresh)
+            pool.release(page)
+            pages[index] = page = fresh
+        if index == last:
+            self.tail_owned = True
+        return page
+
+    def trim(self) -> None:
+        """Drop the pages no live handle's flushed tokens reach any more."""
+        covered = 0
+        for ref in self._handles:
+            handle = ref()
+            if handle is not None and handle._flushed > covered:
+                covered = handle._flushed
+        pool = self.pool
+        keep = -(-covered // pool.page_tokens)  # ceil: pages covering the tokens
+        if keep < len(self.pages):
+            for page in self.pages[keep:]:
+                pool.release(page)
+            del self.pages[keep:]
+            self.tail_owned = False
 
 
 class PagedKVCache(LayerKVCache):
-    """Full-cache semantics on pool pages, with zero-copy copy-on-write forks.
+    """One layer's handle on a sequence's :class:`PageTable`: full-cache
+    semantics on pool pages, with zero-copy copy-on-write forks.
 
-    Pages are the *sharing substrate*: :meth:`fork` retains the pages
-    covering a prefix (refcount bump, no data copied) and a shared partial
-    tail page is CoW-copied by whichever side writes it next.  The *working
-    storage* of a live sequence is its private contiguous mirror (a
+    Pages are the *sharing substrate*: a fork retains the pages covering a
+    prefix (refcount bump, no data copied) and a shared partial tail page is
+    CoW-copied by whichever side writes it next.  The *working storage* of a
+    live sequence is the handle's private contiguous mirror (a
     :class:`ContiguousKVStore`), which keeps the decode hot path identical
     to :class:`FullKVCache`: appends are single buffer writes and ``fetch``
     returns zero-copy views.  Tokens move between the two lazily:
 
-    * **flush** (mirror → pages) happens only when :meth:`fork` needs to
-      share tokens that are not yet paged — one bulk CoW-aware write;
+    * **flush** (mirror → pages) happens only when a fork, a checkpoint
+      import or the fused decode needs tokens that are not yet paged — one
+      bulk CoW-aware write;
     * **gather** (pages → mirror) happens on a fork's first read — one bulk
       copy, O(prefix) memory traffic instead of the O(prefix²) compute of
       re-prefilling it.
+
+    ``PagedKVCache(pool, ...)`` makes a handle with a table of its own;
+    :meth:`PagedCacheFactory.make_stack` makes the ``L`` handles of one
+    sequence share one (``layer`` selects the arena, ``table`` the table).
     """
 
     supports_chunked_prefill = True
@@ -432,25 +529,26 @@ class PagedKVCache(LayerKVCache):
     supports_checkpoint = True
     fused_kind = "paged"
 
-    def __init__(self, pool: KVPagePool, n_heads: int, head_dim: int, d_model: int) -> None:
+    def __init__(self, pool: KVPagePool, n_heads: int, head_dim: int, d_model: int,
+                 *, layer: int = 0, table: "PageTable | None" = None) -> None:
         super().__init__(n_heads, head_dim, d_model)
         if pool.n_heads != n_heads or pool.head_dim != head_dim:
             raise ValueError("pool geometry does not match the cache geometry")
+        if not 0 <= layer < pool.n_layers:
+            raise ValueError(f"layer {layer} out of range for a {pool.n_layers}-layer pool")
         self.pool = pool
-        self._pages: list[int] = []
+        self.layer = layer
+        self._table = PageTable(pool) if table is None else table
+        self._table._handles.append(weakref.ref(self))
         self._count = 0
         self._flushed = 0  # tokens persisted to pages; the rest live in the mirror
         self._mirror: ContiguousKVStore | None = None
-        # Fast-path flag: True guarantees the tail page has refcount 1, so a
-        # flush can skip the refcount lookup.  Cleared on fork (on whichever
-        # sides share the tail), restored by CoW or fresh-page allocation.
-        self._tail_owned = False
 
     # -- page bookkeeping -----------------------------------------------
     @property
     def pages(self) -> tuple[int, ...]:
-        """The (read-only) page list backing this cache, in token order."""
-        return tuple(self._pages)
+        """The (read-only) page list of this handle's table, in token order."""
+        return tuple(self._table.pages)
 
     @property
     def flushed_tokens(self) -> int:
@@ -458,13 +556,13 @@ class PagedKVCache(LayerKVCache):
         return self._flushed
 
     def page_list(self) -> list[int]:
-        """The live page-index list, in token order — **no copy**.
+        """The table's live page-index list, in token order — **no copy**.
 
         Fused-decode hot-path accessor: callers read it to build group
         page-table arrays and must not mutate it (use :meth:`fork` /
         :meth:`truncate` / :meth:`release` for that).
         """
-        return self._pages
+        return self._table.pages
 
     def _to_storage(self, array: np.ndarray) -> np.ndarray:
         """Round an fp32 array through the pool's storage dtype.
@@ -480,42 +578,20 @@ class PagedKVCache(LayerKVCache):
             return array.astype(np.float16).astype(np.float32)
         return array
 
-    def _writable_tail(self) -> int:
-        """The tail page, CoW-copied first if it is shared with a fork."""
-        tail = self._pages[-1]
-        if self.pool.refcount(tail) > 1:
-            used = self._flushed - (len(self._pages) - 1) * self.pool.page_tokens
-            fresh = self.pool.alloc()
-            self.pool.key_page(fresh)[:, :used] = self.pool.key_page(tail)[:, :used]
-            self.pool.value_page(fresh)[:, :used] = self.pool.value_page(tail)[:, :used]
-            self.pool.release(tail)
-            self._pages[-1] = fresh
-            tail = fresh
-        self._tail_owned = True
-        return tail
-
     def _flush(self) -> None:
         """Persist mirror tokens beyond the page watermark (CoW-aware)."""
         if self._flushed == self._count:
             return
-        mirror = self._sync_mirror()
-        keys, values = mirror.view()
-        pool = self.pool
+        keys, values = self._sync_mirror().view()
+        pool, table, layer = self.pool, self._table, self.layer
         page_tokens = pool.page_tokens
         while self._flushed < self._count:
-            offset = self._flushed % page_tokens
-            if offset == 0:
-                self._pages.append(pool.alloc())
-                self._tail_owned = True
-                page = self._pages[-1]
-            elif self._tail_owned:
-                page = self._pages[-1]
-            else:
-                page = self._writable_tail()
+            index, offset = divmod(self._flushed, page_tokens)
+            page = table.writable_page(index)
             take = min(page_tokens - offset, self._count - self._flushed)
-            pool._keys[page, :, offset:offset + take] = \
+            pool._keys[layer, page, :, offset:offset + take] = \
                 keys[:, self._flushed:self._flushed + take]
-            pool._values[page, :, offset:offset + take] = \
+            pool._values[layer, page, :, offset:offset + take] = \
                 values[:, self._flushed:self._flushed + take]
             self._flushed += take
 
@@ -526,16 +602,17 @@ class PagedKVCache(LayerKVCache):
                 self.n_heads, self.head_dim,
                 initial_capacity=max(64, self._count + self.pool.page_tokens))
         mirror = self._mirror
-        page_tokens = self.pool.page_tokens
+        pool, pages, layer = self.pool, self._table.pages, self.layer
+        page_tokens = pool.page_tokens
         done = len(mirror)
         # Invariant: tokens in [len(mirror), _flushed) are on pages; tokens
         # in [_flushed, _count) are already in the mirror by construction.
         while done < self._flushed:
-            page = self._pages[done // page_tokens]
+            page = pages[done // page_tokens]
             offset = done % page_tokens
             take = min(page_tokens - offset, self._flushed - done)
-            mirror.extend(self.pool.key_page(page)[:, offset:offset + take],
-                          self.pool.value_page(page)[:, offset:offset + take])
+            mirror.extend(pool._keys[layer, page, :, offset:offset + take],
+                          pool._values[layer, page, :, offset:offset + take])
             done += take
         return mirror
 
@@ -562,60 +639,50 @@ class PagedKVCache(LayerKVCache):
         mirror.append(self._to_storage(key), self._to_storage(value))
         self._count += 1
 
-    def append_page(self, key: np.ndarray, value: np.ndarray) -> None:
-        """Append one token *directly* into pool pages, bypassing the mirror.
-
-        The fused decode path's write primitive: any mirror-only tokens are
-        flushed first (once, on the step a sequence enters the fused path),
-        after which steady-state appends are a single slot write into the
-        CoW-owned tail page and the page watermark tracks ``num_tokens``
-        exactly — so the group page-table gather always sees every token
-        without a mirror round-trip.  An fp16 pool rounds in the assignment
-        itself.  The stale mirror is refilled lazily from pages if a
-        per-sequence :meth:`fetch` ever needs it again.
-        """
-        page, offset = self.reserve_slot()
-        self.pool._keys[page, :, offset] = key
-        self.pool._values[page, :, offset] = value
-
     def reserve_slot(self) -> tuple[int, int]:
-        """Claim the next token's ``(page, offset)`` without writing data.
+        """Claim this layer's next token ``(page, offset)`` without writing data.
 
-        Identical bookkeeping to :meth:`append_page` (flush, page alloc, CoW
-        tail ownership, count/watermark advance) — the fused decode path
-        reserves one slot per group member and then lands the whole group's
-        K/V with two batched pool scatters instead of 2·G single-token
-        writes.  The caller *must* write the slot before any read.
+        Flushes mirror-only tokens, allocates or CoW-resolves the page in
+        the table and advances count and watermark; the caller *must* write
+        the slot (:meth:`KVPagePool.scatter_tokens` with this handle's
+        ``layer``) before any read.  Another layer of the same table reusing
+        the page finds it allocated and owned.
         """
         self._flush()
-        pool = self.pool
-        offset = self._count % pool.page_tokens
-        if offset == 0:
-            self._pages.append(pool.alloc())
-            self._tail_owned = True
-            page = self._pages[-1]
-        elif self._tail_owned:
-            page = self._pages[-1]
-        else:
-            page = self._writable_tail()
+        index, offset = divmod(self._count, self.pool.page_tokens)
+        page = self._table.writable_page(index)
         self._count += 1
         self._flushed = self._count
         return page, offset
 
-    def tail_token(self) -> tuple[np.ndarray, np.ndarray]:
-        """``[H, d]`` views of the newest token *as stored* in its page.
+    def whole_stack(self, caches: "Sequence[LayerKVCache]") -> bool:
+        """Whether ``caches`` are every live handle of this handle's table,
+        layer ``i`` at index ``i``, all at one length — a sequence whose next
+        slot :meth:`reserve_stack_slot` can claim once for every layer.
 
-        Only valid right after :meth:`append_page` (which leaves every token
-        flushed); the fused decode path reads this instead of the raw
-        projection so an incremental group-buffer append captures the pool
-        dtype's rounding (fp16 pages) exactly as a full re-gather would.
+        (A table's handles are in increasing layer order, so the two end
+        layers pin every layer in between.)
         """
-        if self._flushed != self._count or self._count == 0:
-            raise ValueError("tail_token requires a fully-flushed, non-empty cache")
-        page = self._pages[-1]
-        offset = (self._count - 1) % self.pool.page_tokens
-        return (self.pool.key_page(page)[:, offset],
-                self.pool.value_page(page)[:, offset])
+        refs, count = self._table._handles, self._count
+        if (len(refs) != len(caches) or caches[0].layer != 0
+                or caches[-1].layer != len(caches) - 1):
+            return False
+        for ref, cache in zip(refs, caches):
+            if ref() is not cache or cache._count != count:
+                return False
+        return True
+
+    def reserve_stack_slot(self, caches: "Sequence[PagedKVCache]") -> tuple[int, int]:
+        """:meth:`reserve_slot` once for a :meth:`whole_stack`: every layer's
+        count and watermark advance to the same ``(page, offset)``, which
+        each layer then writes with its own scatter."""
+        for cache in caches:
+            if cache._flushed != cache._count:
+                cache._flush()
+        page, offset = self.reserve_slot()
+        for cache in caches:
+            cache._count = cache._flushed = self._count
+        return page, offset
 
     def fetch(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         mirror = self._mirror
@@ -638,56 +705,115 @@ class PagedKVCache(LayerKVCache):
         elements = 2 * n_pages * page_tokens * self.n_heads * self.head_dim
         return elements * bits_per_element // 8
 
-    # -- forking and release --------------------------------------------
+    # -- forking, truncation and release --------------------------------
     def fork(self, upto: int | None = None) -> "PagedKVCache":
         """Zero-copy copy-on-write fork sharing the first ``upto`` tokens.
 
         Unpaged mirror tokens are flushed to pages first (one bulk CoW-aware
         write); then every page covering the prefix is retained — no K/V
-        data is copied.  A partially-covered shared tail page is CoW-copied
-        by whichever side flushes into it next.  The fork's own mirror is
-        built lazily on first read, so forks that are never decoded from
-        (e.g. radix-tree snapshots) cost O(pages) bookkeeping only.
+        data is copied — into the fork's own table.  A partially-covered
+        shared tail page is CoW-copied by whichever side writes it next.
+        The fork's mirror is built lazily on first read, so forks that are
+        never decoded from (e.g. radix-tree snapshots) cost O(pages)
+        bookkeeping only.
         """
         upto = self._count if upto is None else int(upto)
         if not 0 <= upto <= self._count:
             raise ValueError(f"fork upto={upto} out of range [0, {self._count}]")
         self._flush()
-        child = PagedKVCache(self.pool, self.n_heads, self.head_dim, self.d_model)
+        table = self._table
         n_pages = -(-upto // self.pool.page_tokens)  # ceil division
-        child._pages = self._pages[:n_pages]
-        for page in child._pages:
+        shared = table.pages[:n_pages]
+        for page in shared:
             self.pool.retain(page)
-        child._count = child._flushed = upto
-        if n_pages == len(self._pages) and n_pages > 0:
-            self._tail_owned = False  # our tail page is now shared with the fork
-        return child
+        if n_pages == len(table.pages) and n_pages > 0:
+            table.tail_owned = False  # our tail page is now shared with the fork
+        return self._handle(PageTable(self.pool, shared), self.layer, upto)
 
-    def truncate(self, n: int) -> None:
-        """Native rollback: drop tokens beyond ``n``, freeing rolled-back pages.
+    def _handle(self, table: PageTable, layer: int, n_tokens: int) -> "PagedKVCache":
+        """A handle on ``table`` holding ``n_tokens`` tokens, all on pages."""
+        handle = PagedKVCache(self.pool, self.n_heads, self.head_dim, self.d_model,
+                              layer=layer, table=table)
+        handle._count = handle._flushed = n_tokens
+        return handle
 
-        Pages wholly beyond the new length return their reference to the
-        pool immediately (a page shared with a fork/radix snapshot just
-        drops this cache's refcount).  A partially-kept tail page stays, but
-        ownership is no longer assumed: the next flush into it re-checks the
-        refcount and CoW-copies if a snapshot still shares it, so rollback
-        can never corrupt forked prefixes.
-        """
-        if not 0 <= n <= self._count:
-            raise ValueError(f"truncate to {n} out of range [0, {self._count}]")
-        if n == self._count:
-            return
-        if self._flushed > n:
-            keep = -(-n // self.pool.page_tokens)  # ceil: pages covering n tokens
-            for page in self._pages[keep:]:
-                self.pool.release(page)
-            del self._pages[keep:]
+    def fork_stack(self, caches: "Sequence[LayerKVCache]",
+                   upto: int | None = None) -> "list[LayerKVCache]":
+        """Fork a whole stack with one table fork: the prefix pages are
+        retained once for every layer (per-layer forks otherwise)."""
+        if not self._table.is_stack(caches):
+            return super().fork_stack(caches, upto)
+        upto = self._count if upto is None else int(upto)
+        for cache in caches:
+            if not 0 <= upto <= cache._count:
+                raise ValueError(f"fork upto={upto} out of range [0, {cache._count}]")
+            if cache._flushed != cache._count:
+                cache._flush()
+        head = caches[0].fork(upto)
+        return [head] + [head._handle(head._table, cache.layer, upto) for cache in caches[1:]]
+
+    def _cut(self, n: int) -> bool:
+        """Drop tokens beyond ``n`` from this handle (its table untouched);
+        True when the watermark fell, i.e. the table may have pages to drop."""
+        lowered = self._flushed > n
+        if lowered:
             self._flushed = n
-            self._tail_owned = False
         self._count = n
         if self._mirror is not None and len(self._mirror) > n:
             self._mirror.truncate(n)
         self.write_epoch += 1
+        return lowered
+
+    def truncate(self, n: int) -> None:
+        """Native rollback: drop tokens beyond ``n``, freeing rolled-back pages.
+
+        Pages no live handle of the table covers any more return their
+        reference to the pool immediately (a page shared with a fork/radix
+        snapshot just drops this table's refcount).  A partially-kept page
+        stays, and the next write into it CoW-copies it first if a snapshot
+        still shares it, so rollback can never corrupt forked prefixes.
+        """
+        if not 0 <= n <= self._count:
+            raise ValueError(f"truncate to {n} out of range [0, {self._count}]")
+        if n != self._count and self._cut(n):
+            self._table.trim()
+
+    def truncate_stack(self, caches: "Sequence[LayerKVCache]", n: int) -> None:
+        """Truncate a whole stack with one table trim (per-layer otherwise)."""
+        if not self._table.is_stack(caches):
+            super().truncate_stack(caches, n)
+            return
+        for cache in caches:
+            if not 0 <= n <= cache._count:
+                raise ValueError(f"truncate to {n} out of range [0, {cache._count}]")
+        lowered = False
+        for cache in caches:
+            if n != cache._count:
+                lowered |= cache._cut(n)
+        if lowered:
+            self._table.trim()
+
+    def _reset(self) -> None:
+        self._count = 0
+        self._flushed = 0
+        self._mirror = None
+        self.write_epoch += 1
+
+    def release(self) -> None:
+        """Empty this handle; the table drops the pages no other live handle
+        covers (all of them when this was the last).  Idempotent; the handle
+        stays usable."""
+        self._reset()
+        self._table.trim()
+
+    def release_stack(self, caches: "Sequence[LayerKVCache]") -> None:
+        """Release a whole stack: every page once (per-layer otherwise)."""
+        if not self._table.is_stack(caches):
+            super().release_stack(caches)
+            return
+        for cache in caches:
+            cache._reset()
+        self._table.trim()
 
     # -- checkpoint / restore -------------------------------------------
     def export_state(self) -> KVLayerCheckpoint:
@@ -708,47 +834,49 @@ class PagedKVCache(LayerKVCache):
             page_tokens=self.pool.page_tokens)
 
     def import_state(self, ckpt: KVLayerCheckpoint) -> None:
-        """Rebuild an exported layer state inside *this* cache's pool.
+        """Rebuild an exported layer state inside *this* handle's pool.
 
-        Only an empty (freshly made) cache may import; the tokens land as
-        fully-flushed private pages (refcount 1, so the restored request
-        owns its tail) plus a rebuilt mirror, making the restored cache
-        indistinguishable from one that decoded every token locally.
+        Only an empty (freshly made) handle may import.  The checkpoint is
+        re-chunked to this pool's ``page_tokens`` (the source's page size
+        may differ) and flushed onto the table's pages: the first layer of a
+        stack to import allocates them, the others write their slices into
+        the same pages, so the restored request owns its pages (refcount 1)
+        and is indistinguishable from one that decoded every token locally.
+        All-or-nothing: if the pool runs dry mid-import, the pages this
+        import took are released before :class:`PoolExhausted` propagates.
         """
-        if self._count or self._pages:
+        if self._count:
             raise ValueError("import_state requires an empty cache")
-        self._pages = self.pool.import_pages(ckpt)
-        self._count = self._flushed = ckpt.n_tokens
+        if ckpt.n_heads != self.n_heads or ckpt.head_dim != self.head_dim:
+            raise ValueError(
+                f"checkpoint geometry [H={ckpt.n_heads}, d={ckpt.head_dim}] "
+                f"does not match pool [H={self.n_heads}, d={self.head_dim}]")
         mirror = ContiguousKVStore(
             self.n_heads, self.head_dim,
             initial_capacity=max(64, ckpt.n_tokens + self.pool.page_tokens))
         # Round through the pool dtype so the rebuilt mirror matches the
-        # imported pages bit-for-bit (an fp32 checkpoint restored into an
-        # fp16 pool is rounded once, identically on both sides).
+        # pages bit-for-bit (an fp32 checkpoint restored into an fp16 pool
+        # is rounded once, identically on both sides).
         mirror.extend(self._to_storage(ckpt.keys), self._to_storage(ckpt.values))
         self._mirror = mirror
-        self._tail_owned = bool(self._pages)
-        self.write_epoch += 1
-
-    def release(self) -> None:
-        """Drop every page reference and reset; idempotent."""
-        for page in self._pages:
-            self.pool.release(page)
-        self._pages = []
-        self._count = 0
-        self._flushed = 0
-        self._mirror = None
-        self._tail_owned = False
+        self._count = ckpt.n_tokens
+        try:
+            self._flush()
+        except PoolExhausted:
+            self.release()
+            raise
         self.write_epoch += 1
 
 
 class PagedCacheFactory:
-    """A :class:`KVCacheFactory` whose caches draw from shared per-layer pools.
+    """A :class:`KVCacheFactory` whose caches draw from one shared pool.
 
-    One :class:`KVPagePool` is created per ``(layer, n_heads, head_dim)`` the
-    first time a cache is requested for it, then shared by every subsequent
-    ``make_caches`` call — so all sequences of a serving run allocate from
-    (and can share prefix pages inside) the same arena.
+    The pool (one per head geometry) is created the first time a cache is
+    requested, with an arena per layer, then shared by every later stack —
+    so all sequences of a serving run allocate from (and can share prefix
+    pages inside) the same pages.  :meth:`make_stack` builds the ``L``
+    handles of one sequence on one :class:`PageTable`; calling the factory
+    for one layer builds a handle with a table of its own.
     """
 
     def __init__(self, page_tokens: int = 16, initial_pages: int = 64,
@@ -761,31 +889,47 @@ class PagedCacheFactory:
         self.dtype = _page_dtype(dtype)
         #: Pages each future pool maps up front (see :meth:`reserve_capacity`).
         self.reserve_pages = 0
-        #: Chaos hook propagated to every (existing and future) layer pool's
+        #: Chaos hook propagated to every (existing and future) pool's
         #: :attr:`KVPagePool.fault_gate`.
         self.fault_gate = None
-        self._pools: dict[tuple[int, int, int], KVPagePool] = {}
+        self._pools: dict[tuple[int, int], KVPagePool] = {}
+
+    def _pool(self, n_layers: int, n_heads: int, head_dim: int) -> KVPagePool:
+        """The pool of this geometry, covering at least ``n_layers`` layers."""
+        pool = self._pools.get((n_heads, head_dim))
+        if pool is None:
+            pool = KVPagePool(n_heads, head_dim, page_tokens=self.page_tokens,
+                              initial_pages=self.initial_pages, grow=self.grow,
+                              dtype=self.dtype, reserve_pages=self.reserve_pages,
+                              n_layers=n_layers)
+            pool.fault_gate = self.fault_gate
+            self._pools[n_heads, head_dim] = pool
+        else:
+            pool.add_layers(n_layers)
+        return pool
 
     def __call__(self, layer_index: int, n_heads: int, head_dim: int, d_model: int,
                  recompute_fn: RecomputeFn) -> PagedKVCache:
         del recompute_fn
-        key = (layer_index, n_heads, head_dim)
-        pool = self._pools.get(key)
-        if pool is None:
-            pool = KVPagePool(n_heads, head_dim, page_tokens=self.page_tokens,
-                              initial_pages=self.initial_pages, grow=self.grow,
-                              dtype=self.dtype, reserve_pages=self.reserve_pages)
-            pool.fault_gate = self.fault_gate
-            self._pools[key] = pool
-        return PagedKVCache(pool, n_heads, head_dim, d_model)
+        pool = self._pool(layer_index + 1, n_heads, head_dim)
+        return PagedKVCache(pool, n_heads, head_dim, d_model, layer=layer_index)
+
+    def make_stack(self, n_layers: int, n_heads: int, head_dim: int,
+                   d_model: int) -> list[PagedKVCache]:
+        """One sequence's handles, layer ``i`` at index ``i``, on one page table
+        (the :meth:`~repro.llm.model.DecoderLM.make_caches` hook)."""
+        pool = self._pool(n_layers, n_heads, head_dim)
+        table = PageTable(pool)
+        return [PagedKVCache(pool, n_heads, head_dim, d_model, layer=layer, table=table)
+                for layer in range(n_layers)]
 
     def reserve_capacity(self, capacity_tokens: int) -> None:
         """Map future pools once, at the size a serving capacity can fill.
 
         A :class:`~repro.serve.kv_manager.KVSpaceManager` enforcing
-        ``capacity_tokens`` over a *growable* factory calls this, so each
-        layer's arena is mapped at ``ceil(capacity / page_tokens)`` pages and
-        the pool grows into it without copy-doubling through ever-larger
+        ``capacity_tokens`` over a *growable* factory calls this, so the
+        arenas are mapped at ``ceil(capacity / page_tokens)`` pages and the
+        pool grows into them without copy-doubling through ever-larger
         arenas (reserved pages stay uncommitted until written, see
         :func:`_arena`; accounting still covers only the pages handed to the
         free list so far).  Growth beyond the reserve keeps working; a
@@ -820,12 +964,8 @@ class PagedCacheFactory:
 
     @property
     def capacity_tokens(self) -> int | None:
-        """Per-layer token capacity of a bounded factory (``None`` if growable).
-
-        Pools are created lazily per layer with identical geometry, so one
-        layer's capacity is *the* serving capacity a
-        :class:`~repro.serve.kv_manager.KVSpaceManager` budgets against.
-        """
+        """Token capacity of a bounded factory (``None`` if growable): what
+        a :class:`~repro.serve.kv_manager.KVSpaceManager` budgets against."""
         if self.grow:
             return None
         return self.initial_pages * self.page_tokens
@@ -835,7 +975,7 @@ class PagedCacheFactory:
         return sum(pool.n_referenced for pool in self.pools)
 
     def check_accounting(self) -> None:
-        """Assert ``allocated = referenced + free`` for every layer pool."""
+        """Assert ``allocated = referenced + free`` for every pool."""
         for pool in self.pools:
             pool.check_accounting()
 

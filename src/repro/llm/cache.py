@@ -274,6 +274,29 @@ class LayerKVCache(abc.ABC):
         for cache, cache_probs in zip(caches, probs):
             cache.observe_attention(cache_probs)
 
+    # -- stack protocol (one call for every layer of one sequence) ------
+    def fork_stack(self, caches: "Sequence[LayerKVCache]",
+                   upto: int | None = None) -> "list[LayerKVCache]":
+        """:meth:`fork` each of ``caches`` — one sequence's per-layer stack,
+        this cache among them — at ``upto``.
+
+        The default is the per-layer loop; a cache whose layers share their
+        bookkeeping (the paged cache's one page table per sequence) forks
+        the whole stack with one operation.
+        """
+        return [cache.fork(upto) for cache in caches]
+
+    def truncate_stack(self, caches: "Sequence[LayerKVCache]", n: int) -> None:
+        """:meth:`truncate` each of ``caches`` to ``n`` tokens (see
+        :meth:`fork_stack`)."""
+        for cache in caches:
+            cache.truncate(n)
+
+    def release_stack(self, caches: "Sequence[LayerKVCache]") -> None:
+        """:meth:`release` each of ``caches`` (see :meth:`fork_stack`)."""
+        for cache in caches:
+            cache.release()
+
     # -- chunked prefill and prefix forking (optional capabilities) -----
     def extend_chunk(self, keys: np.ndarray, values: np.ndarray, inputs: np.ndarray,
                      positions: np.ndarray) -> None:
@@ -326,7 +349,13 @@ class LayerKVCache(abc.ABC):
 
 
 class KVCacheFactory(Protocol):
-    """Factory building one :class:`LayerKVCache` per decoder layer."""
+    """Factory building one :class:`LayerKVCache` per decoder layer.
+
+    A factory may also offer ``make_stack(n_layers, n_heads, head_dim,
+    d_model)``, building one sequence's whole stack at once (layer ``i`` at
+    index ``i``); :meth:`~repro.llm.model.DecoderLM.make_caches` uses it when
+    present.
+    """
 
     def __call__(self, layer_index: int, n_heads: int, head_dim: int, d_model: int,
                  recompute_fn: RecomputeFn) -> LayerKVCache:

@@ -128,8 +128,7 @@ def _decode_speculative(model: DecoderLM, drafter: Drafter, caches: list[LayerKV
         accepted, emitted = accept_greedy(chunk_logits, proposals)
         result.spec_proposed += len(proposals)
         result.spec_accepted += accepted
-        for cache in caches:
-            cache.truncate(position + 1 + accepted)
+        caches[0].truncate_stack(caches, position + 1 + accepted)
         position += 1 + accepted
         logp_rows = log_softmax(chunk_logits[:len(emitted)], axis=-1)
         for row, tok in enumerate(emitted):
@@ -140,8 +139,7 @@ def _decode_speculative(model: DecoderLM, drafter: Drafter, caches: list[LayerKV
                 break
     # Cache-state parity with the plain loop, which never feeds the final
     # token: drop any verified-but-unemitted tail (e.g. after a mid-chunk EOS).
-    for cache in caches:
-        cache.truncate(len(prompt) + len(generated) - 1)
+    caches[0].truncate_stack(caches, len(prompt) + len(generated) - 1)
 
 
 def generate(model: DecoderLM, prompt_tokens: Sequence[int], max_new_tokens: int,
@@ -234,8 +232,7 @@ def _decode_batch_speculative(model: DecoderLM, drafter: Drafter,
             accepted, emitted = accept_greedy(logits_list[row], proposals)
             result.spec_proposed += len(proposals)
             result.spec_accepted += accepted
-            for cache in caches_batch[b]:
-                cache.truncate(positions[b] + 1 + accepted)
+            caches_batch[b][0].truncate_stack(caches_batch[b], positions[b] + 1 + accepted)
             positions[b] += 1 + accepted
             logp_rows = log_softmax(logits_list[row][:len(emitted)], axis=-1)
             stopped = False
@@ -250,8 +247,8 @@ def _decode_batch_speculative(model: DecoderLM, drafter: Drafter,
                 still_active.append(b)
         active = still_active
     for result, caches in zip(results, caches_batch):
-        for cache in caches:
-            cache.truncate(len(result.prompt_tokens) + len(result.generated_tokens) - 1)
+        caches[0].truncate_stack(
+            caches, len(result.prompt_tokens) + len(result.generated_tokens) - 1)
 
 
 def generate_batch(model: DecoderLM, prompts: Sequence[Sequence[int]], max_new_tokens: int,

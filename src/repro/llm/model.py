@@ -290,13 +290,17 @@ class DecoderLM:
     # Prefill + decode path with pluggable KV caches
     # ------------------------------------------------------------------
     def make_caches(self, factory: KVCacheFactory | None = None) -> list[LayerKVCache]:
-        """Build one cache per layer using ``factory`` (full cache by default)."""
+        """Build one cache per layer using ``factory`` (full cache by default),
+        through its ``make_stack`` hook when it has one."""
         factory = factory or full_cache_factory
-        return [
-            factory(layer, self.config.n_heads, self.config.head_dim, self.config.d_model,
-                    self.recompute_fn(layer))
-            for layer in range(self.config.n_layers)
-        ]
+        config = self.config
+        make_stack = getattr(factory, "make_stack", None)
+        if make_stack is not None:
+            return make_stack(config.n_layers, config.n_heads, config.head_dim,
+                              config.d_model)
+        return [factory(layer, config.n_heads, config.head_dim, config.d_model,
+                        self.recompute_fn(layer))
+                for layer in range(config.n_layers)]
 
     def prefill(self, tokens: Sequence[int], caches: list[LayerKVCache]) -> np.ndarray:
         """Process the context tokens in parallel, filling the caches.
@@ -588,26 +592,33 @@ class DecoderLM:
         """Partition sequence indices into fused-attention groups by layout.
 
         Returns ``(paged_groups, contig_groups, loose)``.  A *paged* group
-        shares every per-layer :class:`~repro.core.kv_pool.KVPagePool`, so
-        one page-table gather plus one length-masked BLAS matmul per layer
-        serves the whole (possibly ragged) group.  A *contig* group holds
-        equal-length full-prefix caches (``fused_kind == "contig"``) whose
+        shares one :class:`~repro.core.kv_pool.KVPagePool`, each member a
+        whole stack on one page table (its next slot is claimed once for
+        every layer), so one page-table gather plus one length-masked BLAS
+        matmul per layer serves the whole (possibly ragged) group.  A
+        *contig* group holds equal-length full-prefix caches
+        (``fused_kind == "contig"``) whose
         fetch views stack without padding, keeping every BLAS slice
         bit-identical to the per-sequence path.  Everything else — eviction
         policies that consume ``observe_attention``, mixed per-layer kinds —
         stays on the per-sequence fallback (``loose``), as do singleton
         groups, for which the gather copy buys nothing.
         """
-        paged: dict[tuple[int, ...], list[int]] = {}
+        paged: dict[int, list[int]] = {}
         contig: dict[int, list[int]] = {}
         loose: list[int] = []
         for b, caches in enumerate(caches_batch):
             kind = caches[0].fused_kind if caches else None
+            if kind == "paged":
+                # Every layer a handle of one page table, at one length.
+                if caches[0].whole_stack(caches):
+                    paged.setdefault(id(caches[0].pool), []).append(b)
+                else:
+                    loose.append(b)
+                continue
             if kind is not None and any(c.fused_kind != kind for c in caches):
                 kind = None
-            if kind == "paged":
-                paged.setdefault(tuple(id(c.pool) for c in caches), []).append(b)
-            elif kind == "contig":
+            if kind == "contig":
                 n_tokens = caches[0].num_tokens
                 if any(c.num_tokens != n_tokens for c in caches):
                     loose.append(b)  # uneven layers: not stackable this step
@@ -684,14 +695,29 @@ class DecoderLM:
         state.keys = np.empty((n_groups, n_heads, capacity, head_dim), dtype=np.float32)
         state.values = np.zeros((n_groups, n_heads, capacity, head_dim), dtype=np.float32)
 
+    @staticmethod
+    def _reserve_paged_slots(rows: list[int], caches_batch: Sequence[list[LayerKVCache]],
+                             ) -> tuple[np.ndarray, np.ndarray, list[int]]:
+        """``(pages, offsets, lengths)`` of every row's next token, claimed
+        once for all of the row's layers (one page table per sequence);
+        ``lengths`` are the rows' token counts with it, in every layer."""
+        pages = np.empty(len(rows), dtype=np.intp)
+        offsets = np.empty(len(rows), dtype=np.intp)
+        for g, b in enumerate(rows):
+            caches = caches_batch[b]
+            pages[g], offsets[g] = caches[0].reserve_stack_slot(caches)
+        return pages, offsets, [caches_batch[b][0].num_tokens for b in rows]
+
     def _attend_paged_group(self, rows: list[int], layer: int,
                             caches_batch: Sequence[list[LayerKVCache]],
+                            slots: tuple[np.ndarray, np.ndarray, list[int]],
                             query: np.ndarray, keys_new: np.ndarray,
                             values_new: np.ndarray, context: np.ndarray,
                             scale: float) -> None:
         """Paged-attention for one group: incremental stacks, mask, matmul.
 
-        Appends every row's new K/V straight into pool pages, then extends
+        Writes every row's new K/V straight into this layer's slice of the
+        ``slots`` (:meth:`_reserve_paged_slots`) pool pages, then extends
         the group's persistent ``[G, H, cap, d]`` stacks with one ``[H, d]``
         write per row — read back from the tail page slot so fp16 pools
         contribute their *stored* (rounded) values, exactly as a full
@@ -717,14 +743,10 @@ class DecoderLM:
             k_rows = keys_new[:, rows].swapaxes(0, 1)
             v_rows = values_new[:, rows].swapaxes(0, 1)
             q_rows = query[:, rows].swapaxes(0, 1)
-        # Reserve one tail-page slot per row (bookkeeping only), then land
-        # the whole group's new K/V with two batched pool scatters.
-        pages = ws.get("fused.pages", (n_groups,), np.intp)
-        offsets = ws.get("fused.offsets", (n_groups,), np.intp)
-        for g, cache in enumerate(caches):
-            pages[g], offsets[g] = cache.reserve_slot()
-        pool.scatter_tokens(pages, offsets, k_rows, v_rows)
-        lengths = [cache.num_tokens for cache in caches]
+        # The slots were claimed for every layer before the first: land the
+        # whole group's new K/V with two batched pool scatters.
+        pages, offsets, lengths = slots
+        pool.scatter_tokens(pages, offsets, k_rows, v_rows, layer)
         n_max = max(lengths)
         n_min = min(lengths)
         if pool.dtype == np.float32:
@@ -756,8 +778,11 @@ class DecoderLM:
             for g, cache in enumerate(caches):
                 row_pages = cache.page_list()
                 tables[g, :len(row_pages)] = row_pages
-                tables[g, len(row_pages):] = 0  # padded with a live page; masked
-            pool.gather_pages(tables, skeys[:, :, :n_gather], svalues[:, :, :n_gather])
+                # Pad with page 0, live or free: what it gathers lies beyond
+                # the row's length and is zeroed just below.
+                tables[g, len(row_pages):] = 0
+            pool.gather_pages(tables, skeys[:, :, :n_gather], svalues[:, :, :n_gather],
+                              layer)
             for g, n_tokens in enumerate(lengths):
                 # Restore the zero-beyond-length invariant to full capacity:
                 # page-granular gather garbage and stale pre-restack values
@@ -965,8 +990,8 @@ class DecoderLM:
         projections (QKV, output, MLP, LM head) run batched over ``B``.
 
         With ``fused=True`` (the default) the attention reads are batched
-        too: sequences whose caches expose a fused layout (paged caches
-        sharing pool geometry; equal-length contiguous full caches) are
+        too: sequences whose caches expose a fused layout (paged stacks
+        sharing one pool; equal-length contiguous full caches) are
         grouped by :meth:`_fused_decode_groups` and each group runs as one
         gathered, length-masked BLAS attention call per layer — paged-
         attention style — instead of per-sequence GEMVs.  Sequences whose
@@ -1000,6 +1025,7 @@ class DecoderLM:
         else:
             paged_groups, contig_groups = [], []
             loose = list(range(batch))
+        paged_slots = [self._reserve_paged_slots(rows, caches_batch) for rows in paged_groups]
         for layer in range(self.config.n_layers):
             prefix = f"layers.{layer}"
             normed = self._norm(hidden, f"{prefix}.attn_norm")  # [B, C]
@@ -1015,9 +1041,9 @@ class DecoderLM:
             for rows in contig_groups:
                 self._attend_contig_group(rows, layer, caches_batch, query, keys_new,
                                           values_new, normed, positions, context, scale)
-            for rows in paged_groups:
-                self._attend_paged_group(rows, layer, caches_batch, query, keys_new,
-                                         values_new, context, scale)
+            for rows, slots in zip(paged_groups, paged_slots):
+                self._attend_paged_group(rows, layer, caches_batch, slots, query,
+                                         keys_new, values_new, context, scale)
             if fused and len(loose) > 1:
                 self._attend_loose_rows(loose, layer, caches_batch, query, keys_new,
                                         values_new, normed, positions, context, scale)

@@ -196,8 +196,7 @@ class _DraftModelSession(DrafterSession):
         if common == len(context):  # context fully cached: re-derive the
             common -= 1             # last token's logits from a 1-token chunk
         if common < len(self._tokens):
-            for cache in self._caches:
-                cache.truncate(common)
+            self._caches[0].truncate_stack(self._caches, common)
             del self._tokens[common:]
         chunk = context[common:]
         if common == 0:

@@ -647,7 +647,7 @@ class ServingEngine:
         state["ttft_s"] = now - state["admitted_wall"]
         if index is not None:
             index.insert(state["prompt"],
-                         [cache.fork() for cache in state["caches"]])
+                         state["caches"][0].fork_stack(state["caches"]))
 
     # ------------------------------------------------------------------
     def cancel(self, request_id: str) -> None:

@@ -182,8 +182,8 @@ class ModelExecutor:
                 accepted, emitted = accept_greedy(chunk_logits, proposals)
                 outcome.spec_proposed += len(proposals)
                 outcome.spec_accepted += accepted
-                for cache in state.caches:
-                    cache.truncate(state.position + 1 + accepted)
+                state.caches[0].truncate_stack(state.caches,
+                                               state.position + 1 + accepted)
                 state.position += 1 + accepted
                 for token in emitted:
                     state.generated.append(token)

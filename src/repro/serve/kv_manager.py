@@ -2,8 +2,8 @@
 
 This is the *memory* layer of the serving core's three-layer split.  A
 :class:`KVSpaceManager` wraps the cache factory (usually a
-:class:`~repro.core.kv_pool.PagedCacheFactory` over per-layer
-:class:`~repro.core.kv_pool.KVPagePool` arenas) plus the
+:class:`~repro.core.kv_pool.PagedCacheFactory` over one
+:class:`~repro.core.kv_pool.KVPagePool` with an arena per layer) plus the
 :class:`~repro.serve.radix.RadixPrefixIndex`, and owns every KV-space
 question the scheduler asks:
 
@@ -94,8 +94,6 @@ class KVSpaceManager:
     def __init__(self, lm: "DecoderLM", cache_factory: "KVCacheFactory | None", *,
                  prefix_cache: bool = False, radix_max_tokens: int | None = None,
                  capacity_tokens: int | None = None) -> None:
-        from repro.llm.cache import full_cache_factory
-
         self.lm = lm
         self.cache_factory = cache_factory
         if capacity_tokens is not None:
@@ -103,15 +101,14 @@ class KVSpaceManager:
             presize = getattr(cache_factory, "reserve_capacity", None)
             if presize is not None:
                 presize(capacity_tokens)
-        # Probe the factory once (building a cache is cheap and side-effect
-        # free — the paged cache allocates no pages until written).
-        probe = (cache_factory or full_cache_factory)(
-            0, lm.config.n_heads, lm.config.head_dim, lm.config.d_model,
-            lm.recompute_fn(0))
-        self.chunkable: bool = probe.supports_chunked_prefill
-        self.rollbackable: bool = probe.supports_rollback
-        self.checkpointable: bool = getattr(probe, "supports_checkpoint", False)
-        probe.release()
+        # Probe the factory once, through the model so a pool is built with
+        # every layer (building caches is cheap and side-effect free — the
+        # paged cache allocates no pages until written).
+        probe = lm.make_caches(cache_factory)
+        self.chunkable: bool = probe[0].supports_chunked_prefill
+        self.rollbackable: bool = probe[0].supports_rollback
+        self.checkpointable: bool = getattr(probe[0], "supports_checkpoint", False)
+        probe[0].release_stack(probe)
         #: Restore counters surfaced by the serving report: requests resumed
         #: from a checkpoint, and the prefill tokens recompute recovery would
         #: have replayed for them (= tokens carried by their checkpoints).
@@ -237,10 +234,9 @@ class KVSpaceManager:
 
     def release(self, state: "SequenceState") -> None:
         """Release every page and the reservation (preempt/finish/cancel)."""
-        if state.caches is not None:
-            for cache in state.caches:
-                cache.release()
-            state.caches = None
+        if state.caches:
+            state.caches[0].release_stack(state.caches)
+        state.caches = None
         self._reserved_total -= state.reserved_tokens
         state.reserved_tokens = 0
 
@@ -297,10 +293,9 @@ class KVSpaceManager:
                     # Fork *before* reserving: reserve() under pressure may
                     # LRU-evict the matched entry itself, and the forks'
                     # own page references survive that eviction.
-                    forks = [c.fork(use_len) for c in entry.caches]
+                    forks = entry.caches[0].fork_stack(entry.caches, use_len)
                     if not self.reserve(state, use_len):
-                        for fork in forks:  # no space to restore this step
-                            fork.release()
+                        forks[0].release_stack(forks)  # no space to restore this step
                         continue
                     state.caches = forks
                     state.prefilled = use_len
@@ -325,7 +320,7 @@ class KVSpaceManager:
                 or state.resume_next_input is not None):
             return  # recomputed targets contain generated tokens: not prompts
         self.index.insert(state.prefill_target,
-                          [cache.fork() for cache in state.caches])
+                          state.caches[0].fork_stack(state.caches))
         if self.bounded:
             while (self.index.n_entries > 1
                    and self.used_tokens > self.capacity_tokens):
@@ -394,8 +389,7 @@ class KVSpaceManager:
             for cache, layer in zip(caches, ckpt.kv.layers):
                 cache.import_state(layer)
         except Exception:
-            for cache in caches:
-                cache.release()
+            caches[0].release_stack(caches)
             raise
         state.caches = caches
         self.n_restored += 1

@@ -43,9 +43,14 @@ class PrefixEntry:
     last_used: int = 0
 
     def release(self) -> None:
-        for cache in self.caches:
-            cache.release()
+        _release(self.caches)
         self.caches = []
+
+
+def _release(caches: list[LayerKVCache]) -> None:
+    """Release one sequence's stack of caches (an index entry may hold none)."""
+    if caches:
+        caches[0].release_stack(caches)
 
 
 class _Node:
@@ -139,8 +144,7 @@ class RadixPrefixIndex:
                 node, i = tail, len(tokens)
         if node.entry is not None:
             self._touch(node.entry)
-            for cache in caches:
-                cache.release()
+            _release(caches)
             return False
         node.entry = PrefixEntry(caches=list(caches), depth=len(tokens))
         self._lru[id(node.entry)] = node

@@ -271,8 +271,8 @@ class TestFp16Pages:
         pool = KVPagePool(n_heads=2, head_dim=4, page_tokens=4, dtype="fp16")
         page = pool.alloc()
         key = np.random.default_rng(0).standard_normal((2, 4)).astype(np.float32)
-        pool._keys[page, :, 0] = key
-        stored = pool._keys[page, :, 0].astype(np.float32)
+        pool.key_page(page)[:, 0] = key
+        stored = pool.key_page(page)[:, 0].astype(np.float32)
         np.testing.assert_array_equal(stored, key.astype(np.float16).astype(np.float32))
         pool.release(page)
         pool.check_accounting()

@@ -179,25 +179,28 @@ class TestPagedKVCache:
 
 class TestPagedCacheFactory:
     def test_pools_shared_across_sequences_per_layer(self):
+        """One pool per factory: a page id spans every layer's arena."""
         factory = PagedCacheFactory(page_tokens=4, initial_pages=4)
         a0 = factory(0, H, D, C, None)
         b0 = factory(0, H, D, C, None)
         a1 = factory(1, H, D, C, None)
-        assert a0.pool is b0.pool  # same layer -> same arena
-        assert a0.pool is not a1.pool  # different layer -> different arena
-        assert len(factory.pools) == 2
+        assert a0.pool is b0.pool is a1.pool
+        assert (a0.layer, a1.layer) == (0, 1) and a0.pool.n_layers == 2
+        assert a0.page_list() is not b0.page_list()  # one table per handle here
+        assert len(factory.pools) == 1
 
     def test_factory_accounting_spans_all_pools(self):
         rng = np.random.default_rng(7)
         factory = PagedCacheFactory(page_tokens=4, initial_pages=4)
-        caches = [factory(layer, H, D, C, None) for layer in range(3)]
+        caches = factory.make_stack(3, H, D, C)
         for cache in caches:
             keys, values = _kv(rng, 6)
             cache.prefill(keys, values, None, None)
-            cache.fork()  # leaves referenced pages behind (flushes)
+        caches[0].fork_stack(caches)  # leaves referenced pages behind (flushes)
         factory.check_accounting()
         assert factory.total_pages == factory.referenced_pages + factory.free_pages
-        assert factory.referenced_pages == 3 * 2  # ceil(6/4) pages per layer
+        assert factory.referenced_pages == 2  # ceil(6/4) page ids span 3 layers
+        assert factory.pools[0].bytes_per_page == 3 * 2 * H * 4 * D * 4
 
     def test_registry_spec_round_trip(self):
         factory = resolve("cache", "paged:page_tokens=8,initial_pages=2,grow=false")
@@ -302,14 +305,14 @@ class TestCheckpointRoundTrip:
         ckpt = self._filled(pool, rng).export_state()
         other = KVPagePool(H + 1, D, page_tokens=4, initial_pages=4)
         with pytest.raises(ValueError, match="geometry"):
-            other.import_pages(ckpt)
+            PagedKVCache(other, H + 1, D, C).import_state(ckpt)
 
     def test_exhausted_import_releases_partial_allocation(self, pool):
         rng = np.random.default_rng(16)
         ckpt = self._filled(pool, rng).export_state()  # needs 4 pages of 4
         tiny = KVPagePool(H, D, page_tokens=4, initial_pages=2, grow=False)
         with pytest.raises(PoolExhausted):
-            tiny.import_pages(ckpt)
+            PagedKVCache(tiny, H, D, C).import_state(ckpt)
         # All-or-nothing: the partially-imported pages were handed back.
         assert tiny.n_free == 2 and tiny.n_referenced == 0
         tiny.check_accounting()
@@ -367,10 +370,10 @@ class TestPresizedPools:
         factory = PagedCacheFactory(page_tokens=8)
         KVSpaceManager(small_model, factory, capacity_tokens=1001)
         small_model.make_caches(factory)
-        assert len(factory.pools) == small_model.config.n_layers
-        for pool in factory.pools:
-            assert pool._keys.shape[0] == pool._values.shape[0] == 126  # ceil(1001/8)
-            assert pool.n_pages == 64  # accounting starts where it always did
+        (pool,) = factory.pools  # one pool, an arena per layer
+        assert pool._keys.shape[:2] == pool._values.shape[:2] == (
+            small_model.config.n_layers, 126)  # ceil(1001/8)
+        assert pool.n_pages == 64  # accounting starts where it always did
         assert factory.capacity_tokens is None  # still growable
 
     def test_growth_into_and_beyond_the_reserve(self):
@@ -394,12 +397,12 @@ class TestPresizedPools:
         growable = PagedCacheFactory(page_tokens=8)
         KVSpaceManager(small_model, growable, capacity_tokens=64)
         KVSpaceManager(small_model, growable)  # no capacity: nothing to reserve
-        assert growable(0, H, D, C, None).pool._keys.shape[0] == 64
+        assert growable(0, H, D, C, None).pool._keys.shape[1] == 64
         bounded = PagedCacheFactory(page_tokens=8, initial_pages=16, grow=False)
         manager = KVSpaceManager(small_model, bounded, capacity_tokens=4096)
         assert bounded.reserve_pages == 0 and bounded.capacity_tokens == 128
         assert manager.capacity_tokens == 120  # physical pool minus CoW headroom
-        assert all(pool._keys.shape[0] == 16 for pool in bounded.pools)
+        assert all(pool._keys.shape[1] == 16 for pool in bounded.pools)
 
     def test_untouched_pages_of_a_big_arena_stay_uncommitted(self):
         """The arena is its own mapping: a reserve far beyond what is used

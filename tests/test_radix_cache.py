@@ -17,7 +17,8 @@ from repro.serve.radix import RadixPrefixIndex
 
 
 class FakeCache:
-    """Minimal fork/release-tracking stand-in for a LayerKVCache."""
+    """Minimal fork/release-tracking stand-in for a LayerKVCache (the radix
+    index releases an entry's caches through ``release_stack``)."""
 
     supports_chunked_prefill = True
 
@@ -30,6 +31,10 @@ class FakeCache:
 
     def release(self) -> None:
         self.released = True
+
+    def release_stack(self, caches) -> None:
+        for cache in caches:
+            cache.release()
 
 
 def _entry_caches(depth: int, n_layers: int = 2) -> list[FakeCache]:
@@ -160,6 +165,10 @@ class _LoggedCache:
 
     def release(self) -> None:
         self.log.append(self.prompt)
+
+    def release_stack(self, caches) -> None:
+        for cache in caches:
+            cache.release()
 
 
 class _MinScanIndex(RadixPrefixIndex):
