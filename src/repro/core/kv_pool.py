@@ -458,8 +458,12 @@ class PageTable:
     def is_stack(self, caches: "Sequence[LayerKVCache]") -> bool:
         """Whether ``caches`` are exactly this table's live handles, in order."""
         refs = self._handles
-        return len(refs) == len(caches) and all(
-            ref() is cache for ref, cache in zip(refs, caches))
+        if len(refs) != len(caches):
+            return False
+        for ref, cache in zip(refs, caches):
+            if ref() is not cache:
+                return False
+        return True
 
     def writable_page(self, index: int) -> int:
         """Page ``index``, ready for writing: allocated when it is one past
@@ -483,6 +487,12 @@ class PageTable:
         if index == last:
             self.tail_owned = True
         return page
+
+    def writable_pages(self, start: int, stop: int) -> list[int]:
+        """The pages holding tokens ``[start, stop)``, each ready for writing."""
+        page_tokens = self.pool.page_tokens
+        return [self.writable_page(index)
+                for index in range(start // page_tokens, (stop - 1) // page_tokens + 1)]
 
     def trim(self) -> None:
         """Drop the pages no live handle's flushed tokens reach any more."""
@@ -580,14 +590,32 @@ class PagedKVCache(LayerKVCache):
 
     def _flush(self) -> None:
         """Persist mirror tokens beyond the page watermark (CoW-aware)."""
-        if self._flushed == self._count:
-            return
-        keys, values = self._sync_mirror().view()
-        pool, table, layer = self.pool, self._table, self.layer
+        if self._flushed != self._count:
+            self._write(self._table.writable_pages(self._flushed, self._count))
+
+    @staticmethod
+    def _flush_stack(caches: "Sequence[PagedKVCache]") -> None:
+        """:meth:`_flush` every handle of one table, placing (allocating,
+        CoW-resolving) the pages once for the layers that are in step."""
+        span = pages = None
+        for cache in caches:
+            if cache._flushed == cache._count:
+                continue
+            if (cache._flushed, cache._count) != span:
+                span = (cache._flushed, cache._count)
+                pages = cache._table.writable_pages(*span)
+            cache._write(pages)
+
+    def _write(self, pages: list[int]) -> None:
+        """Copy this layer's mirror tokens beyond the watermark into
+        ``pages`` — the table's writable pages holding them."""
+        keys, values = self._mirror.view()  # unflushed tokens live only there
+        pool, layer = self.pool, self.layer
         page_tokens = pool.page_tokens
+        first = self._flushed // page_tokens
         while self._flushed < self._count:
             index, offset = divmod(self._flushed, page_tokens)
-            page = table.writable_page(index)
+            page = pages[index - first]
             take = min(page_tokens - offset, self._count - self._flushed)
             pool._keys[layer, page, :, offset:offset + take] = \
                 keys[:, self._flushed:self._flushed + take]
@@ -676,9 +704,7 @@ class PagedKVCache(LayerKVCache):
         """:meth:`reserve_slot` once for a :meth:`whole_stack`: every layer's
         count and watermark advance to the same ``(page, offset)``, which
         each layer then writes with its own scatter."""
-        for cache in caches:
-            if cache._flushed != cache._count:
-                cache._flush()
+        self._flush_stack(caches)
         page, offset = self.reserve_slot()
         for cache in caches:
             cache._count = cache._flushed = self._count
@@ -731,10 +757,14 @@ class PagedKVCache(LayerKVCache):
         return self._handle(PageTable(self.pool, shared), self.layer, upto)
 
     def _handle(self, table: PageTable, layer: int, n_tokens: int) -> "PagedKVCache":
-        """A handle on ``table`` holding ``n_tokens`` tokens, all on pages."""
-        handle = PagedKVCache(self.pool, self.n_heads, self.head_dim, self.d_model,
-                              layer=layer, table=table)
+        """A handle on ``table`` holding ``n_tokens`` tokens, all on pages:
+        this handle's geometry, copied rather than validated again."""
+        handle = object.__new__(PagedKVCache)
+        handle.__dict__.update(self.__dict__)
+        handle.write_epoch = 0
+        handle.layer, handle._table, handle._mirror = layer, table, None
         handle._count = handle._flushed = n_tokens
+        table._handles.append(weakref.ref(handle))
         return handle
 
     def fork_stack(self, caches: "Sequence[LayerKVCache]",
@@ -747,8 +777,7 @@ class PagedKVCache(LayerKVCache):
         for cache in caches:
             if not 0 <= upto <= cache._count:
                 raise ValueError(f"fork upto={upto} out of range [0, {cache._count}]")
-            if cache._flushed != cache._count:
-                cache._flush()
+        self._flush_stack(caches)
         head = caches[0].fork(upto)
         return [head] + [head._handle(head._table, cache.layer, upto) for cache in caches[1:]]
 

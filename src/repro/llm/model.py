@@ -596,10 +596,9 @@ class DecoderLM:
         whole stack on one page table (its next slot is claimed once for
         every layer), so one page-table gather plus one length-masked BLAS
         matmul per layer serves the whole (possibly ragged) group.  A
-        *contig* group holds equal-length full-prefix caches
-        (``fused_kind == "contig"``) whose
-        fetch views stack without padding, keeping every BLAS slice
-        bit-identical to the per-sequence path.  Everything else — eviction
+        *contig* group holds equal-length full-prefix caches (``fused_kind
+        == "contig"``) whose fetch views stack without padding, keeping
+        every BLAS slice bit-identical to the per-sequence path.  Everything else — eviction
         policies that consume ``observe_attention``, mixed per-layer kinds —
         stays on the per-sequence fallback (``loose``), as do singleton
         groups, for which the gather copy buys nothing.
@@ -610,7 +609,6 @@ class DecoderLM:
         for b, caches in enumerate(caches_batch):
             kind = caches[0].fused_kind if caches else None
             if kind == "paged":
-                # Every layer a handle of one page table, at one length.
                 if caches[0].whole_stack(caches):
                     paged.setdefault(id(caches[0].pool), []).append(b)
                 else:
