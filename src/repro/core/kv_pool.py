@@ -15,14 +15,16 @@ per-sequence block table, Kwon et al., SOSP '23):
   handed out from the free list, reference-counted, and recycled the moment
   their refcount drops to zero; ``allocated = referenced + free`` is
   checkable at any time via :meth:`KVPagePool.check_accounting`.
-* :class:`PageTable` — **one per sequence**: its page list and whether it
-  owns its tail page.  A page's refcount is the number of live tables that
-  list it, whatever the number of layers.
+* :class:`PageTable` — **one per sequence**: its page list, whether it owns
+  its tail page, and the handles' contiguous mirrors (one ``[L, H,
+  capacity, d]`` buffer, a row per layer).  A page's refcount is the number
+  of live tables that list it, whatever the number of layers.
 * :class:`PagedKVCache` — the per-layer :class:`~repro.llm.cache.LayerKVCache`
   **handle** on a table: it keeps only what differs between layers — its
-  token count, its flush watermark (tokens already written to pages) and its
-  contiguous mirror.  The ``L`` handles :meth:`PagedCacheFactory.make_stack`
-  builds for one sequence share one table.  Semantically every handle is the
+  token count, its flush watermark (tokens already written to pages) and
+  how much of its mirror row is filled.  The ``L`` handles
+  :meth:`PagedCacheFactory.make_stack` builds for one sequence share one
+  table.  Semantically every handle is the
   full (no-eviction) cache with **zero-copy copy-on-write forks**: a fork
   shares the pages of a prefix with its parent, and writing into a shared
   page first copies it (every layer's slice at once) into a fresh page, so
@@ -34,8 +36,9 @@ per-sequence block table, Kwon et al., SOSP '23):
 **The stack protocol.**  ``fork_stack`` / ``truncate_stack`` /
 ``release_stack`` on a whole stack (every live handle of one table) are one
 table operation each: pages are retained, allocated, CoW-copied and released
-once per sequence while K/V data still moves once per layer; the fused
-decode claims a sequence's next ``(page, offset)`` once per step
+once per sequence, and while the layers are in step a gather (pages →
+mirrors) or flush (mirrors → pages) is one copy per page for all of them;
+the fused decode claims a sequence's next ``(page, offset)`` once per step
 (:meth:`PagedKVCache.reserve_stack_slot`) and every layer writes its slice
 of that slot.  The per-handle :meth:`~PagedKVCache.fork`,
 :meth:`~PagedKVCache.truncate` and :meth:`~PagedKVCache.release` stay
@@ -49,9 +52,9 @@ handle stops covering it (truncate, release), and the pool frees the page
 when the last table listing it drops it.
 
 The decode hot loop of a single sequence still needs contiguous
-``[H, n, d]`` K/V views, so each handle keeps a per-sequence *mirror* — a
-:class:`~repro.llm.cache.ContiguousKVStore` lazily synchronised from the
-pages inside :meth:`fetch` — so steady-state fetches stay zero-copy and a
+``[H, n, d]`` K/V views, so each handle keeps a per-sequence *mirror* — its
+row of the table's mirror buffer, lazily synchronised from the pages inside
+:meth:`~PagedKVCache.fetch` — so steady-state fetches stay zero-copy and a
 freshly forked cache pays one bulk gather (O(prefix) memory traffic) instead
 of re-running prefill (O(prefix²) compute).  Chunk and single-token appends
 land in the mirror and are flushed to pages when a fork, a checkpoint import
@@ -70,7 +73,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.llm.cache import ContiguousKVStore, KVCacheFactory, LayerKVCache, RecomputeFn
+from repro.llm.cache import KVCacheFactory, LayerKVCache, RecomputeFn
 from repro.registry import register
 
 
@@ -442,18 +445,30 @@ class PageTable:
     the tail or the table shrinks onto an older page, and restored by CoW or
     a fresh allocation.
 
-    The table refers to its handles weakly, in layer order: handles keep
-    their table alive, never the reverse, so a dropped stack (and the pool
-    arenas it points at) is freed by reference counting alone.
+    The table refers to its handles weakly, in layer order (handle ``s``
+    serves layer ``first layer + s``): handles keep their table alive, never
+    the reverse, so a dropped stack (and the pool arenas it points at) is
+    freed by reference counting alone.
+
+    The handles' contiguous mirrors live here too, as one fp32
+    ``[S, H, capacity, d]`` pair (:meth:`mirror`; ``mirror_keys[s]`` is
+    handle ``s``'s), so a stack whose layers are in step gathers pages into
+    its mirrors, and flushes them back, with one copy per page for every
+    layer.
     """
 
-    __slots__ = ("pool", "pages", "tail_owned", "_handles")
+    __slots__ = ("pool", "pages", "tail_owned", "_handles", "mirror_keys",
+                 "mirror_values", "valid")
 
     def __init__(self, pool: KVPagePool, pages: "list[int] | None" = None) -> None:
         self.pool = pool
         self.pages: list[int] = [] if pages is None else pages
         self.tail_owned = False
         self._handles: list[weakref.ref] = []
+        self.mirror_keys: "np.ndarray | None" = None
+        self.mirror_values: "np.ndarray | None" = None
+        #: All-true ``[H, capacity]`` validity shared by the mirror views.
+        self.valid: "np.ndarray | None" = None
 
     def is_stack(self, caches: "Sequence[LayerKVCache]") -> bool:
         """Whether ``caches`` are exactly this table's live handles, in order."""
@@ -464,6 +479,39 @@ class PageTable:
             if ref() is not cache:
                 return False
         return True
+
+    def live_handles(self) -> "list[PagedKVCache] | None":
+        """Every handle, in order, or ``None`` when one has been dropped."""
+        handles = [ref() for ref in self._handles]
+        return None if None in handles else handles
+
+    def mirror(self, n_tokens: int) -> tuple[np.ndarray, np.ndarray]:
+        """The ``[S, H, capacity, d]`` mirrors, with room for ``n_tokens`` in
+        every handle's row (grown by doubling, contents kept)."""
+        keys = self.mirror_keys
+        n_slots = len(self._handles)
+        if keys is None or keys.shape[2] < n_tokens or keys.shape[0] < n_slots:
+            pool = self.pool
+            if keys is None:
+                capacity = max(64, n_tokens + pool.page_tokens)
+            else:
+                capacity = keys.shape[2]
+                while capacity < n_tokens:
+                    capacity *= 2
+            shape = (n_slots, pool.n_heads, capacity, pool.head_dim)
+            grown_keys = np.empty(shape, dtype=np.float32)
+            grown_values = np.empty(shape, dtype=np.float32)
+            if keys is not None:
+                old_slots, _heads, old_capacity, _dim = keys.shape
+                grown_keys[:old_slots, :, :old_capacity] = keys
+                grown_values[:old_slots, :, :old_capacity] = self.mirror_values
+            self.mirror_keys, self.mirror_values = grown_keys, grown_values
+            self.valid = np.ones((pool.n_heads, capacity), dtype=bool)
+        return self.mirror_keys, self.mirror_values
+
+    def drop_mirror(self) -> None:
+        """Free the mirrors once every handle is empty."""
+        self.mirror_keys = self.mirror_values = self.valid = None
 
     def writable_page(self, index: int) -> int:
         """Page ``index``, ready for writing: allocated when it is one past
@@ -494,6 +542,40 @@ class PageTable:
         return [self.writable_page(index)
                 for index in range(start // page_tokens, (stop - 1) // page_tokens + 1)]
 
+    def flush(self, rows: slice, layers: slice, start: int, stop: int) -> None:
+        """Write tokens ``[start, stop)`` of mirror ``rows`` to the pages of
+        ``layers`` (one copy per page for all of them), placing the pages."""
+        pool = self.pool
+        page_tokens = pool.page_tokens
+        pages = self.writable_pages(start, stop)
+        first = start // page_tokens
+        keys, values = self.mirror_keys, self.mirror_values
+        done = start
+        while done < stop:
+            index, offset = divmod(done, page_tokens)
+            page = pages[index - first]
+            take = min(page_tokens - offset, stop - done)
+            pool._keys[layers, page, :, offset:offset + take] = keys[rows, :, done:done + take]
+            pool._values[layers, page, :, offset:offset + take] = \
+                values[rows, :, done:done + take]
+            done += take
+
+    def gather(self, rows: slice, layers: slice, start: int, stop: int) -> None:
+        """Copy paged tokens ``[start, stop)`` of ``layers`` into mirror
+        ``rows`` (one copy per page for all of them)."""
+        pool, pages = self.pool, self.pages
+        page_tokens = pool.page_tokens
+        keys, values = self.mirror_keys, self.mirror_values
+        done = start
+        while done < stop:
+            index, offset = divmod(done, page_tokens)
+            take = min(page_tokens - offset, stop - done)
+            keys[rows, :, done:done + take] = pool._keys[layers, pages[index], :,
+                                                         offset:offset + take]
+            values[rows, :, done:done + take] = pool._values[layers, pages[index], :,
+                                                             offset:offset + take]
+            done += take
+
     def trim(self) -> None:
         """Drop the pages no live handle's flushed tokens reach any more."""
         covered = 0
@@ -517,9 +599,9 @@ class PagedKVCache(LayerKVCache):
     Pages are the *sharing substrate*: a fork retains the pages covering a
     prefix (refcount bump, no data copied) and a shared partial tail page is
     CoW-copied by whichever side writes it next.  The *working storage* of a
-    live sequence is the handle's private contiguous mirror (a
-    :class:`ContiguousKVStore`), which keeps the decode hot path identical
-    to :class:`FullKVCache`: appends are single buffer writes and ``fetch``
+    live sequence is the handle's contiguous mirror (its row of the table's
+    :meth:`~PageTable.mirror`), which keeps the decode hot path identical to
+    :class:`FullKVCache`: appends are single buffer writes and ``fetch``
     returns zero-copy views.  Tokens move between the two lazily:
 
     * **flush** (mirror → pages) happens only when a fork, a checkpoint
@@ -529,9 +611,12 @@ class PagedKVCache(LayerKVCache):
       copy, O(prefix) memory traffic instead of the O(prefix²) compute of
       re-prefilling it.
 
+    Both move every layer of a stack at once while its handles are in step.
+
     ``PagedKVCache(pool, ...)`` makes a handle with a table of its own;
     :meth:`PagedCacheFactory.make_stack` makes the ``L`` handles of one
-    sequence share one (``layer`` selects the arena, ``table`` the table).
+    sequence share one (``layer`` selects the arena; ``table`` is joined as
+    its next layer).
     """
 
     supports_chunked_prefill = True
@@ -549,10 +634,11 @@ class PagedKVCache(LayerKVCache):
         self.pool = pool
         self.layer = layer
         self._table = PageTable(pool) if table is None else table
+        self._slot = len(self._table._handles)  # this handle's mirror row
         self._table._handles.append(weakref.ref(self))
         self._count = 0
         self._flushed = 0  # tokens persisted to pages; the rest live in the mirror
-        self._mirror: ContiguousKVStore | None = None
+        self._mirrored = 0  # tokens [0, _mirrored) are in the mirror
 
     # -- page bookkeeping -----------------------------------------------
     @property
@@ -588,71 +674,81 @@ class PagedKVCache(LayerKVCache):
             return array.astype(np.float16).astype(np.float32)
         return array
 
+    def _rows(self) -> tuple[slice, slice]:
+        """This handle's mirror row and arena layer, as table slices."""
+        return slice(self._slot, self._slot + 1), slice(self.layer, self.layer + 1)
+
+    def _in_step(self) -> "list[PagedKVCache] | None":
+        """Every handle of the table, when all hold what this one holds
+        (count, watermark, mirror) — they may move their tokens together."""
+        handles = self._table.live_handles()
+        if handles is not None:
+            state = (self._count, self._flushed, self._mirrored)
+            for handle in handles:
+                if (handle._count, handle._flushed, handle._mirrored) != state:
+                    return None
+        return handles
+
+    @staticmethod
+    def _stack_rows(handles: "list[PagedKVCache]") -> tuple[slice, slice]:
+        """Mirror rows and arena layers of a whole table's handles."""
+        first = handles[0].layer
+        return slice(0, len(handles)), slice(first, first + len(handles))
+
     def _flush(self) -> None:
         """Persist mirror tokens beyond the page watermark (CoW-aware)."""
         if self._flushed != self._count:
-            self._write(self._table.writable_pages(self._flushed, self._count))
+            self._table.flush(*self._rows(), self._flushed, self._count)
+            self._flushed = self._count
 
-    @staticmethod
-    def _flush_stack(caches: "Sequence[PagedKVCache]") -> None:
-        """:meth:`_flush` every handle of one table, placing (allocating,
-        CoW-resolving) the pages once for the layers that are in step."""
-        span = pages = None
+    def _flush_stack(self, caches: "Sequence[PagedKVCache]") -> None:
+        """:meth:`_flush` every handle of this table (``caches``, all of
+        them), with one copy per page when they are in step."""
+        start, stop = self._flushed, self._count
+        dirty, in_step = False, True
         for cache in caches:
-            if cache._flushed == cache._count:
-                continue
-            if (cache._flushed, cache._count) != span:
-                span = (cache._flushed, cache._count)
-                pages = cache._table.writable_pages(*span)
-            cache._write(pages)
+            dirty |= cache._flushed != cache._count
+            in_step &= cache._flushed == start and cache._count == stop
+        if not dirty:
+            return
+        if not in_step:
+            for cache in caches:
+                cache._flush()
+            return
+        self._table.flush(*self._stack_rows(caches), start, stop)
+        for cache in caches:
+            cache._flushed = stop
 
-    def _write(self, pages: list[int]) -> None:
-        """Copy this layer's mirror tokens beyond the watermark into
-        ``pages`` — the table's writable pages holding them."""
-        keys, values = self._mirror.view()  # unflushed tokens live only there
-        pool, layer = self.pool, self.layer
-        page_tokens = pool.page_tokens
-        first = self._flushed // page_tokens
-        while self._flushed < self._count:
-            index, offset = divmod(self._flushed, page_tokens)
-            page = pages[index - first]
-            take = min(page_tokens - offset, self._count - self._flushed)
-            pool._keys[layer, page, :, offset:offset + take] = \
-                keys[:, self._flushed:self._flushed + take]
-            pool._values[layer, page, :, offset:offset + take] = \
-                values[:, self._flushed:self._flushed + take]
-            self._flushed += take
-
-    def _sync_mirror(self) -> ContiguousKVStore:
-        """Gather any paged tokens the mirror is missing (bulk, per page)."""
-        if self._mirror is None:
-            self._mirror = ContiguousKVStore(
-                self.n_heads, self.head_dim,
-                initial_capacity=max(64, self._count + self.pool.page_tokens))
-        mirror = self._mirror
-        pool, pages, layer = self.pool, self._table.pages, self.layer
-        page_tokens = pool.page_tokens
-        done = len(mirror)
-        # Invariant: tokens in [len(mirror), _flushed) are on pages; tokens
-        # in [_flushed, _count) are already in the mirror by construction.
-        while done < self._flushed:
-            page = pages[done // page_tokens]
-            offset = done % page_tokens
-            take = min(page_tokens - offset, self._flushed - done)
-            mirror.extend(pool._keys[layer, page, :, offset:offset + take],
-                          pool._values[layer, page, :, offset:offset + take])
-            done += take
-        return mirror
+    def _sync_mirror(self) -> None:
+        """Gather the paged tokens the mirror is missing (bulk, per page) —
+        for every handle of the table at once when they are in step."""
+        table = self._table
+        table.mirror(self._count)
+        # Invariant: tokens in [_mirrored, _flushed) are on pages; tokens in
+        # [_flushed, _count) are already in the mirror by construction.
+        start, stop = self._mirrored, self._flushed
+        if start >= stop:
+            return
+        handles = self._in_step()
+        if handles is None:
+            table.gather(*self._rows(), start, stop)
+            self._mirrored = stop
+        else:
+            table.gather(*self._stack_rows(handles), start, stop)
+            for handle in handles:
+                handle._mirrored = stop
 
     # -- LayerKVCache interface -----------------------------------------
     def prefill(self, keys: np.ndarray, values: np.ndarray, inputs: np.ndarray,
                 attn_probs: np.ndarray) -> None:
         del inputs, attn_probs
-        mirror = self._mirror
-        if mirror is None or len(mirror) != self._count:
-            mirror = self._sync_mirror()
-        mirror.extend(self._to_storage(keys), self._to_storage(values))
-        self._count = len(mirror)
+        if self._mirrored != self._count:
+            self._sync_mirror()
+        count, n = self._count, keys.shape[1]
+        mirror_keys, mirror_values = self._table.mirror(count + n)
+        mirror_keys[self._slot, :, count:count + n] = self._to_storage(keys)
+        mirror_values[self._slot, :, count:count + n] = self._to_storage(values)
+        self._count = self._mirrored = count + n
 
     def extend_chunk(self, keys: np.ndarray, values: np.ndarray, inputs: np.ndarray,
                      positions: np.ndarray) -> None:
@@ -661,11 +757,13 @@ class PagedKVCache(LayerKVCache):
 
     def append(self, key: np.ndarray, value: np.ndarray, x: np.ndarray, position: int) -> None:
         del x, position
-        mirror = self._mirror
-        if mirror is None or len(mirror) != self._count:
-            mirror = self._sync_mirror()
-        mirror.append(self._to_storage(key), self._to_storage(value))
-        self._count += 1
+        if self._mirrored != self._count:
+            self._sync_mirror()
+        count = self._count
+        mirror_keys, mirror_values = self._table.mirror(count + 1)
+        mirror_keys[self._slot, :, count] = self._to_storage(key)
+        mirror_values[self._slot, :, count] = self._to_storage(value)
+        self._count = self._mirrored = count + 1
 
     def reserve_slot(self) -> tuple[int, int]:
         """Claim this layer's next token ``(page, offset)`` without writing data.
@@ -711,11 +809,12 @@ class PagedKVCache(LayerKVCache):
         return page, offset
 
     def fetch(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        mirror = self._mirror
-        if mirror is None or len(mirror) != self._count:
-            mirror = self._sync_mirror()
-        keys, values = mirror.view()
-        return keys, values, mirror.valid_view()
+        if self._mirrored != self._count:
+            self._sync_mirror()
+        table, count = self._table, self._count
+        mirror_keys, mirror_values = table.mirror(count)
+        return (mirror_keys[self._slot, :, :count], mirror_values[self._slot, :, :count],
+                table.valid[:, :count])
 
     def observe_attention(self, probs: np.ndarray) -> None:
         del probs  # paged cache keeps everything; no importance tracking
@@ -761,8 +860,8 @@ class PagedKVCache(LayerKVCache):
         this handle's geometry, copied rather than validated again."""
         handle = object.__new__(PagedKVCache)
         handle.__dict__.update(self.__dict__)
-        handle.write_epoch = 0
-        handle.layer, handle._table, handle._mirror = layer, table, None
+        handle.write_epoch = handle._mirrored = 0
+        handle.layer, handle._table, handle._slot = layer, table, len(table._handles)
         handle._count = handle._flushed = n_tokens
         table._handles.append(weakref.ref(handle))
         return handle
@@ -788,8 +887,7 @@ class PagedKVCache(LayerKVCache):
         if lowered:
             self._flushed = n
         self._count = n
-        if self._mirror is not None and len(self._mirror) > n:
-            self._mirror.truncate(n)
+        self._mirrored = min(self._mirrored, n)
         self.write_epoch += 1
         return lowered
 
@@ -823,9 +921,7 @@ class PagedKVCache(LayerKVCache):
             self._table.trim()
 
     def _reset(self) -> None:
-        self._count = 0
-        self._flushed = 0
-        self._mirror = None
+        self._count = self._flushed = self._mirrored = 0
         self.write_epoch += 1
 
     def release(self) -> None:
@@ -833,7 +929,11 @@ class PagedKVCache(LayerKVCache):
         covers (all of them when this was the last).  Idempotent; the handle
         stays usable."""
         self._reset()
-        self._table.trim()
+        table = self._table
+        table.trim()
+        handles = [ref() for ref in table._handles]
+        if not any(handle is not None and handle._count for handle in handles):
+            table.drop_mirror()
 
     def release_stack(self, caches: "Sequence[LayerKVCache]") -> None:
         """Release a whole stack: every page once (per-layer otherwise)."""
@@ -843,6 +943,7 @@ class PagedKVCache(LayerKVCache):
         for cache in caches:
             cache._reset()
         self._table.trim()
+        self._table.drop_mirror()
 
     # -- checkpoint / restore -------------------------------------------
     def export_state(self) -> KVLayerCheckpoint:
@@ -855,8 +956,7 @@ class PagedKVCache(LayerKVCache):
         so the checkpoint survives the source cache, its pool, and any CoW
         sharing with forks.
         """
-        mirror = self._sync_mirror()
-        keys, values = mirror.view()
+        keys, values, _valid = self.fetch()
         return KVLayerCheckpoint(
             keys=keys.copy(), values=values.copy(),
             n_tokens=self._count, flushed_tokens=self._flushed,
@@ -880,15 +980,14 @@ class PagedKVCache(LayerKVCache):
             raise ValueError(
                 f"checkpoint geometry [H={ckpt.n_heads}, d={ckpt.head_dim}] "
                 f"does not match pool [H={self.n_heads}, d={self.head_dim}]")
-        mirror = ContiguousKVStore(
-            self.n_heads, self.head_dim,
-            initial_capacity=max(64, ckpt.n_tokens + self.pool.page_tokens))
         # Round through the pool dtype so the rebuilt mirror matches the
         # pages bit-for-bit (an fp32 checkpoint restored into an fp16 pool
         # is rounded once, identically on both sides).
-        mirror.extend(self._to_storage(ckpt.keys), self._to_storage(ckpt.values))
-        self._mirror = mirror
-        self._count = ckpt.n_tokens
+        n = ckpt.n_tokens
+        mirror_keys, mirror_values = self._table.mirror(n)
+        mirror_keys[self._slot, :, :n] = self._to_storage(ckpt.keys)
+        mirror_values[self._slot, :, :n] = self._to_storage(ckpt.values)
+        self._count = self._mirrored = n
         try:
             self._flush()
         except PoolExhausted:

@@ -79,6 +79,55 @@ class _FusedGroupBuffer:
         self.store_identity = all(c.fused_store_identity for c in caches)
 
 
+class _PagedRows:
+    """One decode step of a paged group, shared by every layer.
+
+    Each member's next ``(page, offset)`` is claimed once for all of its
+    layers (one page table per sequence), so the members' lengths, the
+    padding mask and — built by the first layer that restacks — the page
+    tables and the positions beyond each row's length are the same for every
+    layer too.
+    """
+
+    __slots__ = ("pages", "offsets", "lengths", "padmask", "_tables", "_beyond")
+
+    def __init__(self, rows: list[int], caches_batch: Sequence[list[LayerKVCache]]) -> None:
+        self.pages = np.empty(len(rows), dtype=np.intp)
+        self.offsets = np.empty(len(rows), dtype=np.intp)
+        for g, b in enumerate(rows):
+            caches = caches_batch[b]
+            self.pages[g], self.offsets[g] = caches[0].reserve_stack_slot(caches)
+        self.lengths = [caches_batch[b][0].num_tokens for b in rows]
+        n_max = max(self.lengths)
+        #: ``[G, n_max]``, True past each row's length (``None`` when uniform).
+        self.padmask = (None if min(self.lengths) == n_max else
+                        np.arange(n_max) >= np.array(self.lengths)[:, None])
+        self._tables: "np.ndarray | None" = None
+        self._beyond: dict = {}
+
+    def tables(self, caches: list[LayerKVCache], pages_max: int) -> np.ndarray:
+        """``[G, pages_max]`` page ids of the members (``caches``, one layer's).
+
+        Rows are padded with page 0, live or free: what it gathers lies
+        beyond the row's length and is zeroed by the restack.
+        """
+        if self._tables is None:
+            self._tables = np.zeros((len(caches), pages_max), dtype=np.intp)
+            for g, cache in enumerate(caches):
+                row_pages = cache.page_list()
+                self._tables[g, :len(row_pages)] = row_pages
+        return self._tables
+
+    def beyond(self, capacity: int) -> tuple[np.ndarray, np.ndarray]:
+        """``(rows, tokens)`` of every position at or past a row's length,
+        below ``capacity``."""
+        index = self._beyond.get(capacity)
+        if index is None:
+            index = self._beyond[capacity] = np.nonzero(
+                np.arange(capacity) >= np.array(self.lengths)[:, None])
+        return index
+
+
 class DecoderLM:
     """A decoder-only transformer LM with explicit NumPy parameters."""
 
@@ -693,29 +742,16 @@ class DecoderLM:
         state.keys = np.empty((n_groups, n_heads, capacity, head_dim), dtype=np.float32)
         state.values = np.zeros((n_groups, n_heads, capacity, head_dim), dtype=np.float32)
 
-    @staticmethod
-    def _reserve_paged_slots(rows: list[int], caches_batch: Sequence[list[LayerKVCache]],
-                             ) -> tuple[np.ndarray, np.ndarray, list[int]]:
-        """``(pages, offsets, lengths)`` of every row's next token, claimed
-        once for all of the row's layers (one page table per sequence);
-        ``lengths`` are the rows' token counts with it, in every layer."""
-        pages = np.empty(len(rows), dtype=np.intp)
-        offsets = np.empty(len(rows), dtype=np.intp)
-        for g, b in enumerate(rows):
-            caches = caches_batch[b]
-            pages[g], offsets[g] = caches[0].reserve_stack_slot(caches)
-        return pages, offsets, [caches_batch[b][0].num_tokens for b in rows]
-
     def _attend_paged_group(self, rows: list[int], layer: int,
                             caches_batch: Sequence[list[LayerKVCache]],
-                            slots: tuple[np.ndarray, np.ndarray, list[int]],
+                            step: _PagedRows,
                             query: np.ndarray, keys_new: np.ndarray,
                             values_new: np.ndarray, context: np.ndarray,
                             scale: float) -> None:
         """Paged-attention for one group: incremental stacks, mask, matmul.
 
         Writes every row's new K/V straight into this layer's slice of the
-        ``slots`` (:meth:`_reserve_paged_slots`) pool pages, then extends
+        pool pages ``step`` claimed for it, then extends
         the group's persistent ``[G, H, cap, d]`` stacks with one ``[H, d]``
         write per row — read back from the tail page slot so fp16 pools
         contribute their *stored* (rounded) values, exactly as a full
@@ -743,8 +779,8 @@ class DecoderLM:
             q_rows = query[:, rows].swapaxes(0, 1)
         # The slots were claimed for every layer before the first: land the
         # whole group's new K/V with two batched pool scatters.
-        pages, offsets, lengths = slots
-        pool.scatter_tokens(pages, offsets, k_rows, v_rows, layer)
+        pool.scatter_tokens(step.pages, step.offsets, k_rows, v_rows, layer)
+        lengths = step.lengths
         n_max = max(lengths)
         n_min = min(lengths)
         if pool.dtype == np.float32:
@@ -772,22 +808,15 @@ class DecoderLM:
             if state.keys is None or state.keys.shape[2] < n_gather:
                 self._grow_buffers(state, n_groups, n_gather)
             skeys, svalues = state.keys, state.values
-            tables = ws.get("fused.tables", (n_groups, pages_max), np.intp)
-            for g, cache in enumerate(caches):
-                row_pages = cache.page_list()
-                tables[g, :len(row_pages)] = row_pages
-                # Pad with page 0, live or free: what it gathers lies beyond
-                # the row's length and is zeroed just below.
-                tables[g, len(row_pages):] = 0
-            pool.gather_pages(tables, skeys[:, :, :n_gather], svalues[:, :, :n_gather],
-                              layer)
-            for g, n_tokens in enumerate(lengths):
-                # Restore the zero-beyond-length invariant to full capacity:
-                # page-granular gather garbage and stale pre-restack values
-                # must never reach the V matmul (0·NaN poisons real outputs)
-                # and zero K keeps the masked score matmul NaN-free.
-                skeys[g, :, n_tokens:] = 0.0
-                svalues[g, :, n_tokens:] = 0.0
+            pool.gather_pages(step.tables(caches, pages_max), skeys[:, :, :n_gather],
+                              svalues[:, :, :n_gather], layer)
+            # Restore the zero-beyond-length invariant to full capacity:
+            # page-granular gather garbage and stale pre-restack values must
+            # never reach the V matmul (0·NaN poisons real outputs) and zero
+            # K keeps the masked score matmul NaN-free.
+            beyond_rows, beyond_tokens = step.beyond(skeys.shape[2])
+            skeys[beyond_rows, :, beyond_tokens] = 0.0
+            svalues[beyond_rows, :, beyond_tokens] = 0.0
             state.epochs = [cache.write_epoch for cache in caches]
             state.lengths = list(lengths)
         keys = skeys[:, :, :n_max]
@@ -797,12 +826,8 @@ class DecoderLM:
             out=ws.get("fused.scores", (n_groups, n_heads, n_max, 1)))[..., 0]
         scores *= scale  # [G, H, n_max]
         if n_min != n_max:
-            padmask = ws.get("fused.padmask", (n_groups, n_max), np.bool_)
-            for g, n_tokens in enumerate(lengths):
-                padmask[g, :n_tokens] = False
-                padmask[g, n_tokens:] = True
             # Overwrite (not add): garbage-K scores may be NaN/inf.
-            np.copyto(scores, -np.inf, where=padmask[:, None, :])
+            np.copyto(scores, -np.inf, where=step.padmask[:, None, :])
         probs = self._softmax_inplace(scores)  # padding rows -> exactly 0
         ctx = np.matmul(probs[:, :, None, :], values,
                         out=ws.get("fused.ctx", (n_groups, n_heads, 1, head_dim)))
@@ -1023,7 +1048,7 @@ class DecoderLM:
         else:
             paged_groups, contig_groups = [], []
             loose = list(range(batch))
-        paged_slots = [self._reserve_paged_slots(rows, caches_batch) for rows in paged_groups]
+        paged_steps = [_PagedRows(rows, caches_batch) for rows in paged_groups]
         for layer in range(self.config.n_layers):
             prefix = f"layers.{layer}"
             normed = self._norm(hidden, f"{prefix}.attn_norm")  # [B, C]
@@ -1039,8 +1064,8 @@ class DecoderLM:
             for rows in contig_groups:
                 self._attend_contig_group(rows, layer, caches_batch, query, keys_new,
                                           values_new, normed, positions, context, scale)
-            for rows, slots in zip(paged_groups, paged_slots):
-                self._attend_paged_group(rows, layer, caches_batch, slots, query,
+            for rows, step in zip(paged_groups, paged_steps):
+                self._attend_paged_group(rows, layer, caches_batch, step, query,
                                          keys_new, values_new, context, scale)
             if fused and len(loose) > 1:
                 self._attend_loose_rows(loose, layer, caches_batch, query, keys_new,

@@ -29,13 +29,15 @@ per engine step, 36-token prompts drawn Zipf-like from 1500 templates,
 radix match-and-fork, snapshot forks, page allocation, CoW, release and
 ``check_accounting`` are amortised over 3 tokens per request.
 
-* page accounting per layer (a pool, a page list and refcounts in each of
-  the 4 layers, every fork / alloc / CoW / release once per layer): 269.4;
+* page accounting per layer (a pool, a page list, refcounts and a mirror in
+  each of the 4 layers; every fork / alloc / CoW / release / gather / flush
+  once per layer): 269.4;
 * one page table per sequence over one pool with an arena per layer (each
-  of those once per sequence): 240.9.
+  of those once per sequence, gathers and flushes one copy per page for all
+  layers): 193.0.
 
-The bound sits between the two: the per-layer bookkeeping saved is ~85
-calls per request (~28 per generated token), so a return of half of it
+The bound sits between the two: the per-layer bookkeeping saved is ~230
+calls per request (~76 per generated token), so a return of half of it
 trips the bound.
 """
 
@@ -58,7 +60,7 @@ SMALL_TEMPLATES, SMALL_PROMPT_LEN, SMALL_DECODE_LEN = 1500, 36, 3
 SMALL_REQUESTS, SMALL_PER_STEP = 400, 16
 SMALL_ENGINE = dict(cache="paged:page_tokens=16", seed=0, token_budget=512,
                     prefix_cache=True, radix_max_tokens=16384, capacity_tokens=32768)
-MAX_SMALL_CALLS_PER_TOKEN = 255
+MAX_SMALL_CALLS_PER_TOKEN = 230
 
 
 def _model() -> DecoderLM:
