@@ -64,4 +64,7 @@ MUTATIONS = (
              "table.tail_owned = False", "pass"),
     Mutation("drop-touch-on-match", RadixPrefixIndex, "match",
              "self._touch(best)", "pass"),
+    Mutation("gather-layers-out-of-step", PagedKVCache, "_in_step",
+             "if (handle._count, handle._flushed, handle._mirrored) != state:",
+             "if False:"),
 )
