@@ -94,6 +94,8 @@ class KVSpaceManager:
     def __init__(self, lm: "DecoderLM", cache_factory: "KVCacheFactory | None", *,
                  prefix_cache: bool = False, radix_max_tokens: int | None = None,
                  capacity_tokens: int | None = None) -> None:
+        from repro.llm.cache import full_cache_factory
+
         self.lm = lm
         self.cache_factory = cache_factory
         if capacity_tokens is not None:
@@ -101,10 +103,15 @@ class KVSpaceManager:
             presize = getattr(cache_factory, "reserve_capacity", None)
             if presize is not None:
                 presize(capacity_tokens)
-        # Probe the factory once, through the model so a pool is built with
-        # every layer (building caches is cheap and side-effect free — the
-        # paged cache allocates no pages until written).
-        probe = lm.make_caches(cache_factory)
+        # Probe the factory once (building caches is cheap and side-effect
+        # free — the paged cache allocates no pages until written); a stack
+        # factory builds a whole stack, so its pool gets every layer.
+        if hasattr(cache_factory, "make_stack"):
+            probe = lm.make_caches(cache_factory)
+        else:
+            probe = [(cache_factory or full_cache_factory)(
+                0, lm.config.n_heads, lm.config.head_dim, lm.config.d_model,
+                lm.recompute_fn(0))]
         self.chunkable: bool = probe[0].supports_chunked_prefill
         self.rollbackable: bool = probe[0].supports_rollback
         self.checkpointable: bool = getattr(probe[0], "supports_checkpoint", False)

@@ -14,7 +14,7 @@ over the 128-slot budget, 64 decode steps, the 4-layer d=64 model,
 * per-cache AERP pools (before the cross-sequence arena): 323.5 here; 334.9
   through the benchmark harness, whose token callback adds ~5 calls per
   token and which counts a cold process (310.5 on the full 32 requests);
-* per-layer ``AERPArena`` group steps: 142.3 (97.3 on the full 32 requests,
+* per-layer ``AERPArena`` group steps: 141.9 (97.2 on the full 32 requests,
   where a group holds 16 sequences instead of 8).
 
 The bound sits between the two: one more interpreter call per cache per
