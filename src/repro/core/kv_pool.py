@@ -470,20 +470,14 @@ class PageTable:
         #: All-true ``[H, capacity]`` validity shared by the mirror views.
         self.valid: "np.ndarray | None" = None
 
-    def is_stack(self, caches: "Sequence[LayerKVCache]") -> bool:
-        """Whether ``caches`` are exactly this table's live handles, in order."""
-        refs = self._handles
-        if len(refs) != len(caches):
-            return False
-        for ref, cache in zip(refs, caches):
-            if ref() is not cache:
-                return False
-        return True
-
     def live_handles(self) -> "list[PagedKVCache] | None":
         """Every handle, in order, or ``None`` when one has been dropped."""
         handles = [ref() for ref in self._handles]
         return None if None in handles else handles
+
+    def is_stack(self, caches: "Sequence[LayerKVCache]") -> bool:
+        """Whether ``caches`` are exactly this table's handles, in order."""
+        return self.live_handles() == list(caches)
 
     def mirror(self, n_tokens: int) -> tuple[np.ndarray, np.ndarray]:
         """The ``[S, H, capacity, d]`` mirrors, with room for ``n_tokens`` in
@@ -536,19 +530,14 @@ class PageTable:
             self.tail_owned = True
         return page
 
-    def writable_pages(self, start: int, stop: int) -> list[int]:
-        """The pages holding tokens ``[start, stop)``, each ready for writing."""
-        page_tokens = self.pool.page_tokens
-        return [self.writable_page(index)
-                for index in range(start // page_tokens, (stop - 1) // page_tokens + 1)]
-
     def flush(self, rows: slice, layers: slice, start: int, stop: int) -> None:
         """Write tokens ``[start, stop)`` of mirror ``rows`` to the pages of
         ``layers`` (one copy per page for all of them), placing the pages."""
         pool = self.pool
         page_tokens = pool.page_tokens
-        pages = self.writable_pages(start, stop)
         first = start // page_tokens
+        pages = [self.writable_page(index)
+                 for index in range(first, (stop - 1) // page_tokens + 1)]
         keys, values = self.mirror_keys, self.mirror_values
         done = start
         while done < stop:
@@ -757,13 +746,7 @@ class PagedKVCache(LayerKVCache):
 
     def append(self, key: np.ndarray, value: np.ndarray, x: np.ndarray, position: int) -> None:
         del x, position
-        if self._mirrored != self._count:
-            self._sync_mirror()
-        count = self._count
-        mirror_keys, mirror_values = self._table.mirror(count + 1)
-        mirror_keys[self._slot, :, count] = self._to_storage(key)
-        mirror_values[self._slot, :, count] = self._to_storage(value)
-        self._count = self._mirrored = count + 1
+        self.prefill(np.asarray(key)[:, None], np.asarray(value)[:, None], None, None)
 
     def reserve_slot(self) -> tuple[int, int]:
         """Claim this layer's next token ``(page, offset)`` without writing data.

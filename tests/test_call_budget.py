@@ -34,7 +34,7 @@ radix match-and-fork, snapshot forks, page allocation, CoW, release and
   once per layer): 269.4;
 * one page table per sequence over one pool with an arena per layer (each
   of those once per sequence, gathers and flushes one copy per page for all
-  layers): 193.0.
+  layers): 192.7.
 
 The bound sits between the two: the per-layer bookkeeping saved is ~230
 calls per request (~76 per generated token), so a return of half of it
