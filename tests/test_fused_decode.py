@@ -162,6 +162,17 @@ class TestGrouping:
         assert paged_groups == []  # singletons fall back per-sequence
         assert sorted(loose) == [0, 1]
 
+    def test_paged_stack_with_layers_out_of_step_runs_loose(self, small_model):
+        """A decode slot is claimed once for every layer, so only stacks
+        whose layers hold equally many tokens group."""
+        factory = resolve("cache", "paged:page_tokens=4")
+        batch = [small_model.make_caches(factory) for _ in range(3)]
+        n_heads, head_dim = small_model.config.n_heads, small_model.config.head_dim
+        keys = np.zeros((n_heads, 2, head_dim), dtype=np.float32)
+        batch[2][1].prefill(keys, keys, None, None)  # one layer ahead
+        paged_groups, _, loose = small_model._fused_decode_groups(batch)
+        assert paged_groups == [[0, 1]] and loose == [2]
+
     def test_unequal_full_lengths_group_by_length(self, small_model):
         factory = resolve("cache", "full")
         batch = [small_model.make_caches(factory) for _ in range(4)]
