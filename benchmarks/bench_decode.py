@@ -9,8 +9,8 @@ writes ``BENCH_decode.json``:
 * ``policies`` — cache policies, one sequence at a time and via
   :meth:`DecoderLM.prefill_batch` / :meth:`DecoderLM.decode_step_batch`, the
   latter both with per-row attention (``batched``, ``fused=False``) and on
-  the default path the engine runs (``batched_fused``: fused groups for
-  ``full``, stacked attention for the eviction caches), plus each policy's
+  the default path the engine runs (``batched_fused``: fused paged groups
+  for ``full``, stacked attention for the eviction caches), plus each policy's
   ``batched_fused`` decode rate relative to ``full``.  The ``kelle`` rows
   come in two sizes: a budget the sequence only outgrows late, and one the
   *prompt* already exceeds, so AERP evicts on every step (reported, not
@@ -18,10 +18,11 @@ writes ``BENCH_decode.json``:
 * ``fused`` — the fused grouped-attention decode path
   (``decode_step_batch(..., fused=True)``, one gathered length-masked BLAS
   attention call per layer per group) against the per-sequence batched
-  reference (``fused=False``, the pre-fusion path) for paged, contiguous
-  full, and fp16-paged caches at ``B`` sequences per forward pass.  The
-  paged/full speedups are the guarded metrics — ratios measured in one
-  process, so they port across hosts;
+  reference (``fused=False``, the pre-fusion path) for fp32 and fp16 paged
+  caches at ``B`` sequences per forward pass (``full`` is the fp32 paged
+  store, so it is not measured twice).  The fp32 paged speedup is the
+  guarded metric — a ratio measured in one process, so it ports across
+  hosts;
 * ``fp16`` — ``paged:dtype=fp16`` KV storage: pool-bytes ratio vs fp32
   (exactly 2x, guarded) and the worst absolute logit delta of a greedy
   decode vs the fp32 paged run (reported, not guarded);
@@ -192,11 +193,10 @@ def _show(label, rates):
 
 
 #: Fused-regime cache specs: result-key suffix -> registry spec.  These are
-#: the layouts the fused grouped-attention path accelerates (paged pools,
-#: equal-length contiguous caches, half-precision pages).
+#: the layouts the fused grouped-attention path accelerates (paged pools in
+#: full and half precision).
 FUSED_SPECS = {
     "paged": "paged:page_tokens=16",
-    "full": "full",
     "fp16": "paged:page_tokens=16,dtype=fp16",
 }
 
@@ -239,7 +239,6 @@ def run_benchmark(quick: bool, repeats: int, seed: int) -> dict:
         },
         "guarded": [
             ["fused", "decode_speedup_fused_vs_per_sequence_batched_paged"],
-            ["fused", "decode_speedup_fused_vs_per_sequence_batched_full"],
             ["fp16", "pool_bytes_ratio_fp32_vs_fp16"],
             ["engine", "decode_heavy_speedup_fused_vs_unfused"],
             ["engine", "fused_identical_fraction"],

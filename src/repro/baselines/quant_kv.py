@@ -25,11 +25,10 @@ class QuantizedKVCache(LayerKVCache):
     The dequantised vectors live in a :class:`ContiguousKVStore`, so prefill
     quantizes the whole context block in one vectorised round trip and
     ``fetch`` returns zero-copy views.  Storage is a pure token prefix with
-    an all-true validity mask and no attention feedback, so these caches
-    join the fused batched-decode path as ``"contig"`` groups.
+    an all-true validity mask, so in a batched decode the attention of rows
+    holding equally many tokens is stacked
+    (:meth:`~repro.llm.model.DecoderLM._attend_loose_rows`).
     """
-
-    fused_kind = "contig"
 
     def __init__(self, n_heads: int, head_dim: int, d_model: int, bits: int,
                  use_hadamard: bool = False, symmetric: bool = True) -> None:

@@ -29,9 +29,10 @@ per-sequence block table, Kwon et al., SOSP '23):
   shares the pages of a prefix with its parent, and writing into a shared
   page first copies it (every layer's slice at once) into a fresh page, so
   forks never observe each other's writes.
-* :class:`PagedCacheFactory` — the ``"paged"`` cache spec: one pool per head
-  geometry, shared by every stack it builds, which is what lets *different
-  requests* of a serving run share prefix pages.
+* :class:`PagedCacheFactory` — the ``"paged"`` cache spec, and at its default
+  geometry the ``"full"`` / ``"fp16"`` baseline: one pool per head geometry,
+  shared by every stack it builds, which is what lets *different requests*
+  of a serving run share prefix pages.
 
 **The stack protocol.**  ``fork_stack`` / ``truncate_stack`` /
 ``release_stack`` on a whole stack (every live handle of one table) are one
@@ -589,8 +590,8 @@ class PagedKVCache(LayerKVCache):
     prefix (refcount bump, no data copied) and a shared partial tail page is
     CoW-copied by whichever side writes it next.  The *working storage* of a
     live sequence is the handle's contiguous mirror (its row of the table's
-    :meth:`~PageTable.mirror`), which keeps the decode hot path identical to
-    :class:`FullKVCache`: appends are single buffer writes and ``fetch``
+    :meth:`~PageTable.mirror`), which keeps the single-sequence decode hot
+    path a contiguous one: appends are single buffer writes and ``fetch``
     returns zero-copy views.  Tokens move between the two lazily:
 
     * **flush** (mirror → pages) happens only when a fork, a checkpoint
@@ -611,7 +612,7 @@ class PagedKVCache(LayerKVCache):
     supports_chunked_prefill = True
     supports_rollback = True
     supports_checkpoint = True
-    fused_kind = "paged"
+    paged_stack = True
 
     def __init__(self, pool: KVPagePool, n_heads: int, head_dim: int, d_model: int,
                  *, layer: int = 0, table: "PageTable | None" = None) -> None:
@@ -1101,3 +1102,12 @@ def _build_paged(page_tokens: int = 16, initial_pages: int = 64,
     (stored half, computed fp32)."""
     return PagedCacheFactory(page_tokens=page_tokens, initial_pages=initial_pages,
                              grow=grow, dtype=dtype)
+
+
+@register("cache", "full", "fp16",
+          description="unbounded full KV cache (no eviction): the paged store at "
+                      "its default geometry, a growable fp32 pool")
+def _build_full() -> KVCacheFactory:
+    """Registry builder for the full-cache baseline: ``resolve("cache", "full")``
+    (alias ``fp16``, the paper's FP16 model) is ``resolve("cache", "paged")``."""
+    return PagedCacheFactory()

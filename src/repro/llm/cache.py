@@ -1,4 +1,4 @@
-"""KV-cache interface, contiguous storage substrate and the full cache.
+"""KV-cache interface and the contiguous storage substrate.
 
 The attention layer of :class:`repro.llm.model.DecoderLM` talks to the cache
 through a narrow interface so that the paper's policies (AERP with eviction
@@ -10,10 +10,12 @@ AERP evicts independently per attention head (Section 4.1 of the paper) and
 relies on the permutation invariance of Equations 1-2 to reuse the victim's
 slot for the incoming token.
 
-Storage-wise every cache builds on :class:`ContiguousKVStore`: preallocated
-``[H, capacity, head_dim]`` buffers grown by amortised doubling.  ``fetch``
-returns *views* into these buffers, so the per-step cost of reading the cache
-is O(1) instead of the O(n) re-stacking a list-of-arrays layout pays.
+The full cache (``full`` / ``fp16``) is the paged store of
+:mod:`repro.core.kv_pool`.  The eviction and quantized caches build on
+:class:`ContiguousKVStore`: preallocated ``[H, capacity, head_dim]`` buffers
+grown by amortised doubling.  ``fetch`` returns *views* into these buffers,
+so the per-step cost of reading the cache is O(1) instead of the O(n)
+re-stacking a list-of-arrays layout pays.
 """
 
 from __future__ import annotations
@@ -22,8 +24,6 @@ import abc
 from typing import Callable, Hashable, Protocol, Sequence
 
 import numpy as np
-
-from repro.registry import register
 
 #: Recompute callback, rows in / rows out: maps ``P`` block input vectors
 #: ``x [P, C]`` at absolute ``positions [P]`` to this layer's per-head keys and
@@ -151,29 +151,14 @@ class LayerKVCache(abc.ABC):
     #: recovery path.
     supports_checkpoint: bool = False
 
-    #: How (if at all) this cache can join a *fused* batched decode group —
-    #: attention for a whole group of sequences as one batched BLAS call per
-    #: layer (:meth:`repro.llm.model.DecoderLM.decode_step_batch`).  A cache
-    #: qualifies only if its ``fetch`` mask is always all-true and it does
-    #: not depend on per-step :meth:`observe_attention` feedback:
-    #:
-    #: * ``"paged"`` — pool-backed; the fused path appends straight into
-    #:   pool pages and gathers group K/V via page-table indexing;
-    #: * ``"contig"`` — private contiguous storage; same-length sequences
-    #:   are stacked into a shared workspace;
-    #: * ``None`` — no fused layout (eviction/importance policies whose
-    #:   validity masks and ``observe_attention`` hooks need their own
-    #:   ``append`` / ``fetch`` every step); the batched decode stacks the
-    #:   attention of such rows only where their fetched shapes agree.
-    fused_kind: "str | None" = None
-
-    #: Whether :meth:`append` stores the K/V vectors *verbatim* — no
-    #: quantization round-trip or storage-dtype rounding.  When every member
-    #: of a fused decode group stores verbatim, the group's persistent K/V
-    #: stacks extend directly from the batched projections; otherwise the
-    #: fused path reads each newly stored token back so the stacks hold
-    #: exactly what the cache holds.
-    fused_store_identity: bool = False
+    #: Whether this cache is one layer's handle on a sequence's page table
+    #: (:class:`repro.core.kv_pool.PagedKVCache`).  The fused batched decode
+    #: (:meth:`repro.llm.model.DecoderLM.decode_step_batch`) groups whole
+    #: stacks of such handles by pool: it appends straight into pool pages
+    #: and gathers group K/V via page-table indexing.  Every other cache
+    #: takes the step through its own ``append`` / ``fetch`` (the group
+    #: protocol below), with the attention stacked where fetched shapes agree.
+    paged_stack: bool = False
 
     def __init__(self, n_heads: int, head_dim: int, d_model: int) -> None:
         if n_heads <= 0 or head_dim <= 0 or d_model <= 0:
@@ -324,8 +309,8 @@ class LayerKVCache(abc.ABC):
         After ``truncate(n)`` the cache must be indistinguishable from one
         that only ever saw the first ``n`` tokens — this is what discards the
         KV entries of rejected speculative tokens.  Only caches with
-        ``supports_rollback`` implement it natively (``full`` shrinks its
-        contiguous view, ``paged`` returns rolled-back pages to the pool).
+        ``supports_rollback`` implement it natively (``full`` / ``paged``
+        return rolled-back pages to the pool).
 
         A cache that supports :meth:`fork` but not in-place truncation can
         realise the same semantics with a *fork-based fallback* — replace the
@@ -360,80 +345,3 @@ class KVCacheFactory(Protocol):
     def __call__(self, layer_index: int, n_heads: int, head_dim: int, d_model: int,
                  recompute_fn: RecomputeFn) -> LayerKVCache:
         ...
-
-
-class FullKVCache(LayerKVCache):
-    """The unbounded baseline cache: every token's KV vectors are retained.
-
-    Storage is one :class:`ContiguousKVStore`; prefill is a single bulk buffer
-    write and ``fetch`` returns zero-copy views, so the decode hot loop does no
-    per-token Python work at all.
-    """
-
-    supports_chunked_prefill = True
-    supports_rollback = True
-    fused_kind = "contig"
-    fused_store_identity = True  # fp32 verbatim storage, no transform
-
-    def __init__(self, n_heads: int, head_dim: int, d_model: int) -> None:
-        super().__init__(n_heads, head_dim, d_model)
-        self._store = ContiguousKVStore(n_heads, head_dim)
-
-    def prefill(self, keys: np.ndarray, values: np.ndarray, inputs: np.ndarray,
-                attn_probs: np.ndarray) -> None:
-        del inputs, attn_probs
-        self._store.extend(np.asarray(keys, dtype=np.float32),
-                           np.asarray(values, dtype=np.float32))
-
-    def append(self, key: np.ndarray, value: np.ndarray, x: np.ndarray, position: int) -> None:
-        del x, position
-        self._store.append(key, value)
-
-    def fetch(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        keys, values = self._store.view()
-        return keys, values, self._store.valid_view()
-
-    def observe_attention(self, probs: np.ndarray) -> None:
-        del probs  # the full cache does not track importance
-
-    def extend_chunk(self, keys: np.ndarray, values: np.ndarray, inputs: np.ndarray,
-                     positions: np.ndarray) -> None:
-        del inputs, positions
-        self._store.extend(np.asarray(keys, dtype=np.float32),
-                           np.asarray(values, dtype=np.float32))
-
-    def fork(self, upto: int | None = None) -> "FullKVCache":
-        """Fork by copying the prefix (the full cache has no shareable pages)."""
-        upto = len(self._store) if upto is None else int(upto)
-        if not 0 <= upto <= len(self._store):
-            raise ValueError(f"fork upto={upto} out of range [0, {len(self._store)}]")
-        child = FullKVCache(self.n_heads, self.head_dim, self.d_model)
-        keys, values = self._store.view()
-        child._store.extend(keys[:, :upto], values[:, :upto])
-        return child
-
-    def truncate(self, n: int) -> None:
-        """Native rollback: shrink the contiguous view to ``n`` tokens."""
-        self._store.truncate(n)
-        self.write_epoch += 1
-
-    @property
-    def num_tokens(self) -> int:
-        return len(self._store)
-
-    def stored_bytes(self, bits_per_element: int = 16) -> int:
-        elements = 2 * len(self._store) * self.n_heads * self.head_dim
-        return elements * bits_per_element // 8
-
-
-def full_cache_factory(layer_index: int, n_heads: int, head_dim: int, d_model: int,
-                       recompute_fn: RecomputeFn) -> LayerKVCache:
-    """Factory for the full-cache baseline (ignores the recompute callback)."""
-    del layer_index, recompute_fn
-    return FullKVCache(n_heads, head_dim, d_model)
-
-
-@register("cache", "full", "fp16", description="unbounded full KV cache (no eviction)")
-def _build_full_cache() -> KVCacheFactory:
-    """Registry builder for the full-cache baseline: ``resolve("cache", "full")``."""
-    return full_cache_factory

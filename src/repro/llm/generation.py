@@ -29,6 +29,7 @@ from repro.llm.cache import KVCacheFactory, LayerKVCache
 from repro.llm.functional import log_softmax, softmax
 from repro.llm.model import DecoderLM
 from repro.llm.speculate import Drafter, accept_greedy, resolve_drafter
+from repro.registry import resolve
 from repro.utils.rng import derive_rng
 
 #: Streaming hook for :func:`generate`: called with ``(token, index)`` the
@@ -149,15 +150,20 @@ def generate(model: DecoderLM, prompt_tokens: Sequence[int], max_new_tokens: int
              on_token: OnGenToken | None = None) -> GenerationResult:
     """Generate ``max_new_tokens`` continuation tokens for ``prompt_tokens``.
 
-    ``cache_factory`` selects the KV-cache policy (full cache by default);
-    ``temperature`` 0 means greedy decoding.  ``drafter`` (a spec string such
-    as ``"ngram:k=4"`` or a built :class:`~repro.llm.speculate.Drafter`)
-    enables speculative decoding: token-identical to greedy decoding, but
-    emitting up to ``k + 1`` tokens per forward pass when proposals are
-    accepted.  Requires a rollback-capable cache (``full``/``paged``); other
-    caches run non-speculatively.  ``on_token`` streams each generated token
+    ``cache_factory`` selects the KV-cache policy (a fresh ``"full"`` pool
+    by default); ``temperature`` 0 means greedy decoding.  ``drafter`` (a
+    spec string such as ``"ngram:k=4"`` or a built
+    :class:`~repro.llm.speculate.Drafter`) enables speculative decoding:
+    token-identical to greedy decoding, but emitting up to ``k + 1`` tokens
+    per forward pass when proposals are accepted.  Requires a
+    rollback-capable cache (``full``/``paged``); other caches run
+    non-speculatively.  ``on_token`` streams each generated token
     as ``(token, index)`` the moment it is produced (the serving engine's
     :class:`~repro.serve.executor.TokenEvent` hook reduced to one sequence).
+
+    The result's ``caches`` hold their pool pages until released
+    (``caches[0].release_stack(caches)``); a caller reusing one paged
+    factory across calls releases them when done.
     """
     if max_new_tokens < 0:
         raise ValueError("max_new_tokens must be non-negative")
@@ -259,13 +265,16 @@ def generate_batch(model: DecoderLM, prompts: Sequence[Sequence[int]], max_new_t
     """Generate continuations for ``B`` prompts with batched forward passes.
 
     Each sequence gets its own per-layer caches (one :meth:`make_caches` call
-    per prompt) and its own generation RNG derived exactly as
-    :func:`generate` derives it, so every sequence matches a separate
+    per prompt, all from one factory: ``None`` resolves one ``"full"`` pool
+    for the call, so the rows fuse) and its own generation RNG derived
+    exactly as :func:`generate` derives it, so every sequence matches a separate
     :func:`generate` call to floating-point precision.  Sequences that emit
     ``eos_id`` drop out of the running batch; the rest continue.  ``drafter``
     enables batched speculative decoding (see :func:`generate`): every
     sequence's proposal chunk is verified in one batched forward per round.
     ``on_token`` streams each generated token as ``(seq_index, token, index)``.
+    Each result's ``caches`` hold pool pages until released, as in
+    :func:`generate`.
     """
     if max_new_tokens < 0:
         raise ValueError("max_new_tokens must be non-negative")
@@ -275,7 +284,8 @@ def generate_batch(model: DecoderLM, prompts: Sequence[Sequence[int]], max_new_t
     drafter = resolve_drafter(drafter)
     batch = len(prompt_lists)
     rngs = [derive_rng(seed, "generate") for _ in range(batch)]
-    caches_batch = [model.make_caches(cache_factory) for _ in range(batch)]
+    factory = resolve("cache", "full" if cache_factory is None else cache_factory)
+    caches_batch = [model.make_caches(factory) for _ in range(batch)]
     speculative = _speculation_enabled(model, drafter, caches_batch[0], temperature)
     results = [GenerationResult(prompt_tokens=prompt, generated_tokens=[], caches=caches)
                for prompt, caches in zip(prompt_lists, caches_batch)]
@@ -320,7 +330,8 @@ def forced_decode_logprobs(model: DecoderLM, prompt_tokens: Sequence[int],
     This is the primitive behind the cache-aware perplexity evaluation: the
     prompt is pre-filled, then each continuation token is scored with the
     logits produced while the *policy-managed* cache serves attention, and fed
-    back as the next input (teacher forcing).
+    back as the next input (teacher forcing).  The caches are released
+    before returning.
     """
     prompt_tokens = list(int(t) for t in prompt_tokens)
     continuation_tokens = list(int(t) for t in continuation_tokens)
@@ -337,6 +348,7 @@ def forced_decode_logprobs(model: DecoderLM, prompt_tokens: Sequence[int],
             position += 1
         logprobs.append(float(log_softmax(logits)[token]))
         previous = token
+    caches[0].release_stack(caches)
     return logprobs
 
 
@@ -347,9 +359,10 @@ def forced_decode_logprobs_batch(model: DecoderLM, prompts: Sequence[Sequence[in
     """Batched teacher-forced scoring: ``B`` (prompt, continuation) pairs.
 
     Scores every continuation with batched prefill and decode passes, one
-    sequence per batch lane (ragged prompt and continuation lengths are fine).
-    Matches ``B`` :func:`forced_decode_logprobs` calls to floating-point
-    precision.
+    sequence per batch lane (ragged prompt and continuation lengths are fine),
+    every lane's caches from one factory (``None`` resolves one ``"full"``
+    pool for the call) and released before returning.  Matches ``B``
+    :func:`forced_decode_logprobs` calls to floating-point precision.
     """
     prompt_lists = [list(int(t) for t in prompt) for prompt in prompts]
     cont_lists = [list(int(t) for t in cont) for cont in continuations]
@@ -358,7 +371,8 @@ def forced_decode_logprobs_batch(model: DecoderLM, prompts: Sequence[Sequence[in
     if not prompt_lists or any(not p for p in prompt_lists) or any(not c for c in cont_lists):
         raise ValueError("prompts and continuations must be non-empty")
     batch = len(prompt_lists)
-    caches_batch = [model.make_caches(cache_factory) for _ in range(batch)]
+    factory = resolve("cache", "full" if cache_factory is None else cache_factory)
+    caches_batch = [model.make_caches(factory) for _ in range(batch)]
     logits = model.prefill_batch(prompt_lists, caches_batch)  # [B, vocab]
     positions = [len(prompt) for prompt in prompt_lists]
     cursors = [0] * batch
@@ -382,4 +396,6 @@ def forced_decode_logprobs_batch(model: DecoderLM, prompts: Sequence[Sequence[in
                                          [caches_batch[b] for b in active])
         for b in active:
             positions[b] += 1
+    for caches in caches_batch:
+        caches[0].release_stack(caches)
     return logprobs

@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.llm.cache import KVCacheFactory, LayerKVCache, full_cache_factory
+from repro.llm.cache import KVCacheFactory, LayerKVCache
 from repro.llm.config import ModelConfig
 from repro.llm.functional import (
     apply_rope,
@@ -36,6 +36,7 @@ from repro.llm.functional import (
     softmax_blocks_,
 )
 from repro.llm.workspace import StepWorkspace
+from repro.registry import resolve
 from repro.utils.rng import derive_rng
 
 
@@ -44,11 +45,10 @@ class _FusedGroupBuffer:
 
     The fused decode path's steady state: ``keys``/``values`` hold the whole
     group's cache contents as ``[G, H, capacity, d]`` fp32 stacks, built once
-    by a *restack* (page-table gather for paged groups, fetch-view copies for
-    contiguous ones) and then extended by a single ``[H, d]`` token write per
-    sequence per step — so a steady decode step touches O(G·H·d) bytes of
-    bookkeeping plus the unavoidable attention reads, instead of re-copying
-    the entire K/V history every step.
+    by a *restack* (a page-table gather) and then extended by a single
+    ``[H, d]`` token write per sequence per step — so a steady decode step
+    touches O(G·H·d) bytes of bookkeeping plus the unavoidable attention
+    reads, instead of re-copying the entire K/V history every step.
 
     A buffer is *current* only while every member cache advanced by exactly
     one appended token since the last sync and its :attr:`~repro.llm.cache.
@@ -56,14 +56,13 @@ class _FusedGroupBuffer:
     touched stored tokens); anything else — rollback, preemption, chunked
     prefill catch-up, capacity overflow — triggers a fresh restack.
 
-    Invariant for paged (ragged) groups: ``values[g, :, lengths[g]:]`` is
-    zero all the way to capacity, so the length-masked attention matmul can
-    read past a short row's end without 0·NaN poisoning or stale-value
-    leakage as ``n_max`` grows between restacks.
+    Invariant for ragged groups: ``values[g, :, lengths[g]:]`` is zero all
+    the way to capacity, so the length-masked attention matmul can read past
+    a short row's end without 0·NaN poisoning or stale-value leakage as
+    ``n_max`` grows between restacks.
     """
 
-    __slots__ = ("caches", "epochs", "lengths", "keys", "values", "last_used",
-                 "store_identity")
+    __slots__ = ("caches", "epochs", "lengths", "keys", "values", "last_used")
 
     def __init__(self, caches: "list[LayerKVCache]") -> None:
         #: Strong references pin member identity: a live cache's ``id`` can
@@ -74,9 +73,6 @@ class _FusedGroupBuffer:
         self.keys: "np.ndarray | None" = None
         self.values: "np.ndarray | None" = None
         self.last_used = 0
-        #: Every member stores appended K/V verbatim, so incremental stack
-        #: extension can scatter straight from the batched projections.
-        self.store_identity = all(c.fused_store_identity for c in caches)
 
 
 class _PagedRows:
@@ -339,9 +335,10 @@ class DecoderLM:
     # Prefill + decode path with pluggable KV caches
     # ------------------------------------------------------------------
     def make_caches(self, factory: KVCacheFactory | None = None) -> list[LayerKVCache]:
-        """Build one cache per layer using ``factory`` (full cache by default),
-        through its ``make_stack`` hook when it has one."""
-        factory = factory or full_cache_factory
+        """Build one cache per layer using ``factory``, through its
+        ``make_stack`` hook when it has one.  ``None`` resolves a fresh
+        ``"full"`` factory, so the stack gets a pool of its own."""
+        factory = resolve("cache", "full") if factory is None else factory
         config = self.config
         make_stack = getattr(factory, "make_stack", None)
         if make_stack is not None:
@@ -637,55 +634,33 @@ class DecoderLM:
         return self._lm_head(last)
 
     def _fused_decode_groups(self, caches_batch: Sequence[list[LayerKVCache]],
-                             ) -> tuple[list[list[int]], list[list[int]], list[int]]:
-        """Partition sequence indices into fused-attention groups by layout.
+                             ) -> tuple[list[list[int]], list[int]]:
+        """Partition sequence indices into fused paged groups and the rest.
 
-        Returns ``(paged_groups, contig_groups, loose)``.  A *paged* group
-        shares one :class:`~repro.core.kv_pool.KVPagePool`, each member a
-        whole stack on one page table (its next slot is claimed once for
-        every layer), so one page-table gather plus one length-masked BLAS
-        matmul per layer serves the whole (possibly ragged) group.  A
-        *contig* group holds equal-length full-prefix caches (``fused_kind
-        == "contig"``) whose fetch views stack without padding, keeping
-        every BLAS slice bit-identical to the per-sequence path.  Everything else — eviction
-        policies that consume ``observe_attention``, mixed per-layer kinds —
-        stays on the per-sequence fallback (``loose``), as do singleton
-        groups, for which the gather copy buys nothing.
+        Returns ``(paged_groups, loose)``.  A *paged* group shares one
+        :class:`~repro.core.kv_pool.KVPagePool`, each member a whole stack on
+        one page table (its next slot is claimed once for every layer), so
+        one page-table gather plus one length-masked BLAS matmul per layer
+        serves the whole (possibly ragged) group.  Everything else — caches
+        with storage of their own, stacks whose layers are out of step — runs
+        through :meth:`_attend_loose_rows`, as do singleton groups, for which
+        the gather copy buys nothing.
         """
         paged: dict[int, list[int]] = {}
-        contig: dict[int, list[int]] = {}
         loose: list[int] = []
         for b, caches in enumerate(caches_batch):
-            kind = caches[0].fused_kind if caches else None
-            if kind == "paged":
-                if caches[0].whole_stack(caches):
-                    paged.setdefault(id(caches[0].pool), []).append(b)
-                else:
-                    loose.append(b)
-                continue
-            if kind is not None and any(c.fused_kind != kind for c in caches):
-                kind = None
-            if kind == "contig":
-                n_tokens = caches[0].num_tokens
-                if any(c.num_tokens != n_tokens for c in caches):
-                    loose.append(b)  # uneven layers: not stackable this step
-                else:
-                    contig.setdefault(n_tokens, []).append(b)
+            head = caches[0]
+            if head.paged_stack and head.whole_stack(caches):
+                paged.setdefault(id(head.pool), []).append(b)
             else:
                 loose.append(b)
         paged_groups: list[list[int]] = []
-        contig_groups: list[list[int]] = []
         for rows in paged.values():
             if len(rows) > 1:
                 paged_groups.append(rows)
             else:
                 loose.extend(rows)
-        for rows in contig.values():
-            if len(rows) > 1:
-                contig_groups.append(rows)
-            else:
-                loose.extend(rows)
-        return paged_groups, contig_groups, loose
+        return paged_groups, loose
 
     def _fused_state(self, layer: int, caches: list[LayerKVCache]) -> _FusedGroupBuffer:
         """The persistent group buffer for this exact (layer, member) tuple."""
@@ -833,74 +808,6 @@ class DecoderLM:
                         out=ws.get("fused.ctx", (n_groups, n_heads, 1, head_dim)))
         context[rows] = ctx.reshape(n_groups, n_heads * head_dim)
 
-    def _attend_contig_group(self, rows: list[int], layer: int,
-                             caches_batch: Sequence[list[LayerKVCache]],
-                             query: np.ndarray, keys_new: np.ndarray,
-                             values_new: np.ndarray, normed: np.ndarray,
-                             positions: np.ndarray, context: np.ndarray,
-                             scale: float) -> None:
-        """Stacked attention for an equal-length contiguous-cache group.
-
-        Appends through each cache's own ``append`` (so e.g. quantized
-        caches still apply their storage transform), then extends the
-        persistent group stacks with each cache's newest *stored* token —
-        read back from its zero-copy fetch view, so quantization round-trips
-        land in the stacks bit-for-bit.  A stale buffer is restacked from
-        whole fetch views.  No padding exists (the group is equal-length by
-        construction), so every BLAS slice is the same op the per-sequence
-        path would issue — results are bit-identical.
-        """
-        ws = self._ws
-        n_groups = len(rows)
-        n_heads, head_dim = self.config.n_heads, self.config.head_dim
-        caches = [caches_batch[b][layer] for b in rows]
-        state = self._fused_state(layer, caches)
-        for g, b in enumerate(rows):
-            caches[g].append(keys_new[:, b, :], values_new[:, b, :], normed[b],
-                             int(positions[b]))
-        n_tokens = caches[0].num_tokens
-        if n_groups == query.shape[1]:
-            q_rows = query.swapaxes(0, 1)  # zero-copy whole-batch view
-        else:
-            q_rows = query[:, rows].swapaxes(0, 1)
-        if self._buffer_current(state, caches, n_tokens):
-            skeys, svalues = state.keys, state.values
-            if state.store_identity:
-                # Verbatim storage: extend the stacks straight from the
-                # batched projections — one slice assignment per stack.
-                if n_groups == query.shape[1]:
-                    skeys[:, :, n_tokens - 1] = keys_new.swapaxes(0, 1)
-                    svalues[:, :, n_tokens - 1] = values_new.swapaxes(0, 1)
-                else:
-                    skeys[:, :, n_tokens - 1] = keys_new[:, rows].swapaxes(0, 1)
-                    svalues[:, :, n_tokens - 1] = values_new[:, rows].swapaxes(0, 1)
-            else:
-                # Quantizing members: read each newly *stored* token back so
-                # the stacks hold the round-tripped values bit-for-bit.
-                for g, cache in enumerate(caches):
-                    keys_g, values_g, _valid = cache.fetch()  # zero-copy views
-                    skeys[g, :, n_tokens - 1] = keys_g[:, n_tokens - 1]
-                    svalues[g, :, n_tokens - 1] = values_g[:, n_tokens - 1]
-            state.lengths = [n_tokens] * n_groups
-        else:
-            if state.keys is None or state.keys.shape[2] < n_tokens:
-                self._grow_buffers(state, n_groups, n_tokens)
-            skeys, svalues = state.keys, state.values
-            for g, cache in enumerate(caches):
-                keys_g, values_g, _valid = cache.fetch()  # all-valid by contract
-                skeys[g, :, :n_tokens] = keys_g
-                svalues[g, :, :n_tokens] = values_g
-            state.epochs = [cache.write_epoch for cache in caches]
-            state.lengths = [n_tokens] * n_groups
-        scores = np.matmul(
-            skeys[:, :, :n_tokens], q_rows[:, :, :, None],
-            out=ws.get("fused.scores", (n_groups, n_heads, n_tokens, 1)))[..., 0]
-        scores *= scale  # [G, H, n]
-        probs = self._softmax_inplace(scores)
-        ctx = np.matmul(probs[:, :, None, :], svalues[:, :, :n_tokens],
-                        out=ws.get("fused.ctx", (n_groups, n_heads, 1, head_dim)))
-        context[rows] = ctx.reshape(n_groups, n_heads * head_dim)
-
     def _attend_fetched(self, cache: LayerKVCache,
                         fetched: tuple[np.ndarray, np.ndarray, np.ndarray],
                         query: np.ndarray, scale: float) -> np.ndarray:
@@ -929,9 +836,10 @@ class DecoderLM:
         (AERP caches of one arena and slot count) take the step through one
         ``step_group`` / ``observe_group`` call; every other cache runs its
         own ``append`` -> ``fetch`` -> ``observe_attention`` behind the same
-        calls (eviction policies keep their storage transform and their
-        importance feedback).  Rows whose fetched K/V have equal length and an
-        all-true mask — every eviction cache sitting at its budget — then
+        calls (eviction and quantized caches keep their storage transform and
+        their importance feedback).  Rows whose fetched K/V have equal length
+        and an all-true mask — every eviction cache sitting at its budget,
+        quantized caches holding equally many tokens — then
         share one :meth:`_attend_stacked_group` call; rows with a partial mask
         or a length of their own take the per-row path.
         """
@@ -970,8 +878,7 @@ class DecoderLM:
         call, with all-valid ``[g, H, n, d]`` K/V of one ``n``.  A single unit
         is attended where its cache stacked it; several are copied into
         ``[G, H, n, d]`` stacks in the shared workspace (nothing persists
-        between steps).  The batched BLAS calls are those of
-        :meth:`_attend_contig_group`; each slice is the op
+        between steps).  Each slice of the batched BLAS calls is the op
         :meth:`_attend_fetched` issues for one row, so results are
         bit-identical to the per-row path.
         """
@@ -1013,17 +920,15 @@ class DecoderLM:
         projections (QKV, output, MLP, LM head) run batched over ``B``.
 
         With ``fused=True`` (the default) the attention reads are batched
-        too: sequences whose caches expose a fused layout (paged stacks
-        sharing one pool; equal-length contiguous full caches) are
-        grouped by :meth:`_fused_decode_groups` and each group runs as one
-        gathered, length-masked BLAS attention call per layer — paged-
-        attention style — instead of per-sequence GEMVs.  Sequences whose
-        caches need per-token attention feedback (``observe_attention``-
-        driven eviction policies) are appended, fetched and fed back through
-        the caches' group protocol — one call per group for AERP caches
-        sharing an arena, one cache at a time otherwise — with the attention
-        arithmetic stacked per group of equal fetched shape
-        (:meth:`_attend_loose_rows`).
+        too: paged stacks sharing one pool are grouped by
+        :meth:`_fused_decode_groups` and each group runs as one gathered,
+        length-masked BLAS attention call per layer — paged-attention style —
+        instead of per-sequence GEMVs.  Every other cache (eviction policies
+        driven by ``observe_attention``, quantized storage) is appended,
+        fetched and fed back through the caches' group protocol — one call
+        per group for AERP caches sharing an arena, one cache at a time
+        otherwise — with the attention arithmetic stacked per group of equal
+        fetched shape (:meth:`_attend_loose_rows`).
         ``fused=False`` forces per-sequence attention for everything — the
         pre-fusion reference path used by equivalence tests and benchmarks.
         Either way each sequence's logits match the single-sequence
@@ -1044,10 +949,9 @@ class DecoderLM:
         scale = 1.0 / np.sqrt(self.config.head_dim)
         if fused and batch > 1:
             self._fused_clock += 1
-            paged_groups, contig_groups, loose = self._fused_decode_groups(caches_batch)
+            paged_groups, loose = self._fused_decode_groups(caches_batch)
         else:
-            paged_groups, contig_groups = [], []
-            loose = list(range(batch))
+            paged_groups, loose = [], list(range(batch))
         paged_steps = [_PagedRows(rows, caches_batch) for rows in paged_groups]
         for layer in range(self.config.n_layers):
             prefix = f"layers.{layer}"
@@ -1061,9 +965,6 @@ class DecoderLM:
                 query = apply_rope(query, positions, self._rope_cos, self._rope_sin)
                 keys_new = apply_rope(keys_new, positions, self._rope_cos, self._rope_sin)
             context = self._ws.get("decode.context", (batch, self.config.d_model))
-            for rows in contig_groups:
-                self._attend_contig_group(rows, layer, caches_batch, query, keys_new,
-                                          values_new, normed, positions, context, scale)
             for rows, step in zip(paged_groups, paged_steps):
                 self._attend_paged_group(rows, layer, caches_batch, step, query,
                                          keys_new, values_new, context, scale)

@@ -22,7 +22,7 @@ Components register with the :func:`register` decorator::
     def _build_h2o(budget: int = 512, sink_tokens: int = 10) -> KVCacheFactory:
         ...
 
-Built-in components live in their defining modules (``repro.llm.cache``,
+Built-in components live in their defining modules (``repro.core.kv_pool``,
 ``repro.core.policy``, ``repro.baselines.*``, ...), which are imported lazily
 on the first :func:`resolve`/:func:`known` call for their kind, so importing
 :mod:`repro.registry` itself stays dependency-free.
@@ -205,7 +205,7 @@ _REGISTRIES: dict[str, Registry] = {}
 #: Modules defining the built-in components of each kind, imported lazily so
 #: the registry module itself has no heavyweight dependencies.
 _BUILTIN_MODULES: dict[str, tuple[str, ...]] = {
-    "cache": ("repro.llm.cache", "repro.core.policy", "repro.core.kv_pool",
+    "cache": ("repro.core.policy", "repro.core.kv_pool",
               "repro.baselines.eviction", "repro.baselines.quant_kv"),
     "drafter": ("repro.llm.speculate",),
     "policy": ("repro.serve.scheduler",),

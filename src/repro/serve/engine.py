@@ -747,11 +747,12 @@ class ServingEngine:
         per-request-cache path exactly):
 
         * ``prefix_cache=True`` maintains a radix-trie prefix index: every
-          prefilled prompt is snapshotted (a zero-copy copy-on-write fork for
-          the ``"paged"`` cache), and a new request whose prompt shares a
-          prefix with a cached one forks that state and prefills only its
-          novel suffix.  Requires a cache with chunked-prefill support
-          (``"full"`` or ``"paged"``); other specs silently run unshared.
+          prefilled prompt is snapshotted (a zero-copy copy-on-write fork of
+          its pages), and a new request whose prompt shares a prefix with a
+          cached one forks that state and prefills only its novel suffix.
+          Requires a cache with chunked-prefill support (``"full"`` and
+          ``"paged"``, both the paged store); other specs silently run
+          unshared.
           ``radix_max_tokens`` bounds the index with LRU eviction.
         * ``token_budget=N`` enables the chunked-prefill scheduler: each
           engine step first decodes every running sequence, then spends the
@@ -893,7 +894,7 @@ class FunctionalSession:
             raise ValueError("token_budget must be positive (or None to disable)")
         self.engine = engine
         self.lm = lm
-        cache_factory = resolve("cache", cache) if isinstance(cache, str) else cache
+        cache_factory = resolve("cache", "full" if cache is None else cache)
         self.kv = KVSpaceManager(lm, cache_factory, prefix_cache=prefix_cache,
                                  radix_max_tokens=radix_max_tokens,
                                  capacity_tokens=capacity_tokens)

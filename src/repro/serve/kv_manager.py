@@ -91,11 +91,9 @@ class KVSpaceManager:
     unbounded factory disables all capacity gating.
     """
 
-    def __init__(self, lm: "DecoderLM", cache_factory: "KVCacheFactory | None", *,
+    def __init__(self, lm: "DecoderLM", cache_factory: "KVCacheFactory", *,
                  prefix_cache: bool = False, radix_max_tokens: int | None = None,
                  capacity_tokens: int | None = None) -> None:
-        from repro.llm.cache import full_cache_factory
-
         self.lm = lm
         self.cache_factory = cache_factory
         if capacity_tokens is not None:
@@ -109,9 +107,8 @@ class KVSpaceManager:
         if hasattr(cache_factory, "make_stack"):
             probe = lm.make_caches(cache_factory)
         else:
-            probe = [(cache_factory or full_cache_factory)(
-                0, lm.config.n_heads, lm.config.head_dim, lm.config.d_model,
-                lm.recompute_fn(0))]
+            probe = [cache_factory(0, lm.config.n_heads, lm.config.head_dim,
+                                   lm.config.d_model, lm.recompute_fn(0))]
         self.chunkable: bool = probe[0].supports_chunked_prefill
         self.rollbackable: bool = probe[0].supports_rollback
         self.checkpointable: bool = getattr(probe[0], "supports_checkpoint", False)

@@ -26,6 +26,7 @@ from repro.workloads.synthetic import SyntheticLanguage
 from repro.workloads.tasks import make_multiple_choice_task, make_summarization_items
 
 from cache_specs import ALL_CACHE_SPECS
+from reference_full_cache import full_cache_factory
 
 #: The cache specs whose rollback support lets the speculative path run;
 #: every other spec silently falls back to plain decoding.
@@ -307,6 +308,8 @@ class TestStackedLooseAttention:
 
     KELLE = "kelle:budget=8,sink_tokens=2,recent_window=3,refresh=none"
     H2O = "h2o:budget=8,sink_tokens=2,recent_window=3"
+    KIVI = "kivi:bits=8"
+    QUAROT = "quarot:bits=8"
     #: Three prompts over the budget (all sit at 8 slots), two equal short
     #: ones, one on a length of its own.
     LENGTHS = (12, 12, 14, 3, 3, 5)
@@ -327,7 +330,8 @@ class TestStackedLooseAttention:
     @staticmethod
     def _prefilled(lm, specs, prompts, masked=()):
         """Per-sequence caches after a single-sequence prefill; sequences in
-        ``masked`` (full caches) get slot 1 invalidated in every head."""
+        ``masked`` (contiguous full-cache oracles) get slot 1 invalidated in
+        every head."""
         caches_batch = []
         for b, (spec, prompt) in enumerate(zip(specs, prompts)):
             caches = lm.make_caches(spec)
@@ -354,17 +358,21 @@ class TestStackedLooseAttention:
             tokens = np.argmax(got, axis=-1).tolist()
             positions = [p + 1 for p in positions]
 
-    @pytest.mark.parametrize("spec", [KELLE, H2O])
+    @pytest.mark.parametrize("spec", [KELLE, H2O, KIVI, QUAROT])
     def test_ragged_groups_and_partial_valid_row(self, small_model, stacked_groups,
                                                  aerp_group_steps, spec):
         factory = resolve("cache", spec)
         prompts = _prompts(small_model.config.vocab_size, self.LENGTHS + (9,), seed=21)
-        # The lone full cache lands on the loose path too; its mask is partial.
-        specs = [factory] * len(self.LENGTHS) + [resolve("cache", "full")]
+        # The lone contiguous full cache lands on the loose path too; its
+        # mask is partial.
+        specs = [factory] * len(self.LENGTHS) + [full_cache_factory]
         self._check(small_model, specs, prompts, masked={len(self.LENGTHS)})
         # kelle rows of one slot count step as one arena group (already
-        # stacked); h2o rows are stacked after their per-cache fetches.
-        assert {2, 3} <= set(aerp_group_steps if spec == self.KELLE else stacked_groups)
+        # stacked); h2o rows are stacked after their per-cache fetches, the
+        # three over the budget together; quantized caches keep every token,
+        # so only the equal-length pairs stack.
+        sizes = set(aerp_group_steps if spec == self.KELLE else stacked_groups)
+        assert ({2, 3} if spec in (self.KELLE, self.H2O) else {2}) <= sizes
 
     def test_kelle_rows_beside_a_paged_group(self, small_model, aerp_group_steps):
         kelle = resolve("cache", self.KELLE)

@@ -15,7 +15,10 @@ over the 128-slot budget, 64 decode steps, the 4-layer d=64 model,
   through the benchmark harness, whose token callback adds ~5 calls per
   token and which counts a cold process (310.5 on the full 32 requests);
 * per-layer ``AERPArena`` group steps: 141.9 (97.2 on the full 32 requests,
-  where a group holds 16 sequences instead of 8).
+  where a group holds 16 sequences instead of 8);
+* without the contiguous fused-decode kind: 141.8 (72 578 calls for 512
+  tokens, 64 fewer: the partition's ``dict.values()`` over contiguous groups
+  once per decode step, and the session's ``isinstance`` on its cache spec).
 
 The bound sits between the two: one more interpreter call per cache per
 layer-step costs 4 per token, so it takes seven of those — or a return to
@@ -34,7 +37,12 @@ radix match-and-fork, snapshot forks, page allocation, CoW, release and
   once per layer): 269.4;
 * one page table per sequence over one pool with an arena per layer (each
   of those once per sequence, gathers and flushes one copy per page for all
-  layers): 192.7.
+  layers): 192.7;
+* without the contiguous fused-decode kind: 192.4 (230 851 calls for 1200
+  tokens, 365 fewer: the group buffers' ``all()`` over their members'
+  verbatim-store flags, 112 buffers at one ``all`` and two generator steps
+  each, and the partition's ``dict.values()`` over contiguous groups at each
+  of 28 fused decode steps).
 
 The bound sits between the two: the per-layer bookkeeping saved is ~230
 calls per request (~76 per generated token), so a return of half of it

@@ -18,7 +18,12 @@ from repro.llm.config import tiny_config
 from repro.llm.model import DecoderLM
 from repro.registry import resolve
 
+from reference_full_cache import full_cache_factory
+
 MAX_CACHED, MAX_CHUNK, MAX_EXTRA = 96, 48, 8
+
+#: The contiguous full-cache oracle of ``full``, fuzzed beside the specs.
+REFERENCE_FULL = "reference-full"
 
 #: cache spec -> logits tolerance against the fp32 oracle (the sequential
 #: path rounds identically, so it is always held to the tight bound).
@@ -26,6 +31,7 @@ ORACLE_ATOL = {
     "full": 1e-4,
     "paged:page_tokens=4": 1e-4,
     "paged:page_tokens=4,dtype=fp16": 2e-3,
+    REFERENCE_FULL: 1e-4,
 }
 
 
@@ -79,7 +85,7 @@ batches = st.tuples(
 def _check_batch(lm, spec, batch):
     shapes, picks, seed = batch
     rng = np.random.default_rng(seed)
-    factory = resolve("cache", spec)
+    factory = full_cache_factory if spec == REFERENCE_FULL else resolve("cache", spec)
     vocab = lm.config.vocab_size
     sequences = []
     for pick, route in picks:
@@ -142,13 +148,13 @@ class TestDifferential:
     def test_invalid_cache_slots_are_masked(self, lm, rng):
         """A cache that reports invalid slots must not attend to them."""
         tokens = rng.integers(0, lm.config.vocab_size, size=20).tolist()
-        caches = lm.make_caches()
+        caches = lm.make_caches(full_cache_factory)
         lm.prefill(tokens[:12], caches)
         for cache in caches:  # invalidate slot 3 of every head
             cache._store._valid[:, 3] = False
         got = lm.forward_chunks([tokens[12:]], [12], [caches])[0]
         # Reference: poison the masked slot instead; it must not matter.
-        poisoned = lm.make_caches()
+        poisoned = lm.make_caches(full_cache_factory)
         lm.prefill(tokens[:12], poisoned)
         for cache in poisoned:
             cache._store._valid[:, 3] = False
@@ -156,7 +162,7 @@ class TestDifferential:
             cache._store._values[:, 3] = -1e3
         want = lm.forward_chunks([tokens[12:]], [12], [poisoned])[0]
         np.testing.assert_allclose(got, want, atol=1e-5)
-        unmasked = lm.make_caches()
+        unmasked = lm.make_caches(full_cache_factory)
         lm.prefill(tokens[:12], unmasked)
         plain = lm.forward_chunks([tokens[12:]], [12], [unmasked])[0]
         assert np.max(np.abs(plain - got)) > 1e-4

@@ -23,7 +23,7 @@ from repro.workloads import decode_heavy_requests
 from cache_specs import ALL_CACHE_SPECS
 
 #: Ragged prompt lengths used throughout: exercises the length-masked paged
-#: path and splits contiguous caches into unequal-length groups.
+#: path and the unequal-length rows of caches with storage of their own.
 RAGGED_LENGTHS = (7, 12, 9, 5)
 
 
@@ -149,16 +149,14 @@ class TestGrouping:
                  small_model.make_caches(full_factory),
                  small_model.make_caches(full_factory),
                  self._caches(small_model, "h2o:budget=8,sink_tokens=2,recent_window=3")]
-        paged_groups, contig_groups, loose = \
-            small_model._fused_decode_groups(batch)
-        assert paged_groups == [[0, 1]]
-        assert contig_groups == [[2, 3]]  # both empty: equal num_tokens
+        paged_groups, loose = small_model._fused_decode_groups(batch)
+        assert paged_groups == [[0, 1], [2, 3]]  # "full" is a paged pool of its own
         assert loose == [4]
 
     def test_separate_pools_do_not_group(self, small_model):
         batch = [small_model.make_caches(resolve("cache", "paged:page_tokens=4"))
                  for _ in range(2)]  # fresh factory each: disjoint pools
-        paged_groups, _, loose = small_model._fused_decode_groups(batch)
+        paged_groups, loose = small_model._fused_decode_groups(batch)
         assert paged_groups == []  # singletons fall back per-sequence
         assert sorted(loose) == [0, 1]
 
@@ -170,10 +168,12 @@ class TestGrouping:
         n_heads, head_dim = small_model.config.n_heads, small_model.config.head_dim
         keys = np.zeros((n_heads, 2, head_dim), dtype=np.float32)
         batch[2][1].prefill(keys, keys, None, None)  # one layer ahead
-        paged_groups, _, loose = small_model._fused_decode_groups(batch)
+        paged_groups, loose = small_model._fused_decode_groups(batch)
         assert paged_groups == [[0, 1]] and loose == [2]
 
     def test_unequal_full_lengths_group_by_length(self, small_model):
+        """``full`` stacks of one factory share one pool, so unequal lengths
+        form one length-masked group rather than one group per length."""
         factory = resolve("cache", "full")
         batch = [small_model.make_caches(factory) for _ in range(4)]
         rng = np.random.default_rng(0)
@@ -183,9 +183,9 @@ class TestGrouping:
             for cache in batch[b]:
                 keys = rng.standard_normal((n_heads, n_tokens, head_dim)).astype(np.float32)
                 cache.prefill(keys, keys, None, None)
-        _, contig_groups, loose = small_model._fused_decode_groups(batch)
-        assert contig_groups == [[0, 2]]  # the two length-3 sequences
-        assert sorted(loose) == [1, 3]
+        paged_groups, loose = small_model._fused_decode_groups(batch)
+        assert paged_groups == [[0, 1, 2, 3]]  # one ragged group over one pool
+        assert loose == []
 
 
 class TestBufferInvalidation:

@@ -3,7 +3,8 @@
 The headline acceptance criterion: pool page accounting satisfies
 ``allocated = referenced + free`` at every point of a serve-like lifecycle
 (alloc, fork, CoW, release), and the paged cache is bit-identical to the
-full cache under any interleaving of prefill / append / fork / fetch.
+contiguous full-cache oracle (``reference_full_cache``) under any
+interleaving of prefill / append / fork / fetch.
 """
 
 from __future__ import annotations
@@ -12,8 +13,9 @@ import numpy as np
 import pytest
 
 from repro.core.kv_pool import KVPagePool, PagedCacheFactory, PagedKVCache, PoolExhausted
-from repro.llm.cache import FullKVCache
 from repro.registry import resolve
+
+from reference_full_cache import FullKVCache
 
 H, D, C = 2, 4, 8  # heads, head_dim, d_model
 
@@ -319,7 +321,9 @@ class TestCheckpointRoundTrip:
 
     def test_supports_checkpoint_flags(self, pool):
         assert PagedKVCache.supports_checkpoint is True
-        assert FullKVCache.supports_checkpoint is False
+        assert FullKVCache.supports_checkpoint is False  # the contiguous oracle
+        # "full" is the paged store, so it exports checkpoints now.
+        assert isinstance(resolve("cache", "full")(0, H, D, C, None), PagedKVCache)
 
 
 class TestAccountingDiagnostics:

@@ -149,8 +149,9 @@ class TestSessionMigration:
         assert all(r.status == "finished" for r in combined.values())
         assert ({rid: tuple(r.generated_tokens)
                  for rid, r in combined.items()} == _tokens(reference))
-        # Decode-phase checkpoints exist exactly when the cache supports them.
-        if spec.startswith("paged"):
+        # Decode-phase checkpoints exist exactly when the cache supports
+        # them: the paged store, which "full" is too.
+        if spec.startswith(("paged", "full")):
             assert checkpoints and all(c is not None for c in checkpoints)
             assert report_b.n_restored == len(checkpoints)
             assert report_b.recompute_tokens_saved > 0

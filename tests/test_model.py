@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.llm.cache import FullKVCache
+from repro.core.kv_pool import PagedKVCache
 from repro.llm.config import FULL_SIZE_CONFIGS, ModelConfig, get_config, tiny_config
 from repro.llm.model import DecoderLM
 
@@ -98,10 +98,12 @@ class TestDecoderLM:
         caches = small_model.make_caches()
         small_model.prefill(tokens, caches)
         cache = caches[0]
-        assert isinstance(cache, FullKVCache)
+        assert isinstance(cache, PagedKVCache)  # "full" is the paged store
         assert cache.num_tokens == 8
-        expected = 2 * 8 * small_model.config.n_heads * small_model.config.head_dim * 2
-        assert cache.stored_bytes(16) == expected
+        # Page-granular: 8 tokens occupy one whole 16-token page.
+        page_tokens = cache.pool.page_tokens
+        expected = 2 * page_tokens * small_model.config.n_heads * small_model.config.head_dim * 2
+        assert page_tokens == 16 and cache.stored_bytes(16) == expected
 
     def test_recompute_fn_matches_stored_projection(self, small_model, rng):
         tokens = rng.integers(0, small_model.config.vocab_size, size=6)

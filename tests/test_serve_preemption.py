@@ -114,7 +114,9 @@ class TestPreemptionRoundTrip:
             r.first_token_step for r in second.results]
 
     def test_capacity_tokens_override_without_paged_cache(self, lm):
-        """Logical capacity gating works for any cache via capacity_tokens."""
+        """Logical capacity gating via capacity_tokens on a growable pool,
+        whose own capacity is unbounded (one-token pages keep the
+        reservations token-exact)."""
         requests = [Request(f"r{i}", i * 0.1, 16, 8,
                             prompt_tokens=tuple(range(1, 17)))
                     for i in range(4)]
@@ -122,7 +124,7 @@ class TestPreemptionRoundTrip:
         baseline = engine.run_functional(lm, requests, cache="full")
         # 40 tokens fit two 17-token admissions but not both sequences'
         # growth to their 24-token peak: mid-decode preemption must kick in.
-        report = engine.run_functional(lm, requests, cache="full",
+        report = engine.run_functional(lm, requests, cache="paged:page_tokens=1",
                                        capacity_tokens=40)
         assert report.n_preemptions > 0
         assert [r.generated_tokens for r in report.results] == [

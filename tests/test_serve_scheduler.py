@@ -118,7 +118,7 @@ class TestSchedulerLifecycle:
             Scheduler(FCFSPolicy(), max_concurrency=0)
 
     def test_admission_respects_concurrency_and_policy_order(self, lm):
-        kv = KVSpaceManager(lm, None)
+        kv = KVSpaceManager(lm, resolve("cache", "full"))
         scheduler = Scheduler(FCFSPolicy(), max_concurrency=2)
         scheduler.submit([_state("c", 2.0), _state("a", 0.0), _state("b", 1.0)])
         admitted = scheduler.admit(0, 0.0, kv, whole_prefill=True,
@@ -129,7 +129,7 @@ class TestSchedulerLifecycle:
         assert [s.request_id for s in scheduler.waiting] == ["c"]
 
     def test_preempt_preserves_generated_tokens(self, lm):
-        kv = KVSpaceManager(lm, None)
+        kv = KVSpaceManager(lm, resolve("cache", "full"))
         scheduler = Scheduler(FCFSPolicy(), max_concurrency=1)
         scheduler.submit([_state("x", prompt_len=4, decode_len=6)])
         (state,) = scheduler.admit(0, 0.0, kv, whole_prefill=True,
@@ -151,7 +151,7 @@ class TestSchedulerLifecycle:
         assert resumed.admitted_step == 0  # first admission is reported
 
     def test_cancel_waiting_and_running(self, lm):
-        kv = KVSpaceManager(lm, None)
+        kv = KVSpaceManager(lm, resolve("cache", "full"))
         scheduler = Scheduler(FCFSPolicy(), max_concurrency=1)
         scheduler.submit([_state("run"), _state("wait", arrival=1.0)])
         scheduler.admit(0, 0.0, kv, whole_prefill=True,
@@ -208,7 +208,8 @@ class TestKVSpaceManager:
         assert state.reserved_tokens == 0 and kv.used_tokens == 0
 
     def test_explicit_capacity_overrides_unbounded_factory(self, lm):
-        kv = KVSpaceManager(lm, None, capacity_tokens=32)
+        kv = KVSpaceManager(lm, resolve("cache", "paged:page_tokens=1"),
+                            capacity_tokens=32)
         assert kv.bounded and kv.capacity_tokens == 32
         a, b = _state("a"), _state("b")
         assert kv.reserve(a, 20)
@@ -217,7 +218,8 @@ class TestKVSpaceManager:
         assert kv.free_tokens == 0
 
     def test_max_growth_counts_slack_and_free_space(self, lm):
-        kv = KVSpaceManager(lm, None, capacity_tokens=32)
+        kv = KVSpaceManager(lm, resolve("cache", "paged:page_tokens=1"),
+                            capacity_tokens=32)
         state = _state("x")
         assert kv.reserve(state, 16)
         state.prefilled = 10  # 6 tokens of slack inside the reservation
@@ -304,7 +306,7 @@ class TestRequeueFairness:
     """Drained/re-admitted requests keep their original arrival ranking."""
 
     def test_resubmit_keeps_original_arrival_rank(self, lm):
-        kv = KVSpaceManager(lm, None)
+        kv = KVSpaceManager(lm, resolve("cache", "full"))
         source = Scheduler(FCFSPolicy(), max_concurrency=2)
         early = _state("early", arrival=0.0, decode_len=6)
         source.submit([early])
@@ -345,7 +347,7 @@ class TestRequeueFairness:
             scheduler.resubmit([_state("x")])
 
     def test_evacuate_does_not_count_as_preemption(self, lm):
-        kv = KVSpaceManager(lm, None)
+        kv = KVSpaceManager(lm, resolve("cache", "full"))
         scheduler = Scheduler(FCFSPolicy(), max_concurrency=1)
         scheduler.submit([_state("x", decode_len=6)])
         (state,) = scheduler.admit(0, 0.0, kv, whole_prefill=True,
@@ -357,7 +359,7 @@ class TestRequeueFairness:
         assert not scheduler.has_work()
 
     def test_priority_rank_survives_requeue(self, lm):
-        kv = KVSpaceManager(lm, None)
+        kv = KVSpaceManager(lm, resolve("cache", "full"))
         source = Scheduler(PriorityPolicy(levels=3), max_concurrency=1)
         urgent = _state("urgent", arrival=50.0, priority=0)
         source.submit([urgent])
