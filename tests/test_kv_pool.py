@@ -322,8 +322,6 @@ class TestCheckpointRoundTrip:
     def test_supports_checkpoint_flags(self, pool):
         assert PagedKVCache.supports_checkpoint is True
         assert FullKVCache.supports_checkpoint is False  # the contiguous oracle
-        # "full" is the paged store, so it exports checkpoints now.
-        assert isinstance(resolve("cache", "full")(0, H, D, C, None), PagedKVCache)
 
 
 class TestAccountingDiagnostics:
