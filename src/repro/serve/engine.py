@@ -1125,10 +1125,17 @@ class FunctionalSession:
         * **state-machine legality** — scheduler sets hold only legal phases
           with consistent progress counters (:meth:`Scheduler.check_legal`);
         * **conservation of requests** — every submitted request is exactly
-          live, terminal (reported) or drained; none lost, none duplicated.
+          live, terminal (reported) or drained; none lost, none duplicated;
+        * **reservations cover the cache** — under a bounded pool, every
+          running sequence has reserved at least the tokens it holds.
         """
         self.kv.check_accounting()
         self.scheduler.check_legal()
+        if self.kv.bounded:
+            for state in self.scheduler.running.values():
+                assert state.reserved_tokens >= state.cached_tokens, (
+                    f"request '{state.request_id}' holds {state.cached_tokens} "
+                    f"KV tokens but reserved only {state.reserved_tokens}")
         live = {s.request_id for s in self.scheduler.live_states()}
         done = {r.request.request_id for r in self.report.results}
         assert len(done) == len(self.report.results), (

@@ -108,20 +108,25 @@ class ModelExecutor:
         instead of prefilling a prompt, so its next input is the preserved
         last token — nothing new is emitted and nothing enters the radix
         index (the target is not a prompt).
+
+        The reservation then settles to the held tokens plus, unless the
+        first token already ended the request, the slot of the decode append
+        that follows in this same step.
         """
         state.position = len(state.prefill_target)
         if state.resume_next_input is not None:
             state.next_input = state.resume_next_input
             state.resume_next_input = None
-            return
-        state.next_input = int(np.argmax(logits))
-        state.generated.append(state.next_input)
-        state.ttft_s = now - state.admitted_wall
-        state.first_token_step = step
-        # Snapshot the prompt's KV state (zero-copy CoW forks for the paged
-        # cache) so later requests can reuse the shared prefix.
-        self.kv.snapshot(state)
-        self._emit(state, state.next_input, step)
+        else:
+            state.next_input = int(np.argmax(logits))
+            state.generated.append(state.next_input)
+            state.ttft_s = now - state.admitted_wall
+            state.first_token_step = step
+            # Snapshot the prompt's KV state (zero-copy CoW forks for the
+            # paged cache) so later requests can reuse the shared prefix.
+            self.kv.snapshot(state)
+            self._emit(state, state.next_input, step)
+        self.kv.sync(state, state.position + (state.decode_remaining > 0))
 
     # -- prefill ---------------------------------------------------------
     def prefill_whole(self, states: "list[SequenceState]", step: int) -> None:
@@ -135,7 +140,6 @@ class ModelExecutor:
         for row, state in enumerate(states):
             state.prefilled = len(state.prefill_target)
             self._finish_prefill(state, logits[row], step, now)
-            self.kv.sync(state, state.position)
 
     def prefill_chunks(self, chunks: "list[tuple[SequenceState, int]]",
                        step: int) -> None:
@@ -157,7 +161,8 @@ class ModelExecutor:
             state.prefilled += chunk
             if state.prefilled == len(state.prefill_target):
                 self._finish_prefill(state, logits[row], step, time.perf_counter())
-            self.kv.sync(state, state.cached_tokens)
+            else:
+                self.kv.sync(state, state.prefilled)
 
     # -- decode / speculative verify -------------------------------------
     def decode_step(self, active: "list[SequenceState]", step: int,

@@ -277,10 +277,13 @@ class TestSingleNodeChaos:
 class TestCancelWhilePreempted:
     def test_cancel_preempted_request_releases_pages_and_stays_dead(self, lm):
         """Regression: cancelling a request parked in PREEMPTED must release
-        its pages and must not resurrect it on the next admission sweep."""
+        its pages and must not resurrect it on the next admission sweep.
+
+        The 40-token pool admits two 8-token prompts (16 tokens reserved
+        each) whose decodes then outgrow it together."""
         from repro.serve import RequestPhase
 
-        requests = [_request(f"r{i}", [(5 * i + j) % 30 + 1 for j in range(16)],
+        requests = [_request(f"r{i}", [(5 * i + j) % 30 + 1 for j in range(8)],
                              decode_len=12, arrival=i * 0.01) for i in range(5)]
         engine = ServingEngine(max_concurrency=5)
         factory = resolve("cache", "paged:page_tokens=8,initial_pages=6,grow=false")

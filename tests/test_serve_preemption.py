@@ -198,6 +198,29 @@ class TestPreemptionRoundTrip:
         assert (sum(r.n_preemptions for r in tier0)
                 <= sum(r.n_preemptions for r in tier2))
 
+    @pytest.mark.parametrize("token_budget", [None, 8], ids=["whole", "chunked"])
+    @pytest.mark.parametrize("prompt_len", [31, 32, 33])
+    def test_prefill_keeps_its_decode_slot_reserved(self, lm, prompt_len, token_budget):
+        """A prefill that completes on a page boundary decodes its next token
+        in the same step, into a page of its own: the reservation must cover
+        it, so ``used_tokens`` never under-counts what the pool holds."""
+        requests = [Request(f"r{i}", i * 1e-6, prompt_len, 4,
+                            prompt_tokens=tuple((7 * i + t) % 48 for t in range(prompt_len)))
+                    for i in range(2)]
+        engine = ServingEngine(max_concurrency=2)
+        session = engine.start_functional(lm, cache="paged:page_tokens=16",
+                                          capacity_tokens=1024,
+                                          token_budget=token_budget)
+        session.submit(requests)
+        while session.has_work():
+            session.step()
+            running = list(session.scheduler.running.values())
+            for state in running:
+                assert state.reserved_tokens >= state.cached_tokens, (
+                    state.request_id, state.cached_tokens, state.reserved_tokens)
+            assert session.kv.used_tokens == sum(s.reserved_tokens for s in running)
+        assert all(r.status == "finished" for r in session.finish().results)
+
 
 class TestCancellation:
     def test_cancel_mid_decode_releases_all_pages(self, lm):
