@@ -980,6 +980,72 @@ class PagedKVCache(LayerKVCache):
         self.write_epoch += 1
 
 
+class PagedGroup:
+    """Whole stacks of one pool that decode together: one slot claim a step.
+
+    The fused decode builds one per membership from
+    :meth:`PagedKVCache.whole_stack` rows sharing a pool, and keeps it while
+    :meth:`current` holds — every handle still at the count and
+    :attr:`~repro.llm.cache.LayerKVCache.write_epoch` the last claim left it
+    at, so nothing wrote, rolled back or released a member since.  The first
+    claim goes through :meth:`PagedKVCache.reserve_stack_slot` per member
+    (which flushes mirror-only tokens); later claims find every token on
+    pages, so a member writing inside a tail page it owns takes that page as
+    it is, and only members that open a page or write a shared tail go
+    through :meth:`PageTable.writable_page`.
+    """
+
+    __slots__ = ("stacks", "lengths", "_tables", "_handles", "_counts", "_epochs")
+
+    def __init__(self, stacks: "Sequence[Sequence[PagedKVCache]]") -> None:
+        self.stacks = list(stacks)
+        #: Tokens each member holds after the last claim (``None`` before it).
+        self.lengths: "list[int] | None" = None
+        self._tables = [caches[0]._table for caches in self.stacks]
+        self._handles = [cache for caches in self.stacks for cache in caches]
+        self._counts: "list[int] | None" = None
+        self._epochs: "list[int] | None" = None
+
+    def current(self) -> bool:
+        """Whether every member holds exactly what the last claim left."""
+        return (self._counts is not None
+                and [cache._count for cache in self._handles] == self._counts
+                and [cache.write_epoch for cache in self._handles] == self._epochs)
+
+    def claim(self) -> tuple[np.ndarray, np.ndarray, list[int]]:
+        """Claim each member's next ``(page, offset)`` for all of its layers.
+
+        Returns ``(pages, offsets, lengths)``, the lengths counting the
+        claimed token; the caller must write every slot before a read (see
+        :meth:`PagedKVCache.reserve_slot`).
+        """
+        if self._counts is None:
+            slots = [caches[0].reserve_stack_slot(caches) for caches in self.stacks]
+            pages = [page for page, _offset in slots]
+            offsets = [offset for _page, offset in slots]
+            lengths = [caches[0]._count for caches in self.stacks]
+            # Claims never touch stored tokens, so the epochs stay these.
+            self._epochs = [cache.write_epoch for cache in self._handles]
+        else:
+            page_tokens = self._tables[0].pool.page_tokens
+            held = self.lengths
+            offsets = [n % page_tokens for n in held]
+            pages = [table.pages[-1] if offset and table.tail_owned else -1
+                     for table, offset in zip(self._tables, offsets)]
+            if -1 in pages:
+                for g, page in enumerate(pages):
+                    if page < 0:
+                        pages[g] = self._tables[g].writable_page(held[g] // page_tokens)
+            lengths = [n + 1 for n in held]
+            for caches, n in zip(self.stacks, lengths):
+                for cache in caches:
+                    cache._count = cache._flushed = n
+        self.lengths = lengths
+        self._counts = [n for caches, n in zip(self.stacks, lengths) for _cache in caches]
+        return (np.array(pages, dtype=np.intp), np.array(offsets, dtype=np.intp),
+                lengths)
+
+
 class PagedCacheFactory:
     """A :class:`KVCacheFactory` whose caches draw from one shared pool.
 

@@ -22,6 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.core.kv_pool import PagedGroup
 from repro.llm.cache import KVCacheFactory, LayerKVCache
 from repro.llm.config import ModelConfig
 from repro.llm.functional import (
@@ -79,25 +80,21 @@ class _PagedRows:
     """One decode step of a paged group, shared by every layer.
 
     Each member's next ``(page, offset)`` is claimed once for all of its
-    layers (one page table per sequence), so the members' lengths, the
-    padding mask and — built by the first layer that restacks — the page
-    tables and the positions beyond each row's length are the same for every
-    layer too.
+    layers (one page table per sequence, one :class:`~repro.core.kv_pool.
+    PagedGroup` claim per group), so the members' lengths, the padding mask
+    and — built by the first layer that restacks — the page tables and the
+    positions beyond each row's length are the same for every layer too.
     """
 
-    __slots__ = ("pages", "offsets", "lengths", "padmask", "_tables", "_beyond")
+    __slots__ = ("pages", "offsets", "lengths", "n_max", "padmask", "_tables",
+                 "_beyond")
 
-    def __init__(self, rows: list[int], caches_batch: Sequence[list[LayerKVCache]]) -> None:
-        self.pages = np.empty(len(rows), dtype=np.intp)
-        self.offsets = np.empty(len(rows), dtype=np.intp)
-        for g, b in enumerate(rows):
-            caches = caches_batch[b]
-            self.pages[g], self.offsets[g] = caches[0].reserve_stack_slot(caches)
-        self.lengths = [caches_batch[b][0].num_tokens for b in rows]
-        n_max = max(self.lengths)
+    def __init__(self, pages: np.ndarray, offsets: np.ndarray, lengths: list[int]) -> None:
+        self.pages, self.offsets, self.lengths = pages, offsets, lengths
+        self.n_max = n_max = max(lengths)
         #: ``[G, n_max]``, True past each row's length (``None`` when uniform).
-        self.padmask = (None if min(self.lengths) == n_max else
-                        np.arange(n_max) >= np.array(self.lengths)[:, None])
+        self.padmask = (None if min(lengths) == n_max else
+                        np.arange(n_max) >= np.array(lengths)[:, None])
         self._tables: "np.ndarray | None" = None
         self._beyond: dict = {}
 
@@ -124,6 +121,56 @@ class _PagedRows:
         return index
 
 
+class _DecodePlan:
+    """The fused decode's grouping of one batch membership, kept across steps.
+
+    ``stacks`` are the batch's cache lists (their identity is the
+    membership); each paged group carries its :class:`~repro.core.kv_pool.
+    PagedGroup` and its per-layer :class:`_FusedGroupBuffer`.  A step reuses
+    the plan while the membership is the same, every group is
+    :meth:`~repro.core.kv_pool.PagedGroup.current` and no loose paged stack
+    has come back in step; anything else rebuilds it.
+    """
+
+    __slots__ = ("stacks", "groups", "loose", "unwhole", "enders", "fresh")
+
+    def __init__(self, model: "DecoderLM", stacks: list[list[LayerKVCache]]) -> None:
+        self.stacks = stacks
+        paged_groups, self.loose = model._fused_decode_groups(stacks)
+        #: ``(rows, group, buffer per layer)`` of each paged group.
+        self.groups = []
+        for rows in paged_groups:
+            members = [stacks[b] for b in rows]
+            buffers = [model._fused_state(layer, [caches[layer] for caches in members])
+                       for layer in range(model.config.n_layers)]
+            self.groups.append((rows, PagedGroup(members), buffers))
+        #: Loose paged stacks whose layers are out of step (they group once
+        #: back in step).
+        self.unwhole = [b for b in self.loose if stacks[b][0].paged_stack
+                        and not stacks[b][0].whole_stack(stacks[b])]
+        #: The loose caches whose class has an ``end_step`` of its own.
+        self.enders = _enders(stacks[b] for b in self.loose)
+        #: Whether no step has run on the plan yet.
+        self.fresh = True
+
+    def holds(self) -> bool:
+        """Whether every group still holds what its last claim left and no
+        loose paged stack could join one."""
+        for _rows, group, _buffers in self.groups:
+            if not group.current():
+                return False
+        for b in self.unwhole:
+            if self.stacks[b][0].whole_stack(self.stacks[b]):
+                return False
+        return True
+
+
+def _enders(stacks) -> list[LayerKVCache]:
+    """The caches of ``stacks`` whose class overrides the no-op ``end_step``."""
+    return [cache for caches in stacks for cache in caches
+            if type(cache).end_step is not LayerKVCache.end_step]
+
+
 class DecoderLM:
     """A decoder-only transformer LM with explicit NumPy parameters."""
 
@@ -140,6 +187,8 @@ class DecoderLM:
         # (layer, tuple(id(cache) for cache in group)); see _FusedGroupBuffer.
         self._fused_states: dict = {}
         self._fused_clock = 0
+        # The grouping of the last fused decode's membership (_DecodePlan).
+        self._decode_plan: "_DecodePlan | None" = None
         # Lazily-built concatenated [C, 3C] QKV weights per layer so the
         # decode hot paths issue one projection GEMM instead of three.
         # Keyed by the identity of the source arrays: replacing a params
@@ -662,6 +711,14 @@ class DecoderLM:
                 loose.extend(rows)
         return paged_groups, loose
 
+    def _plan_decode(self, stacks: list[list[LayerKVCache]]) -> _DecodePlan:
+        """The kept plan when ``stacks`` is its membership and it still
+        :meth:`~_DecodePlan.holds`, else a fresh plan for ``stacks``."""
+        plan = self._decode_plan
+        if plan is None or plan.stacks != stacks or not plan.holds():
+            plan = self._decode_plan = _DecodePlan(self, stacks)
+        return plan
+
     def _fused_state(self, layer: int, caches: list[LayerKVCache]) -> _FusedGroupBuffer:
         """The persistent group buffer for this exact (layer, member) tuple."""
         key = (layer, tuple(id(cache) for cache in caches))
@@ -718,8 +775,7 @@ class DecoderLM:
         state.values = np.zeros((n_groups, n_heads, capacity, head_dim), dtype=np.float32)
 
     def _attend_paged_group(self, rows: list[int], layer: int,
-                            caches_batch: Sequence[list[LayerKVCache]],
-                            step: _PagedRows,
+                            state: _FusedGroupBuffer, step: _PagedRows, fresh: bool,
                             query: np.ndarray, keys_new: np.ndarray,
                             values_new: np.ndarray, context: np.ndarray,
                             scale: float) -> None:
@@ -738,8 +794,8 @@ class DecoderLM:
         ws = self._ws
         n_groups = len(rows)
         n_heads, head_dim = self.config.n_heads, self.config.head_dim
-        caches = [caches_batch[b][layer] for b in rows]
-        state = self._fused_state(layer, caches)
+        caches = state.caches
+        state.last_used = self._fused_clock
         pool = caches[0].pool
         # Group-major [G, H, d] slices of the new projections: a zero-copy
         # transpose view when the group is the whole batch (the common
@@ -755,9 +811,7 @@ class DecoderLM:
         # The slots were claimed for every layer before the first: land the
         # whole group's new K/V with two batched pool scatters.
         pool.scatter_tokens(step.pages, step.offsets, k_rows, v_rows, layer)
-        lengths = step.lengths
-        n_max = max(lengths)
-        n_min = min(lengths)
+        lengths, n_max = step.lengths, step.n_max
         if pool.dtype == np.float32:
             k_stored, v_stored = k_rows, v_rows
         else:
@@ -765,9 +819,13 @@ class DecoderLM:
             # the pages hold (same cast the scatter assignment applied).
             k_stored = k_rows.astype(pool.dtype).astype(np.float32)
             v_stored = v_rows.astype(pool.dtype).astype(np.float32)
-        if self._buffer_current(state, caches, n_max):
+        # On a plan's later steps every member advanced by exactly the one
+        # token it claimed with its epoch unchanged (PagedGroup.current), so
+        # the buffer synced last step is current unless it is too short.
+        if (state.keys.shape[2] >= n_max if not fresh
+                else self._buffer_current(state, caches, n_max)):
             skeys, svalues = state.keys, state.values
-            if n_min == n_max:  # uniform: one slice assignment per stack
+            if step.padmask is None:  # uniform: one slice assignment per stack
                 skeys[:, :, n_max - 1] = k_stored
                 svalues[:, :, n_max - 1] = v_stored
             else:
@@ -775,7 +833,7 @@ class DecoderLM:
                 tails = np.array(lengths, dtype=np.intp) - 1
                 skeys[rows_idx, :, tails] = k_stored
                 svalues[rows_idx, :, tails] = v_stored
-            state.lengths = list(lengths)
+            state.lengths = lengths
         else:
             page_tokens = pool.page_tokens
             pages_max = -(-n_max // page_tokens)  # ceil
@@ -793,14 +851,14 @@ class DecoderLM:
             skeys[beyond_rows, :, beyond_tokens] = 0.0
             svalues[beyond_rows, :, beyond_tokens] = 0.0
             state.epochs = [cache.write_epoch for cache in caches]
-            state.lengths = list(lengths)
+            state.lengths = lengths
         keys = skeys[:, :, :n_max]
         values = svalues[:, :, :n_max]
         scores = np.matmul(
             keys, q_rows[:, :, :, None],
             out=ws.get("fused.scores", (n_groups, n_heads, n_max, 1)))[..., 0]
         scores *= scale  # [G, H, n_max]
-        if n_min != n_max:
+        if step.padmask is not None:
             # Overwrite (not add): garbage-K scores may be NaN/inf.
             np.copyto(scores, -np.inf, where=step.padmask[:, None, :])
         probs = self._softmax_inplace(scores)  # padding rows -> exactly 0
@@ -949,25 +1007,30 @@ class DecoderLM:
         scale = 1.0 / np.sqrt(self.config.head_dim)
         if fused and batch > 1:
             self._fused_clock += 1
-            paged_groups, loose = self._fused_decode_groups(caches_batch)
+            plan = self._plan_decode(list(caches_batch))
+            fresh, loose, enders = plan.fresh, plan.loose, plan.enders
+            plan.fresh = False
+            paged = [(rows, buffers, _PagedRows(*group.claim()))
+                     for rows, group, buffers in plan.groups]
         else:
-            paged_groups, loose = [], list(range(batch))
-        paged_steps = [_PagedRows(rows, caches_batch) for rows in paged_groups]
+            fresh, loose, enders, paged = True, list(range(batch)), _enders(caches_batch), []
+        n_heads = self.config.n_heads
         for layer in range(self.config.n_layers):
             prefix = f"layers.{layer}"
             normed = self._norm(hidden, f"{prefix}.attn_norm")  # [B, C]
-            d_model = self.config.d_model
-            qkv = normed @ self._qkv_weight(layer)  # [B, 3C], one GEMM
-            query = self._split_heads(qkv[:, :d_model])  # [H, B, d] view-reshape
-            keys_new = self._split_heads(qkv[:, d_model:2 * d_model])
-            values_new = self._split_heads(qkv[:, 2 * d_model:])
+            # One GEMM, viewed head-major: [3H, B, d] = queries | keys | values.
+            qkv = (normed @ self._qkv_weight(layer)).reshape(
+                batch, 3 * n_heads, self.config.head_dim).transpose(1, 0, 2)
+            values_new = qkv[2 * n_heads:]
             if self.config.positional == "rope":
-                query = apply_rope(query, positions, self._rope_cos, self._rope_sin)
-                keys_new = apply_rope(keys_new, positions, self._rope_cos, self._rope_sin)
+                # One rotation of the stacked Q|K heads (RoPE is elementwise).
+                qkv = apply_rope(qkv[:2 * n_heads], positions, self._rope_cos,
+                                 self._rope_sin)
+            query, keys_new = qkv[:n_heads], qkv[n_heads:2 * n_heads]
             context = self._ws.get("decode.context", (batch, self.config.d_model))
-            for rows, step in zip(paged_groups, paged_steps):
-                self._attend_paged_group(rows, layer, caches_batch, step, query,
-                                         keys_new, values_new, context, scale)
+            for rows, buffers, step in paged:
+                self._attend_paged_group(rows, layer, buffers[layer], step, fresh,
+                                         query, keys_new, values_new, context, scale)
             if fused and len(loose) > 1:
                 self._attend_loose_rows(loose, layer, caches_batch, query, keys_new,
                                         values_new, normed, positions, context, scale)
@@ -981,9 +1044,8 @@ class DecoderLM:
             hidden = hidden + context @ self.params[f"{prefix}.wo"]
             normed = self._norm(hidden, f"{prefix}.mlp_norm")
             hidden = hidden + self._mlp(normed, layer)
-        for caches in caches_batch:
-            for cache in caches:
-                cache.end_step()
+        for cache in enders:
+            cache.end_step()
         if self._fused_states:
             # Drop group buffers whose exact membership has not decoded for a
             # few steps (a member finished or was preempted, so the key will

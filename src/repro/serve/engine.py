@@ -1038,15 +1038,19 @@ class FunctionalSession:
         admitted = scheduler.admit(self._step, time.perf_counter(), kv,
                                    whole_prefill=self.whole_prefill,
                                    on_admit=self._on_admit, clock=self._clock)
-        kv.resolve_caches(list(scheduler.running.values()))
+        kv.resolve_caches(scheduler.prefilling())
         decision = scheduler.plan(self._step, kv, token_budget=self.token_budget,
                                   spec_on=self.spec_on, chunkable=kv.chunkable)
         faulted: TransientExecutorError | None = None
         try:
             executor.prefill_whole(decision.prefill_whole, self._step)
             executor.prefill_chunks(decision.prefill_chunks, self._step)
+            if decision.prefill_whole or decision.prefill_chunks:
+                scheduler.invalidate()  # finished prefills join the decode batch
             outcome = executor.decode_step(scheduler.decode_ready(), self._step,
                                            self.spec_on)
+            if self.spec_on:
+                scheduler.invalidate()  # verified rows advanced unevenly
         except TransientExecutorError as err:
             # The gate raises before any forward touches KV, so every state
             # is exactly as it was at step entry; the faulted request is
@@ -1285,12 +1289,15 @@ class FunctionalSession:
             if state.decode_cap != effective:
                 state.decode_cap = effective
                 capped += 1
+        if capped:
+            self.scheduler.invalidate()  # decode targets moved
         return capped
 
     def uncap_decodes(self) -> None:
         """Lift brownout decode caps from every live request (recovery)."""
         for state in self.scheduler.live_states():
             state.decode_cap = None
+        self.scheduler.invalidate()
 
     def harvest_result(self, request_id: str) -> FunctionalRequestResult | None:
         """Remove and return one terminal result (hedged-request accounting).

@@ -7,11 +7,12 @@ ScheduleDecision` into batched model calls —
 :meth:`~repro.llm.model.DecoderLM.forward_chunks` for all of a step's
 prefill chunks, :meth:`~repro.llm.model.DecoderLM.decode_step_batch` for
 plain decode, and :meth:`~repro.llm.model.DecoderLM.verify_chunk_batch` for
-speculative verification with KV rollback — and emits a :class:`TokenEvent`
-for every generated token.
+speculative verification with KV rollback.  A plain decode step samples the
+whole batch with one ``argmax`` and leaves reservations alone (only a
+rejected proposal ever hands one back).
 
-The event stream is the engine's streaming surface: the ``on_token``
-callback fires the moment a token exists (first token at prefill
+The ``on_token`` callback is the engine's streaming surface: when armed, a
+:class:`TokenEvent` fires the moment a token exists (first token at prefill
 completion, each accepted/emitted token per decode step), and the engine
 checks cancellation between steps, so a consumer can stream partial output
 and abort mid-decode without waiting for the request to finish.
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 import numpy as np
 
@@ -37,9 +38,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing-only imports
 OnToken = Callable[["TokenEvent"], None]
 
 
-@dataclass(frozen=True)
-class TokenEvent:
-    """One generated token, emitted to the streaming callback."""
+class TokenEvent(NamedTuple):
+    """One generated token, emitted to the streaming callback (immutable;
+    building one is a single call)."""
 
     request_id: str
     token: int
@@ -69,9 +70,8 @@ class ModelExecutor:
         self.lm = lm
         self.kv = kv
         self.on_token = on_token
-        #: Drive the fused grouped-attention decode path (sequences whose
-        #: caches cannot expose a fused layout fall back per-sequence
-        #: automatically inside ``decode_step_batch``).
+        #: Drive the fused grouped-attention decode path (``decode_step_batch``
+        #: falls back per sequence where no fused layout exists).
         self.fused = fused
         #: Chaos hook (``repro.serve.faults.FaultGate``): when armed, each
         #: forward first draws per sequence and may raise a retryable
@@ -93,12 +93,10 @@ class ModelExecutor:
 
     # -- events ----------------------------------------------------------
     def _emit(self, state: "SequenceState", token: int, step: int) -> None:
-        if self.on_token is None:
-            return
-        self.on_token(TokenEvent(
-            request_id=state.request_id, token=token,
-            index=len(state.generated) - 1, step=step,
-            finished=state.decode_remaining <= 0))
+        """Stream ``token``; callers enter only while a callback is armed."""
+        self.on_token(TokenEvent(state.request.request_id, token,
+                                 len(state.generated) - 1, step,
+                                 state.decode_remaining <= 0))
 
     def _finish_prefill(self, state: "SequenceState", logits: np.ndarray,
                         step: int, now: float) -> None:
@@ -107,11 +105,8 @@ class ModelExecutor:
         A resumed (post-preemption) sequence recomputed its generated prefix
         instead of prefilling a prompt, so its next input is the preserved
         last token — nothing new is emitted and nothing enters the radix
-        index (the target is not a prompt).
-
-        The reservation then settles to the held tokens plus, unless the
-        first token already ended the request, the slot of the decode append
-        that follows in this same step.
+        index (the target is not a prompt).  The reservation keeps the slot
+        of the same-step decode append unless the first token ended it.
         """
         state.position = len(state.prefill_target)
         if state.resume_next_input is not None:
@@ -125,7 +120,8 @@ class ModelExecutor:
             # Snapshot the prompt's KV state (zero-copy CoW forks for the
             # paged cache) so later requests can reuse the shared prefix.
             self.kv.snapshot(state)
-            self._emit(state, state.next_input, step)
+            if self.on_token is not None:
+                self._emit(state, state.next_input, step)
         self.kv.sync(state, state.position + (state.decode_remaining > 0))
 
     # -- prefill ---------------------------------------------------------
@@ -192,22 +188,27 @@ class ModelExecutor:
                 state.position += 1 + accepted
                 for token in emitted:
                     state.generated.append(token)
-                    self._emit(state, token, step)
+                    if self.on_token is not None:
+                        self._emit(state, token, step)
                 state.next_input = emitted[-1]
                 state.proposals = []
+                # Rejected proposals hand their reserved slots back.
                 self.kv.sync(state, state.position)
         else:
-            logits = self.lm.decode_step_batch(
+            # One argmax for the batch.  The plan granted ``position + 1``
+            # already, so no reservation is settled here.
+            tokens = self.lm.decode_step_batch(
                 [state.next_input for state in active],
                 [state.position for state in active],
                 [state.caches for state in active],
-                fused=self.fused)
-            for row, state in enumerate(active):
-                state.next_input = int(np.argmax(logits[row]))
-                state.generated.append(state.next_input)
+                fused=self.fused).argmax(axis=1).tolist()
+            on_token = self.on_token
+            for state, token in zip(active, tokens):
+                state.next_input = token
                 state.position += 1
-                self._emit(state, state.next_input, step)
-                self.kv.sync(state, state.position)
+                state.generated.append(token)
+                if on_token is not None:
+                    self._emit(state, token, step)
         return outcome
 
 __all__ = ["ModelExecutor", "OnToken", "StepOutcome", "TokenEvent"]

@@ -23,6 +23,11 @@ the waiting queue; on re-admission its *recompute target* (prompt plus all
 generated tokens but the last) is prefilled again and decoding resumes from
 the preserved last token — token-identical to an uninterrupted run for greedy
 decoding over pinned prompts.
+
+The decode batch persists across steps, rebuilt only after
+:meth:`Scheduler.invalidate`: a steady step plans, grants and retires with a
+few whole-batch operations — growth is granted only where a reservation
+must grow, and one comparison tells whether anything finished.
 """
 
 from __future__ import annotations
@@ -139,6 +144,11 @@ class SequenceState:
         """Tokens currently held in this sequence's KV caches."""
         return self.position if self.prefill_done else self.prefilled
 
+    def drop_kv(self) -> None:
+        """Forget the run state tied to the KV cache; the tokens stay."""
+        self.caches = self.next_input = self.resume_next_input = self.spec_session = None
+        self.prefilled, self.proposals = 0, []
+
 
 @dataclass
 class ScheduleDecision:
@@ -157,6 +167,31 @@ class ScheduleDecision:
     @property
     def has_model_work(self) -> bool:
         return bool(self.decode_ready or self.prefill_whole or self.prefill_chunks)
+
+
+class _DecodeBatch:
+    """The running states split, in run order, into decode-ready ``rows``,
+    unprefilled ``pending`` and finished ``done``.  Each row advances one
+    token per plain decode step, so ``lead``, the row with the fewest tokens
+    left, finishes first: nothing retires while it is short of ``lead_end``."""
+
+    __slots__ = ("rows", "pending", "done", "lead", "lead_end")
+
+    def __init__(self, running) -> None:
+        self.rows, self.pending, self.done = [], [], []
+        self.lead, self.lead_end, least = None, 0, 0
+        for state in running:
+            if not state.prefill_done:
+                self.pending.append(state)
+            elif (left := state.decode_remaining) <= 0:
+                self.done.append(state)
+            else:
+                self.rows.append(state)
+                if self.lead is None or left < least:
+                    self.lead, self.lead_end, least = state, state.position + left, left
+
+    def columns(self) -> tuple:
+        return self.rows, self.pending, self.done, self.lead, self.lead_end
 
 
 class SchedulingPolicy(abc.ABC):
@@ -254,19 +289,16 @@ def _build_sjf() -> SchedulingPolicy:
 
 def resolve_policy(policy: "SchedulingPolicy | str | None") -> SchedulingPolicy:
     """Build a policy from a spec string (``None`` means ``"fcfs"``)."""
-    if policy is None:
-        return FCFSPolicy()
-    return resolve("policy", policy)
+    return resolve("policy", "fcfs" if policy is None else policy)
 
 
 class Scheduler:
     """Owns request lifecycle state and produces per-step decisions.
 
-    The running set is keyed by request id (an insertion-ordered dict), so
-    membership tests, retirement and cancellation are O(1) instead of the
-    former engine's O(n) list scans; the waiting queue is a rank-keyed heap
-    (O(log n) push/pop with lazy removal of cancelled entries), preserving
-    PR 3's removal of the O(n²) ``pop(0)`` admission cost for every policy.
+    The running set is an insertion-ordered dict keyed by request id (O(1)
+    membership, retirement and cancellation), the waiting queue a rank-keyed
+    heap (O(log n) push/pop, cancelled entries dropped lazily), and the
+    decode batch a cached split of the running set (see :meth:`invalidate`).
     """
 
     def __init__(self, policy: SchedulingPolicy, max_concurrency: int) -> None:
@@ -284,6 +316,27 @@ class Scheduler:
         self.n_preemptions = 0
         #: Victims preempted since the last plan() call (admission included).
         self._victims: list[SequenceState] = []
+        self._batch: _DecodeBatch | None = None
+
+    # -- the decode batch -------------------------------------------------
+    def invalidate(self) -> None:
+        """Drop the decode batch (rebuilt on its next read).  Every change of
+        membership, prefill completion or decode target calls this: admission,
+        prefill, retirement, preemption, extraction, termination, evacuation,
+        resubmission, decode caps, and uneven (speculative) steps."""
+        self._batch = None
+
+    def _decode_batch(self) -> _DecodeBatch:
+        if self._batch is None:
+            self._batch = _DecodeBatch(self.running.values())
+        return self._batch
+
+    def _leave(self, state: SequenceState) -> bool:
+        """Take ``state`` out of the running set; False if it was not in it."""
+        if self.running.pop(state.request_id, None) is None:
+            return False
+        self.invalidate()
+        return True
 
     # -- the waiting queue ----------------------------------------------
     @property
@@ -300,6 +353,9 @@ class Scheduler:
     @staticmethod
     def _queued(state: SequenceState) -> bool:
         return state.phase in (RequestPhase.WAITING, RequestPhase.PREEMPTED)
+
+    def _queued_states(self) -> list[SequenceState]:
+        return [entry[2] for entry in self._waiting if self._queued(entry[2])]
 
     def _push_waiting(self, state: SequenceState) -> None:
         heapq.heappush(self._waiting, (self.policy.rank(state), self._push_seq, state))
@@ -318,8 +374,7 @@ class Scheduler:
 
     # -- submission ------------------------------------------------------
     def _check_new_ids(self, states: list[SequenceState]) -> None:
-        seen = ({entry[2].request_id for entry in self._waiting
-                 if self._queued(entry[2])} | set(self.running))
+        seen = {s.request_id for s in self._queued_states()} | set(self.running)
         for state in states:
             if state.request_id in seen:
                 raise ValueError(f"duplicate request_id '{state.request_id}'")
@@ -346,6 +401,7 @@ class Scheduler:
             state.phase = (RequestPhase.PREEMPTED if state.generated
                            else RequestPhase.WAITING)
             self._push_waiting(state)
+        self.invalidate()
 
     def evacuate(self, kv: "KVSpaceManager") -> list[SequenceState]:
         """Remove every live state (replica-failure drain), releasing its KV.
@@ -359,19 +415,14 @@ class Scheduler:
         drained = list(self.running.values())
         for state in drained:
             kv.release(state)
-        self.running.clear()
-        drained += [entry[2] for entry in self._waiting if self._queued(entry[2])]
+            self._leave(state)
+        drained += self._queued_states()
         self._waiting.clear()
         self._n_waiting = 0
         for state in drained:
             state.phase = (RequestPhase.PREEMPTED if state.generated
                            else RequestPhase.WAITING)
-            state.caches = None
-            state.prefilled = 0
-            state.next_input = None
-            state.resume_next_input = None
-            state.proposals = []
-            state.spec_session = None
+            state.drop_kv()
         return drained
 
     def has_work(self) -> bool:
@@ -431,29 +482,22 @@ class Scheduler:
                 state.position = ckpt.n_tokens
                 state.next_input = state.generated[-1]
                 state.resume_next_input = None
-                first = state.admitted_step < 0
-                if first:
-                    state.admitted_step = step
-                    state.admitted_wall = now
-                on_admit(state, first)
-                self.running[state.request_id] = state
-                admitted.append(state)
-                continue
-            state.prefill_target = (state.prompt + state.generated[:-1]
-                                    if resumed and state.generated else
-                                    list(state.prompt))
-            need = len(state.prefill_target) + 1 if whole_prefill else 0
-            if need and not self._make_room(state, need, kv, admission=True):
-                break
-            # Admission preemption only evicts strictly worse-ranked victims,
-            # so the candidate is still the heap head after _make_room.
-            self._pop_waiting()
-            state.phase = RequestPhase.PREFILL
-            state.prefilled = 0
-            state.caches = None
-            state.position = len(state.prefill_target)
-            state.resume_next_input = (state.generated[-1]
-                                       if resumed and state.generated else None)
+            else:
+                state.prefill_target = (state.prompt + state.generated[:-1]
+                                        if resumed and state.generated else
+                                        list(state.prompt))
+                need = len(state.prefill_target) + 1 if whole_prefill else 0
+                if need and not self._make_room(state, need, kv, admission=True):
+                    break
+                # Admission preemption only evicts strictly worse-ranked
+                # victims, so the candidate is still the heap head.
+                self._pop_waiting()
+                state.phase = RequestPhase.PREFILL
+                state.prefilled = 0
+                state.caches = None
+                state.position = len(state.prefill_target)
+                state.resume_next_input = (state.generated[-1]
+                                           if resumed and state.generated else None)
             first = state.admitted_step < 0
             if first:
                 state.admitted_step = step
@@ -463,12 +507,13 @@ class Scheduler:
             admitted.append(state)
         for state in deferred:
             self._push_waiting(state)
+        if admitted:
+            self.invalidate()
         return admitted
 
     def has_blocked(self, clock: int) -> bool:
         """Whether any queued state is serving a retry backoff at ``clock``."""
-        return any(self._queued(entry[2]) and entry[2].blocked_until_step > clock
-                   for entry in self._waiting)
+        return any(s.blocked_until_step > clock for s in self._queued_states())
 
     def _make_room(self, state: SequenceState, projected: int,
                    kv: "KVSpaceManager", *, admission: bool = False,
@@ -505,14 +550,14 @@ class Scheduler:
 
     # -- per-step planning ----------------------------------------------
     def decode_ready(self) -> list[SequenceState]:
-        """Sequences fully prefilled with decode tokens remaining (run order)."""
-        return [s for s in self.running.values()
-                if s.prefill_done and s.decode_remaining > 0]
+        """Prefilled sequences with decode tokens left (run order; the decode
+        batch's own list, kept across steps: do not mutate it)."""
+        return self._decode_batch().rows
 
-    def prefill_pending(self) -> list[SequenceState]:
-        """Sequences with caches resolved but unprefilled tokens (run order)."""
-        return [s for s in self.running.values()
-                if s.caches is not None and s.prefilled < len(s.prefill_target)]
+    def prefilling(self) -> list[SequenceState]:
+        """Running sequences whose prefill is not done, with or without
+        caches (run order; the decode batch's own list)."""
+        return self._decode_batch().pending
 
     def plan(self, step: int, kv: "KVSpaceManager", *, token_budget: int | None,
              spec_on: bool, chunkable: bool) -> ScheduleDecision:
@@ -545,21 +590,20 @@ class Scheduler:
                     budget_left -= len(state.proposals)
         # Whole-target batched prefill: fresh sequences without chunk support
         # or running without a token budget.
-        decision.prefill_whole = [
-            s for s in self.running.values()
-            if s.caches is not None and s.prefilled == 0 and s.next_input is None
-            and (not chunkable or token_budget is None)]
+        if not chunkable or token_budget is None:
+            decision.prefill_whole = [
+                s for s in self.prefilling()
+                if s.caches is not None and s.prefilled == 0 and s.next_input is None]
         if kv.bounded:
             self._grant_growth(decision, kv)
-        whole_ids = {id(s) for s in decision.prefill_whole}
         # Chunked prefill: decode keeps strict priority over prompt chunks.
-        pending = self.prefill_pending()
+        whole_ids = {id(s) for s in decision.prefill_whole}
+        pending = [s for s in self.prefilling()
+                   if s.caches is not None and id(s) not in whole_ids]
         if pending:
             budget = (None if token_budget is None
                       else max(0, token_budget - decode_charge))
             for state in pending:
-                if id(state) in whole_ids:
-                    continue
                 remaining = len(state.prefill_target) - state.prefilled
                 chunk = remaining if budget is None else min(budget, remaining)
                 if chunk <= 0:
@@ -587,11 +631,8 @@ class Scheduler:
                 decision.prefill_chunks.append((state, chunk))
                 if budget is not None:
                     budget -= chunk
-        stalled = self._n_waiting or any(
-            s.caches is None or s.prefilled < len(s.prefill_target)
-            for s in self.running.values())
-        if (kv.bounded and not decision.has_model_work and stalled
-                and len(self.running) > 1):
+        if (kv.bounded and not decision.has_model_work and len(self.running) > 1
+                and (self._n_waiting or self.prefilling())):
             # Nothing runnable but live work exists: relieve the pressure by
             # evicting the worst-ranked running sequence so the best one can
             # make progress next step.  A lone running sequence is never its
@@ -614,7 +655,14 @@ class Scheduler:
         unprotected victim is evicted is itself preempted (recompute later
         is always correct).  Chunked prefills are flexible (their chunk
         shrinks to the free space) and are handled by the caller.
+        Reservations are page multiples: a row within its reservation is
+        granted with no side effect, so the pass runs only if some row grows.
         """
+        if not ([s for s in decision.decode_ready
+                 if s.proposals or s.position >= s.reserved_tokens]
+                or [s for s in decision.prefill_whole
+                    if len(s.prefill_target) >= s.reserved_tokens]):
+            return
         granted: set[str] = set()
         rigid = [(s, s.position + 1 + len(s.proposals)) for s in decision.decode_ready]
         rigid += [(s, len(s.prefill_target) + 1) for s in decision.prefill_whole]
@@ -632,14 +680,9 @@ class Scheduler:
     def preempt(self, state: SequenceState, kv: "KVSpaceManager") -> None:
         """Evict a running sequence: release its KV space, preserve tokens."""
         kv.release(state)
-        self.running.pop(state.request_id, None)
+        self._leave(state)
         state.phase = RequestPhase.PREEMPTED
-        state.caches = None
-        state.prefilled = 0
-        state.next_input = None
-        state.resume_next_input = None
-        state.proposals = []
-        state.spec_session = None
+        state.drop_kv()
         state.n_preemptions += 1
         self.n_preemptions += 1
         self._victims.append(state)
@@ -656,9 +699,7 @@ class Scheduler:
         to :meth:`_queued` and double-admit it.  Does not count as
         preemption and is not pushed back on the waiting queue.
         """
-        if state.request_id in self.running:
-            self.running.pop(state.request_id)
-        else:
+        if not self._leave(state):
             before = len(self._waiting)
             self._waiting = [e for e in self._waiting if e[2] is not state]
             if len(self._waiting) != before:
@@ -667,19 +708,19 @@ class Scheduler:
         kv.release(state)  # idempotent: a queued state holds nothing
         state.phase = (RequestPhase.PREEMPTED if state.generated
                        else RequestPhase.WAITING)
-        state.caches = None
-        state.prefilled = 0
-        state.next_input = None
-        state.resume_next_input = None
-        state.proposals = []
-        state.spec_session = None
+        state.drop_kv()
 
     def retire_finished(self) -> list[SequenceState]:
-        """Move fully-decoded sequences out of the running set (run order)."""
+        """Move fully-decoded sequences out of the running set (run order);
+        nothing retires while the decode batch's lead is short of its end."""
+        batch = self._decode_batch()
+        if not batch.done and (batch.lead is None
+                               or batch.lead.position < batch.lead_end):
+            return []
         done = [s for s in self.running.values()
                 if s.prefill_done and s.decode_remaining <= 0]
         for state in done:
-            self.running.pop(state.request_id)
+            self._leave(state)
             state.phase = RequestPhase.FINISHED
             self.finished.append(state)
         return done
@@ -696,9 +737,7 @@ class Scheduler:
         """
         if not state.is_live:
             return
-        if state.request_id in self.running:
-            self.running.pop(state.request_id)
-        else:
+        if not self._leave(state):
             self._n_waiting -= 1  # heap entry is dropped lazily on peek
         kv.release(state)
         state.phase = phase
@@ -722,8 +761,7 @@ class Scheduler:
     def live_states(self) -> list[SequenceState]:
         """Every waiting (unsorted) and running state — membership sweeps
         (e.g. cancellation checks) that don't care about policy order."""
-        return ([entry[2] for entry in self._waiting if self._queued(entry[2])]
-                + list(self.running.values()))
+        return self._queued_states() + list(self.running.values())
 
     def check_legal(self) -> None:
         """Assert the scheduler's state machine is in a legal configuration.
@@ -731,15 +769,18 @@ class Scheduler:
         The paranoid-mode invariant sweep (run every step under chaos):
         running states must be mid-prefill or mid-decode with consistent
         progress counters, queued states must hold no KV, terminal states
-        must be terminal, and no request may appear in two sets at once.
+        must be terminal, no request may appear in two sets at once, and the
+        decode batch — every cached column of it — must equal a rebuild
+        from the states (a missed :meth:`invalidate` shows up here).
         """
+        if self._batch is not None:
+            fresh = _DecodeBatch(self.running.values())
+            assert self._batch.columns() == fresh.columns(), (
+                f"stale decode batch (rows {[s.request_id for s in self._batch.rows]})")
         terminal = (RequestPhase.FINISHED, RequestPhase.CANCELLED,
                     RequestPhase.TIMEOUT, RequestPhase.FAILED)
         queued_ids = set()
-        for entry in self._waiting:
-            state = entry[2]
-            if not self._queued(state):
-                continue
+        for state in self._queued_states():
             queued_ids.add(state.request_id)
             assert state.caches is None, (
                 f"queued request '{state.request_id}' holds caches")
@@ -765,12 +806,10 @@ class Scheduler:
 
     def find(self, request_id: str) -> SequenceState | None:
         state = self.running.get(request_id)
-        if state is not None:
-            return state
-        for entry in self._waiting:
-            if self._queued(entry[2]) and entry[2].request_id == request_id:
-                return entry[2]
-        return None
+        if state is None:
+            state = next((s for s in self._queued_states()
+                          if s.request_id == request_id), None)
+        return state
 
 
 __all__ = [

@@ -1,12 +1,14 @@
-"""One-line mutations of the paged KV storage and the radix index.
+"""One-line mutations of the paged KV storage, the radix index and the
+scheduler's decode batch.
 
 Each :class:`Mutation` names a method and one line of its source;
 :meth:`Mutation.apply` recompiles the method with that line replaced and
-monkey-patches it in.  ``tests/test_seeded_bugs.py`` runs the stateful
-paged-KV machine (``tests/test_paged_kv_stateful.py``) against each one and
-requires the machine to fail, so what the harness catches is measured
-rather than assumed.  A mutation whose line no longer exists fails loudly
-instead of silently testing nothing.
+monkey-patches it in.  ``tests/test_seeded_bugs.py`` runs each mutation's
+harness against it — the stateful paged-KV machine
+(``tests/test_paged_kv_stateful.py``) or the generated serving run of
+``tests/test_decode_batch.py`` — and requires the harness to fail, so what
+it catches is measured rather than assumed.  A mutation whose line no
+longer exists fails loudly instead of silently testing nothing.
 """
 
 from __future__ import annotations
@@ -17,7 +19,9 @@ import textwrap
 from dataclasses import dataclass
 
 from repro.core.kv_pool import KVPagePool, PagedKVCache, PageTable
+from repro.serve.engine import FunctionalSession
 from repro.serve.radix import RadixPrefixIndex
+from repro.serve.scheduler import Scheduler
 
 
 @dataclass(frozen=True)
@@ -29,6 +33,9 @@ class Mutation:
     line: str
     #: What that whole line becomes (indentation kept).
     replacement: str
+    #: The harness that must kill it: ``"paged"`` (the stateful paged-KV
+    #: machine) or ``"decode-batch"`` (the generated serving run).
+    harness: str = "paged"
 
     def mutant(self):
         """The method, recompiled with the one line replaced."""
@@ -67,4 +74,9 @@ MUTATIONS = (
     Mutation("gather-layers-out-of-step", PagedKVCache, "_in_step",
              "if (handle._count, handle._flushed, handle._mirrored) != state:",
              "if False:"),
+    Mutation("cap-decodes-skips-invalidation", FunctionalSession, "cap_decodes",
+             "self.scheduler.invalidate()", "pass", harness="decode-batch"),
+    Mutation("preempt-leaves-decode-row", Scheduler, "preempt",
+             "self._leave(state)", "self.running.pop(state.request_id, None)",
+             harness="decode-batch"),
 )

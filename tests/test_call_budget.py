@@ -70,6 +70,10 @@ SMALL_ENGINE = dict(cache="paged:page_tokens=16", seed=0, token_budget=512,
                     prefix_cache=True, radix_max_tokens=16384, capacity_tokens=32768)
 MAX_SMALL_CALLS_PER_TOKEN = 230
 
+DECODE_REQUESTS, DECODE_PROMPT_LEN, DECODE_HEAVY_LEN = 40, 32, 64
+DECODE_ENGINE = dict(cache="paged:page_tokens=16", seed=0, capacity_tokens=8192)
+MAX_DECODE_CALLS_PER_TOKEN = 60
+
 
 def _model() -> DecoderLM:
     return DecoderLM(tiny_config("bench-e2e", n_layers=4, d_model=64, n_heads=4, d_ff=128,
@@ -79,6 +83,17 @@ def _model() -> DecoderLM:
 def _serve(lm: DecoderLM, requests: list[Request]) -> int:
     """One serving pass; returns the number of generated tokens."""
     session = ServingEngine(max_concurrency=16).start_functional(lm, cache=CACHE, seed=0)
+    session.submit(requests)
+    while session.has_work():
+        session.step()
+    report = session.finish()
+    assert all(result.status == "finished" for result in report.results)
+    return sum(len(result.generated_tokens) for result in report.results)
+
+
+def _serve_paged(lm: DecoderLM, requests: list[Request]) -> int:
+    """One offline decode-heavy pass on the bounded paged pool."""
+    session = ServingEngine(max_concurrency=32).start_functional(lm, **DECODE_ENGINE)
     session.submit(requests)
     while session.has_work():
         session.step()
@@ -122,6 +137,7 @@ def test_kelle_decode_calls_per_generated_token():
     second, _ = _count_calls(_serve, lm, requests)
     assert tokens == N_REQUESTS * DECODE_LEN
     assert first == second, "the count must repeat exactly"
+    print(f"kelle-decode: {first / tokens:.2f} calls per generated token")
     assert first / tokens <= MAX_CALLS_PER_TOKEN, first / tokens
 
 
@@ -168,7 +184,25 @@ def test_small_requests_calls_per_generated_token():
     second, _ = _count_calls(_serve_on_step_clock, lm, arrivals)
     assert tokens == SMALL_REQUESTS * SMALL_DECODE_LEN
     assert first == second, "the count must repeat exactly"
+    print(f"small-requests: {first / tokens:.2f} calls per generated token")
     assert first / tokens <= MAX_SMALL_CALLS_PER_TOKEN, first / tokens
+
+
+def test_decode_heavy_calls_per_generated_token():
+    lm = _model()
+    rng = np.random.default_rng((0, 1))
+    requests = [Request(request_id=f"r{i:05d}", arrival_time_s=i * 1e-6,
+                        prompt_len=DECODE_PROMPT_LEN, decode_len=DECODE_HEAVY_LEN,
+                        prompt_tokens=tuple(rng.integers(0, VOCAB, size=DECODE_PROMPT_LEN)
+                                            .tolist()))
+                for i in range(DECODE_REQUESTS)]
+    _serve_paged(lm, requests)
+    first, tokens = _count_calls(_serve_paged, lm, requests)
+    second, _ = _count_calls(_serve_paged, lm, requests)
+    assert tokens == DECODE_REQUESTS * DECODE_HEAVY_LEN
+    assert first == second, "the count must repeat exactly"
+    print(f"decode-heavy: {first / tokens:.2f} calls per generated token")
+    assert first / tokens <= MAX_DECODE_CALLS_PER_TOKEN, first / tokens
 
 
 def test_stack_operations_cost_one_table_operation(monkeypatch):

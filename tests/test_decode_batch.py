@@ -1,0 +1,113 @@
+"""The scheduler's decode batch can never go stale.
+
+The batch (decode-ready rows, unprefilled rows, finished rows and the lead
+row's end) is cached across steps and rebuilt only at the scheduler's one
+invalidation point.  A generated interleaving of submissions, steps,
+cancellations, brownout decode caps, injected transient faults and an ngram
+drafter drives a ``paranoid=True`` session on a small bounded paged pool, so
+``Scheduler.check_legal`` compares the cached batch with a rebuild from the
+sequence states after every step.  At the end every request has exactly one
+terminal status and its tokens are a prefix of an isolated ``generate()`` —
+all of them unless it was cancelled, capped or failed.
+
+``tests/test_seeded_bugs.py`` runs :func:`run_ops` against the serving
+mutations of ``tests/seeded_bugs.py`` and requires it to fail.
+"""
+
+from __future__ import annotations
+
+import functools
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.llm import DecoderLM, tiny_config
+from repro.llm.generation import generate
+from repro.serve import Request, ServingEngine
+
+N_REQUESTS = 6
+PATTERN = (3, 1, 4, 1, 5, 9, 2, 6)
+
+#: ``(operation, argument)``; a decode cap is followed by a step, so a cap
+#: that the batch missed shows in that step's check.
+OPS = st.lists(st.one_of(
+    st.tuples(st.just("submit"), st.integers(1, 3)),
+    st.tuples(st.just("step"), st.integers(1, 4)),
+    st.tuples(st.just("cancel"), st.integers(0, N_REQUESTS - 1)),
+    st.tuples(st.just("cap"), st.integers(1, 6)),
+    st.tuples(st.just("uncap"), st.just(0)),
+), max_size=24)
+
+#: What one example may vary besides the operations.
+CONFIG = dict(ops=OPS, speculate=st.booleans(), faults=st.booleans(),
+              chunked=st.booleans())
+
+
+@functools.lru_cache(maxsize=1)
+def _model() -> DecoderLM:
+    return DecoderLM(tiny_config("batch-tiny", n_layers=2, d_model=32, n_heads=4,
+                                 d_ff=64, vocab_size=16, max_seq_len=64), seed=3)
+
+
+def _requests() -> list[Request]:
+    """Repetitive prompts (the drafter gets accepted), odd-numbered ones at
+    the priority a decode cap applies to."""
+    requests = []
+    for i in range(N_REQUESTS):
+        prompt_len = 6 + (3 * i) % 7
+        prompt = tuple(PATTERN[(i + t) % 4] for t in range(prompt_len))
+        requests.append(Request(f"r{i}", i * 1e-3, prompt_len, 4 + (5 * i) % 7,
+                                prompt_tokens=prompt, priority=i % 2))
+    return requests
+
+
+@functools.lru_cache(maxsize=None)
+def _isolated(request_id: str) -> tuple[int, ...]:
+    request = next(r for r in _requests() if r.request_id == request_id)
+    return tuple(generate(_model(), list(request.prompt_tokens),
+                          request.decode_len).generated_tokens)
+
+
+def run_ops(ops, speculate: bool, faults: bool, chunked: bool) -> None:
+    """Drive one session through ``ops``, drain it, and check the outcome."""
+    requests = _requests()
+    engine = ServingEngine(max_concurrency=3)
+    session = engine.start_functional(
+        _model(), cache="paged:page_tokens=4", capacity_tokens=40, paranoid=True,
+        drafter="ngram:k=3" if speculate else None,
+        faults="transient-exec:rate=0.15" if faults else None,
+        token_budget=6 if chunked else None)
+    sent = 0
+    for op, arg in ops:
+        if op == "submit" and sent < N_REQUESTS:
+            session.submit(requests[sent:sent + arg])
+            sent = min(sent + arg, N_REQUESTS)
+        elif op == "step":
+            for _ in range(arg):
+                session.step()
+        elif op == "cancel" and arg < sent:
+            engine.cancel(requests[arg].request_id)
+        elif op == "cap":
+            session.cap_decodes(arg)
+            session.step()
+        elif op == "uncap":
+            session.uncap_decodes()
+    if sent < N_REQUESTS:
+        session.submit(requests[sent:])
+    while session.step():
+        pass
+    report = session.finish()
+    assert sorted(r.request.request_id for r in report.results) == sorted(
+        r.request_id for r in requests), "not exactly one terminal status each"
+    for result in report.results:
+        tokens = tuple(result.generated_tokens)
+        expected = _isolated(result.request.request_id)
+        assert tokens == expected[:len(tokens)], result.request.request_id
+        if result.status == "finished" and not result.truncated:
+            assert tokens == expected, result.request.request_id
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(**CONFIG)
+def test_decode_batch_never_stale(ops, speculate, faults, chunked):
+    run_ops(ops, speculate, faults, chunked)

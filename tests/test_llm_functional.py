@@ -131,6 +131,23 @@ class TestRope:
 
         assert score(10, 7) == pytest.approx(score(50, 47), rel=1e-3, abs=1e-3)
 
+    @pytest.mark.parametrize("batch", [3, 32])
+    def test_stacked_query_key_rotation_is_bitwise_two_rotations(self, rng, batch):
+        """The batched decode rotates Q and K as one ``[2H, B, d]`` stack:
+        RoPE is elementwise, so that is bit for bit the two ``[H, B, d]``
+        rotations, on the strided head-major views of a fused QKV output."""
+        n_heads, head_dim = 4, 16
+        cos, sin = rope_frequencies(head_dim, 640)
+        qkv = rng.standard_normal((batch, 3 * n_heads * head_dim)).astype(np.float32)
+        heads = qkv.reshape(batch, 3 * n_heads, head_dim).transpose(1, 0, 2)
+        positions = rng.integers(0, 640, size=batch)
+        stacked = apply_rope(heads[:2 * n_heads], positions, cos, sin)
+        query = apply_rope(heads[:n_heads], positions, cos, sin)
+        keys = apply_rope(heads[n_heads:2 * n_heads], positions, cos, sin)
+        assert not heads.flags.c_contiguous  # the strided view the model rotates
+        np.testing.assert_array_equal(stacked[:n_heads], query)
+        np.testing.assert_array_equal(stacked[n_heads:], keys)
+
     def test_odd_head_dim_rejected(self):
         with pytest.raises(ValueError):
             rope_frequencies(7, 16)

@@ -1,31 +1,49 @@
-"""The stateful paged-KV machine kills every seeded bug.
+"""The stateful paged-KV machine and the generated serving run kill every
+seeded bug.
 
 Each one-line mutation of ``tests/seeded_bugs.py`` is patched into the
-source and the machine of ``tests/test_paged_kv_stateful.py`` runs against
-it, unchanged, within a fixed example budget: the test passes only when the
-machine fails.  Shrinking is skipped — the failure is the measurement.
+source and its harness — the machine of ``tests/test_paged_kv_stateful.py``
+or the serving run of ``tests/test_decode_batch.py`` — runs against it,
+unchanged, within a fixed example budget: the test passes only when the
+harness fails.  Shrinking is skipped — the failure is the measurement.
 """
 
 from __future__ import annotations
 
 import pytest
-from hypothesis import Phase, settings
+from hypothesis import Phase, given, settings
 from hypothesis.stateful import run_state_machine_as_test
 
 from seeded_bugs import MUTATIONS
+from test_decode_batch import CONFIG, run_ops
 from test_paged_kv_stateful import PagedKVMachine
 
 BUDGET = settings(max_examples=200, stateful_step_count=30, deadline=None,
                   derandomize=True, database=None,
                   phases=(Phase.explicit, Phase.generate))
+SERVING_BUDGET = settings(max_examples=30, deadline=None, derandomize=True,
+                          database=None, phases=(Phase.explicit, Phase.generate))
+
+
+def _killed_by(harness: str) -> list:
+    return [mutation for mutation in MUTATIONS if mutation.harness == harness]
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("mutation", MUTATIONS, ids=lambda mutation: mutation.name)
+@pytest.mark.parametrize("mutation", _killed_by("paged"), ids=lambda mutation: mutation.name)
 def test_machine_kills_seeded_bug(mutation, monkeypatch):
     mutation.apply(monkeypatch)
     with pytest.raises(Exception):
         run_state_machine_as_test(PagedKVMachine, settings=BUDGET)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("mutation", _killed_by("decode-batch"),
+                         ids=lambda mutation: mutation.name)
+def test_serving_run_kills_seeded_bug(mutation, monkeypatch):
+    mutation.apply(monkeypatch)
+    with pytest.raises(Exception):
+        SERVING_BUDGET(given(**CONFIG)(run_ops))()
 
 
 @pytest.mark.parametrize("mutation", MUTATIONS, ids=lambda mutation: mutation.name)

@@ -307,6 +307,39 @@ class TestStreaming:
         finals = [e for e in events if e.finished]
         assert len(finals) == len(requests)
 
+    def test_token_event_fields(self, lm):
+        """Every field of every event, for a plain and a speculative run of
+        two requests admitted together (a prefill's first token and the
+        same-step decode both carry step 0)."""
+        from repro.serve import TokenEvent
+
+        assert TokenEvent._fields == ("request_id", "token", "index", "step", "finished")
+        prompt = (1, 2, 3, 4) * 3
+        requests = [Request(f"r{i}", i * 0.01, 12, 6, prompt_tokens=prompt[i:] + prompt[:i])
+                    for i in range(2)]
+        runs = {}
+        for drafter in (None, "ngram:k=4"):
+            events: list = []
+            report = ServingEngine(max_concurrency=2).run_functional(
+                lm, requests, drafter=drafter, on_token=events.append)
+            runs[drafter] = events, {r.request.request_id: r.generated_tokens
+                                     for r in report.results}
+        events, tokens = runs[None]
+        assert events == [
+            (rid, tokens[rid][index], index, max(index - 1, 0), index == 5)
+            for index in range(6) for rid in ("r0", "r1")]
+        with pytest.raises(AttributeError):
+            events[0].token = 0
+        spec_events, spec_tokens = runs["ngram:k=4"]
+        assert spec_tokens == tokens
+        for rid in ("r0", "r1"):
+            mine = [e for e in spec_events if e.request_id == rid]
+            assert [(e.token, e.index, e.finished) for e in mine] == [
+                (tokens[rid][i], i, i == 5) for i in range(6)]
+            steps = [e.step for e in mine]
+            assert steps[:2] == [0, 0] and steps == sorted(steps)
+        assert spec_events[-1].step < events[-1].step  # drafts were accepted
+
     def test_generate_on_token_hook(self, lm):
         from repro.llm.generation import generate
 
