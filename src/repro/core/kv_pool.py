@@ -40,8 +40,9 @@ table operation each: pages are retained, allocated, CoW-copied and released
 once per sequence, and while the layers are in step a gather (pages →
 mirrors) or flush (mirrors → pages) is one copy per page for all of them;
 the fused decode claims a sequence's next ``(page, offset)`` once per step
-(:meth:`PagedKVCache.reserve_stack_slot`) and every layer writes its slice
-of that slot.  The per-handle :meth:`~PagedKVCache.fork`,
+(:meth:`PagedKVCache.reserve_stack_slot`, or one :meth:`PagedGroup.claim`
+for a whole decode group) and every layer writes its slice of that slot.
+The per-handle :meth:`~PagedKVCache.fork`,
 :meth:`~PagedKVCache.truncate` and :meth:`~PagedKVCache.release` stay
 correct on their own: a per-handle fork gets a table of its own, a
 per-handle truncate lowers only that handle's watermark, and a per-handle

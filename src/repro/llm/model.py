@@ -790,6 +790,9 @@ class DecoderLM:
         preemption, first use, capacity) does the page-table gather rebuild
         it.  Attention then runs as one batched BLAS matmul per projection
         with a shared length mask replacing per-sequence ``-inf`` patching.
+        ``state`` is the group's buffer at ``layer``; ``fresh`` says the
+        decode plan runs its first step, so the buffer is checked member by
+        member (:meth:`_buffer_current`).
         """
         ws = self._ws
         n_groups = len(rows)
@@ -992,6 +995,11 @@ class DecoderLM:
         Either way each sequence's logits match the single-sequence
         :meth:`decode_step`.
 
+        The grouping is computed once per membership (the identity of the
+        ``caches_batch`` lists) and kept as a :class:`_DecodePlan` while the
+        members hold exactly what its claims left them; every caller gets it
+        with no argument of its own.
+
         Returns logits of shape ``[B, vocab]``.
         """
         tokens = np.asarray(tokens, dtype=np.int64)
@@ -1009,11 +1017,11 @@ class DecoderLM:
             self._fused_clock += 1
             plan = self._plan_decode(list(caches_batch))
             fresh, loose, enders = plan.fresh, plan.loose, plan.enders
-            plan.fresh = False
             paged = [(rows, buffers, _PagedRows(*group.claim()))
                      for rows, group, buffers in plan.groups]
         else:
-            fresh, loose, enders, paged = True, list(range(batch)), _enders(caches_batch), []
+            plan, fresh, loose, paged = None, True, list(range(batch)), []
+            enders = _enders(caches_batch)
         n_heads = self.config.n_heads
         for layer in range(self.config.n_layers):
             prefix = f"layers.{layer}"
@@ -1046,6 +1054,8 @@ class DecoderLM:
             hidden = hidden + self._mlp(normed, layer)
         for cache in enders:
             cache.end_step()
+        if plan is not None:
+            plan.fresh = False  # every group buffer is synced to its members
         if self._fused_states:
             # Drop group buffers whose exact membership has not decoded for a
             # few steps (a member finished or was preempted, so the key will

@@ -146,7 +146,8 @@ class SequenceState:
 
     def drop_kv(self) -> None:
         """Forget the run state tied to the KV cache; the tokens stay."""
-        self.caches = self.next_input = self.resume_next_input = self.spec_session = None
+        self.caches = self.spec_session = None
+        self.next_input = self.resume_next_input = None
         self.prefilled, self.proposals = 0, []
 
 
@@ -289,7 +290,9 @@ def _build_sjf() -> SchedulingPolicy:
 
 def resolve_policy(policy: "SchedulingPolicy | str | None") -> SchedulingPolicy:
     """Build a policy from a spec string (``None`` means ``"fcfs"``)."""
-    return resolve("policy", "fcfs" if policy is None else policy)
+    if policy is None:
+        return FCFSPolicy()
+    return resolve("policy", policy)
 
 
 class Scheduler:
@@ -354,9 +357,6 @@ class Scheduler:
     def _queued(state: SequenceState) -> bool:
         return state.phase in (RequestPhase.WAITING, RequestPhase.PREEMPTED)
 
-    def _queued_states(self) -> list[SequenceState]:
-        return [entry[2] for entry in self._waiting if self._queued(entry[2])]
-
     def _push_waiting(self, state: SequenceState) -> None:
         heapq.heappush(self._waiting, (self.policy.rank(state), self._push_seq, state))
         self._push_seq += 1
@@ -374,7 +374,8 @@ class Scheduler:
 
     # -- submission ------------------------------------------------------
     def _check_new_ids(self, states: list[SequenceState]) -> None:
-        seen = {s.request_id for s in self._queued_states()} | set(self.running)
+        seen = ({entry[2].request_id for entry in self._waiting
+                 if self._queued(entry[2])} | set(self.running))
         for state in states:
             if state.request_id in seen:
                 raise ValueError(f"duplicate request_id '{state.request_id}'")
@@ -416,7 +417,7 @@ class Scheduler:
         for state in drained:
             kv.release(state)
             self._leave(state)
-        drained += self._queued_states()
+        drained += [entry[2] for entry in self._waiting if self._queued(entry[2])]
         self._waiting.clear()
         self._n_waiting = 0
         for state in drained:
@@ -513,7 +514,8 @@ class Scheduler:
 
     def has_blocked(self, clock: int) -> bool:
         """Whether any queued state is serving a retry backoff at ``clock``."""
-        return any(s.blocked_until_step > clock for s in self._queued_states())
+        return any(self._queued(entry[2]) and entry[2].blocked_until_step > clock
+                   for entry in self._waiting)
 
     def _make_room(self, state: SequenceState, projected: int,
                    kv: "KVSpaceManager", *, admission: bool = False,
@@ -561,14 +563,10 @@ class Scheduler:
 
     def plan(self, step: int, kv: "KVSpaceManager", *, token_budget: int | None,
              spec_on: bool, chunkable: bool) -> ScheduleDecision:
-        """Produce this step's :class:`ScheduleDecision`.
-
-        Reproduces the pre-refactor budget discipline exactly: decode (and
-        speculative verify) tokens are charged against ``token_budget``
-        first, and only the leftover budget is spent on prompt chunks.
-        Under a bounded KV pool, growth is granted in policy-rank order and
-        worst-ranked victims are preempted to make room.
-        """
+        """Produce this step's :class:`ScheduleDecision`: decode (and
+        speculative verify) tokens are charged against ``token_budget`` first
+        and only the leftover is spent on prompt chunks; under a bounded KV
+        pool, growth is granted in policy-rank order, evicting the worst."""
         decision = ScheduleDecision(step=step)
         decision.decode_ready = self.decode_ready()
         decode_charge = len(decision.decode_ready)
@@ -761,7 +759,8 @@ class Scheduler:
     def live_states(self) -> list[SequenceState]:
         """Every waiting (unsorted) and running state — membership sweeps
         (e.g. cancellation checks) that don't care about policy order."""
-        return self._queued_states() + list(self.running.values())
+        return ([entry[2] for entry in self._waiting if self._queued(entry[2])]
+                + list(self.running.values()))
 
     def check_legal(self) -> None:
         """Assert the scheduler's state machine is in a legal configuration.
@@ -780,7 +779,10 @@ class Scheduler:
         terminal = (RequestPhase.FINISHED, RequestPhase.CANCELLED,
                     RequestPhase.TIMEOUT, RequestPhase.FAILED)
         queued_ids = set()
-        for state in self._queued_states():
+        for entry in self._waiting:
+            state = entry[2]
+            if not self._queued(state):
+                continue
             queued_ids.add(state.request_id)
             assert state.caches is None, (
                 f"queued request '{state.request_id}' holds caches")
@@ -806,10 +808,12 @@ class Scheduler:
 
     def find(self, request_id: str) -> SequenceState | None:
         state = self.running.get(request_id)
-        if state is None:
-            state = next((s for s in self._queued_states()
-                          if s.request_id == request_id), None)
-        return state
+        if state is not None:
+            return state
+        for entry in self._waiting:
+            if self._queued(entry[2]) and entry[2].request_id == request_id:
+                return entry[2]
+        return None
 
 
 __all__ = [

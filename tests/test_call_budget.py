@@ -1,4 +1,4 @@
-"""Interpreter calls per generated token on two serving paths (exact).
+"""Interpreter calls per generated token on three serving paths (exact).
 
 Every speed-up on these paths has been Python/NumPy call amortisation, and a
 call count — unlike wall time on a shared host — repeats to the digit.  Each
@@ -47,6 +47,24 @@ radix match-and-fork, snapshot forks, page allocation, CoW, release and
 The bound sits between the two: the per-layer bookkeeping saved is ~230
 calls per request (~76 per generated token), so a return of half of it
 trips the bound.
+
+**The decode batch** (``decode-heavy``): 40 requests of 32-token prompts
+and 64 decode tokens, ``max_concurrency=32``, a ``paged:page_tokens=16``
+pool bounded at ``capacity_tokens=8192``, no token callback — so one wave of
+32 rows decodes in lockstep, then the remaining 8.
+
+* per-row serving bookkeeping (the scheduler rescanning the running set
+  through property chains, one grant, ``argmax`` and ``sync`` per row, the
+  model regrouping every row and re-keying every group buffer each step):
+  92.15 (235 897 calls for 2560 tokens);
+* the persistent decode batch (cached decode set, grants only where a
+  reservation grows, one ``argmax`` per step, one group plan per
+  membership with one slot claim per group, one RoPE per layer): DECODE_NOW.
+
+The bound sits between the two at 0.65 x the first reading: a return of
+one call per row per layer-step (4 per token) stays under it, per-row
+scheduling or grouping does not.  The kelle and small-requests readings
+with the decode batch: KELLE_NOW and SMALL_NOW (from 141.75 and 192.38).
 """
 
 from __future__ import annotations
