@@ -15,8 +15,8 @@ writes ``BENCH_chaos.json``:
   token-identity fraction of completed requests vs the healthy run (1.0 —
   retries and recovery never corrupt decoded tokens), and the goodput
   retained under chaos.
-* ``overload`` — alloc-pressure plus deadlines and a load-shedding
-  threshold over a trace that oversubscribes the pools: requests resolve
+* ``overload`` — alloc-pressure plus deadlines and ``kv-pressure``
+  load-shedding admission over a trace that oversubscribes the pools: requests resolve
   into a deterministic mix of ``finished`` / ``timeout`` / ``shed``, and
   nothing is ever lost.  Guarded: ``terminal_fraction`` (1.0) and the
   completion rate.
@@ -43,6 +43,10 @@ from repro.llm.config import tiny_config
 from repro.llm.model import DecoderLM
 from repro.serve import ClusterEngine
 from repro.workloads import zipf_shared_prefix_requests
+
+#: The overload regime's load shedding: shed a fresh arrival once the
+#: cluster-wide projected KV footprint would pass 85 % of pool capacity.
+OVERLOAD_ADMISSION = "kv-pressure:threshold=0.85"
 
 
 def _bench_model(max_seq_len: int) -> DecoderLM:
@@ -131,7 +135,7 @@ def run_benchmark(quick: bool, repeats: int, seed: int = 0) -> dict:
         vocab_size=vocab, alpha=1.1, deadline_steps=over_deadline,
         max_retries=4, seed=seed + 1)
     overloaded = best(overload_requests, faults=["alloc-pressure:rate=0.1"],
-                      shed_threshold=0.85, paranoid=True,
+                      admission=OVERLOAD_ADMISSION, paranoid=True,
                       arrivals_per_step=over_arrivals)
     overload = _chaos_metrics(overloaded, len(overload_requests))
     overload["terminal_fraction"] = (len(overloaded.results)
@@ -149,7 +153,7 @@ def run_benchmark(quick: bool, repeats: int, seed: int = 0) -> dict:
             "overload": {"n_requests": over_requests,
                          "deadline_steps": over_deadline,
                          "arrivals_per_step": over_arrivals,
-                         "shed_threshold": 0.85},
+                         "admission": OVERLOAD_ADMISSION},
         },
         "chaos": chaos,
         "overload": overload,

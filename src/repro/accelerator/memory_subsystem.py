@@ -31,15 +31,6 @@ class MemorySubsystem:
         return self.kv_store.needs_refresh
 
     @property
-    def onchip_capacity_bytes(self) -> int:
-        return (self.weight_sram.capacity_bytes + self.activation_buffer.capacity_bytes
-                + self.kv_store.capacity_bytes)
-
-    @property
-    def onchip_area_mm2(self) -> float:
-        return self.weight_sram.area_mm2 + self.activation_buffer.area_mm2 + self.kv_store.area_mm2
-
-    @property
     def onchip_leakage_w(self) -> float:
         return (self.weight_sram.leakage_power_w + self.activation_buffer.leakage_power_w
                 + self.kv_store.leakage_power_w)

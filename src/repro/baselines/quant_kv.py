@@ -16,7 +16,6 @@ from repro.llm.cache import ContiguousKVStore, KVCacheFactory, LayerKVCache, Rec
 from repro.quant.hadamard import apply_hadamard, remove_hadamard
 from repro.quant.integer import fake_quantize
 from repro.registry import register
-from repro.utils.deprecation import warn_deprecated
 
 
 class QuantizedKVCache(LayerKVCache):
@@ -116,16 +115,3 @@ def _build_quarot(bits: int = 4) -> KVCacheFactory:
                                 symmetric=True)
 
     return factory
-
-
-# -- deprecated entry points --------------------------------------------------
-def kivi_cache_factory(bits: int = 2) -> KVCacheFactory:
-    """Deprecated: use ``resolve("cache", "kivi:bits=...")``."""
-    warn_deprecated("kivi_cache_factory", "resolve('cache', 'kivi:bits=...')")
-    return _build_kivi(bits=bits)
-
-
-def quarot_cache_factory(bits: int = 4) -> KVCacheFactory:
-    """Deprecated: use ``resolve("cache", "quarot:bits=...")``."""
-    warn_deprecated("quarot_cache_factory", "resolve('cache', 'quarot:bits=...')")
-    return _build_quarot(bits=bits)

@@ -26,10 +26,6 @@ class ImportanceTracker:
         self._scores[head].append(float(initial_score))
         return len(self._scores[head]) - 1
 
-    def remove_slot(self, head: int, slot: int) -> None:
-        """Remove a slot (its successors shift down by one)."""
-        del self._scores[head][slot]
-
     def update(self, head: int, attention_row: np.ndarray) -> None:
         """Accumulate one attention row (over the current slots of ``head``)."""
         row = np.asarray(attention_row, dtype=np.float64)
@@ -59,9 +55,6 @@ class ImportanceTracker:
             masked = np.where(eligible, scores, np.inf)
             return int(np.argmin(masked))
         return int(np.argmin(scores))
-
-    def num_slots(self, head: int) -> int:
-        return len(self._scores[head])
 
     @staticmethod
     def prefill_importance(attn_probs: np.ndarray) -> np.ndarray:

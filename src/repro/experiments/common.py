@@ -4,9 +4,7 @@ from __future__ import annotations
 
 from repro.accelerator.accelerator import EdgeSystem, SimulationResult
 from repro.core.refresh import TwoDRefreshPolicy
-from repro.llm.config import ModelConfig
 from repro.registry import resolve
-from repro.workloads.generator import WorkloadTrace
 
 #: Interval scale applied to the 2DRP refresh settings in the *functional*
 #: (tiny-model) experiments.  With the physical charge-decay fault model the
@@ -46,14 +44,3 @@ def simulate_system(system: EdgeSystem | str, model_name: str, dataset: str,
     if batch_size is not None:
         trace = trace.with_batch_size(batch_size)
     return resolve("system", system).simulate(model, trace)
-
-
-def hardware_trace(dataset: str, batch_size: int | None = None) -> WorkloadTrace:
-    """The hardware trace of a dataset, optionally with a different batch size."""
-    trace = resolve("trace", dataset)
-    return trace if batch_size is None else trace.with_batch_size(batch_size)
-
-
-def hardware_model(name: str) -> ModelConfig:
-    """Convenience wrapper resolving through the ``model`` registry."""
-    return resolve("model", name)

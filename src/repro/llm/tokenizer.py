@@ -65,10 +65,6 @@ class WordTokenizer:
         return len(self._id_to_word)
 
     @property
-    def pad_id(self) -> int:
-        return self._word_to_id[self.PAD]
-
-    @property
     def bos_id(self) -> int:
         return self._word_to_id[self.BOS]
 

@@ -198,7 +198,3 @@ class EDRAMArray:
         for group in self.BANK_GROUPS:
             bank = max(self.banks[group], key=lambda b: b.occupied_bytes)
             bank.release(min(bytes_per_slice, bank.occupied_bytes))
-
-    def bandwidth_per_bank(self) -> float:
-        """Per-bank streaming bandwidth (the RSA reads all banks in parallel)."""
-        return self.device.bandwidth_bytes_per_s / self.num_banks

@@ -1,7 +1,10 @@
 """Request-level serving on top of the accelerator model.
 
 The functional serving core is split into three explicit layers, wired
-together by a thin :meth:`ServingEngine.run_functional` loop:
+together by one :class:`FunctionalSession` (:mod:`repro.serve.session`,
+with its :class:`FunctionalServingReport`, :class:`FunctionalRequestResult`
+and :class:`LoadSnapshot`), which the caller steps or
+:meth:`ServingEngine.run_functional` drives to completion:
 
 * :mod:`repro.serve.scheduler` -- :class:`Scheduler`, per-request
   :class:`SequenceState` lifecycle (``WAITING → PREFILL → DECODE →
@@ -14,13 +17,14 @@ together by a thin :meth:`ServingEngine.run_functional` loop:
 * :mod:`repro.serve.executor` -- :class:`ModelExecutor`: batched prefill /
   decode / speculative-verify forwards emitting per-token
   :class:`TokenEvent` streams (the ``on_token`` callback) consumed by
-  streaming clients and cancellation checks.
+  streaming clients, which may cancel through
+  :meth:`FunctionalSession.cancel` or :meth:`ServingEngine.cancel`.
 
-:mod:`repro.serve.engine` additionally hosts :class:`Request`, the
-analytical :class:`ServingEngine.run` queueing model and the spec-driven
-:func:`simulate` helper; :mod:`repro.serve.radix` holds
-:class:`RadixPrefixIndex`, the radix-trie prompt-prefix index mapping shared
-prefixes to forked KV cache state; :mod:`repro.serve.faults` holds the
+:mod:`repro.serve.engine` hosts :class:`Request`, the analytical
+:class:`ServingEngine.run` queueing model, the functional-session entry
+points and the spec-driven :func:`simulate` helper;
+:mod:`repro.serve.radix` holds :class:`RadixPrefixIndex`, the radix-trie
+prompt-prefix index mapping shared prefixes to forked KV cache state; :mod:`repro.serve.faults` holds the
 deterministic chaos harness — the ``"fault"`` registry kind,
 :class:`FaultPlan`/:class:`FaultGate` and the retryable
 :class:`TransientExecutorError` — consumed by the engine's and cluster's
@@ -77,16 +81,18 @@ from repro.serve.faults import (
     resolve_fault_plan,
 )
 from repro.serve.engine import (
-    FunctionalRequestResult,
-    FunctionalServingReport,
-    FunctionalSession,
-    LoadSnapshot,
     Request,
     RequestResult,
     ServingEngine,
     ServingReport,
     poisson_requests,
     simulate,
+)
+from repro.serve.session import (
+    FunctionalRequestResult,
+    FunctionalServingReport,
+    FunctionalSession,
+    LoadSnapshot,
 )
 from repro.serve.executor import ModelExecutor, StepOutcome, TokenEvent
 from repro.serve.kv_manager import KVSpaceManager, RequestCheckpoint

@@ -1,7 +1,6 @@
 """Per-tenant admission control: the ``"admission"`` registry kind.
 
-The demand-side counterpart of the fault-handling layers: where PR 7's
-``shed_threshold`` was a single blunt drop rule, an
+The demand-side counterpart of the fault-handling layers: an
 :class:`AdmissionPolicy` sees every arrival *before* it is routed and
 returns one of three explicit decisions:
 
@@ -15,11 +14,9 @@ returns one of three explicit decisions:
 Built-in policies:
 
 * ``none`` — admit everything (the no-admission baseline);
-* ``kv-pressure:threshold=X`` — exactly the legacy ``shed_threshold``
-  semantics, relocated: shed when the cluster-wide projected KV footprint
-  (live + candidate) would exceed ``X`` times the summed pool capacity.
-  ``ClusterEngine(shed_threshold=X)`` maps onto this policy, so existing
-  callers behave identically;
+* ``kv-pressure:threshold=X`` — shed when the cluster-wide projected KV
+  footprint (live + candidate) would exceed ``X`` times the summed pool
+  capacity;
 * ``token-bucket:rate=R,burst=B,max_wait=W,weights=t0=4;t1=2`` — one token
   bucket per tenant, refilled ``R * weight`` KV tokens per round up to
   ``B * weight``; a request costs its full footprint (prompt + decode
@@ -154,10 +151,9 @@ class AdmitAll(AdmissionPolicy):
 class KVPressureAdmission(AdmissionPolicy):
     """Shed when projected cluster KV would exceed ``threshold`` * capacity.
 
-    Exactly the legacy ``shed_threshold`` rule as a policy: the candidate's
-    peak footprint (prompt + decode tokens) plus every live request's, over
-    the alive replicas' summed pool capacity.  Never defers; clusters with
-    any unbounded replica never shed.
+    The candidate's peak footprint (prompt + decode tokens) plus every live
+    request's, over the alive replicas' summed pool capacity.  Never
+    defers; clusters with any unbounded replica never shed.
     """
 
     name = "kv-pressure"
@@ -372,8 +368,7 @@ def _build_admit_all() -> AdmissionPolicy:
 
 
 @register("admission", "kv-pressure",
-          description="shed when projected cluster KV exceeds threshold * "
-                      "capacity (the legacy shed_threshold rule)")
+          description="shed when projected cluster KV exceeds threshold * capacity")
 def _build_kv_pressure(threshold: float = 0.85) -> AdmissionPolicy:
     return KVPressureAdmission(threshold=float(threshold))
 
@@ -400,34 +395,21 @@ def _build_weighted_fair(quantum: int = 4, weights: str | None = None,
 
 def resolve_admission(
         admission: "AdmissionPolicy | str | Sequence | None",
-        shed_threshold: float | None = None) -> AdmissionPolicy | None:
+) -> AdmissionPolicy | None:
     """Build an admission policy from any accepted form.
 
-    ``None`` with a ``shed_threshold`` gives the backward-compatible
-    :class:`KVPressureAdmission`; ``None`` alone disables admission control
-    entirely (zero per-arrival overhead).  A sequence composes its members
-    with severest-decision-wins; when ``shed_threshold`` is also set it
-    joins the composition.
+    ``None`` disables admission control entirely (zero per-arrival
+    overhead).  A sequence composes its members with
+    severest-decision-wins.
     """
-    if admission is None:
-        if shed_threshold is None:
-            return None
-        return KVPressureAdmission(threshold=shed_threshold)
-    if isinstance(admission, AdmissionPolicy):
-        policy = admission
-    elif isinstance(admission, (list, tuple)):
+    if admission is None or isinstance(admission, AdmissionPolicy):
+        return admission
+    if isinstance(admission, (list, tuple)):
         parts = [resolve_admission(spec) for spec in admission]
         parts = [p for p in parts if p is not None]
-        policy = (CompositeAdmission(parts) if len(parts) > 1
-                  else parts[0] if parts else None)
-        if policy is None:
-            return resolve_admission(None, shed_threshold)
-    else:
-        policy = resolve("admission", admission)
-    if shed_threshold is not None:
-        policy = CompositeAdmission(
-            [policy, KVPressureAdmission(threshold=shed_threshold)])
-    return policy
+        return (CompositeAdmission(parts) if len(parts) > 1
+                else parts[0] if parts else None)
+    return resolve("admission", admission)
 
 
 __all__ = [

@@ -14,7 +14,7 @@ rather than N engines:
   spirit of Icarus-style per-node request routing — falling back to
   least-loaded below a match threshold.  Routers see only
   :class:`ReplicaView` objects (replica id + a
-  :class:`~repro.serve.engine.LoadSnapshot`); the affinity router maintains
+  :class:`~repro.serve.session.LoadSnapshot`); the affinity router maintains
   its own lightweight per-replica :class:`PrefixDigest` of routed prompts,
   so no router ever reaches into engine internals.
 
@@ -42,7 +42,8 @@ rather than N engines:
   pool, an empty radix index and a rebuilt router-side prefix digest.
   Chaos testing composes these through a deterministic
   :class:`~repro.serve.faults.FaultPlan` (``faults=...``), with per-request
-  deadlines/retries, projected-KV load shedding (``shed_threshold``) and a
+  deadlines/retries, projected-KV load shedding
+  (``admission="kv-pressure:threshold=X"``) and a
   paranoid per-step invariant sweep (``paranoid=True``) guaranteeing every
   request ends in exactly one explicit terminal status.
 
@@ -69,8 +70,8 @@ rather than N engines:
   (:class:`MigrationPolicy`) makes recovery *recompute-free* where the KV
   layer allows it.  ``drain-on-degraded:max_inflight=K`` proactively
   checkpoints and moves in-flight requests off DEGRADED replicas onto
-  HEALTHY ones (via :meth:`~repro.serve.engine.FunctionalSession.
-  extract_request` / :meth:`~repro.serve.engine.FunctionalSession.
+  HEALTHY ones (via :meth:`~repro.serve.session.FunctionalSession.
+  extract_request` / :meth:`~repro.serve.session.FunctionalSession.
   inject_request`), and ``checkpoint:interval=S`` stashes periodic KV
   checkpoints of every decoding request so a crash loses at most ``S``
   decode steps instead of the whole prefix.  Restored requests skip
@@ -96,14 +97,7 @@ from repro.serve.admission import (
     AdmissionPolicy,
     resolve_admission,
 )
-from repro.serve.engine import (
-    FunctionalRequestResult,
-    FunctionalServingReport,
-    LoadSnapshot,
-    Request,
-    ServingEngine,
-    _percentiles_from_sorted,
-)
+from repro.serve.engine import Request, ServingEngine
 from repro.serve.faults import resolve_fault_plan
 from repro.serve.overload import (
     BreakerConfig,
@@ -117,12 +111,18 @@ from repro.serve.overload import (
 )
 from repro.serve.radix import RadixPrefixIndex
 from repro.serve.scheduler import SequenceState
+from repro.serve.session import (
+    FunctionalRequestResult,
+    FunctionalServingReport,
+    FunctionalSession,
+    LoadSnapshot,
+    _percentiles_from_sorted,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only imports
     from repro.llm.cache import KVCacheFactory
     from repro.llm.model import DecoderLM
     from repro.llm.speculate import Drafter
-    from repro.serve.engine import FunctionalSession
     from repro.serve.kv_manager import RequestCheckpoint
     from repro.serve.scheduler import SchedulingPolicy
 
@@ -468,7 +468,7 @@ class ClusterReport:
     """Aggregate outcome of one :meth:`ClusterEngine.run` call.
 
     ``replica_reports`` holds each replica's own
-    :class:`~repro.serve.engine.FunctionalServingReport` (a failed replica's
+    :class:`~repro.serve.session.FunctionalServingReport` (a failed replica's
     report contains only the requests it finished before dying); cluster-wide
     views pool them.  ``parallel_wall_s`` is the simulated parallel makespan:
     per lockstep round, the maximum of the stepping replicas' measured wall
@@ -770,7 +770,7 @@ class ClusterEngine:
     """N independent serving replicas behind a routing policy.
 
     Each replica is a :class:`~repro.serve.engine.ServingEngine` running a
-    :class:`~repro.serve.engine.FunctionalSession` with its *own* cache
+    :class:`~repro.serve.session.FunctionalSession` with its *own* cache
     factory (``cache`` spec strings are resolved once per replica, so
     bounded paged pools and radix indices are never shared); the cluster
     loop routes arrivals through ``router`` and then steps every busy
@@ -804,7 +804,6 @@ class ClusterEngine:
                  seed: int = 0,
                  arrivals_per_step: int | None = None,
                  faults: "object | None" = None,
-                 shed_threshold: float | None = None,
                  paranoid: bool = False,
                  migration: "MigrationPolicy | str | Sequence | None" = None,
                  admission: "AdmissionPolicy | str | Sequence | None" = None,
@@ -816,8 +815,6 @@ class ClusterEngine:
             raise ValueError("n_replicas must be positive")
         if arrivals_per_step is not None and arrivals_per_step <= 0:
             raise ValueError("arrivals_per_step must be positive (or None)")
-        if shed_threshold is not None and shed_threshold <= 0:
-            raise ValueError("shed_threshold must be positive (or None)")
         self.n_replicas = n_replicas
         self.router = resolve_router(router)
         self.max_concurrency = max_concurrency
@@ -834,10 +831,6 @@ class ClusterEngine:
         #: and every replica session (transient-exec / alloc-pressure gates,
         #: straggler inflation scoped by replica_id).
         self.faults = resolve_fault_plan(faults, seed=seed)
-        #: Shed a fresh arrival when the cluster-wide projected KV footprint
-        #: (live requests + the candidate) would exceed this fraction of the
-        #: replicas' summed pool capacity (``None`` disables shedding).
-        self.shed_threshold = shed_threshold
         self.paranoid = paranoid
         #: Live-migration policy (``"migration"`` registry kind): proactive
         #: drain of DEGRADED replicas and/or periodic crash checkpoints.
@@ -845,10 +838,9 @@ class ClusterEngine:
         #: Admission spec (``"admission"`` registry kind).  Kept as the raw
         #: spec and resolved fresh at every :meth:`run`, so stateful policies
         #: (token-bucket levels, weighted-fair virtual clocks) start clean
-        #: per run and repeated runs stay byte-identical.  ``None`` with a
-        #: ``shed_threshold`` reproduces the legacy KV-pressure shedding.
+        #: per run and repeated runs stay byte-identical.
         self.admission = admission
-        resolve_admission(admission, shed_threshold)  # fail fast on bad specs
+        resolve_admission(admission)  # fail fast on bad specs
         #: Brownout ladder config (``None`` disables graceful degradation).
         self.brownout = resolve_brownout(brownout)
         #: Hedged-request policy (``None`` disables duplication).
@@ -948,7 +940,7 @@ class ClusterEngine:
 
         Rebuilt per candidate (views are recomputed), so a request admitted
         earlier in the same round already counts toward the pressure a later
-        candidate is judged against — exactly the legacy shed semantics.
+        candidate is judged against.
         """
         projected = n_live = 0
         capacity: int | None = 0
@@ -1158,7 +1150,7 @@ class ClusterEngine:
         # clean; `deferred` is the lossless backpressure queue its DEFER
         # verdicts feed; `first_offered` dates each request's first admission
         # attempt so deadlines and max_wait count queueing rounds.
-        admission = resolve_admission(self.admission, self.shed_threshold)
+        admission = resolve_admission(self.admission)
         deferred: "deque[Request]" = deque()
         first_offered: dict[str, int] = {}
         ladder = (BrownoutLadder(self.brownout)
@@ -1320,7 +1312,7 @@ class ClusterEngine:
             for rid in due_cancels:
                 for i in range(self.n_replicas):
                     if self._alive[i]:
-                        self.engines[i].cancel(rid)
+                        sessions[i].cancel(rid)
             any_alive = any(self._alive)
             if (not any_alive and (pending or requeue or deferred)
                     and not recover_at):

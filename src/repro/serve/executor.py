@@ -66,13 +66,10 @@ class ModelExecutor:
     """Executes schedule decisions against a :class:`DecoderLM`."""
 
     def __init__(self, lm: "DecoderLM", kv: "KVSpaceManager",
-                 on_token: OnToken | None = None, fused: bool = True) -> None:
+                 on_token: OnToken | None = None) -> None:
         self.lm = lm
         self.kv = kv
         self.on_token = on_token
-        #: Drive the fused grouped-attention decode path (``decode_step_batch``
-        #: falls back per sequence where no fused layout exists).
-        self.fused = fused
         #: Chaos hook (``repro.serve.faults.FaultGate``): when armed, each
         #: forward first draws per sequence and may raise a retryable
         #: :class:`~repro.serve.faults.TransientExecutorError`.
@@ -200,8 +197,7 @@ class ModelExecutor:
             tokens = self.lm.decode_step_batch(
                 [state.next_input for state in active],
                 [state.position for state in active],
-                [state.caches for state in active],
-                fused=self.fused).argmax(axis=1).tolist()
+                [state.caches for state in active]).argmax(axis=1).tolist()
             on_token = self.on_token
             for state, token in zip(active, tokens):
                 state.next_input = token

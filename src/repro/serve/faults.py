@@ -243,7 +243,7 @@ class FaultPlan:
     strings (``"transient-exec:rate=0.1"``) or other plans, flattened into
     one immutable tuple.  Independent probabilistic faults of the same kind
     compose as independent gates (``1 - prod(1 - rate)``).  The plan never
-    injects by itself — :class:`~repro.serve.engine.FunctionalSession` and
+    injects by itself — :class:`~repro.serve.session.FunctionalSession` and
     :class:`~repro.serve.cluster.ClusterEngine` read it and arm their hooks.
     """
 

@@ -19,7 +19,7 @@ import textwrap
 from dataclasses import dataclass
 
 from repro.core.kv_pool import KVPagePool, PagedKVCache, PageTable
-from repro.serve.engine import FunctionalSession
+from repro.serve.session import FunctionalSession
 from repro.serve.radix import RadixPrefixIndex
 from repro.serve.scheduler import Scheduler
 

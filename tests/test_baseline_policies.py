@@ -9,12 +9,10 @@ from repro.baselines.eviction import (
     H2OCache,
     RandomEvictionCache,
     StreamingLLMCache,
-    h2o_cache_factory,
-    random_cache_factory,
-    streaming_llm_cache_factory,
 )
-from repro.baselines.quant_kv import QuantizedKVCache, kivi_cache_factory, quarot_cache_factory
+from repro.baselines.quant_kv import QuantizedKVCache
 from repro.llm.generation import generate
+from repro.registry import resolve
 
 
 def _fill(cache, n_tokens, rng, scores=None):
@@ -106,11 +104,11 @@ class TestQuantizedCaches:
 
 class TestFactoriesWithModel:
     @pytest.mark.parametrize("factory_builder", [
-        lambda: streaming_llm_cache_factory(16, sink_tokens=2),
-        lambda: h2o_cache_factory(16, sink_tokens=2, recent_window=4),
-        lambda: random_cache_factory(16, sink_tokens=2, recent_window=4),
-        lambda: kivi_cache_factory(bits=2),
-        lambda: quarot_cache_factory(bits=4),
+        lambda: resolve("cache", "streaming_llm:budget=16,sink_tokens=2"),
+        lambda: resolve("cache", "h2o:budget=16,sink_tokens=2,recent_window=4"),
+        lambda: resolve("cache", "random:budget=16,sink_tokens=2,recent_window=4"),
+        lambda: resolve("cache", "kivi:bits=2"),
+        lambda: resolve("cache", "quarot:bits=4"),
     ])
     def test_generation_runs_under_every_policy(self, small_model, rng, factory_builder):
         prompt = rng.integers(0, small_model.config.vocab_size, size=20).tolist()

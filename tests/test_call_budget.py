@@ -19,11 +19,14 @@ over the 128-slot budget, 64 decode steps, the 4-layer d=64 model,
 * without the contiguous fused-decode kind: 141.8 (72 578 calls for 512
   tokens, 64 fewer: the partition's ``dict.values()`` over contiguous groups
   once per decode step, and the session's ``isinstance`` on its cache spec).
+* the persistent decode batch: 108.93 (55 772 calls for 512 tokens);
+* the session's cancellation check inlined (one call fewer per step):
+  108.81 (55 709 calls).
 
-The bound sits between the two: one more interpreter call per cache per
-layer-step costs 4 per token, so it takes seven of those — or a return to
-per-cache ``append`` / ``fetch`` / ``observe_attention`` (about 180) — to trip
-it.
+The bound sits between the readings before and after the decode batch
+(141.75 and 108.93): a return of half of what the decode batch saved trips
+it, as does a return to per-cache ``append`` / ``fetch`` /
+``observe_attention`` (about 180).
 
 **The paged control plane** (``small-requests``): 400 requests arriving 16
 per engine step, 36-token prompts drawn Zipf-like from 1500 templates,
@@ -43,10 +46,13 @@ radix match-and-fork, snapshot forks, page allocation, CoW, release and
   verbatim-store flags, 112 buffers at one ``all`` and two generator steps
   each, and the partition's ``dict.values()`` over contiguous groups at each
   of 28 fused decode steps).
+* the persistent decode batch: 178.61 (214 330 calls);
+* the session's cancellation check inlined: 178.59 (214 302 calls).
 
-The bound sits between the two: the per-layer bookkeeping saved is ~230
-calls per request (~76 per generated token), so a return of half of it
-trips the bound.
+The bound sits between the readings before and after the decode batch
+(192.38 and 178.61): a return of half of what the decode batch saved — or
+of a tenth of the per-layer bookkeeping the page tables removed (~76 calls
+per generated token) — trips it.
 
 **The decode batch** (``decode-heavy``): 40 requests of 32-token prompts
 and 64 decode tokens, ``max_concurrency=32``, a ``paged:page_tokens=16``
@@ -59,12 +65,13 @@ pool bounded at ``capacity_tokens=8192``, no token callback — so one wave of
   92.15 (235 897 calls for 2560 tokens);
 * the persistent decode batch (cached decode set, grants only where a
   reservation grows, one ``argmax`` per step, one group plan per
-  membership with one slot claim per group, one RoPE per layer): DECODE_NOW.
+  membership with one slot claim per group, one RoPE per layer): 23.20
+  (59 386 calls);
+* the session's cancellation check inlined: 23.15 (59 260 calls).
 
 The bound sits between the two at 0.65 x the first reading: a return of
 one call per row per layer-step (4 per token) stays under it, per-row
-scheduling or grouping does not.  The kelle and small-requests readings
-with the decode batch: KELLE_NOW and SMALL_NOW (from 141.75 and 192.38).
+scheduling or grouping does not.
 """
 
 from __future__ import annotations
@@ -80,13 +87,13 @@ from repro.serve import Request, ServingEngine
 
 CACHE = "kelle:budget=128,sink_tokens=8,recent_window=32,refresh=none"
 N_REQUESTS, PROMPT_LEN, DECODE_LEN, VOCAB = 8, 160, 64, 128
-MAX_CALLS_PER_TOKEN = 170
+MAX_CALLS_PER_TOKEN = 125
 
 SMALL_TEMPLATES, SMALL_PROMPT_LEN, SMALL_DECODE_LEN = 1500, 36, 3
 SMALL_REQUESTS, SMALL_PER_STEP = 400, 16
 SMALL_ENGINE = dict(cache="paged:page_tokens=16", seed=0, token_budget=512,
                     prefix_cache=True, radix_max_tokens=16384, capacity_tokens=32768)
-MAX_SMALL_CALLS_PER_TOKEN = 230
+MAX_SMALL_CALLS_PER_TOKEN = 185
 
 DECODE_REQUESTS, DECODE_PROMPT_LEN, DECODE_HEAVY_LEN = 40, 32, 64
 DECODE_ENGINE = dict(cache="paged:page_tokens=16", seed=0, capacity_tokens=8192)

@@ -12,6 +12,8 @@ halving pool bytes within a bounded accuracy delta.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -30,6 +32,19 @@ RAGGED_LENGTHS = (7, 12, 9, 5)
 def _prompts(vocab_size, lengths, seed=3):
     rng = np.random.default_rng(seed)
     return [rng.integers(0, vocab_size, size=n).tolist() for n in lengths]
+
+
+def _serve(model, requests, fused, max_concurrency, **options):
+    """Serve ``requests``; ``fused=False`` decodes every step per row."""
+    engine = ServingEngine(max_concurrency=max_concurrency)
+    if fused:
+        return engine.run_functional(model, requests, **options)
+    model.decode_step_batch = functools.partial(
+        type(model).decode_step_batch, model, fused=False)
+    try:
+        return engine.run_functional(model, requests, **options)
+    finally:
+        del model.decode_step_batch
 
 
 def _greedy_decode(model, prompts, factory, steps, fused):
@@ -107,10 +122,8 @@ class TestEngineTokenIdentity:
             vocab_size=small_model.config.vocab_size, seed=2)
         reports = []
         for fused in (True, False):
-            engine = ServingEngine(max_concurrency=6)
-            reports.append(engine.run_functional(
-                small_model, requests, cache=cache, seed=0, drafter=drafter,
-                fused=fused))
+            reports.append(_serve(small_model, requests, fused, 6, cache=cache,
+                                  seed=0, drafter=drafter))
         fused_report, ref_report = reports
         ref = {r.request.request_id: tuple(r.generated_tokens)
                for r in ref_report.results}
@@ -124,10 +137,8 @@ class TestEngineTokenIdentity:
             vocab_size=small_model.config.vocab_size, seed=4)
         reports = []
         for fused in (True, False):
-            engine = ServingEngine(max_concurrency=5)
-            reports.append(engine.run_functional(
-                small_model, requests, cache="paged", seed=0,
-                prefix_cache=True, fused=fused))
+            reports.append(_serve(small_model, requests, fused, 5,
+                                  cache="paged", seed=0, prefix_cache=True))
         fused_report, ref_report = reports
         ref = {r.request.request_id: tuple(r.generated_tokens)
                for r in ref_report.results}

@@ -87,10 +87,11 @@ class TestAdmissionRegistry:
 
     def test_resolve_admission_helper(self):
         assert resolve_admission(None) is None
-        legacy = resolve_admission(None, shed_threshold=0.5)
-        assert isinstance(legacy, KVPressureAdmission)
-        composed = resolve_admission("token-bucket:rate=8",
-                                     shed_threshold=0.5)
+        pressure = resolve_admission("kv-pressure:threshold=0.5")
+        assert isinstance(pressure, KVPressureAdmission)
+        assert pressure.describe() == "kv-pressure:threshold=0.5"
+        composed = resolve_admission(["token-bucket:rate=8",
+                                      "kv-pressure:threshold=0.5"])
         assert isinstance(composed, CompositeAdmission)
         listed = resolve_admission(["token-bucket:rate=8", "kv-pressure"])
         assert isinstance(listed, CompositeAdmission)
@@ -331,7 +332,7 @@ class TestClusterAdmission:
     def test_legacy_shed_threshold_still_sheds(self, lm):
         requests = multi_tenant_requests(2, 8, prompt_len=24, decode_len=6,
                                          vocab_size=48, seed=3)
-        report = self._cluster(shed_threshold=0.25,
+        report = self._cluster(admission="kv-pressure:threshold=0.25",
                                capacity_tokens=512).run(lm, requests)
         assert report.n_shed > 0
         assert len(report.results) == len(requests)

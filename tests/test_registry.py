@@ -169,20 +169,15 @@ class TestOtherKindsRoundTrip:
 
 class TestDeprecationShims:
     def test_old_cache_factories_still_work_but_warn(self, small_model, rng):
-        from repro.baselines.eviction import (
-            h2o_cache_factory,
-            random_cache_factory,
-            streaming_llm_cache_factory,
-        )
-        from repro.baselines.quant_kv import kivi_cache_factory, quarot_cache_factory
+        """The former per-module factory functions are registry specs only."""
+        import repro.baselines as baselines
 
         prompt = rng.integers(0, small_model.config.vocab_size, size=16)
-        for shim in (lambda: streaming_llm_cache_factory(16, sink_tokens=2),
-                     lambda: h2o_cache_factory(16, sink_tokens=2, recent_window=4),
-                     lambda: random_cache_factory(16, sink_tokens=2, recent_window=4),
-                     lambda: kivi_cache_factory(bits=2),
-                     lambda: quarot_cache_factory(bits=4)):
-            with pytest.warns(DeprecationWarning):
-                factory = shim()
-            result = generate(small_model, prompt, 4, cache_factory=factory)
+        for spec in ("streaming_llm:budget=16,sink_tokens=2",
+                     "h2o:budget=16,sink_tokens=2,recent_window=4",
+                     "random:budget=16,sink_tokens=2,recent_window=4",
+                     "kivi:bits=2", "quarot:bits=4"):
+            name = spec.split(":")[0]
+            assert not hasattr(baselines, f"{name}_cache_factory")
+            result = generate(small_model, prompt, 4, cache_factory=resolve("cache", spec))
             assert len(result.generated_tokens) == 4

@@ -8,6 +8,9 @@ eviction-and-recompute, token-identical to the unconstrained run, with
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 
 from repro.registry import resolve
@@ -45,12 +48,12 @@ class TestPreemptionRoundTrip:
         baseline = engine.run_functional(lm, bursty, cache="paged:page_tokens=8")
         factory = _bounded_factory()
         checked = []
-
-        def on_step(step):
+        session = engine.start_functional(lm, cache=factory)
+        session.submit(bursty)
+        while session.step():
             factory.check_accounting()
-            checked.append(step)
-
-        report = engine.run_functional(lm, bursty, cache=factory, on_step=on_step)
+            checked.append(session.report.n_steps)
+        report = session.finish()
         assert report.n_requests == len(bursty)
         assert all(r.status == "finished" for r in report.results)
         assert report.n_preemptions > 0  # the pool really was oversubscribed
@@ -69,12 +72,11 @@ class TestPreemptionRoundTrip:
         engine = ServingEngine(max_concurrency=6)
         baseline = engine.run_functional(lm, bursty, cache="full")
         factory = _bounded_factory()
-
-        def on_step(step):
+        session = engine.start_functional(lm, cache=factory, prefix_cache=True)
+        session.submit(bursty)
+        while session.step():
             factory.check_accounting()
-
-        report = engine.run_functional(lm, bursty, cache=factory,
-                                       prefix_cache=True, on_step=on_step)
+        report = session.finish()
         assert [r.generated_tokens for r in report.results] == [
             r.generated_tokens for r in baseline.results]
         assert all(pool.n_pages == 16 for pool in factory.pools)  # never grew
@@ -251,9 +253,12 @@ class TestCancellation:
         requests = [Request(f"r{i}", 0.0, 12, 6,
                             prompt_tokens=tuple(range(1, 13)))
                     for i in range(3)]
-        engine = ServingEngine(max_concurrency=1)
-        report = engine.run_functional(
-            lm, requests, should_cancel=lambda rid: rid == "r2")
+        session = ServingEngine(max_concurrency=1).start_functional(lm)
+        session.submit(requests)
+        session.cancel("r2")
+        while session.step():
+            pass
+        report = session.finish()
         cancelled = next(r for r in report.results if r.request.request_id == "r2")
         assert cancelled.cancelled
         assert cancelled.generated_tokens == []
@@ -267,8 +272,12 @@ class TestCancellation:
                             prompt_tokens=tuple(range(1, 13)))
                     for i in range(3)]
         engine = ServingEngine(max_concurrency=1)
-        report = engine.run_functional(
-            lm, requests, should_cancel=lambda rid: rid == "r2")
+        session = engine.start_functional(lm)
+        session.submit(requests)
+        engine.cancel("r2")
+        while session.step():
+            pass
+        report = session.finish()
         served = [r.ttft_s for r in report.results if r.first_token_step >= 0]
         assert report.mean_ttft_s == pytest.approx(
             sum(served) / len(served))
@@ -276,9 +285,13 @@ class TestCancellation:
 
     def test_cancel_everything_terminates(self, lm):
         requests = [Request("a", 0.0, 8, 4, prompt_tokens=tuple(range(1, 9)))]
-        engine = ServingEngine(max_concurrency=1)
-        report = engine.run_functional(lm, requests,
-                                       should_cancel=lambda rid: True)
+        session = ServingEngine(max_concurrency=1).start_functional(lm)
+        session.submit(requests)
+        for request in requests:
+            session.cancel(request.request_id)
+        while session.step():
+            pass
+        report = session.finish()
         assert report.n_requests == 1
         assert report.results[0].cancelled
 
@@ -411,3 +424,25 @@ class TestWorkloadGenerators:
             tiered_requests(n_requests=0)
         with pytest.raises(ValueError):
             tiered_requests(n_requests=4, levels=0)
+
+
+class TestSessionLifetime:
+    def test_dropped_engine_and_session_free_without_gc(self, lm, bursty):
+        """No reference cycle joins an engine, its session and the session's
+        KV manager: dropping the engine and the session frees both by
+        reference counting alone."""
+        gc.collect()
+        gc.disable()
+        try:
+            engine = ServingEngine(max_concurrency=6)
+            session = engine.start_functional(lm, cache=_bounded_factory())
+            session.submit(bursty[:4])
+            while session.step():
+                pass
+            report = session.finish()
+            refs = weakref.ref(session), weakref.ref(session.kv)
+            del engine, session
+            assert [ref() for ref in refs] == [None, None]
+        finally:
+            gc.enable()
+        assert all(r.status == "finished" for r in report.results)

@@ -288,18 +288,14 @@ class TestRequestExtensions:
             Request("x", 0.0, 8, 4, priority=-1)
 
     def test_deprecated_engine_hooks_warn(self):
-        engine = ServingEngine(max_concurrency=1)
-        with pytest.warns(DeprecationWarning):
-            assert engine._shared_prefix_len([1, 2, 3], [1, 2, 9]) == 2
-        import numpy as np
+        """The engine's former prefix helpers live in the KV manager only."""
+        from repro.serve.kv_manager import shared_prefix_len
 
-        state = {"prompt": [1, 2], "generated": [], "caches": [],
-                 "next_input": None, "position": 0, "ttft_s": 0.0,
-                 "admitted_wall": 0.0}
-        with pytest.warns(DeprecationWarning):
-            engine._finish_prefill(state, np.array([0.0, 1.0, 0.0]), None, 1.0)
-        assert state["next_input"] == 1
-        assert state["generated"] == [1]
+        assert shared_prefix_len([1, 2, 3], [1, 2, 9]) == 2
+        assert shared_prefix_len([1, 2], [1, 2, 3]) == 2
+        assert shared_prefix_len([], [1]) == 0
+        for removed in ("_shared_prefix_len", "_finish_prefill", "_DEFER_MIN_SHARED"):
+            assert not hasattr(ServingEngine, removed)
 
 
 class TestRequeueFairness:
