@@ -283,6 +283,14 @@ class TestCancellation:
             sum(served) / len(served))
         assert report.ttft_percentile_s(0) > 0.0  # min over served requests
 
+    def test_engine_cancel_before_a_session_is_dropped(self, lm):
+        requests = [Request("a", 0.0, 8, 4, prompt_tokens=tuple(range(1, 9)))]
+        engine = ServingEngine(max_concurrency=1)
+        engine.cancel("a")
+        assert engine.load_snapshot().n_live == 0
+        report = engine.run_functional(lm, requests)
+        assert report.results[0].status == "finished"
+
     def test_cancel_everything_terminates(self, lm):
         requests = [Request("a", 0.0, 8, 4, prompt_tokens=tuple(range(1, 9)))]
         session = ServingEngine(max_concurrency=1).start_functional(lm)
