@@ -1,9 +1,10 @@
 """Multi-replica cluster serving with cache-aware routing and failure handling.
 
-The layer *above* the single-node engine: a :class:`ClusterEngine` owns N
-independent :class:`~repro.serve.engine.ServingEngine` replicas — each with
-its own KV pool and radix prefix index — and drives them step-by-step in
-lockstep rounds from a shared arrival queue.  Three pieces make it a cluster
+The layer *above* the single-node engine: a :class:`ClusterEngine` drives N
+independent replicas — each a :class:`~repro.serve.session.FunctionalSession`
+opened through its own :class:`~repro.serve.engine.ServingEngine`, with its
+own KV pool and radix prefix index — step-by-step in lockstep rounds from a
+shared arrival queue.  Three pieces make it a cluster
 rather than N engines:
 
 * **Routing** — a new ``"router"`` registry kind decides which replica serves
@@ -83,7 +84,7 @@ from __future__ import annotations
 
 import abc
 import time
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import TYPE_CHECKING, Sequence
@@ -444,6 +445,10 @@ def resolve_migration(
 #: Suffix appended to a request id to name its hedge duplicate.
 HEDGE_SUFFIX = "~hedge"
 
+#: Admission decisions as tenant-counter keys (anything else sheds).
+_VERDICTS = {AdmissionDecision.ADMIT: "admitted",
+             AdmissionDecision.DEFER: "deferred"}
+
 
 @dataclass
 class _HedgeFlight:
@@ -480,6 +485,9 @@ class ClusterReport:
     n_replicas: int
     max_concurrency: int
     replica_reports: list[FunctionalServingReport] = field(default_factory=list)
+    #: Replica id of each ``replica_reports`` entry (a crashed-then-rejoined
+    #: replica has two: its pre-crash report and its fresh session's).
+    replica_ids: list[int] = field(default_factory=list)
     #: request_id -> replica that (last) served it.
     assignments: dict[str, int] = field(default_factory=dict)
     #: request_id -> times the request was drained and re-routed.
@@ -674,7 +682,11 @@ class ClusterReport:
     # -- balance ---------------------------------------------------------
     @property
     def per_replica_decode_tokens(self) -> list[int]:
-        return [r.total_decode_tokens for r in self.replica_reports]
+        """Decode tokens per replica id (``n_replicas`` entries)."""
+        tokens = [0] * self.n_replicas
+        for replica_id, report in zip(self.replica_ids, self.replica_reports):
+            tokens[replica_id] += report.total_decode_tokens
+        return tokens
 
     @property
     def load_imbalance(self) -> float:
@@ -769,20 +781,22 @@ class ClusterReport:
 class ClusterEngine:
     """N independent serving replicas behind a routing policy.
 
-    Each replica is a :class:`~repro.serve.engine.ServingEngine` running a
-    :class:`~repro.serve.session.FunctionalSession` with its *own* cache
-    factory (``cache`` spec strings are resolved once per replica, so
-    bounded paged pools and radix indices are never shared); the cluster
-    loop routes arrivals through ``router`` and then steps every busy
-    replica once per lockstep round.
+    Each replica is a :class:`~repro.serve.session.FunctionalSession` opened
+    through that replica's :class:`~repro.serve.engine.ServingEngine` with
+    its *own* cache factory (``cache`` spec strings are resolved once per
+    replica, so bounded paged pools and radix indices are never shared);
+    each :meth:`run` routes arrivals through ``router`` and then steps every
+    busy replica once per lockstep round.  The engine holds configuration
+    only: a run's state lives in a private per-run object and is dropped
+    when :meth:`run` returns.
 
     ``cache`` accepts a registry spec string (resolved per replica), ``None``
-    (full cache), or a sequence of ``n_replicas`` pre-built factories; a
-    single pre-built factory is rejected because the replicas would share
-    one KV pool.  ``arrivals_per_step`` throttles routing to at most that
-    many requests per round (``None`` routes the whole trace up front, the
-    closed-loop regime); drained requests from a failed replica are always
-    re-routed before fresh arrivals.
+    (the paged store at default geometry), or a sequence of ``n_replicas``
+    pre-built factories; a single pre-built factory is rejected because the
+    replicas would share one KV pool.  ``arrivals_per_step`` throttles
+    routing to at most that many requests per round (``None`` routes the
+    whole trace up front, the closed-loop regime); drained requests from a
+    failed replica are always re-routed before fresh arrivals.
 
     Greedy decoding over pinned prompts makes per-request outputs depend
     only on the prompt, so cluster outputs are token-identical to any
@@ -849,10 +863,6 @@ class ClusterEngine:
         self.breaker = resolve_breaker(breaker)
         self.engines = [ServingEngine(max_concurrency=max_concurrency)
                         for _ in range(n_replicas)]
-        self._sessions: "list[FunctionalSession] | None" = None
-        self._alive = [True] * n_replicas
-        self._health = {i: ReplicaHealth.HEALTHY for i in range(n_replicas)}
-        self._breakers: "list[CircuitBreaker | None]" = [None] * n_replicas
         self._fail_at: dict[int, int] = {}
         self._cancel_at: dict[str, int] = {}
 
@@ -901,60 +911,7 @@ class ClusterEngine:
             raise ValueError("at_step must be non-negative")
         self._cancel_at[request_id] = at_step
 
-    # -- health supervision ----------------------------------------------
-    def _set_health(self, report: ClusterReport, replica_id: int,
-                    health: ReplicaHealth) -> None:
-        old = self._health[replica_id]
-        if old is health:
-            return
-        self._health[replica_id] = health
-        counts = report.health_transitions.setdefault(replica_id, {})
-        key = f"{old.value}->{health.value}"
-        counts[key] = counts.get(key, 0) + 1
-
-    # -- routing ---------------------------------------------------------
-    def _views(self) -> list[ReplicaView]:
-        assert self._sessions is not None
-        views = [ReplicaView(i, self._sessions[i].load_snapshot(),
-                             self._health[i],
-                             breaker_open=(self._breakers[i] is not None
-                                           and not self._breakers[i]
-                                           .allows_routing()))
-                 for i in range(self.n_replicas) if self._alive[i]]
-        if not views:
-            raise RuntimeError("every replica has failed with work outstanding")
-        return views
-
-    def _route(self, request: Request) -> int:
-        target = self.router.route(request, self._views())
-        if not (0 <= target < self.n_replicas and self._alive[target]):
-            raise RuntimeError(
-                f"router {self.router.describe()} chose unavailable replica "
-                f"{target}")
-        if self._breakers[target] is not None:
-            self._breakers[target].note_routed()  # spends a half-open probe
-        return target
-
-    def _admission_context(self, clock: int, waited: int = 0) -> AdmissionContext:
-        """The cluster-wide load the admission policy sees for one candidate.
-
-        Rebuilt per candidate (views are recomputed), so a request admitted
-        earlier in the same round already counts toward the pressure a later
-        candidate is judged against.
-        """
-        projected = n_live = 0
-        capacity: int | None = 0
-        for view in self._views():
-            n_live += view.load.n_live
-            projected += view.load.projected_kv_tokens
-            if capacity is not None:
-                capacity = (None if view.load.capacity_tokens is None
-                            else capacity + view.load.capacity_tokens)
-        return AdmissionContext(clock=clock, projected_kv_tokens=projected,
-                                capacity_tokens=capacity, n_live=n_live,
-                                waited=waited)
-
-    # -- the cluster loop ------------------------------------------------
+    # -- the cluster run -------------------------------------------------
     def _start_session(self, lm: "DecoderLM",
                        replica_id: int) -> "FunctionalSession":
         """Open one replica's session (fresh pool/index — also the rejoin path)."""
@@ -969,158 +926,6 @@ class ClusterEngine:
             faults=self.faults, paranoid=self.paranoid,
             replica_id=replica_id)
 
-    @staticmethod
-    def _cluster_result(request: Request, step: int, status: str,
-                        state: "SequenceState | None" = None,
-                        ) -> FunctionalRequestResult:
-        """A terminal result minted at the cluster layer (shed / cancelled)."""
-        return FunctionalRequestResult(
-            request=request,
-            prompt_tokens=(state.prompt if state is not None
-                           else list(request.prompt_tokens or ())),
-            generated_tokens=state.generated if state is not None else [],
-            admitted_step=state.admitted_step if state is not None else -1,
-            finished_step=step,
-            ttft_s=state.ttft_s if state is not None else 0.0,
-            reused_prefix_tokens=state.reused if state is not None else 0,
-            status=status,
-            first_token_step=(state.first_token_step
-                              if state is not None else -1),
-            n_preemptions=state.n_preemptions if state is not None else 0,
-            n_retries=state.n_retries if state is not None else 0,
-            finished_clock=step,
-        )
-
-    @staticmethod
-    def _count_tenant(report: ClusterReport, tenant: str, key: str) -> None:
-        bucket = report.tenant_admission.setdefault(
-            tenant, {"admitted": 0, "deferred": 0, "shed": 0, "timeout": 0})
-        bucket[key] += 1
-
-    def _apply_brownout(self, session: "FunctionalSession", level: int) -> None:
-        """Set one replica to the ladder's current degradation rung.
-
-        Levels are cumulative and idempotent: L1 disables speculation, L2
-        shrinks (or freezes) the radix budget, L3 caps low-tier decode
-        lengths.  Applied on every transition and to rejoining replicas, so
-        the whole fleet always sits on the same rung.
-        """
-        cfg = self.brownout
-        assert cfg is not None
-        session.set_speculation(level < 1)
-        if cfg.levels >= 2:
-            session.limit_radix(cfg.radix_cap_tokens if level >= 2 else None)
-        if cfg.levels >= 3:
-            if level >= 3:
-                session.cap_decodes(cfg.decode_cap, cfg.min_tier)
-            else:
-                session.uncap_decodes()
-
-    def _overload_signals(self, deferred: "deque[Request]",
-                          requeue: "deque[SequenceState]") -> tuple[float, int]:
-        """(KV pressure, queue depth) the brownout ladder observes.
-
-        Iterates the sessions directly (not :meth:`_views`, which raises when
-        every replica is dead) so the ladder can still step while the fleet
-        recovers.  Pressure is live-footprint over bounded capacity across
-        alive replicas; unbounded pools contribute no pressure.
-        """
-        assert self._sessions is not None
-        projected = capacity = 0
-        for i in range(self.n_replicas):
-            if not self._alive[i]:
-                continue
-            load = self._sessions[i].load_snapshot()
-            if load.capacity_tokens is not None:
-                projected += load.projected_kv_tokens
-                capacity += load.capacity_tokens
-        pressure = projected / capacity if capacity else 0.0
-        return pressure, len(deferred) + len(requeue)
-
-    def _launch_hedge(self, sessions: "list[FunctionalSession]", src: int,
-                      state: "SequenceState", step: int,
-                      report: ClusterReport) -> "_HedgeFlight | None":
-        """Duplicate one straggling decode onto the best healthy replica.
-
-        KV-checkpoint-seeded when the source cache supports it (the copy
-        resumes decoding with zero recompute), full-recompute otherwise.
-        Returns None when no healthy, breaker-closed sibling exists.
-        """
-        views = [v for v in self._views()
-                 if v.replica_id != src and v.health is ReplicaHealth.HEALTHY
-                 and not v.breaker_open]
-        if not views:
-            return None
-        dst = min(views, key=LeastLoadedRouter.pressure).replica_id
-        request = state.request
-        hedge_id = request.request_id + HEDGE_SUFFIX
-        ckpt = sessions[src].kv.checkpoint(state)
-        if ckpt is not None:
-            ckpt = replace(ckpt, request_id=hedge_id)
-        hedge_state = SequenceState(
-            request=replace(request, request_id=hedge_id),
-            prompt=list(state.prompt), generated=list(state.generated),
-            decode_cap=state.decode_cap, checkpoint=ckpt)
-        sessions[dst].inject_request(hedge_state)
-        via = "checkpoint" if ckpt is not None else "recompute"
-        report.n_hedges += 1
-        report.assignments[hedge_id] = dst
-        report.hedge_events.append(
-            (step, "launch", request.request_id, src, dst, via))
-        return _HedgeFlight(request=request, hedge_id=hedge_id, src=src,
-                            dst=dst, launched=step,
-                            fork_len=len(state.generated), via=via)
-
-    @staticmethod
-    def _end_hedge(hedges: "dict[str, _HedgeFlight]", rid: str,
-                   report: ClusterReport) -> None:
-        """Forget ``rid``'s finished hedge flight.  The duplicate's id was
-        cluster-internal: it leaves the report's per-request maps with it, so
-        they only ever name requests somebody submitted."""
-        flight = hedges.pop(rid)
-        report.assignments.pop(flight.hedge_id, None)
-        report.requeues.pop(flight.hedge_id, None)
-
-    def _take_result(self, sessions: "list[FunctionalSession]",
-                     retired_reports: "list[FunctionalServingReport]",
-                     rid: str) -> FunctionalRequestResult | None:
-        """Remove and return ``rid``'s terminal result, wherever it landed."""
-        for i in range(self.n_replicas):
-            if self._alive[i]:
-                result = sessions[i].harvest_result(rid)
-                if result is not None:
-                    return result
-        for rep in retired_reports:
-            for idx, result in enumerate(rep.results):
-                if result.request.request_id == rid:
-                    return rep.results.pop(idx)
-        return None
-
-    def _discard_copy(self, sessions: "list[FunctionalSession]",
-                      retired_reports: "list[FunctionalServingReport]",
-                      requeue: "deque[SequenceState]", rid: str) -> int:
-        """Cancel the losing copy of a hedged pair; returns its decoded tokens.
-
-        The copy may have already finished (harvest its result), still be
-        live on a replica (extract — releases its KV pages), or be sitting
-        in the requeue after its replica crashed (drop it there).
-        """
-        result = self._take_result(sessions, retired_reports, rid)
-        if result is not None:
-            return len(result.generated_tokens)
-        for i in range(self.n_replicas):
-            if not self._alive[i]:
-                continue
-            extracted = sessions[i].extract_request(rid)
-            if extracted is not None:
-                state, _ = extracted
-                return len(state.generated)
-        for idx, state in enumerate(requeue):
-            if state.request_id == rid:
-                del requeue[idx]
-                return len(state.generated)
-        return 0
-
     def run(self, lm: "DecoderLM", requests: list[Request]) -> ClusterReport:
         """Serve ``requests`` across the replicas and aggregate the outcome."""
         if not requests:
@@ -1130,469 +935,223 @@ class ClusterEngine:
             if request.request_id in seen:
                 raise ValueError(f"duplicate request_id '{request.request_id}'")
             seen.add(request.request_id)
-        pending = deque(sorted(requests,
-                               key=lambda r: (r.arrival_time_s, r.request_id)))
-        self._sessions = [self._start_session(lm, i)
-                          for i in range(self.n_replicas)]
-        sessions = self._sessions
-        self._alive = [True] * self.n_replicas
-        self._health = {i: ReplicaHealth.HEALTHY
-                        for i in range(self.n_replicas)}
-        requeue: "deque[SequenceState]" = deque()
-        #: request_id -> latest periodic KV checkpoint (checkpoint:interval=S
-        #: mode); rebuilt wholesale each interval so finished requests drop
-        #: out.  Attached to crash-drained states, whose own state rides the
-        #: requeue — the checkpoint data is self-contained, so it survives
-        #: the pool it was exported from.
-        ckpt_stash: "dict[str, RequestCheckpoint]" = {}
-        # Overload-control state.  The admission policy is resolved fresh per
-        # run so stateful policies (token buckets, stride schedulers) start
-        # clean; `deferred` is the lossless backpressure queue its DEFER
-        # verdicts feed; `first_offered` dates each request's first admission
-        # attempt so deadlines and max_wait count queueing rounds.
-        admission = resolve_admission(self.admission)
-        deferred: "deque[Request]" = deque()
-        first_offered: dict[str, int] = {}
-        ladder = (BrownoutLadder(self.brownout)
-                  if self.brownout is not None else None)
-        self._breakers = ([CircuitBreaker(self.breaker)
-                           for _ in range(self.n_replicas)]
-                          if self.breaker is not None
-                          else [None] * self.n_replicas)
-        breakers = self._breakers
-        #: primary request_id -> in-flight hedge duplicate.
-        hedges: "dict[str, _HedgeFlight]" = {}
-        hedged_ever: set[str] = set()
-        slow_streak = [0] * self.n_replicas
-        bursts = self.faults.bursts if self.faults is not None else ()
-        burst_counts: dict[int, int] = {}
-        report = ClusterReport(router=self.router.describe(),
-                               n_replicas=self.n_replicas,
-                               max_concurrency=self.max_concurrency,
-                               faults=(self.faults.describe()
-                                       if self.faults is not None else None),
-                               migration=(self.migration.describe()
-                                          if self.migration.enabled else None),
-                               admission=(admission.describe()
-                                          if admission is not None else None),
-                               brownout=(self.brownout.describe()
-                                         if self.brownout is not None else None),
-                               hedge=(self.hedge.describe()
-                                      if self.hedge is not None else None),
-                               breaker=(self.breaker.describe()
-                                        if self.breaker is not None else None))
+        return _ClusterRun(self, lm, requests).serve()
+
+
+class _ClusterRun:
+    """One :meth:`ClusterEngine.run`: all per-run state and the round's phases.
+
+    Built by ``run`` and dropped when it returns.  A round calls the phases of
+    the features the cluster configures, in this order:
+
+    1. rejoin — a recovered crashed replica gets a fresh session;
+    2. fail — a due crash drains its replica into the requeue;
+    3. degraded drain — DEGRADED replicas migrate requests to HEALTHY ones;
+    4. breaker tick — OPEN cooldowns expire, probe slots refresh;
+    5. brownout — the ladder observes pressure and sets the fleet's rung;
+    6. cancellations — due cancellations reach every alive replica;
+    7. requeue routing — drained requests are re-routed before arrivals;
+    8. admission — deferred, then fresh arrivals: admit, defer or shed;
+    9. hedge launch — decodes stuck on a slow replica are duplicated;
+    10. lockstep step — every busy alive replica takes one step;
+    11. checkpoint — decoding requests' KV is stashed every ``interval``;
+    12. hedge resolution — the first copy to finish wins;
+    13. health supervision — retries and slowdowns set health, feed breakers.
+
+    A paranoid cluster then sweeps request conservation.
+    """
+
+    def __init__(self, cluster: ClusterEngine, lm: "DecoderLM",
+                 requests: list[Request]) -> None:
+        n = cluster.n_replicas
+        self.cluster, self.lm, self.n = cluster, lm, n
+        self.router, self.faults = cluster.router, cluster.faults
+        #: Every request id the run must account for (burst clones join).
+        self.seen = {request.request_id for request in requests}
+        self.pending = deque(sorted(
+            requests, key=lambda r: (r.arrival_time_s, r.request_id)))
         # Merge the fault plan's crash schedule into the manual fail_replica
         # one (earliest kill wins); crashes with recover_after rejoin later.
-        fail_at = dict(self._fail_at)
-        recover_delay: dict[int, int] = {}
-        if self.faults is not None:
-            for crash in self.faults.crashes:
-                if not 0 <= crash.replica < self.n_replicas:
-                    raise ValueError(
-                        f"fault plan kills replica {crash.replica} but the "
-                        f"cluster has {self.n_replicas} replicas")
-                fail_at[crash.replica] = min(
-                    fail_at.get(crash.replica, crash.at), crash.at)
-                if crash.recover_after is not None:
-                    recover_delay[crash.replica] = crash.recover_after
-        recover_at: dict[int, int] = {}
-        cancel_at = dict(self._cancel_at)
-        # Health-supervision signals: per-replica retry deltas over a
-        # sliding window of rounds.
-        retry_hist = [deque(maxlen=HEALTH_WINDOW)
-                      for _ in range(self.n_replicas)]
-        last_retries = [0] * self.n_replicas
-        retired_reports: list[FunctionalServingReport] = []
+        self.fail_at = dict(cluster._fail_at)
+        self.recover_delay: dict[int, int] = {}
+        self.recover_at: dict[int, int] = {}
+        for crash in (self.faults.crashes if self.faults is not None else ()):
+            if not 0 <= crash.replica < n:
+                raise ValueError(
+                    f"fault plan kills replica {crash.replica} but the "
+                    f"cluster has {n} replicas")
+            self.fail_at[crash.replica] = min(
+                self.fail_at.get(crash.replica, crash.at), crash.at)
+            if crash.recover_after is not None:
+                self.recover_delay[crash.replica] = crash.recover_after
+        self.cancel_at = dict(cluster._cancel_at)
+        self.due_cancels: set[str] = set()
+        self.sessions = [cluster._start_session(lm, i) for i in range(n)]
+        self.alive = [True] * n
+        self.any_alive = True
+        self.health = [ReplicaHealth.HEALTHY] * n
+        self.breakers: "list[CircuitBreaker | None]" = [
+            CircuitBreaker(cluster.breaker) if cluster.breaker is not None
+            else None for _ in range(n)]
+        self.requeue: "deque[SequenceState]" = deque()
+        #: request_id -> latest periodic KV checkpoint, attached to
+        #: crash-drained states (the data is self-contained, so it survives
+        #: the pool it was exported from).
+        self.ckpt_stash: "dict[str, RequestCheckpoint]" = {}
+        # Resolved per run so stateful policies start clean; `deferred` is
+        # the lossless backpressure queue DEFER verdicts feed, and
+        # `first_offered` dates each request's first admission attempt so
+        # deadlines and max_wait count queueing rounds.
+        self.admission = resolve_admission(cluster.admission)
+        self.deferred: "deque[Request]" = deque()
+        self.first_offered: dict[str, int] = {}
+        self.ladder = (BrownoutLadder(cluster.brownout)
+                       if cluster.brownout is not None else None)
+        #: primary request_id -> in-flight hedge duplicate.
+        self.hedges: "dict[str, _HedgeFlight]" = {}
+        self.hedged_ever: set[str] = set()
+        self.slow_streak = [0] * n
+        self.bursts = self.faults.bursts if self.faults is not None else ()
+        self.burst_counts: dict[int, int] = {}
+        # Health signals: per-replica retry deltas over a sliding window.
+        self.retry_hist = [deque(maxlen=HEALTH_WINDOW) for _ in range(n)]
+        self.last_retries = [0] * n
+        self.step = 0
+        describe = (lambda part: part.describe() if part is not None else None)
+        self.report = ClusterReport(
+            router=self.router.describe(), n_replicas=n,
+            max_concurrency=cluster.max_concurrency,
+            faults=describe(self.faults),
+            migration=(cluster.migration.describe()
+                       if cluster.migration.enabled else None),
+            admission=describe(self.admission),
+            brownout=describe(cluster.brownout), hedge=describe(cluster.hedge),
+            breaker=describe(cluster.breaker))
+
+    def serve(self) -> ClusterReport:
+        """Run rounds until every request is terminal; seal the report."""
+        cluster, failures = self.cluster, bool(self.fail_at)
+        phases = [phase for phase, configured in (
+            (self.rejoin, bool(self.recover_delay)),
+            (self.fail, failures),
+            (self.drain_degraded,
+             cluster.migration.drain_max_inflight is not None),
+            (self.tick_breakers, cluster.breaker is not None),
+            (self.move_brownout, self.ladder is not None),
+            (self.forward_cancellations, bool(self.cancel_at)),
+            (self.route_requeue, failures),
+            (self.admit, True),
+            (self.launch_hedges, cluster.hedge is not None),
+            (self.step_replicas, True),
+            (self.checkpoint, cluster.migration.checkpoint_interval is not None),
+            (self.resolve_hedges, cluster.hedge is not None),
+            (self.supervise_health,
+             self.faults is not None or cluster.breaker is not None),
+            (self.check_conservation, cluster.paranoid),
+        ) if configured]
         start = time.perf_counter()
-        step = 0
-        while (pending or requeue or deferred
-               or any(self._alive[i] and sessions[i].has_work()
-                      for i in range(self.n_replicas))):
-            # 1a. Rejoin recovered replicas: seal the crashed session's
-            #     report (pre-crash completions survive) and start a fresh
-            #     one — new pool, empty radix index, clean health history.
-            for replica_id in sorted(recover_at):
-                if recover_at[replica_id] > step or self._alive[replica_id]:
-                    continue
-                del recover_at[replica_id]
-                retired_reports.append(sessions[replica_id].finish())
-                sessions[replica_id] = self._start_session(lm, replica_id)
-                self._alive[replica_id] = True
-                retry_hist[replica_id].clear()
-                last_retries[replica_id] = 0
-                slow_streak[replica_id] = 0
-                if breakers[replica_id] is not None:
-                    breakers[replica_id].reset()
-                if ladder is not None:
-                    self._apply_brownout(sessions[replica_id], ladder.level)
-                self._set_health(report, replica_id, ReplicaHealth.HEALTHY)
-                report.recovered_replicas.append(replica_id)
-            # 1b. Apply due failures: drain the dead replica's in-flight work.
-            for replica_id, due in sorted(fail_at.items()):
-                if due <= step and self._alive[replica_id]:
-                    self._alive[replica_id] = False
-                    del fail_at[replica_id]
-                    drained = sessions[replica_id].drain()
-                    # A crash gives no chance to checkpoint: attach the
-                    # latest *periodic* checkpoint instead, bounding the
-                    # loss to at most `interval` decode steps (a state
-                    # already carrying one — e.g. a queued migrant — keeps
-                    # its own, which is at least as fresh).
-                    hedge_ids = {flight.hedge_id: rid
-                                 for rid, flight in hedges.items()}
-                    for state in drained:
-                        if state.checkpoint is None:
-                            state.checkpoint = ckpt_stash.get(state.request_id)
-                        if state.request_id in hedge_ids:
-                            # A drained hedge copy dies with its replica —
-                            # the primary is still running, so re-routing
-                            # the duplicate would just double the work.
-                            rid = hedge_ids[state.request_id]
-                            self._end_hedge(hedges, rid, report)
-                            report.hedge_events.append(
-                                (step, "hedge-lost-replica", rid, replica_id))
-                            continue
-                        requeue.append(state)
-                    if breakers[replica_id] is not None:
-                        breakers[replica_id].reset()
-                    slow_streak[replica_id] = 0
-                    self.router.forget(replica_id)
-                    report.failed_replicas.append(replica_id)
-                    self._set_health(report, replica_id, ReplicaHealth.DOWN)
-                    if replica_id in recover_delay:
-                        recover_at[replica_id] = (
-                            step + recover_delay.pop(replica_id))
-            # 1c. Proactive drain: a DEGRADED replica sheds live requests
-            #     down to max_inflight, checkpoint-migrating each onto a
-            #     HEALTHY replica (queued requests first — they carry no KV
-            #     to move — then decoding, then prefilling ones).
-            if self.migration.drain_max_inflight is not None:
-                self._drain_degraded(sessions, report)
-            # 1d. Circuit-breaker clock ticks: expire OPEN cooldowns into
-            #     HALF_OPEN and refresh each breaker's probe slot.
-            for i in range(self.n_replicas):
-                if self._alive[i] and breakers[i] is not None:
-                    moved = breakers[i].tick(step)
-                    if moved is not None:
-                        report.breaker_events.append(
-                            (step, i, f"{moved[0]}->{moved[1]}"))
-            # 1e. Brownout ladder: observe cluster KV pressure and queue
-            #     depth, step the degradation level (with hysteresis) and
-            #     push the new rung to every alive replica.
-            if ladder is not None:
-                pressure, queue_depth = self._overload_signals(deferred,
-                                                               requeue)
-                moved = ladder.observe(pressure, queue_depth, step)
-                if moved is not None:
-                    old, new, reason = moved
-                    report.brownout_events.append((step, old, new, reason))
-                    for i in range(self.n_replicas):
-                        if self._alive[i]:
-                            self._apply_brownout(sessions[i], new)
-                elif ladder.level >= 3:
-                    # Decode caps only stick to already-admitted requests;
-                    # re-apply each round so new admissions are capped too.
-                    for i in range(self.n_replicas):
-                        if self._alive[i]:
-                            sessions[i].cap_decodes(
-                                self.brownout.decode_cap,
-                                self.brownout.min_tier)
-                report.brownout_rounds[ladder.level] = (
-                    report.brownout_rounds.get(ladder.level, 0) + 1)
-            # 2. Forward due cancellations to the replicas (a cancelled
-            #    primary takes its hedge duplicate down with it), then
-            #    route: drained requests first (they arrived earliest and
-            #    their ranks still say so), then deferred + fresh arrivals
-            #    through the admission policy.
-            due_cancels = {rid for rid, at in cancel_at.items() if at <= step}
-            for rid in list(due_cancels):
-                flight = hedges.get(rid)
-                if flight is not None:
-                    due_cancels.add(flight.hedge_id)
-            for rid in due_cancels:
-                for i in range(self.n_replicas):
-                    if self._alive[i]:
-                        sessions[i].cancel(rid)
-            any_alive = any(self._alive)
-            if (not any_alive and (pending or requeue or deferred)
-                    and not recover_at):
-                self._views()  # every replica dead, no recovery due: raise
-            if any_alive:
-                while requeue:
-                    state = requeue.popleft()
-                    if state.request_id in due_cancels:
-                        report.cluster_results.append(self._cluster_result(
-                            state.request, step, "cancelled", state))
-                        continue
-                    target = self._route(state.request)
-                    sessions[target].inject_request(state)
-                    if state.checkpoint is not None:
-                        report.migrated_requests += 1
-                        report.migrated_pages += state.checkpoint.n_pages
-                    report.assignments[state.request_id] = target
-                    report.requeues[state.request_id] = (
-                        report.requeues.get(state.request_id, 0) + 1)
-                # Admission: previously deferred requests first (they keep
-                # their queueing age), then this round's fresh arrivals —
-                # expanded through any active tenant-burst fault so clones
-                # face the policy exactly like organic traffic.
-                candidates = list(deferred)
-                deferred.clear()
-                n_route = (len(pending) if self.arrivals_per_step is None
-                           else min(self.arrivals_per_step, len(pending)))
-                for _ in range(n_route):
-                    request = pending.popleft()
-                    candidates.append(request)
-                    for b_idx, burst in enumerate(bursts):
-                        if burst.tenant != request.tenant \
-                                or not burst.active(step):
-                            continue
-                        made = burst_counts.get(b_idx, 0)
-                        for _k in range(burst.copies):
-                            if burst.limit is not None and made >= burst.limit:
-                                break
-                            clone = replace(
-                                request,
-                                request_id=f"{request.request_id}~b{made}")
-                            made += 1
-                            candidates.append(clone)
-                            seen.add(clone.request_id)
-                        burst_counts[b_idx] = made
-                if admission is not None and candidates:
-                    admission.begin_round(candidates,
-                                          self._admission_context(step))
-                for request in candidates:
-                    rid = request.request_id
-                    if rid in due_cancels:
-                        first_offered.pop(rid, None)
-                        report.cluster_results.append(self._cluster_result(
-                            request, step, "cancelled"))
-                        continue
-                    if admission is None:
-                        decision = AdmissionDecision.ADMIT
-                    else:
-                        waited = step - first_offered.get(rid, step)
-                        if (request.deadline_steps is not None
-                                and waited >= request.deadline_steps):
-                            # Expired while queued: the deadline would fire
-                            # on the replica anyway; fail fast here instead.
-                            first_offered.pop(rid, None)
-                            self._count_tenant(report, request.tenant,
-                                               "timeout")
-                            report.cluster_results.append(
-                                self._cluster_result(request, step,
-                                                     "timeout"))
-                            continue
-                        decision = admission.decide(
-                            request, self._admission_context(step, waited))
-                    if decision is AdmissionDecision.ADMIT:
-                        first_offered.pop(rid, None)
-                        target = self._route(request)
-                        sessions[target].submit([request])
-                        report.assignments[rid] = target
-                        self._count_tenant(report, request.tenant, "admitted")
-                    elif decision is AdmissionDecision.DEFER:
-                        first_offered.setdefault(rid, step)
-                        deferred.append(request)
-                        self._count_tenant(report, request.tenant, "deferred")
-                    else:
-                        first_offered.pop(rid, None)
-                        self._count_tenant(report, request.tenant, "shed")
-                        report.cluster_results.append(self._cluster_result(
-                            request, step, "shed"))
-            # 2b. Hedge launches: a replica whose simulated slowdown has
-            #     exceeded the hedge threshold for `patience` consecutive
-            #     rounds gets its decoding requests duplicated onto the
-            #     least-loaded healthy sibling; first copy to finish wins.
-            if self.hedge is not None and any_alive:
-                for i in range(self.n_replicas):
-                    if not self._alive[i]:
-                        slow_streak[i] = 0
-                        continue
-                    slowdown = (self.faults.slowdown(i, step)
-                                if self.faults is not None else 1.0)
-                    slow_streak[i] = (slow_streak[i] + 1
-                                      if slowdown >= self.hedge.slowdown
-                                      else 0)
-                active = len(hedges)
-                for i in range(self.n_replicas):
-                    if slow_streak[i] < self.hedge.patience:
-                        continue
-                    for state in list(sessions[i].scheduler.running.values()):
-                        if active >= self.hedge.max_concurrent:
-                            break
-                        rid = state.request_id
-                        if (not state.prefill_done or not state.generated
-                                or rid in hedged_ever or rid in hedges
-                                or rid in due_cancels
-                                or rid.endswith(HEDGE_SUFFIX)):
-                            continue
-                        flight = self._launch_hedge(sessions, i, state, step,
-                                                    report)
-                        if flight is None:
-                            break  # no healthy sibling this round
-                        hedges[rid] = flight
-                        hedged_ever.add(rid)
-                        active += 1
-            # 3. One lockstep round: every busy alive replica takes one
-            #    step at the shared cluster clock.  A straggler's simulated
-            #    latency inflates both its own report and the round maximum.
-            round_max = 0.0
-            for i in range(self.n_replicas):
-                if self._alive[i] and sessions[i].has_work():
-                    if (self.faults is not None
-                            and self.faults.stall_skips(i, step)):
-                        continue  # stalled: the replica loses this round
-                    t0 = time.perf_counter()
-                    sessions[i].step(clock=step)
-                    dt = time.perf_counter() - t0
-                    if self.faults is not None:
-                        dt *= self.faults.inflation(i, step)
-                    round_max = max(round_max, dt)
-            # 3b. Periodic checkpoint pass: every `interval` rounds, stash a
-            #     fresh checkpoint of each decoding request.  Rebuilt
-            #     wholesale (not merged) so finished requests drop out and
-            #     the stash never outgrows the live decode set.
-            interval = self.migration.checkpoint_interval
-            if interval is not None and step % interval == interval - 1:
-                ckpt_stash = {}
-                for i in range(self.n_replicas):
-                    if self._alive[i]:
-                        ckpt_stash.update(sessions[i].checkpoint_requests())
-            # 3c. Hedge resolution: the first copy of each hedged pair to
-            #     reach a terminal status wins; the loser is cancelled and
-            #     its KV pages released wherever it sits.  Resolved the same
-            #     round the result appears, so exactly one terminal result
-            #     per original request ever reaches the report.
-            for rid in list(hedges):
-                flight = hedges[rid]
+        while self._busy():
+            for phase in phases:
+                phase()
+            self.step += 1
+        for replica_id in range(self.n):
+            self._seal(replica_id)
+        self.report.cluster_steps = self.step
+        self.report.wall_s = time.perf_counter() - start
+        return self.report
 
-                def _peek(want: str) -> "FunctionalRequestResult | None":
-                    for j in range(self.n_replicas):
-                        if self._alive[j]:
-                            for res in sessions[j].report.results:
-                                if res.request.request_id == want:
-                                    return res
-                    for rep in retired_reports:
-                        for res in rep.results:
-                            if res.request.request_id == want:
-                                return res
-                    return None
+    def _busy(self) -> bool:
+        if self.pending or self.requeue or self.deferred:
+            return True
+        for replica_id, session in enumerate(self.sessions):
+            if self.alive[replica_id] and session.has_work():
+                return True
+        return False
 
-                primary_result = _peek(rid)
-                hedge_result = _peek(flight.hedge_id)
-                waste = 0
-                if primary_result is not None \
-                        and primary_result.status == "finished":
-                    waste = self._discard_copy(sessions, retired_reports,
-                                               requeue, flight.hedge_id)
-                    report.hedge_events.append(
-                        (step, "primary-win", rid, flight.src, flight.dst))
-                elif hedge_result is not None \
-                        and hedge_result.status == "finished":
-                    hr = self._take_result(sessions, retired_reports,
-                                           flight.hedge_id)
-                    assert hr is not None
-                    waste = self._discard_copy(sessions, retired_reports,
-                                               requeue, rid)
-                    report.cluster_results.append(FunctionalRequestResult(
-                        request=flight.request,
-                        prompt_tokens=hr.prompt_tokens,
-                        generated_tokens=hr.generated_tokens,
-                        admitted_step=hr.admitted_step,
-                        finished_step=hr.finished_step,
-                        ttft_s=hr.ttft_s,
-                        reused_prefix_tokens=hr.reused_prefix_tokens,
-                        status="finished",
-                        first_token_step=hr.first_token_step,
-                        n_preemptions=hr.n_preemptions,
-                        n_retries=hr.n_retries,
-                        truncated=hr.truncated,
-                        finished_clock=hr.finished_clock))
-                    report.hedge_wins += 1
-                    report.assignments[rid] = flight.dst
-                    report.hedge_events.append(
-                        (step, "hedge-win", rid, flight.src, flight.dst))
-                elif primary_result is not None:
-                    # Primary ended non-finished (cancel/timeout/fail): its
-                    # terminal status stands; the duplicate is torn down.
-                    waste = self._discard_copy(sessions, retired_reports,
-                                               requeue, flight.hedge_id)
-                    report.hedge_events.append(
-                        (step, "primary-terminal", rid,
-                         primary_result.status))
-                elif hedge_result is not None:
-                    # Hedge copy died (crash-retry exhaustion, cancel…):
-                    # drop its result, let the primary run on.  It is never
-                    # re-hedged (`hedged_ever`).
-                    hr = self._take_result(sessions, retired_reports,
-                                           flight.hedge_id)
-                    waste = len(hr.generated_tokens) if hr is not None else 0
-                    report.hedge_events.append(
-                        (step, "hedge-terminal", rid,
-                         hedge_result.status))
-                else:
-                    continue  # both still running
-                if flight.via == "checkpoint":
-                    # Tokens up to the fork were decoded once and cloned,
-                    # not re-decoded — only post-fork duplicates are waste.
-                    waste = max(0, waste - flight.fork_len)
-                report.hedge_waste_tokens += waste
-                self._end_hedge(hedges, rid, report)
-            # 4. Health supervision and circuit breakers from this round's
-            #    outcomes.
-            for i in range(self.n_replicas):
-                if not self._alive[i]:
-                    continue
-                retries_now = sessions[i].report.n_retries
-                delta = retries_now - last_retries[i]
-                retry_hist[i].append(delta)
-                last_retries[i] = retries_now
-                slowdown = (self.faults.slowdown(i, step)
-                            if self.faults is not None else 1.0)
-                degraded = (sum(retry_hist[i]) >= DEGRADE_ERRORS
-                            or slowdown >= DEGRADE_SLOWDOWN)
-                self._set_health(report, i,
-                                 ReplicaHealth.DEGRADED if degraded
-                                 else ReplicaHealth.HEALTHY)
-                if breakers[i] is not None:
-                    moved = breakers[i].record(delta, step)
-                    if moved is not None:
-                        report.breaker_events.append(
-                            (step, i, f"{moved[0]}->{moved[1]}"))
-            report.parallel_wall_s += round_max
-            step += 1
-            if self.paranoid:
-                self._check_conservation(seen, pending, requeue, deferred,
-                                         report, retired_reports)
-        report.cluster_steps = step
-        report.replica_reports = (retired_reports
-                                  + [session.finish() for session in sessions])
-        report.wall_s = time.perf_counter() - start
-        return report
+    def _seal(self, replica_id: int) -> None:
+        """Finish one replica's session into the report.  A rejoin seals the
+        crashed session, so until the run ends ``report.replica_reports``
+        holds exactly the retired reports."""
+        self.report.replica_reports.append(self.sessions[replica_id].finish())
+        self.report.replica_ids.append(replica_id)
 
-    def _drain_degraded(self, sessions: "list[FunctionalSession]",
-                        report: ClusterReport) -> None:
-        """One proactive-drain pass over the DEGRADED replicas.
-
-        Each DEGRADED replica is drained down to ``max_inflight`` live
-        requests; every extracted request is routed (HEALTHY replicas only)
-        and injected immediately, carrying its KV checkpoint when the cache
-        could produce one — the recompute-free handoff.  With no HEALTHY
-        replica available the pass is skipped this round rather than
-        shuffling load between struggling replicas.
-        """
-        limit = self.migration.drain_max_inflight
-        for i in range(self.n_replicas):
-            if not self._alive[i] or self._health[i] is not ReplicaHealth.DEGRADED:
+    # -- the round's phases ------------------------------------------------
+    def rejoin(self) -> None:
+        """Rejoin recovered replicas: seal the crashed session's report
+        (pre-crash completions survive) and start a fresh one — new pool,
+        empty radix index, clean health history, the fleet's brownout rung."""
+        for replica_id in sorted(self.recover_at):
+            if (self.recover_at[replica_id] > self.step
+                    or self.alive[replica_id]):
                 continue
-            session = sessions[i]
+            del self.recover_at[replica_id]
+            self._seal(replica_id)
+            session = self.cluster._start_session(self.lm, replica_id)
+            self.sessions[replica_id] = session
+            self.alive[replica_id] = self.any_alive = True
+            self.retry_hist[replica_id].clear()
+            self.last_retries[replica_id] = 0
+            self.slow_streak[replica_id] = 0
+            if self.breakers[replica_id] is not None:
+                self.breakers[replica_id].reset()
+            if self.ladder is not None:
+                self._apply_brownout(session, self.ladder.level)
+            self._set_health(replica_id, ReplicaHealth.HEALTHY)
+            self.report.recovered_replicas.append(replica_id)
+
+    def fail(self) -> None:
+        """Apply due failures: drain each dead replica into the requeue.
+
+        A crash gives no chance to checkpoint: drained states get the latest
+        *periodic* checkpoint instead, bounding the loss to ``interval``
+        decode steps (a state already carrying one — a queued migrant —
+        keeps its own, which is at least as fresh).  A drained hedge copy
+        dies with its replica: the primary still runs.
+        """
+        for replica_id, due in sorted(self.fail_at.items()):
+            if due > self.step or not self.alive[replica_id]:
+                continue
+            self.alive[replica_id] = False
+            del self.fail_at[replica_id]
+            drained = self.sessions[replica_id].drain()
+            copies = {flight.hedge_id: rid
+                      for rid, flight in self.hedges.items()}
+            for state in drained:
+                if state.checkpoint is None:
+                    state.checkpoint = self.ckpt_stash.get(state.request_id)
+                if state.request_id not in copies:
+                    self.requeue.append(state)
+                    continue
+                rid = copies[state.request_id]
+                self._end_hedge(rid)
+                self.report.hedge_events.append(
+                    (self.step, "hedge-lost-replica", rid, replica_id))
+            if self.breakers[replica_id] is not None:
+                self.breakers[replica_id].reset()
+            self.slow_streak[replica_id] = 0
+            self.router.forget(replica_id)
+            self.report.failed_replicas.append(replica_id)
+            self._set_health(replica_id, ReplicaHealth.DOWN)
+            if replica_id in self.recover_delay:
+                self.recover_at[replica_id] = (
+                    self.step + self.recover_delay.pop(replica_id))
+        self.any_alive = any(self.alive)
+
+    def drain_degraded(self) -> None:
+        """Proactive drain: each DEGRADED replica sheds live requests down to
+        ``max_inflight``, each routed among HEALTHY replicas only and
+        injected with its KV checkpoint when the cache could produce one —
+        the recompute-free handoff.  Queued requests go first (no KV to
+        move), then decoding, then prefilling ones.  With no HEALTHY replica
+        the pass waits for a later round rather than shuffling load between
+        struggling replicas."""
+        limit = self.cluster.migration.drain_max_inflight
+        for i, session in enumerate(self.sessions):
+            if not self.alive[i] or self.health[i] is not ReplicaHealth.DEGRADED:
+                continue
             excess = session.load_snapshot().n_live - limit
             if excess <= 0:
                 continue
-            # Queued first (nothing to checkpoint, cheapest to move), then
-            # decoding (checkpointable — the recompute-free case), then
-            # prefilling (restart their prefill elsewhere).
             running = list(session.scheduler.running.values())
             candidates = ([s.request_id for s in session.scheduler.waiting]
                           + [s.request_id for s in running if s.prefill_done]
@@ -1601,56 +1160,486 @@ class ClusterEngine:
                 healthy = [v for v in self._views()
                            if v.health is ReplicaHealth.HEALTHY]
                 if not healthy:
-                    return  # nowhere to drain to this round
+                    return
                 extracted = session.extract_request(rid)
-                if extracted is None:
-                    continue
-                state, _ = extracted
-                target = self.router.route(state.request, healthy)
-                sessions[target].inject_request(state)
-                if state.checkpoint is not None:
-                    report.migrated_requests += 1
-                    report.migrated_pages += state.checkpoint.n_pages
-                report.assignments[rid] = target
-                report.requeues[rid] = report.requeues.get(rid, 0) + 1
+                if extracted is not None:
+                    state = extracted[0]
+                    self._place(state, self.router.route(state.request, healthy))
 
-    def _check_conservation(self, all_ids: set, pending, requeue, deferred,
-                            report: ClusterReport,
-                            retired_reports: list) -> None:
+    def tick_breakers(self) -> None:
+        """Circuit-breaker clock: expire OPEN cooldowns into HALF_OPEN and
+        refresh each breaker's probe slot."""
+        for i, breaker in enumerate(self.breakers):
+            if self.alive[i]:
+                self._breaker_moved(i, breaker.tick(self.step))
+
+    def move_brownout(self) -> None:
+        """Brownout ladder: observe cluster KV pressure and queue depth, step
+        the degradation level (with hysteresis) and push the new rung to
+        every alive replica.  Decode caps only stick to admitted requests,
+        so at level 3 they are re-applied every round."""
+        config, ladder, report = self.cluster.brownout, self.ladder, self.report
+        moved = ladder.observe(*self._overload_signals(), self.step)
+        alive = [s for i, s in enumerate(self.sessions) if self.alive[i]]
+        if moved is not None:
+            report.brownout_events.append((self.step, *moved))
+            for session in alive:
+                self._apply_brownout(session, moved[1])
+        elif ladder.level >= 3:
+            for session in alive:
+                session.cap_decodes(config.decode_cap, config.min_tier)
+        report.brownout_rounds[ladder.level] = (
+            report.brownout_rounds.get(ladder.level, 0) + 1)
+
+    def forward_cancellations(self) -> None:
+        """Forward due cancellations to every alive replica; a cancelled
+        primary takes its hedge duplicate down with it.  The due set also
+        stops routing and hedging of those requests this round."""
+        due = {rid for rid, at in self.cancel_at.items() if at <= self.step}
+        due |= {self.hedges[rid].hedge_id for rid in due if rid in self.hedges}
+        for rid in due:
+            for i, session in enumerate(self.sessions):
+                if self.alive[i]:
+                    session.cancel(rid)
+        self.due_cancels = due
+
+    def route_requeue(self) -> None:
+        """Re-route drained requests before any arrival: they arrived
+        earliest and their ranks still say so.  With every replica dead and
+        no recovery due, work outstanding is an error."""
+        if not self.any_alive:
+            if (self.pending or self.requeue or self.deferred) \
+                    and not self.recover_at:
+                self._views()  # raises
+            return
+        while self.requeue:
+            state = self.requeue.popleft()
+            if state.request_id in self.due_cancels:
+                self._terminate(state.request, "cancelled", state)
+            else:
+                self._place(state, self._route(state.request))
+
+    def admit(self) -> None:
+        """Admission: previously deferred requests first (they keep their
+        queueing age), then this round's fresh arrivals.  Each is admitted
+        and routed, deferred to the next round, shed, or — past its deadline
+        while queued — timed out here rather than on a replica."""
+        if not (self.any_alive and (self.pending or self.deferred)):
+            return
+        candidates = self._candidates()
+        if self.admission is not None and candidates:
+            self.admission.begin_round(candidates, self._admission_context())
+        for request in candidates:
+            rid, verdict = request.request_id, self._verdict(request)
+            if verdict == "deferred":
+                self.first_offered.setdefault(rid, self.step)
+                self.deferred.append(request)
+            else:
+                self.first_offered.pop(rid, None)
+            if verdict == "admitted":
+                target = self._route(request)
+                self.sessions[target].submit([request])
+                self.report.assignments[rid] = target
+            elif verdict != "deferred":
+                self._terminate(request, verdict)
+            if verdict != "cancelled":
+                self._count_tenant(request.tenant, verdict)
+
+    def _verdict(self, request: Request) -> str:
+        """One candidate's fate this round: ``"cancelled"``, ``"admitted"``,
+        ``"deferred"``, ``"shed"`` or ``"timeout"`` (its deadline passed
+        while queued — it would fire on the replica anyway)."""
+        rid = request.request_id
+        if rid in self.due_cancels:
+            return "cancelled"
+        if self.admission is None:
+            return "admitted"
+        waited = self.step - self.first_offered.get(rid, self.step)
+        if request.deadline_steps is not None and waited >= request.deadline_steps:
+            return "timeout"
+        decision = self.admission.decide(request, self._admission_context(waited))
+        return _VERDICTS.get(decision, "shed")
+
+    def _candidates(self) -> list[Request]:
+        """Drain the deferred queue, then pop this round's fresh arrivals,
+        each followed by its tenant-burst clones (so clones face the policy
+        exactly like organic traffic)."""
+        candidates = list(self.deferred)
+        self.deferred.clear()
+        per_step = self.cluster.arrivals_per_step
+        for _ in range(len(self.pending) if per_step is None
+                       else min(per_step, len(self.pending))):
+            request = self.pending.popleft()
+            candidates.append(request)
+            if self.bursts:
+                candidates += self._burst_clones(request)
+        return candidates
+
+    def _burst_clones(self, request: Request) -> list[Request]:
+        clones = []
+        for b_idx, burst in enumerate(self.bursts):
+            if burst.tenant != request.tenant or not burst.active(self.step):
+                continue
+            made = self.burst_counts.get(b_idx, 0)
+            for _ in range(burst.copies):
+                if burst.limit is not None and made >= burst.limit:
+                    break
+                clones.append(replace(
+                    request, request_id=f"{request.request_id}~b{made}"))
+                self.seen.add(clones[-1].request_id)
+                made += 1
+            self.burst_counts[b_idx] = made
+        return clones
+
+    def launch_hedges(self) -> None:
+        """Hedge launches: a replica whose simulated slowdown has exceeded
+        the hedge threshold for ``patience`` consecutive rounds gets its
+        decoding requests duplicated onto the least-loaded healthy sibling,
+        up to ``max_concurrent`` flights; first copy to finish wins."""
+        if not self.any_alive:
+            return
+        hedge, faults, step = self.cluster.hedge, self.faults, self.step
+        for i in range(self.n):
+            slow = self.alive[i] and faults is not None \
+                and faults.slowdown(i, step) >= hedge.slowdown
+            self.slow_streak[i] = self.slow_streak[i] + 1 if slow else 0
+        for i in range(self.n):
+            if self.slow_streak[i] < hedge.patience:
+                continue
+            for state in list(self.sessions[i].scheduler.running.values()):
+                if len(self.hedges) >= hedge.max_concurrent:
+                    break
+                rid = state.request_id
+                if (not state.prefill_done or not state.generated
+                        or rid in self.hedged_ever or rid in self.hedges
+                        or rid in self.due_cancels
+                        or rid.endswith(HEDGE_SUFFIX)):
+                    continue
+                if not self._launch_hedge(i, state):
+                    break  # no healthy sibling this round
+
+    def step_replicas(self) -> None:
+        """One lockstep round: every busy alive replica takes one step at the
+        shared cluster clock.  A straggler's simulated latency inflates both
+        its own report and the round maximum, which the parallel makespan
+        adds up."""
+        faults, step, round_max = self.faults, self.step, 0.0
+        for i, session in enumerate(self.sessions):
+            if not (self.alive[i] and session.has_work()):
+                continue
+            if faults is not None and faults.stall_skips(i, step):
+                continue  # stalled: the replica loses this round
+            t0 = time.perf_counter()
+            session.step(clock=step)
+            dt = time.perf_counter() - t0
+            if faults is not None:
+                dt *= faults.inflation(i, step)
+            if dt > round_max:
+                round_max = dt
+        self.report.parallel_wall_s += round_max
+
+    def checkpoint(self) -> None:
+        """Periodic checkpoint pass: every ``interval`` rounds, stash a fresh
+        checkpoint of each decoding request.  Rebuilt wholesale (not merged)
+        so finished requests drop out and the stash never outgrows the live
+        decode set."""
+        interval = self.cluster.migration.checkpoint_interval
+        if self.step % interval != interval - 1:
+            return
+        self.ckpt_stash = {}
+        for i, session in enumerate(self.sessions):
+            if self.alive[i]:
+                self.ckpt_stash.update(session.checkpoint_requests())
+
+    def resolve_hedges(self) -> None:
+        """Hedge resolution: the first copy of each hedged pair to reach a
+        terminal status wins; the loser is cancelled and its KV pages
+        released wherever it sits.  Resolved the same round the result
+        appears, so exactly one terminal result per original request ever
+        reaches the report."""
+        for rid, flight in list(self.hedges.items()):
+            self._resolve_hedge(rid, flight)
+
+    def _resolve_hedge(self, rid: str, flight: _HedgeFlight) -> None:
+        report, step = self.report, self.step
+        primary = self._result_of(rid)
+        copy = self._result_of(flight.hedge_id)
+        if primary is not None and primary.status == "finished":
+            waste = self._discard_copy(flight.hedge_id)
+            event = (step, "primary-win", rid, flight.src, flight.dst)
+        elif copy is not None and copy.status == "finished":
+            self._result_of(flight.hedge_id, take=True)
+            waste = self._discard_copy(rid)
+            report.cluster_results.append(replace(copy, request=flight.request))
+            report.hedge_wins += 1
+            report.assignments[rid] = flight.dst
+            event = (step, "hedge-win", rid, flight.src, flight.dst)
+        elif primary is not None:
+            # Primary ended non-finished (cancel/timeout/fail): its terminal
+            # status stands; the duplicate is torn down.
+            waste = self._discard_copy(flight.hedge_id)
+            event = (step, "primary-terminal", rid, primary.status)
+        elif copy is not None:
+            # The copy died (crash-retry exhaustion, cancel…): drop its
+            # result, let the primary run on, never re-hedged.
+            self._result_of(flight.hedge_id, take=True)
+            waste = len(copy.generated_tokens)
+            event = (step, "hedge-terminal", rid, copy.status)
+        else:
+            return  # both still running
+        report.hedge_events.append(event)
+        if flight.via == "checkpoint":
+            # Tokens up to the fork were decoded once and cloned, not
+            # re-decoded — only post-fork duplicates are waste.
+            waste = max(0, waste - flight.fork_len)
+        report.hedge_waste_tokens += waste
+        self._end_hedge(rid)
+
+    def supervise_health(self) -> None:
+        """Health supervision and breakers from this round's outcomes: retries
+        within the window or an active slowdown demote a replica to
+        DEGRADED, and each breaker records the round's retry delta."""
+        faults, step = self.faults, self.step
+        for i, session in enumerate(self.sessions):
+            if not self.alive[i]:
+                continue
+            retries = session.report.n_retries
+            delta = retries - self.last_retries[i]
+            self.retry_hist[i].append(delta)
+            self.last_retries[i] = retries
+            slowdown = faults.slowdown(i, step) if faults is not None else 1.0
+            degraded = (sum(self.retry_hist[i]) >= DEGRADE_ERRORS
+                        or slowdown >= DEGRADE_SLOWDOWN)
+            self._set_health(i, ReplicaHealth.DEGRADED if degraded
+                             else ReplicaHealth.HEALTHY)
+            if self.breakers[i] is not None:
+                self._breaker_moved(i, self.breakers[i].record(delta, step))
+
+    def check_conservation(self) -> None:
         """Assert every submitted request is tracked exactly once.
 
-        Conservation of requests across the whole cluster: each request must
-        be pending, deferred by admission, requeued, live inside exactly one
-        replica, or terminal in exactly one report (replica, retired
-        pre-crash, or cluster-level shed/timeout/cancel) — never lost, never
-        duplicated.  Hedge duplicates (``~hedge`` ids) are transient and not
-        in ``all_ids``; the duplicate check still covers them.
+        Each request must be pending, deferred by admission, requeued, live
+        inside exactly one replica, or terminal in exactly one report
+        (replica, retired pre-crash, or cluster-level shed/timeout/cancel) —
+        never lost, never duplicated.  Hedge duplicates (``~hedge`` ids) are
+        transient and not in ``seen``; the duplicate check still covers them.
         """
-        counts: dict[str, int] = {}
-
-        def see(request_id: str) -> None:
-            counts[request_id] = counts.get(request_id, 0) + 1
-
-        for request in pending:
-            see(request.request_id)
-        for request in deferred:
-            see(request.request_id)
-        for state in requeue:
-            see(state.request_id)
-        for result in report.cluster_results:
-            see(result.request.request_id)
-        for rep in retired_reports:
-            for result in rep.results:
-                see(result.request.request_id)
-        for session in self._sessions:
-            for state in session.scheduler.live_states():
-                see(state.request_id)
-            for result in session.report.results:
-                see(result.request.request_id)
+        reports = self.report.replica_reports + [s.report for s in self.sessions]
+        counts = Counter(
+            [request.request_id for request in (*self.pending, *self.deferred)]
+            + [state.request_id for state in self.requeue]
+            + [result.request.request_id for result in self.report.cluster_results]
+            + [result.request.request_id for rep in reports for result in rep.results]
+            + [state.request_id for session in self.sessions
+               for state in session.scheduler.live_states()])
         duplicated = sorted(rid for rid, n in counts.items() if n > 1)
         assert not duplicated, f"requests tracked twice: {duplicated}"
-        missing = sorted(all_ids - counts.keys())
+        missing = sorted(self.seen - counts.keys())
         assert not missing, f"requests lost: {missing}"
+
+    # -- helpers -----------------------------------------------------------
+    def _views(self) -> list[ReplicaView]:
+        views = [ReplicaView(i, session.load_snapshot(), self.health[i],
+                             breaker_open=(self.breakers[i] is not None
+                                           and not self.breakers[i]
+                                           .allows_routing()))
+                 for i, session in enumerate(self.sessions) if self.alive[i]]
+        if not views:
+            raise RuntimeError("every replica has failed with work outstanding")
+        return views
+
+    def _route(self, request: Request) -> int:
+        target = self.router.route(request, self._views())
+        if not (0 <= target < self.n and self.alive[target]):
+            raise RuntimeError(
+                f"router {self.router.describe()} chose unavailable replica "
+                f"{target}")
+        if self.breakers[target] is not None:
+            self.breakers[target].note_routed()  # spends a half-open probe
+        return target
+
+    def _place(self, state: SequenceState, target: int) -> None:
+        """Inject a drained or migrated request into ``target`` and account
+        the move: a carried checkpoint counts as a migration."""
+        rid = state.request_id
+        self.sessions[target].inject_request(state)
+        if state.checkpoint is not None:
+            self.report.migrated_requests += 1
+            self.report.migrated_pages += state.checkpoint.n_pages
+        self.report.assignments[rid] = target
+        self.report.requeues[rid] = self.report.requeues.get(rid, 0) + 1
+
+    def _admission_context(self, waited: int = 0) -> AdmissionContext:
+        """The cluster-wide load the admission policy sees for one candidate.
+
+        Rebuilt per candidate (views are recomputed), so a request admitted
+        earlier in the same round already counts toward the pressure a later
+        candidate is judged against.
+        """
+        projected = n_live = 0
+        capacity: int | None = 0
+        for view in self._views():
+            n_live += view.load.n_live
+            projected += view.load.projected_kv_tokens
+            if capacity is not None:
+                capacity = (None if view.load.capacity_tokens is None
+                            else capacity + view.load.capacity_tokens)
+        return AdmissionContext(clock=self.step, projected_kv_tokens=projected,
+                                capacity_tokens=capacity, n_live=n_live,
+                                waited=waited)
+
+    def _overload_signals(self) -> tuple[float, int]:
+        """(KV pressure, queue depth) the brownout ladder observes.
+
+        Iterates the sessions directly (not :meth:`_views`, which raises when
+        every replica is dead) so the ladder can still step while the fleet
+        recovers.  Pressure is live-footprint over bounded capacity across
+        alive replicas; unbounded pools contribute no pressure.
+        """
+        projected = capacity = 0
+        for i, session in enumerate(self.sessions):
+            if not self.alive[i]:
+                continue
+            load = session.load_snapshot()
+            if load.capacity_tokens is not None:
+                projected += load.projected_kv_tokens
+                capacity += load.capacity_tokens
+        pressure = projected / capacity if capacity else 0.0
+        return pressure, len(self.deferred) + len(self.requeue)
+
+    def _apply_brownout(self, session: FunctionalSession, level: int) -> None:
+        """Set one replica to the ladder's current degradation rung.
+
+        Levels are cumulative and idempotent: L1 disables speculation, L2
+        shrinks (or freezes) the radix budget, L3 caps low-tier decode
+        lengths.  Applied on every transition and to rejoining replicas, so
+        the whole fleet always sits on the same rung.
+        """
+        config = self.cluster.brownout
+        session.set_speculation(level < 1)
+        if config.levels >= 2:
+            session.limit_radix(config.radix_cap_tokens if level >= 2 else None)
+        if config.levels >= 3:
+            if level >= 3:
+                session.cap_decodes(config.decode_cap, config.min_tier)
+            else:
+                session.uncap_decodes()
+
+    def _set_health(self, replica_id: int, health: ReplicaHealth) -> None:
+        old = self.health[replica_id]
+        if old is health:
+            return
+        self.health[replica_id] = health
+        counts = self.report.health_transitions.setdefault(replica_id, {})
+        key = f"{old.value}->{health.value}"
+        counts[key] = counts.get(key, 0) + 1
+
+    def _breaker_moved(self, replica_id: int,
+                       moved: "tuple[str, str] | None") -> None:
+        if moved is not None:
+            self.report.breaker_events.append(
+                (self.step, replica_id, f"{moved[0]}->{moved[1]}"))
+
+    def _count_tenant(self, tenant: str, key: str) -> None:
+        bucket = self.report.tenant_admission.setdefault(
+            tenant, {"admitted": 0, "deferred": 0, "shed": 0, "timeout": 0})
+        bucket[key] += 1
+
+    def _terminate(self, request: Request, status: str,
+                   state: "SequenceState | None" = None) -> None:
+        """Record a terminal result minted at the cluster layer (shed, timed
+        out or cancelled before reaching a replica)."""
+        step = self.step
+        if state is None:
+            result = FunctionalRequestResult(
+                request, list(request.prompt_tokens or ()), [], admitted_step=-1,
+                finished_step=step, status=status, finished_clock=step)
+        else:
+            result = FunctionalRequestResult(
+                request, state.prompt, state.generated, state.admitted_step,
+                step, ttft_s=state.ttft_s, reused_prefix_tokens=state.reused,
+                status=status, first_token_step=state.first_token_step,
+                n_preemptions=state.n_preemptions, n_retries=state.n_retries,
+                finished_clock=step)
+        self.report.cluster_results.append(result)
+
+    # -- hedging -----------------------------------------------------------
+    def _launch_hedge(self, src: int, state: SequenceState) -> bool:
+        """Duplicate one straggling decode onto the best healthy replica.
+
+        KV-checkpoint-seeded when the source cache supports it (the copy
+        resumes decoding with zero recompute), full-recompute otherwise.
+        False when no healthy, breaker-closed sibling exists.
+        """
+        views = [v for v in self._views()
+                 if v.replica_id != src and v.health is ReplicaHealth.HEALTHY
+                 and not v.breaker_open]
+        if not views:
+            return False
+        dst = min(views, key=LeastLoadedRouter.pressure).replica_id
+        request = state.request
+        rid = request.request_id
+        hedge_id = rid + HEDGE_SUFFIX
+        ckpt = self.sessions[src].kv.checkpoint(state)
+        if ckpt is not None:
+            ckpt = replace(ckpt, request_id=hedge_id)
+        self.sessions[dst].inject_request(SequenceState(
+            request=replace(request, request_id=hedge_id),
+            prompt=list(state.prompt), generated=list(state.generated),
+            decode_cap=state.decode_cap, checkpoint=ckpt))
+        via = "checkpoint" if ckpt is not None else "recompute"
+        self.report.n_hedges += 1
+        self.report.assignments[hedge_id] = dst
+        self.report.hedge_events.append(
+            (self.step, "launch", rid, src, dst, via))
+        self.hedges[rid] = _HedgeFlight(
+            request=request, hedge_id=hedge_id, src=src, dst=dst,
+            launched=self.step, fork_len=len(state.generated), via=via)
+        self.hedged_ever.add(rid)
+        return True
+
+    def _end_hedge(self, rid: str) -> None:
+        """Forget ``rid``'s finished hedge flight.  The duplicate's id was
+        cluster-internal: it leaves the report's per-request maps with it, so
+        they only ever name requests somebody submitted."""
+        flight = self.hedges.pop(rid)
+        self.report.assignments.pop(flight.hedge_id, None)
+        self.report.requeues.pop(flight.hedge_id, None)
+
+    def _result_of(self, rid: str, take: bool = False,
+                   ) -> FunctionalRequestResult | None:
+        """``rid``'s terminal result on an alive replica or in a retired
+        report, removed from there when ``take``."""
+        for i, session in enumerate(self.sessions):
+            if self.alive[i]:
+                for result in session.report.results:
+                    if result.request.request_id == rid:
+                        return session.harvest_result(rid) if take else result
+        for rep in self.report.replica_reports:
+            for idx, result in enumerate(rep.results):
+                if result.request.request_id == rid:
+                    return rep.results.pop(idx) if take else result
+        return None
+
+    def _discard_copy(self, rid: str) -> int:
+        """Cancel the losing copy of a hedged pair; returns its decoded tokens.
+
+        The copy may have already finished (take its result), still be live
+        on a replica (extract — releases its KV pages), or be sitting in the
+        requeue after its replica crashed (drop it there).
+        """
+        result = self._result_of(rid, take=True)
+        if result is not None:
+            return len(result.generated_tokens)
+        for i, session in enumerate(self.sessions):
+            extracted = session.extract_request(rid) if self.alive[i] else None
+            if extracted is not None:
+                return len(extracted[0].generated)
+        for idx, state in enumerate(self.requeue):
+            if state.request_id == rid:
+                del self.requeue[idx]
+                return len(state.generated)
+        return 0
 
 
 __all__ = [

@@ -82,11 +82,16 @@ cluster's per-round bookkeeping is paid on every replica step.
 
 * one 449-line ``ClusterEngine.run`` loop running every feature's
   per-round work whether configured or not: 161.07 (272 853 calls for
-  1694 tokens over 141 rounds).
+  1694 tokens over 141 rounds);
+* a per-run phase object calling only the configured features' phases
+  (here admission and the lockstep step) and skipping admission once the
+  arrival queues are empty: 159.17 (269 628 calls).
 
 The bound leaves ~9 % over the first reading for other interpreters'
-``c_call`` counts; a return of per-round work for unconfigured features
-on every round and replica is what it is there to catch.
+``call`` / ``c_call`` counts (3.12 inlines comprehensions, 3.10 does not):
+it trips on cluster work of ~150 calls per round, such as views or load
+snapshots rebuilt per replica step, not on the ~20 calls per round the
+unconfigured phases cost before.
 """
 
 from __future__ import annotations

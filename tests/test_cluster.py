@@ -405,6 +405,20 @@ class TestClusterEngine:
         with pytest.raises(RuntimeError, match="every replica has failed"):
             cluster.run(lm, trace)
 
+    def test_rejoined_replica_counts_once_in_balance(self, lm):
+        # A crashed-then-rejoined replica has two reports (pre-crash and its
+        # fresh session's); balance is per replica, not per report.
+        rng = np.random.default_rng(11)
+        requests = [_request(f"r{i}", rng.integers(0, 48, size=12).tolist(),
+                             decode_len=12, arrival=i * 0.01) for i in range(12)]
+        report = ClusterEngine(
+            2, max_concurrency=2, seed=0, arrivals_per_step=1,
+            faults="replica-crash:replica=0,at=6,recover_after=3").run(lm, requests)
+        assert report.recovered_replicas == [0]
+        assert [r.total_decode_tokens for r in report.replica_reports] == [0, 24, 120]
+        assert report.per_replica_decode_tokens == [24, 120]
+        assert report.load_imbalance == pytest.approx(120 / 72)
+
     def test_report_aggregates(self, lm, trace):
         report = ClusterEngine(2, max_concurrency=2, seed=0).run(lm, trace)
         assert report.cluster_steps > 0

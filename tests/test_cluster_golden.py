@@ -143,3 +143,19 @@ def test_pressure_and_retry_storm_moves_brownout_and_trips_breaker(lm):
     assert max(levels) == 3 and levels[-1] == 0 and report.n_truncated > 0
     assert report.n_breaker_trips >= 1
     assert fingerprint(report) == "9cc7598d54d68365"
+
+
+def test_run_leaves_no_state_on_the_engine(lm):
+    """The engine holds configuration only: a run keeps its sessions, health
+    and breakers aside and drops them when it returns."""
+    requests = multi_tenant_requests(2, 5, prompt_len=12, decode_len=12,
+                                     vocab_size=VOCAB, seed=5)
+    cluster = ClusterEngine(
+        3, router="least-loaded", cache=BOUNDED, max_concurrency=2,
+        capacity_tokens=1024, seed=0, paranoid=True,
+        faults="replica-crash:replica=1,at=6,recover_after=4",
+        migration="checkpoint:interval=2",
+        breaker="breaker:threshold=2,window=4,cooldown=3")
+    before = {key: id(value) for key, value in vars(cluster).items()}
+    cluster.run(lm, requests)
+    assert {key: id(value) for key, value in vars(cluster).items()} == before
