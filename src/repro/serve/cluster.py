@@ -4,8 +4,7 @@ The layer *above* the single-node engine: a :class:`ClusterEngine` drives N
 independent replicas — each a :class:`~repro.serve.session.FunctionalSession`
 opened through its own :class:`~repro.serve.engine.ServingEngine`, with its
 own KV pool and radix prefix index — step-by-step in lockstep rounds from a
-shared arrival queue.  Three pieces make it a cluster
-rather than N engines:
+shared arrival queue.  Three pieces make it a cluster rather than N engines:
 
 * **Routing** — a new ``"router"`` registry kind decides which replica serves
   each arriving request.  ``round-robin`` cycles replicas, ``least-loaded``
