@@ -1,67 +1,62 @@
-"""Paged KV memory pool: one page table per sequence over per-layer arenas.
+"""Paged KV memory pool: one page table per sequence over per-layer arenas,
+and one working copy per sequence in a pool-level decode slab.
 
 The serving path of the reproduction originally gave every request an
 isolated, privately-grown KV cache, so two requests sharing a long system
 prompt stored — and, worse, *recomputed* — the shared prefix twice.  This
 module provides the vLLM/SGLang design point instead (PagedAttention's
-per-sequence block table, Kwon et al., SOSP '23):
+per-sequence block table, Kwon et al., SOSP '23, under vLLM V1's persistent
+decode batch):
 
 * :class:`KVPagePool` — **one accounting domain per cache factory**: one
-  refcount list, one free list, one growth path and one fault gate, over a
-  K/V arena per decoder layer (``[L, n_pages, H, page_tokens, d]``, reserved
-  once).  A **page id names the same slot in every layer's arena**, so the
-  page a sequence's token ``t`` lives on is one number for all ``L`` layers;
-  :attr:`~KVPagePool.bytes_per_page` covers every layer's slice.  Pages are
-  handed out from the free list, reference-counted, and recycled the moment
-  their refcount drops to zero; ``allocated = referenced + free`` is
-  checkable at any time via :meth:`KVPagePool.check_accounting`.
+  refcount list, free list, growth path and fault gate over a K/V arena per
+  decoder layer (``[L, n_pages, H, page_tokens, d]``, reserved once), where
+  a **page id names the same slot in every layer's arena**;
+  ``allocated = referenced + free`` is checkable at any time via
+  :meth:`KVPagePool.check_accounting`.  The pool also owns the **decode
+  slab**: fp32 ``[L, S, H, capacity, d]`` K and V, a row per live sequence.
 * :class:`PageTable` — **one per sequence**: its page list, whether it owns
-  its tail page, and the handles' contiguous mirrors (one ``[L, H,
-  capacity, d]`` buffer, a row per layer).  A page's refcount is the number
-  of live tables that list it, whatever the number of layers.
+  its tail page, and its slab row.  A page's refcount is the number of live
+  tables that list it, whatever the number of layers.
 * :class:`PagedKVCache` — the per-layer :class:`~repro.llm.cache.LayerKVCache`
-  **handle** on a table: it keeps only what differs between layers — its
-  token count, its flush watermark (tokens already written to pages) and
-  how much of its mirror row is filled.  The ``L`` handles
-  :meth:`PagedCacheFactory.make_stack` builds for one sequence share one
-  table.  Semantically every handle is the
-  full (no-eviction) cache with **zero-copy copy-on-write forks**: a fork
-  shares the pages of a prefix with its parent, and writing into a shared
-  page first copies it (every layer's slice at once) into a fresh page, so
-  forks never observe each other's writes.
+  **handle** on a table, keeping only its token count; the ``L`` handles of
+  one sequence (:meth:`PagedCacheFactory.make_stack`) share one table.  Every
+  handle is the full (no-eviction) cache with **zero-copy copy-on-write
+  forks**: a fork shares the pages of a prefix, and writing into a shared
+  page first copies it (every layer's slice at once) into a fresh page.
+* :class:`PagedGroup` — whole stacks of one pool decoding together, their
+  rows in slab slots ``[0, G)``, with one slot claim a step.
 * :class:`PagedCacheFactory` — the ``"paged"`` cache spec, and at its default
   geometry the ``"full"`` / ``"fp16"`` baseline: one pool per head geometry,
-  shared by every stack it builds, which is what lets *different requests*
-  of a serving run share prefix pages.
+  shared by every stack it builds, so different requests share prefix pages.
+
+**One working copy, written through.**  Like an eDRAM bank holding each KV
+entry once and updating it in place, a live sequence has one working copy:
+its table's slab row, where layer ``l``'s handle holds its tokens at
+``slab[l, row, :, :count]``.  ``fetch`` returns views of it and the fused
+decode attends ``slab[l, :G, :, :n]`` in place.  Every write — prefill,
+chunk extension, append, the decode scatter and checkpoint import — lands
+in the row and the pages in the same call, rounded once by an fp16 pool;
+the pages are the shared, checkpointable store.  A table takes its row on
+its first read or write and keeps it until release; a fork or restored
+snapshot copies its pages in through :meth:`KVPagePool.gather_pages`, the
+only page-to-row copy (O(prefix) traffic instead of O(prefix²) re-prefill).
+V is zero past every handle's count — truncate and release zero what they
+drop — so a ragged group read up to its longest member multiplies zeros,
+never stale values, by its masked-out probabilities.
 
 **The stack protocol.**  ``fork_stack`` / ``truncate_stack`` /
-``release_stack`` on a whole stack (every live handle of one table) are one
-table operation each: pages are retained, allocated, CoW-copied and released
-once per sequence, and while the layers are in step a gather (pages →
-mirrors) or flush (mirrors → pages) is one copy per page for all of them;
-the fused decode claims a sequence's next ``(page, offset)`` once per step
+``release_stack`` on a whole stack are one table operation each: pages are
+retained, allocated, CoW-copied and released once per sequence, and the
+fused decode claims a sequence's next ``(page, offset)`` once per step
 (:meth:`PagedKVCache.reserve_stack_slot`, or one :meth:`PagedGroup.claim`
-for a whole decode group) and every layer writes its slice of that slot.
-The per-handle :meth:`~PagedKVCache.fork`,
-:meth:`~PagedKVCache.truncate` and :meth:`~PagedKVCache.release` stay
-correct on their own: a per-handle fork gets a table of its own, a
-per-handle truncate lowers only that handle's watermark, and a per-handle
-release detaches the handle from its table.
+per group).  The per-handle ``fork`` / ``truncate`` / ``release`` stay
+correct on their own (a per-handle fork gets a table of its own).
 
-**When a page is freed.**  A table keeps exactly the pages its
-furthest-flushed live handle covers; it drops a page when its last live
-handle stops covering it (truncate, release), and the pool frees the page
-when the last table listing it drops it.
-
-The decode hot loop of a single sequence still needs contiguous
-``[H, n, d]`` K/V views, so each handle keeps a per-sequence *mirror* — its
-row of the table's mirror buffer, lazily synchronised from the pages inside
-:meth:`~PagedKVCache.fetch` — so steady-state fetches stay zero-copy and a
-freshly forked cache pays one bulk gather (O(prefix) memory traffic) instead
-of re-running prefill (O(prefix²) compute).  Chunk and single-token appends
-land in the mirror and are flushed to pages when a fork, a checkpoint import
-or the fused decode needs them there; the fused decode then writes pages
-directly.
+**When a page is freed.**  A table keeps exactly the pages its longest live
+handle covers and drops the rest (truncate, release); the pool frees a page
+when the last table listing it drops it, and takes a row back when its
+table's last handle is released.
 """
 
 from __future__ import annotations
@@ -87,20 +82,18 @@ class PoolExhausted(RuntimeError):
 class KVLayerCheckpoint:
     """Self-contained serialized KV state of one request in one layer.
 
-    ``keys``/``values`` are ``[H, n_tokens, d]`` float32 *copies* gathered in
-    page-table order (flushed pages first, then any unflushed mirror tail),
-    so the checkpoint stays valid after the source cache — and even its whole
-    pool — is released, and CoW pages shared with other requests are never
-    aliased.  ``flushed_tokens`` records the source's mirror→page watermark;
-    ``page_tokens`` its pool geometry, so :attr:`n_pages` prices what the
-    checkpoint occupied at the source (a target pool with a different page
-    size simply re-chunks on import).
+    ``keys``/``values`` are ``[H, n_tokens, d]`` float32 *copies* of the
+    source's working row, so the checkpoint stays valid after the source
+    cache — and even its whole pool — is released, and CoW pages shared with
+    other requests are never aliased.  ``page_tokens`` records the source
+    pool's geometry, so :attr:`n_pages` prices what the checkpoint occupied
+    at the source (a target pool with a different page size simply
+    re-chunks on import).
     """
 
     keys: np.ndarray
     values: np.ndarray
     n_tokens: int
-    flushed_tokens: int
     page_tokens: int
 
     @property
@@ -193,6 +186,10 @@ def _arena(shape: tuple[int, ...], dtype: np.dtype) -> np.ndarray:
     return np.frombuffer(mmap.mmap(-1, nbytes), dtype=dtype).reshape(shape)
 
 
+#: Geometry of a pool's first decode slab; rows and capacity double from here.
+_SLAB_ROWS, _SLAB_TOKENS = 8, 64
+
+
 class KVPagePool:
     """Fixed-size KV pages with free-list allocation and refcounts, every layer at once.
 
@@ -208,10 +205,16 @@ class KVPagePool:
     bytes; every stored element is rounded to half precision once at write
     time and widened back to fp32 for compute — the "stored half, computed
     full" design point of fp16 KV serving stacks).
+
+    The decode slab (:attr:`slab_keys` / :attr:`slab_values`) has its own
+    free list of rows and refers to each row's table weakly, so a dropped
+    stack is still freed by reference counting (its row is reclaimed later).
     """
 
     __slots__ = ("n_heads", "head_dim", "page_tokens", "grow", "dtype",
-                 "fault_gate", "_keys", "_values", "_refcounts", "_free")
+                 "fault_gate", "decode_plan", "slab_keys", "slab_values", "valid",
+                 "placements", "_keys", "_values", "_refcounts", "_free",
+                 "_row_tables", "_free_rows")
 
     def __init__(self, n_heads: int, head_dim: int, page_tokens: int = 16,
                  initial_pages: int = 64, grow: bool = True,
@@ -229,6 +232,15 @@ class KVPagePool:
         #: Chaos hook (``repro.serve.faults``): a zero-argument callable that
         #: makes :meth:`try_alloc` spuriously fail when it returns True.
         self.fault_gate = None
+        #: Weak reference to the decode grouping the model keeps over this
+        #: pool's rows: freeing a row empties it (:meth:`_free_row`).
+        self.decode_plan: "weakref.ref | None" = None
+        #: The decode slab, ``[n_layers, S, H, capacity, head_dim]`` fp32
+        #: (mapped on the first row taken), and its all-true ``[H, capacity]``
+        #: validity, which fetch views slice.
+        self.slab_keys = self.slab_values = self.valid = None
+        #: Bumped whenever :meth:`_place` moves rows between slots.
+        self.placements = 0
         # The arenas may be mapped larger than the pages under accounting
         # (``reserve_pages``): growing into the reserve copies nothing.
         shape = (n_layers, max(initial_pages, reserve_pages), n_heads, page_tokens,
@@ -240,6 +252,9 @@ class KVPagePool:
         self._refcounts: list[int] = [0] * initial_pages
         # LIFO free list: recently-released pages are reused first (cache-warm).
         self._free: list[int] = list(range(initial_pages - 1, -1, -1))
+        # Slab row -> weak reference to the table holding it (None: free).
+        self._row_tables: list["weakref.ref | None"] = []
+        self._free_rows: list[int] = []
 
     # -- capacity and accounting ----------------------------------------
     @property
@@ -341,9 +356,11 @@ class KVPagePool:
         self._free.extend(range(new - 1, old - 1, -1))
 
     def add_layers(self, n_layers: int) -> None:
-        """Give every page a slice in at least ``n_layers`` layers' arenas."""
+        """Give every page (and slab row) a slice in at least ``n_layers`` layers."""
         if n_layers > self.n_layers:
             self._remap(n_layers, self._keys.shape[1])
+            if self.slab_keys is not None:
+                self._reserve_slab(0, 0)
 
     def try_alloc(self, *, faultable: bool = True) -> int | None:
         """Non-raising :meth:`alloc`: ``None`` when a bounded pool is dry or
@@ -361,8 +378,8 @@ class KVPagePool:
     def alloc(self) -> int:
         """Pop a free page (refcount 1), growing the arenas if allowed.
 
-        Bypasses the fault gate: internal flushes allocate pages for space
-        the serving layer already *reserved*, and a granted reservation must
+        Bypasses the fault gate: page writes allocate pages for space the
+        serving layer already *reserved*, and a granted reservation must
         always be honoured (pressure is injected at reservation time).
         """
         page = self.try_alloc(faultable=False)
@@ -399,78 +416,163 @@ class KVPagePool:
         self._keys[:, dst] = self._keys[:, src]
         self._values[:, dst] = self._values[:, src]
 
+    # -- the decode slab ------------------------------------------------
+    def _reserve_slab(self, n_rows: int, n_tokens: int) -> None:
+        """Map a slab of at least ``n_rows`` rows of ``n_tokens`` tokens
+        (doubling) and move the live rows' tokens into it."""
+        old_keys, old_values = self.slab_keys, self.slab_values
+        if old_keys is None:
+            rows, capacity, old_rows = _SLAB_ROWS, _SLAB_TOKENS, 0
+        else:
+            old_layers, old_rows, _heads, capacity, _dim = old_keys.shape
+            if (old_rows >= n_rows and capacity >= n_tokens
+                    and old_layers == self.n_layers):
+                return
+            rows = old_rows
+        while rows < n_rows:
+            rows *= 2
+        while capacity < n_tokens:
+            capacity *= 2
+        shape = (self.n_layers, rows, self.n_heads, capacity, self.head_dim)
+        keys = self.slab_keys = _arena(shape, np.dtype(np.float32))
+        values = self.slab_values = _arena(shape, np.dtype(np.float32))
+        self.valid = np.ones((self.n_heads, capacity), dtype=bool)
+        row_tables = self._row_tables
+        for row, ref in enumerate(row_tables):
+            table = None if ref is None else ref()
+            if table is not None:  # only the tokens: the rest stays unmapped
+                n = table.n_tokens
+                keys[:old_layers, row, :, :n] = old_keys[:, row, :, :n]
+                values[:old_layers, row, :, :n] = old_values[:, row, :, :n]
+            elif ref is not None:  # a table dropped without release
+                row_tables[row] = None
+                self._free_rows.append(row)
+        row_tables.extend([None] * (rows - old_rows))
+        self._free_rows[:0] = range(rows - 1, old_rows - 1, -1)
+
+    def _alloc_row(self, table: "PageTable", n_tokens: int) -> int:
+        """A free slab row for ``table``, with room for ``n_tokens`` tokens."""
+        self._reserve_slab(len(self._row_tables) + (not self._free_rows), n_tokens)
+        row = self._free_rows.pop()
+        self._row_tables[row] = weakref.ref(table)
+        return row
+
+    def _free_row(self, row: int) -> None:
+        """Take back ``row`` (its V zeroed) and empty the decode grouping,
+        which may name the table that held it."""
+        self._row_tables[row] = None
+        self._free_rows.append(row)
+        ref = self.decode_plan
+        if ref is not None:
+            self.decode_plan = None
+            plan = ref()
+            if plan is not None:
+                plan.clear()
+
+    def _swap_rows(self, a: int, b: int, n_tokens: int) -> None:
+        """Exchange the first ``n_tokens`` tokens of slab rows ``a`` and ``b``,
+        every layer."""
+        for slab in (self.slab_keys, self.slab_values):
+            slab[:, [a, b], :, :n_tokens] = slab[:, [b, a], :, :n_tokens]
+
+    def _place(self, tables: "Sequence[PageTable]") -> None:
+        """Move the rows of ``tables`` (taking any missing) into slots
+        ``[0, G)``: a member outside them trades places with the free row or
+        other table in a slot no member holds."""
+        for table in tables:
+            if table.row < 0:
+                table.take_row()
+        n_slots = len(tables)
+        outside = [table for table in tables if table.row >= n_slots]
+        if not outside:
+            return
+        held = {table.row for table in tables}
+        row_tables = self._row_tables
+        for table, slot in zip(outside, [s for s in range(n_slots) if s not in held]):
+            row, ref = table.row, row_tables[slot]
+            other = None if ref is None else ref()
+            n = table.n_tokens
+            if other is not None:
+                n = max(n, other.n_tokens)
+                other.row = row
+            else:
+                if ref is None:
+                    self._free_rows.remove(slot)
+                else:  # the row of a table dropped without release
+                    self.slab_values[:, slot] = 0.0
+                self._free_rows.append(row)
+            self._swap_rows(row, slot, n)
+            row_tables[slot], row_tables[row] = row_tables[row], (
+                None if other is None else ref)
+            table.row = slot
+        self.placements += 1
+
     # -- fused-decode gather/scatter ------------------------------------
     def scatter_tokens(self, pages: np.ndarray, offsets: np.ndarray,
-                       keys: np.ndarray, values: np.ndarray, layer: int = 0) -> None:
-        """Write one ``[H, d]`` token into each ``(page, offset)`` slot of ``layer``.
+                       keys: np.ndarray, values: np.ndarray, layer: int = 0, *,
+                       rows: "np.ndarray | slice", positions: "np.ndarray | int") -> None:
+        """Write one ``[H, d]`` token into each ``(page, offset)`` slot of
+        ``layer`` and into ``slab[layer, rows, :, positions]``, its working row.
 
         The fused batched append: every group member's slot is claimed once
         for all layers (:meth:`PagedKVCache.reserve_stack_slot`), then each
-        layer lands the whole group's new K/V with two fancy-indexed scatters
-        (an fp16 pool rounds in the assignment) instead of 2·G single-token
-        writes.
+        layer lands the whole group's new K/V with four fancy-indexed
+        scatters.  An fp16 pool rounds the tokens once for both.
         """
+        if self.dtype != np.float32:
+            keys = keys.astype(self.dtype)
+            values = values.astype(self.dtype)
         self._keys[layer][pages, :, offsets] = keys
         self._values[layer][pages, :, offsets] = values
+        self.slab_keys[layer][rows, :, positions] = keys
+        self.slab_values[layer][rows, :, positions] = values
 
     def gather_pages(self, tables: np.ndarray, out_keys: np.ndarray,
                      out_values: np.ndarray, layer: int = 0) -> None:
-        """Gather whole page-table rows of ``layer`` into fp32 group workspaces.
-
-        ``tables`` is a ``[G, p_max]`` integer array of page ids (ragged
-        rows padded with any page id — callers mask or zero the tail tokens
-        themselves); ``out_keys``/``out_values`` are
-        ``[G, H, p_max * page_tokens, d]`` fp32 arrays (contiguous or
-        strided views) whose gathered region is fully overwritten.  This is
-        the paged-attention *restack* of the fused decode path: one
-        fancy-indexed assignment per page column — ``keys[tables[:, j]]`` is
-        already ``[G, H, page_tokens, d]`` head-major, so there is no
-        transposed temporary, fp16 page storage widens back to fp32 in the
-        assignment itself, and strided destinations (a persistent group
-        buffer's length-sliced view) are written in place.
+        """Copy the first ``n`` tokens of the ``[G, p_max]`` page-table rows
+        ``tables`` of ``layer`` into fp32 ``[G, H, n, d]`` outputs: the
+        page-to-row copy filling a new slab row (:meth:`PageTable.take_row`),
+        one gather for the whole pages and one for a partial tail page.
         """
         keys, values = self._keys[layer], self._values[layer]
-        page_tokens = self.page_tokens
-        for j in range(tables.shape[1]):
-            column = tables[:, j]
-            out_keys[:, :, j * page_tokens:(j + 1) * page_tokens] = keys[column]
-            out_values[:, :, j * page_tokens:(j + 1) * page_tokens] = values[column]
+        page_tokens, (n_rows, n_heads, n, head_dim) = self.page_tokens, out_keys.shape
+        whole = n - n % page_tokens
+        if whole:
+            columns, shape = tables[:, :whole // page_tokens], (n_rows, n_heads, whole, head_dim)
+            out_keys[:, :, :whole] = keys[columns].transpose(0, 2, 1, 3, 4).reshape(shape)
+            out_values[:, :, :whole] = values[columns].transpose(0, 2, 1, 3, 4).reshape(shape)
+        if whole < n:
+            column = tables[:, whole // page_tokens]
+            out_keys[:, :, whole:] = keys[column, :, :n - whole]
+            out_values[:, :, whole:] = values[column, :, :n - whole]
 
 
 class PageTable:
-    """One sequence's pages, shared by its per-layer :class:`PagedKVCache` handles.
+    """One sequence's pages and slab row, shared by its per-layer handles.
 
     ``pages`` lists the page ids in token order; token ``t`` of every layer
     lives in slot ``t % page_tokens`` of page ``pages[t // page_tokens]``.
     ``tail_owned`` True guarantees the tail page has refcount 1, so a write
     into it can skip the refcount lookup; it is cleared when a fork shares
     the tail or the table shrinks onto an older page, and restored by CoW or
-    a fresh allocation.
+    a fresh allocation.  ``row`` is the table's slab row (``-1`` before the
+    first read or write and after release): handle ``h`` holds there, at
+    ``slab[h.layer, row, :, :count]``, bit for bit what its pages hold, and
+    zeros in V past ``count``.
 
-    The table refers to its handles weakly, in layer order (handle ``s``
-    serves layer ``first layer + s``): handles keep their table alive, never
-    the reverse, so a dropped stack (and the pool arenas it points at) is
-    freed by reference counting alone.
-
-    The handles' contiguous mirrors live here too, as one fp32
-    ``[S, H, capacity, d]`` pair (:meth:`mirror`; ``mirror_keys[s]`` is
-    handle ``s``'s), so a stack whose layers are in step gathers pages into
-    its mirrors, and flushes them back, with one copy per page for every
-    layer.
+    The table refers to its handles weakly, in layer order: handles keep
+    their table alive, never the reverse, so a dropped stack (and the pool
+    arenas it points at) is freed by reference counting alone.
     """
 
-    __slots__ = ("pool", "pages", "tail_owned", "_handles", "mirror_keys",
-                 "mirror_values", "valid")
+    __slots__ = ("pool", "pages", "tail_owned", "row", "_handles", "__weakref__")
 
     def __init__(self, pool: KVPagePool, pages: "list[int] | None" = None) -> None:
         self.pool = pool
         self.pages: list[int] = [] if pages is None else pages
         self.tail_owned = False
+        self.row = -1
         self._handles: list[weakref.ref] = []
-        self.mirror_keys: "np.ndarray | None" = None
-        self.mirror_values: "np.ndarray | None" = None
-        #: All-true ``[H, capacity]`` validity shared by the mirror views.
-        self.valid: "np.ndarray | None" = None
 
     def live_handles(self) -> "list[PagedKVCache] | None":
         """Every handle, in order, or ``None`` when one has been dropped."""
@@ -481,33 +583,15 @@ class PageTable:
         """Whether ``caches`` are exactly this table's handles, in order."""
         return self.live_handles() == list(caches)
 
-    def mirror(self, n_tokens: int) -> tuple[np.ndarray, np.ndarray]:
-        """The ``[S, H, capacity, d]`` mirrors, with room for ``n_tokens`` in
-        every handle's row (grown by doubling, contents kept)."""
-        keys = self.mirror_keys
-        n_slots = len(self._handles)
-        if keys is None or keys.shape[2] < n_tokens or keys.shape[0] < n_slots:
-            pool = self.pool
-            if keys is None:
-                capacity = max(64, n_tokens + pool.page_tokens)
-            else:
-                capacity = keys.shape[2]
-                while capacity < n_tokens:
-                    capacity *= 2
-            shape = (n_slots, pool.n_heads, capacity, pool.head_dim)
-            grown_keys = np.empty(shape, dtype=np.float32)
-            grown_values = np.empty(shape, dtype=np.float32)
-            if keys is not None:
-                old_slots, _heads, old_capacity, _dim = keys.shape
-                grown_keys[:old_slots, :, :old_capacity] = keys
-                grown_values[:old_slots, :, :old_capacity] = self.mirror_values
-            self.mirror_keys, self.mirror_values = grown_keys, grown_values
-            self.valid = np.ones((pool.n_heads, capacity), dtype=bool)
-        return self.mirror_keys, self.mirror_values
-
-    def drop_mirror(self) -> None:
-        """Free the mirrors once every handle is empty."""
-        self.mirror_keys = self.mirror_values = self.valid = None
+    @property
+    def n_tokens(self) -> int:
+        """Tokens the longest live handle holds."""
+        longest = 0
+        for ref in self._handles:
+            handle = ref()
+            if handle is not None and handle._count > longest:
+                longest = handle._count
+        return longest
 
     def writable_page(self, index: int) -> int:
         """Page ``index``, ready for writing: allocated when it is one past
@@ -532,48 +616,71 @@ class PageTable:
             self.tail_owned = True
         return page
 
-    def flush(self, rows: slice, layers: slice, start: int, stop: int) -> None:
-        """Write tokens ``[start, stop)`` of mirror ``rows`` to the pages of
-        ``layers`` (one copy per page for all of them), placing the pages."""
+    def take_row(self) -> int:
+        """Take a slab row and copy every live handle's tokens into it from
+        the pages, one :meth:`KVPagePool.gather_pages` per layer."""
         pool = self.pool
-        page_tokens = pool.page_tokens
-        first = start // page_tokens
-        pages = [self.writable_page(index)
-                 for index in range(first, (stop - 1) // page_tokens + 1)]
-        keys, values = self.mirror_keys, self.mirror_values
-        done = start
-        while done < stop:
-            index, offset = divmod(done, page_tokens)
-            page = pages[index - first]
-            take = min(page_tokens - offset, stop - done)
-            pool._keys[layers, page, :, offset:offset + take] = keys[rows, :, done:done + take]
-            pool._values[layers, page, :, offset:offset + take] = \
-                values[rows, :, done:done + take]
-            done += take
+        n_tokens = self.n_tokens
+        row = self.row = pool._alloc_row(self, n_tokens)
+        if n_tokens:
+            page_tokens = pool.page_tokens
+            ids = np.array(self.pages, dtype=np.intp)[None]
+            keys, values = pool.slab_keys, pool.slab_values
+            for ref in self._handles:
+                handle = ref()
+                if handle is None or not handle._count:
+                    continue
+                count, layer = handle._count, handle.layer
+                pool.gather_pages(ids[:, :-(-count // page_tokens)],
+                                  keys[layer, row:row + 1, :, :count],
+                                  values[layer, row:row + 1, :, :count], layer)
+        return row
 
-    def gather(self, rows: slice, layers: slice, start: int, stop: int) -> None:
-        """Copy paged tokens ``[start, stop)`` of ``layers`` into mirror
-        ``rows`` (one copy per page for all of them)."""
-        pool, pages = self.pool, self.pages
-        page_tokens = pool.page_tokens
-        keys, values = self.mirror_keys, self.mirror_values
+    def write(self, layer: int, start: int, keys: np.ndarray, values: np.ndarray) -> None:
+        """Write storage-rounded ``[H, n, d]`` tokens at ``start`` of ``layer``
+        into the pages (allocated or CoW-copied first, so a dry pool leaves
+        the row untouched), then into the row."""
+        pool = self.pool
+        row = self.row if self.row >= 0 else self.take_row()
+        stop = start + keys.shape[1]
+        page_tokens, pages, refcounts = pool.page_tokens, self.pages, pool._refcounts
+        held = len(pages)
+        for index in range(start // page_tokens, (stop - 1) // page_tokens + 1):
+            if index >= held:
+                self.writable_page(index)
+                held += 1
+            elif refcounts[pages[index]] > 1:
+                self.writable_page(index)  # shared: CoW-copied first
+        page_keys, page_values = pool._keys[layer], pool._values[layer]
         done = start
         while done < stop:
-            index, offset = divmod(done, page_tokens)
-            take = min(page_tokens - offset, stop - done)
-            keys[rows, :, done:done + take] = pool._keys[layers, pages[index], :,
-                                                         offset:offset + take]
-            values[rows, :, done:done + take] = pool._values[layers, pages[index], :,
-                                                             offset:offset + take]
+            index, offset = done // page_tokens, done % page_tokens
+            take = page_tokens - offset if stop - done > page_tokens - offset else stop - done
+            page, source = pages[index], slice(done - start, done - start + take)
+            page_keys[page, :, offset:offset + take] = keys[:, source]
+            page_values[page, :, offset:offset + take] = values[:, source]
             done += take
+        if stop > pool.slab_keys.shape[3]:
+            pool._reserve_slab(0, stop)
+        pool.slab_keys[layer, row, :, start:stop] = keys
+        pool.slab_values[layer, row, :, start:stop] = values
+
+    def zero_values(self, first: int, stop: int, start: int, end: int) -> None:
+        """Zero V of tokens ``[start, end)`` of layers ``[first, stop)`` in
+        the row: tokens a truncate or release dropped."""
+        if self.row >= 0 and start < end:
+            self.pool.slab_values[first:stop, self.row, :, start:end] = 0.0
+
+    def drop_row(self) -> None:
+        """Zero the row's V and give the row back to the pool."""
+        if self.row >= 0:
+            self.pool.slab_values[:, self.row, :, :self.n_tokens] = 0.0
+            self.pool._free_row(self.row)
+            self.row = -1
 
     def trim(self) -> None:
-        """Drop the pages no live handle's flushed tokens reach any more."""
-        covered = 0
-        for ref in self._handles:
-            handle = ref()
-            if handle is not None and handle._flushed > covered:
-                covered = handle._flushed
+        """Drop the pages no live handle's tokens reach any more."""
+        covered = self.n_tokens
         pool = self.pool
         keep = -(-covered // pool.page_tokens)  # ceil: pages covering the tokens
         if keep < len(self.pages):
@@ -587,22 +694,11 @@ class PagedKVCache(LayerKVCache):
     """One layer's handle on a sequence's :class:`PageTable`: full-cache
     semantics on pool pages, with zero-copy copy-on-write forks.
 
-    Pages are the *sharing substrate*: a fork retains the pages covering a
-    prefix (refcount bump, no data copied) and a shared partial tail page is
-    CoW-copied by whichever side writes it next.  The *working storage* of a
-    live sequence is the handle's contiguous mirror (its row of the table's
-    :meth:`~PageTable.mirror`), which keeps the single-sequence decode hot
-    path a contiguous one: appends are single buffer writes and ``fetch``
-    returns zero-copy views.  Tokens move between the two lazily:
-
-    * **flush** (mirror → pages) happens only when a fork, a checkpoint
-      import or the fused decode needs tokens that are not yet paged — one
-      bulk CoW-aware write;
-    * **gather** (pages → mirror) happens on a fork's first read — one bulk
-      copy, O(prefix) memory traffic instead of the O(prefix²) compute of
-      re-prefilling it.
-
-    Both move every layer of a stack at once while its handles are in step.
+    The handle keeps only its token count.  Its tokens live on the table's
+    pages, the *sharing substrate* (a fork retains the pages covering a
+    prefix; a shared partial tail page is CoW-copied by whichever side
+    writes it next), and in the table's slab row, the *working copy*
+    (``fetch`` returns zero-copy views of it).  Every write reaches both.
 
     ``PagedKVCache(pool, ...)`` makes a handle with a table of its own;
     :meth:`PagedCacheFactory.make_stack` makes the ``L`` handles of one
@@ -625,11 +721,8 @@ class PagedKVCache(LayerKVCache):
         self.pool = pool
         self.layer = layer
         self._table = PageTable(pool) if table is None else table
-        self._slot = len(self._table._handles)  # this handle's mirror row
         self._table._handles.append(weakref.ref(self))
         self._count = 0
-        self._flushed = 0  # tokens persisted to pages; the rest live in the mirror
-        self._mirrored = 0  # tokens [0, _mirrored) are in the mirror
 
     # -- page bookkeeping -----------------------------------------------
     @property
@@ -637,109 +730,21 @@ class PagedKVCache(LayerKVCache):
         """The (read-only) page list of this handle's table, in token order."""
         return tuple(self._table.pages)
 
-    @property
-    def flushed_tokens(self) -> int:
-        """Tokens currently persisted to pool pages (≤ ``num_tokens``)."""
-        return self._flushed
-
-    def page_list(self) -> list[int]:
-        """The table's live page-index list, in token order — **no copy**.
-
-        Fused-decode hot-path accessor: callers read it to build group
-        page-table arrays and must not mutate it (use :meth:`fork` /
-        :meth:`truncate` / :meth:`release` for that).
-        """
-        return self._table.pages
-
     def _to_storage(self, array: np.ndarray) -> np.ndarray:
-        """Round an fp32 array through the pool's storage dtype.
-
-        Applied at every *mirror* write so the mirror and the pages always
-        hold bit-identical values: without this, an fp16 pool would serve
-        unrounded fp32 from the mirror until the first flush/gather cycle
-        and rounded values afterwards, making results depend on fork/fetch
-        timing (and the fused page path diverge from the per-sequence one).
-        """
+        """Round an fp32 array through the pool's storage dtype, so the row
+        and the pages hold bit-identical values whatever reads them."""
         array = np.asarray(array, dtype=np.float32)
         if self.pool.dtype == np.float16:
             return array.astype(np.float16).astype(np.float32)
         return array
 
-    def _rows(self) -> tuple[slice, slice]:
-        """This handle's mirror row and arena layer, as table slices."""
-        return slice(self._slot, self._slot + 1), slice(self.layer, self.layer + 1)
-
-    def _in_step(self) -> "list[PagedKVCache] | None":
-        """Every handle of the table, when all hold what this one holds
-        (count, watermark, mirror) — they may move their tokens together."""
-        handles = self._table.live_handles()
-        if handles is not None:
-            state = (self._count, self._flushed, self._mirrored)
-            for handle in handles:
-                if (handle._count, handle._flushed, handle._mirrored) != state:
-                    return None
-        return handles
-
-    @staticmethod
-    def _stack_rows(handles: "list[PagedKVCache]") -> tuple[slice, slice]:
-        """Mirror rows and arena layers of a whole table's handles."""
-        first = handles[0].layer
-        return slice(0, len(handles)), slice(first, first + len(handles))
-
-    def _flush(self) -> None:
-        """Persist mirror tokens beyond the page watermark (CoW-aware)."""
-        if self._flushed != self._count:
-            self._table.flush(*self._rows(), self._flushed, self._count)
-            self._flushed = self._count
-
-    def _flush_stack(self, caches: "Sequence[PagedKVCache]") -> None:
-        """:meth:`_flush` every handle of this table (``caches``, all of
-        them), with one copy per page when they are in step."""
-        start, stop = self._flushed, self._count
-        dirty, in_step = False, True
-        for cache in caches:
-            dirty |= cache._flushed != cache._count
-            in_step &= cache._flushed == start and cache._count == stop
-        if not dirty:
-            return
-        if not in_step:
-            for cache in caches:
-                cache._flush()
-            return
-        self._table.flush(*self._stack_rows(caches), start, stop)
-        for cache in caches:
-            cache._flushed = stop
-
-    def _sync_mirror(self) -> None:
-        """Gather the paged tokens the mirror is missing (bulk, per page) —
-        for every handle of the table at once when they are in step."""
-        table = self._table
-        table.mirror(self._count)
-        # Invariant: tokens in [_mirrored, _flushed) are on pages; tokens in
-        # [_flushed, _count) are already in the mirror by construction.
-        start, stop = self._mirrored, self._flushed
-        if start >= stop:
-            return
-        handles = self._in_step()
-        if handles is None:
-            table.gather(*self._rows(), start, stop)
-            self._mirrored = stop
-        else:
-            table.gather(*self._stack_rows(handles), start, stop)
-            for handle in handles:
-                handle._mirrored = stop
-
     # -- LayerKVCache interface -----------------------------------------
     def prefill(self, keys: np.ndarray, values: np.ndarray, inputs: np.ndarray,
                 attn_probs: np.ndarray) -> None:
         del inputs, attn_probs
-        if self._mirrored != self._count:
-            self._sync_mirror()
-        count, n = self._count, keys.shape[1]
-        mirror_keys, mirror_values = self._table.mirror(count + n)
-        mirror_keys[self._slot, :, count:count + n] = self._to_storage(keys)
-        mirror_values[self._slot, :, count:count + n] = self._to_storage(values)
-        self._count = self._mirrored = count + n
+        count = self._count
+        self._table.write(self.layer, count, self._to_storage(keys), self._to_storage(values))
+        self._count = count + keys.shape[1]
 
     def extend_chunk(self, keys: np.ndarray, values: np.ndarray, inputs: np.ndarray,
                      positions: np.ndarray) -> None:
@@ -753,17 +758,19 @@ class PagedKVCache(LayerKVCache):
     def reserve_slot(self) -> tuple[int, int]:
         """Claim this layer's next token ``(page, offset)`` without writing data.
 
-        Flushes mirror-only tokens, allocates or CoW-resolves the page in
-        the table and advances count and watermark; the caller *must* write
-        the slot (:meth:`KVPagePool.scatter_tokens` with this handle's
-        ``layer``) before any read.  Another layer of the same table reusing
-        the page finds it allocated and owned.
+        Takes the table's row if it has none, allocates or CoW-resolves the
+        page and advances the count; the caller *must* write the slot —
+        :meth:`KVPagePool.scatter_tokens` with this handle's ``layer``, its
+        table's ``row`` and position ``num_tokens - 1`` — before any read.
         """
-        self._flush()
-        index, offset = divmod(self._count, self.pool.page_tokens)
-        page = self._table.writable_page(index)
-        self._count += 1
-        self._flushed = self._count
+        table, pool, count = self._table, self.pool, self._count
+        if table.row < 0:
+            table.take_row()
+        if count >= pool.slab_keys.shape[3]:
+            pool._reserve_slab(0, count + 1)
+        index, offset = divmod(count, pool.page_tokens)
+        page = table.writable_page(index)
+        self._count = count + 1
         return page, offset
 
     def whole_stack(self, caches: "Sequence[LayerKVCache]") -> bool:
@@ -785,21 +792,19 @@ class PagedKVCache(LayerKVCache):
 
     def reserve_stack_slot(self, caches: "Sequence[PagedKVCache]") -> tuple[int, int]:
         """:meth:`reserve_slot` once for a :meth:`whole_stack`: every layer's
-        count and watermark advance to the same ``(page, offset)``, which
-        each layer then writes with its own scatter."""
-        self._flush_stack(caches)
+        count advances to the same ``(page, offset)``, which each layer then
+        writes with its own scatter."""
         page, offset = self.reserve_slot()
         for cache in caches:
-            cache._count = cache._flushed = self._count
+            cache._count = self._count
         return page, offset
 
     def fetch(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        if self._mirrored != self._count:
-            self._sync_mirror()
-        table, count = self._table, self._count
-        mirror_keys, mirror_values = table.mirror(count)
-        return (mirror_keys[self._slot, :, :count], mirror_values[self._slot, :, :count],
-                table.valid[:, :count])
+        table = self._table
+        row = table.row if table.row >= 0 else table.take_row()
+        pool, count = self.pool, self._count
+        return (pool.slab_keys[self.layer, row, :, :count],
+                pool.slab_values[self.layer, row, :, :count], pool.valid[:, :count])
 
     def observe_attention(self, probs: np.ndarray) -> None:
         del probs  # paged cache keeps everything; no importance tracking
@@ -811,7 +816,7 @@ class PagedKVCache(LayerKVCache):
     def stored_bytes(self, bits_per_element: int = 16) -> int:
         """Bytes at *page* granularity: partially-filled pages count in full."""
         page_tokens = self.pool.page_tokens
-        n_pages = -(-self._count // page_tokens)  # ceil: as if fully paged
+        n_pages = -(-self._count // page_tokens)  # ceil: the pages it covers
         elements = 2 * n_pages * page_tokens * self.n_heads * self.head_dim
         return elements * bits_per_element // 8
 
@@ -819,18 +824,13 @@ class PagedKVCache(LayerKVCache):
     def fork(self, upto: int | None = None) -> "PagedKVCache":
         """Zero-copy copy-on-write fork sharing the first ``upto`` tokens.
 
-        Unpaged mirror tokens are flushed to pages first (one bulk CoW-aware
-        write); then every page covering the prefix is retained — no K/V
-        data is copied — into the fork's own table.  A partially-covered
-        shared tail page is CoW-copied by whichever side writes it next.
-        The fork's mirror is built lazily on first read, so forks that are
-        never decoded from (e.g. radix-tree snapshots) cost O(pages)
-        bookkeeping only.
+        Every page covering the prefix is retained into the fork's own
+        table, which takes a row only on its first read or write, so forks
+        never decoded from (radix snapshots) cost O(pages) bookkeeping.
         """
         upto = self._count if upto is None else int(upto)
         if not 0 <= upto <= self._count:
             raise ValueError(f"fork upto={upto} out of range [0, {self._count}]")
-        self._flush()
         table = self._table
         n_pages = -(-upto // self.pool.page_tokens)  # ceil division
         shared = table.pages[:n_pages]
@@ -841,13 +841,12 @@ class PagedKVCache(LayerKVCache):
         return self._handle(PageTable(self.pool, shared), self.layer, upto)
 
     def _handle(self, table: PageTable, layer: int, n_tokens: int) -> "PagedKVCache":
-        """A handle on ``table`` holding ``n_tokens`` tokens, all on pages:
-        this handle's geometry, copied rather than validated again."""
+        """A handle on ``table`` holding ``n_tokens`` tokens: this handle's
+        geometry, copied rather than validated again."""
         handle = object.__new__(PagedKVCache)
         handle.__dict__.update(self.__dict__)
-        handle.write_epoch = handle._mirrored = 0
-        handle.layer, handle._table, handle._slot = layer, table, len(table._handles)
-        handle._count = handle._flushed = n_tokens
+        handle.write_epoch = 0
+        handle.layer, handle._table, handle._count = layer, table, n_tokens
         table._handles.append(weakref.ref(handle))
         return handle
 
@@ -861,20 +860,8 @@ class PagedKVCache(LayerKVCache):
         for cache in caches:
             if not 0 <= upto <= cache._count:
                 raise ValueError(f"fork upto={upto} out of range [0, {cache._count}]")
-        self._flush_stack(caches)
         head = caches[0].fork(upto)
         return [head] + [head._handle(head._table, cache.layer, upto) for cache in caches[1:]]
-
-    def _cut(self, n: int) -> bool:
-        """Drop tokens beyond ``n`` from this handle (its table untouched);
-        True when the watermark fell, i.e. the table may have pages to drop."""
-        lowered = self._flushed > n
-        if lowered:
-            self._flushed = n
-        self._count = n
-        self._mirrored = min(self._mirrored, n)
-        self.write_epoch += 1
-        return lowered
 
     def truncate(self, n: int) -> None:
         """Native rollback: drop tokens beyond ``n``, freeing rolled-back pages.
@@ -887,7 +874,10 @@ class PagedKVCache(LayerKVCache):
         """
         if not 0 <= n <= self._count:
             raise ValueError(f"truncate to {n} out of range [0, {self._count}]")
-        if n != self._count and self._cut(n):
+        if n != self._count:
+            self._table.zero_values(self.layer, self.layer + 1, n, self._count)
+            self._count = n
+            self.write_epoch += 1
             self._table.trim()
 
     def truncate_stack(self, caches: "Sequence[LayerKVCache]", n: int) -> None:
@@ -898,64 +888,60 @@ class PagedKVCache(LayerKVCache):
         for cache in caches:
             if not 0 <= n <= cache._count:
                 raise ValueError(f"truncate to {n} out of range [0, {cache._count}]")
-        lowered = False
+        longest = n
         for cache in caches:
             if n != cache._count:
-                lowered |= cache._cut(n)
-        if lowered:
+                if cache._count > longest:
+                    longest = cache._count
+                cache._count = n
+                cache.write_epoch += 1
+        if longest > n:
+            self._table.zero_values(caches[0].layer, caches[-1].layer + 1, n, longest)
             self._table.trim()
-
-    def _reset(self) -> None:
-        self._count = self._flushed = self._mirrored = 0
-        self.write_epoch += 1
 
     def release(self) -> None:
         """Empty this handle; the table drops the pages no other live handle
-        covers (all of them when this was the last).  Idempotent; the handle
-        stays usable."""
-        self._reset()
+        covers (all of them, and its row, when this was the last).
+        Idempotent; the handle stays usable."""
         table = self._table
+        table.zero_values(self.layer, self.layer + 1, 0, self._count)
+        self._count = 0
+        self.write_epoch += 1
         table.trim()
-        handles = [ref() for ref in table._handles]
-        if not any(handle is not None and handle._count for handle in handles):
-            table.drop_mirror()
+        if not table.n_tokens:
+            table.drop_row()
 
     def release_stack(self, caches: "Sequence[LayerKVCache]") -> None:
         """Release a whole stack: every page once (per-layer otherwise)."""
         if not self._table.is_stack(caches):
             super().release_stack(caches)
             return
+        self._table.drop_row()
         for cache in caches:
-            cache._reset()
+            cache._count = 0
+            cache.write_epoch += 1
         self._table.trim()
-        self._table.drop_mirror()
 
     # -- checkpoint / restore -------------------------------------------
     def export_state(self) -> KVLayerCheckpoint:
         """Serialise this layer's KV state into a self-contained checkpoint.
 
-        Read-only with respect to pool accounting: no pages are allocated,
-        flushed, retained or released — a periodic checkpoint of a live
-        request must not perturb it.  Data is gathered through the mirror
-        (pages in page-table order, then the unflushed tail) and *copied*,
-        so the checkpoint survives the source cache, its pool, and any CoW
-        sharing with forks.
+        No page is allocated, retained or released; the tokens are *copied*
+        out of the row, so the checkpoint survives the source cache, its
+        pool, and any CoW sharing with forks.
         """
         keys, values, _valid = self.fetch()
-        return KVLayerCheckpoint(
-            keys=keys.copy(), values=values.copy(),
-            n_tokens=self._count, flushed_tokens=self._flushed,
-            page_tokens=self.pool.page_tokens)
+        return KVLayerCheckpoint(keys=keys.copy(), values=values.copy(),
+                                 n_tokens=self._count, page_tokens=self.pool.page_tokens)
 
     def import_state(self, ckpt: KVLayerCheckpoint) -> None:
         """Rebuild an exported layer state inside *this* handle's pool.
 
         Only an empty (freshly made) handle may import.  The checkpoint is
-        re-chunked to this pool's ``page_tokens`` (the source's page size
-        may differ) and flushed onto the table's pages: the first layer of a
-        stack to import allocates them, the others write their slices into
-        the same pages, so the restored request owns its pages (refcount 1)
-        and is indistinguishable from one that decoded every token locally.
+        written like a prefill (rounded through the pool dtype, re-chunked
+        to this pool's ``page_tokens``): the first layer of a stack to import
+        allocates the pages, the others write their slices into them, so the
+        restored request owns its pages like one decoded locally.
         All-or-nothing: if the pool runs dry mid-import, the pages this
         import took are released before :class:`PoolExhausted` propagates.
         """
@@ -965,16 +951,8 @@ class PagedKVCache(LayerKVCache):
             raise ValueError(
                 f"checkpoint geometry [H={ckpt.n_heads}, d={ckpt.head_dim}] "
                 f"does not match pool [H={self.n_heads}, d={self.head_dim}]")
-        # Round through the pool dtype so the rebuilt mirror matches the
-        # pages bit-for-bit (an fp32 checkpoint restored into an fp16 pool
-        # is rounded once, identically on both sides).
-        n = ckpt.n_tokens
-        mirror_keys, mirror_values = self._table.mirror(n)
-        mirror_keys[self._slot, :, :n] = self._to_storage(ckpt.keys)
-        mirror_values[self._slot, :, :n] = self._to_storage(ckpt.values)
-        self._count = self._mirrored = n
         try:
-            self._flush()
+            self.prefill(ckpt.keys, ckpt.values, None, None)
         except PoolExhausted:
             self.release()
             raise
@@ -982,53 +960,69 @@ class PagedKVCache(LayerKVCache):
 
 
 class PagedGroup:
-    """Whole stacks of one pool that decode together: one slot claim a step.
+    """Whole stacks of one pool that decode together: their rows in slab
+    slots ``[0, G)``, one slot claim a step.
 
     The fused decode builds one per membership from
-    :meth:`PagedKVCache.whole_stack` rows sharing a pool, and keeps it while
-    :meth:`current` holds — every handle still at the count and
-    :attr:`~repro.llm.cache.LayerKVCache.write_epoch` the last claim left it
-    at, so nothing wrote, rolled back or released a member since.  The first
-    claim goes through :meth:`PagedKVCache.reserve_stack_slot` per member
-    (which flushes mirror-only tokens); later claims find every token on
-    pages, so a member writing inside a tail page it owns takes that page as
-    it is, and only members that open a page or write a shared tail go
-    through :meth:`PageTable.writable_page`.
+    :meth:`PagedKVCache.whole_stack` rows sharing a pool; building it moves
+    the members' rows into slots ``[0, G)`` and orders :attr:`stacks` by
+    slot (:attr:`order` maps them back), so a step attends ``slab[layer,
+    :G, :, :longest]`` as one view.  It is kept while :meth:`current` holds.
+    The first claim goes through :meth:`PagedKVCache.reserve_stack_slot` per
+    member; later claims take a member's owned tail page as it is, and only
+    members opening a page or writing a shared tail go through
+    :meth:`PageTable.writable_page`.
     """
 
-    __slots__ = ("stacks", "lengths", "_tables", "_handles", "_counts", "_epochs")
+    __slots__ = ("stacks", "order", "pool", "lengths", "longest", "pages", "offsets",
+                 "rows", "positions", "padmask", "_slots", "_tables", "_handles",
+                 "_counts", "_epochs", "_placement")
 
     def __init__(self, stacks: "Sequence[Sequence[PagedKVCache]]") -> None:
-        self.stacks = list(stacks)
+        tables = [caches[0]._table for caches in stacks]
+        pool = self.pool = tables[0].pool
+        pool._place(tables)
+        #: Member ``g`` (slot ``g``) is ``stacks[order[g]]`` of the stacks given.
+        self.order = sorted(range(len(tables)), key=lambda g: tables[g].row)
+        self.stacks = [stacks[g] for g in self.order]
+        self._tables = [tables[g] for g in self.order]
+        self._placement = pool.placements
+        self._slots = np.arange(len(tables))
         #: Tokens each member holds after the last claim (``None`` before it).
         self.lengths: "list[int] | None" = None
-        self._tables = [caches[0]._table for caches in self.stacks]
+        self.longest = 0
         self._handles = [cache for caches in self.stacks for cache in caches]
         self._counts: "list[int] | None" = None
         self._epochs: "list[int] | None" = None
 
     def current(self) -> bool:
-        """Whether every member holds exactly what the last claim left."""
+        """Whether every member holds exactly what the last claim left, in
+        the slot it was placed in."""
         return (self._counts is not None
+                and self.pool.placements == self._placement
                 and [cache._count for cache in self._handles] == self._counts
                 and [cache.write_epoch for cache in self._handles] == self._epochs)
 
-    def claim(self) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    def claim(self) -> None:
         """Claim each member's next ``(page, offset)`` for all of its layers.
 
-        Returns ``(pages, offsets, lengths)``, the lengths counting the
-        claimed token; the caller must write every slot before a read (see
-        :meth:`PagedKVCache.reserve_slot`).
+        Sets what every layer of the step shares: the
+        :meth:`KVPagePool.scatter_tokens` targets (:attr:`pages`,
+        :attr:`offsets`, :attr:`rows`, :attr:`positions`), the
+        :attr:`lengths` counting the new tokens, :attr:`longest` and
+        :attr:`padmask` (``[G, longest]``, True past each member's length;
+        ``None`` when all are equal).  Every slot must be written before a read.
         """
         if self._counts is None:
             slots = [caches[0].reserve_stack_slot(caches) for caches in self.stacks]
             pages = [page for page, _offset in slots]
             offsets = [offset for _page, offset in slots]
             lengths = [caches[0]._count for caches in self.stacks]
+            self.longest = max(lengths)
             # Claims never touch stored tokens, so the epochs stay these.
             self._epochs = [cache.write_epoch for cache in self._handles]
         else:
-            page_tokens = self._tables[0].pool.page_tokens
+            page_tokens = self.pool.page_tokens
             held = self.lengths
             offsets = [n % page_tokens for n in held]
             pages = [table.pages[-1] if offset and table.tail_owned else -1
@@ -1038,13 +1032,23 @@ class PagedGroup:
                     if page < 0:
                         pages[g] = self._tables[g].writable_page(held[g] // page_tokens)
             lengths = [n + 1 for n in held]
+            self.longest += 1
+            if self.longest > self.pool.slab_keys.shape[3]:
+                self.pool._reserve_slab(0, self.longest)
             for caches, n in zip(self.stacks, lengths):
                 for cache in caches:
-                    cache._count = cache._flushed = n
+                    cache._count = n
         self.lengths = lengths
         self._counts = [n for caches, n in zip(self.stacks, lengths) for _cache in caches]
-        return (np.array(pages, dtype=np.intp), np.array(offsets, dtype=np.intp),
-                lengths)
+        self.pages = np.array(pages, dtype=np.intp)
+        self.offsets = np.array(offsets, dtype=np.intp)
+        if min(lengths) == self.longest:  # uniform: basic-indexed slab writes
+            self.padmask, self.rows = None, slice(0, len(lengths))
+            self.positions = self.longest - 1
+        else:
+            held = np.array(lengths)
+            self.padmask = np.arange(self.longest) >= held[:, None]
+            self.rows, self.positions = self._slots, held - 1
 
 
 class PagedCacheFactory:

@@ -154,8 +154,8 @@ class LayerKVCache(abc.ABC):
     #: Whether this cache is one layer's handle on a sequence's page table
     #: (:class:`repro.core.kv_pool.PagedKVCache`).  The fused batched decode
     #: (:meth:`repro.llm.model.DecoderLM.decode_step_batch`) groups whole
-    #: stacks of such handles by pool: it appends straight into pool pages
-    #: and gathers group K/V via page-table indexing.  Every other cache
+    #: stacks of such handles by pool: it writes through to pool pages and
+    #: attends the members' rows of the pool's decode slab.  Every other cache
     #: takes the step through its own ``append`` / ``fetch`` (the group
     #: protocol below), with the attention stacked where fetched shapes agree.
     paged_stack: bool = False
@@ -166,11 +166,11 @@ class LayerKVCache(abc.ABC):
         self.n_heads = n_heads
         self.head_dim = head_dim
         self.d_model = d_model
-        #: Mutation counter for fused group-buffer invalidation: bumped
-        #: whenever already-stored tokens may change or disappear (truncate,
-        #: release, checkpoint import).  Plain appends do NOT bump it — the
-        #: fused decode path relies on that to extend its persistent stacked
-        #: K/V buffers incrementally instead of re-gathering every step.
+        #: Mutation counter for fused decode groups: bumped whenever
+        #: already-stored tokens may change or disappear (truncate, release,
+        #: checkpoint import).  Plain appends do NOT bump it — the fused
+        #: decode relies on that to keep its group (and the slot claims it
+        #: makes) across steps instead of regrouping every step.
         self.write_epoch = 0
 
     @abc.abstractmethod
@@ -328,7 +328,7 @@ class LayerKVCache(abc.ABC):
 
         The serving engine calls this when a sequence retires; pool-backed
         caches drop their page references here.  Bumps :attr:`write_epoch`
-        so any fused group buffer still referencing this cache restacks.
+        so any fused decode group still holding this cache regroups.
         """
         self.write_epoch += 1
 

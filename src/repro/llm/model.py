@@ -18,6 +18,7 @@ accounting by the performance model.
 
 from __future__ import annotations
 
+import weakref
 from typing import Sequence
 
 import numpy as np
@@ -41,122 +42,53 @@ from repro.registry import resolve
 from repro.utils.rng import derive_rng
 
 
-class _FusedGroupBuffer:
-    """Persistent stacked K/V for one fused decode group at one layer.
-
-    The fused decode path's steady state: ``keys``/``values`` hold the whole
-    group's cache contents as ``[G, H, capacity, d]`` fp32 stacks, built once
-    by a *restack* (a page-table gather) and then extended by a single
-    ``[H, d]`` token write per sequence per step — so a steady decode step
-    touches O(G·H·d) bytes of bookkeeping plus the unavoidable attention
-    reads, instead of re-copying the entire K/V history every step.
-
-    A buffer is *current* only while every member cache advanced by exactly
-    one appended token since the last sync and its :attr:`~repro.llm.cache.
-    LayerKVCache.write_epoch` is unchanged (no truncate/release/import
-    touched stored tokens); anything else — rollback, preemption, chunked
-    prefill catch-up, capacity overflow — triggers a fresh restack.
-
-    Invariant for ragged groups: ``values[g, :, lengths[g]:]`` is zero all
-    the way to capacity, so the length-masked attention matmul can read past
-    a short row's end without 0·NaN poisoning or stale-value leakage as
-    ``n_max`` grows between restacks.
-    """
-
-    __slots__ = ("caches", "epochs", "lengths", "keys", "values", "last_used")
-
-    def __init__(self, caches: "list[LayerKVCache]") -> None:
-        #: Strong references pin member identity: a live cache's ``id`` can
-        #: never be recycled, so the state key (layer, cache ids) is sound.
-        self.caches = list(caches)
-        self.epochs = [-1] * len(caches)  # forces a restack on first use
-        self.lengths = [-1] * len(caches)
-        self.keys: "np.ndarray | None" = None
-        self.values: "np.ndarray | None" = None
-        self.last_used = 0
-
-
-class _PagedRows:
-    """One decode step of a paged group, shared by every layer.
-
-    Each member's next ``(page, offset)`` is claimed once for all of its
-    layers (one page table per sequence, one :class:`~repro.core.kv_pool.
-    PagedGroup` claim per group), so the members' lengths, the padding mask
-    and — built by the first layer that restacks — the page tables and the
-    positions beyond each row's length are the same for every layer too.
-    """
-
-    __slots__ = ("pages", "offsets", "lengths", "n_max", "padmask", "_tables",
-                 "_beyond")
-
-    def __init__(self, pages: np.ndarray, offsets: np.ndarray, lengths: list[int]) -> None:
-        self.pages, self.offsets, self.lengths = pages, offsets, lengths
-        self.n_max = n_max = max(lengths)
-        #: ``[G, n_max]``, True past each row's length (``None`` when uniform).
-        self.padmask = (None if min(lengths) == n_max else
-                        np.arange(n_max) >= np.array(lengths)[:, None])
-        self._tables: "np.ndarray | None" = None
-        self._beyond: dict = {}
-
-    def tables(self, caches: list[LayerKVCache], pages_max: int) -> np.ndarray:
-        """``[G, pages_max]`` page ids of the members (``caches``, one layer's).
-
-        Rows are padded with page 0, live or free: what it gathers lies
-        beyond the row's length and is zeroed by the restack.
-        """
-        if self._tables is None:
-            self._tables = np.zeros((len(caches), pages_max), dtype=np.intp)
-            for g, cache in enumerate(caches):
-                row_pages = cache.page_list()
-                self._tables[g, :len(row_pages)] = row_pages
-        return self._tables
-
-    def beyond(self, capacity: int) -> tuple[np.ndarray, np.ndarray]:
-        """``(rows, tokens)`` of every position at or past a row's length,
-        below ``capacity``."""
-        index = self._beyond.get(capacity)
-        if index is None:
-            index = self._beyond[capacity] = np.nonzero(
-                np.arange(capacity) >= np.array(self.lengths)[:, None])
-        return index
-
-
 class _DecodePlan:
     """The fused decode's grouping of one batch membership, kept across steps.
 
     ``stacks`` are the batch's cache lists (their identity is the
-    membership); each paged group carries its :class:`~repro.core.kv_pool.
-    PagedGroup` and its per-layer :class:`_FusedGroupBuffer`.  A step reuses
-    the plan while the membership is the same, every group is
-    :meth:`~repro.core.kv_pool.PagedGroup.current` and no loose paged stack
-    has come back in step; anything else rebuilds it.
+    membership); each paged group carries its batch rows in slab-slot order,
+    its :class:`~repro.core.kv_pool.PagedGroup` and whether those rows are
+    the whole batch in order.  A step reuses the plan while the membership is
+    the same, every group is :meth:`~repro.core.kv_pool.PagedGroup.current`
+    and no loose paged stack has come back in step; anything else rebuilds
+    it.  Every pool the plan covers refers to it weakly and clears it when
+    it frees a row, so a kept plan never outlives its sequences.
     """
 
-    __slots__ = ("stacks", "groups", "loose", "unwhole", "enders", "fresh")
+    __slots__ = ("stacks", "groups", "loose", "unwhole", "enders", "__weakref__")
 
     def __init__(self, model: "DecoderLM", stacks: list[list[LayerKVCache]]) -> None:
         self.stacks = stacks
+        if True not in [caches[0].paged_stack for caches in stacks]:
+            # Nothing to group or place (rebuilt every step, so kept cheap).
+            self.groups, self.unwhole, self.loose = [], [], range(len(stacks))
+            self.enders = _enders(stacks)
+            return
         paged_groups, self.loose = model._fused_decode_groups(stacks)
-        #: ``(rows, group, buffer per layer)`` of each paged group.
+        #: ``(rows, group, in order)`` of each paged group.
         self.groups = []
+        ref = weakref.ref(self)
         for rows in paged_groups:
-            members = [stacks[b] for b in rows]
-            buffers = [model._fused_state(layer, [caches[layer] for caches in members])
-                       for layer in range(model.config.n_layers)]
-            self.groups.append((rows, PagedGroup(members), buffers))
+            group = PagedGroup([stacks[b] for b in rows])
+            rows = [rows[g] for g in group.order]
+            self.groups.append((rows, group, rows == list(range(len(stacks)))))
+            group.pool.decode_plan = ref
         #: Loose paged stacks whose layers are out of step (they group once
         #: back in step).
-        self.unwhole = [b for b in self.loose if stacks[b][0].paged_stack
-                        and not stacks[b][0].whole_stack(stacks[b])]
+        self.unwhole = []
+        for b in self.loose:
+            head = stacks[b][0]
+            if head.paged_stack:
+                head.pool.decode_plan = ref
+                if not head.whole_stack(stacks[b]):
+                    self.unwhole.append(b)
         #: The loose caches whose class has an ``end_step`` of its own.
-        self.enders = _enders(stacks[b] for b in self.loose)
-        #: Whether no step has run on the plan yet.
-        self.fresh = True
+        self.enders = _enders([stacks[b] for b in self.loose])
 
     def holds(self) -> bool:
         """Whether every group still holds what its last claim left and no
         loose paged stack could join one."""
-        for _rows, group, _buffers in self.groups:
+        for _rows, group, _in_order in self.groups:
             if not group.current():
                 return False
         for b in self.unwhole:
@@ -164,11 +96,15 @@ class _DecodePlan:
                 return False
         return True
 
+    def clear(self) -> None:
+        """Forget the membership and every cache (a pool freed a row)."""
+        self.stacks, self.groups, self.loose, self.unwhole, self.enders = [], [], [], [], []
+
 
 def _enders(stacks) -> list[LayerKVCache]:
     """The caches of ``stacks`` whose class overrides the no-op ``end_step``."""
     return [cache for caches in stacks for cache in caches
-            if type(cache).end_step is not LayerKVCache.end_step]
+            if cache.__class__.end_step is not LayerKVCache.end_step]
 
 
 class DecoderLM:
@@ -183,11 +119,8 @@ class DecoderLM:
         # blocks, context accumulators, fused-attention gather workspaces):
         # steady-state decode steps perform zero scratch allocations.
         self._ws = StepWorkspace()
-        # Persistent fused-decode group buffers, keyed by
-        # (layer, tuple(id(cache) for cache in group)); see _FusedGroupBuffer.
-        self._fused_states: dict = {}
-        self._fused_clock = 0
-        # The grouping of the last fused decode's membership (_DecodePlan).
+        # The grouping of the last fused decode's membership (_DecodePlan),
+        # kept while a paged pool can clear it (see _plan_decode).
         self._decode_plan: "_DecodePlan | None" = None
         # Lazily-built concatenated [C, 3C] QKV weights per layer so the
         # decode hot paths issue one projection GEMM instead of three.
@@ -689,11 +622,11 @@ class DecoderLM:
         Returns ``(paged_groups, loose)``.  A *paged* group shares one
         :class:`~repro.core.kv_pool.KVPagePool`, each member a whole stack on
         one page table (its next slot is claimed once for every layer), so
-        one page-table gather plus one length-masked BLAS matmul per layer
+        one length-masked BLAS matmul per layer over the members' slab rows
         serves the whole (possibly ragged) group.  Everything else — caches
         with storage of their own, stacks whose layers are out of step — runs
         through :meth:`_attend_loose_rows`, as do singleton groups, for which
-        the gather copy buys nothing.
+        placing rows buys nothing.
         """
         paged: dict[int, list[int]] = {}
         loose: list[int] = []
@@ -713,40 +646,15 @@ class DecoderLM:
 
     def _plan_decode(self, stacks: list[list[LayerKVCache]]) -> _DecodePlan:
         """The kept plan when ``stacks`` is its membership and it still
-        :meth:`~_DecodePlan.holds`, else a fresh plan for ``stacks``."""
+        :meth:`~_DecodePlan.holds`, else a fresh plan for ``stacks`` — kept
+        only when the first stack is paged, as its pool clears the plan when
+        it frees a row: the model never pins a finished run's caches.
+        """
         plan = self._decode_plan
         if plan is None or plan.stacks != stacks or not plan.holds():
-            plan = self._decode_plan = _DecodePlan(self, stacks)
+            plan = _DecodePlan(self, stacks)
+            self._decode_plan = plan if stacks[0][0].paged_stack else None
         return plan
-
-    def _fused_state(self, layer: int, caches: list[LayerKVCache]) -> _FusedGroupBuffer:
-        """The persistent group buffer for this exact (layer, member) tuple."""
-        key = (layer, tuple(id(cache) for cache in caches))
-        state = self._fused_states.get(key)
-        if state is None:
-            state = _FusedGroupBuffer(caches)
-            self._fused_states[key] = state
-        state.last_used = self._fused_clock
-        return state
-
-    @staticmethod
-    def _buffer_current(state: _FusedGroupBuffer, caches: list[LayerKVCache],
-                        n_max: int) -> bool:
-        """True iff every member advanced by exactly one appended token.
-
-        ``write_epoch`` catches mutations of already-stored tokens (rollback,
-        release, checkpoint import); the exact ``+1`` length check catches
-        multi-token catch-up (chunked prefill, a step spent on the loose
-        path) and group-membership drift across an absence.  Capacity
-        overflow also restacks — into freshly doubled buffers.
-        """
-        if state.keys is None or state.keys.shape[2] < n_max:
-            return False
-        epochs, lengths = state.epochs, state.lengths
-        for g, cache in enumerate(caches):
-            if cache.write_epoch != epochs[g] or cache.num_tokens != lengths[g] + 1:
-                return False
-        return True
 
     @staticmethod
     def _softmax_inplace(scores: np.ndarray) -> np.ndarray:
@@ -764,46 +672,27 @@ class DecoderLM:
         np.divide(scores, s, out=scores)
         return scores
 
-    def _grow_buffers(self, state: _FusedGroupBuffer, n_groups: int,
-                      n_needed: int) -> None:
-        """(Re)allocate group stacks to a power-of-two token capacity."""
-        n_heads, head_dim = self.config.n_heads, self.config.head_dim
-        capacity = 64
-        while capacity < n_needed:
-            capacity *= 2
-        state.keys = np.empty((n_groups, n_heads, capacity, head_dim), dtype=np.float32)
-        state.values = np.zeros((n_groups, n_heads, capacity, head_dim), dtype=np.float32)
-
-    def _attend_paged_group(self, rows: list[int], layer: int,
-                            state: _FusedGroupBuffer, step: _PagedRows, fresh: bool,
-                            query: np.ndarray, keys_new: np.ndarray,
+    def _attend_paged_group(self, rows: list[int], in_order: bool, layer: int,
+                            group: PagedGroup, query: np.ndarray, keys_new: np.ndarray,
                             values_new: np.ndarray, context: np.ndarray,
                             scale: float) -> None:
-        """Paged-attention for one group: incremental stacks, mask, matmul.
+        """Paged attention for one group, in place on the pool's decode slab.
 
-        Writes every row's new K/V straight into this layer's slice of the
-        pool pages ``step`` claimed for it, then extends
-        the group's persistent ``[G, H, cap, d]`` stacks with one ``[H, d]``
-        write per row — read back from the tail page slot so fp16 pools
-        contribute their *stored* (rounded) values, exactly as a full
-        re-gather would.  Only when the buffer went stale (rollback,
-        preemption, first use, capacity) does the page-table gather rebuild
-        it.  Attention then runs as one batched BLAS matmul per projection
-        with a shared length mask replacing per-sequence ``-inf`` patching.
-        ``state`` is the group's buffer at ``layer``; ``fresh`` says the
-        decode plan runs its first step, so the buffer is checked member by
-        member (:meth:`_buffer_current`).
+        Writes every member's new K/V into the page ``group`` claimed for it
+        and its slab row (one :meth:`~repro.core.kv_pool.KVPagePool.
+        scatter_tokens`), then attends the members' rows ``slab[layer, :G, :,
+        :n]`` as one batched BLAS matmul per projection under a shared length
+        mask (V past a row's length is zero).  ``rows`` are the members'
+        batch rows in slot order; ``in_order``: they are the whole batch.
         """
         ws = self._ws
         n_groups = len(rows)
         n_heads, head_dim = self.config.n_heads, self.config.head_dim
-        caches = state.caches
-        state.last_used = self._fused_clock
-        pool = caches[0].pool
+        pool = group.pool
         # Group-major [G, H, d] slices of the new projections: a zero-copy
-        # transpose view when the group is the whole batch (the common
-        # decode-wave case), a single fancy-indexed copy otherwise.
-        if n_groups == query.shape[1]:
+        # transpose view when the group is the whole batch in order (the
+        # common decode-wave case), a single fancy-indexed copy otherwise.
+        if in_order:
             k_rows = keys_new.swapaxes(0, 1)
             v_rows = values_new.swapaxes(0, 1)
             q_rows = query.swapaxes(0, 1)
@@ -812,58 +701,20 @@ class DecoderLM:
             v_rows = values_new[:, rows].swapaxes(0, 1)
             q_rows = query[:, rows].swapaxes(0, 1)
         # The slots were claimed for every layer before the first: land the
-        # whole group's new K/V with two batched pool scatters.
-        pool.scatter_tokens(step.pages, step.offsets, k_rows, v_rows, layer)
-        lengths, n_max = step.lengths, step.n_max
-        if pool.dtype == np.float32:
-            k_stored, v_stored = k_rows, v_rows
-        else:
-            # Round-trip through the pool dtype: the stacks must hold what
-            # the pages hold (same cast the scatter assignment applied).
-            k_stored = k_rows.astype(pool.dtype).astype(np.float32)
-            v_stored = v_rows.astype(pool.dtype).astype(np.float32)
-        # On a plan's later steps every member advanced by exactly the one
-        # token it claimed with its epoch unchanged (PagedGroup.current), so
-        # the buffer synced last step is current unless it is too short.
-        if (state.keys.shape[2] >= n_max if not fresh
-                else self._buffer_current(state, caches, n_max)):
-            skeys, svalues = state.keys, state.values
-            if step.padmask is None:  # uniform: one slice assignment per stack
-                skeys[:, :, n_max - 1] = k_stored
-                svalues[:, :, n_max - 1] = v_stored
-            else:
-                rows_idx = np.arange(n_groups)
-                tails = np.array(lengths, dtype=np.intp) - 1
-                skeys[rows_idx, :, tails] = k_stored
-                svalues[rows_idx, :, tails] = v_stored
-            state.lengths = lengths
-        else:
-            page_tokens = pool.page_tokens
-            pages_max = -(-n_max // page_tokens)  # ceil
-            n_gather = pages_max * page_tokens
-            if state.keys is None or state.keys.shape[2] < n_gather:
-                self._grow_buffers(state, n_groups, n_gather)
-            skeys, svalues = state.keys, state.values
-            pool.gather_pages(step.tables(caches, pages_max), skeys[:, :, :n_gather],
-                              svalues[:, :, :n_gather], layer)
-            # Restore the zero-beyond-length invariant to full capacity:
-            # page-granular gather garbage and stale pre-restack values must
-            # never reach the V matmul (0·NaN poisons real outputs) and zero
-            # K keeps the masked score matmul NaN-free.
-            beyond_rows, beyond_tokens = step.beyond(skeys.shape[2])
-            skeys[beyond_rows, :, beyond_tokens] = 0.0
-            svalues[beyond_rows, :, beyond_tokens] = 0.0
-            state.epochs = [cache.write_epoch for cache in caches]
-            state.lengths = lengths
-        keys = skeys[:, :, :n_max]
-        values = svalues[:, :, :n_max]
+        # whole group's new K/V in the pages and the rows at once.
+        pool.scatter_tokens(group.pages, group.offsets, k_rows, v_rows, layer,
+                            rows=group.rows, positions=group.positions)
+        n_max = group.longest
+        keys = pool.slab_keys[layer, :n_groups, :, :n_max]
+        values = pool.slab_values[layer, :n_groups, :, :n_max]
         scores = np.matmul(
             keys, q_rows[:, :, :, None],
             out=ws.get("fused.scores", (n_groups, n_heads, n_max, 1)))[..., 0]
         scores *= scale  # [G, H, n_max]
-        if step.padmask is not None:
-            # Overwrite (not add): garbage-K scores may be NaN/inf.
-            np.copyto(scores, -np.inf, where=step.padmask[:, None, :])
+        if group.padmask is not None:
+            # Overwrite (not add): K past a row's length is whatever the row
+            # held before.
+            np.copyto(scores, -np.inf, where=group.padmask[:, None, :])
         probs = self._softmax_inplace(scores)  # padding rows -> exactly 0
         ctx = np.matmul(probs[:, :, None, :], values,
                         out=ws.get("fused.ctx", (n_groups, n_heads, 1, head_dim)))
@@ -982,8 +833,9 @@ class DecoderLM:
 
         With ``fused=True`` (the default) the attention reads are batched
         too: paged stacks sharing one pool are grouped by
-        :meth:`_fused_decode_groups` and each group runs as one gathered,
-        length-masked BLAS attention call per layer — paged-attention style —
+        :meth:`_fused_decode_groups` and each group runs as one length-masked
+        BLAS attention call per layer over its members' rows of the pool's
+        decode slab — paged-attention style, no K/V copied per step —
         instead of per-sequence GEMVs.  Every other cache (eviction policies
         driven by ``observe_attention``, quantized storage) is appended,
         fetched and fed back through the caches' group protocol — one call
@@ -996,7 +848,8 @@ class DecoderLM:
         :meth:`decode_step`.
 
         The grouping is computed once per membership (the identity of the
-        ``caches_batch`` lists) and kept as a :class:`_DecodePlan` while the
+        ``caches_batch`` lists) — which is when the members' slab rows move
+        into slots ``[0, G)`` — and kept as a :class:`_DecodePlan` while the
         members hold exactly what its claims left them; every caller gets it
         with no argument of its own.
 
@@ -1014,15 +867,16 @@ class DecoderLM:
             hidden = hidden + self.params["pos_embed.weight"][positions]
         scale = 1.0 / np.sqrt(self.config.head_dim)
         if fused and batch > 1:
-            self._fused_clock += 1
             plan = self._plan_decode(list(caches_batch))
-            fresh, loose, enders = plan.fresh, plan.loose, plan.enders
-            paged = [(rows, buffers, _PagedRows(*group.claim()))
-                     for rows, group, buffers in plan.groups]
+            loose, enders, paged = plan.loose, plan.enders, plan.groups
+            for _rows, group, _in_order in paged:
+                group.claim()
         else:
-            plan, fresh, loose, paged = None, True, list(range(batch)), []
+            loose, paged = list(range(batch)), []
             enders = _enders(caches_batch)
         n_heads = self.config.n_heads
+        # Every layer overwrites every row of the one context buffer.
+        context = self._ws.get("decode.context", (batch, self.config.d_model))
         for layer in range(self.config.n_layers):
             prefix = f"layers.{layer}"
             normed = self._norm(hidden, f"{prefix}.attn_norm")  # [B, C]
@@ -1035,10 +889,9 @@ class DecoderLM:
                 qkv = apply_rope(qkv[:2 * n_heads], positions, self._rope_cos,
                                  self._rope_sin)
             query, keys_new = qkv[:n_heads], qkv[n_heads:2 * n_heads]
-            context = self._ws.get("decode.context", (batch, self.config.d_model))
-            for rows, buffers, step in paged:
-                self._attend_paged_group(rows, layer, buffers[layer], step, fresh,
-                                         query, keys_new, values_new, context, scale)
+            for rows, group, in_order in paged:
+                self._attend_paged_group(rows, in_order, layer, group, query, keys_new,
+                                         values_new, context, scale)
             if fused and len(loose) > 1:
                 self._attend_loose_rows(loose, layer, caches_batch, query, keys_new,
                                         values_new, normed, positions, context, scale)
@@ -1054,17 +907,6 @@ class DecoderLM:
             hidden = hidden + self._mlp(normed, layer)
         for cache in enders:
             cache.end_step()
-        if plan is not None:
-            plan.fresh = False  # every group buffer is synced to its members
-        if self._fused_states:
-            # Drop group buffers whose exact membership has not decoded for a
-            # few steps (a member finished or was preempted, so the key will
-            # never recur) — they pin released caches and big K/V stacks.
-            clock = self._fused_clock
-            stale = [key for key, state in self._fused_states.items()
-                     if clock - state.last_used > 4]
-            for key in stale:
-                del self._fused_states[key]
         hidden = self._norm(hidden, "final_norm")
         return self._lm_head(hidden)
 

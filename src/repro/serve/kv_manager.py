@@ -121,7 +121,7 @@ class KVSpaceManager:
         self.page_tokens = getattr(cache_factory, "page_tokens", 1)
         physical = getattr(cache_factory, "capacity_tokens", None)
         if physical is not None:
-            # Keep one page of headroom: a copy-on-write flush into a
+            # Keep one page of headroom: a copy-on-write write into a
             # shared tail page transiently holds both copies.
             physical = max(self.page_tokens, physical - self.page_tokens)
         if capacity_tokens is None:

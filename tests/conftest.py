@@ -2,6 +2,13 @@
 
 from __future__ import annotations
 
+import os
+
+# One BLAS thread, set before NumPy loads (OpenBLAS reads it once): the
+# suite's prefill-shaped GEMMs run up to 64x slower threaded on a 2-core host.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ.setdefault("OMP_NUM_THREADS", "1")
+
 import numpy as np
 import pytest
 

@@ -71,12 +71,15 @@ MUTATIONS = (
              "table.tail_owned = False", "pass"),
     Mutation("drop-touch-on-match", RadixPrefixIndex, "match",
              "self._touch(best)", "pass"),
-    Mutation("gather-layers-out-of-step", PagedKVCache, "_in_step",
-             "if (handle._count, handle._flushed, handle._mirrored) != state:",
-             "if False:"),
+    Mutation("gather-layers-out-of-step", PageTable, "take_row",
+             "values[layer, row:row + 1, :, :count], layer)",
+             "values[layer, row:row + 1, :, :count], 0)"),
     Mutation("cap-decodes-skips-invalidation", FunctionalSession, "cap_decodes",
              "self.scheduler.invalidate()", "pass", harness="decode-batch"),
     Mutation("preempt-leaves-decode-row", Scheduler, "preempt",
              "self._leave(state)", "self.running.pop(state.request_id, None)",
+             harness="decode-batch"),
+    Mutation("stale-slab-row-after-move", KVPagePool, "_swap_rows",
+             "slab[:, [a, b], :, :n_tokens] = slab[:, [b, a], :, :n_tokens]", "pass",
              harness="decode-batch"),
 )

@@ -21,7 +21,11 @@ over the 128-slot budget, 64 decode steps, the 4-layer d=64 model,
   once per decode step, and the session's ``isinstance`` on its cache spec).
 * the persistent decode batch: 108.93 (55 772 calls for 512 tokens);
 * the session's cancellation check inlined (one call fewer per step):
-  108.81 (55 709 calls).
+  108.81 (55 709 calls);
+* one working K/V copy per paged sequence (the model keeps no plan for a
+  batch without paged stacks and regroups it each step; the decode
+  context buffer fetched once per step, not per layer): 107.66 (55 120
+  calls).
 
 The bound sits between the readings before and after the decode batch
 (141.75 and 108.93): a return of half of what the decode batch saved trips
@@ -47,7 +51,9 @@ radix match-and-fork, snapshot forks, page allocation, CoW, release and
   each, and the partition's ``dict.values()`` over contiguous groups at each
   of 28 fused decode steps).
 * the persistent decode batch: 178.61 (214 330 calls);
-* the session's cancellation check inlined: 178.59 (214 302 calls).
+* the session's cancellation check inlined: 178.59 (214 302 calls);
+* one working K/V copy per sequence (no mirror gathers and flushes, no
+  group buffers keyed and pruned per step): 157.60 (189 117 calls).
 
 The bound sits between the readings before and after the decode batch
 (192.38 and 178.61): a return of half of what the decode batch saved — or
@@ -67,7 +73,8 @@ pool bounded at ``capacity_tokens=8192``, no token callback — so one wave of
   reservation grows, one ``argmax`` per step, one group plan per
   membership with one slot claim per group, one RoPE per layer): 23.20
   (59 386 calls);
-* the session's cancellation check inlined: 23.15 (59 260 calls).
+* the session's cancellation check inlined: 23.15 (59 260 calls);
+* one working K/V copy per sequence: 21.94 (56 157 calls).
 
 The bound sits between the two at 0.65 x the first reading: a return of
 one call per row per layer-step (4 per token) stays under it, per-row
@@ -85,7 +92,10 @@ cluster's per-round bookkeeping is paid on every replica step.
   1694 tokens over 141 rounds);
 * a per-run phase object calling only the configured features' phases
   (here admission and the lockstep step) and skipping admission once the
-  arrival queues are empty: 159.17 (269 628 calls).
+  arrival queues are empty: 159.17 (269 628 calls);
+* one working K/V copy per sequence (each replica's decode regroups its
+  own rows, without per-layer group-buffer lookups): 136.99 (232 066
+  calls).
 
 The bound leaves ~9 % over the first reading for other interpreters'
 ``call`` / ``c_call`` counts (3.12 inlines comprehensions, 3.10 does not):
@@ -101,8 +111,9 @@ from dataclasses import replace
 import sys
 
 import numpy as np
+import pytest
 
-from repro.core.kv_pool import KVPagePool, PagedCacheFactory, PagedKVCache
+from repro.core.kv_pool import KVPagePool, PagedCacheFactory, PagedKVCache, PageTable
 from repro.llm import DecoderLM, tiny_config
 from repro.serve import ClusterEngine, Request, ServingEngine
 from repro.workloads import zipf_shared_prefix_requests
@@ -241,14 +252,18 @@ def test_small_requests_calls_per_generated_token():
     assert first / tokens <= MAX_SMALL_CALLS_PER_TOKEN, first / tokens
 
 
+def _decode_heavy() -> list[Request]:
+    rng = np.random.default_rng((0, 1))
+    return [Request(request_id=f"r{i:05d}", arrival_time_s=i * 1e-6,
+                    prompt_len=DECODE_PROMPT_LEN, decode_len=DECODE_HEAVY_LEN,
+                    prompt_tokens=tuple(rng.integers(0, VOCAB, size=DECODE_PROMPT_LEN)
+                                        .tolist()))
+            for i in range(DECODE_REQUESTS)]
+
+
 def test_decode_heavy_calls_per_generated_token():
     lm = _model()
-    rng = np.random.default_rng((0, 1))
-    requests = [Request(request_id=f"r{i:05d}", arrival_time_s=i * 1e-6,
-                        prompt_len=DECODE_PROMPT_LEN, decode_len=DECODE_HEAVY_LEN,
-                        prompt_tokens=tuple(rng.integers(0, VOCAB, size=DECODE_PROMPT_LEN)
-                                            .tolist()))
-                for i in range(DECODE_REQUESTS)]
+    requests = _decode_heavy()
     _serve_paged(lm, requests)
     first, tokens = _count_calls(_serve_paged, lm, requests)
     second, _ = _count_calls(_serve_paged, lm, requests)
@@ -296,6 +311,70 @@ def test_cluster_zipf_calls_per_generated_token():
     assert first / tokens <= MAX_CLUSTER_CALLS_PER_TOKEN, first / tokens
 
 
+#: Page-to-row copy bounds, layer-token-rows per generated token: a tenth of
+#: the readings with table mirrors and group buffers (a fifth on cluster-zipf,
+#: where a radix hit forks a 256-token prefix that must reach a row).
+MAX_PAGE_ROWS_PER_TOKEN = {"small-requests": 13.4, "decode-heavy": 0.8,
+                           "cluster-zipf": 51.0}
+
+
+@pytest.mark.parametrize("name", sorted(MAX_PAGE_ROWS_PER_TOKEN))
+def test_page_to_row_copies_per_generated_token(name, monkeypatch):
+    """K/V copied from pool pages into working rows, exact, per generated
+    token on three paged geometries above.
+
+    Each :meth:`KVPagePool.gather_pages` call copies ``G x n``
+    layer-token-rows into its ``[G, H, n, d]`` output (``n = pages x
+    page_tokens`` for a whole-page restack) and, where it exists, the
+    per-table page-to-mirror ``PageTable.gather`` copies ``layers x
+    tokens``.  Row moves inside the decode slab (``KVPagePool._swap_rows``,
+    two rows of ``layers x tokens`` each) are reported beside them, not
+    bounded.
+
+    * table mirrors gathered from pages, and fused-decode group buffers
+      restacked from pages on every membership change: small-requests
+      133.91 (``gather_pages`` on 112 of 112 decode layer-steps, 7 088 rows
+      through ``PageTable.gather``), decode-heavy 8.00, cluster-zipf 255.27;
+    * one working copy per table in a pool-level decode slab, written
+      through to the pages, filled from them only for a fork or restored
+      snapshot: small-requests 5.91 (slab moves 6.10), decode-heavy 0.00
+      (0.80), cluster-zipf 21.16 (33.64).
+    """
+    copied = {"pages": 0, "slab": 0}
+
+    def spy(cls, method, rows):
+        original = getattr(cls, method, None)
+        if original is None:
+            return
+
+        def counted(self, *args, **kwargs):
+            copied["pages" if method != "_swap_rows" else "slab"] += rows(self, *args)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, method, counted)
+
+    spy(KVPagePool, "gather_pages",
+        lambda _pool, tables, out_keys, *_: tables.shape[0] * out_keys.shape[2])
+    spy(PageTable, "gather",
+        lambda _table, rows, layers, start, stop: (layers.stop - layers.start) * (stop - start))
+    spy(KVPagePool, "_swap_rows", lambda pool, _a, _b, n: 2 * pool.n_layers * n)
+    serve, inputs = {"small-requests": (_serve_on_step_clock, _small_requests),
+                     "decode-heavy": (_serve_paged, _decode_heavy),
+                     "cluster-zipf": (_serve_cluster, _cluster_zipf)}[name]
+    lm, inputs = _model(), inputs()
+    serve(lm, inputs)
+    readings = []
+    for _ in range(2):
+        copied.update(pages=0, slab=0)
+        tokens = serve(lm, inputs)
+        readings.append((copied["pages"] / tokens, copied["slab"] / tokens))
+    assert readings[0] == readings[1], "the count must repeat exactly"
+    pages, slab = readings[0]
+    print(f"{name}: {pages:.2f} page-to-row and {slab:.2f} slab-to-slab "
+          f"layer-token-rows per generated token")
+    assert pages <= MAX_PAGE_ROWS_PER_TOKEN[name], pages
+
+
 def test_stack_operations_cost_one_table_operation(monkeypatch):
     """A 4-layer stack forks once, allocates / CoW-copies each page once and
     releases each page once — not once per layer."""
@@ -316,17 +395,21 @@ def test_stack_operations_cost_one_table_operation(monkeypatch):
     factory = PagedCacheFactory(page_tokens=4)
     stack = factory.make_stack(4, 2, 4, 8)
     rng = np.random.default_rng(0)
-    for cache in stack:  # 6 tokens: two pages, the second half full
-        keys = rng.standard_normal((2, 6, 4)).astype(np.float32)
-        cache.extend_chunk(keys, keys, None, np.arange(6))
 
     def delta(action):
         before = dict(calls)
         result = action()
         return result, {name: calls[name] - before[name] for name in calls}
 
+    def extend():
+        for cache in stack:  # 6 tokens: two pages, the second half full
+            keys = rng.standard_normal((2, 6, 4)).astype(np.float32)
+            cache.extend_chunk(keys, keys, None, np.arange(6))
+
+    _, cost = delta(extend)
+    assert cost == {"fork": 0, "alloc": 2, "release": 0}  # written through: 2 pages, once
     fork, cost = delta(lambda: stack[0].fork_stack(stack))
-    assert cost == {"fork": 1, "alloc": 2, "release": 0}  # flush: 2 pages, once
+    assert cost == {"fork": 1, "alloc": 0, "release": 0}  # every token already paged
     (page, offset), cost = delta(lambda: fork[0].reserve_stack_slot(fork))
     assert offset == 2 and page not in stack[0].pages
     assert cost == {"fork": 0, "alloc": 1, "release": 1}  # the shared tail, CoW'd once

@@ -6,9 +6,12 @@ invalidation point.  A generated interleaving of submissions, steps,
 cancellations, brownout decode caps, injected transient faults and an ngram
 drafter drives a ``paranoid=True`` session on a small bounded paged pool, so
 ``Scheduler.check_legal`` compares the cached batch with a rebuild from the
-sequence states after every step.  At the end every request has exactly one
-terminal status and its tokens are a prefix of an isolated ``generate()`` —
-all of them unless it was cancelled, capped or failed.
+sequence states after every step, and every running sequence's decode-slab
+row must hold what its pool pages hold (the tiny model's tokens barely
+depend on its K/V, so a stale row would not show in them).  At the end every
+request has exactly one terminal status and its tokens are a prefix of an
+isolated ``generate()`` — all of them unless it was cancelled, capped or
+failed.
 
 ``tests/test_seeded_bugs.py`` runs :func:`run_ops` against the serving
 mutations of ``tests/seeded_bugs.py`` and requires it to fail.
@@ -18,6 +21,7 @@ from __future__ import annotations
 
 import functools
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -68,6 +72,21 @@ def _isolated(request_id: str) -> tuple[int, ...]:
                           request.decode_len).generated_tokens)
 
 
+def _check_rows(session) -> None:
+    """Each running sequence's slab row holds exactly its paged tokens."""
+    for state in session.scheduler.running.values():
+        for cache in state.caches or ():
+            n = cache.num_tokens
+            if cache._table.row < 0 or not n:
+                continue
+            keys, values, _valid = cache.fetch()
+            pool, layer = cache.pool, cache.layer
+            paged_k = np.concatenate([pool.key_page(p, layer) for p in cache.pages], axis=1)
+            paged_v = np.concatenate([pool.value_page(p, layer) for p in cache.pages], axis=1)
+            np.testing.assert_array_equal(keys, paged_k[:, :n])
+            np.testing.assert_array_equal(values, paged_v[:, :n])
+
+
 def run_ops(ops, speculate: bool, faults: bool, chunked: bool) -> None:
     """Drive one session through ``ops``, drain it, and check the outcome."""
     requests = _requests()
@@ -77,6 +96,12 @@ def run_ops(ops, speculate: bool, faults: bool, chunked: bool) -> None:
         drafter="ngram:k=3" if speculate else None,
         faults="transient-exec:rate=0.15" if faults else None,
         token_budget=6 if chunked else None)
+
+    def step() -> bool:
+        more = session.step()
+        _check_rows(session)
+        return more
+
     sent = 0
     for op, arg in ops:
         if op == "submit" and sent < N_REQUESTS:
@@ -84,17 +109,17 @@ def run_ops(ops, speculate: bool, faults: bool, chunked: bool) -> None:
             sent = min(sent + arg, N_REQUESTS)
         elif op == "step":
             for _ in range(arg):
-                session.step()
+                step()
         elif op == "cancel" and arg < sent:
             engine.cancel(requests[arg].request_id)
         elif op == "cap":
             session.cap_decodes(arg)
-            session.step()
+            step()
         elif op == "uncap":
             session.uncap_decodes()
     if sent < N_REQUESTS:
         session.submit(requests[sent:])
-    while session.step():
+    while step():
         pass
     report = session.finish()
     assert sorted(r.request.request_id for r in report.results) == sorted(

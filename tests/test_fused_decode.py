@@ -1,13 +1,13 @@
 """The fused grouped-attention decode path and fp16 KV pages.
 
 ``DecoderLM.decode_step_batch(fused=True)`` groups sequences by compatible
-cache layout and runs one gathered, length-masked BLAS attention call per
-layer per group.  These tests pin its contract: token-for-token equivalence
+cache layout and runs one length-masked BLAS attention call per layer per
+group, over the members' rows of the pool's decode slab.  These tests pin its contract: token-for-token equivalence
 with the per-sequence reference (``fused=False``) for every registered cache
 policy, through the full serving engine (with prefix cache, speculative
-drafters and rollback in the mix), correct group partitioning, incremental
-group-buffer invalidation on cache mutation, and the fp16 page storage
-halving pool bytes within a bounded accuracy delta.
+drafters and rollback in the mix), correct group partitioning, decode-slab
+rows across cache mutation and release, and the fp16 page storage halving
+pool bytes within a bounded accuracy delta.
 """
 
 from __future__ import annotations
@@ -257,17 +257,26 @@ class TestBufferInvalidation:
         assert generated == reference
 
     def test_stale_states_pruned(self, small_model):
+        """A finished batch's slab rows go back to the pool's free rows, no
+        row belongs to a released table, and the model forgets the batch."""
         factory = resolve("cache", "paged:page_tokens=4")
         prompts = _prompts(small_model.config.vocab_size, (6, 6), seed=10)
         _, _, first_batch = _greedy_decode(small_model, prompts, factory, 3,
                                            fused=True)
-        assert small_model._fused_states  # buffers live for the first batch
-        # A different batch decodes for > the pruning horizon; the first
-        # batch's exact membership never recurs, so its states must go.
-        _, _, _ = _greedy_decode(small_model, prompts, factory, 8, fused=True)
-        first_ids = {id(cache) for caches in first_batch for cache in caches}
-        for _, members in small_model._fused_states:
-            assert not first_ids & set(members)
+        pool = first_batch[0][0].pool
+        rows = {caches[0]._table.row for caches in first_batch}
+        assert rows == {0, 1}  # the decode group's slots
+        for caches in first_batch:
+            caches[0].release_stack(caches)
+        assert rows <= set(pool._free_rows)
+        assert all(caches[0]._table.row == -1 for caches in first_batch)
+        assert small_model._decode_plan.stacks == []  # cleared by the pool
+        _, _, second_batch = _greedy_decode(small_model, prompts, factory, 8,
+                                            fused=True)
+        live = [caches[0]._table for caches in second_batch]
+        owners = [ref() for ref in pool._row_tables if ref is not None]
+        assert len(owners) == len(live) and all(
+            any(owner is table for table in live) for owner in owners)
 
 
 class TestFp16Pages:

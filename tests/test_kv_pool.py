@@ -188,7 +188,7 @@ class TestPagedCacheFactory:
         a1 = factory(1, H, D, C, None)
         assert a0.pool is b0.pool is a1.pool
         assert (a0.layer, a1.layer) == (0, 1) and a0.pool.n_layers == 2
-        assert a0.page_list() is not b0.page_list()  # one table per handle here
+        assert a0._table is not b0._table  # one table per handle here
         assert len(factory.pools) == 1
 
     def test_factory_accounting_spans_all_pools(self):

@@ -4,21 +4,22 @@ A hypothesis ``RuleBasedStateMachine`` drives multi-layer ``paged`` cache
 stacks (``DecoderLM.make_caches`` over one shared ``PagedCacheFactory``),
 lone per-layer forks and a ``RadixPrefixIndex`` through the lifecycle the
 serving stack uses, in random order: make a stack, chunk-extend, decode-
-append through ``reserve_slot`` + ``scatter_tokens``, fork a stack or one
-handle at any length, truncate and release a stack or one handle, export a
-stack and import it into a pool of another page size, and radix insert /
-match-and-fork / ``evict_lru`` / ``set_max_tokens``.  Every handle carries a
-dense per-sequence reference of what it must hold.
+append through ``reserve_slot`` + ``scatter_tokens`` (pages and slab row),
+fork a stack or one handle at any length, truncate and release a stack or
+one handle, export a stack and import it into a pool of another page size,
+and radix insert / match-and-fork (of a random query, or of the least
+recently used prompt) / ``evict_lru`` / ``set_max_tokens``.  Every handle
+carries a dense per-sequence reference of what it must hold.
 
 After every rule the machine checks:
 
 * ``check_accounting`` is clean on every pool;
 * each page's refcount equals the number of live page tables referencing it
-  (a page table is one distinct ``page_list()``, shared by the handles of a
-  stack that keeps one table per sequence);
-* each page table is exactly as long as its furthest-flushed handle needs;
-* every live handle's ``fetch()`` — and the pool pages behind its flushed
-  tokens — equal its dense reference;
+  (one table per sequence, shared by the handles of its stack);
+* each page table is exactly as long as its longest handle needs, and one
+  that claims its tail page (``tail_owned``) is the only table listing it;
+* every live handle's ``fetch()`` — its decode-slab row — and the pool pages
+  behind all of its tokens equal its dense reference;
 * the radix recency list holds exactly the resident entries, in the order a
   model of LRU predicts.
 
@@ -88,7 +89,7 @@ def _layer(cache) -> dict:
 def _page_tokens_of(cache, n_tokens):
     """``([H, n, d], [H, n, d])`` of the handle's first ``n`` tokens, read
     straight from its pool pages."""
-    pool, pages = cache.pool, cache.page_list()
+    pool, pages = cache.pool, cache.pages
     if n_tokens == 0:
         return (np.zeros((N_HEADS, 0, HEAD_DIM), np.float32),) * 2
     keys = np.concatenate([pool.key_page(page, **_layer(cache)) for page in pages], axis=1)
@@ -203,7 +204,8 @@ class PagedKVMachine(RuleBasedStateMachine):
             page, offset = cache.reserve_slot()
             cache.pool.scatter_tokens(np.array([page]), np.array([offset]),
                                       keys.swapaxes(0, 1), values.swapaxes(0, 1),
-                                      **_layer(cache))
+                                      **_layer(cache), rows=np.array([cache._table.row]),
+                                      positions=np.array([cache.num_tokens - 1]))
             old_k, old_v = unit.refs[i]
             unit.refs[i] = (np.concatenate([old_k, keys], 1), np.concatenate([old_v, values], 1))
         if unit.tokens is not None:
@@ -301,7 +303,7 @@ class PagedKVMachine(RuleBasedStateMachine):
             self._model_touch(prompt)
         self._model_evict()
 
-    @precondition(lambda self: self.recency and len(self.units) < MAX_UNITS)
+    @precondition(lambda self: self.recency)
     @rule(data=st.data(), suffix=st.lists(st.integers(0, 2), max_size=3))
     def radix_match_and_fork(self, data, suffix):
         if data.draw(st.booleans()):
@@ -309,8 +311,17 @@ class PagedKVMachine(RuleBasedStateMachine):
             query = list(base[:data.draw(st.integers(0, len(base)))]) + suffix
         else:
             query = suffix
-        if not query:
-            return
+        if query:
+            self._match(query)
+
+    @precondition(lambda self: len(self.recency) > 1)
+    @rule()
+    def radix_match_lru(self):
+        """A hit on the least recently used prompt makes it the most recent."""
+        self._match(list(self.recency[0]))
+
+    def _match(self, query):
+        """Match ``query``; a hit is touched, and forked while units have room."""
         use_len, entry = self.index.match(query)
         if entry is None:
             assert use_len == 0
@@ -319,10 +330,11 @@ class PagedKVMachine(RuleBasedStateMachine):
                       if node.entry is entry)
         self._model_touch(prompt)
         assert 0 < use_len <= len(prompt) and list(prompt[:use_len]) == query[:use_len]
-        forks = _fork_stack(entry.caches, use_len)
-        self.units.append(Unit(forks, [(k[:, :use_len], v[:, :use_len])
-                                       for k, v in self.entry_refs[prompt]],
-                               list(prompt[:use_len])))
+        if len(self.units) < MAX_UNITS:
+            forks = _fork_stack(entry.caches, use_len)
+            self.units.append(Unit(forks, [(k[:, :use_len], v[:, :use_len])
+                                           for k, v in self.entry_refs[prompt]],
+                                   list(prompt[:use_len])))
 
     @precondition(lambda self: self.recency)
     @rule()
@@ -346,17 +358,20 @@ class PagedKVMachine(RuleBasedStateMachine):
 
     @invariant()
     def pools_are_consistent(self):
-        tables: dict[int, tuple] = {}  # id(page list) -> (pool, pages, flushed max)
+        tables: dict[int, tuple] = {}  # id(table) -> (pool, table, longest handle)
         pools = {id(f_pool): f_pool for factory in self.targets.values()
                  for f_pool in factory.pools}
         for cache, _ref in self._live():
-            pages = cache.page_list()
-            pool, _pages, flushed = tables.get(id(pages), (cache.pool, pages, 0))
-            tables[id(pages)] = (pool, pages, max(flushed, cache.flushed_tokens))
+            table = cache._table
+            _pool, _table, longest = tables.get(id(table), (cache.pool, table, 0))
+            tables[id(table)] = (cache.pool, table, max(longest, cache.num_tokens))
             pools[id(cache.pool)] = cache.pool
         expected: dict[int, dict[int, int]] = {key: {} for key in pools}
-        for pool, pages, flushed in tables.values():
-            assert len(pages) == -(-flushed // pool.page_tokens), (len(pages), flushed)
+        for pool, table, longest in tables.values():
+            pages = table.pages
+            assert len(pages) == -(-longest // pool.page_tokens), (len(pages), longest)
+            # A table that claims its tail page holds it alone.
+            assert not table.tail_owned or pool.refcount(pages[-1]) == 1, pages
             counts = expected[id(pool)]
             for page in pages:
                 counts[page] = counts.get(page, 0) + 1
@@ -374,10 +389,9 @@ class PagedKVMachine(RuleBasedStateMachine):
             np.testing.assert_array_equal(fetched_k, keys)
             np.testing.assert_array_equal(fetched_v, values)
             assert valid.shape == keys.shape[:2] and valid.all()
-            flushed = cache.flushed_tokens
-            paged_k, paged_v = _page_tokens_of(cache, flushed)
-            np.testing.assert_array_equal(paged_k, keys[:, :flushed])
-            np.testing.assert_array_equal(paged_v, values[:, :flushed])
+            paged_k, paged_v = _page_tokens_of(cache, cache.num_tokens)
+            np.testing.assert_array_equal(paged_k, keys)
+            np.testing.assert_array_equal(paged_v, values)
 
     @invariant()
     def recency_list_is_the_resident_entries(self):

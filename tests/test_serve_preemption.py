@@ -13,6 +13,7 @@ import weakref
 
 import pytest
 
+from repro.core.kv_pool import KVPagePool
 from repro.registry import resolve
 from repro.serve import Request, ServingEngine
 from repro.workloads import bursty_requests, tiered_requests
@@ -453,4 +454,26 @@ class TestSessionLifetime:
             assert [ref() for ref in refs] == [None, None]
         finally:
             gc.enable()
+        assert all(r.status == "finished" for r in report.results)
+
+    def test_finished_session_leaves_no_pool_behind(self, lm, bursty):
+        """The model a session served keeps nothing of it: once the finished
+        session is dropped, none of its KV pools — nor their decode slabs —
+        is reachable, though the model lives on for the next run."""
+        def live_pools():
+            return {id(obj) for obj in gc.get_objects() if isinstance(obj, KVPagePool)}
+
+        session = ServingEngine(max_concurrency=6).start_functional(lm, cache="paged")
+        session.submit(bursty[:6])
+        while session.step():
+            pass
+        report = session.finish()
+        pools = session.kv.cache_factory.pools
+        ids = {id(pool) for pool in pools}
+        slabs = [weakref.ref(pool.slab_keys) for pool in pools]
+        assert ids <= live_pools() and all(slab() is not None for slab in slabs)
+        del session, pools
+        gc.collect()
+        assert not ids & live_pools(), "a finished session's pool is still reachable"
+        assert all(slab() is None for slab in slabs)
         assert all(r.status == "finished" for r in report.results)
