@@ -256,6 +256,22 @@ class TestBufferInvalidation:
                 positions = [p + 1 for p in replay[-1][1]]
         assert generated == reference
 
+    def test_slab_values_zero_past_every_length(self, small_model):
+        """A ragged group reads every row up to its longest member, so V past
+        each row's length stays zero through decode, rollback and release."""
+        factory = resolve("cache", "paged:page_tokens=4")
+        prompts = _prompts(small_model.config.vocab_size, RAGGED_LENGTHS, seed=11)
+        _, _, caches_batch = _greedy_decode(small_model, prompts, factory, 5, fused=True)
+        caches_batch[1][0].truncate_stack(caches_batch[1], 4)
+        caches_batch[2][0].release_stack(caches_batch[2])
+        pool = caches_batch[0][0].pool
+        for caches in caches_batch:
+            table = caches[0]._table
+            if table.row >= 0:
+                for cache in caches:
+                    assert not pool.slab_values[cache.layer, table.row, :, cache.num_tokens:].any()
+        assert not pool.slab_values[:, pool._free_rows].any()
+
     def test_stale_states_pruned(self, small_model):
         """A finished batch's slab rows go back to the pool's free rows, no
         row belongs to a released table, and the model forgets the batch."""
