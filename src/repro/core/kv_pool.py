@@ -643,25 +643,22 @@ class PageTable:
         pool = self.pool
         row = self.row if self.row >= 0 else self.take_row()
         stop = start + keys.shape[1]
+        if stop > pool.slab_keys.shape[3]:
+            pool._reserve_slab(0, stop)
         page_tokens, pages, refcounts = pool.page_tokens, self.pages, pool._refcounts
-        held = len(pages)
-        for index in range(start // page_tokens, (stop - 1) // page_tokens + 1):
+        held, done = len(pages), start
+        while done < stop:
+            index, offset = done // page_tokens, done % page_tokens
             if index >= held:
                 self.writable_page(index)
                 held += 1
             elif refcounts[pages[index]] > 1:
                 self.writable_page(index)  # shared: CoW-copied first
-        page_keys, page_values = pool._keys[layer], pool._values[layer]
-        done = start
-        while done < stop:
-            index, offset = done // page_tokens, done % page_tokens
             take = page_tokens - offset if stop - done > page_tokens - offset else stop - done
-            page, source = pages[index], slice(done - start, done - start + take)
-            page_keys[page, :, offset:offset + take] = keys[:, source]
-            page_values[page, :, offset:offset + take] = values[:, source]
+            page, first = pages[index], done - start
+            pool._keys[layer, page, :, offset:offset + take] = keys[:, first:first + take]
+            pool._values[layer, page, :, offset:offset + take] = values[:, first:first + take]
             done += take
-        if stop > pool.slab_keys.shape[3]:
-            pool._reserve_slab(0, stop)
         pool.slab_keys[layer, row, :, start:stop] = keys
         pool.slab_values[layer, row, :, start:stop] = values
 
