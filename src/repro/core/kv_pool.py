@@ -1,62 +1,50 @@
 """Paged KV memory pool: one page table per sequence over per-layer arenas,
 and one working copy per sequence in a pool-level decode slab.
 
-The serving path of the reproduction originally gave every request an
-isolated, privately-grown KV cache, so two requests sharing a long system
-prompt stored — and, worse, *recomputed* — the shared prefix twice.  This
-module provides the vLLM/SGLang design point instead (PagedAttention's
-per-sequence block table, Kwon et al., SOSP '23, under vLLM V1's persistent
-decode batch):
+Every request of the serving path draws from shared, refcounted pages, so
+requests sharing a prompt prefix store (and compute) it once — the
+vLLM/SGLang design point (PagedAttention's per-sequence block table, Kwon
+et al., SOSP '23, under vLLM V1's persistent decode batch):
 
 * :class:`KVPagePool` — **one accounting domain per cache factory**: one
   refcount list, free list, growth path and fault gate over a K/V arena per
-  decoder layer (``[L, n_pages, H, page_tokens, d]``, reserved once), where
-  a **page id names the same slot in every layer's arena**;
-  ``allocated = referenced + free`` is checkable at any time via
-  :meth:`KVPagePool.check_accounting`.  The pool also owns the **decode
-  slab**: fp32 ``[L, S, H, capacity, d]`` K and V, a row per live sequence.
+  decoder layer (``[L, n_pages, H, page_tokens, d]``), where a **page id
+  names the same slot in every layer's arena** (``allocated = referenced +
+  free``, :meth:`KVPagePool.check_accounting`); and the **decode slab**,
+  fp32 ``[L, S, H, capacity, d]`` K and V, a row per live sequence.
 * :class:`PageTable` — **one per sequence**: its page list, whether it owns
   its tail page, and its slab row.  A page's refcount is the number of live
   tables that list it, whatever the number of layers.
 * :class:`PagedKVCache` — the per-layer :class:`~repro.llm.cache.LayerKVCache`
-  **handle** on a table, keeping only its token count; the ``L`` handles of
-  one sequence (:meth:`PagedCacheFactory.make_stack`) share one table.  Every
-  handle is the full (no-eviction) cache with **zero-copy copy-on-write
-  forks**: a fork shares the pages of a prefix, and writing into a shared
-  page first copies it (every layer's slice at once) into a fresh page.
-* :class:`PagedGroup` — whole stacks of one pool decoding together, their
-  rows in slab slots ``[0, G)``, with one slot claim a step.
+  **handle** on a table, keeping only its token count (the ``L`` handles of
+  one sequence share one table): the full cache with **zero-copy
+  copy-on-write forks** — a fork shares the pages of a prefix, and writing
+  into a shared page first copies it, every layer at once.
+* :class:`PagedGroup` / :class:`PagedChunks` — whole stacks of one pool
+  decoding a token / extending by a chunk together, slots claimed once for
+  every layer.
 * :class:`PagedCacheFactory` — the ``"paged"`` cache spec, and at its default
-  geometry the ``"full"`` / ``"fp16"`` baseline: one pool per head geometry,
-  shared by every stack it builds, so different requests share prefix pages.
+  geometry the ``"full"`` / ``"fp16"`` baseline: one pool per head geometry.
 
 **One working copy, written through.**  Like an eDRAM bank holding each KV
 entry once and updating it in place, a live sequence has one working copy:
 its table's slab row, where layer ``l``'s handle holds its tokens at
 ``slab[l, row, :, :count]``.  ``fetch`` returns views of it and the fused
-decode attends ``slab[l, :G, :, :n]`` in place.  Every write — prefill,
-chunk extension, append, the decode scatter and checkpoint import — lands
-in the row and the pages in the same call, rounded once by an fp16 pool;
-the pages are the shared, checkpointable store.  A table takes its row on
-its first read or write and keeps it until release; a fork or restored
-snapshot copies its pages in through :meth:`KVPagePool.gather_pages`, the
-only page-to-row copy (O(prefix) traffic instead of O(prefix²) re-prefill).
-V is zero past every handle's count — truncate and release zero what they
-drop — so a ragged group read up to its longest member multiplies zeros,
-never stale values, by its masked-out probabilities.
+decode attends ``slab[l, :G, :, :n]`` in place.  Every write lands in the
+row and the pages in the same call, rounded once by an fp16 pool; the pages
+are the shared, checkpointable store.  A table takes its row on its first
+read or write and keeps it until release; a fork or restored snapshot
+copies its pages in through :meth:`KVPagePool.gather_pages`, the only
+page-to-row copy.  V is zero past every handle's count (truncate and
+release zero what they drop), so a ragged group read up to its longest
+member multiplies zeros, never stale values, by masked-out probabilities.
 
 **The stack protocol.**  ``fork_stack`` / ``truncate_stack`` /
-``release_stack`` on a whole stack are one table operation each: pages are
-retained, allocated, CoW-copied and released once per sequence, and the
-fused decode claims a sequence's next ``(page, offset)`` once per step
-(:meth:`PagedKVCache.reserve_stack_slot`, or one :meth:`PagedGroup.claim`
-per group).  The per-handle ``fork`` / ``truncate`` / ``release`` stay
-correct on their own (a per-handle fork gets a table of its own).
-
-**When a page is freed.**  A table keeps exactly the pages its longest live
-handle covers and drops the rest (truncate, release); the pool frees a page
-when the last table listing it drops it, and takes a row back when its
-table's last handle is released.
+``release_stack`` on a whole stack are one table operation each; the
+per-handle ``fork`` / ``truncate`` / ``release`` stay correct on their own.
+A table keeps exactly the pages its longest live handle covers; the pool
+frees a page when the last table listing it drops it, and takes a row back
+when its table is released or dies.
 """
 
 from __future__ import annotations
@@ -83,12 +71,9 @@ class KVLayerCheckpoint:
     """Self-contained serialized KV state of one request in one layer.
 
     ``keys``/``values`` are ``[H, n_tokens, d]`` float32 *copies* of the
-    source's working row, so the checkpoint stays valid after the source
-    cache — and even its whole pool — is released, and CoW pages shared with
-    other requests are never aliased.  ``page_tokens`` records the source
-    pool's geometry, so :attr:`n_pages` prices what the checkpoint occupied
-    at the source (a target pool with a different page size simply
-    re-chunks on import).
+    source's working row, valid after the source (even its pool) is released.
+    ``page_tokens`` records the source geometry, so :attr:`n_pages` prices
+    what it occupied there (a target of another page size re-chunks).
     """
 
     keys: np.ndarray
@@ -121,9 +106,8 @@ class KVCheckpoint:
     Produced by :meth:`KVSpaceManager.checkpoint
     <repro.serve.kv_manager.KVSpaceManager.checkpoint>` from per-layer
     :meth:`PagedKVCache.export_state` calls; restorable into *any* pool with
-    matching head geometry via :meth:`PagedKVCache.import_state` with clean
-    page accounting on both sides.  This is the KV-handoff primitive behind recompute-free failover
-    and (later) disaggregated prefill/decode.
+    matching head geometry via :meth:`PagedKVCache.import_state` — the KV
+    handoff behind recompute-free failover.
     """
 
     layers: tuple[KVLayerCheckpoint, ...]
@@ -171,50 +155,73 @@ def _page_dtype(dtype: "str | np.dtype | type") -> np.dtype:
     return resolved
 
 
-def _arena(shape: tuple[int, ...], dtype: np.dtype) -> np.ndarray:
-    """An uninitialised page arena on its own anonymous memory mapping.
+#: Mappings of dead arenas, oldest first, kept for the next arena of their
+#: size while they total at most ``_SPARE_BYTES`` (a bigger one is unmapped).
+_spares: list[mmap.mmap] = []
+_SPARE_BYTES = 16 << 20
 
-    Only the pages of the mapping that are written ever become resident,
-    and the whole mapping goes back to the OS when the array dies — which
-    is what lets a pool reserve its final size up front for free.
-    ``np.empty`` gives neither guarantee: the allocator recycles freed
-    arenas of earlier pools, so a sparsely used big arena pins everything
-    its predecessors touched (measured: +25-45 % peak RSS on a 4-replica
-    cluster).
+
+def _spare(mapping: mmap.mmap) -> None:
+    """Keep a dead arena's mapping for reuse, dropping (so unmapping) the
+    oldest beyond ``_SPARE_BYTES``."""
+    _spares.append(mapping)
+    while sum(map(len, _spares)) > _SPARE_BYTES:
+        del _spares[0]
+
+
+def _arena(shape: tuple[int, ...], dtype: np.dtype, *, zero: bool = False) -> np.ndarray:
+    """An arena on an anonymous memory mapping: a spare one of its size
+    (contents left, or zeroed when ``zero``) or a fresh one (all zero).
+
+    Only written pages of a fresh mapping become resident, and a big one is
+    unmapped when its array dies, so a pool reserves its final size for
+    free (``np.empty`` arenas, recycled by the allocator, pinned what
+    earlier pools touched: +25-45 % peak RSS on a 4-replica cluster).  Small
+    mappings are kept (:func:`_spare`): each serving run builds its pools
+    afresh, and reusing the last run's resident pages saves ~700 minor page
+    faults on a quick speculative-decoding run.
     """
     nbytes = math.prod(shape) * dtype.itemsize
-    return np.frombuffer(mmap.mmap(-1, nbytes), dtype=dtype).reshape(shape)
+    for i in range(len(_spares) - 1, -1, -1):
+        if len(_spares[i]) == nbytes:
+            mapping = _spares.pop(i)
+            flat = np.frombuffer(mapping, dtype=dtype)
+            if zero:
+                flat.fill(0)
+            break
+    else:
+        mapping = mmap.mmap(-1, nbytes)
+        flat = np.frombuffer(mapping, dtype=dtype)
+    weakref.finalize(flat, _spare, mapping)
+    return flat.reshape(shape)
 
 
 #: Geometry of a pool's first decode slab; rows and capacity double from here.
-_SLAB_ROWS, _SLAB_TOKENS = 8, 64
+_SLAB_ROWS, _SLAB_TOKENS = 8, 128
 
 
 class KVPagePool:
     """Fixed-size KV pages with free-list allocation and refcounts, every layer at once.
 
     Storage is ``[n_layers, n_pages, H, page_tokens, head_dim]`` for keys and
-    values: one page id is a natively-shaped ``[H, page_tokens, d]`` block in
-    each layer's arena, and the accounting (refcounts, free list, growth,
-    fault gate) is per page id, not per layer.  ``grow=True`` (the default)
-    doubles the page count when the free list runs dry — in place while it
-    fits the ``reserve_pages`` the arenas were mapped with, by moving to
-    bigger arenas beyond that; ``grow=False`` models a hard memory budget
-    and raises :class:`PoolExhausted` instead.  ``dtype`` selects the page
-    storage width: ``"fp32"`` (default, exact) or ``"fp16"`` (half the pool
-    bytes; every stored element is rounded to half precision once at write
-    time and widened back to fp32 for compute — the "stored half, computed
-    full" design point of fp16 KV serving stacks).
+    values; the accounting (refcounts, free list, growth, fault gate) is per
+    page id.  ``grow=True`` doubles the page count when the free list runs
+    dry (in place within ``reserve_pages``); ``grow=False`` models a hard
+    memory budget and raises :class:`PoolExhausted`.  ``dtype="fp16"``
+    halves the pool bytes: stored half, computed fp32.
 
     The decode slab (:attr:`slab_keys` / :attr:`slab_values`) has its own
-    free list of rows and refers to each row's table weakly, so a dropped
-    stack is still freed by reference counting (its row is reclaimed later).
+    free list of rows and refers to each row's table weakly: a stack dropped
+    without release is still freed by reference counting, and its table's
+    death gives the row back (:meth:`_table_dropped`).  Nothing the pool
+    holds refers back to it once its rows are free, so a finished run's pool
+    is freed by reference counting too.
     """
 
     __slots__ = ("n_heads", "head_dim", "page_tokens", "grow", "dtype",
                  "fault_gate", "decode_plan", "slab_keys", "slab_values", "valid",
                  "placements", "_keys", "_values", "_refcounts", "_free",
-                 "_row_tables", "_free_rows")
+                 "_row_tables", "_free_rows", "_reclaim", "__weakref__")
 
     def __init__(self, n_heads: int, head_dim: int, page_tokens: int = 16,
                  initial_pages: int = 64, grow: bool = True,
@@ -232,9 +239,9 @@ class KVPagePool:
         #: Chaos hook (``repro.serve.faults``): a zero-argument callable that
         #: makes :meth:`try_alloc` spuriously fail when it returns True.
         self.fault_gate = None
-        #: Weak reference to the decode grouping the model keeps over this
-        #: pool's rows: freeing a row empties it (:meth:`_free_row`).
-        self.decode_plan: "weakref.ref | None" = None
+        #: The fused decode's grouping of the last batch led by one of this
+        #: pool's stacks, kept here until a row is freed.
+        self.decode_plan = None
         #: The decode slab, ``[n_layers, S, H, capacity, head_dim]`` fp32
         #: (mapped on the first row taken), and its all-true ``[H, capacity]``
         #: validity, which fetch views slice.
@@ -255,6 +262,9 @@ class KVPagePool:
         # Slab row -> weak reference to the table holding it (None: free).
         self._row_tables: list["weakref.ref | None"] = []
         self._free_rows: list[int] = []
+        # Their callback reaches the pool weakly: it never refers to itself.
+        pool = weakref.ref(self)
+        self._reclaim = lambda ref: pool() is not None and pool()._table_dropped(ref)
 
     # -- capacity and accounting ----------------------------------------
     @property
@@ -421,8 +431,9 @@ class KVPagePool:
         """Map a slab of at least ``n_rows`` rows of ``n_tokens`` tokens
         (doubling) and move the live rows' tokens into it."""
         old_keys, old_values = self.slab_keys, self.slab_values
-        if old_keys is None:
-            rows, capacity, old_rows = _SLAB_ROWS, _SLAB_TOKENS, 0
+        if old_keys is None:  # (capacity a whole number of pages, doubling)
+            rows, old_rows = _SLAB_ROWS, 0
+            capacity = -(-_SLAB_TOKENS // self.page_tokens) * self.page_tokens
         else:
             old_layers, old_rows, _heads, capacity, _dim = old_keys.shape
             if (old_rows >= n_rows and capacity >= n_tokens
@@ -434,40 +445,40 @@ class KVPagePool:
         while capacity < n_tokens:
             capacity *= 2
         shape = (self.n_layers, rows, self.n_heads, capacity, self.head_dim)
-        keys = self.slab_keys = _arena(shape, np.dtype(np.float32))
-        values = self.slab_values = _arena(shape, np.dtype(np.float32))
+        keys = self.slab_keys = _arena(shape, np.dtype(np.float32), zero=True)
+        values = self.slab_values = _arena(shape, np.dtype(np.float32), zero=True)
         self.valid = np.ones((self.n_heads, capacity), dtype=bool)
-        row_tables = self._row_tables
-        for row, ref in enumerate(row_tables):
+        for row, ref in enumerate(self._row_tables):
             table = None if ref is None else ref()
             if table is not None:  # only the tokens: the rest stays unmapped
                 n = table.n_tokens
                 keys[:old_layers, row, :, :n] = old_keys[:, row, :, :n]
                 values[:old_layers, row, :, :n] = old_values[:, row, :, :n]
-            elif ref is not None:  # a table dropped without release
-                row_tables[row] = None
-                self._free_rows.append(row)
-        row_tables.extend([None] * (rows - old_rows))
+        self._row_tables.extend([None] * (rows - old_rows))
         self._free_rows[:0] = range(rows - 1, old_rows - 1, -1)
 
     def _alloc_row(self, table: "PageTable", n_tokens: int) -> int:
         """A free slab row for ``table``, with room for ``n_tokens`` tokens."""
-        self._reserve_slab(len(self._row_tables) + (not self._free_rows), n_tokens)
+        if not self._free_rows or n_tokens > self.slab_keys.shape[3]:
+            self._reserve_slab(len(self._row_tables) + (not self._free_rows), n_tokens)
         row = self._free_rows.pop()
-        self._row_tables[row] = weakref.ref(table)
+        self._row_tables[row] = weakref.ref(table, self._reclaim)
         return row
 
     def _free_row(self, row: int) -> None:
-        """Take back ``row`` (its V zeroed) and empty the decode grouping,
-        which may name the table that held it."""
+        """Take back ``row``, its V already zeroed, and drop the decode plan
+        (which may name the row's table: a plan kept past its batch would
+        make the pool, the plan and the batch's stacks a reference cycle)."""
         self._row_tables[row] = None
         self._free_rows.append(row)
-        ref = self.decode_plan
-        if ref is not None:
-            self.decode_plan = None
-            plan = ref()
-            if plan is not None:
-                plan.clear()
+        self.decode_plan = None
+
+    def _table_dropped(self, ref: weakref.ref) -> None:
+        """A table died holding a row without releasing it: zero the row's
+        V and take it back (wherever :meth:`_place` had moved it)."""
+        row = self._row_tables.index(ref)
+        self.slab_values[:, row] = 0.0
+        self._free_row(row)
 
     def _swap_rows(self, a: int, b: int, n_tokens: int) -> None:
         """Exchange the first ``n_tokens`` tokens of slab rows ``a`` and ``b``,
@@ -490,40 +501,43 @@ class KVPagePool:
         row_tables = self._row_tables
         for table, slot in zip(outside, [s for s in range(n_slots) if s not in held]):
             row, ref = table.row, row_tables[slot]
-            other = None if ref is None else ref()
             n = table.n_tokens
-            if other is not None:
+            if ref is None:  # a free slot
+                self._free_rows.remove(slot)
+                self._free_rows.append(row)
+            else:
+                other = ref()
                 n = max(n, other.n_tokens)
                 other.row = row
-            else:
-                if ref is None:
-                    self._free_rows.remove(slot)
-                else:  # the row of a table dropped without release
-                    self.slab_values[:, slot] = 0.0
-                self._free_rows.append(row)
             self._swap_rows(row, slot, n)
-            row_tables[slot], row_tables[row] = row_tables[row], (
-                None if other is None else ref)
+            row_tables[slot], row_tables[row] = row_tables[row], ref
             table.row = slot
         self.placements += 1
 
-    # -- fused-decode gather/scatter ------------------------------------
+    # -- batched gather/scatter -----------------------------------------
     def scatter_tokens(self, pages: np.ndarray, offsets: np.ndarray,
-                       keys: np.ndarray, values: np.ndarray, layer: int = 0, *,
-                       rows: "np.ndarray | slice", positions: "np.ndarray | int") -> None:
-        """Write one ``[H, d]`` token into each ``(page, offset)`` slot of
-        ``layer`` and into ``slab[layer, rows, :, positions]``, its working row.
+                       keys: np.ndarray, values: np.ndarray, layer: int = 0) -> None:
+        """Write one ``[H, d]`` token into each ``(page, offset)`` slot of ``layer``.
 
-        The fused batched append: every group member's slot is claimed once
-        for all layers (:meth:`PagedKVCache.reserve_stack_slot`), then each
-        layer lands the whole group's new K/V with four fancy-indexed
-        scatters.  An fp16 pool rounds the tokens once for both.
+        The batched page write: every slot is claimed once for all layers
+        (:class:`PagedGroup`, :class:`PagedChunks`), then each layer lands
+        all the new K/V with two fancy-indexed scatters (an fp16 pool rounds
+        in the assignment) instead of one write per token or page.
         """
+        self._keys[layer][pages, :, offsets] = keys
+        self._values[layer][pages, :, offsets] = values
+
+    def write_slots(self, layer: int, pages: np.ndarray, offsets: np.ndarray,
+                    rows: "np.ndarray | slice", positions: "np.ndarray | int",
+                    keys: np.ndarray, values: np.ndarray) -> None:
+        """Write ``[N, H, d]`` tokens through: into their claimed ``(page,
+        offset)`` slots (:meth:`scatter_tokens`) and at ``slab[layer, rows,
+        :, positions]``, their working rows.  An fp16 pool rounds them once
+        for both."""
         if self.dtype != np.float32:
             keys = keys.astype(self.dtype)
             values = values.astype(self.dtype)
-        self._keys[layer][pages, :, offsets] = keys
-        self._values[layer][pages, :, offsets] = values
+        self.scatter_tokens(pages, offsets, keys, values, layer)
         self.slab_keys[layer][rows, :, positions] = keys
         self.slab_values[layer][rows, :, positions] = values
 
@@ -550,19 +564,14 @@ class KVPagePool:
 class PageTable:
     """One sequence's pages and slab row, shared by its per-layer handles.
 
-    ``pages`` lists the page ids in token order; token ``t`` of every layer
-    lives in slot ``t % page_tokens`` of page ``pages[t // page_tokens]``.
-    ``tail_owned`` True guarantees the tail page has refcount 1, so a write
-    into it can skip the refcount lookup; it is cleared when a fork shares
-    the tail or the table shrinks onto an older page, and restored by CoW or
-    a fresh allocation.  ``row`` is the table's slab row (``-1`` before the
+    ``pages`` lists the page ids in token order (token ``t`` is in slot
+    ``t % page_tokens`` of ``pages[t // page_tokens]``).  ``tail_owned``
+    guarantees the tail page has refcount 1, so a write into it skips the
+    refcount lookup.  ``row`` is the table's slab row (``-1`` before the
     first read or write and after release): handle ``h`` holds there, at
     ``slab[h.layer, row, :, :count]``, bit for bit what its pages hold, and
-    zeros in V past ``count``.
-
-    The table refers to its handles weakly, in layer order: handles keep
-    their table alive, never the reverse, so a dropped stack (and the pool
-    arenas it points at) is freed by reference counting alone.
+    zeros in V past ``count``.  The table refers to its handles weakly, in
+    layer order, so a dropped stack is freed by reference counting alone.
     """
 
     __slots__ = ("pool", "pages", "tail_owned", "row", "_handles", "__weakref__")
@@ -636,31 +645,37 @@ class PageTable:
                                   values[layer, row:row + 1, :, :count], layer)
         return row
 
-    def write(self, layer: int, start: int, keys: np.ndarray, values: np.ndarray) -> None:
-        """Write storage-rounded ``[H, n, d]`` tokens at ``start`` of ``layer``
-        into the pages (allocated or CoW-copied first, so a dry pool leaves
-        the row untouched), then into the row."""
+    def claim(self, start: int, stop: int) -> None:
+        """Make tokens ``[start, stop)`` writable in every layer: the row
+        taken and wide enough, their pages allocated or CoW-copied (so a dry
+        pool raises before anything is written)."""
         pool = self.pool
-        row = self.row if self.row >= 0 else self.take_row()
-        stop = start + keys.shape[1]
+        if self.row < 0:
+            self.take_row()
         if stop > pool.slab_keys.shape[3]:
             pool._reserve_slab(0, stop)
-        page_tokens, pages, refcounts = pool.page_tokens, self.pages, pool._refcounts
-        held, done = len(pages), start
-        while done < stop:
-            index, offset = done // page_tokens, done % page_tokens
-            if index >= held:
-                self.writable_page(index)
-                held += 1
-            elif refcounts[pages[index]] > 1:
-                self.writable_page(index)  # shared: CoW-copied first
-            take = page_tokens - offset if stop - done > page_tokens - offset else stop - done
-            page, first = pages[index], done - start
-            pool._keys[layer, page, :, offset:offset + take] = keys[:, first:first + take]
-            pool._values[layer, page, :, offset:offset + take] = values[:, first:first + take]
-            done += take
-        pool.slab_keys[layer, row, :, start:stop] = keys
-        pool.slab_values[layer, row, :, start:stop] = values
+        page_tokens = pool.page_tokens
+        for index in range(start // page_tokens, -(-stop // page_tokens)):
+            self.writable_page(index)
+
+    def write(self, layer: int, start: int, keys: np.ndarray, values: np.ndarray) -> None:
+        """Write storage-rounded ``[H, n, d]`` tokens at ``start`` of ``layer``
+        into the row, then copy the pages they fall in from the row, whole
+        (a page's other slots get what the row holds there: the same tokens
+        before ``start``, nothing any read reaches past the tokens)."""
+        pool = self.pool
+        stop = start + keys.shape[1]
+        self.claim(start, stop)
+        page_tokens, row = pool.page_tokens, self.row
+        first, last = start // page_tokens, -(-stop // page_tokens)
+        pages = self.pages[first:last]
+        for slab, arena, tokens in ((pool.slab_keys, pool._keys, keys),
+                                    (pool.slab_values, pool._values, values)):
+            slab[layer, row, :, start:stop] = tokens
+            n_heads, capacity, head_dim = slab.shape[2:]
+            blocks = slab[layer, row].reshape(n_heads, capacity // page_tokens, page_tokens,
+                                              head_dim)
+            arena[layer, pages] = blocks[:, first:last].swapaxes(0, 1)
 
     def zero_values(self, first: int, stop: int, start: int, end: int) -> None:
         """Zero V of tokens ``[start, end)`` of layers ``[first, stop)`` in
@@ -692,15 +707,10 @@ class PagedKVCache(LayerKVCache):
     semantics on pool pages, with zero-copy copy-on-write forks.
 
     The handle keeps only its token count.  Its tokens live on the table's
-    pages, the *sharing substrate* (a fork retains the pages covering a
-    prefix; a shared partial tail page is CoW-copied by whichever side
-    writes it next), and in the table's slab row, the *working copy*
-    (``fetch`` returns zero-copy views of it).  Every write reaches both.
-
+    pages, the *sharing substrate*, and in its slab row, the *working copy*
+    (``fetch`` returns views of it); every write reaches both.
     ``PagedKVCache(pool, ...)`` makes a handle with a table of its own;
-    :meth:`PagedCacheFactory.make_stack` makes the ``L`` handles of one
-    sequence share one (``layer`` selects the arena; ``table`` is joined as
-    its next layer).
+    :meth:`PagedCacheFactory.make_stack` makes one sequence's ``L`` share one.
     """
 
     supports_chunked_prefill = True
@@ -755,29 +765,22 @@ class PagedKVCache(LayerKVCache):
     def reserve_slot(self) -> tuple[int, int]:
         """Claim this layer's next token ``(page, offset)`` without writing data.
 
-        Takes the table's row if it has none, allocates or CoW-resolves the
-        page and advances the count; the caller *must* write the slot —
-        :meth:`KVPagePool.scatter_tokens` with this handle's ``layer``, its
+        Claims the slot for every layer (:meth:`PageTable.claim`) and
+        advances the count; the caller *must* write it —
+        :meth:`KVPagePool.write_slots` with this handle's ``layer``, its
         table's ``row`` and position ``num_tokens - 1`` — before any read.
         """
-        table, pool, count = self._table, self.pool, self._count
-        if table.row < 0:
-            table.take_row()
-        if count >= pool.slab_keys.shape[3]:
-            pool._reserve_slab(0, count + 1)
-        index, offset = divmod(count, pool.page_tokens)
-        page = table.writable_page(index)
+        table, count = self._table, self._count
+        table.claim(count, count + 1)
         self._count = count + 1
-        return page, offset
+        index, offset = divmod(count, self.pool.page_tokens)
+        return table.pages[index], offset
 
     def whole_stack(self, caches: "Sequence[LayerKVCache]") -> bool:
         """Whether ``caches`` are every live handle of this handle's table,
-        layer ``i`` at index ``i``, all at one length — a sequence whose next
-        slot :meth:`reserve_stack_slot` can claim once for every layer.
-
-        (A table's handles are in increasing layer order, so the two end
-        layers pin every layer in between.)
-        """
+        layer ``i`` at index ``i``, all at one length — a sequence whose slots
+        are claimed once for every layer (a table's handles are in layer
+        order, so the two end layers pin every layer in between)."""
         refs, count = self._table._handles, self._count
         if (len(refs) != len(caches) or caches[0].layer != 0
                 or caches[-1].layer != len(caches) - 1):
@@ -863,11 +866,9 @@ class PagedKVCache(LayerKVCache):
     def truncate(self, n: int) -> None:
         """Native rollback: drop tokens beyond ``n``, freeing rolled-back pages.
 
-        Pages no live handle of the table covers any more return their
-        reference to the pool immediately (a page shared with a fork/radix
-        snapshot just drops this table's refcount).  A partially-kept page
-        stays, and the next write into it CoW-copies it first if a snapshot
-        still shares it, so rollback can never corrupt forked prefixes.
+        Pages no live handle covers any more return their reference at once;
+        a partially-kept page stays, and the next write into it CoW-copies
+        it first if a snapshot still shares it.
         """
         if not 0 <= n <= self._count:
             raise ValueError(f"truncate to {n} out of range [0, {self._count}]")
@@ -924,8 +925,7 @@ class PagedKVCache(LayerKVCache):
         """Serialise this layer's KV state into a self-contained checkpoint.
 
         No page is allocated, retained or released; the tokens are *copied*
-        out of the row, so the checkpoint survives the source cache, its
-        pool, and any CoW sharing with forks.
+        out of the row, so the checkpoint outlives the source and its pool.
         """
         keys, values, _valid = self.fetch()
         return KVLayerCheckpoint(keys=keys.copy(), values=values.copy(),
@@ -934,13 +934,11 @@ class PagedKVCache(LayerKVCache):
     def import_state(self, ckpt: KVLayerCheckpoint) -> None:
         """Rebuild an exported layer state inside *this* handle's pool.
 
-        Only an empty (freshly made) handle may import.  The checkpoint is
-        written like a prefill (rounded through the pool dtype, re-chunked
-        to this pool's ``page_tokens``): the first layer of a stack to import
-        allocates the pages, the others write their slices into them, so the
-        restored request owns its pages like one decoded locally.
-        All-or-nothing: if the pool runs dry mid-import, the pages this
-        import took are released before :class:`PoolExhausted` propagates.
+        Only an empty handle may import.  The checkpoint is written like a
+        prefill (rounded through the pool dtype, re-chunked to this pool's
+        ``page_tokens``).  All-or-nothing: if the pool runs dry mid-import,
+        the pages it took are released before :class:`PoolExhausted`
+        propagates.
         """
         if self._count:
             raise ValueError("import_state requires an empty cache")
@@ -960,15 +958,12 @@ class PagedGroup:
     """Whole stacks of one pool that decode together: their rows in slab
     slots ``[0, G)``, one slot claim a step.
 
-    The fused decode builds one per membership from
-    :meth:`PagedKVCache.whole_stack` rows sharing a pool; building it moves
-    the members' rows into slots ``[0, G)`` and orders :attr:`stacks` by
-    slot (:attr:`order` maps them back), so a step attends ``slab[layer,
-    :G, :, :longest]`` as one view.  It is kept while :meth:`current` holds.
-    The first claim goes through :meth:`PagedKVCache.reserve_stack_slot` per
-    member; later claims take a member's owned tail page as it is, and only
-    members opening a page or writing a shared tail go through
-    :meth:`PageTable.writable_page`.
+    The fused decode builds one per membership; building it moves the
+    members' rows into slots ``[0, G)`` and orders :attr:`stacks` by slot
+    (:attr:`order` maps them back), so a step attends ``slab[layer, :G, :,
+    :longest]`` as one view.  It is kept while :meth:`current` holds; after
+    the first claim, only members opening a page or writing a shared tail go
+    through :meth:`PageTable.writable_page`.
     """
 
     __slots__ = ("stacks", "order", "pool", "lengths", "longest", "pages", "offsets",
@@ -1004,7 +999,7 @@ class PagedGroup:
         """Claim each member's next ``(page, offset)`` for all of its layers.
 
         Sets what every layer of the step shares: the
-        :meth:`KVPagePool.scatter_tokens` targets (:attr:`pages`,
+        :meth:`KVPagePool.write_slots` targets (:attr:`pages`,
         :attr:`offsets`, :attr:`rows`, :attr:`positions`), the
         :attr:`lengths` counting the new tokens, :attr:`longest` and
         :attr:`padmask` (``[G, longest]``, True past each member's length;
@@ -1046,6 +1041,46 @@ class PagedGroup:
             held = np.array(lengths)
             self.padmask = np.arange(self.longest) >= held[:, None]
             self.rows, self.positions = self._slots, held - 1
+
+
+class PagedChunks:
+    """Whole stacks of one pool that each extend by a chunk in one forward
+    (chunked prefill, speculative verify): building it claims every
+    member's slots once for all layers (:meth:`PageTable.claim`), and each
+    layer lands all members' tokens with one :meth:`write`.
+    """
+
+    __slots__ = ("pool", "stacks", "stops", "pages", "offsets", "rows", "positions")
+
+    def __init__(self, stacks: "Sequence[Sequence[PagedKVCache]]",
+                 lengths: Sequence[int]) -> None:
+        pool = self.pool = stacks[0][0].pool
+        page_tokens = pool.page_tokens
+        self.stacks = stacks
+        #: Tokens each member holds once a layer is written.
+        self.stops: list[int] = []
+        pages, rows, positions = [], [], []
+        for caches, n in zip(stacks, lengths):
+            table, start = caches[0]._table, caches[0]._count
+            stop = start + n
+            table.claim(start, stop)
+            held = table.pages
+            pages += [held[t // page_tokens] for t in range(start, stop)]
+            rows += [table.row] * n
+            positions += range(start, stop)
+            self.stops.append(stop)
+        self.pages = np.array(pages, dtype=np.intp)
+        self.rows = np.array(rows, dtype=np.intp)
+        self.positions = np.array(positions, dtype=np.intp)
+        self.offsets = self.positions % page_tokens
+
+    def write(self, layer: int, keys: np.ndarray, values: np.ndarray) -> None:
+        """Write ``layer``'s ``[N, H, d]`` new tokens (members in order, each
+        chunk in token order) and advance that layer's handles."""
+        self.pool.write_slots(layer, self.pages, self.offsets, self.rows, self.positions,
+                              keys, values)
+        for caches, stop in zip(self.stacks, self.stops):
+            caches[layer]._count = stop
 
 
 class PagedCacheFactory:
@@ -1107,13 +1142,10 @@ class PagedCacheFactory:
         """Map future pools once, at the size a serving capacity can fill.
 
         A :class:`~repro.serve.kv_manager.KVSpaceManager` enforcing
-        ``capacity_tokens`` over a *growable* factory calls this, so the
-        arenas are mapped at ``ceil(capacity / page_tokens)`` pages and the
-        pool grows into them without copy-doubling through ever-larger
-        arenas (reserved pages stay uncommitted until written, see
-        :func:`_arena`; accounting still covers only the pages handed to the
-        free list so far).  Growth beyond the reserve keeps working; a
-        bounded factory's page count *is* its capacity and is left alone.
+        ``capacity_tokens`` over a *growable* factory calls this, so a pool
+        grows into its arenas without copy-doubling (reserved pages stay
+        uncommitted until written, see :func:`_arena`).  A bounded
+        factory's page count *is* its capacity and is left alone.
         """
         if self.grow:
             self.reserve_pages = max(self.reserve_pages,

@@ -15,25 +15,21 @@ def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
     return exp / np.sum(exp, axis=axis, keepdims=True)
 
 
-def softmax_blocks_(first: np.ndarray, second: np.ndarray) -> None:
-    """In-place softmax over ``concatenate([first, second], axis=-1)``.
+def softmax_blocks_(scores: np.ndarray, split: int) -> None:
+    """In-place softmax over the last axis of float32 ``scores``, whose
+    blocks ``[..., :split]`` and ``[..., split:]`` are summed apart.
 
-    The two float32 blocks share every leading axis; each row is normalised
-    over both together (one row max, one denominator) without materialising
-    the concatenation — chunk attention's (cached | new) score blocks.
-    ``first`` may be empty, or hold ``-inf`` rows, as long as every row of
-    ``second`` has a finite entry.
+    Chunk attention's (cached | new) score blocks, in one buffer so each
+    elementwise step is one call; the denominator adds the two block sums.
+    The first block may be empty or hold ``-inf`` rows, as long as every row
+    of the second has a finite entry.
     """
-    row_max = np.maximum.reduce(second, axis=-1, keepdims=True)
-    np.maximum(row_max, np.maximum.reduce(first, axis=-1, keepdims=True,
-                                          initial=-np.inf), out=row_max)
-    for block in (first, second):
-        np.subtract(block, row_max, out=block)
-        np.exp(block, out=block)
-    denom = np.add.reduce(first, axis=-1, keepdims=True)
-    denom += np.add.reduce(second, axis=-1, keepdims=True)
-    first /= denom
-    second /= denom
+    row_max = np.maximum.reduce(scores, axis=-1, keepdims=True)
+    np.subtract(scores, row_max, out=scores)
+    np.exp(scores, out=scores)
+    denom = np.add.reduce(scores[..., :split], axis=-1, keepdims=True)
+    denom += np.add.reduce(scores[..., split:], axis=-1, keepdims=True)
+    scores /= denom
 
 
 def log_softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:

@@ -18,12 +18,11 @@ accounting by the performance model.
 
 from __future__ import annotations
 
-import weakref
 from typing import Sequence
 
 import numpy as np
 
-from repro.core.kv_pool import PagedGroup
+from repro.core.kv_pool import PagedChunks, PagedGroup
 from repro.llm.cache import KVCacheFactory, LayerKVCache
 from repro.llm.config import ModelConfig
 from repro.llm.functional import (
@@ -48,14 +47,11 @@ class _DecodePlan:
     ``stacks`` are the batch's cache lists (their identity is the
     membership); each paged group carries its batch rows in slab-slot order,
     its :class:`~repro.core.kv_pool.PagedGroup` and whether those rows are
-    the whole batch in order.  A step reuses the plan while the membership is
-    the same, every group is :meth:`~repro.core.kv_pool.PagedGroup.current`
-    and no loose paged stack has come back in step; anything else rebuilds
-    it.  Every pool the plan covers refers to it weakly and clears it when
-    it frees a row, so a kept plan never outlives its sequences.
+    the whole batch in order.  A step reuses the plan while :meth:`holds`;
+    it is kept on the pool of the batch's first stack, never on the model.
     """
 
-    __slots__ = ("stacks", "groups", "loose", "unwhole", "enders", "__weakref__")
+    __slots__ = ("stacks", "groups", "loose", "unwhole", "enders")
 
     def __init__(self, model: "DecoderLM", stacks: list[list[LayerKVCache]]) -> None:
         self.stacks = stacks
@@ -67,21 +63,14 @@ class _DecodePlan:
         paged_groups, self.loose = model._fused_decode_groups(stacks)
         #: ``(rows, group, in order)`` of each paged group.
         self.groups = []
-        ref = weakref.ref(self)
         for rows in paged_groups:
             group = PagedGroup([stacks[b] for b in rows])
             rows = [rows[g] for g in group.order]
             self.groups.append((rows, group, rows == list(range(len(stacks)))))
-            group.pool.decode_plan = ref
         #: Loose paged stacks whose layers are out of step (they group once
         #: back in step).
-        self.unwhole = []
-        for b in self.loose:
-            head = stacks[b][0]
-            if head.paged_stack:
-                head.pool.decode_plan = ref
-                if not head.whole_stack(stacks[b]):
-                    self.unwhole.append(b)
+        self.unwhole = [b for b in self.loose if stacks[b][0].paged_stack
+                        and not stacks[b][0].whole_stack(stacks[b])]
         #: The loose caches whose class has an ``end_step`` of its own.
         self.enders = _enders([stacks[b] for b in self.loose])
 
@@ -95,10 +84,6 @@ class _DecodePlan:
             if self.stacks[b][0].whole_stack(self.stacks[b]):
                 return False
         return True
-
-    def clear(self) -> None:
-        """Forget the membership and every cache (a pool freed a row)."""
-        self.stacks, self.groups, self.loose, self.unwhole, self.enders = [], [], [], [], []
 
 
 def _enders(stacks) -> list[LayerKVCache]:
@@ -119,9 +104,6 @@ class DecoderLM:
         # blocks, context accumulators, fused-attention gather workspaces):
         # steady-state decode steps perform zero scratch allocations.
         self._ws = StepWorkspace()
-        # The grouping of the last fused decode's membership (_DecodePlan),
-        # kept while a paged pool can clear it (see _plan_decode).
-        self._decode_plan: "_DecodePlan | None" = None
         # Lazily-built concatenated [C, 3C] QKV weights per layer so the
         # decode hot paths issue one projection GEMM instead of three.
         # Keyed by the identity of the source arrays: replacing a params
@@ -373,9 +355,9 @@ class DecoderLM:
         axis, ``queries``/``keys_new``/``values_new`` are the step's
         ``[H, N, d]`` projections, ``caches`` the members' equally long caches
         at this layer.  Each query attends to its own cache and causally
-        within its chunk as stacked ``[G, H, c, ·]`` matmuls over two float32
-        score blocks (cached | new) normalised together, so nothing is
-        concatenated.  Writes ``context[idx]``; the caller extends the caches.
+        within its chunk as stacked ``[G, H, c, ·]`` matmuls into the two
+        score blocks (cached | new) of one buffer, normalised together.
+        Writes ``context[idx]``; the caller extends the caches.
         """
         ws = self._ws
         n_groups, chunk = idx.shape
@@ -391,20 +373,23 @@ class DecoderLM:
             for g, (keys_g, values_g, _valid) in enumerate(fetched):
                 k_old[g] = keys_g
                 v_old[g] = values_g
-        q = queries[:, idx].swapaxes(0, 1)  # [G, H, c, d]
-        s_old = np.matmul(q, k_old.swapaxes(-1, -2),
-                          out=ws.get("chunk.s_old", (n_groups, n_heads, chunk, n_old)))
-        s_old *= scale
+        if n_groups == 1:  # one member: its rows of the flat axis are a slice
+            idx = slice(idx[0, 0], idx[0, 0] + chunk)
+            q, k_new, v_new = (x[None, :, idx] for x in (queries, keys_new, values_new))
+        else:  # [G, H, c, d] gathers
+            q, k_new, v_new = (x[:, idx].swapaxes(0, 1) for x in (queries, keys_new, values_new))
+        scores = ws.get("chunk.scores", (n_groups, n_heads, chunk, n_old + chunk))
+        s_old, s_new = scores[..., :n_old], scores[..., n_old:]
+        np.matmul(q, k_old.swapaxes(-1, -2), out=s_old)
+        np.matmul(q, k_new.swapaxes(-1, -2), out=s_new)
+        scores *= scale
         for g, (_keys, _values, valid) in enumerate(fetched):
             if not valid.all():
                 np.copyto(s_old[g], -np.inf, where=~valid[:, None, :])
-        s_new = np.matmul(q, keys_new[:, idx].swapaxes(0, 1).swapaxes(-1, -2),
-                          out=ws.get("chunk.s_new", (n_groups, n_heads, chunk, chunk)))
-        s_new *= scale
         s_new += causal_mask(chunk)
-        softmax_blocks_(s_old, s_new)  # the new block's diagonal is never masked
+        softmax_blocks_(scores, n_old)  # the new block's diagonal is never masked
         ctx = s_old @ v_old
-        ctx += s_new @ values_new[:, idx].swapaxes(0, 1)  # [G, H, c, d]
+        ctx += s_new @ v_new  # [G, H, c, d]
         context[idx] = ctx.transpose(0, 2, 1, 3).reshape(n_groups, chunk, -1)
 
     def forward_chunks(self, token_chunks: Sequence[Sequence[int]],
@@ -414,17 +399,16 @@ class DecoderLM:
         """Run one chunk of ``n_b >= 1`` tokens per sequence in ONE forward.
 
         ``token_chunks[b]`` starts at absolute position ``positions[b]`` and
-        ``caches_batch[b]`` (per-layer caches with chunked-prefill support:
-        ``full``/``paged``) must hold exactly that many tokens.  Each chunk
-        attends causally to everything already cached plus itself, exactly
-        as the corresponding rows of :meth:`forward_full` — which lets the
-        serving engine split prompts into token-budgeted pieces, resume
-        after a radix-restored prefix, and verify speculative proposals.
-        Embedding, norms, the fused QKV GEMM, RoPE, output projection and
-        MLP run once over the ``N = sum(n_b)`` concatenated tokens (no
-        padding); attention runs once per layer per group of sequences with
-        equal ``(cached_len, chunk_len)``.  Every cache is extended with its
-        whole chunk.
+        ``caches_batch[b]`` (per-layer caches with chunked-prefill support)
+        must hold exactly that many tokens.  Each chunk attends causally to
+        everything cached plus itself, exactly as the corresponding rows of
+        :meth:`forward_full` (chunked prefill, resuming after a radix hit,
+        speculative verify).  The dense work runs once over the ``N =
+        sum(n_b)`` concatenated tokens; attention once per layer per group of
+        equal ``(cached_len, chunk_len)``.  Whole paged stacks sharing a pool
+        store each layer's chunks with one
+        :class:`~repro.core.kv_pool.PagedChunks` write, other caches through
+        ``extend_chunk``.
 
         ``logits="last"`` returns ``[B, vocab]``: each chunk's final row, the
         LM head running on those ``B`` rows only.  ``logits="all"`` returns
@@ -459,6 +443,12 @@ class DecoderLM:
         # Per group: member sequences and their [G, c] rows of the flat axis.
         plans = [(rows, starts[rows][:, None] + np.arange(size))
                  for (_position, size), rows in groups.items()]
+        # Per pool: the chunk writer and its members' rows of the flat axis.
+        paged, loose = self._fused_decode_groups(caches_batch, 1)
+        writers = [(PagedChunks([caches_batch[b] for b in rows], lengths[rows].tolist()),
+                    slice(None) if len(rows) == len(chunks) else
+                    np.concatenate([np.arange(starts[b], ends[b]) for b in rows]))
+                   for rows in map(np.array, paged)]
         hidden = self.params["embed.weight"][np.concatenate(chunks)].astype(np.float32)
         if self.config.positional == "learned":
             hidden = hidden + self.params["pos_embed.weight"][flat_pos]  # [N, C]
@@ -477,10 +467,13 @@ class DecoderLM:
             for rows, idx in plans:
                 self._attend_chunk_group([caches_batch[b][layer] for b in rows], idx,
                                          queries, keys_new, values_new, context)
-                for b in rows:
-                    sl = slice(starts[b], ends[b])
-                    caches_batch[b][layer].extend_chunk(
-                        keys_new[:, sl], values_new[:, sl], normed[sl], flat_pos[sl])
+            for writer, tokens in writers:
+                writer.write(layer, keys_new[:, tokens].swapaxes(0, 1),
+                             values_new[:, tokens].swapaxes(0, 1))
+            for b in loose:
+                sl = slice(starts[b], ends[b])
+                caches_batch[b][layer].extend_chunk(
+                    keys_new[:, sl], values_new[:, sl], normed[sl], flat_pos[sl])
             hidden = hidden + context @ self.params[f"{prefix}.wo"]
             normed = self._norm(hidden, f"{prefix}.mlp_norm")
             hidden = hidden + self._mlp(normed, layer)
@@ -499,12 +492,10 @@ class DecoderLM:
                      caches: list[LayerKVCache]) -> np.ndarray:
         """Score a chunk of proposed tokens in ONE forward pass.
 
-        ``tokens`` is the next input token followed by the drafter's proposed
-        continuation, starting at absolute ``position``.  Returns the logits
-        of **every** chunk position (``[len(tokens), vocab]``, see
-        :meth:`forward_chunks`) so the caller can find the longest accepted
-        proposal prefix; the caches hold the whole chunk afterwards and the
-        caller rolls rejected positions back via ``LayerKVCache.truncate``.
+        ``tokens`` is the next input token followed by the drafter's proposal,
+        starting at absolute ``position``.  Returns the logits of **every**
+        chunk position (``[len(tokens), vocab]``); the caches hold the whole
+        chunk afterwards, and the caller truncates rejected positions.
         """
         return self.forward_chunks([tokens], [position], [caches], logits="all")[0]
 
@@ -559,17 +550,11 @@ class DecoderLM:
                       caches_batch: Sequence[list[LayerKVCache]]) -> np.ndarray:
         """Prefill ``B`` ragged sequences in one batched forward pass.
 
-        ``token_seqs`` holds per-sequence prompts (possibly different lengths);
-        ``caches_batch[b]`` is sequence ``b``'s per-layer cache list (as built
-        by :meth:`make_caches`, one call per sequence).  Sequences are
-        right-padded to the longest prompt for the dense projections; the
-        attention block runs per sequence on the unpadded ``[H, t_b, d]``
-        slices (ragged lengths cost no padded ``T x T`` score work), so every
-        sequence's logits and cache contents match what the single-sequence
-        :meth:`prefill` would produce.
-
-        Returns the last real position's logits for each sequence,
-        shape ``[B, vocab]``.
+        ``caches_batch[b]`` is sequence ``b``'s per-layer cache list.  The
+        prompts are right-padded for the dense projections; attention runs
+        per sequence on the unpadded ``[H, t_b, d]`` slices, so every
+        sequence's logits and caches match the single-sequence
+        :meth:`prefill`.  Returns each last real position's logits, ``[B, vocab]``.
         """
         if len(token_seqs) == 0:
             raise ValueError("prefill_batch expects at least one sequence")
@@ -616,17 +601,15 @@ class DecoderLM:
         return self._lm_head(last)
 
     def _fused_decode_groups(self, caches_batch: Sequence[list[LayerKVCache]],
-                             ) -> tuple[list[list[int]], list[int]]:
+                             min_size: int = 2) -> tuple[list[list[int]], list[int]]:
         """Partition sequence indices into fused paged groups and the rest.
 
         Returns ``(paged_groups, loose)``.  A *paged* group shares one
         :class:`~repro.core.kv_pool.KVPagePool`, each member a whole stack on
-        one page table (its next slot is claimed once for every layer), so
-        one length-masked BLAS matmul per layer over the members' slab rows
-        serves the whole (possibly ragged) group.  Everything else — caches
-        with storage of their own, stacks whose layers are out of step — runs
-        through :meth:`_attend_loose_rows`, as do singleton groups, for which
-        placing rows buys nothing.
+        one page table (its slots are claimed once for every layer).  Caches
+        with storage of their own, stacks whose layers are out of step and
+        groups under ``min_size`` are loose (placing a decode singleton's row
+        buys nothing; the chunk forward, which places nothing, passes 1).
         """
         paged: dict[int, list[int]] = {}
         loose: list[int] = []
@@ -638,22 +621,25 @@ class DecoderLM:
                 loose.append(b)
         paged_groups: list[list[int]] = []
         for rows in paged.values():
-            if len(rows) > 1:
+            if len(rows) >= min_size:
                 paged_groups.append(rows)
             else:
                 loose.extend(rows)
         return paged_groups, loose
 
     def _plan_decode(self, stacks: list[list[LayerKVCache]]) -> _DecodePlan:
-        """The kept plan when ``stacks`` is its membership and it still
-        :meth:`~_DecodePlan.holds`, else a fresh plan for ``stacks`` — kept
-        only when the first stack is paged, as its pool clears the plan when
-        it frees a row: the model never pins a finished run's caches.
+        """The plan kept on the first stack's pool when ``stacks`` is its
+        membership and it still :meth:`~_DecodePlan.holds`, else a fresh plan
+        kept there in its place (until the pool frees a row, so nothing pins a
+        finished run).  A batch led by a stack with storage of its own has no
+        pool and is planned every step.
         """
-        plan = self._decode_plan
+        head = stacks[0][0]
+        if not head.paged_stack:
+            return _DecodePlan(self, stacks)
+        plan = head.pool.decode_plan
         if plan is None or plan.stacks != stacks or not plan.holds():
-            plan = _DecodePlan(self, stacks)
-            self._decode_plan = plan if stacks[0][0].paged_stack else None
+            plan = head.pool.decode_plan = _DecodePlan(self, stacks)
         return plan
 
     @staticmethod
@@ -678,12 +664,11 @@ class DecoderLM:
                             scale: float) -> None:
         """Paged attention for one group, in place on the pool's decode slab.
 
-        Writes every member's new K/V into the page ``group`` claimed for it
-        and its slab row (one :meth:`~repro.core.kv_pool.KVPagePool.
-        scatter_tokens`), then attends the members' rows ``slab[layer, :G, :,
-        :n]`` as one batched BLAS matmul per projection under a shared length
-        mask (V past a row's length is zero).  ``rows`` are the members'
-        batch rows in slot order; ``in_order``: they are the whole batch.
+        Writes the members' new K/V through to their claimed slots, then
+        attends their rows ``slab[layer, :G, :, :n]`` as one BLAS matmul per
+        projection under a shared length mask (V past a row's length is
+        zero).  ``rows``: the members' batch rows in slot order; ``in_order``:
+        they are the whole batch.
         """
         ws = self._ws
         n_groups = len(rows)
@@ -702,8 +687,8 @@ class DecoderLM:
             q_rows = query[:, rows].swapaxes(0, 1)
         # The slots were claimed for every layer before the first: land the
         # whole group's new K/V in the pages and the rows at once.
-        pool.scatter_tokens(group.pages, group.offsets, k_rows, v_rows, layer,
-                            rows=group.rows, positions=group.positions)
+        pool.write_slots(layer, group.pages, group.offsets, group.rows, group.positions,
+                         k_rows, v_rows)
         n_max = group.longest
         keys = pool.slab_keys[layer, :n_groups, :, :n_max]
         values = pool.slab_values[layer, :n_groups, :, :n_max]
@@ -831,27 +816,17 @@ class DecoderLM:
         ``positions[b]``; ``caches_batch[b]`` its per-layer caches.  The dense
         projections (QKV, output, MLP, LM head) run batched over ``B``.
 
-        With ``fused=True`` (the default) the attention reads are batched
-        too: paged stacks sharing one pool are grouped by
-        :meth:`_fused_decode_groups` and each group runs as one length-masked
-        BLAS attention call per layer over its members' rows of the pool's
-        decode slab — paged-attention style, no K/V copied per step —
-        instead of per-sequence GEMVs.  Every other cache (eviction policies
-        driven by ``observe_attention``, quantized storage) is appended,
-        fetched and fed back through the caches' group protocol — one call
-        per group for AERP caches sharing an arena, one cache at a time
-        otherwise — with the attention arithmetic stacked per group of equal
-        fetched shape (:meth:`_attend_loose_rows`).
-        ``fused=False`` forces per-sequence attention for everything — the
-        pre-fusion reference path used by equivalence tests and benchmarks.
-        Either way each sequence's logits match the single-sequence
-        :meth:`decode_step`.
-
-        The grouping is computed once per membership (the identity of the
-        ``caches_batch`` lists) — which is when the members' slab rows move
-        into slots ``[0, G)`` — and kept as a :class:`_DecodePlan` while the
-        members hold exactly what its claims left them; every caller gets it
-        with no argument of its own.
+        With ``fused=True`` (the default) paged stacks sharing one pool are
+        grouped (:meth:`_fused_decode_groups`) and each group runs one
+        length-masked BLAS attention call per layer over its members' rows of
+        the pool's decode slab, no K/V copied per step; every other cache
+        takes the step through the caches' group protocol, the attention
+        stacked per group of equal fetched shape (:meth:`_attend_loose_rows`).
+        ``fused=False`` forces per-sequence attention — the reference path of
+        the equivalence tests.  Either way each sequence's logits match
+        :meth:`decode_step`.  The grouping is planned once per membership
+        (when the members' rows move into slots ``[0, G)``) and kept as a
+        :class:`_DecodePlan` while the members hold what its claims left.
 
         Returns logits of shape ``[B, vocab]``.
         """

@@ -53,7 +53,8 @@ radix match-and-fork, snapshot forks, page allocation, CoW, release and
 * the persistent decode batch: 178.61 (214 330 calls);
 * the session's cancellation check inlined: 178.59 (214 302 calls);
 * one working K/V copy per sequence (no mirror gathers and flushes, no
-  group buffers keyed and pruned per step): 157.60 (189 117 calls).
+  group buffers keyed and pruned per step, a chunk's K/V stored with one
+  write a layer): 150.61 (180 734 calls).
 
 The bound sits between the readings before and after the decode batch
 (192.38 and 178.61): a return of half of what the decode batch saved — or
@@ -74,7 +75,7 @@ pool bounded at ``capacity_tokens=8192``, no token callback — so one wave of
   membership with one slot claim per group, one RoPE per layer): 23.20
   (59 386 calls);
 * the session's cancellation check inlined: 23.15 (59 260 calls);
-* one working K/V copy per sequence: 21.94 (56 157 calls).
+* one working K/V copy per sequence: 22.56 (57 757 calls).
 
 The bound sits between the two at 0.65 x the first reading: a return of
 one call per row per layer-step (4 per token) stays under it, per-row
@@ -94,7 +95,7 @@ cluster's per-round bookkeeping is paid on every replica step.
   (here admission and the lockstep step) and skipping admission once the
   arrival queues are empty: 159.17 (269 628 calls);
 * one working K/V copy per sequence (each replica's decode regroups its
-  own rows, without per-layer group-buffer lookups): 136.99 (232 066
+  own rows, without per-layer group-buffer lookups): 128.66 (217 956
   calls).
 
 The bound leaves ~9 % over the first reading for other interpreters'
@@ -337,7 +338,7 @@ def test_page_to_row_copies_per_generated_token(name, monkeypatch):
       through ``PageTable.gather``), decode-heavy 8.00, cluster-zipf 255.27;
     * one working copy per table in a pool-level decode slab, written
       through to the pages, filled from them only for a fork or restored
-      snapshot: small-requests 5.91 (slab moves 6.10), decode-heavy 0.00
+      snapshot: small-requests 5.91 (slab moves 5.61), decode-heavy 0.00
       (0.80), cluster-zipf 21.16 (33.64).
     """
     copied = {"pages": 0, "slab": 0}

@@ -44,11 +44,11 @@ class TestSoftmax:
         second = rng.standard_normal((2, 3, 5, 4)).astype(np.float32)
         if n_first:
             first[0, 1] = -np.inf  # a fully masked first-block row
-        want = softmax(np.concatenate([first, second], axis=-1))
-        softmax_blocks_(first, second)
-        assert first.dtype == second.dtype == np.float32
-        np.testing.assert_allclose(np.concatenate([first, second], axis=-1), want,
-                                   atol=1e-6)
+        scores = np.concatenate([first, second], axis=-1)
+        want = softmax(scores)
+        softmax_blocks_(scores, n_first)
+        assert scores.dtype == np.float32
+        np.testing.assert_allclose(scores, want, atol=1e-6)
 
 
 class TestActivations:

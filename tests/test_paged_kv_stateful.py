@@ -4,7 +4,7 @@ A hypothesis ``RuleBasedStateMachine`` drives multi-layer ``paged`` cache
 stacks (``DecoderLM.make_caches`` over one shared ``PagedCacheFactory``),
 lone per-layer forks and a ``RadixPrefixIndex`` through the lifecycle the
 serving stack uses, in random order: make a stack, chunk-extend, decode-
-append through ``reserve_slot`` + ``scatter_tokens`` (pages and slab row),
+append through ``reserve_slot`` + ``write_slots`` (pages and slab row),
 fork a stack or one handle at any length, truncate and release a stack or
 one handle, export a stack and import it into a pool of another page size,
 and radix insert / match-and-fork (of a random query, or of the least
@@ -202,10 +202,10 @@ class PagedKVMachine(RuleBasedStateMachine):
         for i, cache in enumerate(unit.caches):
             keys, values = _kv(seed + i, 1)
             page, offset = cache.reserve_slot()
-            cache.pool.scatter_tokens(np.array([page]), np.array([offset]),
-                                      keys.swapaxes(0, 1), values.swapaxes(0, 1),
-                                      **_layer(cache), rows=np.array([cache._table.row]),
-                                      positions=np.array([cache.num_tokens - 1]))
+            cache.pool.write_slots(cache.layer, np.array([page]), np.array([offset]),
+                                   np.array([cache._table.row]),
+                                   np.array([cache.num_tokens - 1]),
+                                   keys.swapaxes(0, 1), values.swapaxes(0, 1))
             old_k, old_v = unit.refs[i]
             unit.refs[i] = (np.concatenate([old_k, keys], 1), np.concatenate([old_v, values], 1))
         if unit.tokens is not None:
