@@ -158,7 +158,7 @@ def _page_dtype(dtype: "str | np.dtype | type") -> np.dtype:
 #: Mappings of dead arenas, oldest first, kept for the next arena of their
 #: size while they total at most ``_SPARE_BYTES`` (a bigger one is unmapped).
 _spares: list[mmap.mmap] = []
-_SPARE_BYTES = 16 << 20
+_SPARE_BYTES = 4 << 20
 
 
 def _spare(mapping: mmap.mmap) -> None:
