@@ -1002,8 +1002,9 @@ class PagedGroup:
         :meth:`KVPagePool.write_slots` targets (:attr:`pages`,
         :attr:`offsets`, :attr:`rows`, :attr:`positions`), the
         :attr:`lengths` counting the new tokens, :attr:`longest` and
-        :attr:`padmask` (``[G, longest]``, True past each member's length;
-        ``None`` when all are equal).  Every slot must be written before a read.
+        :attr:`padmask` (``[G, 1, longest]``, True past each member's length,
+        so it masks ``[G, H, longest]`` scores; ``None`` when all are equal).
+        Each layer must :meth:`write` its slots before a read.
         """
         if self._counts is None:
             slots = [caches[0].reserve_stack_slot(caches) for caches in self.stacks]
@@ -1039,8 +1040,20 @@ class PagedGroup:
             self.positions = self.longest - 1
         else:
             held = np.array(lengths)
-            self.padmask = np.arange(self.longest) >= held[:, None]
+            self.padmask = np.arange(self.longest) >= held[:, None, None]
             self.rows, self.positions = self._slots, held - 1
+
+    def write(self, layer: int, keys: np.ndarray, values: np.ndarray,
+              ) -> tuple[np.ndarray, np.ndarray]:
+        """Write ``layer``'s ``[G, H, d]`` new tokens (members in slot order)
+        into the slots the last :meth:`claim` took; returns the members'
+        ``[G, H, longest, d]`` K and V rows of the decode slab (views; V past
+        a member's length is zero, K is whatever the row held)."""
+        pool, n_rows = self.pool, len(self.stacks)
+        pool.write_slots(layer, self.pages, self.offsets, self.rows, self.positions,
+                         keys, values)
+        return (pool.slab_keys[layer, :n_rows, :, :self.longest],
+                pool.slab_values[layer, :n_rows, :, :self.longest])
 
 
 class PagedChunks:

@@ -11,6 +11,12 @@ provides two inference paths:
   existing caches (chunked prefill, speculative verify) and auto-regressive
   decode with a pluggable per-layer KV cache, where the paper's policies plug in.
 
+Every decode attention -- a paged group over its decode-slab rows, an AERP
+arena group, stacked baseline rows, a lone row, and each row of
+``decode_step`` or ``decode_step_batch(..., fused=False)`` -- runs through
+one kernel, :meth:`DecoderLM._attend`; chunk attention (prefill chunks and
+speculative verify) through :meth:`DecoderLM._attend_chunk_group`.
+
 Only configurations without grouped-query attention are instantiated
 (``n_kv_heads is None``); the full-size GQA configs are used purely for shape
 accounting by the performance model.
@@ -45,10 +51,11 @@ class _DecodePlan:
     """The fused decode's grouping of one batch membership, kept across steps.
 
     ``stacks`` are the batch's cache lists (their identity is the
-    membership); each paged group carries its batch rows in slab-slot order,
-    its :class:`~repro.core.kv_pool.PagedGroup` and whether those rows are
-    the whole batch in order.  A step reuses the plan while :meth:`holds`;
-    it is kept on the pool of the batch's first stack, never on the model.
+    membership); each paged group carries its batch rows in slab-slot order
+    (a slice when they are the whole batch in order) and its
+    :class:`~repro.core.kv_pool.PagedGroup`.  A step reuses the plan while
+    :meth:`holds`; it is kept on the pool of the batch's first stack, never
+    on the model.
     """
 
     __slots__ = ("stacks", "groups", "loose", "unwhole", "enders")
@@ -61,12 +68,13 @@ class _DecodePlan:
             self.enders = _enders(stacks)
             return
         paged_groups, self.loose = model._fused_decode_groups(stacks)
-        #: ``(rows, group, in order)`` of each paged group.
+        #: ``(rows, group)`` of each paged group.
         self.groups = []
         for rows in paged_groups:
             group = PagedGroup([stacks[b] for b in rows])
             rows = [rows[g] for g in group.order]
-            self.groups.append((rows, group, rows == list(range(len(stacks)))))
+            self.groups.append((slice(None) if rows == list(range(len(stacks))) else rows,
+                                group))
         #: Loose paged stacks whose layers are out of step (they group once
         #: back in step).
         self.unwhole = [b for b in self.loose if stacks[b][0].paged_stack
@@ -77,7 +85,7 @@ class _DecodePlan:
     def holds(self) -> bool:
         """Whether every group still holds what its last claim left and no
         loose paged stack could join one."""
-        for _rows, group, _in_order in self.groups:
+        for _rows, group in self.groups:
             if not group.current():
                 return False
         for b in self.unwhole:
@@ -520,6 +528,7 @@ class DecoderLM:
             hidden = hidden + self.params["pos_embed.weight"][position]
         scale = 1.0 / np.sqrt(self.config.head_dim)
         position_arr = np.array([position])
+        context = self._ws.get("decode.context", (1, self.config.d_model))
         for layer in range(self.config.n_layers):
             prefix = f"layers.{layer}"
             normed = self._norm(hidden, f"{prefix}.attn_norm")  # [C]
@@ -531,11 +540,10 @@ class DecoderLM:
             if self.config.positional == "rope":
                 query = apply_rope(query, position_arr, self._rope_cos, self._rope_sin)
                 keys_new = apply_rope(keys_new, position_arr, self._rope_cos, self._rope_sin)
-            query = query[:, 0, :]  # [H, d]
             cache = caches[layer]
             cache.append(keys_new[:, 0, :], values_new[:, 0, :], normed, position)
-            context = self._attend_fetched(cache, cache.fetch(), query, scale)
-            hidden = hidden + context @ self.params[f"{prefix}.wo"]
+            self._attend_cache(cache, query, 0, context, scale)
+            hidden = hidden + context[0] @ self.params[f"{prefix}.wo"]
             normed = self._norm(hidden, f"{prefix}.mlp_norm")
             hidden = hidden + self._mlp(normed, layer)
         for cache in caches:
@@ -642,84 +650,46 @@ class DecoderLM:
             plan = head.pool.decode_plan = _DecodePlan(self, stacks)
         return plan
 
-    @staticmethod
-    def _softmax_inplace(scores: np.ndarray) -> np.ndarray:
-        """Softmax over the last axis, in place in a workspace buffer.
+    def _attend(self, query: np.ndarray, rows: "list[int] | slice", keys: np.ndarray,
+                values: np.ndarray, masked: "np.ndarray | None", context: np.ndarray,
+                scale: float) -> np.ndarray:
+        """The decode attention ``softmax(K q) V`` of ``G`` batch rows.
 
-        The exact op sequence of :func:`~repro.llm.functional.softmax`
-        (subtract row-max, exp, divide by row-sum) so fused logits stay
-        bit-identical to the per-sequence path — just without allocating
-        the three score-sized temporaries every step.
-        """
-        m = np.maximum.reduce(scores, axis=-1, keepdims=True)
-        np.subtract(scores, m, out=scores)
-        np.exp(scores, out=scores)
-        s = np.add.reduce(scores, axis=-1, keepdims=True)
-        np.divide(scores, s, out=scores)
-        return scores
-
-    def _attend_paged_group(self, rows: list[int], in_order: bool, layer: int,
-                            group: PagedGroup, query: np.ndarray, keys_new: np.ndarray,
-                            values_new: np.ndarray, context: np.ndarray,
-                            scale: float) -> None:
-        """Paged attention for one group, in place on the pool's decode slab.
-
-        Writes the members' new K/V through to their claimed slots, then
-        attends their rows ``slab[layer, :G, :, :n]`` as one BLAS matmul per
-        projection under a shared length mask (V past a row's length is
-        zero).  ``rows``: the members' batch rows in slot order; ``in_order``:
-        they are the whole batch.
+        ``query`` holds the step's ``[H, B, d]`` queries and ``rows`` the
+        attending batch rows in the order of ``keys`` / ``values``, their
+        ``[G, H, n, d]`` K/V (slab views, a cache's group stack or stacked
+        copies).  ``masked``, broadcast to the ``[G, H, n]`` scores, marks
+        the slots whose score is overwritten with ``-inf`` (K there may be
+        anything); ``None`` masks nothing.  Writes ``context[rows]`` and
+        returns the probabilities, a workspace view valid until the next
+        call.  Each slice of the batched BLAS calls is the call a row alone
+        makes, and the softmax is :func:`~repro.llm.functional.softmax`'s op
+        sequence in place, so a row's bits do not depend on its company.
         """
         ws = self._ws
-        n_groups = len(rows)
-        n_heads, head_dim = self.config.n_heads, self.config.head_dim
-        pool = group.pool
-        # Group-major [G, H, d] slices of the new projections: a zero-copy
-        # transpose view when the group is the whole batch in order (the
-        # common decode-wave case), a single fancy-indexed copy otherwise.
-        if in_order:
-            k_rows = keys_new.swapaxes(0, 1)
-            v_rows = values_new.swapaxes(0, 1)
-            q_rows = query.swapaxes(0, 1)
-        else:
-            k_rows = keys_new[:, rows].swapaxes(0, 1)
-            v_rows = values_new[:, rows].swapaxes(0, 1)
-            q_rows = query[:, rows].swapaxes(0, 1)
-        # The slots were claimed for every layer before the first: land the
-        # whole group's new K/V in the pages and the rows at once.
-        pool.write_slots(layer, group.pages, group.offsets, group.rows, group.positions,
-                         k_rows, v_rows)
-        n_max = group.longest
-        keys = pool.slab_keys[layer, :n_groups, :, :n_max]
-        values = pool.slab_values[layer, :n_groups, :, :n_max]
+        n_rows, n_heads, n_tokens, head_dim = keys.shape
         scores = np.matmul(
-            keys, q_rows[:, :, :, None],
-            out=ws.get("fused.scores", (n_groups, n_heads, n_max, 1)))[..., 0]
-        scores *= scale  # [G, H, n_max]
-        if group.padmask is not None:
-            # Overwrite (not add): K past a row's length is whatever the row
-            # held before.
-            np.copyto(scores, -np.inf, where=group.padmask[:, None, :])
-        probs = self._softmax_inplace(scores)  # padding rows -> exactly 0
-        ctx = np.matmul(probs[:, :, None, :], values,
-                        out=ws.get("fused.ctx", (n_groups, n_heads, 1, head_dim)))
-        context[rows] = ctx.reshape(n_groups, n_heads * head_dim)
+            keys, query[:, rows].swapaxes(0, 1)[:, :, :, None],
+            out=ws.get("attend.scores", (n_rows, n_heads, n_tokens, 1)))[..., 0]
+        scores *= scale  # [G, H, n]
+        if masked is not None:
+            np.copyto(scores, -np.inf, where=masked)
+        np.subtract(scores, np.maximum.reduce(scores, axis=-1, keepdims=True), out=scores)
+        np.exp(scores, out=scores)  # masked slots -> exactly 0
+        scores /= np.add.reduce(scores, axis=-1, keepdims=True)
+        ctx = np.matmul(scores[:, :, None, :], values,
+                        out=ws.get("attend.ctx", (n_rows, n_heads, 1, head_dim)))
+        context[rows] = ctx.reshape(n_rows, n_heads * head_dim)
+        return scores
 
-    def _attend_fetched(self, cache: LayerKVCache,
-                        fetched: tuple[np.ndarray, np.ndarray, np.ndarray],
-                        query: np.ndarray, scale: float) -> np.ndarray:
-        """One sequence's decode attention over its just-``fetch``-ed K/V.
-
-        ``query`` is ``[H, d]``; feeds the probabilities back through
-        ``observe_attention`` and returns the ``[d_model]`` context row.
-        """
-        keys, values, valid = fetched  # zero-copy views or gathers, ragged n_b
-        scores = (keys @ query[:, :, None])[:, :, 0] * scale  # [H, n_b]
-        if not valid.all():
-            scores = np.where(valid, scores, -np.inf)
-        probs = softmax(scores, axis=-1)
-        cache.observe_attention(probs)
-        return (probs[:, None, :] @ values)[:, 0, :].reshape(self.config.d_model)
+    def _attend_cache(self, cache: LayerKVCache, query: np.ndarray, row: int,
+                      context: np.ndarray, scale: float) -> None:
+        """:meth:`_attend` for batch row ``row`` alone over ``cache``, which
+        holds the step's token, fed back through ``observe_attention``."""
+        keys, values, valid = cache.fetch()  # zero-copy views or gathers
+        probs = self._attend(query, [row], keys[None], values[None],
+                             None if valid.all() else ~valid[None], context, scale)
+        cache.observe_attention(probs[0])
 
     def _attend_loose_rows(self, rows: list[int], layer: int,
                            caches_batch: Sequence[list[LayerKVCache]],
@@ -734,78 +704,44 @@ class DecoderLM:
         ``step_group`` / ``observe_group`` call; every other cache runs its
         own ``append`` -> ``fetch`` -> ``observe_attention`` behind the same
         calls (eviction and quantized caches keep their storage transform and
-        their importance feedback).  Rows whose fetched K/V have equal length
-        and an all-true mask — every eviction cache sitting at its budget,
-        quantized caches holding equally many tokens — then
-        share one :meth:`_attend_stacked_group` call; rows with a partial mask
-        or a length of their own take the per-row path.
+        their importance feedback).  Once every group has stepped, groups
+        whose fetched K/V have one length and an all-true mask — every
+        eviction cache sitting at its budget, quantized caches holding
+        equally many tokens — share one :meth:`_attend` call over K/V
+        stacked in the workspace (nothing persists between steps); a group
+        with masked slots attends on its own.
         """
+        ws = self._ws
         groups: dict = {}
         for b in rows:
             cache = caches_batch[b][layer]
             key = cache.group_key()
             groups.setdefault(cache if key is None else key, []).append(b)  # None: alone
-        stackable: dict[int, list[tuple[list[int], list[LayerKVCache], tuple]]] = {}
-        alone: list[tuple[int, LayerKVCache, tuple]] = []
+        stacks: dict = {}
         for members in groups.values():
             caches = [caches_batch[b][layer] for b in members]
-            fetched = caches[0].step_group(
+            keys, values, valid = caches[0].step_group(
                 caches, keys_new[:, members].swapaxes(0, 1),
                 values_new[:, members].swapaxes(0, 1), normed[members], positions[members])
-            if fetched[2].all():
-                stackable.setdefault(fetched[0].shape[2], []).append((members, caches, fetched))
-            else:
-                alone.extend((b, cache, tuple(part[g] for part in fetched))
-                             for g, (b, cache) in enumerate(zip(members, caches)))
-        for units in stackable.values():
-            if len(units) > 1 or len(units[0][0]) > 1:
-                self._attend_stacked_group(units, query, context, scale)
-            else:
-                (b,), (cache,), fetched = units[0]
-                alone.append((b, cache, tuple(part[0] for part in fetched)))
-        for b, cache, fetched in alone:
-            context[b] = self._attend_fetched(cache, fetched, query[:, b], scale)
-
-    def _attend_stacked_group(self, units: list[tuple[list[int], list[LayerKVCache], tuple]],
-                              query: np.ndarray, context: np.ndarray,
-                              scale: float) -> None:
-        """``scores -> softmax -> context`` once for ``G`` equal-shape rows.
-
-        ``units`` holds ``(batch rows, caches, fetched)`` per ``step_group``
-        call, with all-valid ``[g, H, n, d]`` K/V of one ``n``.  A single unit
-        is attended where its cache stacked it; several are copied into
-        ``[G, H, n, d]`` stacks in the shared workspace (nothing persists
-        between steps).  Each slice of the batched BLAS calls is the op
-        :meth:`_attend_fetched` issues for one row, so results are
-        bit-identical to the per-row path.
-        """
-        ws = self._ws
-        n_heads, head_dim = self.config.n_heads, self.config.head_dim
-        rows = [b for members, _caches, _fetched in units for b in members]
-        n_groups = len(rows)
-        skeys, svalues, _valid = units[0][2]
-        n_tokens = skeys.shape[2]
-        if len(units) > 1:
-            skeys = ws.get("loose.keys", (n_groups, n_heads, n_tokens, head_dim))
-            svalues = ws.get("loose.values", (n_groups, n_heads, n_tokens, head_dim))
+            masked = None if valid.all() else ~valid
+            key = keys.shape[2] if masked is None else ("masked", members[0])
+            stacks.setdefault(key, []).append((members, caches, keys, values, masked))
+        for units in stacks.values():
+            rows, _caches, keys, values, masked = units[0]
+            if len(units) > 1:  # all valid
+                rows = [b for unit in units for b in unit[0]]
+                shape = (len(rows),) + keys.shape[1:]
+                keys, values = ws.get("loose.keys", shape), ws.get("loose.values", shape)
+                start = 0
+                for members, _caches, keys_g, values_g, _masked in units:
+                    keys[start:start + len(members)] = keys_g
+                    values[start:start + len(members)] = values_g
+                    start += len(members)
+            probs = self._attend(query, rows, keys, values, masked, context, scale)
             start = 0
-            for members, _caches, (keys, values, _valid) in units:
-                skeys[start:start + len(members)] = keys
-                svalues[start:start + len(members)] = values
+            for members, caches, *_stack in units:
+                caches[0].observe_group(caches, probs[start:start + len(members)])
                 start += len(members)
-        q_rows = query[:, rows].swapaxes(0, 1)  # [G, H, d]
-        scores = np.matmul(
-            skeys, q_rows[:, :, :, None],
-            out=ws.get("loose.scores", (n_groups, n_heads, n_tokens, 1)))[..., 0]
-        scores *= scale  # [G, H, n]
-        probs = self._softmax_inplace(scores)
-        start = 0
-        for members, caches, _fetched in units:
-            caches[0].observe_group(caches, probs[start:start + len(members)])
-            start += len(members)
-        ctx = np.matmul(probs[:, :, None, :], svalues,
-                        out=ws.get("loose.ctx", (n_groups, n_heads, 1, head_dim)))
-        context[rows] = ctx.reshape(n_groups, n_heads * head_dim)
 
     def decode_step_batch(self, tokens: Sequence[int], positions: Sequence[int],
                           caches_batch: Sequence[list[LayerKVCache]],
@@ -817,16 +753,18 @@ class DecoderLM:
         projections (QKV, output, MLP, LM head) run batched over ``B``.
 
         With ``fused=True`` (the default) paged stacks sharing one pool are
-        grouped (:meth:`_fused_decode_groups`) and each group runs one
-        length-masked BLAS attention call per layer over its members' rows of
-        the pool's decode slab, no K/V copied per step; every other cache
-        takes the step through the caches' group protocol, the attention
-        stacked per group of equal fetched shape (:meth:`_attend_loose_rows`).
-        ``fused=False`` forces per-sequence attention — the reference path of
-        the equivalence tests.  Either way each sequence's logits match
-        :meth:`decode_step`.  The grouping is planned once per membership
-        (when the members' rows move into slots ``[0, G)``) and kept as a
-        :class:`_DecodePlan` while the members hold what its claims left.
+        grouped (:meth:`_fused_decode_groups`); each group's
+        :class:`~repro.core.kv_pool.PagedGroup` writes its new K/V and hands
+        its members' decode-slab rows to one length-masked :meth:`_attend`
+        call per layer, no K/V copied per step.  Every other cache takes the
+        step through the caches' group protocol, the attention stacked per
+        group of equal fetched shape (:meth:`_attend_loose_rows`).
+        ``fused=False`` attends each sequence alone (:meth:`_attend` with
+        ``G = 1``) — the reference path of the equivalence tests.  Either
+        way each sequence's logits match :meth:`decode_step`.  The grouping
+        is planned once per membership (when the members' rows move into
+        slots ``[0, G)``) and kept as a :class:`_DecodePlan` while the
+        members hold what its claims left.
 
         Returns logits of shape ``[B, vocab]``.
         """
@@ -844,7 +782,7 @@ class DecoderLM:
         if fused and batch > 1:
             plan = self._plan_decode(list(caches_batch))
             loose, enders, paged = plan.loose, plan.enders, plan.groups
-            for _rows, group, _in_order in paged:
+            for _rows, group in paged:
                 group.claim()
         else:
             loose, paged = list(range(batch)), []
@@ -864,9 +802,10 @@ class DecoderLM:
                 qkv = apply_rope(qkv[:2 * n_heads], positions, self._rope_cos,
                                  self._rope_sin)
             query, keys_new = qkv[:n_heads], qkv[n_heads:2 * n_heads]
-            for rows, group, in_order in paged:
-                self._attend_paged_group(rows, in_order, layer, group, query, keys_new,
-                                         values_new, context, scale)
+            for rows, group in paged:
+                keys, values = group.write(layer, keys_new[:, rows].swapaxes(0, 1),
+                                           values_new[:, rows].swapaxes(0, 1))
+                self._attend(query, rows, keys, values, group.padmask, context, scale)
             if fused and len(loose) > 1:
                 self._attend_loose_rows(loose, layer, caches_batch, query, keys_new,
                                         values_new, normed, positions, context, scale)
@@ -875,8 +814,7 @@ class DecoderLM:
                     cache = caches_batch[b][layer]
                     cache.append(keys_new[:, b, :], values_new[:, b, :], normed[b],
                                  int(positions[b]))
-                    context[b] = self._attend_fetched(cache, cache.fetch(),
-                                                      query[:, b], scale)
+                    self._attend_cache(cache, query, b, context, scale)
             hidden = hidden + context @ self.params[f"{prefix}.wo"]
             normed = self._norm(hidden, f"{prefix}.mlp_norm")
             hidden = hidden + self._mlp(normed, layer)

@@ -316,15 +316,16 @@ class TestStackedLooseAttention:
 
     @pytest.fixture()
     def stacked_groups(self, small_model, monkeypatch):
-        """Group sizes seen by the stacked helper, one entry per call."""
+        """Rows per decode attention call (its K/V's group axis), one entry
+        per call."""
         sizes = []
-        stacked = small_model._attend_stacked_group
+        attend = small_model._attend
 
-        def spy(members, *args, **kwargs):
-            sizes.append(len(members))
-            return stacked(members, *args, **kwargs)
+        def spy(query, rows, keys, *args, **kwargs):
+            sizes.append(len(keys))
+            return attend(query, rows, keys, *args, **kwargs)
 
-        monkeypatch.setattr(small_model, "_attend_stacked_group", spy)
+        monkeypatch.setattr(small_model, "_attend", spy)
         return sizes
 
     @staticmethod

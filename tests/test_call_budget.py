@@ -1,4 +1,4 @@
-"""Interpreter calls per generated token on four serving paths (exact).
+"""Interpreter calls per generated token on five serving paths (exact).
 
 Every speed-up on these paths has been Python/NumPy call amortisation, and a
 call count — unlike wall time on a shared host — repeats to the digit.  Each
@@ -26,6 +26,8 @@ over the 128-slot budget, 64 decode steps, the 4-layer d=64 model,
   batch without paged stacks and regroups it each step; the decode
   context buffer fetched once per step, not per layer): 107.66 (55 120
   calls).
+* one decode attention kernel (``DecoderLM._attend``; a group's validity
+  checked once, a lone stack's rows not rebuilt): 104.70 (53 608 calls).
 
 The bound sits between the readings before and after the decode batch
 (141.75 and 108.93): a return of half of what the decode batch saved trips
@@ -54,7 +56,9 @@ radix match-and-fork, snapshot forks, page allocation, CoW, release and
 * the session's cancellation check inlined: 178.59 (214 302 calls);
 * one working K/V copy per sequence (no mirror gathers and flushes, no
   group buffers keyed and pruned per step, a chunk's K/V stored with one
-  write a layer): 150.61 (180 734 calls).
+  write a layer): 150.61 (180 734 calls) as first recorded; 149.83
+  (179 796 calls) with Python 3.11.7 and NumPy 2.4.6 on a 2-core Xeon;
+* one decode attention kernel: 149.74 (179 684 calls), same host.
 
 The bound sits between the readings before and after the decode batch
 (192.38 and 178.61): a return of half of what the decode batch saved — or
@@ -75,7 +79,10 @@ pool bounded at ``capacity_tokens=8192``, no token callback — so one wave of
   membership with one slot claim per group, one RoPE per layer): 23.20
   (59 386 calls);
 * the session's cancellation check inlined: 23.15 (59 260 calls);
-* one working K/V copy per sequence: 22.56 (57 757 calls).
+* one working K/V copy per sequence: 22.56 (57 757 calls; 57 746 with
+  Python 3.11.7 and NumPy 2.4.6 on a 2-core Xeon);
+* one decode attention kernel (a paged group's slab rows written and
+  returned by ``PagedGroup.write``): 22.36 (57 242 calls).
 
 The bound sits between the two at 0.65 x the first reading: a return of
 one call per row per layer-step (4 per token) stays under it, per-row
@@ -96,13 +103,30 @@ cluster's per-round bookkeeping is paid on every replica step.
   arrival queues are empty: 159.17 (269 628 calls);
 * one working K/V copy per sequence (each replica's decode regroups its
   own rows, without per-layer group-buffer lookups): 128.66 (217 956
-  calls).
+  calls) as first recorded; 127.97 (216 774 calls) with Python 3.11.7 and
+  NumPy 2.4.6 on a 2-core Xeon;
+* one decode attention kernel: 126.19 (213 766 calls), same host.
 
 The bound leaves ~9 % over the first reading for other interpreters'
 ``call`` / ``c_call`` counts (3.12 inlines comprehensions, 3.10 does not):
 it trips on cluster work of ~150 calls per round, such as views or load
 snapshots rebuilt per replica step, not on the ~20 calls per round the
 unconfigured phases cost before.
+
+**The speculative path** (``bench_spec.py --quick``'s geometry): 6
+requests per regime — ``repetitive`` (3 repeats of 16-token templates) and
+``random`` (48-token Poisson prompts) — 24 decode tokens each, the 4-layer
+d=64 model, ``paged:page_tokens=16``, ``max_concurrency=4``; once with
+``ngram:k=4`` and once without a drafter (``plain``), the two sides of
+CI's guarded ``speedup_ngram_vs_baseline`` ratio.  Python 3.11.7, NumPy
+2.4.6, 2-core Xeon:
+
+* one working K/V copy per sequence: ngram 105.29 (repetitive) / 115.08
+  (random), plain 108.47 / 118.30;
+* one decode attention kernel: ngram unchanged (a verify step attends
+  through ``_attend_chunk_group``), plain 107.19 / 116.57.
+
+The bounds sit 10 % above the first readings.
 """
 
 from __future__ import annotations
@@ -116,8 +140,8 @@ import pytest
 
 from repro.core.kv_pool import KVPagePool, PagedCacheFactory, PagedKVCache, PageTable
 from repro.llm import DecoderLM, tiny_config
-from repro.serve import ClusterEngine, Request, ServingEngine
-from repro.workloads import zipf_shared_prefix_requests
+from repro.serve import ClusterEngine, Request, ServingEngine, poisson_requests
+from repro.workloads import repetitive_requests, zipf_shared_prefix_requests
 
 CACHE = "kelle:budget=128,sink_tokens=8,recent_window=32,refresh=none"
 N_REQUESTS, PROMPT_LEN, DECODE_LEN, VOCAB = 8, 160, 64, 128
@@ -138,6 +162,9 @@ CLUSTER_ENGINE = dict(cache="paged:page_tokens=16", max_concurrency=8, seed=0,
                       router="radix-affinity", prefix_cache=True, token_budget=128,
                       capacity_tokens=16384, arrivals_per_step=2)
 MAX_CLUSTER_CALLS_PER_TOKEN = 175
+
+MAX_SPEC_CALLS_PER_TOKEN = {"ngram:k=4": {"repetitive": 115.8, "random": 126.6},
+                            "plain": {"repetitive": 119.3, "random": 130.1}}
 
 
 def _model() -> DecoderLM:
@@ -310,6 +337,41 @@ def test_cluster_zipf_calls_per_generated_token():
     print(f"cluster-zipf: {first / tokens:.2f} calls per generated token "
           f"({first} calls, {tokens} tokens)")
     assert first / tokens <= MAX_CLUSTER_CALLS_PER_TOKEN, first / tokens
+
+
+def _spec_requests(regime: str) -> list[Request]:
+    """``bench_spec.py --quick``'s traffic of one regime (seed 0)."""
+    if regime == "repetitive":
+        return repetitive_requests(n_requests=6, template_len=16, n_repeats=3,
+                                   decode_len=24, vocab_size=VOCAB, seed=0)
+    return poisson_requests(6, rate_rps=100.0, prompt_len=48, decode_len=24,
+                            length_jitter=0.3, seed=0)
+
+
+def _serve_spec(lm: DecoderLM, requests: list[Request], drafter: str | None) -> int:
+    report = ServingEngine(max_concurrency=4).run_functional(
+        lm, requests, cache="paged:page_tokens=16", drafter=drafter)
+    assert all(result.status == "finished" for result in report.results)
+    return report.total_decode_tokens
+
+
+@pytest.mark.parametrize("drafter", sorted(MAX_SPEC_CALLS_PER_TOKEN))
+@pytest.mark.parametrize("regime", ["repetitive", "random"])
+def test_speculative_calls_per_generated_token(regime, drafter):
+    """The speculative path on ``bench_spec.py --quick``'s geometry, with
+    the n-gram drafter and without one (the two sides of the guarded
+    ``speedup_ngram_vs_baseline`` ratio)."""
+    lm = DecoderLM(tiny_config("bench-spec", n_layers=4, d_model=64, n_heads=4, d_ff=128,
+                               vocab_size=VOCAB, max_seq_len=288), seed=0)
+    requests = _spec_requests(regime)
+    spec = None if drafter == "plain" else drafter
+    _serve_spec(lm, requests, spec)
+    first, tokens = _count_calls(_serve_spec, lm, requests, spec)
+    second, _ = _count_calls(_serve_spec, lm, requests, spec)
+    assert tokens == sum(request.decode_len for request in requests)
+    assert first == second, "the count must repeat exactly"
+    print(f"{regime} {drafter}: {first / tokens:.2f} calls per generated token")
+    assert first / tokens <= MAX_SPEC_CALLS_PER_TOKEN[drafter][regime], first / tokens
 
 
 #: Page-to-row copy bounds, layer-token-rows per generated token: a tenth of

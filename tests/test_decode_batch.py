@@ -32,8 +32,9 @@ from repro.serve import Request, ServingEngine
 N_REQUESTS = 6
 PATTERN = (3, 1, 4, 1, 5, 9, 2, 6)
 
-#: ``(operation, argument)``; a decode cap is followed by a step, so a cap
-#: that the batch missed shows in that step's check.
+#: ``(operation, argument)``; a decode cap lands on decoding rows (see
+#: :func:`run_ops`) and the batch is checked at once, before a step could
+#: invalidate it for another reason.
 OPS = st.lists(st.one_of(
     st.tuples(st.just("submit"), st.integers(1, 3)),
     st.tuples(st.just("step"), st.integers(1, 4)),
@@ -113,7 +114,15 @@ def run_ops(ops, speculate: bool, faults: bool, chunked: bool) -> None:
         elif op == "cancel" and arg < sent:
             engine.cancel(requests[arg].request_id)
         elif op == "cap":
+            # Submit one request when idle and step until rows decode: a cap
+            # on nothing live cannot leave the batch stale.
+            if not session.has_work() and sent < N_REQUESTS:
+                session.submit(requests[sent:sent + 1])
+                sent += 1
+            while not session.scheduler.decode_ready() and step():
+                pass
             session.cap_decodes(arg)
+            session.scheduler.check_legal()
             step()
         elif op == "uncap":
             session.uncap_decodes()

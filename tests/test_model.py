@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import ast
+import inspect
+
 import numpy as np
 import pytest
 
 from repro.core.kv_pool import PagedKVCache
+from repro.llm import model as model_module
 from repro.llm.config import FULL_SIZE_CONFIGS, ModelConfig, get_config, tiny_config
 from repro.llm.model import DecoderLM
 
@@ -146,3 +150,23 @@ class TestDecoderLM:
         np.testing.assert_array_equal(a.params["layers.0.wq"], b.params["layers.0.wq"])
         c = DecoderLM(config, seed=4)
         assert not np.allclose(a.params["layers.0.wq"], c.params["layers.0.wq"])
+
+
+def test_softmax_runs_in_the_three_forwards_and_the_two_attention_kernels():
+    """Every decode attention goes through ``DecoderLM._attend``, and every
+    chunk attention through ``_attend_chunk_group``: no other function of
+    the model computes a softmax (``softmax``, ``softmax_blocks_`` or its
+    own ``np.exp``)."""
+    softmaxing = set()
+    for node in ast.walk(ast.parse(inspect.getsource(model_module))):
+        if isinstance(node, ast.FunctionDef):
+            for call in ast.walk(node):
+                if not isinstance(call, ast.Call):
+                    continue
+                func = call.func
+                if ((isinstance(func, ast.Name) and func.id in ("softmax", "softmax_blocks_"))
+                        or (isinstance(func, ast.Attribute) and func.attr == "exp"
+                            and isinstance(func.value, ast.Name) and func.value.id == "np")):
+                    softmaxing.add(node.name)
+    assert softmaxing == {"forward_full", "prefill", "prefill_batch",
+                          "_attend_chunk_group", "_attend"}

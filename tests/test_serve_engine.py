@@ -215,13 +215,13 @@ class TestFunctionalServing:
         from repro.llm.generation import generate
 
         group_sizes = []
-        stacked = lm._attend_stacked_group
+        attend = lm._attend
 
-        def spy(members, *args, **kwargs):
-            group_sizes.append(len(members))
-            return stacked(members, *args, **kwargs)
+        def spy(query, rows, keys, *args, **kwargs):
+            group_sizes.append(len(keys))
+            return attend(query, rows, keys, *args, **kwargs)
 
-        monkeypatch.setattr(lm, "_attend_stacked_group", spy)
+        monkeypatch.setattr(lm, "_attend", spy)
         if spec.startswith("kelle"):  # stacked by the arena: one append + fetch per group
             group_sizes = aerp_group_steps
         requests = [Request(f"r{i}", 0.0, prompt_len, decode_len)
