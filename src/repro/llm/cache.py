@@ -235,7 +235,10 @@ class LayerKVCache(abc.ABC):
 
         Caches returning equal keys are stepped by ONE :meth:`step_group` /
         :meth:`observe_group` call on any of them; equal keys promise equal
-        fetched lengths.  ``None`` (the default) steps the cache on its own.
+        fetched lengths.  The decode groups its rows once per step by their
+        first layer's keys, so stacks whose caches have equal keys at one
+        layer must have equal keys at every layer.  ``None`` (the default)
+        steps the cache on its own.
         """
         return None
 

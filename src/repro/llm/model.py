@@ -11,9 +11,9 @@ provides two inference paths:
   existing caches (chunked prefill, speculative verify) and auto-regressive
   decode with a pluggable per-layer KV cache, where the paper's policies plug in.
 
-Every decode attention -- a paged group over its decode-slab rows, an AERP
-arena group, stacked baseline rows, a lone row, and each row of
-``decode_step`` or ``decode_step_batch(..., fused=False)`` -- runs through
+Every decode attention -- a paged group over its decode-slab rows, an
+eviction-slab group (``kelle`` and the eviction baselines), a lone row, and
+each row of ``decode_step`` or ``decode_step_batch(..., fused=False)`` -- runs through
 one kernel, :meth:`DecoderLM._attend`; chunk attention (prefill chunks and
 speculative verify) through :meth:`DecoderLM._attend_chunk_group`.
 
@@ -24,7 +24,7 @@ accounting by the performance model.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -657,7 +657,7 @@ class DecoderLM:
 
         ``query`` holds the step's ``[H, B, d]`` queries and ``rows`` the
         attending batch rows in the order of ``keys`` / ``values``, their
-        ``[G, H, n, d]`` K/V (slab views, a cache's group stack or stacked
+        ``[G, H, n, d]`` K/V (slab views, a cache's group gather or stacked
         copies).  ``masked``, broadcast to the ``[G, H, n]`` scores, marks
         the slots whose score is overwritten with ``-inf`` (K there may be
         anything); ``None`` masks nothing.  Writes ``context[rows]`` and
@@ -691,7 +691,7 @@ class DecoderLM:
                              None if valid.all() else ~valid[None], context, scale)
         cache.observe_attention(probs[0])
 
-    def _attend_loose_rows(self, rows: list[int], layer: int,
+    def _attend_loose_rows(self, groups: "Iterable[list[int]]", layer: int,
                            caches_batch: Sequence[list[LayerKVCache]],
                            query: np.ndarray, keys_new: np.ndarray,
                            values_new: np.ndarray, normed: np.ndarray,
@@ -699,31 +699,21 @@ class DecoderLM:
                            scale: float) -> None:
         """Attention for the sequences no fused layout covers, stacked by shape.
 
-        Caches that share a :meth:`~repro.llm.cache.LayerKVCache.group_key`
-        (AERP caches of one arena and slot count) take the step through one
-        ``step_group`` / ``observe_group`` call; every other cache runs its
-        own ``append`` -> ``fetch`` -> ``observe_attention`` behind the same
-        calls (eviction and quantized caches keep their storage transform and
-        their importance feedback).  Once every group has stepped, groups
-        whose fetched K/V have one length and an all-true mask — every
-        eviction cache sitting at its budget, quantized caches holding
-        equally many tokens — share one :meth:`_attend` call over K/V
-        stacked in the workspace (nothing persists between steps); a group
-        with masked slots attends on its own.
+        Each of ``groups`` — batch rows of eviction caches of one arena and
+        entry count, or one cache alone (its own ``append`` / ``fetch`` /
+        ``observe_attention``, so quantized caches keep their storage
+        transform) — takes the step through one ``step_group`` /
+        ``observe_group`` call.  Groups whose K/V have one length and an
+        all-true mask then share one :meth:`_attend` call over K/V stacked in
+        the workspace; a group with masked slots attends on its own.
         """
-        ws = self._ws
-        groups: dict = {}
-        for b in rows:
-            cache = caches_batch[b][layer]
-            key = cache.group_key()
-            groups.setdefault(cache if key is None else key, []).append(b)  # None: alone
         stacks: dict = {}
-        for members in groups.values():
+        for members in groups:
             caches = [caches_batch[b][layer] for b in members]
             keys, values, valid = caches[0].step_group(
                 caches, keys_new[:, members].swapaxes(0, 1),
                 values_new[:, members].swapaxes(0, 1), normed[members], positions[members])
-            masked = None if valid.all() else ~valid
+            masked = None if np.logical_and.reduce(valid, axis=None) else ~valid
             key = keys.shape[2] if masked is None else ("masked", members[0])
             stacks.setdefault(key, []).append((members, caches, keys, values, masked))
         for units in stacks.values():
@@ -731,12 +721,10 @@ class DecoderLM:
             if len(units) > 1:  # all valid
                 rows = [b for unit in units for b in unit[0]]
                 shape = (len(rows),) + keys.shape[1:]
-                keys, values = ws.get("loose.keys", shape), ws.get("loose.values", shape)
-                start = 0
-                for members, _caches, keys_g, values_g, _masked in units:
-                    keys[start:start + len(members)] = keys_g
-                    values[start:start + len(members)] = values_g
-                    start += len(members)
+                keys = np.concatenate([unit[2] for unit in units],
+                                      out=self._ws.get("loose.keys", shape))
+                values = np.concatenate([unit[3] for unit in units],
+                                        out=self._ws.get("loose.values", shape))
             probs = self._attend(query, rows, keys, values, masked, context, scale)
             start = 0
             for members, caches, *_stack in units:
@@ -757,8 +745,9 @@ class DecoderLM:
         :class:`~repro.core.kv_pool.PagedGroup` writes its new K/V and hands
         its members' decode-slab rows to one length-masked :meth:`_attend`
         call per layer, no K/V copied per step.  Every other cache takes the
-        step through the caches' group protocol, the attention stacked per
-        group of equal fetched shape (:meth:`_attend_loose_rows`).
+        step through the caches' group protocol, grouped once per step, the
+        attention stacked per group of equal fetched shape
+        (:meth:`_attend_loose_rows`).
         ``fused=False`` attends each sequence alone (:meth:`_attend` with
         ``G = 1``) — the reference path of the equivalence tests.  Either
         way each sequence's logits match :meth:`decode_step`.  The grouping
@@ -787,6 +776,12 @@ class DecoderLM:
         else:
             loose, paged = list(range(batch)), []
             enders = _enders(caches_batch)
+        groups: "dict | None" = None
+        if fused and len(loose) > 1:  # grouped once per step by layer 0's keys
+            groups = {}
+            for b in loose:
+                key = caches_batch[b][0].group_key()
+                groups.setdefault(caches_batch[b][0] if key is None else key, []).append(b)
         n_heads = self.config.n_heads
         # Every layer overwrites every row of the one context buffer.
         context = self._ws.get("decode.context", (batch, self.config.d_model))
@@ -806,8 +801,8 @@ class DecoderLM:
                 keys, values = group.write(layer, keys_new[:, rows].swapaxes(0, 1),
                                            values_new[:, rows].swapaxes(0, 1))
                 self._attend(query, rows, keys, values, group.padmask, context, scale)
-            if fused and len(loose) > 1:
-                self._attend_loose_rows(loose, layer, caches_batch, query, keys_new,
+            if groups is not None:
+                self._attend_loose_rows(groups.values(), layer, caches_batch, query, keys_new,
                                         values_new, normed, positions, context, scale)
             else:
                 for b in loose:

@@ -1,13 +1,14 @@
-"""One-line mutations of the paged KV storage, the radix index and the
-scheduler's decode batch.
+"""One-line mutations of the paged KV storage, the radix index, the
+scheduler's decode batch, the decode attention kernel and the eviction slab.
 
-Each :class:`Mutation` names a method and one line of its source;
-:meth:`Mutation.apply` recompiles the method with that line replaced and
+Each :class:`Mutation` names a method (or a module function) and one line of
+its source; :meth:`Mutation.apply` recompiles it with that line replaced and
 monkey-patches it in.  ``tests/test_seeded_bugs.py`` runs each mutation's
 harness against it — the stateful paged-KV machine
-(``tests/test_paged_kv_stateful.py``) or the generated serving run of
-``tests/test_decode_batch.py`` — and requires the harness to fail, so what
-it catches is measured rather than assumed.  A mutation whose line no
+(``tests/test_paged_kv_stateful.py``), the generated serving run of
+``tests/test_decode_batch.py`` or the generated call sequences of
+``tests/test_aerp_differential.py`` — and requires the harness to fail, so
+what it catches is measured rather than assumed.  A mutation whose line no
 longer exists fails loudly instead of silently testing nothing.
 """
 
@@ -18,7 +19,10 @@ import inspect
 import textwrap
 from dataclasses import dataclass
 
+from repro.core import kv_cache
+from repro.core.kv_cache import AERPArena
 from repro.core.kv_pool import KVPagePool, PagedKVCache, PageTable
+from repro.llm.model import DecoderLM
 from repro.serve.session import FunctionalSession
 from repro.serve.radix import RadixPrefixIndex
 from repro.serve.scheduler import Scheduler
@@ -27,14 +31,15 @@ from repro.serve.scheduler import Scheduler
 @dataclass(frozen=True)
 class Mutation:
     name: str
-    owner: type
+    owner: object  # a class, or a module for a module-level function
     method: str
     #: A fragment found on exactly one line of the method's source.
     line: str
     #: What that whole line becomes (indentation kept).
     replacement: str
     #: The harness that must kill it: ``"paged"`` (the stateful paged-KV
-    #: machine) or ``"decode-batch"`` (the generated serving run).
+    #: machine), ``"decode-batch"`` (the generated serving run) or
+    #: ``"aerp"`` (the AERP differential test's generated call sequences).
     harness: str = "paged"
 
     def mutant(self):
@@ -82,4 +87,12 @@ MUTATIONS = (
     Mutation("stale-slab-row-after-move", KVPagePool, "_swap_rows",
              "slab[:, [a, b], :, :n_tokens] = slab[:, [b, a], :, :n_tokens]", "pass",
              harness="decode-batch"),
+    Mutation("attend-drops-mask", DecoderLM, "_attend",
+             "np.copyto(scores, -np.inf, where=masked)", "pass", harness="decode-batch"),
+    Mutation("victim-mask-loses-recent-window", AERPArena, "_evict",
+             "eligible = non_sink & (positions <= oldest_recent)", "eligible = non_sink.copy()",
+             harness="aerp"),
+    Mutation("ties-by-entry-index", kv_cache, "first_lowest",
+             "return (tokens + ~lowest * _NOT_LOWEST).argmin(axis=2)",
+             "return key.argmin(axis=2)", harness="aerp"),
 )

@@ -1,10 +1,15 @@
-"""Differential test: the array-native AERPCache against the reference oracle.
+"""Differential test: the fixed-width AERP slab against the reference oracle.
 
 Random call sequences are driven through ``repro.core.kv_cache.AERPCache`` and
 ``tests/reference_aerp.py`` (the dict / list / set implementation it replaced);
-after every operation all observable state must agree, bit for bit.  The
+after every operation all observable state must agree, bit for bit, modulo
+the order of each head's entries: the slab overwrites a victim's entry in
+place, the oracle keeps each head's tokens in token order.  So per head the
+two hold the same set of (position, K, V, importance), ``tokens_for_head``
+and ``fetch()`` agree after sorting by position, and the driver feeds each
+cache the same per-(head, token) probabilities in its own fetch order.  The
 second half puts several caches on one ``AERPArena`` and interleaves group
-steps, single-cache calls, releases and pool growth, each cache still checked
+steps, single-cache calls, releases and slab growth, each cache still checked
 against an oracle of its own.
 """
 
@@ -17,6 +22,7 @@ from hypothesis import strategies as st
 
 import reference_aerp
 from repro.core.aerp import AERPConfig, aerp_cache_factory
+from repro.core import kv_cache
 from repro.core.kv_cache import AERPArena, AERPCache
 from repro.core.refresh import KVFaultInjector
 from repro.llm.functional import softmax
@@ -61,6 +67,13 @@ def _pair(n_heads: int, config: AERPConfig, injector: str):
                                  (reference_aerp.AERPCache, recompute)))
 
 
+def _by_position(cache, head: int) -> list[int]:
+    """``head``'s token indices sorted by (position, token index)."""
+    entries = cache.entries
+    return sorted(cache.tokens_for_head(head),
+                  key=lambda token: (entries[token].position, token))
+
+
 def _assert_same_state(new: AERPCache, ref: "reference_aerp.AERPCache") -> None:
     assert new.num_tokens == ref.num_tokens
     assert new.eviction_count == ref.eviction_count
@@ -68,12 +81,12 @@ def _assert_same_state(new: AERPCache, ref: "reference_aerp.AERPCache") -> None:
     assert new.recompute_fraction == ref.recompute_fraction
     assert new.stored_bytes() == ref.stored_bytes()
     for head in range(new.n_heads):
-        assert new.tokens_for_head(head) == ref.tokens_for_head(head)
+        assert _by_position(new, head) == _by_position(ref, head)
     new_entries, ref_entries = new.entries, ref.entries
     assert list(new_entries) == list(ref_entries)
     # The vectorised HST/LST input must round like the per-entry np.mean.
     np.testing.assert_array_equal(
-        new._mean_importance(new._live_rows()),
+        new._arena.mean_importance(new._slot, new._arena.live(new._slot)[1]),
         np.array([entry.mean_importance() for entry in ref_entries.values()]))
     for token_index, expected in ref_entries.items():
         entry = new_entries[token_index]
@@ -86,16 +99,40 @@ def _assert_same_state(new: AERPCache, ref: "reference_aerp.AERPCache") -> None:
         np.testing.assert_array_equal(entry.importance[heads], expected.importance[heads])
         assert entry.importance_rate() == expected.importance_rate()
         np.testing.assert_array_equal(entry.x, expected.x)
-        np.testing.assert_array_equal(entry.keys, expected.keys)
-        np.testing.assert_array_equal(entry.values, expected.values)
+        np.testing.assert_array_equal(entry.keys[heads], expected.keys[heads])
+        np.testing.assert_array_equal(entry.values[heads], expected.values[heads])
+
+
+def _orders(new, ref) -> list[np.ndarray]:
+    """Per head, the oracle's slot of each of the new cache's entries (the
+    two hold the same tokens per head)."""
+    orders = []
+    for head in range(new.n_heads):
+        slot_of = {token: slot for slot, token in enumerate(ref.tokens_for_head(head))}
+        orders.append(np.array([slot_of[token] for token in new.tokens_for_head(head)],
+                               dtype=np.int64))
+    return orders
+
+
+def _assert_same_fetch(got, expected, orders) -> None:
+    """``fetch()`` outputs equal once each head's entries are in oracle order."""
+    for part, part_ref in zip(got, expected):
+        assert part.dtype == part_ref.dtype
+        for head, order in enumerate(orders):
+            np.testing.assert_array_equal(part[head, np.argsort(order)], part_ref[head])
 
 
 def _fetch_both(new, ref):
-    fetched_new, fetched_ref = new.fetch(), ref.fetch()
-    for got, expected in zip(fetched_new, fetched_ref):
-        assert got.dtype == expected.dtype
-        np.testing.assert_array_equal(got, expected)
-    return fetched_ref[2]
+    """Fetch both; returns the oracle's valid mask and each head's order."""
+    orders = _orders(new, ref)
+    fetched_ref = ref.fetch()
+    _assert_same_fetch(new.fetch(), fetched_ref, orders)
+    return fetched_ref[2], orders
+
+
+def _permuted(probs: np.ndarray, orders: list[np.ndarray]) -> np.ndarray:
+    """``probs`` ``[H, n]`` in oracle slot order, in the new cache's order."""
+    return np.stack([probs[head, order] for head, order in enumerate(orders)])
 
 
 class _Driver:
@@ -111,6 +148,13 @@ class _Driver:
         for cache in (self.new, self.ref):
             getattr(cache, method)(*(np.copy(a) if isinstance(a, np.ndarray) else a
                                      for a in args))
+
+    def later_prefill(self, n_ctx: int) -> None:
+        """A prefill adding a short block to a live cache, cut to what the
+        slab's width still holds (a full one adds nothing)."""
+        n_ctx = min(n_ctx, self.new._arena.width - self.new.num_tokens)
+        if n_ctx > 0:
+            self.prefill(n_ctx)
 
     def prefill(self, n_ctx: int) -> None:
         h, d, c = self.new.n_heads, self.new.head_dim, self.new.d_model
@@ -133,7 +177,8 @@ class _Driver:
         self.position += 1
 
     def fetch(self) -> None:
-        self.fetched = _fetch_both(self.new, self.ref).shape
+        valid, orders = _fetch_both(self.new, self.ref)
+        self.fetched = (valid.shape, orders)
 
     def observe(self) -> None:
         if self.fetched is None:
@@ -141,10 +186,12 @@ class _Driver:
                 with pytest.raises(RuntimeError):
                     cache.observe_attention(np.zeros((cache.n_heads, 1)))
             return
-        probs = self.rng.random(self.fetched)  # float64: summation order shows
+        shape, orders = self.fetched
+        probs = self.rng.random(shape)  # float64: summation order shows
         if self.rng.random() < 0.5:
             probs = np.round(probs, 1).astype(np.float32)  # coarse: ties
-        self._both("observe_attention", probs)
+        self.new.observe_attention(_permuted(probs, orders))
+        self.ref.observe_attention(probs.copy())
         self.fetched = None
 
     def end_step(self) -> None:
@@ -187,7 +234,7 @@ def _run(config, n_heads, injector, first_prefill, ops, seed) -> AERPCache:
         _assert_same_state(new, ref)
     for op in ops:
         if op == "prefill":  # a later prefill adds a short block to a live cache
-            driver.prefill(int(driver.rng.integers(1, config.budget + 3)))
+            driver.later_prefill(int(driver.rng.integers(1, config.budget + 3)))
         else:
             getattr(driver, op)()
         _assert_same_state(new, ref)
@@ -224,18 +271,31 @@ def test_stale_fetch_slow_path_matches_reference(injector):
 
 
 def test_pools_grow_past_initial_capacity():
-    """Per-head eviction lets the live-token union outgrow the initial pool."""
+    """Sequences past the slab's slots grow it (its width stays); per-head
+    eviction lets each sequence's live-token union outgrow the width."""
     config = AERPConfig(budget=20, sink_tokens=0, recent_window=0, max_recompute_fraction=0.5)
-    new, ref = _pair(8, config, "decay")
-    driver = _Driver(new, ref, seed=11)
-    initial_capacity = new._arena._keys.shape[0]
-    # Prompt over the budget: each head keeps its own top-20 of 120 tokens.
-    driver.prefill(120)
-    _assert_same_state(new, ref)
-    for _ in range(12):
-        driver.decode_step()
-    assert new._arena._keys.shape[0] > initial_capacity
-    assert len(new.entries) > initial_capacity
+    factory = aerp_cache_factory(config, injector=INJECTORS["decay"], seed=3)
+    d_model = 8 * HEAD_DIM
+    recompute = _recompute(8, d_model)
+    idle = [factory(1, 8, HEAD_DIM, d_model, _rows(recompute))
+            for _ in range(kv_cache._INITIAL_SLOTS - 1)]  # held, never written
+    drivers = []
+    for seed in range(3):
+        new = factory(1, 8, HEAD_DIM, d_model, _rows(recompute))
+        ref = reference_aerp.AERPCache(8, HEAD_DIM, d_model, config, recompute,
+                                       injector=INJECTORS["decay"], seed=3, layer_index=1)
+        drivers.append(_Driver(new, ref, seed=11 + seed))
+    arena = drivers[0].new._arena
+    slots = 2 * kv_cache._INITIAL_SLOTS  # doubled once
+    assert arena._keys.shape[:3] == (slots, 8, 20) and idle[0]._arena is arena
+    for driver in drivers:
+        # Prompt over the budget: each head keeps its own top-20 of 120 tokens.
+        driver.prefill(120)
+        _assert_same_state(driver.new, driver.ref)
+        for _ in range(12):
+            driver.decode_step()
+        assert len(driver.new.entries) > arena.width
+    assert arena._keys.shape[:3] == (slots, 8, 20)
 
 
 def test_forced_tokens_over_budget():
@@ -300,23 +360,22 @@ class _ArenaDriver:
     def single(self, op: str) -> None:
         pair = self._pick()
         if op == "prefill":  # a later prefill adds a short block to a live cache
-            pair.prefill(int(self.rng.integers(1, self.config.budget + 3)))
+            pair.later_prefill(int(self.rng.integers(1, self.config.budget + 3)))
         else:
             getattr(pair, op)()
 
     def recreate(self) -> None:
         """Retire a sequence — released, or just dropped — and start another
-        on the slot and rows it gives back."""
+        on the slot it gives back."""
         index = int(self.rng.integers(len(self.pairs)))
         pair = self.pairs[index]
-        slot, free_before = pair.new._slot, self.arena._n_free
+        slot = pair.new._slot
         if self.rng.random() < 0.5:
             pair.new.release()
             with pytest.raises(RuntimeError, match="released"):
                 pair.new.fetch()
             if len(self.pairs) > 1:
                 assert self.arena._free_slots[-1] == slot
-                assert self.arena._n_free >= free_before
         else:
             pair.new = pair = None  # the last reference: the finalizer queues the slot
             assert self.arena._dropped == [slot]
@@ -345,22 +404,23 @@ class _ArenaDriver:
             positions = np.array([pair.position for pair in group])
             fetched = caches[0].step_group(caches, keys.copy(), values.copy(), xs.copy(),
                                            positions.copy())
+            orders = []
             for g, pair in enumerate(group):
                 pair.ref.append(keys[g].copy(), values[g].copy(), xs[g].copy(), pair.position)
                 pair.position += 1
-                for got, expected in zip(fetched, pair.ref.fetch()):
-                    assert got.dtype == expected.dtype
-                    np.testing.assert_array_equal(got[g], expected)
+                orders.append(_orders(pair.new, pair.ref))
+                _assert_same_fetch([part[g] for part in fetched], pair.ref.fetch(), orders[g])
             self.check()
             if mutate_before_observe:  # one member moves on: its snapshot goes stale
                 stale = group[int(self.rng.integers(len(group)))]
-                stale.fetched = fetched[2][0].shape
+                stale.fetched = (fetched[2][0].shape, None)
                 stale.append()
                 stale.fetched = None
             probs = self.rng.random(fetched[2].shape)  # float64: summation order shows
             if self.rng.random() < 0.5:
                 probs = np.round(probs, 1).astype(np.float32)  # coarse: ties
-            caches[0].observe_group(caches, probs.copy())
+            caches[0].observe_group(caches, np.stack([
+                _permuted(probs[g], order) for g, order in enumerate(orders)]))
             for g, pair in enumerate(group):
                 pair.ref.observe_attention(probs[g].copy())
                 pair.fetched = None
@@ -383,7 +443,7 @@ def arena_scenarios(draw):
         seed=scenario["seed"],
         n_caches=draw(st.integers(min_value=1, max_value=6)),
         # Equal first prefills put several caches on one slot count (a group
-        # of several); 3 * budget + 7 outgrows the row pool.
+        # of several); 3 * budget + 7 runs far over the budget.
         first_prefills=draw(st.lists(st.sampled_from(
             [None, budget - 1, budget, budget + 1, 3 * budget + 7]), min_size=1, max_size=2)),
         ops=draw(st.lists(st.sampled_from(ARENA_OPS), min_size=1, max_size=30)))
@@ -405,17 +465,17 @@ def _run_arena(config, n_heads, injector, seed, n_caches, first_prefills, ops) -
     for pair in driver.pairs:
         _fetch_both(pair.new, pair.ref)
     driver.check()
-    # Everything goes back: no row or slot stays behind a retired sequence,
-    # and the last one to leave takes the grown pools with it.
+    # Everything goes back: no slot stays behind a retired sequence, and the
+    # last one to leave takes the grown slab with it.
     arena = driver.arena
     for released, pair in enumerate(driver.pairs, 1):
         pair.new.release()
-        live = sum(len(other.ref.entries) for other in driver.pairs[released:])
-        assert arena._keys.shape[0] - arena._n_free == live
+        assert len(arena._free_slots) == arena._seq.shape[0] - len(driver.pairs) + released \
+            or released == len(driver.pairs)
     fresh = AERPArena(arena.n_heads, arena.head_dim, arena.d_model, arena.config)
     assert arena._free_slots == fresh._free_slots and not arena._stale
-    assert {name: getattr(arena, name).shape for name in arena._ROW_POOLS + arena._SLOT_POOLS} \
-        == {name: getattr(fresh, name).shape for name in arena._ROW_POOLS + arena._SLOT_POOLS}
+    assert {name: getattr(arena, name).shape for name in arena._SLOT_POOLS} \
+        == {name: getattr(fresh, name).shape for name in arena._SLOT_POOLS}
     return driver
 
 
@@ -427,11 +487,11 @@ def test_interleaved_sequences_on_one_arena_match_their_references(scenario):
 
 def test_arena_groups_of_several_grow_the_pools_and_reuse_slots(aerp_group_steps):
     """The hand-picked counterpart of the generated test: six sequences at one
-    slot count step as one group while the row pool and the slot pool grow."""
+    entry count step as one group while retired slots are reused."""
     config = AERPConfig(budget=6, sink_tokens=1, recent_window=2, max_recompute_fraction=0.5)
     driver = _ArenaDriver(config, 3, "decay", n_caches=6, first_prefills=[25, 25, 3], seed=8)
     arena = driver.arena
-    assert arena._seq.shape[0] >= 6 and arena._keys.shape[0] > 16  # both grew
+    assert arena._seq.shape[0] >= 6 and arena._keys.shape[0] == arena._seq.shape[0]
     for _ in range(12):
         driver.group_step()
         driver.recreate()

@@ -32,7 +32,7 @@ class TestStreamingLLM:
     def test_keeps_sinks_and_recent_window(self, rng):
         cache = StreamingLLMCache(2, 4, 8, budget=8, sink_tokens=2, recent_window=5)
         _fill(cache, 30, rng)
-        positions = sorted(cache._positions)
+        positions = sorted(cache.positions())
         assert cache.num_tokens <= 8
         assert 0 in positions and 1 in positions  # sinks
         assert positions[-1] == 29  # newest token kept
@@ -54,7 +54,7 @@ class TestH2O:
             return row / row.sum()
 
         _fill(cache, 20, rng, scores=scores)
-        assert 3 in cache._positions
+        assert 3 in cache.positions()
         assert cache.num_tokens <= 6
 
     def test_eviction_counts(self, rng):
@@ -69,7 +69,7 @@ class TestRandomEviction:
         cache_b = RandomEvictionCache(2, 4, 8, budget=6, sink_tokens=1, recent_window=2, seed=3)
         _fill(cache_a, 15, np.random.default_rng(0))
         _fill(cache_b, 15, np.random.default_rng(0))
-        assert cache_a._positions == cache_b._positions
+        assert cache_a.positions() == cache_b.positions()
         assert cache_a.num_tokens <= 6
 
 

@@ -8,10 +8,12 @@ drafter drives a ``paranoid=True`` session on a small bounded paged pool, so
 ``Scheduler.check_legal`` compares the cached batch with a rebuild from the
 sequence states after every step, and every running sequence's decode-slab
 row must hold what its pool pages hold (the tiny model's tokens barely
-depend on its K/V, so a stale row would not show in them).  At the end every
-request has exactly one terminal status and its tokens are a prefix of an
-isolated ``generate()`` — all of them unless it was cancelled, capped or
-failed.
+depend on its K/V, so a stale row would not show in them).  For the same
+reason every batched decode call is checked against an oracle that sees K/V:
+the logits of its shortest row — the one its group pads most — must match
+``forward_full`` over that row's tokens.  At the end every request has
+exactly one terminal status and its tokens are a prefix of an isolated
+``generate()`` — all of them unless it was cancelled, capped or failed.
 
 ``tests/test_seeded_bugs.py`` runs :func:`run_ops` against the serving
 mutations of ``tests/seeded_bugs.py`` and requires it to fail.
@@ -88,6 +90,25 @@ def _check_rows(session) -> None:
             np.testing.assert_array_equal(values, paged_v[:, :n])
 
 
+def _checked_decode(session):
+    """``decode_step_batch`` of the session's model, checking each call's
+    shortest row against ``forward_full`` (see the module docstring)."""
+    lm = _model()
+
+    def decode_step_batch(tokens, positions, caches_batch, fused=True):
+        logits = type(lm).decode_step_batch(lm, tokens, positions, caches_batch, fused)
+        row = int(np.argmin(positions))
+        state = next(state for state in session.scheduler.running.values()
+                     if state.caches is caches_batch[row])
+        history = (list(state.request.prompt_tokens) + state.generated)[:positions[row] + 1]
+        assert history[-1] == tokens[row] and len(history) == positions[row] + 1
+        np.testing.assert_allclose(logits[row], lm.forward_full(history)[-1],
+                                   rtol=1e-4, atol=1e-5)
+        return logits
+
+    return decode_step_batch
+
+
 def run_ops(ops, speculate: bool, faults: bool, chunked: bool) -> None:
     """Drive one session through ``ops``, drain it, and check the outcome."""
     requests = _requests()
@@ -97,6 +118,15 @@ def run_ops(ops, speculate: bool, faults: bool, chunked: bool) -> None:
         drafter="ngram:k=3" if speculate else None,
         faults="transient-exec:rate=0.15" if faults else None,
         token_budget=6 if chunked else None)
+    _model().decode_step_batch = _checked_decode(session)
+    try:
+        _drive(session, engine, requests, ops)
+    finally:
+        del _model().decode_step_batch
+
+
+def _drive(session, engine, requests, ops) -> None:
+    """Apply ``ops`` to ``session``, drain it, and check every result."""
 
     def step() -> bool:
         more = session.step()

@@ -1,9 +1,10 @@
-"""The stateful paged-KV machine and the generated serving run kill every
-seeded bug.
+"""The stateful paged-KV machine, the generated serving run and the AERP
+differential test kill every seeded bug.
 
 Each one-line mutation of ``tests/seeded_bugs.py`` is patched into the
-source and its harness — the machine of ``tests/test_paged_kv_stateful.py``
-or the serving run of ``tests/test_decode_batch.py`` — runs against it,
+source and its harness — the machine of ``tests/test_paged_kv_stateful.py``,
+the serving run of ``tests/test_decode_batch.py`` or the generated call
+sequences of ``tests/test_aerp_differential.py`` — runs against it,
 unchanged, within a fixed example budget: the test passes only when the
 harness fails.  Shrinking is skipped — the failure is the measurement.
 """
@@ -15,6 +16,7 @@ from hypothesis import Phase, given, settings
 from hypothesis.stateful import run_state_machine_as_test
 
 from seeded_bugs import MUTATIONS
+from test_aerp_differential import _run, scenarios
 from test_decode_batch import CONFIG, run_ops
 from test_paged_kv_stateful import PagedKVMachine
 
@@ -23,6 +25,8 @@ BUDGET = settings(max_examples=200, stateful_step_count=30, deadline=None,
                   phases=(Phase.explicit, Phase.generate))
 SERVING_BUDGET = settings(max_examples=30, deadline=None, derandomize=True,
                           database=None, phases=(Phase.explicit, Phase.generate))
+AERP_BUDGET = settings(max_examples=120, deadline=None, derandomize=True,
+                       database=None, phases=(Phase.explicit, Phase.generate))
 
 
 def _killed_by(harness: str) -> list:
@@ -44,6 +48,14 @@ def test_serving_run_kills_seeded_bug(mutation, monkeypatch):
     mutation.apply(monkeypatch)
     with pytest.raises(Exception):
         SERVING_BUDGET(given(**CONFIG)(run_ops))()
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("mutation", _killed_by("aerp"), ids=lambda mutation: mutation.name)
+def test_differential_run_kills_seeded_bug(mutation, monkeypatch):
+    mutation.apply(monkeypatch)
+    with pytest.raises(Exception):
+        AERP_BUDGET(given(scenarios())(_run))()
 
 
 @pytest.mark.parametrize("mutation", MUTATIONS, ids=lambda mutation: mutation.name)
