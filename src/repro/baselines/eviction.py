@@ -15,14 +15,16 @@ These are the methods Kelle is compared against in Table 2 of the paper:
 Each baseline is a handle on ``kelle``'s fixed-width eviction slab
 (:class:`~repro.core.kv_cache.AERPArena`, one per layer and factory) with one
 policy row per sequence: entry ``j`` holds one token in every head, scored
-by the float64 sum over heads of its attention.  A full sequence overwrites
-one eligible entry in place, chosen by the policy's victim function:
-``streaming_llm`` the lowest position, ``h2o`` the lowest score (ties to the
-lowest position), ``random`` one draw of the cache's generator over the
-eligible entries in position order.  The per-cache stores these replaced
-are the test oracle (``tests/reference_eviction.py``): victims, positions,
-scores, eviction counts and ``fetch()`` sorted by position equal it whenever
-each fetch is observed before the next append.
+by the float64 sum over heads of its attention.  The shared row keeps no
+token records (no ``x``): the baselines never recompute or inject faults.
+A full sequence overwrites one eligible entry in place, chosen by the
+policy's victim function: ``streaming_llm`` the lowest position, ``h2o``
+the lowest score (ties to the lowest position), ``random`` one draw of the
+cache's generator over the eligible entries in position order.  The
+per-cache stores these replaced are the test oracle
+(``tests/reference_eviction.py``): victims, positions, scores, eviction
+counts and ``fetch()`` sorted by position equal it whenever each fetch is
+observed before the next append.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from repro.utils.rng import derive_rng
 def lowest_position(arena: AERPArena, slots: np.ndarray, eligible: np.ndarray,
                     positions: np.ndarray, tokens: np.ndarray) -> np.ndarray:
     """StreamingLLM: the oldest eligible token."""
-    return first_lowest(positions.astype(np.float64), eligible, tokens)
+    return first_lowest(positions, eligible, tokens)
 
 
 def random_victims(arena: AERPArena, slots: np.ndarray, eligible: np.ndarray,
@@ -86,10 +88,9 @@ class _SharedTokenCache(SlabCache):
         retained[0, :fill] = True
         self._arena.load(self._slot, keys, values, inputs, importance[None], retained)
         for position in range(fill, n_ctx):
-            entry = self._arena.append(self._slots, keys[None, :, position],
-                                       values[None, :, position], inputs[None, position],
-                                       np.array([position]))
-            self._arena._importance[self._slot, 0, entry] = importance[position]
+            self._arena.append(self._slots, keys[None, :, position], values[None, :, position],
+                               inputs[None, position], np.array([position]),
+                               scores=importance[position])
 
     def stored_bytes(self, bits_per_element: int = 16) -> int:
         elements = 2 * self.num_tokens * self.n_heads * self.head_dim

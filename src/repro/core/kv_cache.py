@@ -5,50 +5,86 @@ decoder layer every sequence keeps at most ``budget`` tokens *per attention
 head*, evicting the token with the lowest accumulated attention score
 (Equation 3) whenever a new token arrives at a full head.  Sink tokens (the
 first few positions) and the most recent tokens are protected from eviction,
-following StreamingLLM/H2O practice and Section 7.1 of the paper.  Tokens
-retained by at least ``popularity_threshold`` of the heads are stored as
-their block input vector ``x`` (C elements instead of 2C) and their K/V are
-recomputed on demand; 2DRP bit flips hit whatever representation is stored.
+following StreamingLLM/H2O practice and Section 7.1 of the paper.
+
+Recomputation: tokens retained by at least ``popularity_threshold`` of the
+heads ("popular" tokens) are stored as their block *input vector* ``x`` (C
+elements) instead of per-head key/value pairs (2C elements across all heads);
+their K/V are recomputed on demand through the layer's projection weights.
+The same code path provides the storage accounting used by the accelerator
+energy model and keeps the functional effect of fault injection honest: 2DRP
+bit flips are applied to whatever representation is actually stored.
 
 Storage.  Like Kelle's eDRAM, which holds ``N'`` entries per head and
-overwrites an evicted entry in place, an :class:`AERPArena` (one per layer,
-owned by the cache factory, shared by the layer's sequences) is a slab of
-fixed width ``W = max(budget, sink_tokens + recent_window)``: K and V
-``[S, H, W, d]`` for ``S`` sequence slots (doubled on demand), and per
-*policy row* ``[S, R, W]`` each entry's importance and token record.  AERP
-evicts per head (``R = H``: an entry is a (token, head) pair); the baselines
-of :mod:`repro.baselines.eviction` share one token set across heads
-(``R = 1``).  A sequence's ``R * W`` token records ``[S, R * W]`` hold what
-a token has once — ``x``, position, index, creation step, observation base,
-format / pending / corrupted flags and how many entries hold it (0: free) —
-and ``_seq[S, 10]`` its counters.
+overwrites an evicted entry in place, an :class:`AERPArena` — one per decoder
+layer, owned by the cache factory and shared by every live sequence of that
+layer — is a slab of fixed width ``W = max(budget, sink_tokens +
+recent_window)`` (struct of arrays, no per-token Python objects):
+
+* **Entry** — K and V ``[S, H, W, d]`` float32 for ``S`` sequence slots
+  (doubled on demand; the last sequence to leave takes the grown slab with
+  it), and per *policy row* ``[S, R, W]`` the entry's accumulated importance,
+  token position and token index.  AERP evicts per head (``R = H``: an entry
+  is a (token, head) pair); the baselines of :mod:`repro.baselines.eviction`
+  share one token set across heads (``R = 1``, scored by the float64 sum
+  over heads).
+* **Token record** — what a token has once, whichever of its heads hold it:
+  ``x``, creation step, observation base, format / pending-recompute /
+  corrupted flags and how many entries hold it (0: a free record).  Every
+  live token holds an entry, so ``R * W`` records per sequence suffice, and
+  ``x`` sits on a fresh mapping of which only the written pages become
+  resident.  Only per-head arenas keep records: a shared row never
+  recomputes, injects faults or reports a token's ``x``.
+* **Sequence slot** — one live sequence, allocated when its handle is built
+  (the lowest free slot, so a batch that arrives together holds a contiguous
+  range) and returned by ``release()`` — or, for a handle garbage collected
+  unreleased, at the next allocation.  ``_seq[S, 10]`` holds its counters.
 
 Entries never move.  A sequence below budget writes a new token into entry
 ``count``; a full one picks each row's victim with one masked choice (the
 sink and recent-window masks, then the policy's victim function: for AERP
 the lowest importance, ties to the oldest token — the old slot tables'
-"first minimum in slot order") and writes the new token over it.  Entry
-order is therefore not token order; attention is permutation invariant
-(Equations 1-2), so only the summation order of its reductions differs.
+"first minimum in slot order") and writes the new token over it.  Every
+operation adds or overwrites exactly one entry in *every* row, so one
+``count`` serves all rows and ``fetch`` never pads: its ``valid`` mask is
+all true.  Entry order is not token order; attention is permutation
+invariant (Equations 1-2), so only the summation order of its reductions
+differs from a token-ordered store.
 
-Every arena operation takes ``G`` sequence slots holding equally many
-entries ``n`` and works on all of them at once: ``append`` evicts and writes
-with one fancy-indexed write per array; ``fetch`` recomputes the group's
-pending recomputation-format tokens in one ``recompute_fn`` call and returns
-``slab[a:b, :, :n]`` views when the slots are the contiguous range ``a:b``
-(one gather otherwise); ``observe`` is one ``+=``.  The model steps a decode
-group through :meth:`SlabCache.step_group` / :meth:`SlabCache.observe_group`;
-the single-cache calls are groups of one.  ``recompute_fn`` must compute each
-row as its own ``M = 1`` projection, as ``decode_step`` did for the stored
-K/V (:meth:`repro.llm.model.DecoderLM.recompute_fn`).
+Group steps.  Every arena operation takes ``G`` sequence slots holding
+equally many entries ``n`` and does its work once for all of them:
+``append`` evicts and writes with one fancy-indexed write per array;
+``fetch`` recomputes the group's pending recomputation-format tokens in one
+``recompute_fn`` call and returns ``slab[a:b, :, :n]`` views when the slots
+are the contiguous range ``a:b`` (one gather otherwise); ``observe`` is one
+``+=``.  The model steps a decode group through :meth:`SlabCache.step_group`
+/ :meth:`SlabCache.observe_group` (grouped by :meth:`SlabCache.group_key`:
+same arena, ``recompute_fn`` object and count, so nothing is padded or
+masked); the single-cache ``append`` / ``fetch`` / ``observe_attention`` are
+the same calls with ``G = 1``.  Prefill and fault injection stay per
+sequence (injection draws from a per-sequence RNG in token order).
 
-The dict / list / set implementation is the test oracle (``tests/
-reference_aerp.py``): victims, formats, counters, each (head, token) pair's
-importance and K/V and the RNG draws equal it, up to each head's entry order.
+Recompute contract.  ``recompute_fn`` maps ``P`` rows at once (``x [P, C]``,
+``positions [P]`` to keys and values ``[P, H, d]``) and must compute each
+row as its own ``M = 1`` projection: the stored K/V of a token came from an
+``M = 1`` GEMM in ``decode_step``, and a ``[P, C] @ [C, C]`` GEMM differs
+from it in the last bits.  :meth:`repro.llm.model.DecoderLM.recompute_fn`
+uses a stacked matmul, which NumPy issues as ``P`` independent ``M = 1``
+calls.
+
+:class:`TokenEntry`, :attr:`AERPCache.entries`, :meth:`AERPCache.tokens_for_head`
+and :meth:`AERPCache.popularity` are introspection snapshots built on demand
+from the arrays.  The original dict / list / set implementation lives on as
+the test oracle (``tests/reference_aerp.py``): eviction victims, format
+choices, counters, each (head, token) pair's importance and K/V, ``fetch``
+outputs and the fault injector's RNG draw order equal it, up to each head's
+entry order, for any call sequence with finite importance scores, however
+the sequences of an arena are interleaved or grouped.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 import mmap
 import weakref
@@ -70,7 +106,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers onl
 class TokenEntry:
     """Snapshot of one token held by the cache (across heads).
 
-    Built by :attr:`AERPCache.entries` from copies; zero where a head evicted it."""
+    Built on demand by :attr:`AERPCache.entries`; every array is a copy, so
+    mutating an entry does not touch the cache.  ``keys``, ``values`` and
+    ``importance`` are zero in heads that no longer retain the token.
+    """
 
     token_index: int
     position: int
@@ -107,14 +146,15 @@ _NOT_LOWEST = 1 << 62
 
 
 def first_lowest(key: np.ndarray, eligible: np.ndarray, tokens: np.ndarray) -> np.ndarray:
-    """Per row of ``[G, R, n]``: the eligible entry with the lowest ``key`` (a
-    float scratch array, overwritten), ties to the oldest token (lowest position)."""
-    key[~eligible] = np.inf
+    """Per row of ``[G, R, n]``: the eligible entry with the lowest ``key``,
+    ties to the oldest token (the lowest token index, hence position)."""
+    key = np.where(eligible, key, np.inf)
     lowest = key == np.minimum.reduce(key, axis=2, keepdims=True)
     return (tokens + ~lowest * _NOT_LOWEST).argmin(axis=2)
 
 
-#: ``(arena, slots, eligible, positions, tokens)`` -> ``[G, R]`` entries to overwrite.
+#: ``(arena, slots, eligible, positions, tokens)`` -> ``[G, R]`` entries to
+#: overwrite; ``eligible``, ``positions`` and ``tokens`` are ``[G, R, n]``.
 Victims = Callable[["AERPArena", np.ndarray, np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 
 
@@ -126,27 +166,29 @@ def lowest_importance(arena: "AERPArena", slots: np.ndarray, eligible: np.ndarra
 
 def _zeros(shape: tuple[int, ...], dtype: type) -> np.ndarray:
     """Zeros on a fresh mapping (not a reused spare): only written pages are resident."""
-    dtype = np.dtype(dtype)
-    return np.frombuffer(mmap.mmap(-1, math.prod(shape) * dtype.itemsize), dtype).reshape(shape)
+    size, itemsize = math.prod(shape), np.dtype(dtype).itemsize
+    return np.frombuffer(mmap.mmap(-1, size * itemsize or 1), dtype, size).reshape(shape)
 
 
 #: Slots an arena starts with (Section 8's batch of 16).
 _INITIAL_SLOTS = 16
 
 #: Columns of :attr:`AERPArena._seq`: entries per row, steps ended, next token
-#: index, live tokens (and in x format), observations, evictions, recomputations,
-#: the count the last unobserved fetch handed out (-1: none), newest position.
-(_COUNT, _STEP, _NEXT_TOKEN, _N_LIVE, _N_STORED_X, _N_OBSERVED, _EVICTIONS, _RECOMPUTES,
- _FETCHED, _POSITION) = range(10)
+#: index, observations, evictions, recomputations, the count the last
+#: unobserved fetch handed out (-1: none), newest position.
+(_COUNT, _STEP, _NEXT_TOKEN, _N_OBSERVED, _EVICTIONS, _RECOMPUTES, _FETCHED,
+ _POSITION) = range(8)
 
 
 class AERPArena:
-    """One layer's fixed-width eviction slab (see the module docstring):
-    ``victims`` picks what a full sequence overwrites, ``shared=True`` keeps one
-    policy row per sequence, not per head; group operations take ``G`` slots."""
+    """One layer's fixed-width eviction slab (see the module docstring for the
+    layout).  ``victims`` picks what a full sequence overwrites; ``shared=True``
+    keeps one policy row per sequence instead of one per head, and no token
+    records.  Group operations take ``slots``, an integer array of ``G``
+    distinct sequence slots holding equally many entries."""
 
     #: Arrays indexed by sequence slot along axis 0 (grown together).
-    _SLOT_POOLS = ("_keys", "_values", "_importance", "_record", "_x", "_position", "_token",
+    _SLOT_POOLS = ("_keys", "_values", "_importance", "_position", "_token", "_record", "_x",
                    "_created", "_obs_base", "_refs", "_stored_x", "_pending", "_corrupted",
                    "_seq")
 
@@ -155,16 +197,17 @@ class AERPArena:
         self.n_heads, self.head_dim, self.d_model = n_heads, head_dim, d_model
         self.config, self.victims = config, victims
         self.width = max(config.budget, config.sink_tokens + config.recent_window)
-        # A new token takes x format while the recompute fraction is below this.
+        # A new token takes x format while the recompute fraction is below
+        # this; at 0 no token ever does, so nothing is pending recomputation.
         self._x_limit = config.max_recompute_fraction if config.recompute_enabled else 0.0
         self._heads = np.arange(n_heads)
         self._rows = np.arange(1 if shared else n_heads)  # policy rows per sequence
-        # Whether an earlier row evicted the same token in the same step.
-        self._earlier = np.tri(self._rows.size, k=-1, dtype=bool)
+        self._records = not shared
         #: Per-slot random generators of victim functions that draw.
         self.rngs: dict[int, np.random.Generator] = {}
-        # Slots of handles garbage collected unreleased (queued by their
-        # finalizer, which may run mid-operation; ``alloc_slot`` frees them).
+        # Slots of handles that were garbage collected unreleased.  The
+        # collector can run in the middle of an arena operation, so their
+        # finalizer only queues them here; ``alloc_slot`` takes them back.
         self._dropped: list[int] = []
         # The tokens ``[R, n]`` a fetch handed out, kept only when the sequence
         # mutates before its observe (never in the decode loop).
@@ -174,28 +217,27 @@ class AERPArena:
     def _allocate(self, n_slots: int) -> None:
         """(Re)build every array for ``n_slots`` slots, all of them free."""
         entries = (n_slots, self._rows.size, self.width)
-        # Every live token holds an entry: R * W records always suffice.
-        records = (n_slots, self._rows.size * self.width)
+        records = (n_slots, self._rows.size * self.width if self._records else 0)
         kv = (n_slots, self.n_heads, self.width, self.head_dim)
         self._keys, self._values = np.zeros(kv, np.float32), np.zeros(kv, np.float32)
         self._importance = np.zeros(entries, np.float64)
-        self._record = np.zeros(entries, np.int64)  # each entry's token record
-        # Most records are never used: only written pages of ``x`` become resident.
         self._x = _zeros(records + (self.d_model,), np.float32)
-        # ``_refs``: entries holding the record's token (0: a free record).  A
-        # token has been observed ``_seq[s, _N_OBSERVED] - _obs_base`` times.
-        for name in ("_position", "_token", "_created", "_obs_base", "_refs"):
-            setattr(self, name, np.zeros(records, np.int64))
-        # ``_pending``: x-format tokens whose K/V are not recomputed yet.
-        for name in ("_stored_x", "_pending", "_corrupted"):
-            setattr(self, name, np.zeros(records, bool))
-        self._seq = np.zeros((n_slots, 10), np.int64)
-        self._free_slots = list(range(n_slots - 1, -1, -1))
+        # Per entry its token's position, index and record.  Per record
+        # ``_refs``, the entries holding its token (0: a free record), and
+        # ``_obs_base``: the token has been observed ``_seq[s, _N_OBSERVED] -
+        # _obs_base`` times; ``_pending``: x format, K/V not recomputed yet.
+        for names, shape, dtype in (("_position _token _record", entries, np.int64),
+                                    ("_created _obs_base _refs", records, np.int64),
+                                    ("_stored_x _pending _corrupted", records, bool)):
+            for name in names.split():
+                setattr(self, name, np.zeros(shape, dtype))
+        self._seq = np.zeros((n_slots, 8), np.int64)
+        self._free_slots = list(range(n_slots))  # a heap: the lowest comes first
         self._all_valid = np.ones((n_slots, self.n_heads, self.width), dtype=bool)
         self._iota = np.arange(n_slots)
 
     def alloc_slot(self) -> int:
-        """Hand out a sequence slot in the empty state (the lowest free one)."""
+        """Hand out the lowest free sequence slot, in the empty state."""
         while self._dropped:
             self.free_slot(self._dropped.pop())
         if not self._free_slots:  # double the slots, the old ones all taken
@@ -204,15 +246,19 @@ class AERPArena:
             self._allocate(2 * n_slots)
             for name, array in zip(self._SLOT_POOLS, old):
                 getattr(self, name)[:n_slots] = array
-            del self._free_slots[n_slots:]
-        slot = self._free_slots.pop()
+            self._free_slots = list(range(n_slots, 2 * n_slots))
+        slot = heapq.heappop(self._free_slots)
         self._seq[slot] = self._refs[slot] = 0
         self._seq[slot, _FETCHED] = self._seq[slot, _POSITION] = -1
         return slot
 
     def free_slot(self, slot: int) -> None:
-        """Take back ``slot``; the last to leave resets the arrays."""
-        self._free_slots.append(slot)
+        """Take back ``slot``.
+
+        The last sequence to leave takes the grown slab with it: an idle
+        arena holds no more than a fresh one.
+        """
+        heapq.heappush(self._free_slots, slot)
         self.rngs.pop(slot, None)
         self._stale.pop(slot, None)
         if len(self._free_slots) == self._seq.shape[0]:
@@ -222,68 +268,69 @@ class AERPArena:
         """Keep what unobserved fetches handed out before entries change."""
         for slot, count in zip(slots, fetched):
             if count >= 0 and slot not in self._stale:
-                self._stale[slot] = self._token[slot, self._record[slot, :, :count]]
+                self._stale[slot] = self._token[slot, :, :count].copy()
 
-    def _group(self, slots: np.ndarray) -> tuple[np.ndarray, int]:
-        """The group's header rows (a copy) and the entry count they share."""
-        seq = self._seq[slots]
+    def _group(self, slots: np.ndarray) -> tuple["slice | np.ndarray", np.ndarray, int]:
+        """The index of the group's slots — a slice when they are a contiguous
+        ascending range, so that slab reads are views — its header rows (a
+        view then, else a copy) and the entry count they share."""
+        first, sel = int(slots[0]), slots
+        if slots.size == 1 or np.logical_and.reduce(slots - first == self._iota[:slots.size]):
+            sel = slice(first, first + slots.size)
+        seq = self._seq[sel]
         count = int(seq[0, _COUNT])
         if slots.size > 1 and np.logical_or.reduce(seq[:, _COUNT] != count):
             raise ValueError("a group's sequences must hold equally many tokens per head")
-        return seq, count
-
-    def _select(self, slots: np.ndarray) -> "slice | np.ndarray":
-        """The index of the group's slots: a slice when they are a contiguous
-        ascending range, so that slab reads are views."""
-        first = int(slots[0])
-        if slots.size == 1 or np.logical_and.reduce(slots - first == self._iota[:slots.size]):
-            return slice(first, first + slots.size)
-        return slots
+        return sel, seq, count
 
     def append(self, slots: np.ndarray, keys: np.ndarray, values: np.ndarray,
-               xs: np.ndarray, positions: np.ndarray) -> np.ndarray:
+               xs: np.ndarray, positions: np.ndarray, scores: "float | np.ndarray" = 0.0,
+               ) -> "int | np.ndarray":
         """Insert one token per sequence (``keys``/``values`` ``[G, H, d]``,
-        ``xs`` ``[G, C]``), evicting in place when full; returns the entries."""
-        seq, count = self._group(slots)  # updated here, written back at the end
+        ``xs`` ``[G, C]``, ``positions`` ``[G]``) with its starting ``scores``,
+        evicting in place when full; returns the entries written."""
+        sel, seq, count = self._group(slots)  # ``seq`` updated here (a copy written back)
         if np.maximum.reduce(seq[:, _FETCHED]) >= 0:
             self._snapshot_before_mutation(slots.tolist(), seq[:, _FETCHED].tolist())
         np.maximum(seq[:, _POSITION], positions, out=seq[:, _POSITION])
         at = slots[:, None]
         if count >= self.config.budget:
-            entry = self._evict(slots, seq, count)
+            entry = self._evict(slots, sel, seq, count)
         else:
             entry = count
             seq[:, _COUNT] = count + 1
-        record = (self._refs[slots] == 0).argmax(axis=1)  # the lowest free record
         self._keys[at, self._heads, entry] = keys
         self._values[at, self._heads, entry] = values
-        self._importance[at, self._rows, entry] = 0.0
-        self._record[at, self._rows, entry] = record[:, None]
-        new = (slots, record)
-        self._x[new] = xs
-        self._position[new] = positions
-        self._token[new] = seq[:, _NEXT_TOKEN]
-        self._created[new] = seq[:, _STEP]
-        self._obs_base[new] = seq[:, _N_OBSERVED]
-        self._refs[new] = self._rows.size
-        self._corrupted[new] = False
-        # Figure 7 (a): a new token's popularity of 1 meets any threshold.
-        stores_x = seq[:, _N_STORED_X] / np.maximum(seq[:, _N_LIVE], 1) < self._x_limit
-        self._stored_x[new] = self._pending[new] = stores_x
-        seq[:, _N_STORED_X] += stores_x
-        seq[:, _N_LIVE] += 1
+        new = (at, self._rows, entry)
+        self._importance[new] = scores
+        self._position[new] = positions[:, None]
+        self._token[new] = seq[:, _NEXT_TOKEN, None]
         seq[:, _NEXT_TOKEN] += 1
-        self._seq[slots] = seq
+        if self._records:
+            live = self._refs[sel] > 0  # [G, T]: the victims' records are free now
+            record = live.argmin(axis=1)  # the lowest free record
+            self._record[new] = record[:, None]
+            new = (slots, record)
+            self._x[new] = xs
+            self._created[new] = seq[:, _STEP]
+            self._obs_base[new] = seq[:, _N_OBSERVED]
+            self._refs[new] = self._rows.size
+            self._corrupted[new] = False
+            # Figure 7 (a): a new token's popularity of 1 meets any threshold.
+            n_live, n_x = self._counts(live, sel)
+            self._stored_x[new] = self._pending[new] = n_x / np.maximum(n_live, 1) < self._x_limit
+        if sel is slots:
+            self._seq[slots] = seq
         return entry
 
-    def _evict(self, slots: np.ndarray, seq: np.ndarray, count: int) -> np.ndarray:
+    def _evict(self, slots: np.ndarray, sel: "slice | np.ndarray", seq: np.ndarray,
+               count: int) -> np.ndarray:
         """Every row's victim entry (sinks and the recent window only when
-        nothing else is eligible); tokens no entry holds any more leave the
-        live counts of ``seq``, the group's header rows."""
+        nothing else is eligible), counted in ``seq``, the group's header
+        rows; a victim's token record is freed once no entry holds it."""
         config = self.config
-        records = self._record[slots, :, :count]  # [G, R, n]
-        positions = self._position[slots[:, None, None], records]
-        tokens = self._token[slots[:, None, None], records]
+        positions = self._position[sel, :, :count]  # [G, R, n]
+        tokens = self._token[sel, :, :count]
         non_sink = positions >= config.sink_tokens
         oldest_recent = (seq[:, _POSITION] - config.recent_window)[:, None, None]
         eligible = non_sink & (positions <= oldest_recent)
@@ -292,27 +339,29 @@ class AERPArena:
             eligible[~has_candidate] = non_sink[~has_candidate]
             eligible[~np.logical_or.reduce(eligible, axis=2)] = True
         entry = self.victims(self, slots, eligible, positions, tokens)  # [G, R]
-        victim = records[self._iota[:slots.size, None], self._rows, entry]
-        at = (slots[:, None], victim)
-        np.subtract.at(self._refs, at, 1)
-        # A victim dies with its last entry (counted once if several rows hold it).
-        dead = (self._refs[at] == 0) & ~np.logical_or.reduce(
-            (victim[:, :, None] == victim[:, None, :]) & self._earlier, axis=2)
-        seq[:, _N_LIVE] -= np.add.reduce(dead, axis=1)
-        seq[:, _N_STORED_X] -= np.add.reduce(dead & self._stored_x[at], axis=1)
         seq[:, _EVICTIONS] += self._rows.size
+        if self._records:
+            at = (slots[:, None], self._record[slots[:, None], self._rows, entry])
+            np.subtract.at(self._refs, at, 1)
         return entry
+
+    def _counts(self, live: np.ndarray, sel: "int | slice | np.ndarray",
+                ) -> tuple[np.ndarray, np.ndarray]:
+        """Live tokens and those stored in x format, from the ``live`` records
+        (``_refs > 0``) of the slots ``sel``."""
+        return (np.add.reduce(live, axis=-1),
+                np.add.reduce(live & self._stored_x[sel], axis=-1))
 
     def fetch(self, slots: np.ndarray,
               recompute_fn: RecomputeFn) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(K, V, valid)``: ``[G, H, n, d]`` twice (slab views for
         contiguous slots) and an all-true ``[G, H, n]`` mask, after pending
         x-format tokens are recomputed into the slab."""
-        count = self._group(slots)[1]
-        sel = self._select(slots)
-        pending = self._pending[sel] & (self._refs[sel] > 0)  # [G, T]
-        if np.logical_or.reduce(pending, axis=None):
-            self._recompute(slots, self._record[sel, :, :count], pending, recompute_fn)
+        sel, _seq, count = self._group(slots)
+        if self._x_limit:
+            pending = self._pending[sel] & (self._refs[sel] > 0)  # [G, T]
+            if np.logical_or.reduce(pending, axis=None):
+                self._recompute(slots, self._record[sel, :, :count], pending, recompute_fn)
         self._seq[sel, _FETCHED] = count
         if self._stale:
             for slot in slots.tolist():
@@ -325,28 +374,30 @@ class AERPArena:
         """Recompute each pending token once into its entries (per-head rows only)."""
         members, pending_records = pending.nonzero()
         at = (slots[members], pending_records)
-        keys, values = recompute_fn(self._x[at], self._position[at])
         which = np.zeros(pending.shape, dtype=np.int64)  # 1 + row of keys / values
         which[members, pending_records] = np.arange(1, members.size + 1)
         hit = which[self._iota[:slots.size, None, None], records]
         group, heads, entries = hit.nonzero()
-        self._keys[slots[group], heads, entries] = keys[hit[group, heads, entries] - 1, heads]
-        self._values[slots[group], heads, entries] = values[hit[group, heads, entries] - 1, heads]
+        row, slab = hit[group, heads, entries] - 1, (slots[group], heads, entries)
+        positions = np.empty(members.size, dtype=np.int64)
+        positions[row] = self._position[slab]  # every entry of a token holds its position
+        keys, values = recompute_fn(self._x[at], positions)
+        self._keys[slab] = keys[row, heads]
+        self._values[slab] = values[row, heads]
         self._pending[at] = False
         self._seq[:, _RECOMPUTES] += np.bincount(at[0], minlength=self._seq.shape[0])
 
     def observe(self, slots: np.ndarray, probs: np.ndarray) -> None:
         """Credit ``probs`` ``[G, H, n]`` to the entries the last fetch returned
         (a shared row is credited the float64 sum over heads)."""
+        if slots.size > 1 and self._stale:  # some sequence mutated since its fetch
+            for g in range(slots.size):  # one at a time
+                self.observe(slots[g:g + 1], probs[g:g + 1])
+            return
         fetched = self._seq[slots, _FETCHED]
         count = int(fetched[0])
-        if slots.size > 1:
-            if self._stale:  # some sequence mutated since its fetch: one at a time
-                for g in range(slots.size):
-                    self.observe(slots[g:g + 1], probs[g:g + 1])
-                return
-            if np.logical_or.reduce(fetched != count):
-                raise ValueError("a group's sequences must have been fetched together")
+        if slots.size > 1 and np.logical_or.reduce(fetched != count):
+            raise ValueError("a group's sequences must have been fetched together")
         if count < 0:
             raise RuntimeError("observe_attention called before fetch")
         probs = probs[:, :, :count]  # float32 adds exactly
@@ -355,81 +406,87 @@ class AERPArena:
         stale = self._stale.pop(int(slots[0]), None) if self._stale else None
         if stale is None:
             # Unchanged since the fetch: the entries hold every live token.
-            sel = self._select(slots)
+            sel = self._group(slots)[0]
             self._importance[sel, :, :count] += probs
             self._seq[sel, _N_OBSERVED] += 1
         else:
             # Mutated since the fetch: credit the fetched (row, token) pairs
             # still held (entries never move: those whose entry still holds it).
             slot = int(slots[0])
-            records = self._record[slot, :, :count]
-            kept = self._token[slot, records] == stale
+            kept = self._token[slot, :, :count] == stale
             self._importance[slot, :, :count][kept] += probs[0][kept]
-            self._obs_base[slot, records[kept]] -= 1  # once per token
+            if self._records:  # one observation for each token credited at all
+                self._obs_base[slot, self._record[slot, :, :count][kept]] -= 1
         self._seq[slots, _FETCHED] = -1
 
     def load(self, slot: int, keys: np.ndarray, values: np.ndarray, inputs: np.ndarray,
              importance: np.ndarray, retained: np.ndarray) -> None:
         """Write a prompt's retained tokens (``retained`` ``[R, N]``, equally
-        many per row) into the next free entries, in token order."""
+        many per row) into the next free entries, in token order; raises
+        ``ValueError``, the sequence untouched, when they do not fit."""
         seq = self._seq[slot]  # a view: updated in place
-        self._snapshot_before_mutation([slot], [int(seq[_FETCHED])])
-        n_ctx = keys.shape[1]
-        seq[_POSITION] = n_ctx - 1
         tokens = np.flatnonzero(retained.any(axis=0))
         retained = retained[:, tokens]
         rows, picks = np.nonzero(retained)  # each row's tokens, in token order
         start, width = int(seq[_COUNT]), picks.size // self._rows.size
         if start + width > self.width:
             raise ValueError(f"{start} + {width} entries exceed the slab width {self.width}")
-        entries = start + np.arange(picks.size) % width
-        at = (slot, rows, entries)
-        record = np.flatnonzero(self._refs[slot] == 0)[:tokens.size]  # one free per token
+        self._snapshot_before_mutation([slot], [int(seq[_FETCHED])])
+        n_ctx = keys.shape[1]
+        seq[_POSITION] = n_ctx - 1
+        at = (slot, rows, start + np.arange(picks.size) % width)
         # Entry e holds head rows[e]'s K/V, or with a shared row every head's.
-        heads = rows if self._rows.size > 1 else self._heads[:, None]
-        self._keys[slot, heads, entries] = keys[heads, tokens[picks]]
-        self._values[slot, heads, entries] = values[heads, tokens[picks]]
+        heads = rows if self._records else self._heads[:, None]
+        self._keys[slot, heads, at[2]] = keys[heads, tokens[picks]]
+        self._values[slot, heads, at[2]] = values[heads, tokens[picks]]
         self._importance[at] = importance[rows, tokens[picks]]
-        self._record[at] = record[picks]
-        new = (slot, record)
-        self._x[new] = inputs[tokens]
-        self._position[new] = tokens
-        self._token[new] = seq[_NEXT_TOKEN] + np.arange(tokens.size)
-        self._created[new] = seq[_STEP]
-        self._obs_base[new] = seq[_N_OBSERVED] - np.maximum(1, n_ctx - tokens)
-        self._corrupted[new] = False
-        self._refs[new] = held = retained.sum(axis=0)
-        self._stored_x[new] = self._pending[new] = self._choose_formats(seq, held.tolist())
+        self._position[at] = tokens[picks]
+        self._token[at] = seq[_NEXT_TOKEN] + picks
         seq[_NEXT_TOKEN] += tokens.size
         seq[_COUNT] = start + width
+        if self._records:
+            record = np.flatnonzero(self._refs[slot] == 0)[:tokens.size]  # one free per token
+            self._record[at] = record[picks]
+            new = (slot, record)
+            self._x[new] = inputs[tokens]
+            self._created[new] = seq[_STEP]
+            self._obs_base[new] = seq[_N_OBSERVED] - np.maximum(1, n_ctx - tokens)
+            self._corrupted[new] = False
+            # Figure 7 (a), token by token: each format choice reads the
+            # recompute fraction the earlier ones left.
+            live, stored = map(int, self._counts(self._refs[slot] > 0, slot))
+            self._refs[new] = held = retained.sum(axis=0)
+            config, stores_x = self.config, [False] * tokens.size
+            for i, heads in enumerate(held.tolist()):
+                stores_x[i] = (heads / self.n_heads >= config.popularity_threshold
+                               and (stored / live if live else 0.0) < self._x_limit)
+                stored += stores_x[i]
+                live += 1
+            self._stored_x[new] = self._pending[new] = stores_x
 
-    def _choose_formats(self, seq: np.ndarray, retained_heads: list[int]) -> np.ndarray:
-        """Figure 7 (a)'s format of each new token, in order (each choice
-        reads the recompute fraction the earlier ones left in ``seq``)."""
-        config = self.config
-        live, stored = int(seq[_N_LIVE]), int(seq[_N_STORED_X])
-        stores_x = [False] * len(retained_heads)
-        for i, heads in enumerate(retained_heads):
-            stores_x[i] = (config.recompute_enabled
-                           and heads / self.n_heads >= config.popularity_threshold
-                           and (stored / live if live else 0.0) < config.max_recompute_fraction)
-            stored += stores_x[i]
-            live += 1
-        seq[_N_LIVE], seq[_N_STORED_X] = live, stored
-        return np.array(stores_x, dtype=bool)
-
-    def live(self, slot: int) -> tuple[np.ndarray, np.ndarray]:
-        """Live tokens' records in token order; ``[T, R]``: their entries (-1: none)."""
+    # ------------------------------------------------------------------
+    # Introspection and fault injection (per sequence, per-head arenas)
+    # ------------------------------------------------------------------
+    def live(self, slot: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The sequence's live tokens in token order: their records, ``[T, R]``
+        their entries (-1: the row does not hold it) and one ``(row, entry)``
+        holding each (the index of its position and token index)."""
         n = self._seq[slot, _COUNT]
-        live = np.flatnonzero(self._refs[slot])
-        live = live[np.argsort(self._token[slot, live])]
         where = np.full((self._refs.shape[1], self._rows.size), -1)
         where[self._record[slot, :, :n], self._rows[:, None]] = np.arange(n)
-        return live, where[live]
+        live = np.flatnonzero(self._refs[slot])
+        row = (where[live] >= 0).argmax(axis=1)
+        holder = (slot, row, where[live, row])
+        order = np.argsort(self._token[holder])
+        return live[order], where[live[order]], (slot, row[order], holder[2][order])
 
     def mean_importance(self, slot: int, where: np.ndarray) -> np.ndarray:
-        """Each live token's mean score over the rows holding it, reduced in
-        ``[m, k]`` blocks of equal row count (``np.mean``'s order per token)."""
+        """Mean accumulated score of each live token over the heads retaining it.
+
+        Tokens are reduced in groups of equal retaining-head count, each as a
+        contiguous ``[m, k]`` block, which is the summation order ``np.mean``
+        applies to one token's ``importance[heads]`` vector.
+        """
         held = where >= 0
         by_token = np.zeros(held.shape)
         by_token[held] = self._importance[slot][np.nonzero(held)[1], where[held]]
@@ -442,11 +499,18 @@ class AERPArena:
 
     def inject_faults(self, slot: int, injector: KVFaultInjector, rng: np.random.Generator,
                       resident_steps: int) -> None:
-        """Apply the 2DRP fault model once to every uncorrupted token created
-        ``resident_steps`` steps ago or earlier, in token order, HST/LST by
-        the median importance rate: to its ``[C]`` x, or its ``[H, d]`` K and
-        V (zero in heads that evicted it: the model draws per element)."""
-        live, where = self.live(slot)
+        """Apply the 2DRP fault model once to every live, not yet corrupted
+        token of the sequence that was created ``resident_steps`` steps ago or
+        earlier.
+
+        Tokens are classified HST/LST against the median importance rate of
+        all live tokens (corruption never changes importance, so one median
+        serves the whole call) and corrupted in token order, in whatever
+        representation is stored: the ``[C]`` x, or the ``[H, d]`` K and V,
+        zero in heads that evicted the token (the fault model draws per
+        element, so the draws match a store that keeps every head's copy).
+        """
+        live, where, _holder = self.live(slot)
         targets = np.flatnonzero((self._created[slot, live]
                                   <= self._seq[slot, _STEP] - resident_steps)
                                  & ~self._corrupted[slot, live])
@@ -470,7 +534,7 @@ class AERPArena:
             self._corrupted[record] = True
 
     def entries(self, slot: int) -> dict[int, TokenEntry]:
-        live, where = self.live(slot)
+        live, where, holder = self.live(slot)
         held = where >= 0
         importance = np.zeros(held.shape)
         keys = np.zeros(held.shape + (self.head_dim,), dtype=np.float32)
@@ -479,18 +543,18 @@ class AERPArena:
         importance[held] = self._importance[at]
         keys[held] = self._keys[at]
         values[held] = self._values[at]
-        record = (slot, live)
-        observed = self._seq[slot, _N_OBSERVED] - self._obs_base[record]
-        return {int(self._token[slot, r]): TokenEntry(
-            token_index=int(self._token[slot, r]),
-            position=int(self._position[slot, r]),
+        tokens, positions = self._token[holder].tolist(), self._position[holder].tolist()
+        observed = self._seq[slot, _N_OBSERVED] - self._obs_base[slot, live]
+        return {tokens[t]: TokenEntry(
+            token_index=tokens[t],
+            position=positions[t],
             x=self._x[slot, r].copy(),
             keys=keys[t],
             values=values[t],
             importance=importance[t],
             retaining_heads=set(np.flatnonzero(held[t]).tolist()),
             storage_format="x" if self._stored_x[slot, r] else "kv",
-            is_sink=bool(self._position[slot, r] < self.config.sink_tokens),
+            is_sink=positions[t] < self.config.sink_tokens,
             corrupted=bool(self._corrupted[slot, r]),
             created_step=int(self._created[slot, r]),
             observation_count=int(observed[t]),
@@ -511,7 +575,8 @@ class SlabCache(LayerKVCache):
         self._arena = arena
         self._slot = arena.alloc_slot()
         self._slots = np.array([self._slot])  # this cache as a group of one
-        # A handle dropped unreleased hands its slot back through the arena.
+        # A handle dropped unreleased (generate() and the experiments never
+        # release) hands its slot back through the arena's queue.
         self._finalizer = weakref.finalize(self, arena._dropped.append, self._slot)
         self._finalizer.atexit = False
 
@@ -532,8 +597,10 @@ class SlabCache(LayerKVCache):
         return int(self._arena._seq[self._slot, _EVICTIONS])
 
     def positions(self) -> list[int]:
-        """Positions of the tokens held, in token order."""
-        return self._arena._position[self._slot, self._arena.live(self._slot)[0]].tolist()
+        """Positions of the tokens held (by any head), in token order."""
+        arena, n = self._arena, self.num_tokens
+        _tokens, first = np.unique(arena._token[self._slot, :, :n], return_index=True)
+        return arena._position[self._slot, :, :n].ravel()[first].tolist()
 
     # -- LayerKVCache interface: the group operations with a group of one --
     def append(self, key: np.ndarray, value: np.ndarray, x: np.ndarray, position: int) -> None:
@@ -551,7 +618,8 @@ class SlabCache(LayerKVCache):
 
     # -- group protocol: one arena call for a whole decode group --------
     def group_key(self) -> tuple:
-        """One arena, ``recompute_fn`` and entry count: nothing to pad."""
+        """Caches of one arena, one ``recompute_fn`` object and one entry
+        count step together (nothing to pad or mask)."""
         return (self._arena, self.recompute_fn, int(self._arena._seq[self._slot, _COUNT]))
 
     def step_group(self, caches: "Sequence[SlabCache]", keys: np.ndarray, values: np.ndarray,
@@ -573,7 +641,11 @@ class SlabCache(LayerKVCache):
 class AERPCache(SlabCache):
     """Per-layer KV cache implementing AERP (Section 4.1) with optional 2DRP faults.
 
-    Without an ``arena`` it gets a private one; injector and RNG are per cache.
+    A handle on one sequence slot of an :class:`AERPArena`: ``arena`` is the
+    storage shared with the other sequences of the layer (the ``kelle`` cache
+    factory passes its per-layer arena); without one the cache gets a private
+    arena.  The fault injector and its RNG stay per cache, so a sequence draws
+    the same random numbers whatever it shares its arena with.
     """
 
     def __init__(self, n_heads: int, head_dim: int, d_model: int, config: "AERPConfig",
@@ -588,6 +660,9 @@ class AERPCache(SlabCache):
         self._injects = not self.injector.is_noop
         self._rng = derive_rng(seed, "aerp", layer_index)
 
+    # ------------------------------------------------------------------
+    # Introspection helpers used by tests and the experiments
+    # ------------------------------------------------------------------
     @property
     def entries(self) -> dict[int, TokenEntry]:
         """Snapshot of every live token, keyed by token index (creation order)."""
@@ -595,8 +670,7 @@ class AERPCache(SlabCache):
 
     def tokens_for_head(self, head: int) -> list[int]:
         """Token indices ``head`` retains, in entry (:meth:`fetch`) order."""
-        arena, slot = self._arena, self._slot
-        return arena._token[slot, arena._record[slot, head, :self.num_tokens]].tolist()
+        return self._arena._token[self._slot, head, :self.num_tokens].tolist()
 
     def popularity(self, token_index: int) -> float:
         """Fraction of heads retaining the token."""
@@ -611,14 +685,14 @@ class AERPCache(SlabCache):
         """Fraction of live entries stored in recomputation (x) format."""
         if self._arena is None:
             return 0.0
-        live, stored = self._arena._seq[self._slot, [_N_LIVE, _N_STORED_X]].tolist()
-        return stored / live if live else 0.0
+        live, stored = self._arena._counts(self._arena._refs[self._slot] > 0, self._slot)
+        return int(stored) / int(live) if live else 0.0
 
     def stored_bytes(self, bits_per_element: int = 16) -> int:
         arena, slot = self._arena, self._slot
         kv_entries = int((~arena._stored_x[slot, arena._record[slot, :, :self.num_tokens]]).sum())
-        total_elements = (int(arena._seq[slot, _N_STORED_X]) * self.d_model
-                          + 2 * self.head_dim * kv_entries)
+        stored_x = int(arena._counts(arena._refs[slot] > 0, slot)[1])
+        total_elements = stored_x * self.d_model + 2 * self.head_dim * kv_entries
         return total_elements * bits_per_element // 8
 
     def prefill(self, keys: np.ndarray, values: np.ndarray, inputs: np.ndarray,
@@ -647,4 +721,3 @@ class AERPCache(SlabCache):
 
     def end_step(self) -> None:
         self._arena._seq[self._slot, _STEP] += 1
-

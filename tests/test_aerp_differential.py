@@ -8,12 +8,16 @@ place, the oracle keeps each head's tokens in token order.  So per head the
 two hold the same set of (position, K, V, importance), ``tokens_for_head``
 and ``fetch()`` agree after sorting by position, and the driver feeds each
 cache the same per-(head, token) probabilities in its own fetch order.  The
-second half puts several caches on one ``AERPArena`` and interleaves group
-steps, single-cache calls, releases and slab growth, each cache still checked
-against an oracle of its own.
+second half puts several caches on one ``AERPArena`` (started at one slot,
+so they grow it) and interleaves group steps, single-cache calls, releases
+and slab growth, each cache still checked against an oracle of its own.  A
+later prefill the slab's fixed width cannot hold must raise, the sequence
+untouched.
 """
 
 from __future__ import annotations
+
+import copy
 
 import numpy as np
 import pytest
@@ -150,13 +154,30 @@ class _Driver:
                                      for a in args))
 
     def later_prefill(self, n_ctx: int) -> None:
-        """A prefill adding a short block to a live cache, cut to what the
-        slab's width still holds (a full one adds nothing)."""
-        n_ctx = min(n_ctx, self.new._arena.width - self.new.num_tokens)
+        """A prefill adding a short block to a live cache.  One that would
+        hold more entries than the slab's fixed width must raise and leave
+        the sequence as it was (the oracle, which has no width, skips it);
+        a block cut to what the width still holds follows."""
+        inputs = self._prefill_inputs(n_ctx)
+        trial = copy.deepcopy(self.ref)
+        trial.prefill(*(np.copy(a) for a in inputs))
+        if trial.num_tokens <= self.new._arena.width:
+            self._both("prefill", *inputs)
+            self.position = n_ctx
+            return
+        arena, slot = self.new._arena, self.new._slot
+        before = [getattr(arena, name)[slot].copy() for name in arena._SLOT_POOLS]
+        stale = arena._stale.get(slot)
+        with pytest.raises(ValueError, match="slab width"):
+            self.new.prefill(*(np.copy(a) for a in inputs))
+        for name, array in zip(arena._SLOT_POOLS, before):
+            np.testing.assert_array_equal(getattr(arena, name)[slot], array, err_msg=name)
+        assert arena._stale.get(slot) is stale
+        n_ctx = min(n_ctx, arena.width - self.new.num_tokens)
         if n_ctx > 0:
             self.prefill(n_ctx)
 
-    def prefill(self, n_ctx: int) -> None:
+    def _prefill_inputs(self, n_ctx: int) -> tuple[np.ndarray, ...]:
         h, d, c = self.new.n_heads, self.new.head_dim, self.new.d_model
         keys = self.rng.standard_normal((h, n_ctx, d)).astype(np.float32)
         values = self.rng.standard_normal((h, n_ctx, d)).astype(np.float32)
@@ -165,7 +186,10 @@ class _Driver:
         scores += np.triu(np.full((n_ctx, n_ctx), -np.inf, dtype=np.float32), k=1)
         # Coarse probabilities: ties between tokens exercise the tie-breaks.
         probs = np.round(softmax(scores, axis=-1), 1)
-        self._both("prefill", keys, values, inputs, probs)
+        return keys, values, inputs, probs
+
+    def prefill(self, n_ctx: int) -> None:
+        self._both("prefill", *self._prefill_inputs(n_ctx))
         self.position = n_ctx
 
     def append(self) -> None:
@@ -374,8 +398,8 @@ class _ArenaDriver:
             pair.new.release()
             with pytest.raises(RuntimeError, match="released"):
                 pair.new.fetch()
-            if len(self.pairs) > 1:
-                assert self.arena._free_slots[-1] == slot
+            if len(self.pairs) > 1:  # the lowest free slot: the next one handed out
+                assert self.arena._free_slots[0] == slot
         else:
             pair.new = pair = None  # the last reference: the finalizer queues the slot
             assert self.arena._dropped == [slot]
@@ -450,6 +474,14 @@ def arena_scenarios(draw):
 
 
 def _run_arena(config, n_heads, injector, seed, n_caches, first_prefills, ops) -> _ArenaDriver:
+    # One initial slot: the 2nd, 3rd and 5th cache grow the slab under live ones.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kv_cache, "_INITIAL_SLOTS", 1)
+        return _drive_arena(config, n_heads, injector, seed, n_caches, first_prefills, ops)
+
+
+def _drive_arena(config, n_heads, injector, seed, n_caches, first_prefills,
+                 ops) -> _ArenaDriver:
     driver = _ArenaDriver(config, n_heads, injector, n_caches, first_prefills, seed)
     driver.check()
     for op in ops:
@@ -485,13 +517,16 @@ def test_interleaved_sequences_on_one_arena_match_their_references(scenario):
     _run_arena(**scenario)
 
 
-def test_arena_groups_of_several_grow_the_pools_and_reuse_slots(aerp_group_steps):
+def test_arena_groups_of_several_grow_the_pools_and_reuse_slots(aerp_group_steps,
+                                                                monkeypatch):
     """The hand-picked counterpart of the generated test: six sequences at one
-    entry count step as one group while retired slots are reused."""
+    entry count step as one group on a slab grown from two slots to eight
+    while retired slots are reused."""
+    monkeypatch.setattr(kv_cache, "_INITIAL_SLOTS", 2)
     config = AERPConfig(budget=6, sink_tokens=1, recent_window=2, max_recompute_fraction=0.5)
     driver = _ArenaDriver(config, 3, "decay", n_caches=6, first_prefills=[25, 25, 3], seed=8)
     arena = driver.arena
-    assert arena._seq.shape[0] >= 6 and arena._keys.shape[0] == arena._seq.shape[0]
+    assert arena._seq.shape[0] == arena._keys.shape[0] == 8  # both grew, 2 -> 4 -> 8
     for _ in range(12):
         driver.group_step()
         driver.recreate()

@@ -33,9 +33,14 @@ over the 128-slot budget, 64 decode steps, the 4-layer d=64 model,
   view, not a ``take``; the loose rows grouped once per step instead of
   once per layer): 77.03 (39 441 calls; those made from
   ``core/kv_cache.py`` frames went from 33.4 to 21.1 per token).
+* live-token counts read off the token records' refcounts instead of kept
+  in counters, entry positions and token indices on the entries, and a
+  group's slot range and header rows found in one call: 78.31 (40 095
+  calls; 22.5 from ``core/kv_cache.py`` frames).
 
-The bound sits 10 % above the last reading: a return to per-layer grouping
-(~10 calls per token) or to the row-pool gather trips it.
+The bound sits 10 % above the 77.03 reading (8 % above the last): a
+return to per-layer grouping (~10 calls per token) or to the row-pool
+gather trips it.
 
 **The paged control plane** (``small-requests``): 400 requests arriving 16
 per engine step, 36-token prompts drawn Zipf-like from 1500 templates,

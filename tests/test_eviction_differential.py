@@ -4,11 +4,12 @@
 fixed-width eviction slab (``repro.core.kv_cache.AERPArena``, one policy row
 per sequence).  Generated call sequences — prefills over the budget,
 appends, fetch + observe steps, group steps over random subsets of the
-caches on one arena, releases and slot reuse — drive them beside
-``tests/reference_eviction.py`` (the per-cache stores they replaced), one
-oracle per cache.  After every operation each cache must hold the same
-positions with the same scores and eviction count as its oracle (victims
-identical), and ``fetch()`` must be equal after sorting by position.  The
+caches on one arena (started at one slot, so they grow it), releases and
+slot reuse — drive them beside ``tests/reference_eviction.py`` (the
+per-cache stores they replaced), one oracle per cache.  After every
+operation each cache must hold the same positions with the same scores and
+eviction count as its oracle (victims identical), and ``fetch()`` must be
+equal after sorting by position.  The
 slab overwrites a victim's entry in place, so observations are fed to each
 cache in its own fetch order.
 """
@@ -22,6 +23,7 @@ from hypothesis import strategies as st
 
 import reference_eviction
 from repro.baselines import eviction
+from repro.core import kv_cache
 from repro.llm.functional import softmax
 from repro.registry import resolve
 
@@ -29,15 +31,15 @@ HEAD_DIM = 4
 SPECS = {"streaming_llm": "StreamingLLMCache", "h2o": "H2OCache", "random": "RandomEvictionCache"}
 
 
-def _records(cache) -> np.ndarray:
-    """The token record of each of the slab cache's entries."""
-    return cache._arena._record[cache._slot, 0, :cache.num_tokens]
+def _positions(cache) -> np.ndarray:
+    """The position of the token in each of the slab cache's entries."""
+    return cache._arena._position[cache._slot, 0, :cache.num_tokens]
 
 
 def _order(cache) -> np.ndarray:
     """The slab cache's entries sorted by (position, token index)."""
-    arena, slot, records = cache._arena, cache._slot, _records(cache)
-    return np.lexsort((arena._token[slot, records], arena._position[slot, records]))
+    arena, slot, n = cache._arena, cache._slot, cache.num_tokens
+    return np.lexsort((arena._token[slot, 0, :n], _positions(cache)))
 
 
 def _ref_order(ref) -> np.ndarray:
@@ -51,7 +53,7 @@ def _assert_same_state(new, ref) -> None:
     assert new.eviction_count == ref.eviction_count
     assert new.stored_bytes() == ref.stored_bytes()
     order, ref_order = _order(new), _ref_order(ref)
-    np.testing.assert_array_equal(arena._position[slot, _records(new)][order],
+    np.testing.assert_array_equal(_positions(new)[order],
                                   np.array(ref._positions, dtype=np.int64)[ref_order])
     np.testing.assert_array_equal(arena._importance[slot, 0, :n][order],
                                   np.array(ref._scores)[ref_order])
@@ -217,7 +219,13 @@ def scenarios(draw):
 @settings(max_examples=80, deadline=None)
 @given(scenarios())
 def test_baselines_on_one_arena_match_their_references(scenario):
-    ops = scenario.pop("ops")
+    # One initial slot: the 2nd, 3rd and 5th cache grow the slab under live ones.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kv_cache, "_INITIAL_SLOTS", 1)
+        _run(**scenario)
+
+
+def _run(ops, **scenario) -> None:
     driver = _ArenaDriver(**scenario)
     driver.check()
     for op in ops:
