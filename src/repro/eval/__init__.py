@@ -2,7 +2,6 @@
 
 from repro.eval.perplexity import perplexity_full, perplexity_with_cache
 from repro.eval.accuracy import (
-    choice_logprob,
     multiple_choice_accuracy,
     unigram_overlap_f1,
     summarization_overlap,
@@ -12,7 +11,6 @@ from repro.eval.harness import EvalModel, get_eval_model, evaluate_dataset
 __all__ = [
     "perplexity_full",
     "perplexity_with_cache",
-    "choice_logprob",
     "multiple_choice_accuracy",
     "unigram_overlap_f1",
     "summarization_overlap",

@@ -8,21 +8,9 @@ from typing import Sequence
 import numpy as np
 
 from repro.llm.cache import KVCacheFactory
-from repro.llm.generation import (
-    forced_decode_logprobs,
-    forced_decode_logprobs_batch,
-    generate,
-    generate_batch,
-)
+from repro.llm.generation import forced_decode_logprobs_batch, generate_batch
 from repro.llm.model import DecoderLM
 from repro.workloads.tasks import MultipleChoiceItem
-
-
-def choice_logprob(model: DecoderLM, prompt: Sequence[int], choice: Sequence[int],
-                   cache_factory: KVCacheFactory | None) -> float:
-    """Total log-probability of ``choice`` given ``prompt`` under a cache policy."""
-    logprobs = forced_decode_logprobs(model, prompt, choice, cache_factory=cache_factory)
-    return float(np.sum(logprobs))
 
 
 def multiple_choice_accuracy(model: DecoderLM, items: Sequence[MultipleChoiceItem],
@@ -30,23 +18,13 @@ def multiple_choice_accuracy(model: DecoderLM, items: Sequence[MultipleChoiceIte
                              batch_size: int = 1) -> float:
     """Fraction of items whose correct choice receives the highest log-probability.
 
-    With ``batch_size > 1`` the (item, choice) pairs are scored through the
-    batched forced-decode path, ``batch_size`` lanes per forward pass.
+    The (item, choice) pairs are scored through the batched forced-decode
+    path, ``batch_size`` lanes per forward pass.
     """
     if not items:
         raise ValueError("items must be non-empty")
     if batch_size <= 0:
         raise ValueError("batch_size must be positive")
-    if batch_size == 1:
-        correct = 0
-        for item in items:
-            scores = [
-                choice_logprob(model, item.prompt_tokens, choice, cache_factory)
-                for choice in item.choices
-            ]
-            if int(np.argmax(scores)) == item.correct_index:
-                correct += 1
-        return correct / len(items)
     pairs = [(item_index, choice)
              for item_index, item in enumerate(items) for choice in item.choices]
     scores_by_item: list[list[float]] = [[] for _ in items]
@@ -92,20 +70,14 @@ def summarization_overlap(model: DecoderLM, documents: Sequence[tuple[np.ndarray
     :func:`repro.workloads.tasks.make_summarization_items`); the model
     generates ``summary_len`` tokens after the document under the cache
     policy and the continuation is scored by unigram F1 against the
-    reference.  With ``batch_size > 1`` documents are generated
-    ``batch_size`` at a time through :func:`generate_batch`.
+    reference.  Documents are generated ``batch_size`` at a time through
+    :func:`generate_batch`.
     """
     if not documents:
         raise ValueError("documents must be non-empty")
     if batch_size <= 0:
         raise ValueError("batch_size must be positive")
     scores = []
-    if batch_size == 1:
-        for doc, reference in documents:
-            result = generate(model, doc, summary_len, cache_factory=cache_factory,
-                              temperature=0.0, seed=seed)
-            scores.append(unigram_overlap_f1(result.generated_tokens, reference))
-        return float(np.mean(scores))
     for start in range(0, len(documents), batch_size):
         chunk = documents[start:start + batch_size]
         results = generate_batch(model, [doc for doc, _ in chunk], summary_len,

@@ -13,7 +13,7 @@ import numpy as np
 
 from repro.llm.cache import KVCacheFactory
 from repro.llm.functional import cross_entropy
-from repro.llm.generation import forced_decode_logprobs, forced_decode_logprobs_batch
+from repro.llm.generation import forced_decode_logprobs_batch
 from repro.llm.model import DecoderLM
 
 
@@ -34,13 +34,7 @@ def perplexity_with_cache(model: DecoderLM, tokens: np.ndarray, cache_factory: K
     ``tokens[prefill_len:]`` is scored token by token while the cache policy
     (eviction, recomputation, fault injection) is active.
     """
-    tokens = np.asarray(tokens, dtype=np.int64)
-    if not 0 < prefill_len < tokens.size:
-        raise ValueError("prefill_len must split the sequence into non-empty prompt and continuation")
-    prompt = tokens[:prefill_len]
-    continuation = tokens[prefill_len:]
-    logprobs = forced_decode_logprobs(model, prompt, continuation, cache_factory=cache_factory)
-    return float(np.exp(-np.mean(logprobs)))
+    return perplexity_over_documents(model, [tokens], cache_factory, prefill_len)
 
 
 def perplexity_over_documents(model: DecoderLM, documents: list[np.ndarray],
@@ -48,10 +42,9 @@ def perplexity_over_documents(model: DecoderLM, documents: list[np.ndarray],
                               batch_size: int = 1) -> float:
     """Mean cache-aware perplexity over several documents (token-weighted).
 
-    With ``batch_size > 1`` documents are scored ``batch_size`` at a time
-    through the batched forced-decode path (one forward pass per token step
-    for the whole batch), matching the sequential loop to floating-point
-    precision.
+    Documents are scored ``batch_size`` at a time through the batched
+    forced-decode path (one forward pass per token step for the whole batch);
+    a document's scores do not depend on its batch company.
     """
     if not documents:
         raise ValueError("documents must be non-empty")
@@ -64,13 +57,6 @@ def perplexity_over_documents(model: DecoderLM, documents: list[np.ndarray],
                 "prefill_len must split every document into non-empty prompt and continuation")
     total_nll = 0.0
     total_tokens = 0
-    if batch_size == 1:
-        for doc in docs:
-            ppl = perplexity_with_cache(model, doc, cache_factory, prefill_len)
-            n = doc.size - prefill_len
-            total_nll += np.log(ppl) * n
-            total_tokens += n
-        return float(np.exp(total_nll / total_tokens))
     for start in range(0, len(docs), batch_size):
         chunk = docs[start:start + batch_size]
         logprobs = forced_decode_logprobs_batch(

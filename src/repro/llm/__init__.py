@@ -17,7 +17,7 @@ replaces them with decoder-only transformers implemented directly on NumPy:
   storage the eviction and quantized caches build on.
 * :mod:`repro.llm.generation` -- prefill + decode driver.
 * :mod:`repro.llm.speculate` -- speculative-decoding drafters (prompt-lookup
-  n-gram, draft model) verified by :meth:`DecoderLM.verify_chunk`.
+  n-gram, draft model) verified by :meth:`DecoderLM.verify_chunk_batch`.
 * :mod:`repro.llm.tokenizer` -- byte-level and word-level tokenizers.
 * :mod:`repro.llm.training` -- Adam training loop for the tiny models.
 """

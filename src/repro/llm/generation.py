@@ -1,21 +1,24 @@
-"""Prefill + auto-regressive decode drivers (single-sequence and batched).
+"""Prefill + auto-regressive decode drivers.
 
 This is the serving loop of Figure 1 (a) of the paper: the context is
 processed in parallel during pre-filling, then tokens are generated
 auto-regressively, each step reading the KV cache managed by the active
-policy.  The batched drivers run ``B`` independent sequences through
+policy.  The drivers run ``B`` independent sequences through
 :meth:`DecoderLM.prefill_batch` / :meth:`DecoderLM.decode_step_batch`, each
-with its own per-layer caches, reproducing ``B`` single-sequence runs up to
-floating-point precision (batched BLAS reductions reorder float ops, so the
-last bits of a logit can differ; the equivalence suite pins the tokens).
+with its own per-layer caches and generation RNG; one sequence is a batch of
+one (:func:`generate`, :func:`forced_decode_logprobs`).  A sequence's tokens
+do not depend on its batch company (batched BLAS reductions may reorder
+float ops, so the last bits of a logit can differ; the equivalence suite pins
+the tokens).
 
 Both drivers accept a ``drafter`` (a :class:`repro.llm.speculate.Drafter` or
 spec string such as ``"ngram:k=4"``): with greedy decoding and a
-rollback-capable cache (``full``/``paged``), each decode round verifies the
-drafter's proposed tokens in one :meth:`DecoderLM.verify_chunk` forward and
-emits the accepted prefix plus the first-mismatch token — token-identical to
-plain greedy decoding, but with up to ``k + 1`` tokens per forward pass.
-Caches without rollback support silently run non-speculatively.
+rollback-capable cache (``full``/``paged``), each decode round verifies every
+sequence's proposed tokens in one :meth:`DecoderLM.verify_chunk_batch`
+forward and emits the accepted prefix plus the first-mismatch token --
+token-identical to plain greedy decoding, but with up to ``k + 1`` tokens per
+forward pass.  Caches without rollback support silently run
+non-speculatively.
 """
 
 from __future__ import annotations
@@ -103,110 +106,20 @@ def _speculation_enabled(model: DecoderLM, drafter: Drafter | None,
     return True
 
 
-def _decode_speculative(model: DecoderLM, drafter: Drafter, caches: list[LayerKVCache],
-                        result: GenerationResult, logits: np.ndarray,
+def _decode_speculative(model: DecoderLM, drafter: Drafter,
+                        caches_batch: Sequence[list[LayerKVCache]],
+                        results: list[GenerationResult], logits: np.ndarray,
                         max_new_tokens: int, eos_id: int | None,
-                        on_token: OnGenToken = _noop) -> None:
-    """Greedy speculative decode loop for one sequence (mutates ``result``).
-
-    Each round verifies ``[next_input, *proposals]`` in one forward, emits
-    the accepted proposal prefix plus the first-mismatch/bonus token, and
-    rolls the caches back over rejected positions.
-    """
-    session = drafter.session()
-    prompt, generated = result.prompt_tokens, result.generated_tokens
-    logp = log_softmax(logits)
-    token = int(np.argmax(logp))
-    generated.append(token)
-    result.logprobs.append(float(logp[token]))
-    on_token(token, len(generated) - 1)
-    position = len(prompt)  # == caches' token count == position of generated[-1]
-    while len(generated) < max_new_tokens and (eos_id is None or generated[-1] != eos_id):
-        remaining = max_new_tokens - len(generated)
-        proposals = session.propose(prompt + generated, max_tokens=remaining - 1)
-        chunk = [generated[-1], *proposals]
-        chunk_logits = model.verify_chunk(chunk, position, caches)
-        accepted, emitted = accept_greedy(chunk_logits, proposals)
-        result.spec_proposed += len(proposals)
-        result.spec_accepted += accepted
-        caches[0].truncate_stack(caches, position + 1 + accepted)
-        position += 1 + accepted
-        logp_rows = log_softmax(chunk_logits[:len(emitted)], axis=-1)
-        for row, tok in enumerate(emitted):
-            generated.append(tok)
-            result.logprobs.append(float(logp_rows[row, tok]))
-            on_token(tok, len(generated) - 1)
-            if eos_id is not None and tok == eos_id:
-                break
-    # Cache-state parity with the plain loop, which never feeds the final
-    # token: drop any verified-but-unemitted tail (e.g. after a mid-chunk EOS).
-    caches[0].truncate_stack(caches, len(prompt) + len(generated) - 1)
-
-
-def generate(model: DecoderLM, prompt_tokens: Sequence[int], max_new_tokens: int,
-             cache_factory: KVCacheFactory | None = None, temperature: float = 0.0,
-             eos_id: int | None = None, seed: int = 0,
-             drafter: Drafter | str | None = None,
-             on_token: OnGenToken | None = None) -> GenerationResult:
-    """Generate ``max_new_tokens`` continuation tokens for ``prompt_tokens``.
-
-    ``cache_factory`` selects the KV-cache policy (a fresh ``"full"`` pool
-    by default); ``temperature`` 0 means greedy decoding.  ``drafter`` (a
-    spec string such as ``"ngram:k=4"`` or a built
-    :class:`~repro.llm.speculate.Drafter`) enables speculative decoding:
-    token-identical to greedy decoding, but emitting up to ``k + 1`` tokens
-    per forward pass when proposals are accepted.  Requires a
-    rollback-capable cache (``full``/``paged``); other caches run
-    non-speculatively.  ``on_token`` streams each generated token
-    as ``(token, index)`` the moment it is produced (the serving engine's
-    :class:`~repro.serve.executor.TokenEvent` hook reduced to one sequence).
-
-    The result's ``caches`` hold their pool pages until released
-    (``caches[0].release_stack(caches)``); a caller reusing one paged
-    factory across calls releases them when done.
-    """
-    if max_new_tokens < 0:
-        raise ValueError("max_new_tokens must be non-negative")
-    prompt_tokens = list(int(t) for t in prompt_tokens)
-    if not prompt_tokens:
-        raise ValueError("prompt_tokens must be non-empty")
-    drafter = resolve_drafter(drafter)
-    rng = derive_rng(seed, "generate")
-    caches = model.make_caches(cache_factory)
-    speculative = _speculation_enabled(model, drafter, caches, temperature)
-    logits = model.prefill(prompt_tokens, caches)
-    result = GenerationResult(prompt_tokens=prompt_tokens, generated_tokens=[], caches=caches)
-    emit = on_token or _noop
-    if speculative and max_new_tokens > 0:
-        _decode_speculative(model, drafter, caches, result, logits,
-                            max_new_tokens, eos_id, on_token=emit)
-        return result
-    position = len(prompt_tokens)
-    for step in range(max_new_tokens):
-        token, logp = _select_from_logprobs(log_softmax(logits), temperature, rng)
-        result.generated_tokens.append(token)
-        result.logprobs.append(logp)
-        emit(token, len(result.generated_tokens) - 1)
-        # No decode after the final token: its logits would be discarded (and
-        # generate_batch stops at the same point, keeping cache states aligned).
-        if step == max_new_tokens - 1 or (eos_id is not None and token == eos_id):
-            break
-        logits = model.decode_step(token, position, caches)
-        position += 1
-    return result
-
-
-def _decode_batch_speculative(model: DecoderLM, drafter: Drafter,
-                              caches_batch: Sequence[list[LayerKVCache]],
-                              results: list[GenerationResult], logits: np.ndarray,
-                              max_new_tokens: int, eos_id: int | None,
-                              on_token: OnBatchToken = _noop) -> None:
-    """Batched speculative decode: one verify forward per round for the batch.
+                        on_token: OnBatchToken = _noop) -> None:
+    """Greedy speculative decode, one verify forward per round for the
+    batch (mutates ``results``).
 
     Every active sequence contributes its chunk (``[next_input, *proposals]``,
     possibly proposal-free) to one :meth:`DecoderLM.verify_chunk_batch` call;
-    acceptance, rollback and EOS dropout are handled per sequence, exactly as
-    ``B`` independent :func:`_decode_speculative` loops would.
+    each emits its accepted proposal prefix plus the first-mismatch/bonus
+    token and rolls its caches back over the rejected positions.  Acceptance,
+    rollback and EOS dropout are per sequence, exactly as ``B`` batches of
+    one would run.
     """
     batch = len(results)
     sessions = [drafter.session() for _ in range(batch)]
@@ -252,6 +165,8 @@ def _decode_batch_speculative(model: DecoderLM, drafter: Drafter,
             if not stopped and len(result.generated_tokens) < max_new_tokens:
                 still_active.append(b)
         active = still_active
+    # Cache-state parity with the plain loop, which never feeds the final
+    # token: drop any verified-but-unemitted tail (e.g. after a mid-chunk EOS).
     for result, caches in zip(results, caches_batch):
         caches[0].truncate_stack(
             caches, len(result.prompt_tokens) + len(result.generated_tokens) - 1)
@@ -262,19 +177,31 @@ def generate_batch(model: DecoderLM, prompts: Sequence[Sequence[int]], max_new_t
                    eos_id: int | None = None, seed: int = 0,
                    drafter: Drafter | str | None = None,
                    on_token: OnBatchToken | None = None) -> list[GenerationResult]:
-    """Generate continuations for ``B`` prompts with batched forward passes.
+    """Generate ``max_new_tokens`` continuation tokens for each of ``B``
+    prompts with batched forward passes.
 
-    Each sequence gets its own per-layer caches (one :meth:`make_caches` call
-    per prompt, all from one factory: ``None`` resolves one ``"full"`` pool
-    for the call, so the rows fuse) and its own generation RNG derived
-    exactly as :func:`generate` derives it, so every sequence matches a separate
-    :func:`generate` call to floating-point precision.  Sequences that emit
-    ``eos_id`` drop out of the running batch; the rest continue.  ``drafter``
-    enables batched speculative decoding (see :func:`generate`): every
-    sequence's proposal chunk is verified in one batched forward per round.
-    ``on_token`` streams each generated token as ``(seq_index, token, index)``.
-    Each result's ``caches`` hold pool pages until released, as in
-    :func:`generate`.
+    ``cache_factory`` selects the KV-cache policy; each sequence gets its own
+    per-layer caches (one :meth:`make_caches` call per prompt, all from one
+    factory: ``None`` resolves one ``"full"`` pool for the call, so the rows
+    fuse).  ``temperature`` 0 means greedy decoding; otherwise each sequence
+    samples with its own RNG derived from ``seed`` alone, so its tokens do not
+    depend on its batch company.  Sequences that emit ``eos_id`` drop out of
+    the running batch; the rest continue.  ``max_new_tokens=0`` runs no
+    forward and returns empty caches.
+
+    ``drafter`` (a spec string such as ``"ngram:k=4"`` or a built
+    :class:`~repro.llm.speculate.Drafter`) enables speculative decoding:
+    token-identical to greedy decoding, but emitting up to ``k + 1`` tokens
+    per forward pass when proposals are accepted, every sequence's proposal
+    chunk verified in one batched forward per round.  Requires a
+    rollback-capable cache (``full``/``paged``); other caches run
+    non-speculatively.  ``on_token`` streams each generated token as
+    ``(seq_index, token, index)`` the moment it is produced (the serving
+    engine's :class:`~repro.serve.executor.TokenEvent` hook).
+
+    Each result's ``caches`` hold their pool pages until released
+    (``caches[0].release_stack(caches)``); a caller reusing one paged
+    factory across calls releases them when done.
     """
     if max_new_tokens < 0:
         raise ValueError("max_new_tokens must be non-negative")
@@ -294,8 +221,8 @@ def generate_batch(model: DecoderLM, prompts: Sequence[Sequence[int]], max_new_t
     emit = on_token or _noop
     logits = model.prefill_batch(prompt_lists, caches_batch)  # [B, vocab]
     if speculative:
-        _decode_batch_speculative(model, drafter, caches_batch, results, logits,
-                                  max_new_tokens, eos_id, on_token=emit)
+        _decode_speculative(model, drafter, caches_batch, results, logits,
+                            max_new_tokens, eos_id, on_token=emit)
         return results
     positions = [len(prompt) for prompt in prompt_lists]
     active = list(range(batch))
@@ -322,47 +249,40 @@ def generate_batch(model: DecoderLM, prompts: Sequence[Sequence[int]], max_new_t
     return results
 
 
+def generate(model: DecoderLM, prompt_tokens: Sequence[int], max_new_tokens: int,
+             cache_factory: KVCacheFactory | None = None, temperature: float = 0.0,
+             eos_id: int | None = None, seed: int = 0,
+             drafter: Drafter | str | None = None,
+             on_token: OnGenToken | None = None) -> GenerationResult:
+    """:func:`generate_batch` of one: ``max_new_tokens`` continuation tokens
+    for ``prompt_tokens``, ``on_token`` called as ``(token, index)``."""
+    emit = None if on_token is None else (lambda _seq, token, index: on_token(token, index))
+    return generate_batch(model, [prompt_tokens], max_new_tokens, cache_factory, temperature,
+                          eos_id, seed, drafter, on_token=emit)[0]
+
+
 def forced_decode_logprobs(model: DecoderLM, prompt_tokens: Sequence[int],
                            continuation_tokens: Sequence[int],
                            cache_factory: KVCacheFactory | None = None) -> list[float]:
-    """Log-probabilities of a forced continuation under a cache policy.
-
-    This is the primitive behind the cache-aware perplexity evaluation: the
-    prompt is pre-filled, then each continuation token is scored with the
-    logits produced while the *policy-managed* cache serves attention, and fed
-    back as the next input (teacher forcing).  The caches are released
-    before returning.
-    """
-    prompt_tokens = list(int(t) for t in prompt_tokens)
-    continuation_tokens = list(int(t) for t in continuation_tokens)
-    if not prompt_tokens or not continuation_tokens:
-        raise ValueError("prompt and continuation must be non-empty")
-    caches = model.make_caches(cache_factory)
-    logits = model.prefill(prompt_tokens, caches)
-    logprobs: list[float] = []
-    position = len(prompt_tokens)
-    previous = None
-    for token in continuation_tokens:
-        if previous is not None:
-            logits = model.decode_step(previous, position, caches)
-            position += 1
-        logprobs.append(float(log_softmax(logits)[token]))
-        previous = token
-    caches[0].release_stack(caches)
-    return logprobs
+    """:func:`forced_decode_logprobs_batch` of one: the log-probabilities
+    of a forced continuation under a cache policy."""
+    return forced_decode_logprobs_batch(model, [prompt_tokens], [continuation_tokens],
+                                        cache_factory)[0]
 
 
 def forced_decode_logprobs_batch(model: DecoderLM, prompts: Sequence[Sequence[int]],
                                  continuations: Sequence[Sequence[int]],
                                  cache_factory: KVCacheFactory | None = None,
                                  ) -> list[list[float]]:
-    """Batched teacher-forced scoring: ``B`` (prompt, continuation) pairs.
+    """Log-probabilities of ``B`` forced continuations under a cache policy.
 
-    Scores every continuation with batched prefill and decode passes, one
-    sequence per batch lane (ragged prompt and continuation lengths are fine),
-    every lane's caches from one factory (``None`` resolves one ``"full"``
-    pool for the call) and released before returning.  Matches ``B``
-    :func:`forced_decode_logprobs` calls to floating-point precision.
+    This is the primitive behind the cache-aware perplexity evaluation: each
+    prompt is pre-filled, then each continuation token is scored with the
+    logits produced while the *policy-managed* cache serves attention, and fed
+    back as the next input (teacher forcing).  The pairs run as one batch, a
+    sequence per lane (ragged prompt and continuation lengths are fine), every
+    lane's caches from one factory (``None`` resolves one ``"full"`` pool for
+    the call) and released before returning.
     """
     prompt_lists = [list(int(t) for t in prompt) for prompt in prompts]
     cont_lists = [list(int(t) for t in cont) for cont in continuations]

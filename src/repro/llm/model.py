@@ -6,14 +6,17 @@ provides two inference paths:
 * :meth:`DecoderLM.forward_full` -- full-sequence teacher-forced forward pass
   (used for training-data perplexity and as a reference for testing the
   incremental path);
-* :meth:`DecoderLM.prefill` / :meth:`DecoderLM.forward_chunks` /
-  :meth:`DecoderLM.decode_step` -- whole-prompt prefill, ragged chunks over
-  existing caches (chunked prefill, speculative verify) and auto-regressive
-  decode with a pluggable per-layer KV cache, where the paper's policies plug in.
+* :meth:`DecoderLM.prefill_batch` / :meth:`DecoderLM.forward_chunks` /
+  :meth:`DecoderLM.decode_step_batch` -- whole-prompt prefill, ragged chunks
+  over existing caches (chunked prefill, speculative verify) and
+  auto-regressive decode of ``B`` sequences, each with a pluggable per-layer
+  KV cache, where the paper's policies plug in.  One sequence is a batch of
+  one: :meth:`DecoderLM.prefill`, :meth:`DecoderLM.prefill_chunk` and
+  :meth:`DecoderLM.decode_step` call the batched forwards.
 
 Every decode attention -- a paged group over its decode-slab rows, an
 eviction-slab group (``kelle`` and the eviction baselines), a lone row, and
-each row of ``decode_step`` or ``decode_step_batch(..., fused=False)`` -- runs through
+each row of ``decode_step_batch(..., fused=False)`` -- runs through
 one kernel, :meth:`DecoderLM._attend`; chunk attention (prefill chunks and
 speculative verify) through :meth:`DecoderLM._attend_chunk_group`.
 
@@ -252,8 +255,8 @@ class DecoderLM:
         def recompute(x: np.ndarray, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             # :meth:`_project_kv` of each of the ``P`` rows on its own: the
             # stacked ``[P, 1, C] @ [C, C]`` matmul runs as P independent M=1
-            # GEMMs and RoPE is elementwise, hence the bits ``decode_step``
-            # stored for the token (one ``[P, C]`` GEMM would differ).
+            # GEMMs and RoPE is elementwise, hence the bits a batch-of-one
+            # decode stored for the token (one ``[P, C]`` GEMM would differ).
             rows = x[:, None, :]
             keys = (rows @ params[wk]).reshape(-1, n_heads, head_dim)
             values = (rows @ params[wv]).reshape(-1, n_heads, head_dim)
@@ -321,35 +324,9 @@ class DecoderLM:
                 for layer in range(config.n_layers)]
 
     def prefill(self, tokens: Sequence[int], caches: list[LayerKVCache]) -> np.ndarray:
-        """Process the context tokens in parallel, filling the caches.
-
-        Returns the logits of the last context position (shape ``[vocab]``).
-        """
-        tokens = np.asarray(tokens, dtype=np.int64)
-        if tokens.ndim != 1 or tokens.size == 0:
-            raise ValueError("prefill expects a non-empty 1-D token sequence")
-        seq_len = tokens.shape[0]
-        hidden = self._embed(tokens[None, :])[0]  # [T, C]
-        positions = seq_len  # int form: RoPE tables are sliced, not gathered
-        mask = causal_mask(seq_len)
-        scale = 1.0 / np.sqrt(self.config.head_dim)
-        for layer in range(self.config.n_layers):
-            prefix = f"layers.{layer}"
-            normed = self._norm(hidden, f"{prefix}.attn_norm")  # [T, C]
-            queries = self._split_heads(normed @ self.params[f"{prefix}.wq"])  # [H, T, d]
-            if self.config.positional == "rope":
-                queries = apply_rope(queries, positions, self._rope_cos, self._rope_sin)
-            keys, values = self._project_kv(normed, layer, positions)
-            scores = queries @ keys.swapaxes(-1, -2) * scale + mask  # [H, T, T]
-            probs = softmax(scores, axis=-1)  # [H, T, T]
-            caches[layer].prefill(keys, values, normed, probs)
-            context = probs @ values  # [H, T, d]
-            context = np.moveaxis(context, 0, -2).reshape(seq_len, self.config.d_model)
-            hidden = hidden + context @ self.params[f"{prefix}.wo"]
-            normed = self._norm(hidden, f"{prefix}.mlp_norm")
-            hidden = hidden + self._mlp(normed, layer)
-        hidden = self._norm(hidden, "final_norm")
-        return self._lm_head(hidden[-1])
+        """:meth:`prefill_batch` of one: process the context tokens, filling
+        the caches; returns the last context position's logits ``[vocab]``."""
+        return self.prefill_batch([tokens], [caches])[0]
 
     # ------------------------------------------------------------------
     # The ragged-chunk forward: chunked prefill and speculative verify
@@ -421,7 +398,7 @@ class DecoderLM:
         ``logits="last"`` returns ``[B, vocab]``: each chunk's final row, the
         LM head running on those ``B`` rows only.  ``logits="all"`` returns
         one ``[n_b, vocab]`` array per sequence; row ``i`` is what sequential
-        :meth:`decode_step` calls feeding ``token_chunks[b][:i + 1]`` give.
+        :meth:`decode_step_batch` calls feeding ``token_chunks[b][:i + 1]`` give.
         """
         if logits not in ("last", "all"):
             raise ValueError("logits must be 'last' or 'all'")
@@ -496,17 +473,6 @@ class DecoderLM:
         absolute ``position``; returns its last position's logits ``[vocab]``."""
         return self.forward_chunks([tokens], [position], [caches])[0]
 
-    def verify_chunk(self, tokens: Sequence[int], position: int,
-                     caches: list[LayerKVCache]) -> np.ndarray:
-        """Score a chunk of proposed tokens in ONE forward pass.
-
-        ``tokens`` is the next input token followed by the drafter's proposal,
-        starting at absolute ``position``.  Returns the logits of **every**
-        chunk position (``[len(tokens), vocab]``); the caches hold the whole
-        chunk afterwards, and the caller truncates rejected positions.
-        """
-        return self.forward_chunks([tokens], [position], [caches], logits="all")[0]
-
     def verify_chunk_batch(self, token_chunks: Sequence[Sequence[int]],
                            positions: Sequence[int],
                            caches_batch: Sequence[list[LayerKVCache]],
@@ -519,37 +485,10 @@ class DecoderLM:
         return self.forward_chunks(token_chunks, positions, caches_batch, logits="all")
 
     def decode_step(self, token: int, position: int, caches: list[LayerKVCache]) -> np.ndarray:
-        """Decode one token at absolute ``position`` using the caches.
-
-        Returns the next-token logits (shape ``[vocab]``).
-        """
-        hidden = self.params["embed.weight"][token].astype(np.float32)
-        if self.config.positional == "learned":
-            hidden = hidden + self.params["pos_embed.weight"][position]
-        scale = 1.0 / np.sqrt(self.config.head_dim)
-        position_arr = np.array([position])
-        context = self._ws.get("decode.context", (1, self.config.d_model))
-        for layer in range(self.config.n_layers):
-            prefix = f"layers.{layer}"
-            normed = self._norm(hidden, f"{prefix}.attn_norm")  # [C]
-            d_model = self.config.d_model
-            qkv = normed[None, :] @ self._qkv_weight(layer)  # [1, 3C], one GEMM
-            query = self._split_heads(qkv[:, :d_model])  # [H, 1, d]
-            keys_new = self._split_heads(qkv[:, d_model:2 * d_model])
-            values_new = self._split_heads(qkv[:, 2 * d_model:])
-            if self.config.positional == "rope":
-                query = apply_rope(query, position_arr, self._rope_cos, self._rope_sin)
-                keys_new = apply_rope(keys_new, position_arr, self._rope_cos, self._rope_sin)
-            cache = caches[layer]
-            cache.append(keys_new[:, 0, :], values_new[:, 0, :], normed, position)
-            self._attend_cache(cache, query, 0, context, scale)
-            hidden = hidden + context[0] @ self.params[f"{prefix}.wo"]
-            normed = self._norm(hidden, f"{prefix}.mlp_norm")
-            hidden = hidden + self._mlp(normed, layer)
-        for cache in caches:
-            cache.end_step()
-        hidden = self._norm(hidden, "final_norm")
-        return self._lm_head(hidden)
+        """:meth:`decode_step_batch` of one: decode ``token`` at absolute
+        ``position`` using the caches; returns the next-token logits
+        ``[vocab]``."""
+        return self.decode_step_batch([token], [position], [caches])[0]
 
     # ------------------------------------------------------------------
     # Batched prefill + decode (ragged sequences, per-sequence caches)
@@ -561,8 +500,8 @@ class DecoderLM:
         ``caches_batch[b]`` is sequence ``b``'s per-layer cache list.  The
         prompts are right-padded for the dense projections; attention runs
         per sequence on the unpadded ``[H, t_b, d]`` slices, so every
-        sequence's logits and caches match the single-sequence
-        :meth:`prefill`.  Returns each last real position's logits, ``[B, vocab]``.
+        sequence's logits and caches match its batch of one.  Returns each
+        last real position's logits, ``[B, vocab]``.
         """
         if len(token_seqs) == 0:
             raise ValueError("prefill_batch expects at least one sequence")
@@ -750,7 +689,7 @@ class DecoderLM:
         (:meth:`_attend_loose_rows`).
         ``fused=False`` attends each sequence alone (:meth:`_attend` with
         ``G = 1``) — the reference path of the equivalence tests.  Either
-        way each sequence's logits match :meth:`decode_step`.  The grouping
+        way each sequence's logits match its batch of one.  The grouping
         is planned once per membership (when the members' rows move into
         slots ``[0, G)``) and kept as a :class:`_DecodePlan` while the
         members hold what its claims left.

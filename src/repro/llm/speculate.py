@@ -3,7 +3,7 @@
 Auto-regressive decode pays one full forward pass per generated token.  A
 **drafter** breaks that serial chain: it proposes up to ``k`` continuation
 tokens from a cheap source, the target model scores the whole proposal in one
-:meth:`~repro.llm.model.DecoderLM.verify_chunk` forward, and greedy
+:meth:`~repro.llm.model.DecoderLM.verify_chunk_batch` forward, and greedy
 acceptance keeps the longest proposal prefix that matches the target's own
 argmax choices — plus the *first-mismatch token*, which the verification
 logits provide for free.  With greedy decoding the emitted tokens are
@@ -252,7 +252,7 @@ def accept_greedy(chunk_logits: np.ndarray,
                   proposals: Sequence[int]) -> tuple[int, list[int]]:
     """Greedy accepted-prefix + first-mismatch acceptance.
 
-    ``chunk_logits`` are the :meth:`DecoderLM.verify_chunk` rows for a chunk
+    ``chunk_logits`` are the :meth:`DecoderLM.verify_chunk_batch` rows for a chunk
     ``[next_input, *proposals]``: row ``i`` is the target's next-token
     distribution after ``chunk[: i + 1]``.  Returns ``(n_accepted, emitted)``
     where ``emitted`` is the accepted proposal prefix followed by one token

@@ -385,7 +385,7 @@ class FunctionalSession:
                                  radix_max_tokens=radix_max_tokens,
                                  capacity_tokens=capacity_tokens)
         self._drafter = resolve_drafter(drafter)
-        # Speculation needs verify_chunk (chunked prefill) and KV rollback;
+        # Speculation needs verify_chunk_batch (chunked prefill) and KV rollback;
         # caches without them run the plain decode path, as generate() does.
         self.spec_on = (self._drafter is not None and self._drafter.k > 0
                         and self.kv.chunkable and self.kv.rollbackable)

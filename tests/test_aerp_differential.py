@@ -7,7 +7,9 @@ the order of each head's entries: the slab overwrites a victim's entry in
 place, the oracle keeps each head's tokens in token order.  So per head the
 two hold the same set of (position, K, V, importance), ``tokens_for_head``
 and ``fetch()`` agree after sorting by position, and the driver feeds each
-cache the same per-(head, token) probabilities in its own fetch order.  The
+cache the same per-(head, token) probabilities in its own fetch order.  One
+scenario in four feeds only zero probabilities, so evictions after in-place
+overwrites are decided by the tie rule alone.  The
 second half puts several caches on one ``AERPArena`` (started at one slot,
 so they grow it) and interleaves group steps, single-cache calls, releases
 and slab growth, each cache still checked against an oracle of its own.  A
@@ -142,9 +144,12 @@ def _permuted(probs: np.ndarray, orders: list[np.ndarray]) -> np.ndarray:
 class _Driver:
     """Applies one operation to both caches, keeping their inputs identical."""
 
-    def __init__(self, new, ref, seed: int) -> None:
+    def __init__(self, new, ref, seed: int, ties: bool = False) -> None:
         self.new, self.ref = new, ref
         self.rng = np.random.default_rng(seed)
+        #: Feed zero probabilities only, so every importance stays 0 and each
+        #: eviction is decided by the tie rule alone.
+        self.ties = ties
         self.position = 0
         self.fetched: "tuple[int, int] | None" = None  # fetched [H, n] shape
 
@@ -186,6 +191,8 @@ class _Driver:
         scores += np.triu(np.full((n_ctx, n_ctx), -np.inf, dtype=np.float32), k=1)
         # Coarse probabilities: ties between tokens exercise the tie-breaks.
         probs = np.round(softmax(scores, axis=-1), 1)
+        if self.ties:
+            probs[:] = 0
         return keys, values, inputs, probs
 
     def prefill(self, n_ctx: int) -> None:
@@ -214,6 +221,8 @@ class _Driver:
         probs = self.rng.random(shape)  # float64: summation order shows
         if self.rng.random() < 0.5:
             probs = np.round(probs, 1).astype(np.float32)  # coarse: ties
+        if self.ties:
+            probs[:] = 0
         self.new.observe_attention(_permuted(probs, orders))
         self.ref.observe_attention(probs.copy())
         self.fetched = None
@@ -234,25 +243,37 @@ OPS = ("append", "fetch", "observe", "end_step", "decode_step", "decode_step", "
 def scenarios(draw):
     budget = draw(st.integers(min_value=2, max_value=10))
     sink = draw(st.integers(min_value=0, max_value=min(3, budget - 1)))
+    # One scenario in four ties every importance at 0 (see ``_Driver.ties``).
+    # Its window leaves old entries eligible beside the tokens written over
+    # evicted ones, and its run fills the cache and decodes past the window,
+    # so an eviction picks among equal importances after an in-place one:
+    # ties go to the oldest token, whatever entry holds it.
+    ties = draw(st.integers(min_value=0, max_value=3)) == 0
+    recent_window = draw(st.integers(min_value=0, max_value=budget + 2))
+    if ties:
+        recent_window = min(recent_window, budget - sink - 1)
     config = AERPConfig(
-        budget=budget, sink_tokens=sink,
-        recent_window=draw(st.integers(min_value=0, max_value=budget + 2)),
+        budget=budget, sink_tokens=sink, recent_window=recent_window,
         popularity_threshold=draw(st.sampled_from([0.25, 0.5, 1.0])),
         recompute_enabled=draw(st.booleans()),
         max_recompute_fraction=draw(st.sampled_from([0.0, 0.5, 1.0])))
+    first_prefills = [budget, budget + 1, 3 * budget + 7]
+    if not ties:
+        first_prefills = [None, budget - 1] + first_prefills
+    ops = draw(st.lists(st.sampled_from(OPS), min_size=1, max_size=30))
     return dict(
         config=config,
         n_heads=draw(st.sampled_from([1, 3, 8])),
         injector=draw(st.sampled_from(sorted(INJECTORS))),
-        first_prefill=draw(st.sampled_from([None, budget - 1, budget, budget + 1,
-                                            3 * budget + 7])),
-        ops=draw(st.lists(st.sampled_from(OPS), min_size=1, max_size=30)),
-        seed=draw(st.integers(min_value=0, max_value=2 ** 16)))
+        first_prefill=draw(st.sampled_from(first_prefills)),
+        ops=ops + ["decode_step"] * (recent_window + 2) if ties else ops,
+        seed=draw(st.integers(min_value=0, max_value=2 ** 16)),
+        ties=ties)
 
 
-def _run(config, n_heads, injector, first_prefill, ops, seed) -> AERPCache:
+def _run(config, n_heads, injector, first_prefill, ops, seed, ties=False) -> AERPCache:
     new, ref = _pair(n_heads, config, injector)
-    driver = _Driver(new, ref, seed)
+    driver = _Driver(new, ref, seed, ties)
     if first_prefill:
         driver.prefill(first_prefill)
         _assert_same_state(new, ref)

@@ -118,6 +118,8 @@ def run_ops(ops, speculate: bool, faults: bool, chunked: bool) -> None:
         drafter="ngram:k=3" if speculate else None,
         faults="transient-exec:rate=0.15" if faults else None,
         token_budget=6 if chunked else None)
+    for request in requests:  # the isolated runs decode unchecked: cache them first
+        _isolated(request.request_id)
     _model().decode_step_batch = _checked_decode(session)
     try:
         _drive(session, engine, requests, ops)

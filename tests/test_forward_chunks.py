@@ -191,7 +191,7 @@ class TestValidation:
         with pytest.raises(ValueError):
             lm.prefill_chunk(chunk, 0, lm.make_caches())
         with pytest.raises(ValueError):
-            lm.verify_chunk(chunk, 0, lm.make_caches())
+            lm.verify_chunk_batch([chunk], [0], [lm.make_caches()])
 
     def test_empty_batch_and_length_mismatch_raise(self, lm):
         with pytest.raises(ValueError, match="at least one"):

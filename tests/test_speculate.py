@@ -2,7 +2,7 @@
 
 Covers the drafter registry kind, the prompt-lookup n-gram drafter's
 proposals on repetitive context, the draft-model drafter's perfect acceptance
-when draft == target, and the contract that `verify_chunk` reproduces k
+when draft == target, and the contract that `verify_chunk_batch` reproduces k
 sequential `decode_step` calls to float precision.
 """
 
@@ -138,7 +138,7 @@ class TestVerifyChunk:
 
         ver_caches = small_model.make_caches(factory)
         small_model.prefill(prompt, ver_caches)
-        ver_logits = small_model.verify_chunk(chunk, len(prompt), ver_caches)
+        ver_logits = small_model.verify_chunk_batch([chunk], [len(prompt)], [ver_caches])[0]
 
         assert ver_logits.shape == (len(chunk), vocab)
         np.testing.assert_allclose(ver_logits, np.stack(seq_logits), atol=1e-4)
@@ -153,14 +153,14 @@ class TestVerifyChunk:
         caches = small_model.make_caches()
         small_model.prefill([1, 2, 3], caches)
         with pytest.raises(ValueError):
-            small_model.verify_chunk([4, 5], 5, caches)
+            small_model.verify_chunk_batch([[4, 5]], [5], [caches])
 
     def test_non_chunkable_cache_raises(self, small_model):
         factory = resolve("cache", "h2o:budget=8,sink_tokens=2,recent_window=3")
         caches = small_model.make_caches(factory)
         small_model.prefill([1, 2, 3], caches)
         with pytest.raises(ValueError):
-            small_model.verify_chunk([4], 3, caches)
+            small_model.verify_chunk_batch([[4]], [3], [caches])
 
     def test_batched_verify_matches_single(self, small_model, rng):
         vocab = small_model.config.vocab_size
@@ -171,7 +171,7 @@ class TestVerifyChunk:
         for prompt, chunk in zip(prompts, chunks):
             caches = small_model.make_caches()
             small_model.prefill(prompt, caches)
-            singles.append(small_model.verify_chunk(chunk, len(prompt), caches))
+            singles.append(small_model.verify_chunk_batch([chunk], [len(prompt)], [caches])[0])
 
         caches_batch = [small_model.make_caches() for _ in prompts]
         for prompt, caches in zip(prompts, caches_batch):
