@@ -85,8 +85,7 @@ class _LegacyListKVCache(LayerKVCache):
     def fetch(self):
         keys = np.stack(self._keys, axis=1)
         values = np.stack(self._values, axis=1)
-        valid = np.ones((self.n_heads, keys.shape[1]), dtype=bool)
-        return keys, values, valid
+        return keys, values
 
     def observe_attention(self, probs):
         del probs

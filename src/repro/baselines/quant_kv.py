@@ -23,10 +23,9 @@ class QuantizedKVCache(LayerKVCache):
 
     The dequantised vectors live in a :class:`ContiguousKVStore`, so prefill
     quantizes the whole context block in one vectorised round trip and
-    ``fetch`` returns zero-copy views.  Storage is a pure token prefix with
-    an all-true validity mask, so in a batched decode the attention of rows
-    holding equally many tokens is stacked
-    (:meth:`~repro.llm.model.DecoderLM._attend_loose_rows`).
+    ``fetch`` returns zero-copy views.  Storage is a pure token prefix, so in
+    a batched decode the attention of rows holding equally many tokens is
+    stacked (:meth:`~repro.llm.model.DecoderLM._attend_loose_rows`).
     """
 
     def __init__(self, n_heads: int, head_dim: int, d_model: int, bits: int,
@@ -74,9 +73,8 @@ class QuantizedKVCache(LayerKVCache):
         del x, position
         self._store.append(self._roundtrip(key), self._roundtrip(value))
 
-    def fetch(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        keys, values = self._store.view()
-        return keys, values, self._store.valid_view()
+    def fetch(self) -> tuple[np.ndarray, np.ndarray]:
+        return self._store.view()
 
     def observe_attention(self, probs: np.ndarray) -> None:
         del probs

@@ -46,10 +46,10 @@ sink and recent-window masks, then the policy's victim function: for AERP
 the lowest importance, ties to the oldest token — the old slot tables'
 "first minimum in slot order") and writes the new token over it.  Every
 operation adds or overwrites exactly one entry in *every* row, so one
-``count`` serves all rows and ``fetch`` never pads: its ``valid`` mask is
-all true.  Entry order is not token order; attention is permutation
-invariant (Equations 1-2), so only the summation order of its reductions
-differs from a token-ordered store.
+``count`` serves all rows and ``fetch`` never pads or masks: it returns the
+``count`` entries of every row.  Entry order is not token order; attention
+is permutation invariant (Equations 1-2), so only the summation order of
+its reductions differs from a token-ordered store.
 
 Group steps.  Every arena operation takes ``G`` sequence slots holding
 equally many entries ``n`` and does its work once for all of them:
@@ -233,7 +233,6 @@ class AERPArena:
                 setattr(self, name, np.zeros(shape, dtype))
         self._seq = np.zeros((n_slots, 8), np.int64)
         self._free_slots = list(range(n_slots))  # a heap: the lowest comes first
-        self._all_valid = np.ones((n_slots, self.n_heads, self.width), dtype=bool)
         self._iota = np.arange(n_slots)
 
     def alloc_slot(self) -> int:
@@ -353,10 +352,9 @@ class AERPArena:
                 np.add.reduce(live & self._stored_x[sel], axis=-1))
 
     def fetch(self, slots: np.ndarray,
-              recompute_fn: RecomputeFn) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(K, V, valid)``: ``[G, H, n, d]`` twice (slab views for
-        contiguous slots) and an all-true ``[G, H, n]`` mask, after pending
-        x-format tokens are recomputed into the slab."""
+              recompute_fn: RecomputeFn) -> tuple[np.ndarray, np.ndarray]:
+        """``(K, V)``, ``[G, H, n, d]`` each (slab views for contiguous
+        slots), after pending x-format tokens are recomputed into the slab."""
         sel, _seq, count = self._group(slots)
         if self._x_limit:
             pending = self._pending[sel] & (self._refs[sel] > 0)  # [G, T]
@@ -366,8 +364,7 @@ class AERPArena:
         if self._stale:
             for slot in slots.tolist():
                 self._stale.pop(slot, None)
-        return (self._keys[sel, :, :count], self._values[sel, :, :count],
-                self._all_valid[:slots.size, :, :count])
+        return self._keys[sel, :, :count], self._values[sel, :, :count]
 
     def _recompute(self, slots: np.ndarray, records: np.ndarray, pending: np.ndarray,
                    recompute_fn: RecomputeFn) -> None:
@@ -607,11 +604,11 @@ class SlabCache(LayerKVCache):
         self._arena.append(self._slots, np.asarray(key)[None], np.asarray(value)[None],
                            np.asarray(x)[None], np.array([position]))
 
-    def fetch(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def fetch(self) -> tuple[np.ndarray, np.ndarray]:
         if self._arena is None:
             raise RuntimeError(f"fetch on a released {type(self).__name__}")
-        keys, values, valid = self._arena.fetch(self._slots, self.recompute_fn)
-        return keys[0], values[0], valid[0]
+        keys, values = self._arena.fetch(self._slots, self.recompute_fn)
+        return keys[0], values[0]
 
     def observe_attention(self, probs: np.ndarray) -> None:
         self.observe_group([self], np.asarray(probs)[None])
@@ -624,7 +621,7 @@ class SlabCache(LayerKVCache):
 
     def step_group(self, caches: "Sequence[SlabCache]", keys: np.ndarray, values: np.ndarray,
                    xs: np.ndarray, positions: np.ndarray,
-                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                   ) -> tuple[np.ndarray, np.ndarray]:
         slots = np.array([cache._slot for cache in caches])
         self._arena.append(slots, keys, values, xs, positions)
         return self._arena.fetch(slots, self.recompute_fn)

@@ -219,9 +219,9 @@ class KVPagePool:
     """
 
     __slots__ = ("n_heads", "head_dim", "page_tokens", "grow", "dtype",
-                 "fault_gate", "decode_plan", "slab_keys", "slab_values", "valid",
-                 "placements", "_keys", "_values", "_refcounts", "_free",
-                 "_row_tables", "_free_rows", "_reclaim", "__weakref__")
+                 "fault_gate", "decode_plan", "slab_keys", "slab_values", "placements",
+                 "_keys", "_values", "_refcounts", "_free", "_row_tables", "_free_rows",
+                 "_reclaim", "__weakref__")
 
     def __init__(self, n_heads: int, head_dim: int, page_tokens: int = 16,
                  initial_pages: int = 64, grow: bool = True,
@@ -243,9 +243,8 @@ class KVPagePool:
         #: pool's stacks, kept here until a row is freed.
         self.decode_plan = None
         #: The decode slab, ``[n_layers, S, H, capacity, head_dim]`` fp32
-        #: (mapped on the first row taken), and its all-true ``[H, capacity]``
-        #: validity, which fetch views slice.
-        self.slab_keys = self.slab_values = self.valid = None
+        #: (mapped on the first row taken), which fetch views slice.
+        self.slab_keys = self.slab_values = None
         #: Bumped whenever :meth:`_place` moves rows between slots.
         self.placements = 0
         # The arenas may be mapped larger than the pages under accounting
@@ -447,7 +446,6 @@ class KVPagePool:
         shape = (self.n_layers, rows, self.n_heads, capacity, self.head_dim)
         keys = self.slab_keys = _arena(shape, np.dtype(np.float32), zero=True)
         values = self.slab_values = _arena(shape, np.dtype(np.float32), zero=True)
-        self.valid = np.ones((self.n_heads, capacity), dtype=bool)
         for row, ref in enumerate(self._row_tables):
             table = None if ref is None else ref()
             if table is not None:  # only the tokens: the rest stays unmapped
@@ -799,12 +797,12 @@ class PagedKVCache(LayerKVCache):
             cache._count = self._count
         return page, offset
 
-    def fetch(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def fetch(self) -> tuple[np.ndarray, np.ndarray]:
         table = self._table
         row = table.row if table.row >= 0 else table.take_row()
         pool, count = self.pool, self._count
         return (pool.slab_keys[self.layer, row, :, :count],
-                pool.slab_values[self.layer, row, :, :count], pool.valid[:, :count])
+                pool.slab_values[self.layer, row, :, :count])
 
     def observe_attention(self, probs: np.ndarray) -> None:
         del probs  # paged cache keeps everything; no importance tracking
@@ -927,7 +925,7 @@ class PagedKVCache(LayerKVCache):
         No page is allocated, retained or released; the tokens are *copied*
         out of the row, so the checkpoint outlives the source and its pool.
         """
-        keys, values, _valid = self.fetch()
+        keys, values = self.fetch()
         return KVLayerCheckpoint(keys=keys.copy(), values=values.copy(),
                                  n_tokens=self._count, page_tokens=self.pool.page_tokens)
 
@@ -1002,8 +1000,9 @@ class PagedGroup:
         :meth:`KVPagePool.write_slots` targets (:attr:`pages`,
         :attr:`offsets`, :attr:`rows`, :attr:`positions`), the
         :attr:`lengths` counting the new tokens, :attr:`longest` and
-        :attr:`padmask` (``[G, 1, longest]``, True past each member's length,
-        so it masks ``[G, H, longest]`` scores; ``None`` when all are equal).
+        :attr:`padmask` (``[G, 1, 1, longest]``, True past each member's
+        length, so it masks ``[G, H, 1, longest]`` scores; ``None`` when all
+        are equal).
         Each layer must :meth:`write` its slots before a read.
         """
         if self._counts is None:
@@ -1040,7 +1039,7 @@ class PagedGroup:
             self.positions = self.longest - 1
         else:
             held = np.array(lengths)
-            self.padmask = np.arange(self.longest) >= held[:, None, None]
+            self.padmask = np.arange(self.longest) >= held[:, None, None, None]
             self.rows, self.positions = self._slots, held - 1
 
     def write(self, layer: int, keys: np.ndarray, values: np.ndarray,

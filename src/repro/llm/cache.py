@@ -11,11 +11,13 @@ relies on the permutation invariance of Equations 1-2 to reuse the victim's
 slot for the incoming token.
 
 The full cache (``full`` / ``fp16``) is the paged store of
-:mod:`repro.core.kv_pool`.  The eviction and quantized caches build on
-:class:`ContiguousKVStore`: preallocated ``[H, capacity, head_dim]`` buffers
-grown by amortised doubling.  ``fetch`` returns *views* into these buffers,
-so the per-step cost of reading the cache is O(1) instead of the O(n)
-re-stacking a list-of-arrays layout pays.
+:mod:`repro.core.kv_pool`; ``kelle`` and the eviction baselines share one
+fixed-width slab per layer (:mod:`repro.core.kv_cache`).  The quantized
+caches (:mod:`repro.baselines.quant_kv`) build on :class:`ContiguousKVStore`:
+preallocated ``[H, capacity, head_dim]`` buffers grown by amortised doubling.
+Every ``fetch`` returns the cache's live K/V as *views* where it can, so the
+per-step cost of reading the cache is O(1) instead of the O(n) re-stacking
+a list-of-arrays layout pays, and no cache pads or masks what it returns.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ class ContiguousKVStore:
     eviction policies that rely on it.
     """
 
-    __slots__ = ("n_heads", "head_dim", "_keys", "_values", "_count", "_valid")
+    __slots__ = ("n_heads", "head_dim", "_keys", "_values", "_count")
 
     def __init__(self, n_heads: int, head_dim: int, initial_capacity: int = 64) -> None:
         if n_heads <= 0 or head_dim <= 0 or initial_capacity <= 0:
@@ -53,7 +55,6 @@ class ContiguousKVStore:
         self.head_dim = head_dim
         self._keys = np.empty((n_heads, initial_capacity, head_dim), dtype=np.float32)
         self._values = np.empty((n_heads, initial_capacity, head_dim), dtype=np.float32)
-        self._valid = np.ones((n_heads, initial_capacity), dtype=bool)
         self._count = 0
 
     def __len__(self) -> int:
@@ -76,7 +77,6 @@ class ContiguousKVStore:
             grown = np.empty((self.n_heads, capacity, self.head_dim), dtype=np.float32)
             grown[:, :self._count] = old[:, :self._count]
             setattr(self, name, grown)
-        self._valid = np.ones((self.n_heads, capacity), dtype=bool)
 
     def append(self, key: np.ndarray, value: np.ndarray) -> int:
         """Insert one ``[H, d]`` K/V pair, returning its slot index."""
@@ -115,15 +115,6 @@ class ContiguousKVStore:
     def view(self) -> tuple[np.ndarray, np.ndarray]:
         """Zero-copy ``([H, n, d], [H, n, d])`` views of the live slots."""
         return self._keys[:, :self._count], self._values[:, :self._count]
-
-    def valid_view(self) -> np.ndarray:
-        """All-true ``[H, n]`` validity view matching :meth:`view` (zero-copy).
-
-        Every store-backed slot is live by construction, so caches whose
-        policies never invalidate individual slots can return this directly
-        from ``fetch``.
-        """
-        return self._valid[:, :self._count]
 
 
 class LayerKVCache(abc.ABC):
@@ -200,13 +191,12 @@ class LayerKVCache(abc.ABC):
         """
 
     @abc.abstractmethod
-    def fetch(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Return ``(K, V, valid)`` with shapes ``[H, n, d], [H, n, d], [H, n]``.
-
-        ``valid`` is a boolean mask marking live slots; invalid slots must be
-        ignored by the attention computation.  The returned arrays may be
-        *views* into the cache's internal buffers — callers must treat them as
-        read-only and must not hold them across a mutating call.
+    def fetch(self) -> tuple[np.ndarray, np.ndarray]:
+        """Return ``(K, V)``, each ``[H, n, d]``: every one of the ``n`` slots
+        is a live token, attended in full (the attention masks nothing a
+        cache returns).  The arrays may be *views* into the cache's internal
+        buffers — callers must treat them as read-only and must not hold
+        them across a mutating call.
         """
 
     @abc.abstractmethod
@@ -244,12 +234,12 @@ class LayerKVCache(abc.ABC):
 
     def step_group(self, caches: "Sequence[LayerKVCache]", keys: np.ndarray,
                    values: np.ndarray, xs: np.ndarray, positions: np.ndarray,
-                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                   ) -> tuple[np.ndarray, np.ndarray]:
         """:meth:`append` one token to each of ``caches``, then :meth:`fetch`.
 
         ``keys``/``values`` are ``[G, H, d]``, ``xs`` ``[G, C]``, ``positions``
-        ``[G]``; returns ``(K, V, valid)`` as :meth:`fetch` does, with a
-        leading group axis.  The default is the per-cache calls, for the
+        ``[G]``; returns ``(K, V)`` as :meth:`fetch` does, with a leading
+        group axis.  The default is the per-cache calls, for the
         group of one the default :meth:`group_key` forms.
         """
         (cache,) = caches

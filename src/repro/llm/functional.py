@@ -15,23 +15,6 @@ def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
     return exp / np.sum(exp, axis=axis, keepdims=True)
 
 
-def softmax_blocks_(scores: np.ndarray, split: int) -> None:
-    """In-place softmax over the last axis of float32 ``scores``, whose
-    blocks ``[..., :split]`` and ``[..., split:]`` are summed apart.
-
-    Chunk attention's (cached | new) score blocks, in one buffer so each
-    elementwise step is one call; the denominator adds the two block sums.
-    The first block may be empty or hold ``-inf`` rows, as long as every row
-    of the second has a finite entry.
-    """
-    row_max = np.maximum.reduce(scores, axis=-1, keepdims=True)
-    np.subtract(scores, row_max, out=scores)
-    np.exp(scores, out=scores)
-    denom = np.add.reduce(scores[..., :split], axis=-1, keepdims=True)
-    denom += np.add.reduce(scores[..., split:], axis=-1, keepdims=True)
-    scores /= denom
-
-
 def log_softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
     """Numerically stable log-softmax along ``axis``."""
     x = np.asarray(x, dtype=np.float32)

@@ -14,11 +14,14 @@ provides two inference paths:
   one: :meth:`DecoderLM.prefill`, :meth:`DecoderLM.prefill_chunk` and
   :meth:`DecoderLM.decode_step` call the batched forwards.
 
-Every decode attention -- a paged group over its decode-slab rows, an
-eviction-slab group (``kelle`` and the eviction baselines), a lone row, and
-each row of ``decode_step_batch(..., fused=False)`` -- runs through
-one kernel, :meth:`DecoderLM._attend`; chunk attention (prefill chunks and
-speculative verify) through :meth:`DecoderLM._attend_chunk_group`.
+Every cached attention runs through one kernel, :meth:`DecoderLM._attend`,
+with ``c >= 1`` queries per row: a decode step (``c = 1``) -- a paged group
+over its decode-slab rows, an eviction-slab group (``kelle`` and the eviction
+baselines), a lone row, each row of ``decode_step_batch(..., fused=False)``
+-- and, causally masked, a whole prompt (:meth:`DecoderLM.prefill_batch`)
+and a chunk over its cache (chunked prefill and speculative verify).  Only
+the cache-free oracle :meth:`DecoderLM.forward_full` has a softmax of its
+own.
 
 Only configurations without grouped-query attention are instantiated
 (``n_kv_heads is None``); the full-size GQA configs are used purely for shape
@@ -43,7 +46,6 @@ from repro.llm.functional import (
     rope_frequencies,
     silu,
     softmax,
-    softmax_blocks_,
 )
 from repro.llm.workspace import StepWorkspace
 from repro.registry import resolve
@@ -331,52 +333,6 @@ class DecoderLM:
     # ------------------------------------------------------------------
     # The ragged-chunk forward: chunked prefill and speculative verify
     # ------------------------------------------------------------------
-    def _attend_chunk_group(self, caches: list[LayerKVCache], idx: np.ndarray,
-                            queries: np.ndarray, keys_new: np.ndarray,
-                            values_new: np.ndarray, context: np.ndarray) -> None:
-        """Causal chunk attention for ``G`` sequences of one ``(cached, chunk)`` shape.
-
-        ``idx`` ``[G, c]`` holds each member's rows of the step's flat token
-        axis, ``queries``/``keys_new``/``values_new`` are the step's
-        ``[H, N, d]`` projections, ``caches`` the members' equally long caches
-        at this layer.  Each query attends to its own cache and causally
-        within its chunk as stacked ``[G, H, c, ·]`` matmuls into the two
-        score blocks (cached | new) of one buffer, normalised together.
-        Writes ``context[idx]``; the caller extends the caches.
-        """
-        ws = self._ws
-        n_groups, chunk = idx.shape
-        n_heads, head_dim = self.config.n_heads, self.config.head_dim
-        scale = np.float32(1.0 / np.sqrt(head_dim))
-        fetched = [cache.fetch() for cache in caches]  # ([H, n, d] views, valid)
-        n_old = fetched[0][0].shape[1]
-        if n_groups == 1:
-            k_old, v_old = fetched[0][0][None], fetched[0][1][None]
-        else:
-            k_old = ws.get("chunk.k_old", (n_groups, n_heads, n_old, head_dim))
-            v_old = ws.get("chunk.v_old", (n_groups, n_heads, n_old, head_dim))
-            for g, (keys_g, values_g, _valid) in enumerate(fetched):
-                k_old[g] = keys_g
-                v_old[g] = values_g
-        if n_groups == 1:  # one member: its rows of the flat axis are a slice
-            idx = slice(idx[0, 0], idx[0, 0] + chunk)
-            q, k_new, v_new = (x[None, :, idx] for x in (queries, keys_new, values_new))
-        else:  # [G, H, c, d] gathers
-            q, k_new, v_new = (x[:, idx].swapaxes(0, 1) for x in (queries, keys_new, values_new))
-        scores = ws.get("chunk.scores", (n_groups, n_heads, chunk, n_old + chunk))
-        s_old, s_new = scores[..., :n_old], scores[..., n_old:]
-        np.matmul(q, k_old.swapaxes(-1, -2), out=s_old)
-        np.matmul(q, k_new.swapaxes(-1, -2), out=s_new)
-        scores *= scale
-        for g, (_keys, _values, valid) in enumerate(fetched):
-            if not valid.all():
-                np.copyto(s_old[g], -np.inf, where=~valid[:, None, :])
-        s_new += causal_mask(chunk)
-        softmax_blocks_(scores, n_old)  # the new block's diagonal is never masked
-        ctx = s_old @ v_old
-        ctx += s_new @ v_new  # [G, H, c, d]
-        context[idx] = ctx.transpose(0, 2, 1, 3).reshape(n_groups, chunk, -1)
-
     def forward_chunks(self, token_chunks: Sequence[Sequence[int]],
                        positions: Sequence[int],
                        caches_batch: Sequence[list[LayerKVCache]], *,
@@ -389,11 +345,12 @@ class DecoderLM:
         everything cached plus itself, exactly as the corresponding rows of
         :meth:`forward_full` (chunked prefill, resuming after a radix hit,
         speculative verify).  The dense work runs once over the ``N =
-        sum(n_b)`` concatenated tokens; attention once per layer per group of
-        equal ``(cached_len, chunk_len)``.  Whole paged stacks sharing a pool
-        store each layer's chunks with one
+        sum(n_b)`` concatenated tokens.  Each layer first stores the chunks
+        (whole paged stacks sharing a pool with one
         :class:`~repro.core.kv_pool.PagedChunks` write, other caches through
-        ``extend_chunk``.
+        ``extend_chunk``), then attends once per group of equal
+        ``(cached_len, chunk_len)``: one causally masked :meth:`_attend` over
+        the members' ``fetch()`` rows.
 
         ``logits="last"`` returns ``[B, vocab]``: each chunk's final row, the
         LM head running on those ``B`` rows only.  ``logits="all"`` returns
@@ -425,9 +382,11 @@ class DecoderLM:
         starts = ends - lengths
         total = int(ends[-1])
         flat_pos = np.arange(total) + np.repeat(np.asarray(positions) - starts, lengths)
-        # Per group: member sequences and their [G, c] rows of the flat axis.
-        plans = [(rows, starts[rows][:, None] + np.arange(size))
-                 for (_position, size), rows in groups.items()]
+        # Per group: member sequences, their [G, c] rows of the flat axis and
+        # the causal mask of c queries over the cached tokens plus the chunk.
+        plans = [(rows, starts[rows][:, None] + np.arange(size),
+                  np.arange(position + size) > position + np.arange(size)[:, None])
+                 for (position, size), rows in groups.items()]
         # Per pool: the chunk writer and its members' rows of the flat axis.
         paged, loose = self._fused_decode_groups(caches_batch, 1)
         writers = [(PagedChunks([caches_batch[b] for b in rows], lengths[rows].tolist()),
@@ -437,8 +396,12 @@ class DecoderLM:
         hidden = self.params["embed.weight"][np.concatenate(chunks)].astype(np.float32)
         if self.config.positional == "learned":
             hidden = hidden + self.params["pos_embed.weight"][flat_pos]  # [N, C]
-        n_heads = self.config.n_heads
-        context = self._ws.get("chunk.context", (total, self.config.d_model))
+        n_heads, ws = self.config.n_heads, self._ws
+        # A float32 scale keeps the scaling of the [c, n] score blocks in
+        # float32; a float64 one (decode's and prefill's, whose bits it
+        # fixes) casts every score through float64, several times slower.
+        scale = np.float32(1.0 / np.sqrt(self.config.head_dim))
+        context = ws.get("chunk.context", (total, self.config.d_model))
         for layer in range(self.config.n_layers):
             prefix = f"layers.{layer}"
             normed = self._norm(hidden, f"{prefix}.attn_norm")  # [N, C]
@@ -449,9 +412,6 @@ class DecoderLM:
             if self.config.positional == "rope":
                 qkv = apply_rope(qkv[:2 * n_heads], flat_pos, self._rope_cos, self._rope_sin)
             queries, keys_new = qkv[:n_heads], qkv[n_heads:2 * n_heads]
-            for rows, idx in plans:
-                self._attend_chunk_group([caches_batch[b][layer] for b in rows], idx,
-                                         queries, keys_new, values_new, context)
             for writer, tokens in writers:
                 writer.write(layer, keys_new[:, tokens].swapaxes(0, 1),
                              values_new[:, tokens].swapaxes(0, 1))
@@ -459,6 +419,17 @@ class DecoderLM:
                 sl = slice(starts[b], ends[b])
                 caches_batch[b][layer].extend_chunk(
                     keys_new[:, sl], values_new[:, sl], normed[sl], flat_pos[sl])
+            for rows, idx, causal in plans:
+                fetched = [caches_batch[b][layer].fetch() for b in rows]  # [H, n, d] views
+                if len(rows) == 1:
+                    keys, values = fetched[0][0][None], fetched[0][1][None]
+                else:
+                    shape = (len(rows),) + fetched[0][0].shape
+                    keys, values = ws.get("chunk.keys", shape), ws.get("chunk.values", shape)
+                    for g, (keys_g, values_g) in enumerate(fetched):
+                        keys[g] = keys_g
+                        values[g] = values_g
+                self._attend(queries, idx, keys, values, causal, context, scale)
             hidden = hidden + context @ self.params[f"{prefix}.wo"]
             normed = self._norm(hidden, f"{prefix}.mlp_norm")
             hidden = hidden + self._mlp(normed, layer)
@@ -499,9 +470,9 @@ class DecoderLM:
 
         ``caches_batch[b]`` is sequence ``b``'s per-layer cache list.  The
         prompts are right-padded for the dense projections; attention runs
-        per sequence on the unpadded ``[H, t_b, d]`` slices, so every
-        sequence's logits and caches match its batch of one.  Returns each
-        last real position's logits, ``[B, vocab]``.
+        per sequence (one causally masked :meth:`_attend` over its unpadded
+        ``t_b`` tokens), so every sequence's logits and caches match its
+        batch of one.  Returns each last real position's logits, ``[B, vocab]``.
         """
         if len(token_seqs) == 0:
             raise ValueError("prefill_batch expects at least one sequence")
@@ -513,33 +484,36 @@ class DecoderLM:
                 raise ValueError("prefill_batch expects non-empty 1-D token sequences")
         lengths = np.array([seq.size for seq in seqs])
         batch, seq_len = len(seqs), int(lengths.max())
+        n_heads, head_dim, d_model = self.config.n_heads, self.config.head_dim, self.config.d_model
         tokens = self._ws.get("prefill.tokens", (batch, seq_len), np.int64, zero=True)
         for b, seq in enumerate(seqs):
             tokens[b, :seq.size] = seq
         hidden = self._embed(tokens)  # [B, T, C]
         positions = seq_len
-        scale = 1.0 / np.sqrt(self.config.head_dim)
+        scale = 1.0 / np.sqrt(head_dim)
+        # Per sequence: its [1, t] rows of the flat [B * T] token axis and
+        # its causal mask.
+        plans = [(b * seq_len + np.arange(n)[None], np.arange(n) > np.arange(n)[:, None])
+                 for b, n in enumerate(lengths.tolist())]
         # One reusable context buffer for every layer: padding rows are
         # zeroed once and never written; real rows are fully overwritten on
         # each layer, so no per-layer np.zeros is needed.
-        context = self._ws.get("prefill.context", (batch, seq_len, self.config.d_model),
-                               zero=True)
+        context = self._ws.get("prefill.context", (batch, seq_len, d_model), zero=True)
+        flat_context = context.reshape(batch * seq_len, d_model)
         for layer in range(self.config.n_layers):
             prefix = f"layers.{layer}"
             normed = self._norm(hidden, f"{prefix}.attn_norm")  # [B, T, C]
             queries = self._split_heads(normed @ self.params[f"{prefix}.wq"])  # [H, B, T, d]
             if self.config.positional == "rope":
                 queries = apply_rope(queries, positions, self._rope_cos, self._rope_sin)
+            queries = queries.reshape(n_heads, batch * seq_len, head_dim)
             keys, values = self._project_kv(normed, layer, positions)  # [H, B, T, d]
-            for b, n in enumerate(lengths):
-                k_b = keys[:, b, :n, :]
-                v_b = values[:, b, :n, :]
-                scores = queries[:, b, :n, :] @ k_b.swapaxes(-1, -2) * scale  # [H, n, n]
-                scores = scores + causal_mask(int(n))
-                probs = softmax(scores, axis=-1)
-                caches_batch[b][layer].prefill(k_b, v_b, normed[b, :n], probs)
-                ctx = probs @ v_b  # [H, n, d]
-                context[b, :n] = np.moveaxis(ctx, 0, -2).reshape(int(n), self.config.d_model)
+            for b, (rows, causal) in enumerate(plans):
+                n = rows.shape[1]
+                k_b, v_b = keys[:, b, :n], values[:, b, :n]
+                probs = self._attend(queries, rows, k_b[None], v_b[None], causal,
+                                     flat_context, scale)
+                caches_batch[b][layer].prefill(k_b, v_b, normed[b, :n], probs[0])
             hidden = hidden + context @ self.params[f"{prefix}.wo"]
             normed = self._norm(hidden, f"{prefix}.mlp_norm")
             hidden = hidden + self._mlp(normed, layer)
@@ -589,46 +563,54 @@ class DecoderLM:
             plan = head.pool.decode_plan = _DecodePlan(self, stacks)
         return plan
 
-    def _attend(self, query: np.ndarray, rows: "list[int] | slice", keys: np.ndarray,
-                values: np.ndarray, masked: "np.ndarray | None", context: np.ndarray,
-                scale: float) -> np.ndarray:
-        """The decode attention ``softmax(K q) V`` of ``G`` batch rows.
+    def _attend(self, query: np.ndarray, rows: "list[int] | slice | np.ndarray",
+                keys: np.ndarray, values: np.ndarray, masked: "np.ndarray | None",
+                context: np.ndarray, scale: float) -> np.ndarray:
+        """The attention ``softmax(q Kᵀ) V`` of ``G`` rows, ``c`` queries each.
 
-        ``query`` holds the step's ``[H, B, d]`` queries and ``rows`` the
-        attending batch rows in the order of ``keys`` / ``values``, their
-        ``[G, H, n, d]`` K/V (slab views, a cache's group gather or stacked
-        copies).  ``masked``, broadcast to the ``[G, H, n]`` scores, marks
-        the slots whose score is overwritten with ``-inf`` (K there may be
-        anything); ``None`` masks nothing.  Writes ``context[rows]`` and
-        returns the probabilities, a workspace view valid until the next
-        call.  Each slice of the batched BLAS calls is the call a row alone
-        makes, and the softmax is :func:`~repro.llm.functional.softmax`'s op
-        sequence in place, so a row's bits do not depend on its company.
+        ``query`` holds the step's ``[H, N, d]`` queries and ``rows`` the
+        attending rows of its token axis in the order of ``keys`` /
+        ``values``, their ``[G, H, n, d]`` K/V (slab views, a cache's group
+        gather or stacked copies): ``G`` rows of one query each (a decode
+        step, ``c = 1``) or ``[G, c]`` rows (chunks of ``c`` queries).
+        ``masked``, broadcast to the ``[G, H, c, n]`` scores, marks the slots
+        whose score is overwritten with ``-inf`` (K there may be anything;
+        every query must keep one slot); ``None`` masks nothing.  Writes
+        ``context[rows]`` and returns the ``[G, H, c, n]`` probabilities, a
+        workspace view valid until the next call.  Each slice of the batched
+        BLAS calls is the call a row alone makes (at ``c = 1`` NumPy issues
+        ``q Kᵀ`` as the matrix-vector product ``K q``) and the softmax is
+        :func:`~repro.llm.functional.softmax`'s op sequence in place along
+        the contiguous key axis, so a row's bits do not depend on its
+        company.
         """
         ws = self._ws
         n_rows, n_heads, n_tokens, head_dim = keys.shape
-        scores = np.matmul(
-            keys, query[:, rows].swapaxes(0, 1)[:, :, :, None],
-            out=ws.get("attend.scores", (n_rows, n_heads, n_tokens, 1)))[..., 0]
-        scores *= scale  # [G, H, n]
+        queries = query[:, rows].swapaxes(0, 1)  # [G, H, d] or [G, H, c, d]
+        shape = queries.shape[:1] + queries.shape[2:-1] + (n_heads * head_dim,)  # context[rows]
+        if queries.ndim == 3:
+            queries = queries[:, :, None]
+        chunk = queries.shape[2]
+        scores = np.matmul(queries, keys.mT,
+                           out=ws.get("attend.scores", (n_rows, n_heads, chunk, n_tokens)))
+        scores *= scale  # [G, H, c, n]
         if masked is not None:
             np.copyto(scores, -np.inf, where=masked)
         np.subtract(scores, np.maximum.reduce(scores, axis=-1, keepdims=True), out=scores)
         np.exp(scores, out=scores)  # masked slots -> exactly 0
         scores /= np.add.reduce(scores, axis=-1, keepdims=True)
-        ctx = np.matmul(scores[:, :, None, :], values,
-                        out=ws.get("attend.ctx", (n_rows, n_heads, 1, head_dim)))
-        context[rows] = ctx.reshape(n_rows, n_heads * head_dim)
+        ctx = np.matmul(scores, values,
+                        out=ws.get("attend.ctx", (n_rows, n_heads, chunk, head_dim)))
+        context[rows] = ctx.swapaxes(1, 2).reshape(shape)
         return scores
 
     def _attend_cache(self, cache: LayerKVCache, query: np.ndarray, row: int,
                       context: np.ndarray, scale: float) -> None:
         """:meth:`_attend` for batch row ``row`` alone over ``cache``, which
         holds the step's token, fed back through ``observe_attention``."""
-        keys, values, valid = cache.fetch()  # zero-copy views or gathers
-        probs = self._attend(query, [row], keys[None], values[None],
-                             None if valid.all() else ~valid[None], context, scale)
-        cache.observe_attention(probs[0])
+        keys, values = cache.fetch()  # zero-copy views or gathers
+        probs = self._attend(query, [row], keys[None], values[None], None, context, scale)
+        cache.observe_attention(probs[0, :, 0])
 
     def _attend_loose_rows(self, groups: "Iterable[list[int]]", layer: int,
                            caches_batch: Sequence[list[LayerKVCache]],
@@ -642,29 +624,26 @@ class DecoderLM:
         entry count, or one cache alone (its own ``append`` / ``fetch`` /
         ``observe_attention``, so quantized caches keep their storage
         transform) — takes the step through one ``step_group`` /
-        ``observe_group`` call.  Groups whose K/V have one length and an
-        all-true mask then share one :meth:`_attend` call over K/V stacked in
-        the workspace; a group with masked slots attends on its own.
+        ``observe_group`` call.  Groups whose K/V have one length then share
+        one :meth:`_attend` call over K/V stacked in the workspace.
         """
         stacks: dict = {}
         for members in groups:
             caches = [caches_batch[b][layer] for b in members]
-            keys, values, valid = caches[0].step_group(
+            keys, values = caches[0].step_group(
                 caches, keys_new[:, members].swapaxes(0, 1),
                 values_new[:, members].swapaxes(0, 1), normed[members], positions[members])
-            masked = None if np.logical_and.reduce(valid, axis=None) else ~valid
-            key = keys.shape[2] if masked is None else ("masked", members[0])
-            stacks.setdefault(key, []).append((members, caches, keys, values, masked))
+            stacks.setdefault(keys.shape[2], []).append((members, caches, keys, values))
         for units in stacks.values():
-            rows, _caches, keys, values, masked = units[0]
-            if len(units) > 1:  # all valid
+            rows, _caches, keys, values = units[0]
+            if len(units) > 1:
                 rows = [b for unit in units for b in unit[0]]
                 shape = (len(rows),) + keys.shape[1:]
                 keys = np.concatenate([unit[2] for unit in units],
                                       out=self._ws.get("loose.keys", shape))
                 values = np.concatenate([unit[3] for unit in units],
                                         out=self._ws.get("loose.values", shape))
-            probs = self._attend(query, rows, keys, values, masked, context, scale)
+            probs = self._attend(query, rows, keys, values, None, context, scale)[:, :, 0]
             start = 0
             for members, caches, *_stack in units:
                 caches[0].observe_group(caches, probs[start:start + len(members)])

@@ -341,7 +341,7 @@ class AERPCache(LayerKVCache):
         for head in range(self.n_heads):
             self._slots[head].append(entry.token_index)
 
-    def fetch(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def fetch(self) -> tuple[np.ndarray, np.ndarray]:
         # Materialise any recomputation-format entries into their pool rows
         # first, so the per-head gather below covers both storage formats.
         for entry in self._entries.values():
@@ -350,7 +350,6 @@ class AERPCache(LayerKVCache):
         n_max = self.num_tokens
         keys = np.zeros((self.n_heads, n_max, self.head_dim), dtype=np.float32)
         values = np.zeros((self.n_heads, n_max, self.head_dim), dtype=np.float32)
-        valid = np.zeros((self.n_heads, n_max), dtype=bool)
         rows_by_head: list[np.ndarray] = []
         for head in range(self.n_heads):
             slots = self._slots[head]
@@ -360,11 +359,10 @@ class AERPCache(LayerKVCache):
             if rows.size:
                 keys[head, :rows.size] = self._pool_k[head, rows]
                 values[head, :rows.size] = self._pool_v[head, rows]
-                valid[head, :rows.size] = True
         self._last_fetch_slots = self._slots  # shared; copied on mutation
         self._last_fetch_rows = rows_by_head
         self._fetch_stale = False
-        return keys, values, valid
+        return keys, values
 
     def observe_attention(self, probs: np.ndarray) -> None:
         if self._last_fetch_slots is None:

@@ -125,10 +125,10 @@ class _SharedSlotCache(LayerKVCache):
         self._evict_if_needed()
         self._insert(key, value, position, 0.0)
 
-    def fetch(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def fetch(self) -> tuple[np.ndarray, np.ndarray]:
         keys, values = self._store.view()
         self._last_slot_count = keys.shape[1]
-        return keys, values, self._store.valid_view()
+        return keys, values
 
     def observe_attention(self, probs: np.ndarray) -> None:
         summed = np.asarray(probs, dtype=np.float64).sum(axis=0)  # over heads

@@ -4,9 +4,7 @@
 (:class:`repro.core.kv_pool.PagedCacheFactory`).  Before that they were this
 cache: every token's K/V in one private :class:`~repro.llm.cache.
 ContiguousKVStore`, prefill one bulk buffer write, ``fetch`` zero-copy views.
-The differential tests hold the paged store to it token for token, and the
-tests that need a cache with a partial validity mask write one into its
-store (``cache._store._valid``).
+The differential tests hold the paged store to it token for token.
 """
 
 from __future__ import annotations
@@ -41,9 +39,8 @@ class FullKVCache(LayerKVCache):
         del x, position
         self._store.append(key, value)
 
-    def fetch(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        keys, values = self._store.view()
-        return keys, values, self._store.valid_view()
+    def fetch(self) -> tuple[np.ndarray, np.ndarray]:
+        return self._store.view()
 
     def observe_attention(self, probs: np.ndarray) -> None:
         del probs  # the full cache does not track importance

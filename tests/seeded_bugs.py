@@ -1,5 +1,6 @@
 """One-line mutations of the paged KV storage, the radix index, the
-scheduler's decode batch, the decode attention kernel and the eviction slab.
+scheduler's decode batch, the attention kernel, the chunk forward's causal
+mask and the eviction slab.
 
 Each :class:`Mutation` names a method (or a module function) and one line of
 its source; :meth:`Mutation.apply` recompiles it with that line replaced and
@@ -7,9 +8,11 @@ monkey-patches it in.  ``tests/test_seeded_bugs.py`` runs each mutation's
 harness against it — the stateful paged-KV machine
 (``tests/test_paged_kv_stateful.py``), the generated serving run of
 ``tests/test_decode_batch.py`` or the generated call sequences of
-``tests/test_aerp_differential.py`` — and requires the harness to fail, so
-what it catches is measured rather than assumed.  A mutation whose line no
-longer exists fails loudly instead of silently testing nothing.
+``tests/test_aerp_differential.py`` — and requires the harness to fail with
+the mutation's :attr:`~Mutation.kills_with` (a harness that crashes on
+correct code kills nothing), so what it catches is measured rather than
+assumed.  A mutation whose line no longer exists fails loudly instead of
+silently testing nothing.
 """
 
 from __future__ import annotations
@@ -41,6 +44,9 @@ class Mutation:
     #: machine), ``"decode-batch"`` (the generated serving run) or
     #: ``"aerp"`` (the AERP differential test's generated call sequences).
     harness: str = "paged"
+    #: The exception the harness must fail with: its own assertion, unless
+    #: the mutant breaks an invariant the code itself checks first.
+    kills_with: type = AssertionError
 
     def mutant(self):
         """The method, recompiled with the one line replaced."""
@@ -67,9 +73,11 @@ MUTATIONS = (
     Mutation("skip-refcount-decrement", KVPagePool, "release",
              "self._refcounts[page] -= 1", "pass"),
     Mutation("double-release-in-truncate", PageTable, "trim",
-             "pool.release(page)", "pool.release(page); pool.release(page)"),
+             "pool.release(page)", "pool.release(page); pool.release(page)",
+             kills_with=ValueError),
     Mutation("truncate-keep-off-by-one", PageTable, "trim",
-             "keep = -(-covered // pool.page_tokens)", "keep = covered // pool.page_tokens"),
+             "keep = -(-covered // pool.page_tokens)", "keep = covered // pool.page_tokens",
+             kills_with=ValueError),
     Mutation("write-shared-tail-without-cow", PageTable, "writable_page",
              "if pool._refcounts[page] > 1:", "if False:"),
     Mutation("fork-keeps-tail-owned", PagedKVCache, "fork",
@@ -89,6 +97,10 @@ MUTATIONS = (
              harness="decode-batch"),
     Mutation("attend-drops-mask", DecoderLM, "_attend",
              "np.copyto(scores, -np.inf, where=masked)", "pass", harness="decode-batch"),
+    Mutation("chunk-mask-off-by-one", DecoderLM, "forward_chunks",
+             "np.arange(position + size) > position + np.arange(size)[:, None])",
+             "np.arange(position + size) > position + 1 + np.arange(size)[:, None])",
+             harness="decode-batch"),
     Mutation("victim-mask-loses-recent-window", AERPArena, "_evict",
              "eligible = non_sink & (positions <= oldest_recent)", "eligible = non_sink.copy()",
              harness="aerp"),

@@ -38,12 +38,11 @@ def _append_token(cache, position, rng, scale=1.0):
 
 
 def _observe_uniform(cache):
-    keys, values, valid = cache.fetch()
-    probs = valid.astype(np.float64)
-    probs /= probs.sum(axis=1, keepdims=True)
+    keys, values = cache.fetch()
+    probs = np.full(keys.shape[:2], 1.0 / keys.shape[1])
     cache.observe_attention(probs)
     cache.end_step()
-    return keys, values, valid
+    return keys, values
 
 
 class TestAERPConfig:
@@ -105,7 +104,7 @@ class TestEviction:
         for position in range(4):
             _append_token(cache, position, rng)
         # Manually skew importance: token at position 2 is worthless everywhere.
-        keys, values, valid = cache.fetch()
+        cache.fetch()
         probs = np.full((cache.n_heads, cache.num_tokens), 0.3)
         for head in range(cache.n_heads):
             slot = cache.tokens_for_head(head).index(2)
@@ -140,7 +139,7 @@ class TestRecomputation:
         cache = _make_cache(budget=6, sink_tokens=1, recent_window=2, recompute_enabled=True,
                             max_recompute_fraction=1.0)
         _append_token(cache, 0, rng)
-        keys, values, valid = cache.fetch()
+        keys, values = cache.fetch()
         entry = next(iter(cache.entries.values()))
         if entry.storage_format == "x":
             expected_k, expected_v = cache.recompute_fn(entry.x[None],

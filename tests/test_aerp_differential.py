@@ -129,11 +129,12 @@ def _assert_same_fetch(got, expected, orders) -> None:
 
 
 def _fetch_both(new, ref):
-    """Fetch both; returns the oracle's valid mask and each head's order."""
+    """Fetch both; returns the oracle's ``[H, n]`` score shape and each
+    head's order."""
     orders = _orders(new, ref)
     fetched_ref = ref.fetch()
     _assert_same_fetch(new.fetch(), fetched_ref, orders)
-    return fetched_ref[2], orders
+    return fetched_ref[0].shape[:2], orders
 
 
 def _permuted(probs: np.ndarray, orders: list[np.ndarray]) -> np.ndarray:
@@ -208,8 +209,7 @@ class _Driver:
         self.position += 1
 
     def fetch(self) -> None:
-        valid, orders = _fetch_both(self.new, self.ref)
-        self.fetched = (valid.shape, orders)
+        self.fetched = _fetch_both(self.new, self.ref)
 
     def observe(self) -> None:
         if self.fetched is None:
@@ -458,10 +458,10 @@ class _ArenaDriver:
             self.check()
             if mutate_before_observe:  # one member moves on: its snapshot goes stale
                 stale = group[int(self.rng.integers(len(group)))]
-                stale.fetched = (fetched[2][0].shape, None)
+                stale.fetched = (fetched[0][0].shape[:2], None)
                 stale.append()
                 stale.fetched = None
-            probs = self.rng.random(fetched[2].shape)  # float64: summation order shows
+            probs = self.rng.random(fetched[0].shape[:3])  # float64: summation order shows
             if self.rng.random() < 0.5:
                 probs = np.round(probs, 1).astype(np.float32)  # coarse: ties
             caches[0].observe_group(caches, np.stack([

@@ -20,7 +20,7 @@ def _fill(cache, n_tokens, rng, scores=None):
         key = rng.standard_normal((cache.n_heads, cache.head_dim)).astype(np.float32)
         value = rng.standard_normal((cache.n_heads, cache.head_dim)).astype(np.float32)
         cache.append(key, value, np.zeros(cache.d_model, dtype=np.float32), position)
-        keys, values, valid = cache.fetch()
+        keys, values = cache.fetch()
         n = keys.shape[1]
         probs = np.full((cache.n_heads, n), 1.0 / n)
         if scores is not None:

@@ -210,9 +210,8 @@ class TestBatchedPrefill:
             logits = small_model.prefill(prompt, caches)
             np.testing.assert_allclose(batched_logits[b], logits, atol=1e-4)
             for layer, (seq_cache, bat_cache) in enumerate(zip(caches, caches_batch[b])):
-                seq_k, seq_v, seq_valid = seq_cache.fetch()
-                bat_k, bat_v, bat_valid = bat_cache.fetch()
-                np.testing.assert_array_equal(seq_valid, bat_valid, err_msg=f"layer {layer}")
+                seq_k, seq_v = seq_cache.fetch()
+                bat_k, bat_v = bat_cache.fetch()
                 np.testing.assert_allclose(seq_k, bat_k, atol=1e-5, err_msg=f"layer {layer}")
                 np.testing.assert_allclose(seq_v, bat_v, atol=1e-5, err_msg=f"layer {layer}")
 
@@ -300,7 +299,7 @@ class TestContiguousKVStore:
 class TestStackedLooseAttention:
     """``decode_step_batch`` stacks the attention of equal-shape rows that no
     fused layout covers (eviction caches).  One step here holds groups of
-    several, groups of one and a partial-``valid`` row; logits must equal the
+    several, groups of one and a lone contiguous row; logits must equal the
     per-row path (``fused=False``) bit for bit and single-sequence
     ``decode_step`` (whose dense ops run at batch 1) within float tolerance,
     with identical greedy tokens.
@@ -329,23 +328,17 @@ class TestStackedLooseAttention:
         return sizes
 
     @staticmethod
-    def _prefilled(lm, specs, prompts, masked=()):
-        """Per-sequence caches after a single-sequence prefill; sequences in
-        ``masked`` (contiguous full-cache oracles) get slot 1 invalidated in
-        every head."""
+    def _prefilled(lm, specs, prompts):
+        """Per-sequence caches after a single-sequence prefill."""
         caches_batch = []
-        for b, (spec, prompt) in enumerate(zip(specs, prompts)):
+        for spec, prompt in zip(specs, prompts):
             caches = lm.make_caches(spec)
             lm.prefill(prompt, caches)
-            if b in masked:
-                for cache in caches:
-                    cache._store._valid[:, 1] = False
             caches_batch.append(caches)
         return caches_batch
 
-    def _check(self, lm, specs, prompts, masked=(), steps=6):
-        stacked, per_row, single = (self._prefilled(lm, specs, prompts, masked)
-                                    for _ in range(3))
+    def _check(self, lm, specs, prompts, steps=6):
+        stacked, per_row, single = (self._prefilled(lm, specs, prompts) for _ in range(3))
         tokens = [prompt[-1] for prompt in prompts]
         positions = [len(prompt) for prompt in prompts]
         for _ in range(steps):
@@ -364,10 +357,10 @@ class TestStackedLooseAttention:
                                                  aerp_group_steps, spec):
         factory = resolve("cache", spec)
         prompts = _prompts(small_model.config.vocab_size, self.LENGTHS + (9,), seed=21)
-        # The lone contiguous full cache lands on the loose path too; its
-        # mask is partial.
+        # The lone contiguous full cache lands on the loose path too, on a
+        # length of its own.
         specs = [factory] * len(self.LENGTHS) + [full_cache_factory]
-        self._check(small_model, specs, prompts, masked={len(self.LENGTHS)})
+        self._check(small_model, specs, prompts)
         # kelle rows of one slot count step as one arena group (already
         # stacked); h2o rows are stacked after their per-cache fetches, the
         # three over the budget together; quantized caches keep every token,

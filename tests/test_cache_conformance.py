@@ -104,9 +104,8 @@ class TestForkTruncateRoundTrip:
         cache.truncate(upto)
         for side in (cache, child):
             assert side.num_tokens == upto
-        k_t, v_t, valid_t = cache.fetch()
-        k_f, v_f, valid_f = child.fetch()
-        np.testing.assert_array_equal(valid_t, valid_f)
+        k_t, v_t = cache.fetch()
+        k_f, v_f = child.fetch()
         np.testing.assert_array_equal(k_t, k_f)
         np.testing.assert_array_equal(v_t, v_f)
         child.release()
@@ -125,7 +124,7 @@ class TestForkTruncateRoundTrip:
 
         fresh = _build_cache(spec)
         _fill(fresh, 7, np.random.default_rng(0))
-        fresh_k, fresh_v, _ = fresh.fetch()
+        fresh_k, fresh_v = fresh.fetch()
         reference = _build_cache(spec)
         reference.extend_chunk(fresh_k[:, :4].copy(), fresh_v[:, :4].copy(), None,
                                np.arange(4))

@@ -37,6 +37,9 @@ over the 128-slot budget, 64 decode steps, the 4-layer d=64 model,
   in counters, entry positions and token indices on the entries, and a
   group's slot range and header rows found in one call: 78.31 (40 095
   calls; 22.5 from ``core/kv_cache.py`` frames).
+* one attention kernel for whole-prompt prefill, chunks and decode (the
+  prefill's per-sequence ``softmax`` and ``moveaxis`` replaced by one
+  ``_attend`` call, no validity mask fetched or checked): 76.63.
 
 The bound sits 10 % above the 77.03 reading (8 % above the last): a
 return to per-layer grouping (~10 calls per token) or to the row-pool
@@ -67,6 +70,8 @@ radix match-and-fork, snapshot forks, page allocation, CoW, release and
   write a layer): 150.61 (180 734 calls) as first recorded; 149.83
   (179 796 calls) with Python 3.11.7 and NumPy 2.4.6 on a 2-core Xeon;
 * one decode attention kernel: 149.74 (179 684 calls), same host.
+* one attention kernel for prefill, chunks and decode (each chunk group
+  one ``_attend`` call over its members' stored rows): 144.09, same host.
 
 The bound sits between the readings before and after the decode batch
 (192.38 and 178.61): a return of half of what the decode batch saved — or
@@ -91,6 +96,7 @@ pool bounded at ``capacity_tokens=8192``, no token callback — so one wave of
   Python 3.11.7 and NumPy 2.4.6 on a 2-core Xeon);
 * one decode attention kernel (a paged group's slab rows written and
   returned by ``PagedGroup.write``): 22.36 (57 242 calls).
+* one attention kernel for prefill, chunks and decode: 20.77.
 
 The bound sits between the two at 0.65 x the first reading: a return of
 one call per row per layer-step (4 per token) stays under it, per-row
@@ -114,6 +120,8 @@ cluster's per-round bookkeeping is paid on every replica step.
   calls) as first recorded; 127.97 (216 774 calls) with Python 3.11.7 and
   NumPy 2.4.6 on a 2-core Xeon;
 * one decode attention kernel: 126.19 (213 766 calls), same host.
+* one attention kernel for prefill, chunks and decode: 124.23 (210 443
+  calls), same host.
 
 The bound leaves ~9 % over the first reading for other interpreters'
 ``call`` / ``c_call`` counts (3.12 inlines comprehensions, 3.10 does not):
@@ -131,8 +139,11 @@ CI's guarded ``speedup_ngram_vs_baseline`` ratio.  Python 3.11.7, NumPy
 
 * one working K/V copy per sequence: ngram 105.29 (repetitive) / 115.08
   (random), plain 108.47 / 118.30;
-* one decode attention kernel: ngram unchanged (a verify step attends
-  through ``_attend_chunk_group``), plain 107.19 / 116.57.
+* one decode attention kernel: ngram unchanged (a verify step attended
+  through a chunk kernel of its own), plain 107.19 / 116.57.
+* one attention kernel for prefill, chunks and decode (a verify step
+  attends through ``_attend`` too): ngram 96.24 / 104.94, plain 103.21 /
+  112.45.
 
 The bounds sit 10 % above the first readings.
 """
@@ -265,11 +276,11 @@ def test_eviction_fetch_copies_per_generated_token(monkeypatch):
     fetch = AERPArena.fetch
 
     def counted(self, slots, recompute_fn):
-        keys, values, valid = fetch(self, slots, recompute_fn)
+        keys, values = fetch(self, slots, recompute_fn)
         for part, slab in ((keys, self._keys), (values, self._values)):
             if not np.may_share_memory(part, slab):
                 copied[0] += part.nbytes
-        return keys, values, valid
+        return keys, values
 
     monkeypatch.setattr(AERPArena, "fetch", counted)
     lm, requests = _model(), _kelle_requests()

@@ -82,7 +82,7 @@ def _check_rows(session) -> None:
             n = cache.num_tokens
             if cache._table.row < 0 or not n:
                 continue
-            keys, values, _valid = cache.fetch()
+            keys, values = cache.fetch()
             pool, layer = cache.pool, cache.layer
             paged_k = np.concatenate([pool.key_page(p, layer) for p in cache.pages], axis=1)
             paged_v = np.concatenate([pool.value_page(p, layer) for p in cache.pages], axis=1)

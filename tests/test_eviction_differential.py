@@ -181,7 +181,7 @@ class _ArenaDriver:
             positions = np.array([pair.position for pair in group])
             fetched = caches[0].step_group(caches, keys.copy(), values.copy(), xs.copy(),
                                            positions.copy())
-            permuted = np.empty(fetched[2].shape)
+            permuted = np.empty(fetched[0].shape[:3])
             expected = []
             for g, pair in enumerate(group):
                 pair.ref.append(keys[g].copy(), values[g].copy(), xs[g].copy(), pair.position)

@@ -146,26 +146,19 @@ class TestDifferential:
         _check_batch(lm, "paged:page_tokens=4", (shapes, picks, 3))
 
     def test_invalid_cache_slots_are_masked(self, lm, rng):
-        """A cache that reports invalid slots must not attend to them."""
+        """The chunk's causal mask: a chunk query attends to nothing after
+        it, so its row's logits do not change when later chunk tokens do."""
         tokens = rng.integers(0, lm.config.vocab_size, size=20).tolist()
-        caches = lm.make_caches(full_cache_factory)
-        lm.prefill(tokens[:12], caches)
-        for cache in caches:  # invalidate slot 3 of every head
-            cache._store._valid[:, 3] = False
-        got = lm.forward_chunks([tokens[12:]], [12], [caches])[0]
-        # Reference: poison the masked slot instead; it must not matter.
-        poisoned = lm.make_caches(full_cache_factory)
-        lm.prefill(tokens[:12], poisoned)
-        for cache in poisoned:
-            cache._store._valid[:, 3] = False
-            cache._store._keys[:, 3] = 1e3
-            cache._store._values[:, 3] = -1e3
-        want = lm.forward_chunks([tokens[12:]], [12], [poisoned])[0]
-        np.testing.assert_allclose(got, want, atol=1e-5)
-        unmasked = lm.make_caches(full_cache_factory)
-        lm.prefill(tokens[:12], unmasked)
-        plain = lm.forward_chunks([tokens[12:]], [12], [unmasked])[0]
-        assert np.max(np.abs(plain - got)) > 1e-4
+        changed = tokens[:17] + [(t + 1) % lm.config.vocab_size for t in tokens[17:]]
+        for factory in (resolve("cache", "paged:page_tokens=4"), full_cache_factory):
+            rows = []
+            for chunk_tokens in (tokens, changed):
+                caches = lm.make_caches(factory)
+                lm.prefill(chunk_tokens[:12], caches)
+                rows.append(lm.forward_chunks([chunk_tokens[12:]], [12], [caches],
+                                              logits="all")[0])
+            np.testing.assert_array_equal(rows[0][:5], rows[1][:5])
+            assert np.max(np.abs(rows[0][5] - rows[1][5])) > 1e-4  # the change shows
 
 
 class TestValidation:

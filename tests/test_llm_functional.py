@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.llm.config import tiny_config
 from repro.llm.functional import (
     apply_rope,
     causal_mask,
@@ -19,8 +20,8 @@ from repro.llm.functional import (
     sigmoid,
     silu,
     softmax,
-    softmax_blocks_,
 )
+from repro.llm.model import DecoderLM
 
 
 class TestSoftmax:
@@ -40,15 +41,43 @@ class TestSoftmax:
 
     @pytest.mark.parametrize("n_first", [0, 1, 7])
     def test_two_block_softmax_matches_the_concatenation(self, rng, n_first):
-        first = rng.standard_normal((2, 3, 5, n_first)).astype(np.float32)
-        second = rng.standard_normal((2, 3, 5, 4)).astype(np.float32)
-        if n_first:
-            first[0, 1] = -np.inf  # a fully masked first-block row
-        scores = np.concatenate([first, second], axis=-1)
-        want = softmax(scores)
-        softmax_blocks_(scores, n_first)
-        assert scores.dtype == np.float32
-        np.testing.assert_allclose(scores, want, atol=1e-6)
+        """The one attention kernel, :meth:`DecoderLM._attend`, over
+        ``n_first`` cached keys plus a causally masked chunk of ``c``
+        queries: the softmax of the masked scores, masked slots exactly 0,
+        and a row's bits the same alone (``G = 1``) as inside a stack."""
+        lm = DecoderLM(tiny_config("attend-tiny", n_layers=1, d_model=16, n_heads=2,
+                                   d_ff=16, vocab_size=8), seed=0)
+        n_groups, heads, dim = 3, 2, 8
+        scale = 1.0 / np.sqrt(dim)
+        for chunk in (1, 7):
+            n = n_first + chunk
+            query = rng.standard_normal((heads, n_groups * chunk, dim)).astype(np.float32)
+            keys = rng.standard_normal((n_groups, heads, n, dim)).astype(np.float32)
+            values = rng.standard_normal((n_groups, heads, n, dim)).astype(np.float32)
+            rows = np.arange(n_groups * chunk).reshape(n_groups, chunk)
+            causal = np.arange(n) > n_first + np.arange(chunk)[:, None]
+            context = np.zeros((n_groups * chunk, heads * dim), np.float32)
+            probs = lm._attend(query, rows, keys, values, causal, context, scale).copy()
+            assert probs.dtype == np.float32 and probs.shape == (n_groups, heads, chunk, n)
+            scores = query[:, rows].swapaxes(0, 1) @ keys.swapaxes(-1, -2) * scale
+            want = softmax(np.where(causal, -np.inf, scores))
+            np.testing.assert_allclose(probs, want, atol=1e-6)
+            assert np.all(probs[:, :, causal] == 0)
+            np.testing.assert_allclose(
+                context, (want @ values).transpose(0, 2, 1, 3).reshape(context.shape),
+                atol=1e-5)
+            for g in range(n_groups):
+                alone = np.zeros_like(context)
+                got = lm._attend(query, rows[g:g + 1], keys[g:g + 1], values[g:g + 1],
+                                 causal, alone, scale)
+                np.testing.assert_array_equal(got[0], probs[g])
+                np.testing.assert_array_equal(alone[rows[g]], context[rows[g]])
+            if chunk == 1:  # the decode form: one query a row, rows a list
+                decode = np.zeros_like(context)
+                got = lm._attend(query, rows[:, 0].tolist(), keys, values, causal, decode,
+                                 scale)
+                np.testing.assert_array_equal(got, probs)
+                np.testing.assert_array_equal(decode, context)
 
 
 class TestActivations:

@@ -153,11 +153,10 @@ class TestDecoderLM:
 
 
 def test_softmax_runs_in_the_three_forwards_and_the_two_attention_kernels():
-    """Every decode attention goes through ``DecoderLM._attend``, every
-    chunk attention through ``_attend_chunk_group`` and every whole-prompt
-    forward through ``forward_full`` or ``prefill_batch`` (``prefill`` is its
-    batch of one): no other function of the model computes a softmax
-    (``softmax``, ``softmax_blocks_`` or its own ``np.exp``)."""
+    """Every cached attention -- decode, whole-prompt prefill and chunks --
+    goes through ``DecoderLM._attend``; only the cache-free oracle
+    ``forward_full`` has a softmax of its own: no other function of the
+    model computes one (``softmax`` or its own ``np.exp``)."""
     softmaxing = set()
     for node in ast.walk(ast.parse(inspect.getsource(model_module))):
         if isinstance(node, ast.FunctionDef):
@@ -165,8 +164,8 @@ def test_softmax_runs_in_the_three_forwards_and_the_two_attention_kernels():
                 if not isinstance(call, ast.Call):
                     continue
                 func = call.func
-                if ((isinstance(func, ast.Name) and func.id in ("softmax", "softmax_blocks_"))
+                if ((isinstance(func, ast.Name) and func.id == "softmax")
                         or (isinstance(func, ast.Attribute) and func.attr == "exp"
                             and isinstance(func.value, ast.Name) and func.value.id == "np")):
                     softmaxing.add(node.name)
-    assert softmaxing == {"forward_full", "prefill_batch", "_attend_chunk_group", "_attend"}
+    assert softmaxing == {"forward_full", "_attend"}

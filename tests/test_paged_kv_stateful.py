@@ -385,10 +385,9 @@ class PagedKVMachine(RuleBasedStateMachine):
     def handles_hold_their_references(self):
         for cache, (keys, values) in self._live():
             assert cache.num_tokens == keys.shape[1]
-            fetched_k, fetched_v, valid = cache.fetch()
+            fetched_k, fetched_v = cache.fetch()
             np.testing.assert_array_equal(fetched_k, keys)
             np.testing.assert_array_equal(fetched_v, values)
-            assert valid.shape == keys.shape[:2] and valid.all()
             paged_k, paged_v = _page_tokens_of(cache, cache.num_tokens)
             np.testing.assert_array_equal(paged_k, keys)
             np.testing.assert_array_equal(paged_v, values)

@@ -6,7 +6,10 @@ source and its harness — the machine of ``tests/test_paged_kv_stateful.py``,
 the serving run of ``tests/test_decode_batch.py`` or the generated call
 sequences of ``tests/test_aerp_differential.py`` — runs against it,
 unchanged, within a fixed example budget: the test passes only when the
-harness fails.  Shrinking is skipped — the failure is the measurement.
+harness fails with the mutation's ``kills_with`` (an ``AssertionError`` of
+the harness unless declared otherwise), so a harness that raises something
+else on any code kills nothing.  Shrinking is skipped — the failure is the
+measurement.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ def _killed_by(harness: str) -> list:
 @pytest.mark.parametrize("mutation", _killed_by("paged"), ids=lambda mutation: mutation.name)
 def test_machine_kills_seeded_bug(mutation, monkeypatch):
     mutation.apply(monkeypatch)
-    with pytest.raises(Exception):
+    with pytest.raises(mutation.kills_with):
         run_state_machine_as_test(PagedKVMachine, settings=BUDGET)
 
 
@@ -50,7 +53,7 @@ def test_machine_kills_seeded_bug(mutation, monkeypatch):
                          ids=lambda mutation: mutation.name)
 def test_serving_run_kills_seeded_bug(mutation, monkeypatch):
     mutation.apply(monkeypatch)
-    with pytest.raises(Exception):
+    with pytest.raises(mutation.kills_with):
         SERVING_BUDGET(given(**CONFIG)(run_ops))()
 
 
@@ -60,7 +63,7 @@ def test_differential_run_kills_seeded_bug(mutation, monkeypatch):
     mutation.apply(monkeypatch)
     # An AssertionError: the differential run caught the mutant (a wrapper
     # that cannot take the generated scenario raises something else).
-    with pytest.raises(AssertionError):
+    with pytest.raises(mutation.kills_with):
         AERP_BUDGET(given(scenarios())(_aerp_run))()
 
 
