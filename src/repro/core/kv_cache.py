@@ -54,23 +54,38 @@ its reductions differs from a token-ordered store.
 Group steps.  Every arena operation takes ``G`` sequence slots holding
 equally many entries ``n`` and does its work once for all of them:
 ``append`` evicts and writes with one fancy-indexed write per array;
-``fetch`` recomputes the group's pending recomputation-format tokens in one
+``fetch`` recomputes the group's pending tokens (below) in one
 ``recompute_fn`` call and returns ``slab[a:b, :, :n]`` views when the slots
 are the contiguous range ``a:b`` (one gather otherwise); ``observe`` is one
-``+=``.  The model steps a decode group through :meth:`SlabCache.step_group`
-/ :meth:`SlabCache.observe_group` (grouped by :meth:`SlabCache.group_key`:
-same arena, ``recompute_fn`` object and count, so nothing is padded or
-masked); the single-cache ``append`` / ``fetch`` / ``observe_attention`` are
-the same calls with ``G = 1``.  Prefill and fault injection stay per
-sequence (injection draws from a per-sequence RNG in token order).
+``+=``.  A decode layer-step is one arena call, :meth:`AERPArena.step`: the
+group's slot index and header rows are found once for its append and its
+fetch, and its ``observe`` reuses that index.  The model steps a decode
+group through :meth:`SlabCache.step_group` / :meth:`SlabCache.observe_group`
+(grouped by :meth:`SlabCache.group_key`: same arena, ``recompute_fn``
+object and count, so nothing is padded or masked); the single-cache
+``append`` / ``fetch`` / ``observe_attention`` are the arena's ``append`` /
+``fetch`` / ``observe`` with ``G = 1``.  Prefill and fault injection stay
+per sequence (injection draws from a per-sequence RNG in token order).
 
-Recompute contract.  ``recompute_fn`` maps ``P`` rows at once (``x [P, C]``,
+Recompute contract.  The slab holds K/V for every entry, whatever the
+token's format; a token's K/V are rebuilt from its stored ``x`` (it is
+*pending*) only where the slab's copy is not what the stored ``x``
+projects to: after ``load``, whose prompt K/V came from the prefill's
+``[N, C]`` GEMM (the first fetch recomputes the prompt's x-format tokens,
+one ``recompute_fn`` call per group), and after a 2DRP fault corrupts a
+stored ``x``.  A token appended in decode keeps the K/V its step
+projected, in either format, so under ``refresh=none`` decode never calls
+``recompute_fn``.  ``recompute_fn`` maps ``P`` rows at once (``x [P, C]``,
 ``positions [P]`` to keys and values ``[P, H, d]``) and must compute each
-row as its own ``M = 1`` projection: the stored K/V of a token came from an
-``M = 1`` GEMM in ``decode_step``, and a ``[P, C] @ [C, C]`` GEMM differs
-from it in the last bits.  :meth:`repro.llm.model.DecoderLM.recompute_fn`
+row as its own ``M = 1`` projection, so that a token's recomputed bits do
+not depend on what it was recomputed with: a ``[P, C] @ [C, C]`` GEMM
+differs in the last bits.  :meth:`repro.llm.model.DecoderLM.recompute_fn`
 uses a stacked matmul, which NumPy issues as ``P`` independent ``M = 1``
-calls.
+calls.  At ``M = 1`` those bits equal the K/V columns of a decode step's
+fused QKV GEMM on the ``bench-e2e`` model and on 6 of the 7
+``TINY_CONFIGS`` (``tiny-qwen2-7b``, ``d_model`` 56, differs in the last
+bit); a batched step's ``M = B`` GEMM differs from both in the last bits,
+as it always did for its kv-format tokens.
 
 :class:`TokenEntry`, :attr:`AERPCache.entries`, :meth:`AERPCache.tokens_for_head`
 and :meth:`AERPCache.popularity` are introspection snapshots built on demand
@@ -212,6 +227,8 @@ class AERPArena:
         # The tokens ``[R, n]`` a fetch handed out, kept only when the sequence
         # mutates before its observe (never in the decode loop).
         self._stale: dict[int, np.ndarray] = {}
+        # The slots array of the last ``step`` and its index, for its ``observe``.
+        self._stepped: tuple = (None, None)
         self._allocate(_INITIAL_SLOTS)
 
     def _allocate(self, n_slots: int) -> None:
@@ -225,7 +242,8 @@ class AERPArena:
         # Per entry its token's position, index and record.  Per record
         # ``_refs``, the entries holding its token (0: a free record), and
         # ``_obs_base``: the token has been observed ``_seq[s, _N_OBSERVED] -
-        # _obs_base`` times; ``_pending``: x format, K/V not recomputed yet.
+        # _obs_base`` times; ``_pending``: x format, K/V to be rebuilt from x
+        # (set by ``load`` and by a fault on x only).
         for names, shape, dtype in (("_position _token _record", entries, np.int64),
                                     ("_created _obs_base _refs", records, np.int64),
                                     ("_stored_x _pending _corrupted", records, bool)):
@@ -282,13 +300,36 @@ class AERPArena:
             raise ValueError("a group's sequences must hold equally many tokens per head")
         return sel, seq, count
 
+    def step(self, slots: np.ndarray, keys: np.ndarray, values: np.ndarray, xs: np.ndarray,
+             positions: np.ndarray, recompute_fn: RecomputeFn) -> tuple[np.ndarray, np.ndarray]:
+        """One decode layer-step of the group: :meth:`append` (starting
+        scores 0) then :meth:`fetch`, on one :meth:`_group` lookup whose index
+        the step's :meth:`observe` reuses; returns ``(K, V)`` as :meth:`fetch`
+        does.  The new tokens keep the K/V handed in: the fetch recomputes
+        only tokens pending since a ``load`` or a fault on their ``x``."""
+        sel, seq, count = self._group(slots)
+        self._stepped = slots, sel
+        self._append(slots, sel, seq, count, keys, values, xs, positions, 0.0)
+        return self._fetch(slots, sel, recompute_fn)
+
     def append(self, slots: np.ndarray, keys: np.ndarray, values: np.ndarray,
-               xs: np.ndarray, positions: np.ndarray, scores: "float | np.ndarray" = 0.0,
-               ) -> "int | np.ndarray":
+               xs: np.ndarray, positions: np.ndarray, scores: "float | np.ndarray" = 0.0) -> None:
         """Insert one token per sequence (``keys``/``values`` ``[G, H, d]``,
         ``xs`` ``[G, C]``, ``positions`` ``[G]``) with its starting ``scores``,
-        evicting in place when full; returns the entries written."""
-        sel, seq, count = self._group(slots)  # ``seq`` updated here (a copy written back)
+        evicting in place when full."""
+        self._append(slots, *self._group(slots), keys, values, xs, positions, scores)
+
+    def fetch(self, slots: np.ndarray,
+              recompute_fn: RecomputeFn) -> tuple[np.ndarray, np.ndarray]:
+        """``(K, V)``, ``[G, H, n, d]`` each (slab views for contiguous
+        slots), after pending x-format tokens are recomputed into the slab."""
+        return self._fetch(slots, self._group(slots)[0], recompute_fn)
+
+    def _append(self, slots: np.ndarray, sel: "slice | np.ndarray", seq: np.ndarray, count: int,
+                keys: np.ndarray, values: np.ndarray, xs: np.ndarray, positions: np.ndarray,
+                scores: "float | np.ndarray") -> None:
+        """:meth:`append` on what :meth:`_group` found.  Every new token keeps
+        the K/V handed in, whatever its format: none is pending recomputation."""
         if np.maximum.reduce(seq[:, _FETCHED]) >= 0:
             self._snapshot_before_mutation(slots.tolist(), seq[:, _FETCHED].tolist())
         np.maximum(seq[:, _POSITION], positions, out=seq[:, _POSITION])
@@ -314,13 +355,12 @@ class AERPArena:
             self._created[new] = seq[:, _STEP]
             self._obs_base[new] = seq[:, _N_OBSERVED]
             self._refs[new] = self._rows.size
-            self._corrupted[new] = False
+            self._corrupted[new] = self._pending[new] = False
             # Figure 7 (a): a new token's popularity of 1 meets any threshold.
             n_live, n_x = self._counts(live, sel)
-            self._stored_x[new] = self._pending[new] = n_x / np.maximum(n_live, 1) < self._x_limit
+            self._stored_x[new] = n_x / np.maximum(n_live, 1) < self._x_limit
         if sel is slots:
             self._seq[slots] = seq
-        return entry
 
     def _evict(self, slots: np.ndarray, sel: "slice | np.ndarray", seq: np.ndarray,
                count: int) -> np.ndarray:
@@ -348,14 +388,12 @@ class AERPArena:
                 ) -> tuple[np.ndarray, np.ndarray]:
         """Live tokens and those stored in x format, from the ``live`` records
         (``_refs > 0``) of the slots ``sel``."""
-        return (np.add.reduce(live, axis=-1),
-                np.add.reduce(live & self._stored_x[sel], axis=-1))
+        return np.add.reduce(live, axis=-1), np.add.reduce(live & self._stored_x[sel], axis=-1)
 
-    def fetch(self, slots: np.ndarray,
-              recompute_fn: RecomputeFn) -> tuple[np.ndarray, np.ndarray]:
-        """``(K, V)``, ``[G, H, n, d]`` each (slab views for contiguous
-        slots), after pending x-format tokens are recomputed into the slab."""
-        sel, _seq, count = self._group(slots)
+    def _fetch(self, slots: np.ndarray, sel: "slice | np.ndarray",
+               recompute_fn: RecomputeFn) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`fetch` on the index :meth:`_group` found."""
+        count = int(self._seq[slots[0], _COUNT])
         if self._x_limit:
             pending = self._pending[sel] & (self._refs[sel] > 0)  # [G, T]
             if np.logical_or.reduce(pending, axis=None):
@@ -403,7 +441,7 @@ class AERPArena:
         stale = self._stale.pop(int(slots[0]), None) if self._stale else None
         if stale is None:
             # Unchanged since the fetch: the entries hold every live token.
-            sel = self._group(slots)[0]
+            sel = self._stepped[1] if self._stepped[0] is slots else self._group(slots)[0]
             self._importance[sel, :, :count] += probs
             self._seq[sel, _N_OBSERVED] += 1
         else:
@@ -543,17 +581,12 @@ class AERPArena:
         tokens, positions = self._token[holder].tolist(), self._position[holder].tolist()
         observed = self._seq[slot, _N_OBSERVED] - self._obs_base[slot, live]
         return {tokens[t]: TokenEntry(
-            token_index=tokens[t],
-            position=positions[t],
-            x=self._x[slot, r].copy(),
-            keys=keys[t],
-            values=values[t],
-            importance=importance[t],
+            token_index=tokens[t], position=positions[t], x=self._x[slot, r].copy(),
+            keys=keys[t], values=values[t], importance=importance[t],
             retaining_heads=set(np.flatnonzero(held[t]).tolist()),
             storage_format="x" if self._stored_x[slot, r] else "kv",
             is_sink=positions[t] < self.config.sink_tokens,
-            corrupted=bool(self._corrupted[slot, r]),
-            created_step=int(self._created[slot, r]),
+            corrupted=bool(self._corrupted[slot, r]), created_step=int(self._created[slot, r]),
             observation_count=int(observed[t]),
         ) for t, r in enumerate(live.tolist())}
 
@@ -613,6 +646,10 @@ class SlabCache(LayerKVCache):
     def observe_attention(self, probs: np.ndarray) -> None:
         self.observe_group([self], np.asarray(probs)[None])
 
+    #: ``(caches, slots)`` of the group step this cache led, until the
+    #: group's :meth:`observe_group`: one slots array a layer-step.
+    _stepped: tuple = (None, None)
+
     # -- group protocol: one arena call for a whole decode group --------
     def group_key(self) -> tuple:
         """Caches of one arena, one ``recompute_fn`` object and one entry
@@ -620,14 +657,15 @@ class SlabCache(LayerKVCache):
         return (self._arena, self.recompute_fn, int(self._arena._seq[self._slot, _COUNT]))
 
     def step_group(self, caches: "Sequence[SlabCache]", keys: np.ndarray, values: np.ndarray,
-                   xs: np.ndarray, positions: np.ndarray,
-                   ) -> tuple[np.ndarray, np.ndarray]:
-        slots = np.array([cache._slot for cache in caches])
-        self._arena.append(slots, keys, values, xs, positions)
-        return self._arena.fetch(slots, self.recompute_fn)
+                   xs: np.ndarray, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        self._stepped = caches, np.array([cache._slot for cache in caches])
+        return self._arena.step(self._stepped[1], keys, values, xs, positions, self.recompute_fn)
 
     def observe_group(self, caches: "Sequence[SlabCache]", probs: np.ndarray) -> None:
-        self._arena.observe(np.array([cache._slot for cache in caches]), probs)
+        (stepped, slots), self._stepped = self._stepped, (None, None)
+        if stepped is not caches:
+            slots = np.array([cache._slot for cache in caches])
+        self._arena.observe(slots, probs)
         # Lazy 2DRP: a token is corrupted once, after one resident step.
         for cache in caches:
             if cache._injects:
@@ -694,8 +732,7 @@ class AERPCache(SlabCache):
 
     def prefill(self, keys: np.ndarray, values: np.ndarray, inputs: np.ndarray,
                 attn_probs: np.ndarray) -> None:
-        config = self.config
-        n_ctx = keys.shape[1]
+        config, n_ctx = self.config, keys.shape[1]
         importance = ImportanceTracker.prefill_importance(attn_probs)  # [H, N]
         retained = np.ones((self.n_heads, n_ctx), dtype=bool)  # head x token
         if n_ctx > config.budget:

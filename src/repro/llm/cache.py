@@ -30,8 +30,11 @@ import numpy as np
 #: Recompute callback, rows in / rows out: maps ``P`` block input vectors
 #: ``x [P, C]`` at absolute ``positions [P]`` to this layer's per-head keys and
 #: values ``([P, H, d], [P, H, d])``.  Every row must be computed as its own
-#: ``M = 1`` projection (what ``decode_step`` stored for the token), not as one
-#: ``[P, C]`` GEMM, whose results differ in the last bits.
+#: ``M = 1`` projection, not as one ``[P, C]`` GEMM, whose results differ in
+#: the last bits: a token's recomputed K/V must not depend on the rows it was
+#: recomputed with.  Caches call it only to rebuild K/V they do not hold as
+#: projected (after a prefill, or a fault on a stored ``x``), never for the
+#: token a decode step hands them.
 RecomputeFn = Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
 
 
@@ -240,7 +243,10 @@ class LayerKVCache(abc.ABC):
         ``keys``/``values`` are ``[G, H, d]``, ``xs`` ``[G, C]``, ``positions``
         ``[G]``; returns ``(K, V)`` as :meth:`fetch` does, with a leading
         group axis.  The default is the per-cache calls, for the
-        group of one the default :meth:`group_key` forms.
+        group of one the default :meth:`group_key` forms; the eviction slab's
+        caches take the step as one :meth:`repro.core.kv_cache.AERPArena.step`
+        (the group found once for the append, the fetch and the following
+        :meth:`observe_group`, the new tokens' K/V kept as handed in).
         """
         (cache,) = caches
         cache.append(keys[0], values[0], xs[0], int(positions[0]))

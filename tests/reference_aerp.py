@@ -1,7 +1,10 @@
 """Reference AERP cache: the dict / list / set implementation, kept as the oracle.
 
 This is ``repro.core.kv_cache`` as it stood before the struct-of-arrays
-rewrite, moved here verbatim (only this docstring is new).
+rewrite, moved here verbatim but for one change, made in step with the slab:
+an x-format token appended in decode starts with ``recomputed`` set to the
+K/V handed in, so only prefilled tokens and tokens whose ``x`` a fault
+corrupted (``recomputed`` ``None``) are recomputed at the next ``fetch``.
 ``tests/test_aerp_differential.py`` drives it and the array-native
 :class:`repro.core.kv_cache.AERPCache` through the same call sequences and
 requires identical victims, slot order, formats, counters, importance values
@@ -338,6 +341,8 @@ class AERPCache(LayerKVCache):
             retaining_heads=set(range(self.n_heads)),
             is_sink=position < self.config.sink_tokens,
         )
+        if entry.storage_format == "x":  # the K/V handed in are its recomputation
+            entry.recomputed = (entry.keys, entry.values)
         for head in range(self.n_heads):
             self._slots[head].append(entry.token_index)
 

@@ -107,4 +107,6 @@ MUTATIONS = (
     Mutation("ties-by-entry-index", kv_cache, "first_lowest",
              "return (tokens + ~lowest * _NOT_LOWEST).argmin(axis=2)",
              "return key.argmin(axis=2)", harness="aerp"),
+    Mutation("corrupted-x-not-recomputed", AERPArena, "inject_faults",
+             "self._pending[record] = True", "pass", harness="aerp"),
 )

@@ -15,7 +15,7 @@ from repro.llm.generation import generate
 from repro.llm.functional import softmax
 
 
-def _make_cache(n_heads=2, head_dim=4, d_model=8, **config_kwargs):
+def _make_cache(n_heads=2, head_dim=4, d_model=8, injector=None, **config_kwargs):
     config = AERPConfig(**{"budget": 6, "sink_tokens": 1, "recent_window": 2,
                            "recompute_enabled": True, **config_kwargs})
 
@@ -26,7 +26,7 @@ def _make_cache(n_heads=2, head_dim=4, d_model=8, **config_kwargs):
         v = np.stack([x[:, head_dim:2 * head_dim] * (h + 1) for h in range(n_heads)], axis=1)
         return k.astype(np.float32), v.astype(np.float32)
 
-    return AERPCache(n_heads, head_dim, d_model, config, recompute, seed=0)
+    return AERPCache(n_heads, head_dim, d_model, config, recompute, injector=injector, seed=0)
 
 
 def _append_token(cache, position, rng, scale=1.0):
@@ -136,17 +136,34 @@ class TestRecomputation:
         assert cache.recompute_fraction > 0
 
     def test_fetch_uses_recompute_callback(self, rng):
+        """An appended token's K/V are kept as handed in, in either format;
+        ``recompute_fn`` rebuilds an x-format token only once a fault hit its x."""
         cache = _make_cache(budget=6, sink_tokens=1, recent_window=2, recompute_enabled=True,
-                            max_recompute_fraction=1.0)
-        _append_token(cache, 0, rng)
+                            max_recompute_fraction=1.0,
+                            injector=KVFaultInjector(0.5, 0.5, 0.5, 0.5))
+        recompute, calls = cache.recompute_fn, []
+
+        def spy(x, positions):
+            calls.append(x.copy())
+            return recompute(x, positions)
+
+        cache.recompute_fn = spy
+        key, value = _append_token(cache, 0, rng)
+        (entry,) = cache.entries.values()
+        assert entry.storage_format == "x"
+        keys, values = _observe_uniform(cache)
+        np.testing.assert_array_equal(keys[:, 0], key)
+        np.testing.assert_array_equal(values[:, 0], value)
+        assert calls == [] and cache.recompute_count == 0
+        _observe_uniform(cache)  # resident one step: the fault hits its x
+        (entry,) = cache.entries.values()
+        assert entry.corrupted and calls == []
         keys, values = cache.fetch()
-        entry = next(iter(cache.entries.values()))
-        if entry.storage_format == "x":
-            expected_k, expected_v = cache.recompute_fn(entry.x[None],
-                                                        np.array([entry.position]))
-            np.testing.assert_allclose(keys[:, 0, :], expected_k[0], atol=1e-5)
-            np.testing.assert_allclose(values[:, 0, :], expected_v[0], atol=1e-5)
-        assert cache.recompute_count >= 0
+        assert len(calls) == 1 and cache.recompute_count == 1
+        np.testing.assert_array_equal(calls[0], entry.x[None])
+        expected_k, expected_v = recompute(entry.x[None], np.array([entry.position]))
+        np.testing.assert_allclose(keys[:, 0], expected_k[0], atol=1e-5)
+        np.testing.assert_allclose(values[:, 0], expected_v[0], atol=1e-5)
 
     def test_storage_accounting_reflects_format(self, rng):
         recompute = _make_cache(budget=6, recompute_enabled=True, max_recompute_fraction=1.0)

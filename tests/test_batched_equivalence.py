@@ -12,6 +12,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.aerp import AERPConfig, aerp_cache_factory
+from repro.core.refresh import KVFaultInjector
 from repro.eval.accuracy import multiple_choice_accuracy, summarization_overlap
 from repro.eval.perplexity import perplexity_over_documents
 from repro.llm.cache import ContiguousKVStore
@@ -338,7 +340,8 @@ class TestStackedLooseAttention:
         return caches_batch
 
     def _check(self, lm, specs, prompts, steps=6):
-        stacked, per_row, single = (self._prefilled(lm, specs, prompts) for _ in range(3))
+        """Decode ``steps`` tokens three ways; returns the three ``caches_batch``."""
+        stacked, per_row, single = runs = [self._prefilled(lm, specs, prompts) for _ in range(3)]
         tokens = [prompt[-1] for prompt in prompts]
         positions = [len(prompt) for prompt in prompts]
         for _ in range(steps):
@@ -351,6 +354,7 @@ class TestStackedLooseAttention:
                 assert int(np.argmax(got[b])) == int(np.argmax(alone))
             tokens = np.argmax(got, axis=-1).tolist()
             positions = [p + 1 for p in positions]
+        return runs
 
     @pytest.mark.parametrize("spec", [KELLE, H2O, KIVI, QUAROT])
     def test_ragged_groups_and_partial_valid_row(self, small_model, stacked_groups,
@@ -374,6 +378,27 @@ class TestStackedLooseAttention:
         prompts = _prompts(small_model.config.vocab_size, (12, 7, 13, 7, 12, 9), seed=22)
         self._check(small_model, [kelle, paged, kelle, paged, kelle, paged], prompts)
         assert 3 in aerp_group_steps
+
+    def test_kelle_rows_recompute_faulted_tokens_alike(self, small_model, aerp_group_steps):
+        """2DRP faults during decode corrupt tokens stored as their ``x``,
+        which decode then recomputes: stacked, per-row and single-sequence
+        steps see the same recomputes, evictions and retained tokens."""
+        factory = aerp_cache_factory(AERPConfig(budget=8, sink_tokens=2, recent_window=3),
+                                     injector=KVFaultInjector(0.05, 0.2, 0.1, 0.4), seed=5)
+        prompts = _prompts(small_model.config.vocab_size, (12, 13, 14), seed=24)
+        # The first fetch after a prefill recomputes the prompt's x-format tokens.
+        prefilled = sum(entry.storage_format == "x"
+                        for caches in self._prefilled(small_model, [factory] * 3, prompts)
+                        for cache in caches for entry in cache.entries.values())
+        runs = self._check(small_model, [factory] * 3, prompts)
+        assert set(aerp_group_steps) == {3}
+        for rows in zip(*runs):  # one sequence: stacked, per-row, single
+            for caches in zip(*rows):  # one layer
+                assert len({cache.recompute_count for cache in caches}) == 1
+                assert len({cache.eviction_count for cache in caches}) == 1
+                for head in range(caches[0].n_heads):
+                    assert len({tuple(cache.tokens_for_head(head)) for cache in caches}) == 1
+        assert sum(cache.recompute_count for caches in runs[0] for cache in caches) > prefilled
 
     def test_eviction_state_matches_isolated_generation(self, small_model, aerp_group_steps):
         """Stacking must not change what AERP evicts: compare the caches."""
