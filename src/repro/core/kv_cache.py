@@ -64,8 +64,15 @@ group through :meth:`SlabCache.step_group` / :meth:`SlabCache.observe_group`
 (grouped by :meth:`SlabCache.group_key`: same arena, ``recompute_fn``
 object and count, so nothing is padded or masked); the single-cache
 ``append`` / ``fetch`` / ``observe_attention`` are the arena's ``append`` /
-``fetch`` / ``observe`` with ``G = 1``.  Prefill and fault injection stay
-per sequence (injection draws from a per-sequence RNG in token order).
+``fetch`` / ``observe`` with ``G = 1``; the model's decode ends a group's
+step in its last ``observe_group`` (one ``_STEP`` bump of the group's
+slots), not with one ``end_step`` call per cache.  Prefill stays per
+sequence.  2DRP fault injection (:meth:`AERPArena.inject_faults`) runs once
+per ``observe_group`` and once per prefill: the group's tokens that came due
+are classified, gathered and scattered back once, and each sequence makes
+one sparse sampler call (:func:`repro.memory.bitops.sample_bit_faults`) on
+its own generator over its targets' stored forms in token order, so its
+faults do not depend on its company.
 
 Recompute contract.  The slab holds K/V for every entry, whatever the
 token's format; a token's K/V are rebuilt from its stored ``x`` (it is
@@ -111,6 +118,7 @@ import numpy as np
 from repro.llm.cache import LayerKVCache, RecomputeFn
 from repro.core.importance import ImportanceTracker
 from repro.core.refresh import KVFaultInjector
+from repro.memory.bitops import sample_bit_faults, saturate_float16
 from repro.utils.rng import derive_rng
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers only
@@ -123,7 +131,8 @@ class TokenEntry:
 
     Built on demand by :attr:`AERPCache.entries`; every array is a copy, so
     mutating an entry does not touch the cache.  ``keys``, ``values`` and
-    ``importance`` are zero in heads that no longer retain the token.
+    ``importance`` are zero in heads that no longer retain the token.  The
+    2DRP class of a token is read off :meth:`AERPArena.importance_rates`.
     """
 
     token_index: int
@@ -138,22 +147,6 @@ class TokenEntry:
     corrupted: bool = False
     created_step: int = 0
     observation_count: int = 0
-
-    def mean_importance(self) -> float:
-        """Mean accumulated score over the heads still retaining the token."""
-        if not self.retaining_heads:
-            return 0.0
-        heads = sorted(self.retaining_heads)
-        return float(np.mean(self.importance[heads]))
-
-    def importance_rate(self) -> float:
-        """Mean attention received per query observed (age-normalised importance).
-
-        Using the per-query rate rather than the raw accumulated sum makes the
-        HST/LST classification fair between long-resident pre-fill tokens and
-        freshly decoded tokens.
-        """
-        return self.mean_importance() / max(1, self.observation_count)
 
 
 #: Added to the token index of every entry not at the lowest key.
@@ -515,58 +508,83 @@ class AERPArena:
         order = np.argsort(self._token[holder])
         return live[order], where[live[order]], (slot, row[order], holder[2][order])
 
-    def mean_importance(self, slot: int, where: np.ndarray) -> np.ndarray:
-        """Mean accumulated score of each live token over the heads retaining it.
+    def importance_rates(self, slots: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The HST / LST input of every record of the sequences in ``slots``:
+        ``[G, T]`` its token's mean accumulated score over the heads holding
+        it (summed in head order) per observation, and its token index; and
+        per entry ``[G, R, n]`` its record's index in that ``[G * T]``
+        flattening, ``G * T`` past a sequence's count."""
+        seq, refs = self._seq[slots], self._refs[slots]
+        size, counts = refs.size, seq[:, _COUNT]
+        n = int(np.maximum.reduce(counts))
+        offsets = self._iota[:slots.size, None, None] * refs.shape[1]
+        flat = np.where(np.arange(n) < counts[:, None, None],
+                        self._record[slots, :, :n] + offsets, size)
+        sums = np.bincount(flat.ravel(), self._importance[slots, :, :n].ravel(), size + 1)
+        tokens = np.empty(size + 1, dtype=np.int64)
+        tokens[flat] = self._token[slots, :, :n]
+        observed = np.maximum(seq[:, _N_OBSERVED, None] - self._obs_base[slots], 1)
+        rates = sums[:size].reshape(refs.shape) / np.maximum(refs, 1) / observed
+        return rates, tokens[:size].reshape(refs.shape), flat
 
-        Tokens are reduced in groups of equal retaining-head count, each as a
-        contiguous ``[m, k]`` block, which is the summation order ``np.mean``
-        applies to one token's ``importance[heads]`` vector.
-        """
-        held = where >= 0
-        by_token = np.zeros(held.shape)
-        by_token[held] = self._importance[slot][np.nonzero(held)[1], where[held]]
-        head_counts = held.sum(axis=1)
-        means = np.empty(held.shape[0], dtype=np.float64)
-        for count in np.unique(head_counts).tolist():
-            group = head_counts == count
-            means[group] = by_token[group][held[group]].reshape(-1, count).mean(axis=1)
-        return means
-
-    def inject_faults(self, slot: int, injector: KVFaultInjector, rng: np.random.Generator,
-                      resident_steps: int) -> None:
+    def inject_faults(self, slots: np.ndarray, injector: KVFaultInjector,
+                      rngs: "Sequence[np.random.Generator]", resident_steps: int) -> None:
         """Apply the 2DRP fault model once to every live, not yet corrupted
-        token of the sequence that was created ``resident_steps`` steps ago or
-        earlier.
+        token of the sequences in ``slots`` that was created ``resident_steps``
+        steps ago or earlier.
 
-        Tokens are classified HST/LST against the median importance rate of
-        all live tokens (corruption never changes importance, so one median
-        serves the whole call) and corrupted in token order, in whatever
-        representation is stored: the ``[C]`` x, or the ``[H, d]`` K and V,
-        zero in heads that evicted the token (the fault model draws per
-        element, so the draws match a store that keeps every head's copy).
+        A token is HST when its :meth:`importance_rates` entry is at least
+        the median over its sequence's live tokens.  Each sequence makes one
+        :func:`~repro.memory.bitops.sample_bit_faults` call with its own
+        generator ``rngs[g]`` (its draws do not depend on its company) on one
+        fp16 block: every target's stored form in token order — the ``[C]``
+        ``x`` of an x-format token, the K then the V of the heads holding a
+        kv-format one, each in head order.  One scatter per array writes the
+        group's blocks back; a corrupted ``x`` is rebuilt at the next fetch.
         """
-        live, where, _holder = self.live(slot)
-        targets = np.flatnonzero((self._created[slot, live]
-                                  <= self._seq[slot, _STEP] - resident_steps)
-                                 & ~self._corrupted[slot, live])
-        if targets.size == 0:
+        rates, tokens, flat = self.importance_rates(slots)
+        refs, seq, (n_members, n_records) = self._refs[slots], self._seq[slots], rates.shape
+        live = refs > 0
+        ranked = np.where(live, rates, np.inf)
+        ranked.sort(axis=1)
+        rows, n_live = self._iota[:n_members], np.add.reduce(live, axis=1)
+        median = (ranked[rows, (n_live - 1) // 2] + ranked[rows, n_live // 2]) / 2
+        targets = live & ~self._corrupted[slots] & (
+            self._created[slots] <= (seq[:, _STEP] - resident_steps)[:, None])
+        members, records = targets.nonzero()
+        if not members.size:
             return
-        observed = self._seq[slot, _N_OBSERVED] - self._obs_base[slot, live]
-        rates = self.mean_importance(slot, where) / np.maximum(1, observed)
-        high_score = rates >= np.median(rates)
-        for t, is_high in zip(targets.tolist(), high_score[targets].tolist()):
-            record = (slot, live[t])
-            if self._stored_x[record]:
-                self._x[record] = injector.corrupt(self._x[record], is_high, rng)
-                self._pending[record] = True
-            else:
-                heads = np.flatnonzero(where[t] >= 0)
-                at = (slot, heads, where[t, heads])
-                for pool in (self._keys, self._values):
-                    block = np.zeros((self.n_heads, self.head_dim), dtype=np.float32)
-                    block[heads] = pool[at]
-                    pool[at] = injector.corrupt(block, is_high, rng)[heads]
-            self._corrupted[record] = True
+        order = np.lexsort((tokens[members, records], members))
+        members, records = members[order], records[order]
+        at, held = (slots[members], records), refs[members, records]
+        stored_x = self._stored_x[at]
+        sizes = np.where(stored_x, self.d_model, 2 * self.head_dim * held)
+        bounds = np.zeros(members.size + 1, dtype=np.int64)  # where each target's block starts
+        starts = sizes.cumsum(out=bounds[1:]) - sizes
+        x_at = (at[0][stored_x], records[stored_x])
+        x_pos = starts[stored_x, None] + np.arange(self.d_model)
+        # The entries holding each kv-format target, target-major in head order.
+        kv = (~stored_x).nonzero()[0]
+        target, entry = (flat.reshape(-1) == (members * n_records + records)[kv, None]).nonzero()
+        group, heads, entries = np.unravel_index(entry, flat.shape)
+        target = kv[target]
+        within = np.arange(target.size) - target.searchsorted(target)  # rank among its heads
+        k_pos = (starts[target] + within * self.head_dim)[:, None] + np.arange(self.head_dim)
+        v_pos = k_pos + (held[target] * self.head_dim)[:, None]
+        kv_at = (slots[group], heads, entries)
+        block = np.empty(int(bounds[-1]), dtype=np.float32)
+        block[x_pos], block[k_pos], block[v_pos] = self._x[x_at], self._keys[kv_at], self._values[kv_at]
+        bits = block.astype(np.float16).view(np.uint16)
+        high = (rates[members, records] >= median[members]).repeat(sizes)
+        bounds = bounds[members.searchsorted(np.arange(n_members + 1))]  # per sequence
+        table = injector.rates
+        for g, (a, b) in enumerate(zip(bounds[:-1].tolist(), bounds[1:].tolist())):
+            if a < b:
+                sample_bit_faults(bits[a:b], high[a:b], table, rngs[g], injector.mode)
+        values = saturate_float16(bits)
+        self._x[x_at], self._keys[kv_at], self._values[kv_at] = values[x_pos], values[k_pos], values[v_pos]
+        self._pending[x_at] = True
+        self._corrupted[at] = True
 
     def entries(self, slot: int) -> dict[int, TokenEntry]:
         live, where, holder = self.live(slot)
@@ -661,16 +679,19 @@ class SlabCache(LayerKVCache):
         self._stepped = caches, np.array([cache._slot for cache in caches])
         return self._arena.step(self._stepped[1], keys, values, xs, positions, self.recompute_fn)
 
-    def observe_group(self, caches: "Sequence[SlabCache]", probs: np.ndarray) -> None:
+    def observe_group(self, caches: "Sequence[SlabCache]", probs: np.ndarray,
+                      end_step: bool = False) -> None:
         (stepped, slots), self._stepped = self._stepped, (None, None)
         if stepped is not caches:
             slots = np.array([cache._slot for cache in caches])
         self._arena.observe(slots, probs)
-        # Lazy 2DRP: a token is corrupted once, after one resident step.
-        for cache in caches:
-            if cache._injects:
-                self._arena.inject_faults(cache._slot, cache.injector, cache._rng,
-                                          resident_steps=1)
+        # Lazy 2DRP: a token is corrupted once, after one resident step (the
+        # caches of an arena share their factory's injector).
+        if self._injects:
+            self._arena.inject_faults(slots, self.injector, [cache._rng for cache in caches],
+                                      resident_steps=1)
+        if end_step:  # every cache's ``end_step`` at once
+            self._arena._seq[slots, _STEP] += 1
 
 
 class AERPCache(SlabCache):
@@ -751,7 +772,7 @@ class AERPCache(SlabCache):
                          np.asarray(inputs, dtype=np.float32), importance, retained)
         # Pre-filled tokens are classified by their pre-filling importance.
         if self._injects:
-            self._arena.inject_faults(self._slot, self.injector, self._rng, resident_steps=0)
+            self._arena.inject_faults(self._slots, self.injector, [self._rng], resident_steps=0)
 
     def end_step(self) -> None:
         self._arena._seq[self._slot, _STEP] += 1

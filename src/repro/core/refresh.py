@@ -17,10 +17,15 @@ LST / LSB       low-score tokens    bits 7-0 (refreshed least often)
 
 Each interval maps to a retention-failure probability through
 :class:`repro.memory.retention.RetentionModel`; the resulting
-:class:`KVFaultInjector` corrupts stored KV (or input) vectors at exactly
-those rates, which is how the accuracy experiments of Figure 8 / Table 4 are
-reproduced.  The same intervals feed the refresh-energy accounting of the
-accelerator model.
+:class:`KVFaultInjector` holds those four rates as the (class, byte) table
+of :func:`repro.memory.bitops.sample_bit_faults`, which corrupts stored KV
+(or input) vectors at exactly those rates: each bit of the stored fp16 form
+fails independently, sampled sparsely (a binomial failure count per group,
+then the failed bits).  The AERP cache
+(:meth:`repro.core.kv_cache.AERPArena.inject_faults`) makes one such call
+per sequence for all the tokens that came due in a step, which is how the
+accuracy experiments of Figure 8 / Table 4 are reproduced.  The same
+intervals feed the refresh-energy accounting of the accelerator model.
 """
 
 from __future__ import annotations
@@ -30,7 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.memory.bitops import FAULT_MODE_DECAY, FAULT_MODE_FLIP, inject_bit_flips_fp16
+from repro.memory.bitops import (FAULT_MODE_DECAY, FAULT_MODE_FLIP, sample_bit_faults,
+                                 saturate_float16)
 from repro.memory.edram import RefreshGroupSpec
 from repro.memory.retention import DEFAULT_RETENTION_MODEL, GUARD_REFRESH_INTERVAL_S, RetentionModel
 from repro.registry import register
@@ -64,17 +70,19 @@ class KVFaultInjector:
     def is_noop(self) -> bool:
         return max(self.hst_msb_rate, self.hst_lsb_rate, self.lst_msb_rate, self.lst_lsb_rate) == 0.0
 
+    @property
+    def rates(self) -> tuple[tuple[float, float], tuple[float, float]]:
+        """The (HST, LST) x (MSB, LSB) rate table :func:`sample_bit_faults` takes."""
+        return (self.hst_msb_rate, self.hst_lsb_rate), (self.lst_msb_rate, self.lst_lsb_rate)
+
     def corrupt(self, values: np.ndarray, is_high_score: bool, rng: np.random.Generator) -> np.ndarray:
-        """Return a corrupted copy of ``values`` (float array, any shape)."""
+        """Return a corrupted float32 copy of ``values`` (any shape), stored at fp16."""
+        values = np.asarray(values, dtype=np.float32)
         if self.is_noop:
-            return np.asarray(values, dtype=np.float32)
-        if is_high_score:
-            msb_rate, lsb_rate = self.hst_msb_rate, self.hst_lsb_rate
-        else:
-            msb_rate, lsb_rate = self.lst_msb_rate, self.lst_lsb_rate
-        corrupted = inject_bit_flips_fp16(np.asarray(values, dtype=np.float16), msb_rate, lsb_rate,
-                                          rng, mode=self.mode)
-        return corrupted.astype(np.float32)
+            return values
+        bits = values.astype(np.float16, order="C").view(np.uint16).reshape(-1)
+        sample_bit_faults(bits, np.full(bits.size, is_high_score), self.rates, rng, self.mode)
+        return saturate_float16(bits).reshape(values.shape)
 
     @property
     def average_rate(self) -> float:
@@ -87,6 +95,11 @@ def no_refresh_errors() -> KVFaultInjector:
     return KVFaultInjector()
 
 
+#: The four refresh groups, (token class, byte), in the order of every
+#: per-group tuple here (a policy's intervals, an injector's rates).
+REFRESH_GROUPS = (("HST", "MSB"), ("HST", "LSB"), ("LST", "MSB"), ("LST", "LSB"))
+
+
 class RefreshPolicy(abc.ABC):
     """Common interface of the refresh policies compared in the paper."""
 
@@ -94,12 +107,18 @@ class RefreshPolicy(abc.ABC):
         self.retention = retention or DEFAULT_RETENTION_MODEL
 
     @abc.abstractmethod
+    def intervals(self) -> tuple[float, float, float, float]:
+        """The refresh interval (s) of each of :data:`REFRESH_GROUPS`."""
+
     def groups(self) -> list[RefreshGroupSpec]:
         """The refresh groups and their intervals."""
+        return [RefreshGroupSpec(f"{token}/{byte}", token, byte, interval)
+                for (token, byte), interval in zip(REFRESH_GROUPS, self.intervals())]
 
-    @abc.abstractmethod
     def make_injector(self, mode: str = FAULT_MODE_DECAY) -> KVFaultInjector:
         """Fault injector matching the policy's failure rates."""
+        return KVFaultInjector(*(self.retention.failure_rate(s) for s in self.intervals()),
+                               mode=mode)
 
     def average_interval(self) -> float:
         """Mean refresh interval across groups (equal weights)."""
@@ -134,13 +153,8 @@ class GuardRefreshPolicy(RefreshPolicy):
         super().__init__(retention)
         self.interval_s = interval_s
 
-    def groups(self) -> list[RefreshGroupSpec]:
-        return [
-            RefreshGroupSpec("HST/MSB", "HST", "MSB", self.interval_s),
-            RefreshGroupSpec("HST/LSB", "HST", "LSB", self.interval_s),
-            RefreshGroupSpec("LST/MSB", "LST", "MSB", self.interval_s),
-            RefreshGroupSpec("LST/LSB", "LST", "LSB", self.interval_s),
-        ]
+    def intervals(self) -> tuple[float, float, float, float]:
+        return (self.interval_s,) * 4
 
     def make_injector(self, mode: str = FAULT_MODE_DECAY) -> KVFaultInjector:
         del mode  # the guard interval never corrupts data
@@ -156,17 +170,8 @@ class UniformRefreshPolicy(RefreshPolicy):
             raise ValueError("interval_s must be positive")
         self.interval_s = interval_s
 
-    def groups(self) -> list[RefreshGroupSpec]:
-        return [
-            RefreshGroupSpec("HST/MSB", "HST", "MSB", self.interval_s),
-            RefreshGroupSpec("HST/LSB", "HST", "LSB", self.interval_s),
-            RefreshGroupSpec("LST/MSB", "LST", "MSB", self.interval_s),
-            RefreshGroupSpec("LST/LSB", "LST", "LSB", self.interval_s),
-        ]
-
-    def make_injector(self, mode: str = FAULT_MODE_DECAY) -> KVFaultInjector:
-        rate = self.retention.failure_rate(self.interval_s)
-        return KVFaultInjector(rate, rate, rate, rate, mode=mode)
+    def intervals(self) -> tuple[float, float, float, float]:
+        return (self.interval_s,) * 4
 
 
 class TwoDRefreshPolicy(RefreshPolicy):
@@ -182,55 +187,28 @@ class TwoDRefreshPolicy(RefreshPolicy):
                  lst_msb_s: float = 1.44 * MILLISECOND, lst_lsb_s: float = 7.2 * MILLISECOND,
                  retention: RetentionModel | None = None) -> None:
         super().__init__(retention)
-        intervals = (hst_msb_s, hst_lsb_s, lst_msb_s, lst_lsb_s)
-        if any(interval <= 0 for interval in intervals):
+        if min(hst_msb_s, hst_lsb_s, lst_msb_s, lst_lsb_s) <= 0:
             raise ValueError("refresh intervals must be positive")
         if hst_msb_s > lst_msb_s:
             raise ValueError("HST MSBs must be refreshed at least as often as LST MSBs")
-        self.hst_msb_s = hst_msb_s
-        self.hst_lsb_s = hst_lsb_s
-        self.lst_msb_s = lst_msb_s
-        self.lst_lsb_s = lst_lsb_s
+        self.hst_msb_s, self.hst_lsb_s = hst_msb_s, hst_lsb_s
+        self.lst_msb_s, self.lst_lsb_s = lst_msb_s, lst_lsb_s
 
-    def groups(self) -> list[RefreshGroupSpec]:
-        return [
-            RefreshGroupSpec("HST/MSB", "HST", "MSB", self.hst_msb_s),
-            RefreshGroupSpec("HST/LSB", "HST", "LSB", self.hst_lsb_s),
-            RefreshGroupSpec("LST/MSB", "LST", "MSB", self.lst_msb_s),
-            RefreshGroupSpec("LST/LSB", "LST", "LSB", self.lst_lsb_s),
-        ]
-
-    def make_injector(self, mode: str = FAULT_MODE_DECAY) -> KVFaultInjector:
-        return KVFaultInjector(
-            hst_msb_rate=self.retention.failure_rate(self.hst_msb_s),
-            hst_lsb_rate=self.retention.failure_rate(self.hst_lsb_s),
-            lst_msb_rate=self.retention.failure_rate(self.lst_msb_s),
-            lst_lsb_rate=self.retention.failure_rate(self.lst_lsb_s),
-            mode=mode,
-        )
+    def intervals(self) -> tuple[float, float, float, float]:
+        return self.hst_msb_s, self.hst_lsb_s, self.lst_msb_s, self.lst_lsb_s
 
     @classmethod
     def paper_setting(cls, scale: float = 1.0, retention: RetentionModel | None = None) -> "TwoDRefreshPolicy":
         """The Section 7.1 intervals, optionally scaled (Table 4 sweeps 0.5x/1x/2x)."""
-        return cls(
-            hst_msb_s=0.36 * MILLISECOND * scale,
-            hst_lsb_s=5.4 * MILLISECOND * scale,
-            lst_msb_s=1.44 * MILLISECOND * scale,
-            lst_lsb_s=7.2 * MILLISECOND * scale,
-            retention=retention,
-        )
+        return cls(*(ms * MILLISECOND * scale for ms in (0.36, 5.4, 1.44, 7.2)),
+                   retention=retention)
 
     @classmethod
     def from_table4_row(cls, hst_msb_us: float, hst_lsb_us: float, lst_msb_us: float,
                         lst_lsb_us: float, retention: RetentionModel | None = None) -> "TwoDRefreshPolicy":
         """Build the policy from the microsecond intervals listed in Table 4."""
-        return cls(
-            hst_msb_s=hst_msb_us * MICROSECOND,
-            hst_lsb_s=hst_lsb_us * MICROSECOND,
-            lst_msb_s=lst_msb_us * MICROSECOND,
-            lst_lsb_s=lst_lsb_us * MICROSECOND,
-            retention=retention,
-        )
+        return cls(*(us * MICROSECOND for us in (hst_msb_us, hst_lsb_us, lst_msb_us, lst_lsb_us)),
+                   retention=retention)
 
 
 # -- registry builders --------------------------------------------------------

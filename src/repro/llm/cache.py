@@ -252,11 +252,16 @@ class LayerKVCache(abc.ABC):
         cache.append(keys[0], values[0], xs[0], int(positions[0]))
         return tuple(part[None] for part in cache.fetch())
 
-    def observe_group(self, caches: "Sequence[LayerKVCache]", probs: np.ndarray) -> None:
+    def observe_group(self, caches: "Sequence[LayerKVCache]", probs: np.ndarray,
+                      end_step: bool = False) -> None:
         """:meth:`observe_attention` for each of ``caches``: ``probs`` is
-        ``[G, H, n]``, aligned with the preceding :meth:`step_group`."""
+        ``[G, H, n]``, aligned with the preceding :meth:`step_group`.  With
+        ``end_step`` (the decode's last call on this layer of the group)
+        each cache's :meth:`end_step` follows."""
         for cache, cache_probs in zip(caches, probs):
             cache.observe_attention(cache_probs)
+            if end_step:
+                cache.end_step()
 
     # -- stack protocol (one call for every layer of one sequence) ------
     def fork_stack(self, caches: "Sequence[LayerKVCache]",

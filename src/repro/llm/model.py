@@ -70,7 +70,7 @@ class _DecodePlan:
         if True not in [caches[0].paged_stack for caches in stacks]:
             # Nothing to group or place (rebuilt every step, so kept cheap).
             self.groups, self.unwhole, self.loose = [], [], range(len(stacks))
-            self.enders = _enders(stacks)
+            self.enders = []  # more than one stack: each steps by group
             return
         paged_groups, self.loose = model._fused_decode_groups(stacks)
         #: ``(rows, group)`` of each paged group.
@@ -84,8 +84,9 @@ class _DecodePlan:
         #: back in step).
         self.unwhole = [b for b in self.loose if stacks[b][0].paged_stack
                         and not stacks[b][0].whole_stack(stacks[b])]
-        #: The loose caches whose class has an ``end_step`` of its own.
-        self.enders = _enders([stacks[b] for b in self.loose])
+        #: The loose caches whose class has an ``end_step`` of its own, when
+        #: they are not stepped by group (whose ``observe_group`` ends them).
+        self.enders = _enders([stacks[b] for b in self.loose]) if len(self.loose) == 1 else []
 
     def holds(self) -> bool:
         """Whether every group still holds what its last claim left and no
@@ -624,8 +625,9 @@ class DecoderLM:
         entry count, or one cache alone (its own ``append`` / ``fetch`` /
         ``observe_attention``, so quantized caches keep their storage
         transform) — takes the step through one ``step_group`` /
-        ``observe_group`` call.  Groups whose K/V have one length then share
-        one :meth:`_attend` call over K/V stacked in the workspace.
+        ``observe_group`` call, the latter ending the group's step at this
+        layer (``end_step=True``).  Groups whose K/V have one length then
+        share one :meth:`_attend` call over K/V stacked in the workspace.
         """
         stacks: dict = {}
         for members in groups:
@@ -646,7 +648,7 @@ class DecoderLM:
             probs = self._attend(query, rows, keys, values, None, context, scale)[:, :, 0]
             start = 0
             for members, caches, *_stack in units:
-                caches[0].observe_group(caches, probs[start:start + len(members)])
+                caches[0].observe_group(caches, probs[start:start + len(members)], end_step=True)
                 start += len(members)
 
     def decode_step_batch(self, tokens: Sequence[int], positions: Sequence[int],

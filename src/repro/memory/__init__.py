@@ -24,6 +24,7 @@ from repro.memory.bitops import (
     bits_to_float16,
     inject_bit_flips,
     inject_bit_flips_fp16,
+    sample_bit_faults,
 )
 
 __all__ = [
@@ -46,4 +47,5 @@ __all__ = [
     "bits_to_float16",
     "inject_bit_flips",
     "inject_bit_flips_fp16",
+    "sample_bit_faults",
 ]

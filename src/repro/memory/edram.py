@@ -9,9 +9,11 @@ maintaining two refresh groups (high-score vs low-score tokens).
 
 The :class:`EDRAMArray` here is an *energy/latency accounting* model, not a
 bit-accurate RTL model: the functional effect of skipped refreshes is applied
-to KV values by :mod:`repro.core.refresh` through
-:func:`repro.memory.bitops.inject_bit_flips_fp16`, using the failure rates
-given by :class:`repro.memory.retention.RetentionModel`.
+to the stored KV values by the AERP cache
+(:meth:`repro.core.kv_cache.AERPArena.inject_faults`) through the sparse
+fault sampler :func:`repro.memory.bitops.sample_bit_faults`, at the
+(token class, byte) failure rates that :mod:`repro.core.refresh` derives
+from :class:`repro.memory.retention.RetentionModel`.
 """
 
 from __future__ import annotations

@@ -1,10 +1,15 @@
 """Reference AERP cache: the dict / list / set implementation, kept as the oracle.
 
 This is ``repro.core.kv_cache`` as it stood before the struct-of-arrays
-rewrite, moved here verbatim but for one change, made in step with the slab:
-an x-format token appended in decode starts with ``recomputed`` set to the
-K/V handed in, so only prefilled tokens and tokens whose ``x`` a fault
-corrupted (``recomputed`` ``None``) are recomputed at the next ``fetch``.
+rewrite, moved here verbatim but for two changes, made in step with the
+slab.  An x-format token appended in decode starts with ``recomputed`` set
+to the K/V handed in, so only prefilled tokens and tokens whose ``x`` a
+fault corrupted (``recomputed`` ``None``) are recomputed at the next
+``fetch``.  And the tokens that come due for 2DRP faults in one call are
+corrupted together (:meth:`AERPCache._inject_faults`): one call of the
+sparse sampler :func:`repro.memory.bitops.sample_bit_faults` on their stored
+forms, a kv-format token's retaining heads only, classified by an
+importance rate summed in head order.
 ``tests/test_aerp_differential.py`` drives it and the array-native
 :class:`repro.core.kv_cache.AERPCache` through the same call sequences and
 requires identical victims, slot order, formats, counters, importance values
@@ -21,6 +26,7 @@ import numpy as np
 from repro.llm.cache import LayerKVCache, RecomputeFn
 from repro.core.importance import ImportanceTracker
 from repro.core.refresh import KVFaultInjector
+from repro.memory.bitops import sample_bit_faults, saturate_float16
 from repro.utils.rng import derive_rng
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers only
@@ -187,25 +193,50 @@ class AERPCache(LayerKVCache):
             return True
         return entry.position > self._current_position - self.config.recent_window
 
-    def _classify_high_score(self, entry: TokenEntry) -> bool:
-        """HST/LST classification relative to the median live importance rate."""
-        if len(self._entries) <= 1:
-            return True
-        scores = np.array([e.importance_rate() for e in self._entries.values()])
-        return entry.importance_rate() >= float(np.median(scores))
+    def _importance_rate(self, entry: TokenEntry) -> float:
+        """HST/LST input: the mean accumulated score over the retaining heads
+        (summed in head order) per query observed."""
+        total = 0.0
+        for head in sorted(entry.retaining_heads):
+            total += float(entry.importance[head])
+        return total / len(entry.retaining_heads) / max(1, entry.observation_count)
 
-    def _corrupt_entry(self, entry: TokenEntry, is_high_score: bool) -> None:
-        """Apply the 2DRP fault model to whatever representation is stored."""
-        if entry.corrupted or self.injector.is_noop:
-            entry.corrupted = True
+    def _inject_faults(self, targets: list[TokenEntry]) -> None:
+        """Apply the 2DRP fault model to ``targets`` (live, uncorrupted, in
+        token order) with one sampler call.
+
+        A target is HST when its importance rate is at least the median rate
+        of all live entries.  The block is every target's stored form at
+        fp16, in token order: ``x``, or the K then the V of its retaining
+        heads in head order.
+        """
+        if not targets:
             return
-        if entry.storage_format == "x":
-            entry.x = self.injector.corrupt(entry.x, is_high_score, self._rng)
-            entry.recomputed = None
-        else:
-            entry.keys[...] = self.injector.corrupt(entry.keys, is_high_score, self._rng)
-            entry.values[...] = self.injector.corrupt(entry.values, is_high_score, self._rng)
-        entry.corrupted = True
+        median = float(np.median([self._importance_rate(e) for e in self._entries.values()]))
+        parts, high = [], []
+        for entry in targets:
+            heads = sorted(entry.retaining_heads)
+            stored = [entry.x] if entry.storage_format == "x" else [entry.keys[heads],
+                                                                   entry.values[heads]]
+            parts.append(np.concatenate([part.ravel() for part in stored]))
+            high.append(np.full(parts[-1].size, self._importance_rate(entry) >= median))
+        bits = np.concatenate(parts).astype(np.float16).view(np.uint16)
+        sample_bit_faults(bits, np.concatenate(high), self.injector.rates, self._rng,
+                          self.injector.mode)
+        corrupted = saturate_float16(bits)
+        start = 0
+        for entry, part in zip(targets, parts):
+            values = corrupted[start:start + part.size]
+            start += part.size
+            if entry.storage_format == "x":
+                entry.x = values.copy()
+                entry.recomputed = None
+            else:
+                heads = sorted(entry.retaining_heads)
+                keys, vals = values.reshape(2, len(heads), self.head_dim)
+                entry.keys[heads] = keys
+                entry.values[heads] = vals
+            entry.corrupted = True
 
     def _choose_format(self, retained_heads: int) -> str:
         """Storage-format decision of Figure 7 (a)."""
@@ -320,11 +351,8 @@ class AERPCache(LayerKVCache):
 
         # Fault injection for pre-filled entries: classification uses the
         # pre-filling importance ranking.
-        live = list(self._entries.values())
-        if live and not self.injector.is_noop:
-            median = float(np.median([e.importance_rate() for e in live]))
-            for entry in live:
-                self._corrupt_entry(entry, entry.importance_rate() >= median)
+        if not self.injector.is_noop:
+            self._inject_faults([e for e in self._entries.values() if not e.corrupted])
 
     def append(self, key: np.ndarray, value: np.ndarray, x: np.ndarray, position: int) -> None:
         self._snapshot_before_mutation()
@@ -406,9 +434,8 @@ class AERPCache(LayerKVCache):
         # observed importance rather than defaulting to "new token").
         if self.injector.is_noop:
             return
-        for entry in self._entries.values():
-            if not entry.corrupted and entry.created_step < self._step:
-                self._corrupt_entry(entry, self._classify_high_score(entry))
+        self._inject_faults([entry for entry in self._entries.values()
+                             if not entry.corrupted and entry.created_step < self._step])
 
     def end_step(self) -> None:
         self._step += 1

@@ -1,6 +1,6 @@
 """One-line mutations of the paged KV storage, the radix index, the
 scheduler's decode batch, the attention kernel, the chunk forward's causal
-mask and the eviction slab.
+mask, the eviction slab and the 2DRP fault sampler.
 
 Each :class:`Mutation` names a method (or a module function) and one line of
 its source; :meth:`Mutation.apply` recompiles it with that line replaced and
@@ -8,7 +8,8 @@ monkey-patches it in.  ``tests/test_seeded_bugs.py`` runs each mutation's
 harness against it — the stateful paged-KV machine
 (``tests/test_paged_kv_stateful.py``), the generated serving run of
 ``tests/test_decode_batch.py`` or the generated call sequences of
-``tests/test_aerp_differential.py`` — and requires the harness to fail with
+``tests/test_aerp_differential.py``, or the sampler's statistical test in
+``tests/test_bitops.py`` — and requires the harness to fail with
 the mutation's :attr:`~Mutation.kills_with` (a harness that crashes on
 correct code kills nothing), so what it catches is measured rather than
 assumed.  A mutation whose line no longer exists fails loudly instead of
@@ -26,6 +27,7 @@ from repro.core import kv_cache
 from repro.core.kv_cache import AERPArena
 from repro.core.kv_pool import KVPagePool, PagedKVCache, PageTable
 from repro.llm.model import DecoderLM
+from repro.memory import bitops
 from repro.serve.session import FunctionalSession
 from repro.serve.radix import RadixPrefixIndex
 from repro.serve.scheduler import Scheduler
@@ -41,8 +43,9 @@ class Mutation:
     #: What that whole line becomes (indentation kept).
     replacement: str
     #: The harness that must kill it: ``"paged"`` (the stateful paged-KV
-    #: machine), ``"decode-batch"`` (the generated serving run) or
-    #: ``"aerp"`` (the AERP differential test's generated call sequences).
+    #: machine), ``"decode-batch"`` (the generated serving run), ``"aerp"``
+    #: (the AERP differential test's generated call sequences) or
+    #: ``"sampler"`` (the fault sampler's statistical test).
     harness: str = "paged"
     #: The exception the harness must fail with: its own assertion, unless
     #: the mutant breaks an invariant the code itself checks first.
@@ -108,5 +111,12 @@ MUTATIONS = (
              "return (tokens + ~lowest * _NOT_LOWEST).argmin(axis=2)",
              "return key.argmin(axis=2)", harness="aerp"),
     Mutation("corrupted-x-not-recomputed", AERPArena, "inject_faults",
-             "self._pending[record] = True", "pass", harness="aerp"),
+             "self._pending[x_at] = True", "pass", harness="aerp"),
+    Mutation("msb-fails-at-lsb-rate", bitops, "sample_bit_faults",
+             "for byte_bits, rate in zip((_MSB_BITS, _LSB_BITS), class_rates):",
+             "for byte_bits, rate in zip((_MSB_BITS, _LSB_BITS), class_rates[::-1]):",
+             harness="sampler"),
+    Mutation("decay-sets-failed-bits", bitops, "sample_bit_faults",
+             "np.bitwise_and.at(bits, element, ~mask)", "np.bitwise_or.at(bits, element, mask)",
+             harness="sampler"),
 )

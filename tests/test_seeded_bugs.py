@@ -1,10 +1,12 @@
-"""The stateful paged-KV machine, the generated serving run and the AERP
-differential test kill every seeded bug.
+"""The stateful paged-KV machine, the generated serving run, the AERP
+differential test and the fault sampler's statistical test kill every
+seeded bug.
 
 Each one-line mutation of ``tests/seeded_bugs.py`` is patched into the
 source and its harness — the machine of ``tests/test_paged_kv_stateful.py``,
-the serving run of ``tests/test_decode_batch.py`` or the generated call
-sequences of ``tests/test_aerp_differential.py`` — runs against it,
+the serving run of ``tests/test_decode_batch.py``, the generated call
+sequences of ``tests/test_aerp_differential.py`` or the statistical test of
+``tests/test_bitops.py`` (which passes on the code as it is) — runs against it,
 unchanged, within a fixed example budget: the test passes only when the
 harness fails with the mutation's ``kills_with`` (an ``AssertionError`` of
 the harness unless declared otherwise), so a harness that raises something
@@ -20,6 +22,7 @@ from hypothesis.stateful import run_state_machine_as_test
 
 from seeded_bugs import MUTATIONS
 from test_aerp_differential import _run, scenarios
+from test_bitops import check_sampler_rates
 from test_decode_batch import CONFIG, run_ops
 from test_paged_kv_stateful import PagedKVMachine
 
@@ -71,3 +74,12 @@ def test_differential_run_kills_seeded_bug(mutation, monkeypatch):
 def test_mutation_changes_exactly_one_line(mutation):
     original = getattr(mutation.owner, mutation.method)
     assert mutation.mutant() is not original  # the line was found exactly once
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("mutation", _killed_by("sampler"), ids=lambda mutation: mutation.name)
+def test_sampler_statistics_kill_seeded_bug(mutation, monkeypatch):
+    mutation.apply(monkeypatch)
+    with pytest.raises(mutation.kills_with):
+        for mode in ("decay", "flip"):  # the statistical test, both modes
+            check_sampler_rates(mode)
