@@ -573,7 +573,8 @@ class AERPArena:
         v_pos = k_pos + (held[target] * self.head_dim)[:, None]
         kv_at = (slots[group], heads, entries)
         block = np.empty(int(bounds[-1]), dtype=np.float32)
-        block[x_pos], block[k_pos], block[v_pos] = self._x[x_at], self._keys[kv_at], self._values[kv_at]
+        block[x_pos], block[k_pos] = self._x[x_at], self._keys[kv_at]
+        block[v_pos] = self._values[kv_at]
         bits = block.astype(np.float16).view(np.uint16)
         high = (rates[members, records] >= median[members]).repeat(sizes)
         bounds = bounds[members.searchsorted(np.arange(n_members + 1))]  # per sequence
@@ -582,7 +583,8 @@ class AERPArena:
             if a < b:
                 sample_bit_faults(bits[a:b], high[a:b], table, rngs[g], injector.mode)
         values = saturate_float16(bits)
-        self._x[x_at], self._keys[kv_at], self._values[kv_at] = values[x_pos], values[k_pos], values[v_pos]
+        self._x[x_at], self._keys[kv_at] = values[x_pos], values[k_pos]
+        self._values[kv_at] = values[v_pos]
         self._pending[x_at] = True
         self._corrupted[at] = True
 

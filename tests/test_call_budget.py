@@ -48,12 +48,14 @@ over the 128-slot budget, 64 decode steps, the 4-layer d=64 model,
   Xeon.
 * a group's step ended by its ``observe_group`` (one ``_STEP`` bump of the
   group's slots per layer), not by one ``end_step`` call per cache per
-  layer after the step: 63.19, same host.
+  layer after the step: 63.18, same host.
 
 The bound sits 10 % above the last reading: a return of per-layer
 grouping (~10 calls per token) or of the row-pool gather trips it; a
 return of the same-step recompute is caught, exactly, by
-``test_kelle_decode_recomputes_only_prompts``.
+``test_kelle_decode_recomputes_only_prompts``.  The same geometry with
+``kelle``'s default 2DRP fault injection is
+``test_kelle_2drp_calls_per_generated_token``, bounded at 3x this one.
 
 **The paged control plane** (``small-requests``): 400 requests arriving 16
 per engine step, 36-token prompts drawn Zipf-like from 1500 templates,
@@ -275,7 +277,7 @@ def test_kelle_2drp_calls_per_generated_token():
       failure count and the failed bits per (class, byte) group) on the
       fp16 block of every token that came due, one ``inject_faults`` call
       per group (classification, gather and scatter once for the group):
-      168.11 (against 63.19), 2.66x, Python 3.11.7 and NumPy 2.4.6 on a
+      168.66 (against 63.18), 2.67x, Python 3.11.7 and NumPy 2.4.6 on a
       2-core Xeon.
 
     The bound is 3x: a return of a loop over tokens or of a per-cache
