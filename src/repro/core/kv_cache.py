@@ -564,10 +564,13 @@ class AERPArena:
         x_at = (at[0][stored_x], records[stored_x])
         x_pos = starts[stored_x, None] + np.arange(self.d_model)
         # The entries holding each kv-format target, target-major in head order.
-        kv = (~stored_x).nonzero()[0]
-        target, entry = (flat.reshape(-1) == (members * n_records + records)[kv, None]).nonzero()
+        number = np.zeros(rates.size + 1, dtype=np.int64)  # 1 + a kv-format target's index
+        number[members * n_records + records] = np.arange(1, members.size + 1) * ~stored_x
+        hit = number[flat.ravel()]
+        entry = hit.nonzero()[0]
+        entry = entry[hit[entry].argsort(kind="stable")]
+        target = hit[entry] - 1
         group, heads, entries = np.unravel_index(entry, flat.shape)
-        target = kv[target]
         within = np.arange(target.size) - target.searchsorted(target)  # rank among its heads
         k_pos = (starts[target] + within * self.head_dim)[:, None] + np.arange(self.head_dim)
         v_pos = k_pos + (held[target] * self.head_dim)[:, None]

@@ -102,9 +102,8 @@ def inject_bit_flips(bits: np.ndarray, probability: float, rng: np.random.Genera
     if not 0.0 <= probability <= 1.0:
         raise ValueError("probability must lie in [0, 1]")
     bits = np.array(bits, dtype=np.uint16, order="C")
-    flat = bits.reshape(-1)
-    sample_bit_faults(flat, np.ones(flat.size, dtype=bool), ((probability, probability),) * 2,
-                      rng, mode)
+    sample_bit_faults(bits.reshape(-1), np.ones(bits.size, dtype=bool),
+                      ((probability, probability),) * 2, rng, mode)
     return bits
 
 
@@ -113,7 +112,6 @@ def inject_bit_flips_fp16(values: np.ndarray, msb_probability: float, lsb_probab
     """A corrupted fp16 copy of ``values`` with separate MSB-byte and
     LSB-byte failure rates, NaN/Inf saturated (:func:`saturate_float16`)."""
     bits = np.array(values, dtype=np.float16, order="C").view(np.uint16)
-    flat = bits.reshape(-1)
-    sample_bit_faults(flat, np.ones(flat.size, dtype=bool),
+    sample_bit_faults(bits.reshape(-1), np.ones(bits.size, dtype=bool),
                       ((msb_probability, lsb_probability),) * 2, rng, mode)
     return saturate_float16(bits).astype(np.float16)
