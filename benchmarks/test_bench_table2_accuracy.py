@@ -10,7 +10,7 @@ GOLDEN = {
     ("wikitext2", "streaming-llm"): "10.151",
     ("wikitext2", "h2o"): "10.324",
     ("wikitext2", "quarot"): "10.053",
-    ("wikitext2", "kelle"): "10.362",
+    ("wikitext2", "kelle"): "10.357",
     **{("arc-easy", method): "0.900" for method in table2_accuracy.METHOD_ORDER},
 }
 

@@ -64,15 +64,17 @@ group through :meth:`SlabCache.step_group` / :meth:`SlabCache.observe_group`
 (grouped by :meth:`SlabCache.group_key`: same arena, ``recompute_fn``
 object and count, so nothing is padded or masked); the single-cache
 ``append`` / ``fetch`` / ``observe_attention`` are the arena's ``append`` /
-``fetch`` / ``observe`` with ``G = 1``; the model's decode ends a group's
-step in its last ``observe_group`` (one ``_STEP`` bump of the group's
-slots), not with one ``end_step`` call per cache.  Prefill stays per
-sequence.  2DRP fault injection (:meth:`AERPArena.inject_faults`) runs once
-per ``observe_group`` and once per prefill: the group's tokens that came due
-are classified, gathered and scattered back once, and each sequence makes
-one sparse sampler call (:func:`repro.memory.bitops.sample_bit_faults`) on
-its own generator over its targets' stored forms in token order, so its
-faults do not depend on its company.
+``fetch`` / ``observe`` with ``G = 1``.  Every decode path ends a cache's
+step in its layer's ``observe_group`` (``end_step=True``: one ``_STEP``
+bump of the group's slots), not with ``end_step`` calls after the last
+layer.  Prefill stays per sequence.  2DRP fault injection
+(:meth:`AERPArena.inject_faults`) runs once per ``observe_group`` and once
+per prefill; for each sequence of the group it classifies the tokens that
+came due, gathers their stored forms in token order into one fp16 block,
+makes one sparse sampler call
+(:func:`repro.memory.bitops.sample_bit_faults`) on the sequence's own
+generator and scatters the block back, so a sequence's faults do not
+depend on its company.
 
 Recompute contract.  The slab holds K/V for every entry, whatever the
 token's format; a token's K/V are rebuilt from its stored ``x`` (it is
@@ -244,7 +246,8 @@ class AERPArena:
                 setattr(self, name, np.zeros(shape, dtype))
         self._seq = np.zeros((n_slots, 8), np.int64)
         self._free_slots = list(range(n_slots))  # a heap: the lowest comes first
-        self._iota = np.arange(n_slots)
+        # Sliced for every 0, 1, ... a group, a record or an element row needs.
+        self._iota = np.arange(max(n_slots, self.d_model, self.n_heads * self.width) + 1)
 
     def alloc_slot(self) -> int:
         """Hand out the lowest free sequence slot, in the empty state."""
@@ -508,29 +511,19 @@ class AERPArena:
         order = np.argsort(self._token[holder])
         return live[order], where[live[order]], (slot, row[order], holder[2][order])
 
-    def importance_rates(self, slots: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The HST / LST input of every record of the sequences in ``slots``:
-        ``[G, T]`` its token's mean accumulated score over the heads holding
-        it (summed in head order) per observation, and its token index; and
-        per entry ``[G, R, n]`` its record's index in that ``[G * T]``
-        flattening, ``G * T`` past a sequence's count."""
-        seq, refs = self._seq[slots], self._refs[slots]
-        size, counts = refs.size, seq[:, _COUNT]
-        n = int(np.maximum.reduce(counts))
-        offsets = self._iota[:slots.size, None, None] * refs.shape[1]
-        flat = np.where(np.arange(n) < counts[:, None, None],
-                        self._record[slots, :, :n] + offsets, size)
-        sums = np.bincount(flat.ravel(), self._importance[slots, :, :n].ravel(), size + 1)
-        tokens = np.empty(size + 1, dtype=np.int64)
-        tokens[flat] = self._token[slots, :, :n]
-        observed = np.maximum(seq[:, _N_OBSERVED, None] - self._obs_base[slots], 1)
-        rates = sums[:size].reshape(refs.shape) / np.maximum(refs, 1) / observed
-        return rates, tokens[:size].reshape(refs.shape), flat
+    def importance_rates(self, slot: int) -> np.ndarray:
+        """The 2DRP class input of each record of the sequence: its token's
+        mean accumulated score over the heads holding it (summed in head
+        order) per observation."""
+        seq, refs = self._seq[slot], self._refs[slot]
+        sums = np.bincount(self._record[slot, :, :seq[_COUNT]].ravel(),
+                           self._importance[slot, :, :seq[_COUNT]].ravel(), refs.size)
+        return sums / np.maximum(refs, 1) / np.maximum(seq[_N_OBSERVED] - self._obs_base[slot], 1)
 
     def inject_faults(self, slots: np.ndarray, injector: KVFaultInjector,
                       rngs: "Sequence[np.random.Generator]", resident_steps: int) -> None:
         """Apply the 2DRP fault model once to every live, not yet corrupted
-        token of the sequences in ``slots`` that was created ``resident_steps``
+        token of each sequence in ``slots`` that was created ``resident_steps``
         steps ago or earlier.
 
         A token is HST when its :meth:`importance_rates` entry is at least
@@ -539,57 +532,55 @@ class AERPArena:
         generator ``rngs[g]`` (its draws do not depend on its company) on one
         fp16 block: every target's stored form in token order — the ``[C]``
         ``x`` of an x-format token, the K then the V of the heads holding a
-        kv-format one, each in head order.  One scatter per array writes the
-        group's blocks back; a corrupted ``x`` is rebuilt at the next fetch.
+        kv-format one, each in head order — written back with one scatter per
+        array; a corrupted ``x`` is rebuilt at the next fetch.
         """
-        rates, tokens, flat = self.importance_rates(slots)
-        refs, seq, (n_members, n_records) = self._refs[slots], self._seq[slots], rates.shape
-        live = refs > 0
-        ranked = np.where(live, rates, np.inf)
-        ranked.sort(axis=1)
-        rows, n_live = self._iota[:n_members], np.add.reduce(live, axis=1)
-        median = (ranked[rows, (n_live - 1) // 2] + ranked[rows, n_live // 2]) / 2
-        targets = live & ~self._corrupted[slots] & (
-            self._created[slots] <= (seq[:, _STEP] - resident_steps)[:, None])
-        members, records = targets.nonzero()
-        if not members.size:
-            return
-        order = np.lexsort((tokens[members, records], members))
-        members, records = members[order], records[order]
-        at, held = (slots[members], records), refs[members, records]
-        stored_x = self._stored_x[at]
-        sizes = np.where(stored_x, self.d_model, 2 * self.head_dim * held)
-        bounds = np.zeros(members.size + 1, dtype=np.int64)  # where each target's block starts
-        starts = sizes.cumsum(out=bounds[1:]) - sizes
-        x_at = (at[0][stored_x], records[stored_x])
-        x_pos = starts[stored_x, None] + np.arange(self.d_model)
-        # The entries holding each kv-format target, target-major in head order.
-        number = np.zeros(rates.size + 1, dtype=np.int64)  # 1 + a kv-format target's index
-        number[members * n_records + records] = np.arange(1, members.size + 1) * ~stored_x
-        hit = number[flat.ravel()]
-        entry = hit.nonzero()[0]
-        entry = entry[hit[entry].argsort(kind="stable")]
-        target = hit[entry] - 1
-        group, heads, entries = np.unravel_index(entry, flat.shape)
-        within = np.arange(target.size) - target.searchsorted(target)  # rank among its heads
-        k_pos = (starts[target] + within * self.head_dim)[:, None] + np.arange(self.head_dim)
-        v_pos = k_pos + (held[target] * self.head_dim)[:, None]
-        kv_at = (slots[group], heads, entries)
-        block = np.empty(int(bounds[-1]), dtype=np.float32)
-        block[x_pos], block[k_pos] = self._x[x_at], self._keys[kv_at]
-        block[v_pos] = self._values[kv_at]
-        bits = block.astype(np.float16).view(np.uint16)
-        high = (rates[members, records] >= median[members]).repeat(sizes)
-        bounds = bounds[members.searchsorted(np.arange(n_members + 1))]  # per sequence
-        table = injector.rates
-        for g, (a, b) in enumerate(zip(bounds[:-1].tolist(), bounds[1:].tolist())):
-            if a < b:
-                sample_bit_faults(bits[a:b], high[a:b], table, rngs[g], injector.mode)
-        values = saturate_float16(bits)
-        self._x[x_at], self._keys[kv_at] = values[x_pos], values[k_pos]
-        self._values[kv_at] = values[v_pos]
-        self._pending[x_at] = True
-        self._corrupted[at] = True
+        d, ramp, table = self.head_dim, self._iota, injector.rates
+        for slot, rng in zip(slots.tolist(), rngs):
+            seq, refs = self._seq[slot], self._refs[slot]
+            live = refs > 0
+            targets = (live & ~self._corrupted[slot]
+                       & (self._created[slot] <= seq[_STEP] - resident_steps)).nonzero()[0]
+            if not targets.size:
+                continue
+            record = self._record[slot, :, :seq[_COUNT]]  # [H, n]
+            if targets.size > 1:  # into token order
+                tokens = np.empty(refs.size, dtype=np.int64)
+                tokens[record] = self._token[slot, :, :seq[_COUNT]]
+                targets = targets[tokens[targets].argsort()]
+            rates = self.importance_rates(slot)
+            ranked = rates[live]
+            ranked.sort()
+            median = (ranked[(ranked.size - 1) // 2] + ranked[ranked.size // 2]) / 2
+            stored_x, held = self._stored_x[slot, targets], refs[targets]
+            sizes = 2 * d * held
+            sizes[stored_x] = self.d_model
+            starts = sizes.cumsum() - sizes  # where each target's block starts
+            x_at = (slot, targets[stored_x])
+            x_pos = starts[stored_x, None] + ramp[:self.d_model]
+            # The entries holding each kv-format target, target-major in head order.
+            number = np.zeros(refs.size, dtype=np.int64)  # 1 + a kv-format target's index
+            number[targets] = ramp[1:targets.size + 1] * ~stored_x
+            hit = number[record]
+            heads, entries = hit.nonzero()  # head-major
+            if targets.size > 1:  # target-major
+                order = hit[heads, entries].argsort(kind="stable")
+                heads, entries = heads[order], entries[order]
+            target, kv_at = hit[heads, entries] - 1, (slot, heads, entries)
+            within = ramp[:target.size] - target.searchsorted(target)  # rank among its heads
+            k_pos = (starts[target] + within * d)[:, None] + ramp[:d]
+            v_pos = k_pos + (held[target] * d)[:, None]
+            block = np.empty(int(starts[-1] + sizes[-1]), dtype=np.float16)  # stored at fp16
+            block[x_pos], block[k_pos] = self._x[x_at], self._keys[kv_at]
+            block[v_pos] = self._values[kv_at]
+            bits = block.view(np.uint16)
+            sample_bit_faults(bits, (rates[targets] >= median).repeat(sizes), table, rng,
+                              injector.mode)
+            values = saturate_float16(bits)
+            self._x[x_at], self._keys[kv_at] = values[x_pos], values[k_pos]
+            self._values[kv_at] = values[v_pos]
+            self._pending[x_at] = True
+            self._corrupted[slot, targets] = True
 
     def entries(self, slot: int) -> dict[int, TokenEntry]:
         live, where, holder = self.live(slot)
@@ -732,10 +723,6 @@ class AERPCache(SlabCache):
     def tokens_for_head(self, head: int) -> list[int]:
         """Token indices ``head`` retains, in entry (:meth:`fetch`) order."""
         return self._arena._token[self._slot, head, :self.num_tokens].tolist()
-
-    def popularity(self, token_index: int) -> float:
-        """Fraction of heads retaining the token."""
-        return len(self.entries[token_index].retaining_heads) / self.n_heads
 
     @property
     def recompute_count(self) -> int:

@@ -122,8 +122,7 @@ class RefreshPolicy(abc.ABC):
 
     def average_interval(self) -> float:
         """Mean refresh interval across groups (equal weights)."""
-        specs = self.groups()
-        return float(np.mean([spec.refresh_interval_s for spec in specs]))
+        return float(np.mean(self.intervals()))
 
     def average_failure_rate(self) -> float:
         """Mean retention-failure rate across groups (equal weights)."""
@@ -138,11 +137,8 @@ class RefreshPolicy(abc.ABC):
         holds one byte of every 16-bit element, split evenly between HST and
         LST tokens).
         """
-        specs = self.groups()
-        power = 0.0
-        for spec in specs:
-            power += refresh_energy_per_byte_j / spec.refresh_interval_s / len(specs)
-        return power
+        intervals = self.intervals()
+        return sum(refresh_energy_per_byte_j / interval / len(intervals) for interval in intervals)
 
 
 class GuardRefreshPolicy(RefreshPolicy):
@@ -187,12 +183,15 @@ class TwoDRefreshPolicy(RefreshPolicy):
                  lst_msb_s: float = 1.44 * MILLISECOND, lst_lsb_s: float = 7.2 * MILLISECOND,
                  retention: RetentionModel | None = None) -> None:
         super().__init__(retention)
-        if min(hst_msb_s, hst_lsb_s, lst_msb_s, lst_lsb_s) <= 0:
+        intervals = (hst_msb_s, hst_lsb_s, lst_msb_s, lst_lsb_s)
+        if any(interval <= 0 for interval in intervals):
             raise ValueError("refresh intervals must be positive")
         if hst_msb_s > lst_msb_s:
             raise ValueError("HST MSBs must be refreshed at least as often as LST MSBs")
-        self.hst_msb_s, self.hst_lsb_s = hst_msb_s, hst_lsb_s
-        self.lst_msb_s, self.lst_lsb_s = lst_msb_s, lst_lsb_s
+        self.hst_msb_s = hst_msb_s
+        self.hst_lsb_s = hst_lsb_s
+        self.lst_msb_s = lst_msb_s
+        self.lst_lsb_s = lst_lsb_s
 
     def intervals(self) -> tuple[float, float, float, float]:
         return self.hst_msb_s, self.hst_lsb_s, self.lst_msb_s, self.lst_lsb_s
@@ -200,15 +199,25 @@ class TwoDRefreshPolicy(RefreshPolicy):
     @classmethod
     def paper_setting(cls, scale: float = 1.0, retention: RetentionModel | None = None) -> "TwoDRefreshPolicy":
         """The Section 7.1 intervals, optionally scaled (Table 4 sweeps 0.5x/1x/2x)."""
-        return cls(*(ms * MILLISECOND * scale for ms in (0.36, 5.4, 1.44, 7.2)),
-                   retention=retention)
+        return cls(
+            hst_msb_s=0.36 * MILLISECOND * scale,
+            hst_lsb_s=5.4 * MILLISECOND * scale,
+            lst_msb_s=1.44 * MILLISECOND * scale,
+            lst_lsb_s=7.2 * MILLISECOND * scale,
+            retention=retention,
+        )
 
     @classmethod
     def from_table4_row(cls, hst_msb_us: float, hst_lsb_us: float, lst_msb_us: float,
                         lst_lsb_us: float, retention: RetentionModel | None = None) -> "TwoDRefreshPolicy":
         """Build the policy from the microsecond intervals listed in Table 4."""
-        return cls(*(us * MICROSECOND for us in (hst_msb_us, hst_lsb_us, lst_msb_us, lst_lsb_us)),
-                   retention=retention)
+        return cls(
+            hst_msb_s=hst_msb_us * MICROSECOND,
+            hst_lsb_s=hst_lsb_us * MICROSECOND,
+            lst_msb_s=lst_msb_us * MICROSECOND,
+            lst_lsb_s=lst_lsb_us * MICROSECOND,
+            retention=retention,
+        )
 
 
 # -- registry builders --------------------------------------------------------

@@ -220,7 +220,9 @@ class LayerKVCache(abc.ABC):
         """Bytes of cache storage currently occupied (for energy accounting)."""
 
     def end_step(self) -> None:
-        """Hook called once per decode step after attention; default no-op."""
+        """Hook ending a decode step at this layer, called after attention
+        (the decode calls it through ``observe_group(..., end_step=True)``);
+        default no-op."""
 
     # -- group protocol (batched decode of caches no fused layout covers) --
     def group_key(self) -> "Hashable | None":

@@ -63,14 +63,13 @@ class _DecodePlan:
     on the model.
     """
 
-    __slots__ = ("stacks", "groups", "loose", "unwhole", "enders")
+    __slots__ = ("stacks", "groups", "loose", "unwhole")
 
     def __init__(self, model: "DecoderLM", stacks: list[list[LayerKVCache]]) -> None:
         self.stacks = stacks
         if True not in [caches[0].paged_stack for caches in stacks]:
             # Nothing to group or place (rebuilt every step, so kept cheap).
             self.groups, self.unwhole, self.loose = [], [], range(len(stacks))
-            self.enders = []  # more than one stack: each steps by group
             return
         paged_groups, self.loose = model._fused_decode_groups(stacks)
         #: ``(rows, group)`` of each paged group.
@@ -84,9 +83,6 @@ class _DecodePlan:
         #: back in step).
         self.unwhole = [b for b in self.loose if stacks[b][0].paged_stack
                         and not stacks[b][0].whole_stack(stacks[b])]
-        #: The loose caches whose class has an ``end_step`` of its own, when
-        #: they are not stepped by group (whose ``observe_group`` ends them).
-        self.enders = _enders([stacks[b] for b in self.loose]) if len(self.loose) == 1 else []
 
     def holds(self) -> bool:
         """Whether every group still holds what its last claim left and no
@@ -98,12 +94,6 @@ class _DecodePlan:
             if self.stacks[b][0].whole_stack(self.stacks[b]):
                 return False
         return True
-
-
-def _enders(stacks) -> list[LayerKVCache]:
-    """The caches of ``stacks`` whose class overrides the no-op ``end_step``."""
-    return [cache for caches in stacks for cache in caches
-            if cache.__class__.end_step is not LayerKVCache.end_step]
 
 
 class DecoderLM:
@@ -608,10 +598,11 @@ class DecoderLM:
     def _attend_cache(self, cache: LayerKVCache, query: np.ndarray, row: int,
                       context: np.ndarray, scale: float) -> None:
         """:meth:`_attend` for batch row ``row`` alone over ``cache``, which
-        holds the step's token, fed back through ``observe_attention``."""
+        holds the step's token, fed back through ``observe_group``, which
+        ends the cache's step at this layer."""
         keys, values = cache.fetch()  # zero-copy views or gathers
         probs = self._attend(query, [row], keys[None], values[None], None, context, scale)
-        cache.observe_attention(probs[0, :, 0])
+        cache.observe_group([cache], probs[:, :, 0], end_step=True)
 
     def _attend_loose_rows(self, groups: "Iterable[list[int]]", layer: int,
                            caches_batch: Sequence[list[LayerKVCache]],
@@ -690,12 +681,11 @@ class DecoderLM:
         scale = 1.0 / np.sqrt(self.config.head_dim)
         if fused and batch > 1:
             plan = self._plan_decode(list(caches_batch))
-            loose, enders, paged = plan.loose, plan.enders, plan.groups
+            loose, paged = plan.loose, plan.groups
             for _rows, group in paged:
                 group.claim()
         else:
             loose, paged = list(range(batch)), []
-            enders = _enders(caches_batch)
         groups: "dict | None" = None
         if fused and len(loose) > 1:  # grouped once per step by layer 0's keys
             groups = {}
@@ -733,8 +723,6 @@ class DecoderLM:
             hidden = hidden + context @ self.params[f"{prefix}.wo"]
             normed = self._norm(hidden, f"{prefix}.mlp_norm")
             hidden = hidden + self._mlp(normed, layer)
-        for cache in enders:
-            cache.end_step()
         hidden = self._norm(hidden, "final_norm")
         return self._lm_head(hidden)
 

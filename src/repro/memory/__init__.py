@@ -17,9 +17,6 @@ from repro.memory.edram import (
 from repro.memory.dram import make_lpddr4
 from repro.memory.retention import RetentionModel, DEFAULT_RETENTION_MODEL
 from repro.memory.bitops import (
-    FP16_BITS,
-    LSB_MASK,
-    MSB_MASK,
     float16_to_bits,
     bits_to_float16,
     inject_bit_flips,
@@ -40,9 +37,6 @@ __all__ = [
     "make_lpddr4",
     "RetentionModel",
     "DEFAULT_RETENTION_MODEL",
-    "FP16_BITS",
-    "MSB_MASK",
-    "LSB_MASK",
     "float16_to_bits",
     "bits_to_float16",
     "inject_bit_flips",

@@ -20,17 +20,11 @@ from __future__ import annotations
 
 import numpy as np
 
-#: Number of bits per stored KV element (activations/KV kept at 16 bit).
-FP16_BITS = 16
-
 #: Bit positions belonging to the more-significant byte (bits 15-8).
 MSB_POSITIONS = tuple(range(8, 16))
 
 #: Bit positions belonging to the less-significant byte (bits 7-0).
 LSB_POSITIONS = tuple(range(0, 8))
-
-MSB_MASK = np.uint16(0xFF00)
-LSB_MASK = np.uint16(0x00FF)
 
 #: The single-bit masks of each byte, indexed by bit within the byte.
 _MSB_BITS = np.array([1 << pos for pos in MSB_POSITIONS], dtype=np.uint16)
@@ -86,7 +80,15 @@ def sample_bit_faults(bits: np.ndarray, high: np.ndarray, rates, rng: np.random.
         for byte_bits, rate in zip((_MSB_BITS, _LSB_BITS), class_rates):
             failed = rng.binomial(n_bits, rate) if n_bits and rate else 0
             if failed:  # bit index i: bit i % 8 of the byte of element i // 8
-                picks = rng.choice(n_bits, failed, replace=False)
+                # ``failed`` distinct indices, a uniform subset: as many draws
+                # j uniform on [0, 2**53) (``random`` returns j / 2**53), kept
+                # as j % n_bits if all lie below the largest multiple of n_bits
+                # and the picks are distinct, else a subset drawn outright.
+                draws = rng.random(failed) * 2.0 ** 53
+                picks = draws.astype(np.int64) % n_bits
+                if (max(draws.tolist()) >= 2 ** 53 - 2 ** 53 % n_bits
+                        or len(set(picks.tolist())) < failed):
+                    picks = rng.choice(n_bits, failed, replace=False)
                 element, mask = members[picks >> 3], byte_bits[picks & 7]
                 if mode == FAULT_MODE_FLIP:  # distinct bits: an element may repeat
                     np.bitwise_xor.at(bits, element, mask)

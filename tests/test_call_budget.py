@@ -49,6 +49,9 @@ over the 128-slot budget, 64 decode steps, the 4-layer d=64 model,
 * a group's step ended by its ``observe_group`` (one ``_STEP`` bump of the
   group's slots per layer), not by one ``end_step`` call per cache per
   layer after the step: 63.18, same host.
+* a lone row's step ended the same way (``observe_group([cache], ...,
+  end_step=True)`` in place of ``observe_attention``, which builds one
+  more list per layer when a single sequence is left): 63.20.
 
 The bound sits 10 % above the last reading: a return of per-layer
 grouping (~10 calls per token) or of the row-pool gather trips it; a
@@ -278,10 +281,15 @@ def test_kelle_2drp_calls_per_generated_token():
       fp16 block of every token that came due, one ``inject_faults`` call
       per group (classification, gather and scatter once for the group):
       168.66 (against 63.18), 2.67x, Python 3.11.7 and NumPy 2.4.6 on a
-      2-core Xeon.
+      2-core Xeon;
+    * the same sampler drawing its failed bits from ``rng.random`` (not
+      ``Generator.choice``), and ``inject_faults`` looping over the group's
+      sequences, each classified, gathered and scattered on its own (~30
+      calls a sequence per layer-step; the group-wide ``[G * T]``
+      bookkeeping is gone): 183.67 (against 63.20), 2.91x, same host.
 
-    The bound is 3x: a return of a loop over tokens or of a per-cache
-    classification trips it.
+    The bound is 3x: a return of a loop over tokens, of a sampler call per
+    token or of ~2 more calls per sequence-layer-step trips it.
     """
     lm, requests = _model(), _kelle_requests()
     cache = CACHE.replace(",refresh=none", "")
