@@ -44,6 +44,9 @@ def lowest_position(arena: AERPArena, slots: np.ndarray, eligible: np.ndarray,
     return first_lowest(positions, eligible, tokens)
 
 
+lowest_position.key = "_position"  # the arena's persistent victim key
+
+
 def random_victims(arena: AERPArena, slots: np.ndarray, eligible: np.ndarray,
                    positions: np.ndarray, tokens: np.ndarray) -> np.ndarray:
     """One draw of each sequence's generator over its eligible entries in

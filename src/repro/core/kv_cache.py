@@ -38,18 +38,29 @@ recent_window)`` (struct of arrays, no per-token Python objects):
 * **Sequence slot** — one live sequence, allocated when its handle is built
   (the lowest free slot, so a batch that arrives together holds a contiguous
   range) and returned by ``release()`` — or, for a handle garbage collected
-  unreleased, at the next allocation.  ``_seq[S, 10]`` holds its counters.
+  unreleased, at the next allocation.  ``_seq[S, 11]`` holds its counters,
+  among them its live and x-format token records.
 
 Entries never move.  A sequence below budget writes a new token into entry
-``count``; a full one picks each row's victim with one masked choice (the
-sink and recent-window masks, then the policy's victim function: for AERP
-the lowest importance, ties to the oldest token — the old slot tables'
-"first minimum in slot order") and writes the new token over it.  Every
-operation adds or overwrites exactly one entry in *every* row, so one
-``count`` serves all rows and ``fetch`` never pads or masks: it returns the
-``count`` entries of every row.  Entry order is not token order; attention
-is permutation invariant (Equations 1-2), so only the summation order of
-its reductions differs from a token-ordered store.
+``count``; a full one writes it over each row's victim: for AERP the lowest
+importance, ties to the oldest token (the old slot tables' "first minimum
+in slot order"), among the entries that are neither sinks nor in the recent
+window.  The arena keeps that eligibility across steps instead of masking
+every entry each step: per entry a protection (+inf on sinks and on the
+recent window, else 0) and per row a ring of the window's entries, by
+position modulo the window.  A step whose newest positions advance by one
+unprotects the one entry per row leaving the window and takes each row's
+``argmin`` of importance plus protection, a second ``argmin`` checking that
+the minimum is unique.  Ties, rows with nothing eligible, victim functions
+without a ``key`` (``random``) and steps whose positions do not advance by
+one take the masked choice (the sink and recent-window masks, then the
+policy's victim function); the next full append at a newest position
+rebuilds protection and ring.  Every operation adds or overwrites exactly
+one entry in *every* row, so one ``count`` serves all rows and ``fetch``
+never pads or masks: it returns the ``count`` entries of every row.  Entry
+order is not token order; attention is permutation invariant (Equations
+1-2), so only the summation order of its reductions differs from a
+token-ordered store.
 
 Group steps.  Every arena operation takes ``G`` sequence slots holding
 equally many entries ``n`` and does its work once for all of them:
@@ -96,8 +107,8 @@ fused QKV GEMM on the ``bench-e2e`` model and on 6 of the 7
 bit); a batched step's ``M = B`` GEMM differs from both in the last bits,
 as it always did for its kv-format tokens.
 
-:class:`TokenEntry`, :attr:`AERPCache.entries`, :meth:`AERPCache.tokens_for_head`
-and :meth:`AERPCache.popularity` are introspection snapshots built on demand
+:class:`TokenEntry`, :attr:`AERPCache.entries` and
+:meth:`AERPCache.tokens_for_head` are introspection snapshots built on demand
 from the arrays.  The original dict / list / set implementation lives on as
 the test oracle (``tests/reference_aerp.py``): eviction victims, format
 choices, counters, each (head, token) pair's importance and K/V, ``fetch``
@@ -113,6 +124,7 @@ import math
 import mmap
 import weakref
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
@@ -174,6 +186,11 @@ def lowest_importance(arena: "AERPArena", slots: np.ndarray, eligible: np.ndarra
     return first_lowest(arena._importance[slots, :, :tokens.shape[2]], eligible, tokens)
 
 
+#: The arena array whose lowest evictable entry is the victim: the arena
+#: keeps it as a persistent key (see :class:`AERPArena`).
+lowest_importance.key = "_importance"
+
+
 def _zeros(shape: tuple[int, ...], dtype: type) -> np.ndarray:
     """Zeros on a fresh mapping (not a reused spare): only written pages are resident."""
     size, itemsize = math.prod(shape), np.dtype(dtype).itemsize
@@ -185,9 +202,11 @@ _INITIAL_SLOTS = 16
 
 #: Columns of :attr:`AERPArena._seq`: entries per row, steps ended, next token
 #: index, observations, evictions, recomputations, the count the last
-#: unobserved fetch handed out (-1: none), newest position.
+#: unobserved fetch handed out (-1: none), newest position, the position
+#: whose append may follow the window with the victim key (-1: none), live
+#: token records and those of them stored in x format.
 (_COUNT, _STEP, _NEXT_TOKEN, _N_OBSERVED, _EVICTIONS, _RECOMPUTES, _FETCHED,
- _POSITION) = range(8)
+ _POSITION, _EXPECT, _LIVE, _N_X) = range(11)
 
 
 class AERPArena:
@@ -195,12 +214,24 @@ class AERPArena:
     layout).  ``victims`` picks what a full sequence overwrites; ``shared=True``
     keeps one policy row per sequence instead of one per head, and no token
     records.  Group operations take ``slots``, an integer array of ``G``
-    distinct sequence slots holding equally many entries."""
+    distinct sequence slots holding equally many entries.
+
+    A ``victims`` function with a ``key`` attribute (the name of the entry
+    array whose lowest evictable value it picks) lets the arena keep, across
+    steps, which entries are protected (``_protect``: +inf on sinks and on
+    the recent window, else 0) and a ring ``_ring`` of each row's window
+    entries, by position modulo the window.  While every append of a
+    sequence advances its newest position by one (``_EXPECT``), an append
+    unprotects the entry leaving the window and picks the victims with one
+    ``argmin`` of ``key + _protect``; any other step takes the masked
+    choice, and the first full append at a newest position rebuilds
+    ``_protect`` and the ring from its masks (a window of 0 is never
+    followed)."""
 
     #: Arrays indexed by sequence slot along axis 0 (grown together).
     _SLOT_POOLS = ("_keys", "_values", "_importance", "_position", "_token", "_record", "_x",
                    "_created", "_obs_base", "_refs", "_stored_x", "_pending", "_corrupted",
-                   "_seq")
+                   "_protect", "_ring", "_seq")
 
     def __init__(self, n_heads: int, head_dim: int, d_model: int, config: "AERPConfig",
                  victims: Victims = lowest_importance, shared: bool = False) -> None:
@@ -213,6 +244,7 @@ class AERPArena:
         self._heads = np.arange(n_heads)
         self._rows = np.arange(1 if shared else n_heads)  # policy rows per sequence
         self._records = not shared
+        self._keyed: "str | None" = getattr(victims, "key", None)
         #: Per-slot random generators of victim functions that draw.
         self.rngs: dict[int, np.random.Generator] = {}
         # Slots of handles that were garbage collected unreleased.  The
@@ -227,24 +259,30 @@ class AERPArena:
         self._allocate(_INITIAL_SLOTS)
 
     def _allocate(self, n_slots: int) -> None:
-        """(Re)build every array for ``n_slots`` slots, all of them free."""
-        entries = (n_slots, self._rows.size, self.width)
-        records = (n_slots, self._rows.size * self.width if self._records else 0)
-        kv = (n_slots, self.n_heads, self.width, self.head_dim)
-        self._keys, self._values = np.zeros(kv, np.float32), np.zeros(kv, np.float32)
-        self._importance = np.zeros(entries, np.float64)
-        self._x = _zeros(records + (self.d_model,), np.float32)
+        """(Re)build every array for ``n_slots`` slots, all of them free.
+        ``_flat`` holds a 1-D view of each (of ``_x``, one row per record):
+        a step indexes its entries ``(slot * R + row) * W + entry``, its
+        ring cells ``(slot * R + row) * max(window, 1) + cell`` and its
+        records ``slot * R * W + record``."""
+        rows, width = self._rows.size, self.width
+        entries, records = (n_slots, rows, width), (n_slots, rows * width if self._records else 0)
+        ring = (n_slots, rows, max(self.config.recent_window, 1))
         # Per entry its token's position, index and record.  Per record
         # ``_refs``, the entries holding its token (0: a free record), and
         # ``_obs_base``: the token has been observed ``_seq[s, _N_OBSERVED] -
         # _obs_base`` times; ``_pending``: x format, K/V to be rebuilt from x
-        # (set by ``load`` and by a fault on x only).
-        for names, shape, dtype in (("_position _token _record", entries, np.int64),
-                                    ("_created _obs_base _refs", records, np.int64),
-                                    ("_stored_x _pending _corrupted", records, bool)):
-            for name in names.split():
-                setattr(self, name, np.zeros(shape, dtype))
-        self._seq = np.zeros((n_slots, 8), np.int64)
+        # (set by ``load`` and by a fault on x only; cleared when freed).
+        self._flat = flat = SimpleNamespace()
+        for names, shape, dtype in (
+                ("_keys _values", (n_slots, self.n_heads, width, self.head_dim), np.float32),
+                ("_importance _protect", entries, np.float64), ("_seq", (n_slots, 11), np.int64),
+                ("_position _token _record", entries, np.int64), ("_ring", ring, np.int64),
+                ("_created _obs_base _refs", records, np.int64),
+                ("_x", records + (self.d_model,), np.float32),
+                ("_stored_x _pending _corrupted", records, bool)):
+            for name in names.split():  # _x on a fresh mapping: pages resident once written
+                setattr(self, name, array := (_zeros if name == "_x" else np.zeros)(shape, dtype))
+                setattr(flat, name, array.reshape(-1, *shape[2 if name == "_x" else 3:]))
         self._free_slots = list(range(n_slots))  # a heap: the lowest comes first
         # Sliced for every 0, 1, ... a group, a record or an element row needs.
         self._iota = np.arange(max(n_slots, self.d_model, self.n_heads * self.width) + 1)
@@ -261,8 +299,8 @@ class AERPArena:
                 getattr(self, name)[:n_slots] = array
             self._free_slots = list(range(n_slots, 2 * n_slots))
         slot = heapq.heappop(self._free_slots)
-        self._seq[slot] = self._refs[slot] = 0
-        self._seq[slot, _FETCHED] = self._seq[slot, _POSITION] = -1
+        self._seq[slot] = self._refs[slot] = self._pending[slot] = 0
+        self._seq[slot, _FETCHED] = self._seq[slot, _POSITION] = self._seq[slot, _EXPECT] = -1
         return slot
 
     def free_slot(self, slot: int) -> None:
@@ -328,72 +366,112 @@ class AERPArena:
         the K/V handed in, whatever its format: none is pending recomputation."""
         if np.maximum.reduce(seq[:, _FETCHED]) >= 0:
             self._snapshot_before_mutation(slots.tolist(), seq[:, _FETCHED].tolist())
+        synced = np.logical_and.reduce(positions == seq[:, _EXPECT])
         np.maximum(seq[:, _POSITION], positions, out=seq[:, _POSITION])
-        at = slots[:, None]
+        if not synced and self._keyed and np.logical_and.reduce(positions == seq[:, _POSITION]):
+            synced = None  # the newest tokens: an eviction rebuilds the protection
+        flat, at = self._flat, slots[:, None]
+        rows = at * self._rows.size + self._rows  # [G, R] flat (slot, row)
+        cell = rows * self._ring.shape[2] + (positions % self._ring.shape[2])[:, None]
+        if synced:  # each row's entry leaving the window becomes evictable
+            flat._protect[rows * self.width + flat._ring[cell]] = 0.0
         if count >= self.config.budget:
-            entry = self._evict(slots, sel, seq, count)
+            entry, new, synced = self._evict(slots, sel, seq, count, rows, synced)
         else:
-            entry = count
+            entry, new = count, rows * self.width + count
             seq[:, _COUNT] = count + 1
-        self._keys[at, self._heads, entry] = keys
-        self._values[at, self._heads, entry] = values
-        new = (at, self._rows, entry)
-        self._importance[new] = scores
-        self._position[new] = positions[:, None]
-        self._token[new] = seq[:, _NEXT_TOKEN, None]
+        # ``new``: the [G, R] flat entries, with R = H the K/V rows too.
+        kv = new if self._records else (at * self.n_heads + self._heads) * self.width + entry
+        flat._keys[kv] = keys
+        flat._values[kv] = values
+        flat._importance[new] = scores
+        flat._position[new] = positions[:, None]
+        flat._token[new] = seq[:, _NEXT_TOKEN, None]
         seq[:, _NEXT_TOKEN] += 1
+        if synced:  # the new tokens enter the window
+            flat._protect[new] = np.inf
+            flat._ring[cell] = entry
+        seq[:, _EXPECT] = positions + 1 if synced else -1
         if self._records:
-            live = self._refs[sel] > 0  # [G, T]: the victims' records are free now
-            record = live.argmin(axis=1)  # the lowest free record
-            self._record[new] = record[:, None]
-            new = (slots, record)
-            self._x[new] = xs
-            self._created[new] = seq[:, _STEP]
-            self._obs_base[new] = seq[:, _N_OBSERVED]
-            self._refs[new] = self._rows.size
-            self._corrupted[new] = self._pending[new] = False
+            record = self._refs[sel].argmin(axis=1)  # the lowest free record
+            flat._record[new] = record[:, None]
+            new = slots * self._refs.shape[1] + record
+            flat._x[new] = xs
+            flat._created[new] = seq[:, _STEP]
+            flat._obs_base[new] = seq[:, _N_OBSERVED]
+            flat._refs[new] = self._rows.size
+            flat._corrupted[new] = False  # not pending: a free record never is
             # Figure 7 (a): a new token's popularity of 1 meets any threshold.
-            n_live, n_x = self._counts(live, sel)
-            self._stored_x[new] = n_x / np.maximum(n_live, 1) < self._x_limit
+            stored_x = seq[:, _N_X] / np.maximum(seq[:, _LIVE], 1) < self._x_limit
+            flat._stored_x[new] = stored_x
+            seq[:, _LIVE] += 1
+            seq[:, _N_X] += stored_x
         if sel is slots:
             self._seq[slots] = seq
 
     def _evict(self, slots: np.ndarray, sel: "slice | np.ndarray", seq: np.ndarray,
-               count: int) -> np.ndarray:
-        """Every row's victim entry (sinks and the recent window only when
-        nothing else is eligible), counted in ``seq``, the group's header
-        rows; a victim's token record is freed once no entry holds it."""
-        config = self.config
-        positions = self._position[sel, :, :count]  # [G, R, n]
-        tokens = self._token[sel, :, :count]
-        non_sink = positions >= config.sink_tokens
-        oldest_recent = (seq[:, _POSITION] - config.recent_window)[:, None, None]
-        eligible = non_sink & (positions <= oldest_recent)
-        has_candidate = np.logical_or.reduce(eligible, axis=2)
-        if not np.logical_and.reduce(has_candidate, axis=None):
-            eligible[~has_candidate] = non_sink[~has_candidate]
-            eligible[~np.logical_or.reduce(eligible, axis=2)] = True
-        entry = self.victims(self, slots, eligible, positions, tokens)  # [G, R]
+               count: int, rows: np.ndarray, synced: "bool | None",
+               ) -> tuple[np.ndarray, np.ndarray, bool]:
+        """Every row's victim entry, as an index and as a flat one (``rows``:
+        the flat (slot, row) indices), and whether the key follows the window
+        from here.  The key picks the victims when ``synced`` and every row's
+        lowest key is unique; else the masked choice does (sinks and the
+        recent window only when nothing else is eligible), and
+        ``synced=None`` rebuilds ``_protect`` and the ring from its masks.
+        Counted in ``seq``, the group's header rows; a victim's token record
+        is freed once no entry holds it."""
+        flat = self._flat
+        if synced:
+            key = self.__dict__[self._keyed][sel, :, :count] + self._protect[sel, :, :count]
+            picked = (self._iota[:slots.size, None], self._rows, key.argmin(axis=2))
+            # Each row's lowest key (finite: the entry that just left the
+            # window) must be unique: with it at +inf, a second argmin finds
+            # a higher one.
+            low, key[picked] = key[picked], np.inf
+            second = key[picked[:2] + (key.argmin(axis=2),)]
+            synced, entry = not np.logical_or.reduce(second == low, axis=None), picked[2]
+        if not synced:
+            window, sink = self.config.recent_window, self.config.sink_tokens
+            positions = self._position[sel, :, :count]  # [G, R, n]
+            non_sink = positions >= sink
+            oldest_recent = (seq[:, _POSITION] - window)[:, None, None]
+            eligible = non_sink & (positions <= oldest_recent)
+            if synced is None and np.minimum.reduce(oldest_recent, axis=None) >= sink:
+                # Rebuild the protection, and the ring of the window's entries.
+                self._protect[sel, :, :count] = np.where(eligible, 0.0, np.inf)
+                recent = positions >= oldest_recent  # the window and what leaves it now
+                group, row, entries = recent.nonzero()
+                cell = (slots[group], row, positions[group, row, entries] % self._ring.shape[2])
+                self._ring[cell] = entries
+                # It follows a window if every row holds each of these
+                # positions (no sink) once, and nothing newer.
+                synced = (entries.size == window * rows.size > 0
+                          and np.logical_and.reduce(self._ring[cell] == entries)
+                          and np.logical_and.reduce(positions < oldest_recent + window, axis=None))
+            has_candidate = np.logical_or.reduce(eligible, axis=2)
+            if not np.logical_and.reduce(has_candidate, axis=None):
+                eligible[~has_candidate] = non_sink[~has_candidate]
+                eligible[~np.logical_or.reduce(eligible, axis=2)] = True
+            entry = self.victims(self, slots, eligible, positions, self._token[sel, :, :count])
         seq[:, _EVICTIONS] += self._rows.size
+        victims = rows * self.width + entry
         if self._records:
-            at = (slots[:, None], self._record[slots[:, None], self._rows, entry])
-            np.subtract.at(self._refs, at, 1)
-        return entry
-
-    def _counts(self, live: np.ndarray, sel: "int | slice | np.ndarray",
-                ) -> tuple[np.ndarray, np.ndarray]:
-        """Live tokens and those stored in x format, from the ``live`` records
-        (``_refs > 0``) of the slots ``sel``."""
-        return np.add.reduce(live, axis=-1), np.add.reduce(live & self._stored_x[sel], axis=-1)
+            rec = flat._record[victims] + slots[:, None] * self._refs.shape[1]
+            same = rec[:, :, None] == rec[:, None]  # [G, R, R]: rows evicting one record
+            flat._refs[rec] = held = flat._refs[rec] - np.add.reduce(same, axis=2)
+            flat._pending[rec] &= held > 0
+            # A freed record counts once: at the first row that evicted it.
+            freed = (held == 0) & (same.argmax(axis=2) == self._rows)
+            seq[:, _LIVE] -= np.add.reduce(freed, axis=1)
+            seq[:, _N_X] -= np.add.reduce(freed & flat._stored_x[rec], axis=1)
+        return entry, victims, bool(synced)
 
     def _fetch(self, slots: np.ndarray, sel: "slice | np.ndarray",
                recompute_fn: RecomputeFn) -> tuple[np.ndarray, np.ndarray]:
         """:meth:`fetch` on the index :meth:`_group` found."""
         count = int(self._seq[slots[0], _COUNT])
-        if self._x_limit:
-            pending = self._pending[sel] & (self._refs[sel] > 0)  # [G, T]
-            if np.logical_or.reduce(pending, axis=None):
-                self._recompute(slots, self._record[sel, :, :count], pending, recompute_fn)
+        if self._x_limit and np.logical_or.reduce(self._pending[sel], axis=None):
+            self._recompute(slots, self._record[sel, :, :count], self._pending[sel], recompute_fn)
         self._seq[sel, _FETCHED] = count
         if self._stale:
             for slot in slots.tolist():
@@ -405,8 +483,7 @@ class AERPArena:
         """Recompute each pending token once into its entries (per-head rows only)."""
         members, pending_records = pending.nonzero()
         at = (slots[members], pending_records)
-        which = np.zeros(pending.shape, dtype=np.int64)  # 1 + row of keys / values
-        which[members, pending_records] = np.arange(1, members.size + 1)
+        which = pending.cumsum().reshape(pending.shape) * pending  # 1 + row of keys / values
         hit = which[self._iota[:slots.size, None, None], records]
         group, heads, entries = hit.nonzero()
         row, slab = hit[group, heads, entries] - 1, (slots[group], heads, entries)
@@ -425,7 +502,8 @@ class AERPArena:
             for g in range(slots.size):  # one at a time
                 self.observe(slots[g:g + 1], probs[g:g + 1])
             return
-        fetched = self._seq[slots, _FETCHED]
+        sel = self._stepped[1] if self._stepped[0] is slots else self._group(slots)[0]
+        fetched = self._seq[sel, _FETCHED]
         count = int(fetched[0])
         if slots.size > 1 and np.logical_or.reduce(fetched != count):
             raise ValueError("a group's sequences must have been fetched together")
@@ -437,7 +515,6 @@ class AERPArena:
         stale = self._stale.pop(int(slots[0]), None) if self._stale else None
         if stale is None:
             # Unchanged since the fetch: the entries hold every live token.
-            sel = self._stepped[1] if self._stepped[0] is slots else self._group(slots)[0]
             self._importance[sel, :, :count] += probs
             self._seq[sel, _N_OBSERVED] += 1
         else:
@@ -448,7 +525,7 @@ class AERPArena:
             self._importance[slot, :, :count][kept] += probs[0][kept]
             if self._records:  # one observation for each token credited at all
                 self._obs_base[slot, self._record[slot, :, :count][kept]] -= 1
-        self._seq[slots, _FETCHED] = -1
+        self._seq[sel, _FETCHED] = -1
 
     def load(self, slot: int, keys: np.ndarray, values: np.ndarray, inputs: np.ndarray,
              importance: np.ndarray, retained: np.ndarray) -> None:
@@ -464,7 +541,7 @@ class AERPArena:
             raise ValueError(f"{start} + {width} entries exceed the slab width {self.width}")
         self._snapshot_before_mutation([slot], [int(seq[_FETCHED])])
         n_ctx = keys.shape[1]
-        seq[_POSITION] = n_ctx - 1
+        seq[_POSITION], seq[_EXPECT] = n_ctx - 1, -1
         at = (slot, rows, start + np.arange(picks.size) % width)
         # Entry e holds head rows[e]'s K/V, or with a shared row every head's.
         heads = rows if self._records else self._heads[:, None]
@@ -485,15 +562,15 @@ class AERPArena:
             self._corrupted[new] = False
             # Figure 7 (a), token by token: each format choice reads the
             # recompute fraction the earlier ones left.
-            live, stored = map(int, self._counts(self._refs[slot] > 0, slot))
+            live, stored = int(seq[_LIVE]), int(seq[_N_X])
             self._refs[new] = held = retained.sum(axis=0)
             config, stores_x = self.config, [False] * tokens.size
             for i, heads in enumerate(held.tolist()):
                 stores_x[i] = (heads / self.n_heads >= config.popularity_threshold
                                and (stored / live if live else 0.0) < self._x_limit)
-                stored += stores_x[i]
-                live += 1
+                stored, live = stored + stores_x[i], live + 1
             self._stored_x[new] = self._pending[new] = stores_x
+            seq[_LIVE], seq[_N_X] = live, stored
 
     # ------------------------------------------------------------------
     # Introspection and fault injection (per sequence, per-head arenas)
@@ -585,13 +662,10 @@ class AERPArena:
     def entries(self, slot: int) -> dict[int, TokenEntry]:
         live, where, holder = self.live(slot)
         held = where >= 0
-        importance = np.zeros(held.shape)
-        keys = np.zeros(held.shape + (self.head_dim,), dtype=np.float32)
-        values = np.zeros_like(keys)
-        at = (slot, np.nonzero(held)[1], where[held])
-        importance[held] = self._importance[at]
-        keys[held] = self._keys[at]
-        values[held] = self._values[at]
+        at = (slot, self._rows, where)  # where no row holds it, some entry: zeroed
+        importance = np.where(held, self._importance[at], 0.0)
+        keys = np.where(held[..., None], self._keys[at], np.float32(0))
+        values = np.where(held[..., None], self._values[at], np.float32(0))
         tokens, positions = self._token[holder].tolist(), self._position[holder].tolist()
         observed = self._seq[slot, _N_OBSERVED] - self._obs_base[slot, live]
         return {tokens[t]: TokenEntry(
@@ -733,15 +807,14 @@ class AERPCache(SlabCache):
         """Fraction of live entries stored in recomputation (x) format."""
         if self._arena is None:
             return 0.0
-        live, stored = self._arena._counts(self._arena._refs[self._slot] > 0, self._slot)
-        return int(stored) / int(live) if live else 0.0
+        live, stored = self._arena._seq[self._slot, [_LIVE, _N_X]].tolist()
+        return stored / live if live else 0.0
 
     def stored_bytes(self, bits_per_element: int = 16) -> int:
         arena, slot = self._arena, self._slot
         kv_entries = int((~arena._stored_x[slot, arena._record[slot, :, :self.num_tokens]]).sum())
-        stored_x = int(arena._counts(arena._refs[slot] > 0, slot)[1])
-        total_elements = stored_x * self.d_model + 2 * self.head_dim * kv_entries
-        return total_elements * bits_per_element // 8
+        x_elements = int(arena._seq[slot, _N_X]) * self.d_model
+        return (x_elements + 2 * self.head_dim * kv_entries) * bits_per_element // 8
 
     def prefill(self, keys: np.ndarray, values: np.ndarray, inputs: np.ndarray,
                 attn_probs: np.ndarray) -> None:

@@ -110,6 +110,9 @@ MUTATIONS = (
     Mutation("ties-by-entry-index", kv_cache, "first_lowest",
              "return (tokens + ~lowest * _NOT_LOWEST).argmin(axis=2)",
              "return key.argmin(axis=2)", harness="aerp"),
+    Mutation("window-leaver-stays-protected", AERPArena, "_append",
+             "flat._protect[rows * self.width + flat._ring[cell]] = 0.0", "pass",
+             harness="aerp"),
     Mutation("corrupted-x-not-recomputed", AERPArena, "inject_faults",
              "self._pending[x_at] = True", "pass", harness="aerp"),
     Mutation("msb-fails-at-lsb-rate", bitops, "sample_bit_faults",

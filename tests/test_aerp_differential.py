@@ -14,7 +14,10 @@ second half puts several caches on one ``AERPArena`` (started at one slot,
 so they grow it) and interleaves group steps, single-cache calls, releases
 and slab growth, each cache still checked against an oracle of its own.  A
 later prefill the slab's fixed width cannot hold must raise, the sequence
-untouched.
+untouched.  After every operation the slab's persistent step state (the
+protection, the window ring and the record counters) must also equal a
+from-scratch rebuild (``tests/arena_invariants.py``); ``jump`` decode steps
+skip positions, so the ring must be rebuilt before the key is trusted.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_aerp
+from arena_invariants import assert_persistent_state
 from repro.core.aerp import AERPConfig, aerp_cache_factory
 from repro.core import kv_cache
 from repro.core.kv_cache import AERPArena, AERPCache
@@ -81,6 +85,7 @@ def _by_position(cache, head: int) -> list[int]:
 
 
 def _assert_same_state(new: AERPCache, ref: "reference_aerp.AERPCache") -> None:
+    assert_persistent_state(new._arena, new._slot)
     assert new.num_tokens == ref.num_tokens
     assert new.eviction_count == ref.eviction_count
     assert new.recompute_count == ref.recompute_count
@@ -233,8 +238,13 @@ class _Driver:
             op()
             _assert_same_state(self.new, self.ref)
 
+    def jump(self) -> None:
+        """A decode step whose position skips ahead of the window."""
+        self.position += int(self.rng.integers(1, 4))
+        self.decode_step()
 
-OPS = ("append", "fetch", "observe", "end_step", "decode_step", "decode_step", "prefill")
+
+OPS = ("append", "fetch", "observe", "end_step", "decode_step", "decode_step", "prefill", "jump")
 
 
 @st.composite
@@ -474,7 +484,7 @@ class _ArenaDriver:
 
 
 ARENA_OPS = ("group_step",) * 6 + ("stale_group_step",) * 2 + (
-    "recreate", "append", "fetch", "observe", "end_step", "decode_step", "prefill")
+    "recreate", "append", "fetch", "observe", "end_step", "decode_step", "prefill", "jump")
 
 
 @st.composite

@@ -9,9 +9,10 @@ slot reuse — drive them beside ``tests/reference_eviction.py`` (the
 per-cache stores they replaced), one oracle per cache.  After every
 operation each cache must hold the same positions with the same scores and
 eviction count as its oracle (victims identical), and ``fetch()`` must be
-equal after sorting by position.  The
-slab overwrites a victim's entry in place, so observations are fed to each
-cache in its own fetch order.
+equal after sorting by position, and the slab's protection, window ring and
+counters must equal a from-scratch rebuild (``tests/arena_invariants.py``).
+``jump`` decode steps skip positions.  The slab overwrites a victim's entry
+in place, so observations are fed to each cache in its own fetch order.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_eviction
+from arena_invariants import assert_persistent_state
 from repro.baselines import eviction
 from repro.core import kv_cache
 from repro.llm.functional import softmax
@@ -49,6 +51,7 @@ def _ref_order(ref) -> np.ndarray:
 
 def _assert_same_state(new, ref) -> None:
     arena, slot, n = new._arena, new._slot, new.num_tokens
+    assert_persistent_state(arena, slot)
     assert n == ref.num_tokens
     assert new.eviction_count == ref.eviction_count
     assert new.stored_bytes() == ref.stored_bytes()
@@ -155,6 +158,8 @@ class _ArenaDriver:
         if op == "prefill":  # a later prefill adds a block to a live cache
             pair.prefill(int(self.rng.integers(1, self.kwargs["budget"] + 3)))
         else:
+            if op == "jump":  # the position skips ahead of the window
+                pair.position += int(self.rng.integers(1, 4))
             pair.decode_step()
 
     def recreate(self) -> None:
@@ -196,7 +201,7 @@ class _ArenaDriver:
             self.check()
 
 
-OPS = ("group_step",) * 4 + ("decode_step",) * 2 + ("recreate", "prefill")
+OPS = ("group_step",) * 4 + ("decode_step",) * 2 + ("recreate", "prefill", "jump")
 
 
 @st.composite
