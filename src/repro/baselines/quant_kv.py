@@ -23,9 +23,8 @@ class QuantizedKVCache(LayerKVCache):
 
     The dequantised vectors live in a :class:`ContiguousKVStore`, so prefill
     quantizes the whole context block in one vectorised round trip and
-    ``fetch`` returns zero-copy views.  Storage is a pure token prefix, so in
-    a batched decode the attention of rows holding equally many tokens is
-    stacked (:meth:`~repro.llm.model.DecoderLM._attend_loose_rows`).
+    ``fetch`` returns zero-copy views.  In a batched decode each cache is a
+    group of its own (the default ``group_key``).
     """
 
     def __init__(self, n_heads: int, head_dim: int, d_model: int, bits: int,

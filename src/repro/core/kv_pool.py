@@ -758,7 +758,26 @@ class PagedKVCache(LayerKVCache):
 
     def append(self, key: np.ndarray, value: np.ndarray, x: np.ndarray, position: int) -> None:
         del x, position
-        self.prefill(np.asarray(key)[:, None], np.asarray(value)[:, None], None, None)
+        self.step_group([self], np.asarray(key)[None], np.asarray(value)[None], None, None)
+
+    def step_group(self, caches: "Sequence[LayerKVCache]", keys: np.ndarray,
+                   values: np.ndarray, xs: np.ndarray, positions: np.ndarray,
+                   ) -> tuple[np.ndarray, np.ndarray]:
+        """The decode step of this handle alone (a paged stack no group
+        covers): its ``[1, H, d]`` token written, then :meth:`fetch`'s views
+        with a group axis."""
+        del caches, xs, positions
+        table, count = self._table, self._count
+        table.write(self.layer, count, self._to_storage(keys[0][:, None]),
+                    self._to_storage(values[0][:, None]))
+        self._count = count = count + 1
+        pool, row = self.pool, table.row
+        return (pool.slab_keys[self.layer, row:row + 1, :, :count],
+                pool.slab_values[self.layer, row:row + 1, :, :count])
+
+    def observe_group(self, caches: "Sequence[LayerKVCache]", probs: np.ndarray,
+                      end_step: bool = False) -> None:
+        del caches, probs, end_step  # nothing to score, nothing to end
 
     def reserve_slot(self) -> tuple[int, int]:
         """Claim this layer's next token ``(page, offset)`` without writing data.

@@ -149,9 +149,9 @@ class LayerKVCache(abc.ABC):
     #: (:class:`repro.core.kv_pool.PagedKVCache`).  The fused batched decode
     #: (:meth:`repro.llm.model.DecoderLM.decode_step_batch`) groups whole
     #: stacks of such handles by pool: it writes through to pool pages and
-    #: attends the members' rows of the pool's decode slab.  Every other cache
-    #: takes the step through its own ``append`` / ``fetch`` (the group
-    #: protocol below), with the attention stacked where fetched shapes agree.
+    #: attends the members' rows of the pool's decode slab.  Every other row
+    #: (and a paged stack no group covers) takes the step through the group
+    #: protocol below, one attention call per group of equal keys.
     paged_stack: bool = False
 
     def __init__(self, n_heads: int, head_dim: int, d_model: int) -> None:
@@ -244,15 +244,18 @@ class LayerKVCache(abc.ABC):
 
         ``keys``/``values`` are ``[G, H, d]``, ``xs`` ``[G, C]``, ``positions``
         ``[G]``; returns ``(K, V)`` as :meth:`fetch` does, with a leading
-        group axis.  The default is the per-cache calls, for the
-        group of one the default :meth:`group_key` forms; the eviction slab's
-        caches take the step as one :meth:`repro.core.kv_cache.AERPArena.step`
-        (the group found once for the append, the fetch and the following
+        group axis.  It is how the decode steps every row no paged group
+        covers.  The default is the per-cache calls, for the group of one
+        the default :meth:`group_key` forms; a paged handle writes its token
+        and returns views of its slab row; the eviction slab's caches take
+        the step as one :meth:`repro.core.kv_cache.AERPArena.step` (the group
+        found once for the append, the fetch and the following
         :meth:`observe_group`, the new tokens' K/V kept as handed in).
         """
         (cache,) = caches
         cache.append(keys[0], values[0], xs[0], int(positions[0]))
-        return tuple(part[None] for part in cache.fetch())
+        keys, values = cache.fetch()
+        return keys[None], values[None]
 
     def observe_group(self, caches: "Sequence[LayerKVCache]", probs: np.ndarray,
                       end_step: bool = False) -> None:

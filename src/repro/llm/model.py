@@ -16,8 +16,11 @@ provides two inference paths:
 
 Every cached attention runs through one kernel, :meth:`DecoderLM._attend`,
 with ``c >= 1`` queries per row: a decode step (``c = 1``) -- a paged group
-over its decode-slab rows, an eviction-slab group (``kelle`` and the eviction
-baselines), a lone row, each row of ``decode_step_batch(..., fused=False)``
+over its decode-slab rows (``full``, ``paged``), or a
+group of the rows no paged group covers, stepped through the caches'
+``step_group`` / ``observe_group`` (an eviction-slab group of ``kelle`` and
+the eviction baselines; a lone row and each row of
+``decode_step_batch(..., fused=False)`` are groups of one)
 -- and, causally masked, a whole prompt (:meth:`DecoderLM.prefill_batch`)
 and a chunk over its cache (chunked prefill and speculative verify).  Only
 the cache-free oracle :meth:`DecoderLM.forward_full` has a softmax of its
@@ -30,7 +33,7 @@ accounting by the performance model.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -595,53 +598,6 @@ class DecoderLM:
         context[rows] = ctx.swapaxes(1, 2).reshape(shape)
         return scores
 
-    def _attend_cache(self, cache: LayerKVCache, query: np.ndarray, row: int,
-                      context: np.ndarray, scale: float) -> None:
-        """:meth:`_attend` for batch row ``row`` alone over ``cache``, which
-        holds the step's token, fed back through ``observe_group``, which
-        ends the cache's step at this layer."""
-        keys, values = cache.fetch()  # zero-copy views or gathers
-        probs = self._attend(query, [row], keys[None], values[None], None, context, scale)
-        cache.observe_group([cache], probs[:, :, 0], end_step=True)
-
-    def _attend_loose_rows(self, groups: "Iterable[list[int]]", layer: int,
-                           caches_batch: Sequence[list[LayerKVCache]],
-                           query: np.ndarray, keys_new: np.ndarray,
-                           values_new: np.ndarray, normed: np.ndarray,
-                           positions: np.ndarray, context: np.ndarray,
-                           scale: float) -> None:
-        """Attention for the sequences no fused layout covers, stacked by shape.
-
-        Each of ``groups`` — batch rows of eviction caches of one arena and
-        entry count, or one cache alone (its own ``append`` / ``fetch`` /
-        ``observe_attention``, so quantized caches keep their storage
-        transform) — takes the step through one ``step_group`` /
-        ``observe_group`` call, the latter ending the group's step at this
-        layer (``end_step=True``).  Groups whose K/V have one length then
-        share one :meth:`_attend` call over K/V stacked in the workspace.
-        """
-        stacks: dict = {}
-        for members in groups:
-            caches = [caches_batch[b][layer] for b in members]
-            keys, values = caches[0].step_group(
-                caches, keys_new[:, members].swapaxes(0, 1),
-                values_new[:, members].swapaxes(0, 1), normed[members], positions[members])
-            stacks.setdefault(keys.shape[2], []).append((members, caches, keys, values))
-        for units in stacks.values():
-            rows, _caches, keys, values = units[0]
-            if len(units) > 1:
-                rows = [b for unit in units for b in unit[0]]
-                shape = (len(rows),) + keys.shape[1:]
-                keys = np.concatenate([unit[2] for unit in units],
-                                      out=self._ws.get("loose.keys", shape))
-                values = np.concatenate([unit[3] for unit in units],
-                                        out=self._ws.get("loose.values", shape))
-            probs = self._attend(query, rows, keys, values, None, context, scale)[:, :, 0]
-            start = 0
-            for members, caches, *_stack in units:
-                caches[0].observe_group(caches, probs[start:start + len(members)], end_step=True)
-                start += len(members)
-
     def decode_step_batch(self, tokens: Sequence[int], positions: Sequence[int],
                           caches_batch: Sequence[list[LayerKVCache]],
                           fused: bool = True) -> np.ndarray:
@@ -655,11 +611,12 @@ class DecoderLM:
         grouped (:meth:`_fused_decode_groups`); each group's
         :class:`~repro.core.kv_pool.PagedGroup` writes its new K/V and hands
         its members' decode-slab rows to one length-masked :meth:`_attend`
-        call per layer, no K/V copied per step.  Every other cache takes the
-        step through the caches' group protocol, grouped once per step, the
-        attention stacked per group of equal fetched shape
-        (:meth:`_attend_loose_rows`).
-        ``fused=False`` attends each sequence alone (:meth:`_attend` with
+        call per layer, no K/V copied per step.  Every other row takes the
+        step one way, a group at a time: one ``step_group`` -> :meth:`_attend`
+        -> ``observe_group(..., end_step=True)`` per layer, the groups formed
+        once per step by the first layer's ``group_key()`` (a cache whose key
+        is ``None`` is a group of its own, as is a lone row).
+        ``fused=False`` makes every row a group of one (:meth:`_attend` with
         ``G = 1``) — the reference path of the equivalence tests.  Either
         way each sequence's logits match its batch of one.  The grouping
         is planned once per membership (when the members' rows move into
@@ -685,13 +642,15 @@ class DecoderLM:
             for _rows, group in paged:
                 group.claim()
         else:
-            loose, paged = list(range(batch)), []
-        groups: "dict | None" = None
+            loose, paged = range(batch), []
         if fused and len(loose) > 1:  # grouped once per step by layer 0's keys
-            groups = {}
+            keyed: dict = {}
             for b in loose:
                 key = caches_batch[b][0].group_key()
-                groups.setdefault(caches_batch[b][0] if key is None else key, []).append(b)
+                keyed.setdefault(caches_batch[b][0] if key is None else key, []).append(b)
+            groups = keyed.values()
+        else:
+            groups = [[b] for b in loose] if loose else ()
         n_heads = self.config.n_heads
         # Every layer overwrites every row of the one context buffer.
         context = self._ws.get("decode.context", (batch, self.config.d_model))
@@ -711,15 +670,14 @@ class DecoderLM:
                 keys, values = group.write(layer, keys_new[:, rows].swapaxes(0, 1),
                                            values_new[:, rows].swapaxes(0, 1))
                 self._attend(query, rows, keys, values, group.padmask, context, scale)
-            if groups is not None:
-                self._attend_loose_rows(groups.values(), layer, caches_batch, query, keys_new,
-                                        values_new, normed, positions, context, scale)
-            else:
-                for b in loose:
-                    cache = caches_batch[b][layer]
-                    cache.append(keys_new[:, b, :], values_new[:, b, :], normed[b],
-                                 int(positions[b]))
-                    self._attend_cache(cache, query, b, context, scale)
+            if groups:  # the new K/V row-major, [B, H, d], once per layer
+                keys_new, values_new = keys_new.swapaxes(0, 1), values_new.swapaxes(0, 1)
+            for rows in groups:
+                caches = [caches_batch[b][layer] for b in rows]
+                keys, values = caches[0].step_group(caches, keys_new[rows], values_new[rows],
+                                                    normed[rows], positions[rows])
+                probs = self._attend(query, rows, keys, values, None, context, scale)
+                caches[0].observe_group(caches, probs[:, :, 0], end_step=True)
             hidden = hidden + context @ self.params[f"{prefix}.wo"]
             normed = self._norm(hidden, f"{prefix}.mlp_norm")
             hidden = hidden + self._mlp(normed, layer)

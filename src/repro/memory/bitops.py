@@ -83,11 +83,12 @@ def sample_bit_faults(bits: np.ndarray, high: np.ndarray, rates, rng: np.random.
                 # ``failed`` distinct indices, a uniform subset: as many draws
                 # j uniform on [0, 2**53) (``random`` returns j / 2**53), kept
                 # as j % n_bits if all lie below the largest multiple of n_bits
-                # and the picks are distinct, else a subset drawn outright.
+                # and the picks are distinct, else a subset drawn outright
+                # (one pick is distinct: most groups fail a single bit).
                 draws = rng.random(failed) * 2.0 ** 53
                 picks = draws.astype(np.int64) % n_bits
-                if (max(draws.tolist()) >= 2 ** 53 - 2 ** 53 % n_bits
-                        or len(set(picks.tolist())) < failed):
+                if (np.maximum.reduce(draws) >= 2 ** 53 - 2 ** 53 % n_bits
+                        or failed > 1 and len(set(picks.tolist())) < failed):
                     picks = rng.choice(n_bits, failed, replace=False)
                 element, mask = members[picks >> 3], byte_bits[picks & 7]
                 if mode == FAULT_MODE_FLIP:  # distinct bits: an element may repeat

@@ -299,12 +299,14 @@ class TestContiguousKVStore:
 
 
 class TestStackedLooseAttention:
-    """``decode_step_batch`` stacks the attention of equal-shape rows that no
-    fused layout covers (eviction caches).  One step here holds groups of
-    several, groups of one and a lone contiguous row; logits must equal the
-    per-row path (``fused=False``) bit for bit and single-sequence
-    ``decode_step`` (whose dense ops run at batch 1) within float tolerance,
-    with identical greedy tokens.
+    """``decode_step_batch`` steps the rows no paged group covers (eviction
+    caches) one group of equal ``group_key()`` at a time: one ``step_group``
+    / ``_attend`` / ``observe_group`` call per group and layer.  One step
+    here holds groups of several, groups of one and a lone contiguous row;
+    their logits must equal the per-row path (``fused=False``, every row a
+    group of one) bit for bit, and single-sequence ``decode_step`` (whose
+    dense ops run at batch 1) within float tolerance, with identical greedy
+    tokens.
     """
 
     KELLE = "kelle:budget=8,sink_tokens=2,recent_window=3,refresh=none"
@@ -339,13 +341,18 @@ class TestStackedLooseAttention:
             caches_batch.append(caches)
         return caches_batch
 
-    def _check(self, lm, specs, prompts, steps=6):
-        """Decode ``steps`` tokens three ways; returns the three ``caches_batch``."""
+    def _check(self, lm, specs, prompts, steps=6, spy=None):
+        """Decode ``steps`` tokens three ways; returns the three ``caches_batch``
+        and what ``spy`` (a list a spy appends to) recorded during the
+        batched steps alone."""
         stacked, per_row, single = runs = [self._prefilled(lm, specs, prompts) for _ in range(3)]
         tokens = [prompt[-1] for prompt in prompts]
         positions = [len(prompt) for prompt in prompts]
+        batched = []
         for _ in range(steps):
+            mark = len(spy) if spy is not None else 0
             got = lm.decode_step_batch(tokens, positions, stacked)
+            batched += spy[mark:] if spy is not None else []
             want = lm.decode_step_batch(tokens, positions, per_row, fused=False)
             np.testing.assert_array_equal(got, want)
             for b, caches in enumerate(single):
@@ -354,7 +361,7 @@ class TestStackedLooseAttention:
                 assert int(np.argmax(got[b])) == int(np.argmax(alone))
             tokens = np.argmax(got, axis=-1).tolist()
             positions = [p + 1 for p in positions]
-        return runs
+        return runs, batched
 
     @pytest.mark.parametrize("spec", [KELLE, H2O, KIVI, QUAROT])
     def test_ragged_groups_and_partial_valid_row(self, small_model, stacked_groups,
@@ -364,20 +371,23 @@ class TestStackedLooseAttention:
         # The lone contiguous full cache lands on the loose path too, on a
         # length of its own.
         specs = [factory] * len(self.LENGTHS) + [full_cache_factory]
-        self._check(small_model, specs, prompts)
-        # kelle rows of one slot count step as one arena group (already
-        # stacked); h2o rows are stacked after their per-cache fetches, the
-        # three over the budget together; quantized caches keep every token,
-        # so only the equal-length pairs stack.
-        sizes = set(aerp_group_steps if spec == self.KELLE else stacked_groups)
-        assert ({2, 3} if spec in (self.KELLE, self.H2O) else {2}) <= sizes
+        spy = aerp_group_steps if spec == self.KELLE else stacked_groups
+        _runs, batched = self._check(small_model, specs, prompts, spy=spy)
+        # kelle and h2o rows of one entry count step as one group, the three
+        # over the budget together and the two short equal ones together;
+        # a quantized cache (key ``None``) is a group of its own.
+        if spec in (self.KIVI, self.QUAROT):
+            assert set(batched) == {1}
+        else:
+            assert {2, 3} <= set(batched)
 
     def test_kelle_rows_beside_a_paged_group(self, small_model, aerp_group_steps):
         kelle = resolve("cache", self.KELLE)
         paged = resolve("cache", "paged:page_tokens=4")
         prompts = _prompts(small_model.config.vocab_size, (12, 7, 13, 7, 12, 9), seed=22)
-        self._check(small_model, [kelle, paged, kelle, paged, kelle, paged], prompts)
-        assert 3 in aerp_group_steps
+        _runs, batched = self._check(small_model, [kelle, paged, kelle, paged, kelle, paged],
+                                     prompts, spy=aerp_group_steps)
+        assert 3 in batched
 
     def test_kelle_rows_recompute_faulted_tokens_alike(self, small_model, aerp_group_steps):
         """2DRP faults during decode corrupt tokens stored as their ``x``,
@@ -390,8 +400,8 @@ class TestStackedLooseAttention:
         prefilled = sum(entry.storage_format == "x"
                         for caches in self._prefilled(small_model, [factory] * 3, prompts)
                         for cache in caches for entry in cache.entries.values())
-        runs = self._check(small_model, [factory] * 3, prompts)
-        assert set(aerp_group_steps) == {3}
+        runs, batched = self._check(small_model, [factory] * 3, prompts, spy=aerp_group_steps)
+        assert set(batched) == {3}
         for rows in zip(*runs):  # one sequence: stacked, per-row, single
             for caches in zip(*rows):  # one layer
                 assert len({cache.recompute_count for cache in caches}) == 1
@@ -408,13 +418,16 @@ class TestStackedLooseAttention:
         alone = self._prefilled(small_model, [factory] * 3, prompts)
         tokens = [prompt[-1] for prompt in prompts]
         positions = [len(prompt) for prompt in prompts]
+        steps = []
         for _ in range(8):
+            mark = len(aerp_group_steps)
             logits = small_model.decode_step_batch(tokens, positions, batched)
+            steps += aerp_group_steps[mark:]
             for b, caches in enumerate(alone):
                 small_model.decode_step(tokens[b], positions[b], caches)
             tokens = np.argmax(logits, axis=-1).tolist()
             positions = [p + 1 for p in positions]
-        assert aerp_group_steps and set(aerp_group_steps) == {3}
+        assert steps and set(steps) == {3}
         for bat, seq in zip(batched, alone):
             for bat_cache, seq_cache in zip(bat, seq):
                 assert bat_cache.eviction_count == seq_cache.eviction_count > 0

@@ -58,6 +58,10 @@ over the 128-slot budget, 64 decode steps, the 4-layer d=64 model,
   ring, one ``argmin`` per layer-step plus a second as the tie check) and
   per-sequence live / x-format record counters in place of the masked
   ``first_lowest`` and the record scans: 62.46, same host.
+* one loose-row decode path (every row no paged group covers steps through
+  one ``step_group`` / ``_attend`` / ``observe_group`` call per group, with
+  no cross-group K/V stacking, no ``_attend_loose_rows`` call per layer and
+  no ``_attend_cache`` for the last sequence left): 58.64, same host.
 
 The bound sits 10 % above the last reading: a return of per-layer
 grouping (~10 calls per token) or of the row-pool gather trips it; a
@@ -142,7 +146,10 @@ cluster's per-round bookkeeping is paid on every replica step.
   NumPy 2.4.6 on a 2-core Xeon;
 * one decode attention kernel: 126.19 (213 766 calls), same host.
 * one attention kernel for prefill, chunks and decode: 124.23 (210 443
-  calls), same host.
+  calls), same host; 124.64 (211 136 calls) before the next change.
+* one loose-row decode path (a lone paged row written by its handle's
+  ``step_group``, with nothing observed or ended, instead of ``append`` and
+  ``_attend_cache``): 123.34 (208 931 calls), same host.
 
 The bound leaves ~9 % over the first reading for other interpreters'
 ``call`` / ``c_call`` counts (3.12 inlines comprehensions, 3.10 does not):
@@ -164,7 +171,9 @@ CI's guarded ``speedup_ngram_vs_baseline`` ratio.  Python 3.11.7, NumPy
   through a chunk kernel of its own), plain 107.19 / 116.57.
 * one attention kernel for prefill, chunks and decode (a verify step
   attends through ``_attend`` too): ngram 96.24 / 104.94, plain 103.21 /
-  112.45.
+  112.45; plain 103.17 / 112.65 before the next change.
+* one loose-row decode path: ngram and plain repetitive unchanged, plain
+  random 111.90.
 
 The bounds sit 10 % above the first readings.
 """
@@ -187,7 +196,7 @@ from repro.workloads import repetitive_requests, zipf_shared_prefix_requests
 
 CACHE = "kelle:budget=128,sink_tokens=8,recent_window=32,refresh=none"
 N_REQUESTS, PROMPT_LEN, DECODE_LEN, VOCAB = 8, 160, 64, 128
-MAX_CALLS_PER_TOKEN = 68.7
+MAX_CALLS_PER_TOKEN = 64.5
 #: ``kelle-decode``'s group of 16 sequences, read at steady-state engine steps.
 TEMP_REQUESTS, TEMP_STEPS = 16, range(10, 40)
 MAX_STEP_TEMPORARY_BYTES = 189_150
@@ -207,6 +216,9 @@ CLUSTER_ENGINE = dict(cache="paged:page_tokens=16", max_concurrency=8, seed=0,
                       router="radix-affinity", prefix_cache=True, token_budget=128,
                       capacity_tokens=16384, arrivals_per_step=2)
 MAX_CLUSTER_CALLS_PER_TOKEN = 175
+
+#: ``table4_refresh.run()``: every sequence a batch of one with 2DRP.
+MAX_TABLE4_CALLS_PER_RUN = 1_095_259
 
 MAX_SPEC_CALLS_PER_TOKEN = {"ngram:k=4": {"repetitive": 115.8, "random": 126.6},
                             "plain": {"repetitive": 119.3, "random": 130.1}}
@@ -298,7 +310,11 @@ def test_kelle_2drp_calls_per_generated_token():
       calls a sequence per layer-step; the group-wide ``[G * T]``
       bookkeeping is gone): 183.67 (against 63.20), 2.91x, same host;
     * the victim choice kept across steps and per-sequence record counters
-      (both paths lose the same calls): 182.93 (against 62.46), 2.93x.
+      (both paths lose the same calls): 182.93 (against 62.46), 2.93x;
+    * one loose-row decode path (both paths lose the same calls), and the
+      sampler's exactness check as one ``np.maximum.reduce`` plus a
+      distinctness test only when a group fails more than one bit (most
+      fail one): 170.58 (against 58.64), 2.91x.
 
     The bound is 3x: a return of a loop over tokens, of a sampler call per
     token or of ~2 more calls per sequence-layer-step trips it.
@@ -315,6 +331,35 @@ def test_kelle_2drp_calls_per_generated_token():
     print(f"kelle-decode with 2DRP: {first / tokens:.2f} calls per generated token "
           f"({plain / tokens:.2f} with refresh=none)")
     assert first <= 3 * plain, (first / tokens, plain / tokens)
+
+
+def test_table4_refresh_calls_per_run():
+    """Calls of one default ``table4_refresh.run()`` (the 2-layer
+    ``tiny-llama2-7b``, 2DRP and uniform refresh at three scales, every
+    sequence a batch of one through ``decode_step_batch``), exact: the
+    ``G = 1`` 2DRP path's counter.  The eval model is built first and a
+    one-scale run warms imports and workspaces, so the count repeats.
+
+    * a lone row's step as ``append`` + ``_attend_cache``: 1 043 981 (the
+      first run of a fresh process reads 1 052 101);
+    * one loose-row decode path (a lone row is a group of one through
+      ``step_group``) and the sampler's lighter exactness check: 995 690
+      (-4.6 %), the same in two processes, Python 3.11.7 and NumPy 2.4.6 on
+      a 2-core Xeon.
+
+    The bound sits 10 % above that reading.
+    """
+    from repro.eval.harness import get_eval_model
+    from repro.experiments import table4_refresh
+
+    get_eval_model("tiny-llama2-7b")
+    table4_refresh.run(scales=table4_refresh.DEFAULT_SCALES[:1])
+    first, table = _count_calls(table4_refresh.run)
+    second, _ = _count_calls(table4_refresh.run)
+    assert len(table.rows) == 2 * len(table4_refresh.DEFAULT_SCALES)
+    assert first == second, "the count must repeat exactly"
+    print(f"table4_refresh.run(): {first} calls per run")
+    assert first <= MAX_TABLE4_CALLS_PER_RUN, first
 
 
 def _kelle_requests(n_requests: int = N_REQUESTS) -> list[Request]:
@@ -338,7 +383,9 @@ def test_kelle_decode_step_temporary_bytes():
       171 953 B, of which ``AERPArena.step`` ~77 KB (its one ``[G, R, n]``
       float64 victim key).  The step's peak is now ``DecoderLM._attend``'s
       ``scores *= scale``: float32 scores times a float64 scalar, cast
-      through ~128 KB of ufunc buffers.
+      through ~128 KB of ufunc buffers;
+    * one loose-row decode path (no per-layer call and bucket dict of
+      ``_attend_loose_rows``): 171 521 B.
 
     The bound sits 10 % above the last reading.
     """
