@@ -3,7 +3,8 @@
 * :mod:`repro.baselines.eviction` -- StreamingLLM, H2O and random-eviction
   cache policies (the algorithmic baselines of Table 2).
 * :mod:`repro.baselines.quant_kv` -- KIVI-style and QuaRot-style quantized
-  KV caches (the quantization baselines of Tables 2 and 6).
+  KV caches (the quantization baselines of Tables 2 and 6): a fake-quant
+  write codec on the paged KV pool.
 * :mod:`repro.baselines.systems` -- the hardware baseline systems of
   Figure 13 (Original+SRAM, Original+eDRAM, AEP+SRAM, AERP+SRAM,
   Kelle+eDRAM).

@@ -6,109 +6,91 @@ aggressive quantization.  These caches keep *every* token (no eviction) but
 store the K/V vectors through a fake-quantization round trip, so the accuracy
 impact of the reduced precision shows up in the functional path while the
 storage accounting reflects the lower bit width.
+
+The round trip is a write transform on stored K/V, so the caches are the
+paged store of :mod:`repro.core.kv_pool` with a :class:`QuantCodec` as its
+pool's :attr:`~repro.core.kv_pool.KVPagePool.codec`: every token is
+quantized once, as it is written, and a batched decode attends the members'
+slab rows as one fused paged group.  The codec is lossy, so a chunk (or a
+shared prefix) would attend decoded K/V where a whole prompt attends its
+projections: the handles support neither chunked prefill, rollback nor
+checkpoints.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.llm.cache import ContiguousKVStore, KVCacheFactory, LayerKVCache, RecomputeFn
+from repro.core.kv_pool import KVPagePool, PagedCacheFactory, PagedKVCache
+from repro.llm.cache import KVCacheFactory, LayerKVCache
 from repro.quant.hadamard import apply_hadamard, remove_hadamard
 from repro.quant.integer import fake_quantize
 from repro.registry import register
 
 
-class QuantizedKVCache(LayerKVCache):
-    """Full (non-evicting) KV cache with per-token fake-quantized storage.
+class QuantCodec:
+    """The fake-quant round trip of ``bits``-bit K/V, optionally in a
+    Hadamard-rotated basis (QuaRot): a quantized pool's write transform.
 
-    The dequantised vectors live in a :class:`ContiguousKVStore`, so prefill
-    quantizes the whole context block in one vectorised round trip and
-    ``fetch`` returns zero-copy views.  In a batched decode each cache is a
-    group of its own (the default ``group_key``).
+    Each token is quantized on its own, with one scale (and, asymmetric, one
+    zero point) per channel shared by the token's heads.
     """
 
-    def __init__(self, n_heads: int, head_dim: int, d_model: int, bits: int,
-                 use_hadamard: bool = False, symmetric: bool = True) -> None:
-        super().__init__(n_heads, head_dim, d_model)
+    __slots__ = ("bits", "use_hadamard", "symmetric")
+
+    def __init__(self, bits: int, use_hadamard: bool = False, symmetric: bool = True) -> None:
         if not 2 <= bits <= 16:
             raise ValueError("bits must lie in [2, 16]")
-        if use_hadamard and head_dim & (head_dim - 1) != 0:
-            raise ValueError("Hadamard rotation requires a power-of-two head dimension")
         self.bits = bits
         self.use_hadamard = use_hadamard
         self.symmetric = symmetric
-        self._store = ContiguousKVStore(n_heads, head_dim)
 
-    def _roundtrip(self, vector: np.ndarray) -> np.ndarray:
-        """Quantize/dequantize one ``[H, d]`` per-head vector."""
-        data = np.asarray(vector, dtype=np.float32)
-        if self.use_hadamard:
-            data = apply_hadamard(data, axis=-1)
-        data = fake_quantize(data, bits=self.bits, axis=-1, symmetric=self.symmetric)
-        if self.use_hadamard:
-            data = remove_hadamard(data, axis=-1)
-        return data.astype(np.float32)
-
-    def _roundtrip_block(self, block: np.ndarray) -> np.ndarray:
-        """Quantize/dequantize an ``[H, n, d]`` block with per-token scales.
-
-        Keeping axes ``(1, 2)`` reduces over heads only, so each token's
-        ``[n, d]`` scales match what the per-token :meth:`_roundtrip` computes.
-        """
-        data = np.asarray(block, dtype=np.float32)
-        if self.use_hadamard:
-            data = apply_hadamard(data, axis=-1)
-        data = fake_quantize(data, bits=self.bits, axis=(1, 2), symmetric=self.symmetric)
+    def __call__(self, tokens: np.ndarray, heads: int) -> np.ndarray:
+        """The dequantised fp32 values of ``tokens``, whose head axis is
+        ``heads`` and whose channels are last."""
+        data = apply_hadamard(tokens, axis=-1) if self.use_hadamard else tokens
+        kept = tuple(axis for axis in range(tokens.ndim) if axis != heads)
+        data = fake_quantize(data, bits=self.bits, axis=kept, symmetric=self.symmetric)
         if self.use_hadamard:
             data = remove_hadamard(data, axis=-1)
         return data.astype(np.float32)
 
-    def prefill(self, keys: np.ndarray, values: np.ndarray, inputs: np.ndarray,
-                attn_probs: np.ndarray) -> None:
-        del inputs, attn_probs
-        self._store.extend(self._roundtrip_block(keys), self._roundtrip_block(values))
 
-    def append(self, key: np.ndarray, value: np.ndarray, x: np.ndarray, position: int) -> None:
-        del x, position
-        self._store.append(self._roundtrip(key), self._roundtrip(value))
+class QuantizedKVCache(PagedKVCache):
+    """One layer's handle on a quantized pool: the full cache, every token
+    stored through the pool's :class:`QuantCodec`."""
 
-    def fetch(self) -> tuple[np.ndarray, np.ndarray]:
-        return self._store.view()
+    supports_chunked_prefill = supports_rollback = supports_checkpoint = False
+    extend_chunk, fork, truncate, truncate_stack = (
+        LayerKVCache.extend_chunk, LayerKVCache.fork, LayerKVCache.truncate,
+        LayerKVCache.truncate_stack)
 
-    def observe_attention(self, probs: np.ndarray) -> None:
-        del probs
-
-    @property
-    def num_tokens(self) -> int:
-        return len(self._store)
+    def __init__(self, pool: KVPagePool, n_heads: int, head_dim: int, d_model: int,
+                 **table) -> None:
+        if pool.codec.use_hadamard and head_dim & (head_dim - 1) != 0:
+            raise ValueError("Hadamard rotation requires a power-of-two head dimension")
+        super().__init__(pool, n_heads, head_dim, d_model, **table)
 
     def stored_bytes(self, bits_per_element: int = 16) -> int:
-        del bits_per_element  # storage is at the cache's own quantized width
-        elements = 2 * len(self._store) * self.n_heads * self.head_dim
-        return elements * self.bits // 8
+        """Bytes at page granularity, at the codec's bit width."""
+        del bits_per_element
+        return super().stored_bytes(self.pool.codec.bits)
+
+
+def quantized_cache_factory(codec: QuantCodec) -> KVCacheFactory:
+    """A paged factory whose pools store every token through ``codec``."""
+    factory = PagedCacheFactory()
+    factory.handle, factory.codec = QuantizedKVCache, codec
+    return factory
 
 
 @register("cache", "kivi", description="KIVI-style asymmetric low-bit KV quantization")
 def _build_kivi(bits: int = 2) -> KVCacheFactory:
     """KIVI-style asymmetric per-channel low-bit KV cache."""
-
-    def factory(layer_index: int, n_heads: int, head_dim: int, d_model: int,
-                recompute_fn: RecomputeFn) -> LayerKVCache:
-        del layer_index, recompute_fn
-        return QuantizedKVCache(n_heads, head_dim, d_model, bits, use_hadamard=False,
-                                symmetric=False)
-
-    return factory
+    return quantized_cache_factory(QuantCodec(bits, use_hadamard=False, symmetric=False))
 
 
 @register("cache", "quarot", description="QuaRot-style Hadamard-rotated KV quantization")
 def _build_quarot(bits: int = 4) -> KVCacheFactory:
     """QuaRot-style Hadamard-rotated symmetric low-bit KV cache."""
-
-    def factory(layer_index: int, n_heads: int, head_dim: int, d_model: int,
-                recompute_fn: RecomputeFn) -> LayerKVCache:
-        del layer_index, recompute_fn
-        return QuantizedKVCache(n_heads, head_dim, d_model, bits, use_hadamard=True,
-                                symmetric=True)
-
-    return factory
+    return quantized_cache_factory(QuantCodec(bits, use_hadamard=True, symmetric=True))

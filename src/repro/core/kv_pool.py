@@ -31,7 +31,9 @@ entry once and updating it in place, a live sequence has one working copy:
 its table's slab row, where layer ``l``'s handle holds its tokens at
 ``slab[l, row, :, :count]``.  ``fetch`` returns views of it and the fused
 decode attends ``slab[l, :G, :, :n]`` in place.  Every write lands in the
-row and the pages in the same call, rounded once by an fp16 pool; the pages
+row and the pages in the same call, through the pool's write transform once
+(:attr:`KVPagePool.codec`: an fp16 pool's rounding, a quantized cache's
+fake-quant round trip); the pages
 are the shared, checkpointable store.  A table takes its row on its first
 read or write and keeps it until release; a fork or restored snapshot
 copies its pages in through :meth:`KVPagePool.gather_pages`, the only
@@ -54,7 +56,7 @@ import mmap
 import weakref
 from collections import Counter
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -140,6 +142,12 @@ class KVCheckpoint:
 PAGE_DTYPES = {"fp32": np.dtype(np.float32), "fp16": np.dtype(np.float16)}
 
 
+def _to_half(tokens: np.ndarray, heads: int) -> np.ndarray:
+    """The write transform of an fp16 pool: round to half precision."""
+    del heads
+    return tokens.astype(np.float16)
+
+
 def _page_dtype(dtype: "str | np.dtype | type") -> np.dtype:
     if isinstance(dtype, str):
         try:
@@ -210,6 +218,11 @@ class KVPagePool:
     memory budget and raises :class:`PoolExhausted`.  ``dtype="fp16"``
     halves the pool bytes: stored half, computed fp32.
 
+    Every stored token goes through the pool's one write transform,
+    :attr:`codec`, before it reaches its row and its pages: an fp16 pool's
+    rounding, or a lossy ``codec`` an fp32 pool is given (the KIVI / QuaRot
+    fake-quant round trip of :mod:`repro.baselines.quant_kv`).
+
     The decode slab (:attr:`slab_keys` / :attr:`slab_values`) has its own
     free list of rows and refers to each row's table weakly: a stack dropped
     without release is still freed by reference counting, and its table's
@@ -218,7 +231,7 @@ class KVPagePool:
     is freed by reference counting too.
     """
 
-    __slots__ = ("n_heads", "head_dim", "page_tokens", "grow", "dtype",
+    __slots__ = ("n_heads", "head_dim", "page_tokens", "grow", "dtype", "codec",
                  "fault_gate", "decode_plan", "slab_keys", "slab_values", "placements",
                  "_keys", "_values", "_refcounts", "_free", "_row_tables", "_free_rows",
                  "_reclaim", "__weakref__")
@@ -226,7 +239,8 @@ class KVPagePool:
     def __init__(self, n_heads: int, head_dim: int, page_tokens: int = 16,
                  initial_pages: int = 64, grow: bool = True,
                  dtype: "str | np.dtype | type" = "fp32",
-                 reserve_pages: int = 0, n_layers: int = 1) -> None:
+                 reserve_pages: int = 0, n_layers: int = 1,
+                 codec: "Callable[[np.ndarray, int], np.ndarray] | None" = None) -> None:
         if (n_heads <= 0 or head_dim <= 0 or page_tokens <= 0 or initial_pages <= 0
                 or n_layers <= 0):
             raise ValueError("n_heads, head_dim, page_tokens, initial_pages and "
@@ -236,6 +250,12 @@ class KVPagePool:
         self.page_tokens = page_tokens
         self.grow = grow
         self.dtype = _page_dtype(dtype)
+        if codec is not None and self.dtype != np.float32:
+            raise ValueError("a codec stores fp32 pages")
+        #: The write transform, ``codec(tokens, heads)`` -> the values stored
+        #: (``heads`` is the axis of the tokens' heads, channels are last);
+        #: ``None`` stores fp32 tokens as handed in.
+        self.codec = _to_half if self.dtype == np.float16 else codec
         #: Chaos hook (``repro.serve.faults``): a zero-argument callable that
         #: makes :meth:`try_alloc` spuriously fail when it returns True.
         self.fault_gate = None
@@ -530,11 +550,11 @@ class KVPagePool:
                     keys: np.ndarray, values: np.ndarray) -> None:
         """Write ``[N, H, d]`` tokens through: into their claimed ``(page,
         offset)`` slots (:meth:`scatter_tokens`) and at ``slab[layer, rows,
-        :, positions]``, their working rows.  An fp16 pool rounds them once
-        for both."""
-        if self.dtype != np.float32:
-            keys = keys.astype(self.dtype)
-            values = values.astype(self.dtype)
+        :, positions]``, their working rows, through the pool's
+        :attr:`codec` once for both."""
+        codec = self.codec
+        if codec is not None:
+            keys, values = codec(keys, 1), codec(values, 1)
         self.scatter_tokens(pages, offsets, keys, values, layer)
         self.slab_keys[layer][rows, :, positions] = keys
         self.slab_values[layer][rows, :, positions] = values
@@ -735,13 +755,13 @@ class PagedKVCache(LayerKVCache):
         """The (read-only) page list of this handle's table, in token order."""
         return tuple(self._table.pages)
 
-    def _to_storage(self, array: np.ndarray) -> np.ndarray:
-        """Round an fp32 array through the pool's storage dtype, so the row
-        and the pages hold bit-identical values whatever reads them."""
+    def _to_storage(self, array: np.ndarray, heads: int = 0) -> np.ndarray:
+        """An fp32 array through the pool's :attr:`~KVPagePool.codec` (its
+        head axis ``heads``), so the row and the pages hold bit-identical
+        values whatever reads them."""
         array = np.asarray(array, dtype=np.float32)
-        if self.pool.dtype == np.float16:
-            return array.astype(np.float16).astype(np.float32)
-        return array
+        codec = self.pool.codec
+        return array if codec is None else codec(array, heads)
 
     # -- LayerKVCache interface -----------------------------------------
     def prefill(self, keys: np.ndarray, values: np.ndarray, inputs: np.ndarray,
@@ -764,12 +784,12 @@ class PagedKVCache(LayerKVCache):
                    values: np.ndarray, xs: np.ndarray, positions: np.ndarray,
                    ) -> tuple[np.ndarray, np.ndarray]:
         """The decode step of this handle alone (a paged stack no group
-        covers): its ``[1, H, d]`` token written, then :meth:`fetch`'s views
-        with a group axis."""
+        covers): its ``[1, H, d]`` token stored as a :class:`PagedGroup`
+        stores one, then :meth:`fetch`'s views with a group axis."""
         del caches, xs, positions
         table, count = self._table, self._count
-        table.write(self.layer, count, self._to_storage(keys[0][:, None]),
-                    self._to_storage(values[0][:, None]))
+        table.write(self.layer, count, self._to_storage(keys, 1)[0][:, None],
+                    self._to_storage(values, 1)[0][:, None])
         self._count = count = count + 1
         pool, row = self.pool, table.row
         return (pool.slab_keys[self.layer, row:row + 1, :, :count],
@@ -952,7 +972,7 @@ class PagedKVCache(LayerKVCache):
         """Rebuild an exported layer state inside *this* handle's pool.
 
         Only an empty handle may import.  The checkpoint is written like a
-        prefill (rounded through the pool dtype, re-chunked to this pool's
+        prefill (through the pool's codec, re-chunked to this pool's
         ``page_tokens``).  All-or-nothing: if the pool runs dry mid-import,
         the pages it took are released before :class:`PoolExhausted`
         propagates.
@@ -1125,6 +1145,11 @@ class PagedCacheFactory:
     for one layer builds a handle with a table of its own.
     """
 
+    #: The handle class built, and the write transform its pools get
+    #: (:attr:`KVPagePool.codec`; ``None``: the page dtype's).
+    handle = PagedKVCache
+    codec = None
+
     def __init__(self, page_tokens: int = 16, initial_pages: int = 64,
                  grow: bool = True, dtype: "str | np.dtype | type" = "fp32") -> None:
         if page_tokens <= 0 or initial_pages <= 0:
@@ -1147,7 +1172,7 @@ class PagedCacheFactory:
             pool = KVPagePool(n_heads, head_dim, page_tokens=self.page_tokens,
                               initial_pages=self.initial_pages, grow=self.grow,
                               dtype=self.dtype, reserve_pages=self.reserve_pages,
-                              n_layers=n_layers)
+                              n_layers=n_layers, codec=self.codec)
             pool.fault_gate = self.fault_gate
             self._pools[n_heads, head_dim] = pool
         else:
@@ -1158,7 +1183,7 @@ class PagedCacheFactory:
                  recompute_fn: RecomputeFn) -> PagedKVCache:
         del recompute_fn
         pool = self._pool(layer_index + 1, n_heads, head_dim)
-        return PagedKVCache(pool, n_heads, head_dim, d_model, layer=layer_index)
+        return self.handle(pool, n_heads, head_dim, d_model, layer=layer_index)
 
     def make_stack(self, n_layers: int, n_heads: int, head_dim: int,
                    d_model: int) -> list[PagedKVCache]:
@@ -1166,7 +1191,7 @@ class PagedCacheFactory:
         (the :meth:`~repro.llm.model.DecoderLM.make_caches` hook)."""
         pool = self._pool(n_layers, n_heads, head_dim)
         table = PageTable(pool)
-        return [PagedKVCache(pool, n_heads, head_dim, d_model, layer=layer, table=table)
+        return [self.handle(pool, n_heads, head_dim, d_model, layer=layer, table=table)
                 for layer in range(n_layers)]
 
     def reserve_capacity(self, capacity_tokens: int) -> None:

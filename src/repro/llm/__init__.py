@@ -13,8 +13,8 @@ replaces them with decoder-only transformers implemented directly on NumPy:
 * :mod:`repro.llm.model` -- parameter initialisation and the inference
   forward pass (full-sequence and incremental decode with a pluggable KV
   cache).
-* :mod:`repro.llm.cache` -- the KV-cache interface and the contiguous
-  storage the eviction and quantized caches build on.
+* :mod:`repro.llm.cache` -- the KV-cache interface the paged and eviction
+  stores implement.
 * :mod:`repro.llm.generation` -- prefill + decode driver.
 * :mod:`repro.llm.speculate` -- speculative-decoding drafters (prompt-lookup
   n-gram, draft model) verified by :meth:`DecoderLM.verify_chunk_batch`.
@@ -29,7 +29,7 @@ from repro.llm.config import (
     get_config,
     tiny_config,
 )
-from repro.llm.cache import ContiguousKVStore, KVCacheFactory, LayerKVCache
+from repro.llm.cache import KVCacheFactory, LayerKVCache
 from repro.llm.model import DecoderLM
 from repro.llm.generation import (
     GenerationResult,
@@ -56,7 +56,6 @@ __all__ = [
     "tiny_config",
     "DecoderLM",
     "LayerKVCache",
-    "ContiguousKVStore",
     "KVCacheFactory",
     "GenerationResult",
     "Drafter",

@@ -1,4 +1,4 @@
-"""KV-cache interface and the contiguous storage substrate.
+"""The KV-cache interface.
 
 The attention layer of :class:`repro.llm.model.DecoderLM` talks to the cache
 through a narrow interface so that the paper's policies (AERP with eviction
@@ -10,14 +10,14 @@ AERP evicts independently per attention head (Section 4.1 of the paper) and
 relies on the permutation invariance of Equations 1-2 to reuse the victim's
 slot for the incoming token.
 
-The full cache (``full`` / ``fp16``) is the paged store of
-:mod:`repro.core.kv_pool`; ``kelle`` and the eviction baselines share one
-fixed-width slab per layer (:mod:`repro.core.kv_cache`).  The quantized
-caches (:mod:`repro.baselines.quant_kv`) build on :class:`ContiguousKVStore`:
-preallocated ``[H, capacity, head_dim]`` buffers grown by amortised doubling.
-Every ``fetch`` returns the cache's live K/V as *views* where it can, so the
-per-step cost of reading the cache is O(1) instead of the O(n) re-stacking
-a list-of-arrays layout pays, and no cache pads or masks what it returns.
+Two stores implement it.  The full cache (``full`` / ``fp16``, ``paged``)
+and the quantized caches (``kivi`` / ``quarot``, :mod:`repro.baselines.
+quant_kv`, whose fake-quant round trip is the pool's write transform) are
+the paged store of :mod:`repro.core.kv_pool`; ``kelle`` and the eviction
+baselines share one fixed-width slab per layer (:mod:`repro.core.kv_cache`).
+Every ``fetch`` returns the cache's live K/V as *views* of its store where
+it can, so reading the cache costs O(1) per step, and no cache pads or masks
+what it returns.
 """
 
 from __future__ import annotations
@@ -38,96 +38,16 @@ import numpy as np
 RecomputeFn = Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
 
 
-class ContiguousKVStore:
-    """Preallocated contiguous per-head K/V slot storage.
-
-    Keys and values live in ``[n_heads, capacity, head_dim]`` float32 buffers;
-    ``capacity`` doubles whenever an insert would overflow, so the amortised
-    cost of ``append`` is O(head_dim) and ``view()`` is a zero-copy slice.
-    Slots are ordered; :meth:`delete_slot` compacts the tail left by one
-    position (a single vectorised memmove), preserving slot order for the
-    eviction policies that rely on it.
-    """
-
-    __slots__ = ("n_heads", "head_dim", "_keys", "_values", "_count")
-
-    def __init__(self, n_heads: int, head_dim: int, initial_capacity: int = 64) -> None:
-        if n_heads <= 0 or head_dim <= 0 or initial_capacity <= 0:
-            raise ValueError("n_heads, head_dim and initial_capacity must be positive")
-        self.n_heads = n_heads
-        self.head_dim = head_dim
-        self._keys = np.empty((n_heads, initial_capacity, head_dim), dtype=np.float32)
-        self._values = np.empty((n_heads, initial_capacity, head_dim), dtype=np.float32)
-        self._count = 0
-
-    def __len__(self) -> int:
-        return self._count
-
-    @property
-    def capacity(self) -> int:
-        return self._keys.shape[1]
-
-    def reserve(self, extra: int) -> None:
-        """Grow (by doubling) until ``extra`` more slots fit."""
-        needed = self._count + extra
-        capacity = self.capacity
-        if needed <= capacity:
-            return
-        while capacity < needed:
-            capacity *= 2
-        for name in ("_keys", "_values"):
-            old = getattr(self, name)
-            grown = np.empty((self.n_heads, capacity, self.head_dim), dtype=np.float32)
-            grown[:, :self._count] = old[:, :self._count]
-            setattr(self, name, grown)
-
-    def append(self, key: np.ndarray, value: np.ndarray) -> int:
-        """Insert one ``[H, d]`` K/V pair, returning its slot index."""
-        self.reserve(1)
-        slot = self._count
-        self._keys[:, slot] = key
-        self._values[:, slot] = value
-        self._count += 1
-        return slot
-
-    def extend(self, keys: np.ndarray, values: np.ndarray) -> None:
-        """Bulk-insert ``[H, n, d]`` K/V blocks in one buffer write."""
-        n = keys.shape[1]
-        if n == 0:
-            return
-        self.reserve(n)
-        self._keys[:, self._count:self._count + n] = keys
-        self._values[:, self._count:self._count + n] = values
-        self._count += n
-
-    def delete_slot(self, slot: int) -> None:
-        """Remove one slot, shifting the tail left (slot order preserved)."""
-        if not 0 <= slot < self._count:
-            raise IndexError(f"slot {slot} out of range [0, {self._count})")
-        if slot < self._count - 1:
-            self._keys[:, slot:self._count - 1] = self._keys[:, slot + 1:self._count]
-            self._values[:, slot:self._count - 1] = self._values[:, slot + 1:self._count]
-        self._count -= 1
-
-    def truncate(self, n: int) -> None:
-        """Shrink to the first ``n`` slots (O(1): the view just gets shorter)."""
-        if not 0 <= n <= self._count:
-            raise ValueError(f"truncate to {n} out of range [0, {self._count}]")
-        self._count = n
-
-    def view(self) -> tuple[np.ndarray, np.ndarray]:
-        """Zero-copy ``([H, n, d], [H, n, d])`` views of the live slots."""
-        return self._keys[:, :self._count], self._values[:, :self._count]
-
-
 class LayerKVCache(abc.ABC):
     """Abstract per-layer KV cache with per-head slots."""
 
     #: Whether this cache supports *incremental* prefill and prefix forking
     #: with exact full-cache semantics (see :meth:`extend_chunk` and
-    #: :meth:`fork`).  Eviction/quantization policies whose prefill decisions
-    #: depend on seeing the whole prompt at once leave this False, and the
-    #: serving engine's prefix-sharing/chunked-prefill paths skip them.
+    #: :meth:`fork`).  Eviction policies, whose prefill decisions depend on
+    #: seeing the whole prompt at once, and the quantized caches, whose lossy
+    #: codec would make a chunk attend decoded K/V where a whole prompt
+    #: attends its projections, leave this False, and the serving engine's
+    #: prefix-sharing/chunked-prefill paths skip them.
     supports_chunked_prefill: bool = False
 
     #: Whether this cache supports :meth:`truncate` — rolling the cache back
@@ -324,11 +244,11 @@ class LayerKVCache(abc.ABC):
         A cache that supports :meth:`fork` but not in-place truncation can
         realise the same semantics with a *fork-based fallback* — replace the
         cache with ``self.fork(upto=n)`` and :meth:`release` the original —
-        at the cost of the fork's bookkeeping.  The eviction/quantization
-        policies support neither (their slot state is not a pure token
-        prefix: evicted-slot order and accumulated importance cannot be
-        rewound), so speculative drivers simply fall back to plain decoding
-        for them.
+        at the cost of the fork's bookkeeping.  The eviction policies
+        support neither (their slot state is not a pure token prefix:
+        evicted-slot order and accumulated importance cannot be rewound), nor
+        do the quantized caches (a verify chunk is a chunked prefill), so
+        speculative drivers simply fall back to plain decoding for them.
         """
         raise NotImplementedError(f"{type(self).__name__} does not support rollback")
 

@@ -16,7 +16,7 @@ provides two inference paths:
 
 Every cached attention runs through one kernel, :meth:`DecoderLM._attend`,
 with ``c >= 1`` queries per row: a decode step (``c = 1``) -- a paged group
-over its decode-slab rows (``full``, ``paged``), or a
+over its decode-slab rows (``full``, ``paged``, ``kivi``, ``quarot``), or a
 group of the rows no paged group covers, stepped through the caches'
 ``step_group`` / ``observe_group`` (an eviction-slab group of ``kelle`` and
 the eviction baselines; a lone row and each row of

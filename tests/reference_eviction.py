@@ -13,8 +13,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.llm.cache import ContiguousKVStore, LayerKVCache
+from repro.llm.cache import LayerKVCache
 from repro.utils.rng import derive_rng
+
+from contiguous_kv_store import ContiguousKVStore
 
 
 class _SharedSlotCache(LayerKVCache):

@@ -2,7 +2,7 @@
 
 ``full`` / ``fp16`` resolve to a growable fp32 paged pool
 (:class:`repro.core.kv_pool.PagedCacheFactory`).  Before that they were this
-cache: every token's K/V in one private :class:`~repro.llm.cache.
+cache: every token's K/V in one private :class:`~contiguous_kv_store.
 ContiguousKVStore`, prefill one bulk buffer write, ``fetch`` zero-copy views.
 The differential tests hold the paged store to it token for token.
 """
@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.llm.cache import ContiguousKVStore, LayerKVCache, RecomputeFn
+from repro.llm.cache import LayerKVCache, RecomputeFn
+
+from contiguous_kv_store import ContiguousKVStore
 
 
 class FullKVCache(LayerKVCache):

@@ -10,7 +10,7 @@ from repro.baselines.eviction import (
     RandomEvictionCache,
     StreamingLLMCache,
 )
-from repro.baselines.quant_kv import QuantizedKVCache
+from repro.baselines.quant_kv import QuantCodec, quantized_cache_factory
 from repro.llm.generation import generate
 from repro.registry import resolve
 
@@ -74,31 +74,32 @@ class TestRandomEviction:
 
 
 class TestQuantizedCaches:
+    """``kivi`` / ``quarot``: the paged pool with a :class:`QuantCodec` as its
+    write transform."""
+
     def test_storage_bytes_scale_with_bits(self, rng):
-        kivi = QuantizedKVCache(2, 8, 16, bits=2)
-        quarot = QuantizedKVCache(2, 8, 16, bits=4, use_hadamard=True)
+        kivi = resolve("cache", "kivi:bits=2")(0, 2, 8, 16, None)
+        quarot = resolve("cache", "quarot:bits=4")(0, 2, 8, 16, None)
         for cache in (kivi, quarot):
             _fill(cache, 10, rng)
         assert kivi.stored_bytes() == quarot.stored_bytes() // 2
         assert kivi.num_tokens == 10
 
     def test_roundtrip_error_decreases_with_bits(self, rng):
-        key = rng.standard_normal((2, 8)).astype(np.float32)
-        low = QuantizedKVCache(2, 8, 16, bits=2)._roundtrip(key)
-        high = QuantizedKVCache(2, 8, 16, bits=8)._roundtrip(key)
+        key = rng.standard_normal((1, 2, 8)).astype(np.float32)  # one token's heads
+        low = QuantCodec(2)(key, 1)
+        high = QuantCodec(8)(key, 1)
         assert np.abs(high - key).mean() < np.abs(low - key).mean()
 
     def test_hadamard_requires_power_of_two_head_dim(self):
         with pytest.raises(ValueError):
-            QuantizedKVCache(2, 12, 24, bits=4, use_hadamard=True)
+            resolve("cache", "quarot:bits=4")(0, 2, 12, 24, None)
 
     def test_8bit_quantized_cache_nearly_matches_full_cache(self, small_model, rng):
         prompt = rng.integers(0, small_model.config.vocab_size, size=10).tolist()
         reference = generate(small_model, prompt, 6, cache_factory=None)
         quantized = generate(small_model, prompt, 6,
-                             cache_factory=lambda *a, **k: QuantizedKVCache(
-                                 small_model.config.n_heads, small_model.config.head_dim,
-                                 small_model.config.d_model, bits=8))
+                             cache_factory=quantized_cache_factory(QuantCodec(8)))
         assert reference.generated_tokens == quantized.generated_tokens
 
 
