@@ -10,11 +10,12 @@ storage accounting reflects the lower bit width.
 The round trip is a write transform on stored K/V, so the caches are the
 paged store of :mod:`repro.core.kv_pool` with a :class:`QuantCodec` as its
 pool's :attr:`~repro.core.kv_pool.KVPagePool.codec`: every token is
-quantized once, as it is written, and a batched decode attends the members'
-slab rows as one fused paged group.  The codec is lossy, so a chunk (or a
-shared prefix) would attend decoded K/V where a whole prompt attends its
-projections: the handles support neither chunked prefill, rollback nor
-checkpoints.
+quantized once, as it is written, and a batched decode makes the members
+one fused paged group, which attends each length beside its equals only, so
+a row's logits are bit-equal with the per-row path.  The codec is lossy, so
+a chunk (or a shared prefix) would attend decoded K/V where a whole prompt
+attends its projections: the handles support neither chunked prefill,
+rollback nor checkpoints.
 """
 
 from __future__ import annotations
@@ -61,6 +62,7 @@ class QuantizedKVCache(PagedKVCache):
     stored through the pool's :class:`QuantCodec`."""
 
     supports_chunked_prefill = supports_rollback = supports_checkpoint = False
+    unpadded_attention = True
     extend_chunk, fork, truncate, truncate_stack = (
         LayerKVCache.extend_chunk, LayerKVCache.fork, LayerKVCache.truncate,
         LayerKVCache.truncate_stack)
@@ -72,9 +74,9 @@ class QuantizedKVCache(PagedKVCache):
         super().__init__(pool, n_heads, head_dim, d_model, **table)
 
     def stored_bytes(self, bits_per_element: int = 16) -> int:
-        """Bytes at page granularity, at the codec's bit width."""
+        """Bytes of the tokens held, at the codec's bit width."""
         del bits_per_element
-        return super().stored_bytes(self.pool.codec.bits)
+        return 2 * self._count * self.n_heads * self.head_dim * self.pool.codec.bits // 8
 
 
 def quantized_cache_factory(codec: QuantCodec) -> KVCacheFactory:

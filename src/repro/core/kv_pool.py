@@ -735,6 +735,11 @@ class PagedKVCache(LayerKVCache):
     supports_rollback = True
     supports_checkpoint = True
     paged_stack = True
+    #: Whether a ragged :class:`PagedGroup` attends this stack only beside
+    #: members of its own length (:attr:`PagedGroup.runs`), so its logits
+    #: are bit-equal with its row attending alone, instead of in one call
+    #: padded to the longest member (equal to within float tolerance).
+    unpadded_attention = False
 
     def __init__(self, pool: KVPagePool, n_heads: int, head_dim: int, d_model: int,
                  *, layer: int = 0, table: "PageTable | None" = None) -> None:
@@ -1004,7 +1009,7 @@ class PagedGroup:
     """
 
     __slots__ = ("stacks", "order", "pool", "lengths", "longest", "pages", "offsets",
-                 "rows", "positions", "padmask", "_slots", "_tables", "_handles",
+                 "rows", "positions", "padmask", "runs", "_slots", "_tables", "_handles",
                  "_counts", "_epochs", "_placement")
 
     def __init__(self, stacks: "Sequence[Sequence[PagedKVCache]]") -> None:
@@ -1041,7 +1046,9 @@ class PagedGroup:
         :attr:`lengths` counting the new tokens, :attr:`longest` and
         :attr:`padmask` (``[G, 1, 1, longest]``, True past each member's
         length, so it masks ``[G, H, 1, longest]`` scores; ``None`` when all
-        are equal).
+        are equal) and :attr:`runs` (``None``, or, for a ragged group of
+        handles with ``unpadded_attention``, ``(members, length)`` for each
+        length held: the slot indices holding it).
         Each layer must :meth:`write` its slots before a read.
         """
         if self._counts is None:
@@ -1074,12 +1081,14 @@ class PagedGroup:
         self.pages = np.array(pages, dtype=np.intp)
         self.offsets = np.array(offsets, dtype=np.intp)
         if min(lengths) == self.longest:  # uniform: basic-indexed slab writes
-            self.padmask, self.rows = None, slice(0, len(lengths))
+            self.padmask, self.rows, self.runs = None, slice(0, len(lengths)), None
             self.positions = self.longest - 1
         else:
             held = np.array(lengths)
             self.padmask = np.arange(self.longest) >= held[:, None, None, None]
             self.rows, self.positions = self._slots, held - 1
+            self.runs = ([(np.flatnonzero(held == n), n) for n in set(lengths)]
+                         if self._handles[0].unpadded_attention else None)
 
     def write(self, layer: int, keys: np.ndarray, values: np.ndarray,
               ) -> tuple[np.ndarray, np.ndarray]:

@@ -149,13 +149,10 @@ class DecoderLM:
                 params[f"{prefix}.mlp_norm.bias"] = np.zeros(config.d_model, dtype=np.float32)
             for proj in ("wq", "wk", "wv", "wo"):
                 params[f"{prefix}.{proj}"] = normal((config.d_model, config.d_model))
+            params[f"{prefix}.w1"] = normal((config.d_model, config.d_ff))
             if config.mlp == "gated":
-                params[f"{prefix}.w1"] = normal((config.d_model, config.d_ff))
                 params[f"{prefix}.w3"] = normal((config.d_model, config.d_ff))
-                params[f"{prefix}.w2"] = normal((config.d_ff, config.d_model))
-            else:
-                params[f"{prefix}.w1"] = normal((config.d_model, config.d_ff))
-                params[f"{prefix}.w2"] = normal((config.d_ff, config.d_model))
+            params[f"{prefix}.w2"] = normal((config.d_ff, config.d_model))
         params["final_norm.weight"] = np.ones(config.d_model, dtype=np.float32)
         if config.norm == "layer":
             params["final_norm.bias"] = np.zeros(config.d_model, dtype=np.float32)
@@ -189,9 +186,7 @@ class DecoderLM:
         return hidden.astype(np.float32)
 
     def _lm_head(self, hidden: np.ndarray) -> np.ndarray:
-        weight = self.params["embed.weight"] if self.config.tie_embeddings else self.params[
-            "lm_head.weight"
-        ]
+        weight = self.params["embed.weight" if self.config.tie_embeddings else "lm_head.weight"]
         return hidden @ weight.T
 
     def _split_heads(self, x: np.ndarray) -> np.ndarray:
@@ -611,13 +606,16 @@ class DecoderLM:
         grouped (:meth:`_fused_decode_groups`); each group's
         :class:`~repro.core.kv_pool.PagedGroup` writes its new K/V and hands
         its members' decode-slab rows to one length-masked :meth:`_attend`
-        call per layer, no K/V copied per step.  Every other row takes the
-        step one way, a group at a time: one ``step_group`` -> :meth:`_attend`
-        -> ``observe_group(..., end_step=True)`` per layer, the groups formed
-        once per step by the first layer's ``group_key()`` (a cache whose key
-        is ``None`` is a group of its own, as is a lone row).
-        ``fused=False`` makes every row a group of one (:meth:`_attend` with
-        ``G = 1``) — the reference path of the equivalence tests.  Either
+        call per layer, no K/V copied per step (a ragged group of handles
+        with ``unpadded_attention`` makes one call per length held, over
+        copies of those rows, bit-equal with ``fused=False``).  Every other
+        row takes the step one way, a group at a time: one ``step_group`` ->
+        :meth:`_attend` -> ``observe_group(..., end_step=True)`` per layer,
+        the groups formed once per step by the first layer's ``group_key()``
+        (a cache whose key is ``None`` is a group of its own, as is a lone
+        row).  ``fused=False`` makes every row a group of one
+        (:meth:`_attend` with ``G = 1``) — the reference path of the
+        equivalence tests.  Either
         way each sequence's logits match its batch of one.  The grouping
         is planned once per membership (when the members' rows move into
         slots ``[0, G)``) and kept as a :class:`_DecodePlan` while the
@@ -669,7 +667,11 @@ class DecoderLM:
             for rows, group in paged:
                 keys, values = group.write(layer, keys_new[:, rows].swapaxes(0, 1),
                                            values_new[:, rows].swapaxes(0, 1))
-                self._attend(query, rows, keys, values, group.padmask, context, scale)
+                if group.runs is None:
+                    self._attend(query, rows, keys, values, group.padmask, context, scale)
+                for members, n in group.runs or ():  # each length unpadded, beside its equals
+                    self._attend(query, np.arange(batch)[rows][members], keys[members, :, :n],
+                                 values[members, :, :n], None, context, scale)
             if groups:  # the new K/V row-major, [B, H, d], once per layer
                 keys_new, values_new = keys_new.swapaxes(0, 1), values_new.swapaxes(0, 1)
             for rows in groups:

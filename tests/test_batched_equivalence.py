@@ -305,11 +305,10 @@ class TestStackedLooseAttention:
     here holds groups of several, groups of one and a lone contiguous row;
     their logits must equal the per-row path (``fused=False``, every row a
     group of one) bit for bit.  The quantized caches are paged stacks: their
-    rows attend as one fused paged group, over slab rows padded to the
-    longest member, which matches the per-row path within float tolerance
-    (as every ragged paged group does).  Every row must match
-    single-sequence ``decode_step`` (whose dense ops run at batch 1) within
-    float tolerance, with identical greedy tokens.
+    rows form one fused paged group, which attends each length held beside
+    its equals only, so they too match the per-row path bit for bit.  Every
+    row must match single-sequence ``decode_step`` (whose dense ops run at
+    batch 1) within float tolerance, with identical greedy tokens.
     """
 
     KELLE = "kelle:budget=8,sink_tokens=2,recent_window=3,refresh=none"
@@ -344,7 +343,7 @@ class TestStackedLooseAttention:
             caches_batch.append(caches)
         return caches_batch
 
-    def _check(self, lm, specs, prompts, steps=6, spy=None, exact=True):
+    def _check(self, lm, specs, prompts, steps=6, spy=None):
         """Decode ``steps`` tokens three ways; returns the three ``caches_batch``
         and what ``spy`` (a list a spy appends to) recorded during the
         batched steps alone."""
@@ -357,11 +356,7 @@ class TestStackedLooseAttention:
             got = lm.decode_step_batch(tokens, positions, stacked)
             batched += spy[mark:]
             want = lm.decode_step_batch(tokens, positions, per_row, fused=False)
-            if exact:
-                np.testing.assert_array_equal(got, want)
-            else:
-                np.testing.assert_allclose(got, want, rtol=0, atol=1e-6)
-                assert (np.argmax(got, axis=-1) == np.argmax(want, axis=-1)).all()
+            np.testing.assert_array_equal(got, want)
             for b, caches in enumerate(single):
                 alone = lm.decode_step(tokens[b], positions[b], caches)
                 np.testing.assert_allclose(got[b], alone, atol=1e-5)
@@ -378,17 +373,20 @@ class TestStackedLooseAttention:
         # The lone contiguous full cache lands on the loose path too, on a
         # length of its own.
         specs = [factory] * len(self.LENGTHS) + [full_cache_factory]
-        quantized = spec in (self.KIVI, self.QUAROT)
         spy = aerp_group_steps if spec == self.KELLE else stacked_groups
-        _runs, batched = self._check(small_model, specs, prompts, spy=spy,
-                                     exact=not quantized)
+        runs, batched = self._check(small_model, specs, prompts, spy=spy)
         # kelle and h2o rows of one entry count step as one group, the three
-        # over the budget together and the two short equal ones together;
-        # the quantized caches' six stacks attend as one fused paged group.
-        if quantized:
-            assert set(batched) == {len(self.LENGTHS), 1}  # and the lone full cache
-        else:
+        # over the budget together and the two short equal ones together.
+        if spec in (self.KELLE, self.H2O):
             assert {2, 3} <= set(batched)
+            return
+        # The quantized caches' six stacks are one fused paged group, which
+        # attends its four lengths in runs of equal ones: 2, 1, 2 and 1 rows
+        # per layer-step, and the lone full cache alone.
+        (_rows, group), = runs[0][0][0].pool.decode_plan.groups
+        assert len(group.stacks) == len(self.LENGTHS)
+        steps = 6 * small_model.config.n_layers
+        assert sorted(batched) == [1] * 3 * steps + [2] * 2 * steps
 
     def test_kelle_rows_beside_a_paged_group(self, small_model, aerp_group_steps):
         kelle = resolve("cache", self.KELLE)

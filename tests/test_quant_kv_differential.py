@@ -3,10 +3,9 @@
 ``kivi:bits=`` / ``quarot:bits=`` are the paged pool with a fake-quant write
 codec; ``reference_quant_kv.py`` keeps the caches with storage of their own
 they replaced.  On the conformance geometry the stored K/V are bit-identical.
-On the batched-equivalence geometries the greedy tokens are identical and the
-logits agree within 1e-6: bit for bit wherever a row attends alone (a batch of
-one, ``fused=False``), and to float tolerance where the paged rows attend as
-one fused group, over slab rows padded to the longest member.
+On the batched-equivalence geometries the greedy tokens and the logits are
+identical bit for bit: a row attending alone (a batch of one, ``fused=False``)
+or in a fused paged group, which attends each length beside its equals only.
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ PAIRS = [
     ("kivi:bits=2", lambda: reference_kivi_factory(2)),
     ("quarot:bits=4", lambda: reference_quarot_factory(4)),
 ]
-ATOL = 1e-6
 
 
 def _prompts(vocab_size, lengths, seed):
@@ -49,6 +47,7 @@ def test_stored_kv_bit_identical_on_the_conformance_geometry(spec, reference, rn
         for cache in (new, old):
             cache.append(key, value, None, position)
     assert new.num_tokens == old.num_tokens == 18
+    assert new.stored_bytes() == old.stored_bytes()
     for got, want in zip(new.fetch(), old.fetch()):
         np.testing.assert_array_equal(got, want)
 
@@ -62,8 +61,8 @@ def test_generation_matches_the_oracle(small_model, spec, reference):
                for factory in (new, old)]
     for got, want in zip(*batched):
         assert got.generated_tokens == want.generated_tokens
-        np.testing.assert_allclose(got.logprobs, want.logprobs, rtol=0, atol=ATOL)
-    for prompt in prompts:  # a batch of one attends alone: bit for bit
+        np.testing.assert_array_equal(got.logprobs, want.logprobs)
+    for prompt in prompts:  # a batch of one
         got, want = (generate(small_model, prompt, 6, cache_factory=factory, seed=0)
                      for factory in (new, old))
         assert got.generated_tokens == want.generated_tokens
@@ -79,7 +78,7 @@ def test_forced_decode_matches_the_oracle(small_model, spec, reference):
                                               cache_factory=factory)
                  for factory in (resolve("cache", spec), reference()))
     for got_row, want_row in zip(got, want):
-        np.testing.assert_allclose(got_row, want_row, rtol=0, atol=ATOL)
+        np.testing.assert_array_equal(got_row, want_row)
 
 
 @pytest.mark.parametrize("spec, reference", PAIRS)
@@ -117,9 +116,4 @@ def test_ragged_decode_matches_the_oracle(small_model, spec, reference, fused):
             tokens = np.argmax(logits, axis=-1).tolist()
             positions = [p + 1 for p in positions]
         runs.append(np.stack(trace))
-    got, want = runs
-    assert (np.argmax(got, axis=-1) == np.argmax(want, axis=-1)).all()
-    if fused:
-        np.testing.assert_allclose(got, want, rtol=0, atol=ATOL)
-    else:  # every row a group of one
-        np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(*runs)

@@ -207,6 +207,17 @@ class TestKVSpaceManager:
         kv.release(state)
         assert state.reserved_tokens == 0 and kv.used_tokens == 0
 
+    @pytest.mark.parametrize("spec", ["kivi:bits=2", "quarot:bits=4"])
+    def test_quantized_caches_reserve_whole_pages(self, lm, spec):
+        """``kivi`` / ``quarot`` store on the paged pool: a bounded run
+        reserves whole 16-token pages for them, as for ``paged``."""
+        kv = KVSpaceManager(lm, resolve("cache", spec), capacity_tokens=64)
+        state = _state("x")
+        assert kv.reserve(state, 10)
+        assert state.reserved_tokens == kv.used_tokens == 16
+        assert kv.reserve(state, 33) and state.reserved_tokens == 48
+        assert not kv.reserve(_state("y"), 17)  # 32 tokens; 16 are free
+
     def test_explicit_capacity_overrides_unbounded_factory(self, lm):
         kv = KVSpaceManager(lm, resolve("cache", "paged:page_tokens=1"),
                             capacity_tokens=32)
