@@ -10,12 +10,12 @@ storage accounting reflects the lower bit width.
 The round trip is a write transform on stored K/V, so the caches are the
 paged store of :mod:`repro.core.kv_pool` with a :class:`QuantCodec` as its
 pool's :attr:`~repro.core.kv_pool.KVPagePool.codec`: every token is
-quantized once, as it is written, and a batched decode makes the members
-one fused paged group, which attends each length beside its equals only, so
-a row's logits are bit-equal with the per-row path.  The codec is lossy, so
-a chunk (or a shared prefix) would attend decoded K/V where a whole prompt
-attends its projections: the handles support neither chunked prefill,
-rollback nor checkpoints.
+quantized once, as it is written.  A stack's ``group_key`` is ``None``, so
+a batched decode steps each row alone (a lone paged group a row), the path
+a batch of one and ``fused=False`` take: a row's logits do not depend on
+its company.  The codec is lossy, so a chunk (or a shared prefix) would
+attend decoded K/V where a whole prompt attends its projections: the
+handles support neither chunked prefill, rollback nor checkpoints.
 """
 
 from __future__ import annotations
@@ -62,10 +62,9 @@ class QuantizedKVCache(PagedKVCache):
     stored through the pool's :class:`QuantCodec`."""
 
     supports_chunked_prefill = supports_rollback = supports_checkpoint = False
-    unpadded_attention = True
-    extend_chunk, fork, truncate, truncate_stack = (
-        LayerKVCache.extend_chunk, LayerKVCache.fork, LayerKVCache.truncate,
-        LayerKVCache.truncate_stack)
+    group_key, extend_chunk, fork, truncate, truncate_stack = (
+        LayerKVCache.group_key, LayerKVCache.extend_chunk, LayerKVCache.fork,
+        LayerKVCache.truncate, LayerKVCache.truncate_stack)
 
     def __init__(self, pool: KVPagePool, n_heads: int, head_dim: int, d_model: int,
                  **table) -> None:

@@ -70,19 +70,19 @@ equally many entries ``n`` and does its work once for all of them:
 are the contiguous range ``a:b`` (one gather otherwise); ``observe`` is one
 ``+=``.  A decode layer-step is one arena call, :meth:`AERPArena.step`: the
 group's slot index and header rows are found once for its append and its
-fetch, and its ``observe`` reuses that index.  The model steps a decode
-group through :meth:`SlabCache.step_group` / :meth:`SlabCache.observe_group`
-(grouped by :meth:`SlabCache.group_key`: same arena, ``recompute_fn``
-object and count, so nothing is padded or masked); the single-cache
+fetch, and its ``observe`` reuses that index.  The decode steps a group
+of stacks through their :class:`SlabGroup` (the caches' ``decode_group``,
+grouped by :meth:`SlabCache.group_key`: same arena, ``recompute_fn``
+object and count, so nothing is padded or masked): per layer one
+:meth:`SlabGroup.step` and one :meth:`SlabGroup.observe`, which ends the
+members' step at that layer with one ``_STEP`` bump of the group's slots
+(a lone stack reuses its caches' own slots arrays); the single-cache
 ``append`` / ``fetch`` / ``observe_attention`` are the arena's ``append`` /
-``fetch`` / ``observe`` with ``G = 1``.  Every decode path ends a cache's
-step in its layer's ``observe_group`` (``end_step=True``: one ``_STEP``
-bump of the group's slots), not with ``end_step`` calls after the last
-layer.  Prefill stays per sequence.  2DRP fault injection
-(:meth:`AERPArena.inject_faults`) runs once per ``observe_group`` and once
-per prefill; for each sequence of the group it classifies the tokens that
-came due, gathers their stored forms in token order into one fp16 block,
-makes one sparse sampler call
+``fetch`` / ``observe`` with ``G = 1``.  Prefill stays per sequence.  2DRP
+fault injection (:meth:`AERPArena.inject_faults`) runs once per group
+observe and once per prefill; for each sequence of the group it classifies
+the tokens that came due, gathers their stored forms in token order into
+one fp16 block, makes one sparse sampler call
 (:func:`repro.memory.bitops.sample_bit_faults`) on the sequence's own
 generator and scatters the block back, so a sequence's faults do not
 depend on its company.
@@ -732,36 +732,55 @@ class SlabCache(LayerKVCache):
         return keys[0], values[0]
 
     def observe_attention(self, probs: np.ndarray) -> None:
-        self.observe_group([self], np.asarray(probs)[None])
-
-    #: ``(caches, slots)`` of the group step this cache led, until the
-    #: group's :meth:`observe_group`: one slots array a layer-step.
-    _stepped: tuple = (None, None)
+        self._arena.observe(self._slots, np.asarray(probs)[None])
+        if self._injects:  # lazy 2DRP, as a group's observe (without ending the step)
+            self._arena.inject_faults(self._slots, self.injector, [self._rng], resident_steps=1)
 
     # -- group protocol: one arena call for a whole decode group --------
-    def group_key(self) -> tuple:
-        """Caches of one arena, one ``recompute_fn`` object and one entry
-        count step together (nothing to pad or mask)."""
+    def group_key(self, stack: "Sequence[LayerKVCache]") -> tuple:
+        """Stacks whose first caches share one arena, one ``recompute_fn``
+        object and one entry count step together (nothing to pad or mask)."""
+        del stack
         return (self._arena, self.recompute_fn, int(self._arena._seq[self._slot, _COUNT]))
 
-    def step_group(self, caches: "Sequence[SlabCache]", keys: np.ndarray, values: np.ndarray,
-                   xs: np.ndarray, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        self._stepped = caches, np.array([cache._slot for cache in caches])
-        return self._arena.step(self._stepped[1], keys, values, xs, positions, self.recompute_fn)
+    def decode_group(self, stacks: "Sequence[Sequence[SlabCache]]") -> "SlabGroup":
+        return SlabGroup(stacks)
 
-    def observe_group(self, caches: "Sequence[SlabCache]", probs: np.ndarray,
-                      end_step: bool = False) -> None:
-        (stepped, slots), self._stepped = self._stepped, (None, None)
-        if stepped is not caches:
-            slots = np.array([cache._slot for cache in caches])
-        self._arena.observe(slots, probs)
+
+class SlabGroup:
+    """Eviction-slab stacks decoding together: per layer one
+    :meth:`AERPArena.step` and one :meth:`AERPArena.observe` for the group,
+    the observe also injecting 2DRP faults (after one resident step) and
+    ending the members' step at that layer.  Grouped again every step."""
+
+    __slots__ = ("stacks", "_lone", "_slots")
+    claim = order = None
+
+    def __init__(self, stacks: "Sequence[Sequence[SlabCache]]") -> None:
+        self.stacks = stacks
+        self._lone = len(stacks) == 1
+
+    def holds(self) -> bool:
+        return False
+
+    def step(self, layer: int, keys: np.ndarray, values: np.ndarray, xs: np.ndarray,
+             positions: np.ndarray) -> tuple[np.ndarray, np.ndarray, None]:
+        """The layer's slots (a lone cache's own array) and one arena step."""
+        head = self.stacks[0][layer]
+        self._slots = slots = head._slots if self._lone else np.array(
+            [caches[layer]._slot for caches in self.stacks])
+        return head._arena.step(slots, keys, values, xs, positions, head.recompute_fn) + (None,)
+
+    def observe(self, layer: int, probs: np.ndarray) -> None:
+        head, slots = self.stacks[0][layer], self._slots
+        arena = head._arena
+        arena.observe(slots, probs)
         # Lazy 2DRP: a token is corrupted once, after one resident step (the
         # caches of an arena share their factory's injector).
-        if self._injects:
-            self._arena.inject_faults(slots, self.injector, [cache._rng for cache in caches],
-                                      resident_steps=1)
-        if end_step:  # every cache's ``end_step`` at once
-            self._arena._seq[slots, _STEP] += 1
+        if head._injects:
+            arena.inject_faults(slots, head.injector,
+                                [caches[layer]._rng for caches in self.stacks], resident_steps=1)
+        arena._seq[slots, _STEP] += 1  # every member's ``end_step`` at once
 
 
 class AERPCache(SlabCache):

@@ -20,9 +20,11 @@ et al., SOSP '23, under vLLM V1's persistent decode batch):
   one sequence share one table): the full cache with **zero-copy
   copy-on-write forks** — a fork shares the pages of a prefix, and writing
   into a shared page first copies it, every layer at once.
-* :class:`PagedGroup` / :class:`PagedChunks` — whole stacks of one pool
-  decoding a token / extending by a chunk together, slots claimed once for
-  every layer.
+* :class:`PagedGroup` / :class:`PagedChunks` — the paged handles' decode
+  group and chunk writer (:meth:`~repro.llm.cache.LayerKVCache.decode_group`,
+  :meth:`~repro.llm.cache.LayerKVCache.chunk_group`): whole stacks of one
+  pool decoding a token / extending by a chunk together, slots claimed once
+  for every layer, several decoding stacks placed in slab slots ``[0, G)``.
 * :class:`PagedCacheFactory` — the ``"paged"`` cache spec, and at its default
   geometry the ``"full"`` / ``"fp16"`` baseline: one pool per head geometry.
 
@@ -259,8 +261,8 @@ class KVPagePool:
         #: Chaos hook (``repro.serve.faults``): a zero-argument callable that
         #: makes :meth:`try_alloc` spuriously fail when it returns True.
         self.fault_gate = None
-        #: The fused decode's grouping of the last batch led by one of this
-        #: pool's stacks, kept here until a row is freed.
+        #: The decode plan of the last batch led by one of this pool's stacks
+        #: (the handles' ``plan_home``), kept here until a row is freed.
         self.decode_plan = None
         #: The decode slab, ``[n_layers, S, H, capacity, head_dim]`` fp32
         #: (mapped on the first row taken), which fetch views slice.
@@ -734,12 +736,6 @@ class PagedKVCache(LayerKVCache):
     supports_chunked_prefill = True
     supports_rollback = True
     supports_checkpoint = True
-    paged_stack = True
-    #: Whether a ragged :class:`PagedGroup` attends this stack only beside
-    #: members of its own length (:attr:`PagedGroup.runs`), so its logits
-    #: are bit-equal with its row attending alone, instead of in one call
-    #: padded to the longest member (equal to within float tolerance).
-    unpadded_attention = False
 
     def __init__(self, pool: KVPagePool, n_heads: int, head_dim: int, d_model: int,
                  *, layer: int = 0, table: "PageTable | None" = None) -> None:
@@ -748,7 +744,7 @@ class PagedKVCache(LayerKVCache):
             raise ValueError("pool geometry does not match the cache geometry")
         if not 0 <= layer < pool.n_layers:
             raise ValueError(f"layer {layer} out of range for a {pool.n_layers}-layer pool")
-        self.pool = pool
+        self.pool = self.plan_home = pool
         self.layer = layer
         self._table = PageTable(pool) if table is None else table
         self._table._handles.append(weakref.ref(self))
@@ -783,63 +779,37 @@ class PagedKVCache(LayerKVCache):
 
     def append(self, key: np.ndarray, value: np.ndarray, x: np.ndarray, position: int) -> None:
         del x, position
-        self.step_group([self], np.asarray(key)[None], np.asarray(value)[None], None, None)
+        self.prefill(np.asarray(key)[:, None], np.asarray(value)[:, None], None, None)
 
-    def step_group(self, caches: "Sequence[LayerKVCache]", keys: np.ndarray,
-                   values: np.ndarray, xs: np.ndarray, positions: np.ndarray,
-                   ) -> tuple[np.ndarray, np.ndarray]:
-        """The decode step of this handle alone (a paged stack no group
-        covers): its ``[1, H, d]`` token stored as a :class:`PagedGroup`
-        stores one, then :meth:`fetch`'s views with a group axis."""
-        del caches, xs, positions
-        table, count = self._table, self._count
-        table.write(self.layer, count, self._to_storage(keys, 1)[0][:, None],
-                    self._to_storage(values, 1)[0][:, None])
-        self._count = count = count + 1
-        pool, row = self.pool, table.row
-        return (pool.slab_keys[self.layer, row:row + 1, :, :count],
-                pool.slab_values[self.layer, row:row + 1, :, :count])
-
-    def observe_group(self, caches: "Sequence[LayerKVCache]", probs: np.ndarray,
-                      end_step: bool = False) -> None:
-        del caches, probs, end_step  # nothing to score, nothing to end
-
-    def reserve_slot(self) -> tuple[int, int]:
-        """Claim this layer's next token ``(page, offset)`` without writing data.
-
-        Claims the slot for every layer (:meth:`PageTable.claim`) and
-        advances the count; the caller *must* write it —
-        :meth:`KVPagePool.write_slots` with this handle's ``layer``, its
-        table's ``row`` and position ``num_tokens - 1`` — before any read.
-        """
-        table, count = self._table, self._count
-        table.claim(count, count + 1)
-        self._count = count + 1
-        index, offset = divmod(count, self.pool.page_tokens)
-        return table.pages[index], offset
-
-    def whole_stack(self, caches: "Sequence[LayerKVCache]") -> bool:
-        """Whether ``caches`` are every live handle of this handle's table,
-        layer ``i`` at index ``i``, all at one length — a sequence whose slots
-        are claimed once for every layer (a table's handles are in layer
-        order, so the two end layers pin every layer in between)."""
+    def group_key(self, stack: "Sequence[LayerKVCache]") -> "KVPagePool | None":
+        """The pool, when ``stack`` is every live handle of this handle's
+        table, layer ``i`` at index ``i``, all at one length — a sequence
+        whose slots are claimed once for every layer (a table's handles are
+        in layer order, so the two end layers pin every layer in between);
+        else ``None``."""
         refs, count = self._table._handles, self._count
-        if (len(refs) != len(caches) or caches[0].layer != 0
-                or caches[-1].layer != len(caches) - 1):
-            return False
-        for ref, cache in zip(refs, caches):
+        if (len(refs) != len(stack) or stack[0].layer != 0
+                or stack[-1].layer != len(stack) - 1):
+            return None
+        for ref, cache in zip(refs, stack):
             if ref() is not cache or cache._count != count:
-                return False
-        return True
+                return None
+        return self.pool
 
-    def reserve_stack_slot(self, caches: "Sequence[PagedKVCache]") -> tuple[int, int]:
-        """:meth:`reserve_slot` once for a :meth:`whole_stack`: every layer's
-        count advances to the same ``(page, offset)``, which each layer then
-        writes with its own scatter."""
-        page, offset = self.reserve_slot()
-        for cache in caches:
-            cache._count = self._count
-        return page, offset
+    def decode_group(self, stacks: "Sequence[Sequence[LayerKVCache]]") -> "PagedGroup":
+        """A :class:`PagedGroup`; a lone stack whose layers are out of step
+        steps cache by cache."""
+        if len(stacks) == 1 and PagedKVCache.group_key(self, stacks[0]) is None:
+            return super().decode_group(stacks)
+        return PagedGroup(stacks)
+
+    def chunk_group(self, stacks: "Sequence[Sequence[LayerKVCache]]",
+                    lengths: Sequence[int]) -> "PagedChunks":
+        """A :class:`PagedChunks`; a lone stack whose layers are out of step
+        extends cache by cache."""
+        if len(stacks) == 1 and PagedKVCache.group_key(self, stacks[0]) is None:
+            return super().chunk_group(stacks, lengths)
+        return PagedChunks(stacks, lengths)
 
     def fetch(self) -> tuple[np.ndarray, np.ndarray]:
         table = self._table
@@ -997,43 +967,51 @@ class PagedKVCache(LayerKVCache):
 
 
 class PagedGroup:
-    """Whole stacks of one pool that decode together: their rows in slab
-    slots ``[0, G)``, one slot claim a step.
+    """Whole stacks of one pool that decode together: one slot claim a step
+    for every layer, one write and one slab view a layer.
 
-    The fused decode builds one per membership; building it moves the
-    members' rows into slots ``[0, G)`` and orders :attr:`stacks` by slot
-    (:attr:`order` maps them back), so a step attends ``slab[layer, :G, :,
-    :longest]`` as one view.  It is kept while :meth:`current` holds; after
-    the first claim, only members opening a page or writing a shared tail go
-    through :meth:`PageTable.writable_page`.
+    Several stacks are placed: building the group moves their rows into
+    slab slots ``[0, G)`` and orders :attr:`stacks` by slot (:attr:`order`
+    maps them back, ``None`` for a lone stack, which keeps its row), so a
+    layer attends ``slab[layer, :G, :, :longest]`` as one view.  The group
+    serves the steps of its stacks while :meth:`holds`; only members opening
+    a page or writing a shared tail go through
+    :meth:`PageTable.writable_page`.  It scores nothing (``observe`` is
+    ``None``).
     """
 
     __slots__ = ("stacks", "order", "pool", "lengths", "longest", "pages", "offsets",
-                 "rows", "positions", "padmask", "runs", "_slots", "_tables", "_handles",
+                 "rows", "positions", "masked", "_window", "_slots", "_tables", "_handles",
                  "_counts", "_epochs", "_placement")
+    observe = None
 
     def __init__(self, stacks: "Sequence[Sequence[PagedKVCache]]") -> None:
         tables = [caches[0]._table for caches in stacks]
         pool = self.pool = tables[0].pool
-        pool._place(tables)
-        #: Member ``g`` (slot ``g``) is ``stacks[order[g]]`` of the stacks given.
-        self.order = sorted(range(len(tables)), key=lambda g: tables[g].row)
-        self.stacks = [stacks[g] for g in self.order]
-        self._tables = [tables[g] for g in self.order]
-        self._placement = pool.placements
-        self._slots = np.arange(len(tables))
-        #: Tokens each member holds after the last claim (``None`` before it).
-        self.lengths: "list[int] | None" = None
-        self.longest = 0
-        self._handles = [cache for caches in self.stacks for cache in caches]
-        self._counts: "list[int] | None" = None
-        self._epochs: "list[int] | None" = None
+        self.order = None
+        if len(tables) > 1:
+            pool._place(tables)
+            #: Member ``g`` (slot ``g``) is ``stacks[order[g]]`` of the stacks given.
+            self.order = sorted(range(len(tables)), key=lambda g: tables[g].row)
+            stacks, tables = [stacks[g] for g in self.order], [tables[g] for g in self.order]
+            self._slots = np.arange(len(tables))  # the rows of a ragged claim
+        elif tables[0].row < 0:
+            tables[0].take_row()
+        first = tables[0].row if self.order is None else 0
+        self._window = slice(first, first + len(tables))
+        self.stacks, self._tables, self._placement = stacks, tables, pool.placements
+        self._handles = [cache for caches in stacks for cache in caches]
+        #: Tokens each member holds after the last claim.
+        self.lengths = [caches[0]._count for caches in stacks]
+        self.longest = max(self.lengths)
+        self._counts = [cache._count for cache in self._handles]
+        # Claims never touch stored tokens, so the epochs stay these.
+        self._epochs = [cache.write_epoch for cache in self._handles]
 
-    def current(self) -> bool:
+    def holds(self) -> bool:
         """Whether every member holds exactly what the last claim left, in
-        the slot it was placed in."""
-        return (self._counts is not None
-                and self.pool.placements == self._placement
+        the row it had then."""
+        return (self.pool.placements == self._placement
                 and [cache._count for cache in self._handles] == self._counts
                 and [cache.write_epoch for cache in self._handles] == self._epochs)
 
@@ -1044,63 +1022,49 @@ class PagedGroup:
         :meth:`KVPagePool.write_slots` targets (:attr:`pages`,
         :attr:`offsets`, :attr:`rows`, :attr:`positions`), the
         :attr:`lengths` counting the new tokens, :attr:`longest` and
-        :attr:`padmask` (``[G, 1, 1, longest]``, True past each member's
+        :attr:`masked` (``[G, 1, 1, longest]``, True past each member's
         length, so it masks ``[G, H, 1, longest]`` scores; ``None`` when all
-        are equal) and :attr:`runs` (``None``, or, for a ragged group of
-        handles with ``unpadded_attention``, ``(members, length)`` for each
-        length held: the slot indices holding it).
-        Each layer must :meth:`write` its slots before a read.
+        are equal).  Each layer must :meth:`step` before a read.
         """
-        if self._counts is None:
-            slots = [caches[0].reserve_stack_slot(caches) for caches in self.stacks]
-            pages = [page for page, _offset in slots]
-            offsets = [offset for _page, offset in slots]
-            lengths = [caches[0]._count for caches in self.stacks]
-            self.longest = max(lengths)
-            # Claims never touch stored tokens, so the epochs stay these.
-            self._epochs = [cache.write_epoch for cache in self._handles]
-        else:
-            page_tokens = self.pool.page_tokens
-            held = self.lengths
-            offsets = [n % page_tokens for n in held]
-            pages = [table.pages[-1] if offset and table.tail_owned else -1
-                     for table, offset in zip(self._tables, offsets)]
-            if -1 in pages:
-                for g, page in enumerate(pages):
-                    if page < 0:
-                        pages[g] = self._tables[g].writable_page(held[g] // page_tokens)
-            lengths = [n + 1 for n in held]
-            self.longest += 1
-            if self.longest > self.pool.slab_keys.shape[3]:
-                self.pool._reserve_slab(0, self.longest)
-            for caches, n in zip(self.stacks, lengths):
-                for cache in caches:
-                    cache._count = n
-        self.lengths = lengths
+        page_tokens, tables = self.pool.page_tokens, self._tables
+        held = self.lengths
+        offsets = [n % page_tokens for n in held]
+        pages = [table.pages[-1] if offset and table.tail_owned else -1
+                 for table, offset in zip(tables, offsets)]
+        if -1 in pages:
+            for g, page in enumerate(pages):
+                if page < 0:
+                    pages[g] = tables[g].writable_page(held[g] // page_tokens)
+        lengths = self.lengths = [n + 1 for n in held]
+        self.longest += 1
+        if self.longest > self.pool.slab_keys.shape[3]:
+            self.pool._reserve_slab(0, self.longest)
+        for caches, n in zip(self.stacks, lengths):
+            for cache in caches:
+                cache._count = n
         self._counts = [n for caches, n in zip(self.stacks, lengths) for _cache in caches]
         self.pages = np.array(pages, dtype=np.intp)
         self.offsets = np.array(offsets, dtype=np.intp)
         if min(lengths) == self.longest:  # uniform: basic-indexed slab writes
-            self.padmask, self.rows, self.runs = None, slice(0, len(lengths)), None
-            self.positions = self.longest - 1
+            self.masked, self.rows, self.positions = None, self._window, self.longest - 1
         else:
             held = np.array(lengths)
-            self.padmask = np.arange(self.longest) >= held[:, None, None, None]
+            self.masked = np.arange(self.longest) >= held[:, None, None, None]
             self.rows, self.positions = self._slots, held - 1
-            self.runs = ([(np.flatnonzero(held == n), n) for n in set(lengths)]
-                         if self._handles[0].unpadded_attention else None)
 
-    def write(self, layer: int, keys: np.ndarray, values: np.ndarray,
-              ) -> tuple[np.ndarray, np.ndarray]:
+    def step(self, layer: int, keys: np.ndarray, values: np.ndarray, xs: np.ndarray,
+             positions: np.ndarray) -> tuple[np.ndarray, np.ndarray, "np.ndarray | None"]:
         """Write ``layer``'s ``[G, H, d]`` new tokens (members in slot order)
         into the slots the last :meth:`claim` took; returns the members'
         ``[G, H, longest, d]`` K and V rows of the decode slab (views; V past
-        a member's length is zero, K is whatever the row held)."""
-        pool, n_rows = self.pool, len(self.stacks)
+        a member's length is zero, K is whatever the row held) and
+        :attr:`masked`."""
+        del xs, positions
+        pool, window = self.pool, self._window
         pool.write_slots(layer, self.pages, self.offsets, self.rows, self.positions,
                          keys, values)
-        return (pool.slab_keys[layer, :n_rows, :, :self.longest],
-                pool.slab_values[layer, :n_rows, :, :self.longest])
+        return (pool.slab_keys[layer, window, :, :self.longest],
+                pool.slab_values[layer, window, :, :self.longest], self.masked)
 
 
 class PagedChunks:
@@ -1134,11 +1098,13 @@ class PagedChunks:
         self.positions = np.array(positions, dtype=np.intp)
         self.offsets = self.positions % page_tokens
 
-    def write(self, layer: int, keys: np.ndarray, values: np.ndarray) -> None:
-        """Write ``layer``'s ``[N, H, d]`` new tokens (members in order, each
+    def write(self, layer: int, keys: np.ndarray, values: np.ndarray, inputs: np.ndarray,
+              positions: np.ndarray) -> None:
+        """Write ``layer``'s ``[H, N, d]`` new tokens (members in order, each
         chunk in token order) and advance that layer's handles."""
+        del inputs, positions
         self.pool.write_slots(layer, self.pages, self.offsets, self.rows, self.positions,
-                              keys, values)
+                              keys.swapaxes(0, 1), values.swapaxes(0, 1))
         for caches, stop in zip(self.stacks, self.stops):
             caches[layer]._count = stop
 

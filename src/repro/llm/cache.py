@@ -18,6 +18,18 @@ baselines share one fixed-width slab per layer (:mod:`repro.core.kv_cache`).
 Every ``fetch`` returns the cache's live K/V as *views* of its store where
 it can, so reading the cache costs O(1) per step, and no cache pads or masks
 what it returns.
+
+**The group protocol** is how the batched forwards reach either store
+without knowing it.  A stack (one sequence's per-layer caches) has a
+:meth:`LayerKVCache.group_key`; stacks of equal keys share one decode group
+(:meth:`LayerKVCache.decode_group`: ``claim`` once a step, then per layer
+``step`` and ``observe``) and one chunk writer
+(:meth:`LayerKVCache.chunk_group`).  The paged store's groups are whole
+stacks of one pool, claimed once a step for every layer; the eviction
+slab's are one :class:`~repro.core.kv_cache.AERPArena` call per layer; a
+stack keyed ``None`` steps alone, by default cache by cache
+(:class:`CacheGroup`, :class:`CacheChunks`), which is what the test
+oracles use.
 """
 
 from __future__ import annotations
@@ -65,14 +77,10 @@ class LayerKVCache(abc.ABC):
     #: recovery path.
     supports_checkpoint: bool = False
 
-    #: Whether this cache is one layer's handle on a sequence's page table
-    #: (:class:`repro.core.kv_pool.PagedKVCache`).  The fused batched decode
-    #: (:meth:`repro.llm.model.DecoderLM.decode_step_batch`) groups whole
-    #: stacks of such handles by pool: it writes through to pool pages and
-    #: attends the members' rows of the pool's decode slab.  Every other row
-    #: (and a paged stack no group covers) takes the step through the group
-    #: protocol below, one attention call per group of equal keys.
-    paged_stack: bool = False
+    #: Where a decode batch led by this cache keeps its plan between steps
+    #: (an object with a writable ``decode_plan``; the paged handles' pool),
+    #: or ``None``: the batch is grouped again every step.
+    plan_home = None
 
     def __init__(self, n_heads: int, head_dim: int, d_model: int) -> None:
         if n_heads <= 0 or head_dim <= 0 or d_model <= 0:
@@ -141,52 +149,49 @@ class LayerKVCache(abc.ABC):
 
     def end_step(self) -> None:
         """Hook ending a decode step at this layer, called after attention
-        (the decode calls it through ``observe_group(..., end_step=True)``);
-        default no-op."""
+        (by :class:`CacheGroup`'s ``observe``); default no-op."""
 
-    # -- group protocol (batched decode of caches no fused layout covers) --
-    def group_key(self) -> "Hashable | None":
-        """Key under which this cache can share the next decode step.
+    # -- group protocol (how the decode and the chunk forward reach a store) --
+    def group_key(self, stack: "Sequence[LayerKVCache]") -> "Hashable | None":
+        """Key under which ``stack`` — one sequence's per-layer caches, this
+        cache first — can share a decode step or a chunk write.
 
-        Caches returning equal keys are stepped by ONE :meth:`step_group` /
-        :meth:`observe_group` call on any of them; equal keys promise equal
-        fetched lengths.  The decode groups its rows once per step by their
-        first layer's keys, so stacks whose caches have equal keys at one
-        layer must have equal keys at every layer.  ``None`` (the default)
-        steps the cache on its own.
+        Stacks of equal keys are stepped by ONE group of
+        :meth:`decode_group` (written by one :meth:`chunk_group`); equal keys
+        promise equal fetched lengths or a group that masks what differs.
+        ``None`` (the default) steps the stack on its own.
         """
+        del stack
         return None
 
-    def step_group(self, caches: "Sequence[LayerKVCache]", keys: np.ndarray,
-                   values: np.ndarray, xs: np.ndarray, positions: np.ndarray,
-                   ) -> tuple[np.ndarray, np.ndarray]:
-        """:meth:`append` one token to each of ``caches``, then :meth:`fetch`.
+    def decode_group(self, stacks: "Sequence[Sequence[LayerKVCache]]") -> "CacheGroup":
+        """The decode group of ``stacks`` (equal :meth:`group_key`, or one
+        stack), this cache leading the first.
 
-        ``keys``/``values`` are ``[G, H, d]``, ``xs`` ``[G, C]``, ``positions``
-        ``[G]``; returns ``(K, V)`` as :meth:`fetch` does, with a leading
-        group axis.  It is how the decode steps every row no paged group
-        covers.  The default is the per-cache calls, for the group of one
-        the default :meth:`group_key` forms; a paged handle writes its token
-        and returns views of its slab row; the eviction slab's caches take
-        the step as one :meth:`repro.core.kv_cache.AERPArena.step` (the group
-        found once for the append, the fetch and the following
-        :meth:`observe_group`, the new tokens' K/V kept as handed in).
+        A group steps its members one layer at a time, member ``g`` being
+        ``stacks[order[g]]`` (``order`` ``None``: as given):
+        ``step(layer, keys, values, xs, positions) -> (K, V, masked)`` stores
+        the members' ``[G, H, d]`` new tokens (``xs`` ``[G, C]``,
+        ``positions`` ``[G]``) and returns their ``[G, H, n, d]`` K/V with
+        the mask of the slots past each member's length (``None``: nothing
+        masked); ``observe(layer, probs)`` credits the ``[G, H, n]``
+        probabilities and ends the step at that layer (``None`` for a group
+        that scores nothing).  ``claim()`` (``None`` when there is nothing
+        to claim) runs once a step before any layer writes, and ``holds()``
+        says whether the group may serve the next step of the same stacks.
+        The default is :class:`CacheGroup`.
         """
-        (cache,) = caches
-        cache.append(keys[0], values[0], xs[0], int(positions[0]))
-        keys, values = cache.fetch()
-        return keys[None], values[None]
+        return CacheGroup(stacks)
 
-    def observe_group(self, caches: "Sequence[LayerKVCache]", probs: np.ndarray,
-                      end_step: bool = False) -> None:
-        """:meth:`observe_attention` for each of ``caches``: ``probs`` is
-        ``[G, H, n]``, aligned with the preceding :meth:`step_group`.  With
-        ``end_step`` (the decode's last call on this layer of the group)
-        each cache's :meth:`end_step` follows."""
-        for cache, cache_probs in zip(caches, probs):
-            cache.observe_attention(cache_probs)
-            if end_step:
-                cache.end_step()
+    def chunk_group(self, stacks: "Sequence[Sequence[LayerKVCache]]",
+                    lengths: Sequence[int]) -> "CacheChunks":
+        """The writer extending ``stacks`` (equal :meth:`group_key`, or one
+        stack) by chunks of ``lengths`` tokens in one forward:
+        ``write(layer, keys, values, inputs, positions)`` stores the members'
+        ``[H, N, d]`` chunk tokens, in member order.  The default is
+        :class:`CacheChunks`."""
+        del lengths
+        return CacheChunks(stacks)
 
     # -- stack protocol (one call for every layer of one sequence) ------
     def fork_stack(self, caches: "Sequence[LayerKVCache]",
@@ -260,6 +265,48 @@ class LayerKVCache(abc.ABC):
         so any fused decode group still holding this cache regroups.
         """
         self.write_epoch += 1
+
+
+class CacheGroup:
+    """The default decode group: one stack stepped cache by cache
+    (:meth:`~LayerKVCache.append`, :meth:`~LayerKVCache.fetch`,
+    :meth:`~LayerKVCache.observe_attention`, :meth:`~LayerKVCache.end_step`),
+    planned again every step."""
+
+    __slots__ = ("stack",)
+    claim = order = None
+
+    def __init__(self, stacks: "Sequence[Sequence[LayerKVCache]]") -> None:
+        (self.stack,) = stacks
+
+    def holds(self) -> bool:
+        return False
+
+    def step(self, layer: int, keys: np.ndarray, values: np.ndarray, xs: np.ndarray,
+             positions: np.ndarray) -> tuple[np.ndarray, np.ndarray, None]:
+        cache = self.stack[layer]
+        cache.append(keys[0], values[0], xs[0], int(positions[0]))
+        keys, values = cache.fetch()
+        return keys[None], values[None], None
+
+    def observe(self, layer: int, probs: np.ndarray) -> None:
+        cache = self.stack[layer]
+        cache.observe_attention(probs[0])
+        cache.end_step()
+
+
+class CacheChunks:
+    """The default chunk writer: one stack, each layer's chunk through its
+    cache's :meth:`~LayerKVCache.extend_chunk`."""
+
+    __slots__ = ("stack",)
+
+    def __init__(self, stacks: "Sequence[Sequence[LayerKVCache]]") -> None:
+        (self.stack,) = stacks
+
+    def write(self, layer: int, keys: np.ndarray, values: np.ndarray, inputs: np.ndarray,
+              positions: np.ndarray) -> None:
+        self.stack[layer].extend_chunk(keys, values, inputs, positions)
 
 
 class KVCacheFactory(Protocol):

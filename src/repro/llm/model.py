@@ -15,16 +15,16 @@ provides two inference paths:
   :meth:`DecoderLM.decode_step` call the batched forwards.
 
 Every cached attention runs through one kernel, :meth:`DecoderLM._attend`,
-with ``c >= 1`` queries per row: a decode step (``c = 1``) -- a paged group
-over its decode-slab rows (``full``, ``paged``, ``kivi``, ``quarot``), or a
-group of the rows no paged group covers, stepped through the caches'
-``step_group`` / ``observe_group`` (an eviction-slab group of ``kelle`` and
-the eviction baselines; a lone row and each row of
-``decode_step_batch(..., fused=False)`` are groups of one)
--- and, causally masked, a whole prompt (:meth:`DecoderLM.prefill_batch`)
-and a chunk over its cache (chunked prefill and speculative verify).  Only
-the cache-free oracle :meth:`DecoderLM.forward_full` has a softmax of its
-own.
+with ``c >= 1`` queries per row: a decode step (``c = 1``) of a group of
+rows -- and, causally masked, a whole prompt
+(:meth:`DecoderLM.prefill_batch`) and a chunk over its cache (chunked
+prefill and speculative verify).  Only the cache-free oracle
+:meth:`DecoderLM.forward_full` has a softmax of its own.
+
+The model reaches every store through the caches' group protocol
+(:mod:`repro.llm.cache`): a decode step groups the rows by their stacks'
+``group_key`` and steps each group one way, whatever store it is on, and a
+chunk forward writes each group through its ``chunk_group``.
 
 Only configurations without grouped-query attention are instantiated
 (``n_kv_heads is None``); the full-size GQA configs are used purely for shape
@@ -37,7 +37,6 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.core.kv_pool import PagedChunks, PagedGroup
 from repro.llm.cache import KVCacheFactory, LayerKVCache
 from repro.llm.config import ModelConfig
 from repro.llm.functional import (
@@ -56,45 +55,43 @@ from repro.utils.rng import derive_rng
 
 
 class _DecodePlan:
-    """The fused decode's grouping of one batch membership, kept across steps.
+    """A decode batch's groups: its rows grouped by their stacks'
+    ``group_key`` (each row alone with ``fused=False``), each group the
+    ``decode_group`` of its stacks.
 
     ``stacks`` are the batch's cache lists (their identity is the
-    membership); each paged group carries its batch rows in slab-slot order
-    (a slice when they are the whole batch in order) and its
-    :class:`~repro.core.kv_pool.PagedGroup`.  A step reuses the plan while
-    :meth:`holds`; it is kept on the pool of the batch's first stack, never
-    on the model.
+    membership); ``groups`` holds ``(rows, group)``, the group's batch rows
+    in its member order (a slice when they are the whole batch in order).
+    A plan is kept at the first stack's ``plan_home`` (never on the model)
+    and serves the next step of its membership while :meth:`holds`; a batch
+    led by a cache without a home, or stepped with ``fused=False``, is
+    planned every step.
     """
 
-    __slots__ = ("stacks", "groups", "loose", "unwhole")
+    __slots__ = ("stacks", "groups")
 
-    def __init__(self, model: "DecoderLM", stacks: list[list[LayerKVCache]]) -> None:
+    def __init__(self, stacks: list[list[LayerKVCache]], fused: bool = True) -> None:
         self.stacks = stacks
-        if True not in [caches[0].paged_stack for caches in stacks]:
-            # Nothing to group or place (rebuilt every step, so kept cheap).
-            self.groups, self.unwhole, self.loose = [], [], range(len(stacks))
+        if not fused or len(stacks) == 1:  # every row alone
+            self.groups = [([b], stack[0].decode_group([stack])) for b, stack in enumerate(stacks)]
             return
-        paged_groups, self.loose = model._fused_decode_groups(stacks)
-        #: ``(rows, group)`` of each paged group.
+        keyed: dict = {}
+        for b, stack in enumerate(stacks):
+            key = stack[0].group_key(stack)
+            keyed.setdefault(stack[0] if key is None else key, []).append(b)
         self.groups = []
-        for rows in paged_groups:
-            group = PagedGroup([stacks[b] for b in rows])
-            rows = [rows[g] for g in group.order]
-            self.groups.append((slice(None) if rows == list(range(len(stacks))) else rows,
-                                group))
-        #: Loose paged stacks whose layers are out of step (they group once
-        #: back in step).
-        self.unwhole = [b for b in self.loose if stacks[b][0].paged_stack
-                        and not stacks[b][0].whole_stack(stacks[b])]
+        for rows in keyed.values():
+            group = stacks[rows[0]][0].decode_group([stacks[b] for b in rows])
+            if group.order is not None:
+                rows = [rows[g] for g in group.order]
+                if rows == list(range(len(stacks))):
+                    rows = slice(None)
+            self.groups.append((rows, group))
 
     def holds(self) -> bool:
-        """Whether every group still holds what its last claim left and no
-        loose paged stack could join one."""
+        """Whether every group still holds."""
         for _rows, group in self.groups:
-            if not group.current():
-                return False
-        for b in self.unwhole:
-            if self.stacks[b][0].whole_stack(self.stacks[b]):
+            if not group.holds():
                 return False
         return True
 
@@ -334,12 +331,11 @@ class DecoderLM:
         everything cached plus itself, exactly as the corresponding rows of
         :meth:`forward_full` (chunked prefill, resuming after a radix hit,
         speculative verify).  The dense work runs once over the ``N =
-        sum(n_b)`` concatenated tokens.  Each layer first stores the chunks
-        (whole paged stacks sharing a pool with one
-        :class:`~repro.core.kv_pool.PagedChunks` write, other caches through
-        ``extend_chunk``), then attends once per group of equal
-        ``(cached_len, chunk_len)``: one causally masked :meth:`_attend` over
-        the members' ``fetch()`` rows.
+        sum(n_b)`` concatenated tokens.  Each layer first stores the chunks,
+        one write per group of equal ``group_key`` (its ``chunk_group``),
+        then attends once per group of equal ``(cached_len, chunk_len)``:
+        one causally masked :meth:`_attend` over the members' ``fetch()``
+        rows.
 
         ``logits="last"`` returns ``[B, vocab]``: each chunk's final row, the
         LM head running on those ``B`` rows only.  ``logits="all"`` returns
@@ -355,6 +351,8 @@ class DecoderLM:
                              "equal length")
         chunks = [np.asarray(chunk, dtype=np.int64) for chunk in token_chunks]
         groups: dict[tuple[int, int], list[int]] = {}
+        keyed: dict = {}  # a lone chunk's writer checks its stack itself
+        grouped = len(chunks) > 1
         for b, (chunk, caches) in enumerate(zip(chunks, caches_batch)):
             if chunk.ndim != 1 or chunk.size == 0:
                 raise ValueError("forward_chunks expects non-empty 1-D chunks")
@@ -366,6 +364,8 @@ class DecoderLM:
                     f"sequence {b}: caches hold {caches[0].num_tokens} tokens but "
                     f"the chunk starts at position {positions[b]}")
             groups.setdefault((int(positions[b]), chunk.size), []).append(b)
+            key = caches[0].group_key(caches) if grouped else None
+            keyed.setdefault(caches[0] if key is None else key, []).append(b)
         lengths = np.array([chunk.size for chunk in chunks])
         ends = np.cumsum(lengths)
         starts = ends - lengths
@@ -376,12 +376,12 @@ class DecoderLM:
         plans = [(rows, starts[rows][:, None] + np.arange(size),
                   np.arange(position + size) > position + np.arange(size)[:, None])
                  for (position, size), rows in groups.items()]
-        # Per pool: the chunk writer and its members' rows of the flat axis.
-        paged, loose = self._fused_decode_groups(caches_batch, 1)
-        writers = [(PagedChunks([caches_batch[b] for b in rows], lengths[rows].tolist()),
+        # Per group of equal keys: its writer and its members' rows of the flat axis.
+        writers = [(caches_batch[rows[0]][0].chunk_group([caches_batch[b] for b in rows],
+                                                         lengths[rows].tolist()),
                     slice(None) if len(rows) == len(chunks) else
                     np.concatenate([np.arange(starts[b], ends[b]) for b in rows]))
-                   for rows in map(np.array, paged)]
+                   for rows in map(np.array, keyed.values())]
         hidden = self.params["embed.weight"][np.concatenate(chunks)].astype(np.float32)
         if self.config.positional == "learned":
             hidden = hidden + self.params["pos_embed.weight"][flat_pos]  # [N, C]
@@ -402,12 +402,8 @@ class DecoderLM:
                 qkv = apply_rope(qkv[:2 * n_heads], flat_pos, self._rope_cos, self._rope_sin)
             queries, keys_new = qkv[:n_heads], qkv[n_heads:2 * n_heads]
             for writer, tokens in writers:
-                writer.write(layer, keys_new[:, tokens].swapaxes(0, 1),
-                             values_new[:, tokens].swapaxes(0, 1))
-            for b in loose:
-                sl = slice(starts[b], ends[b])
-                caches_batch[b][layer].extend_chunk(
-                    keys_new[:, sl], values_new[:, sl], normed[sl], flat_pos[sl])
+                writer.write(layer, keys_new[:, tokens], values_new[:, tokens],
+                             normed[tokens], flat_pos[tokens])
             for rows, idx, causal in plans:
                 fetched = [caches_batch[b][layer].fetch() for b in rows]  # [H, n, d] views
                 if len(rows) == 1:
@@ -510,48 +506,6 @@ class DecoderLM:
         last = hidden[np.arange(batch), lengths - 1]  # [B, C]
         return self._lm_head(last)
 
-    def _fused_decode_groups(self, caches_batch: Sequence[list[LayerKVCache]],
-                             min_size: int = 2) -> tuple[list[list[int]], list[int]]:
-        """Partition sequence indices into fused paged groups and the rest.
-
-        Returns ``(paged_groups, loose)``.  A *paged* group shares one
-        :class:`~repro.core.kv_pool.KVPagePool`, each member a whole stack on
-        one page table (its slots are claimed once for every layer).  Caches
-        with storage of their own, stacks whose layers are out of step and
-        groups under ``min_size`` are loose (placing a decode singleton's row
-        buys nothing; the chunk forward, which places nothing, passes 1).
-        """
-        paged: dict[int, list[int]] = {}
-        loose: list[int] = []
-        for b, caches in enumerate(caches_batch):
-            head = caches[0]
-            if head.paged_stack and head.whole_stack(caches):
-                paged.setdefault(id(head.pool), []).append(b)
-            else:
-                loose.append(b)
-        paged_groups: list[list[int]] = []
-        for rows in paged.values():
-            if len(rows) >= min_size:
-                paged_groups.append(rows)
-            else:
-                loose.extend(rows)
-        return paged_groups, loose
-
-    def _plan_decode(self, stacks: list[list[LayerKVCache]]) -> _DecodePlan:
-        """The plan kept on the first stack's pool when ``stacks`` is its
-        membership and it still :meth:`~_DecodePlan.holds`, else a fresh plan
-        kept there in its place (until the pool frees a row, so nothing pins a
-        finished run).  A batch led by a stack with storage of its own has no
-        pool and is planned every step.
-        """
-        head = stacks[0][0]
-        if not head.paged_stack:
-            return _DecodePlan(self, stacks)
-        plan = head.pool.decode_plan
-        if plan is None or plan.stacks != stacks or not plan.holds():
-            plan = head.pool.decode_plan = _DecodePlan(self, stacks)
-        return plan
-
     def _attend(self, query: np.ndarray, rows: "list[int] | slice | np.ndarray",
                 keys: np.ndarray, values: np.ndarray, masked: "np.ndarray | None",
                 context: np.ndarray, scale: float) -> np.ndarray:
@@ -602,24 +556,19 @@ class DecoderLM:
         ``positions[b]``; ``caches_batch[b]`` its per-layer caches.  The dense
         projections (QKV, output, MLP, LM head) run batched over ``B``.
 
-        With ``fused=True`` (the default) paged stacks sharing one pool are
-        grouped (:meth:`_fused_decode_groups`); each group's
-        :class:`~repro.core.kv_pool.PagedGroup` writes its new K/V and hands
-        its members' decode-slab rows to one length-masked :meth:`_attend`
-        call per layer, no K/V copied per step (a ragged group of handles
-        with ``unpadded_attention`` makes one call per length held, over
-        copies of those rows, bit-equal with ``fused=False``).  Every other
-        row takes the step one way, a group at a time: one ``step_group`` ->
-        :meth:`_attend` -> ``observe_group(..., end_step=True)`` per layer,
-        the groups formed once per step by the first layer's ``group_key()``
-        (a cache whose key is ``None`` is a group of its own, as is a lone
-        row).  ``fused=False`` makes every row a group of one
+        The rows are grouped by their stacks' ``group_key`` and each group
+        takes the step one way, whatever its store: its ``claim()`` before
+        any layer writes, then per layer ``step`` -> :meth:`_attend` ->
+        ``observe`` (see :mod:`repro.llm.cache`).  A paged group writes its
+        new K/V through to its pages and attends its members' decode-slab
+        rows, no K/V copied per step, masked past each member's length when
+        they differ; an eviction-slab group (``kelle`` and the eviction
+        baselines) is one arena call per layer.  The grouping is planned
+        once per membership and kept as a :class:`_DecodePlan` while its
+        groups hold.  ``fused=False`` makes every row a group of one
         (:meth:`_attend` with ``G = 1``) — the reference path of the
-        equivalence tests.  Either
-        way each sequence's logits match its batch of one.  The grouping
-        is planned once per membership (when the members' rows move into
-        slots ``[0, G)``) and kept as a :class:`_DecodePlan` while the
-        members hold what its claims left.
+        equivalence tests.  Either way each sequence's logits match its
+        batch of one.
 
         Returns logits of shape ``[B, vocab]``.
         """
@@ -634,21 +583,17 @@ class DecoderLM:
         if self.config.positional == "learned":
             hidden = hidden + self.params["pos_embed.weight"][positions]
         scale = 1.0 / np.sqrt(self.config.head_dim)
-        if fused and batch > 1:
-            plan = self._plan_decode(list(caches_batch))
-            loose, paged = plan.loose, plan.groups
-            for _rows, group in paged:
+        stacks = list(caches_batch)
+        home = stacks[0][0].plan_home if fused else None
+        plan = None if home is None else home.decode_plan
+        if plan is None or plan.stacks != stacks or not plan.holds():
+            plan = _DecodePlan(stacks, fused)
+            if home is not None:
+                home.decode_plan = plan
+        groups = plan.groups
+        for _rows, group in groups:  # every claim before any write
+            if group.claim is not None:
                 group.claim()
-        else:
-            loose, paged = range(batch), []
-        if fused and len(loose) > 1:  # grouped once per step by layer 0's keys
-            keyed: dict = {}
-            for b in loose:
-                key = caches_batch[b][0].group_key()
-                keyed.setdefault(caches_batch[b][0] if key is None else key, []).append(b)
-            groups = keyed.values()
-        else:
-            groups = [[b] for b in loose] if loose else ()
         n_heads = self.config.n_heads
         # Every layer overwrites every row of the one context buffer.
         context = self._ws.get("decode.context", (batch, self.config.d_model))
@@ -658,28 +603,18 @@ class DecoderLM:
             # One GEMM, viewed head-major: [3H, B, d] = queries | keys | values.
             qkv = (normed @ self._qkv_weight(layer)).reshape(
                 batch, 3 * n_heads, self.config.head_dim).transpose(1, 0, 2)
-            values_new = qkv[2 * n_heads:]
+            values_new = qkv[2 * n_heads:].swapaxes(0, 1)  # [B, H, d]
             if self.config.positional == "rope":
                 # One rotation of the stacked Q|K heads (RoPE is elementwise).
                 qkv = apply_rope(qkv[:2 * n_heads], positions, self._rope_cos,
                                  self._rope_sin)
-            query, keys_new = qkv[:n_heads], qkv[n_heads:2 * n_heads]
-            for rows, group in paged:
-                keys, values = group.write(layer, keys_new[:, rows].swapaxes(0, 1),
-                                           values_new[:, rows].swapaxes(0, 1))
-                if group.runs is None:
-                    self._attend(query, rows, keys, values, group.padmask, context, scale)
-                for members, n in group.runs or ():  # each length unpadded, beside its equals
-                    self._attend(query, np.arange(batch)[rows][members], keys[members, :, :n],
-                                 values[members, :, :n], None, context, scale)
-            if groups:  # the new K/V row-major, [B, H, d], once per layer
-                keys_new, values_new = keys_new.swapaxes(0, 1), values_new.swapaxes(0, 1)
-            for rows in groups:
-                caches = [caches_batch[b][layer] for b in rows]
-                keys, values = caches[0].step_group(caches, keys_new[rows], values_new[rows],
-                                                    normed[rows], positions[rows])
-                probs = self._attend(query, rows, keys, values, None, context, scale)
-                caches[0].observe_group(caches, probs[:, :, 0], end_step=True)
+            query, keys_new = qkv[:n_heads], qkv[n_heads:2 * n_heads].swapaxes(0, 1)
+            for rows, group in groups:
+                keys, values, masked = group.step(layer, keys_new[rows], values_new[rows],
+                                                  normed[rows], positions[rows])
+                probs = self._attend(query, rows, keys, values, masked, context, scale)
+                if group.observe is not None:
+                    group.observe(layer, probs[:, :, 0])
             hidden = hidden + context @ self.params[f"{prefix}.wo"]
             normed = self._norm(hidden, f"{prefix}.mlp_norm")
             hidden = hidden + self._mlp(normed, layer)

@@ -38,16 +38,17 @@ def rng() -> np.random.Generator:
 
 @pytest.fixture()
 def aerp_group_steps(monkeypatch) -> list[int]:
-    """Group sizes the AERP caches were stepped at: one entry per
-    ``AERPCache.step_group`` call (one arena append + fetch for the group)."""
-    from repro.core.kv_cache import AERPCache
+    """Group sizes the eviction-slab caches were stepped at: one entry per
+    ``SlabGroup.step`` call (one arena append + fetch for a layer of the
+    group)."""
+    from repro.core.kv_cache import SlabGroup
 
     sizes: list[int] = []
-    step_group = AERPCache.step_group
+    step = SlabGroup.step
 
-    def spy(self, caches, *args, **kwargs):
-        sizes.append(len(caches))
-        return step_group(self, caches, *args, **kwargs)
+    def spy(self, *args, **kwargs):
+        sizes.append(len(self.stacks))
+        return step(self, *args, **kwargs)
 
-    monkeypatch.setattr(AERPCache, "step_group", spy)
+    monkeypatch.setattr(SlabGroup, "step", spy)
     return sizes

@@ -440,14 +440,15 @@ class _ArenaDriver:
     # -- group steps over a random subset --------------------------------
     def group_step(self, mutate_before_observe: bool = False) -> None:
         """What ``decode_step_batch`` does for one layer: group a subset of
-        the caches by ``group_key`` and step each group with one call."""
+        the caches by ``group_key`` and step each group with one
+        ``decode_group`` ``step`` and ``observe`` (which ends the step)."""
         size = len(self.pairs)
         if self.rng.random() < 0.5:
             size = int(self.rng.integers(1, size + 1))
         subset = [self.pairs[i] for i in self.rng.permutation(len(self.pairs))[:size]]
         groups: dict = {}
         for pair in subset:
-            groups.setdefault(pair.new.group_key(), []).append(pair)
+            groups.setdefault(pair.new.group_key([pair.new]), []).append(pair)
         for group in groups.values():
             caches = [pair.new for pair in group]
             h, d, c = self.n_heads, HEAD_DIM, self.d_model
@@ -455,8 +456,8 @@ class _ArenaDriver:
             values = self.rng.standard_normal((len(group), h, d)).astype(np.float32)
             xs = self.rng.standard_normal((len(group), c)).astype(np.float32)
             positions = np.array([pair.position for pair in group])
-            fetched = caches[0].step_group(caches, keys.copy(), values.copy(), xs.copy(),
-                                           positions.copy())
+            step = caches[0].decode_group([[cache] for cache in caches])
+            fetched = step.step(0, keys.copy(), values.copy(), xs.copy(), positions.copy())[:2]
             orders = []
             for g, pair in enumerate(group):
                 pair.ref.append(keys[g].copy(), values[g].copy(), xs[g].copy(), pair.position)
@@ -472,15 +473,13 @@ class _ArenaDriver:
             probs = self.rng.random(fetched[0].shape[:3])  # float64: summation order shows
             if self.rng.random() < 0.5:
                 probs = np.round(probs, 1).astype(np.float32)  # coarse: ties
-            caches[0].observe_group(caches, np.stack([
+            step.observe(0, np.stack([
                 _permuted(probs[g], order) for g, order in enumerate(orders)]))
             for g, pair in enumerate(group):
                 pair.ref.observe_attention(probs[g].copy())
+                pair.ref.end_step()
                 pair.fetched = None
             self.check()
-            if self.rng.random() < 0.7:
-                for pair in group:
-                    pair.end_step()
 
 
 ARENA_OPS = ("group_step",) * 6 + ("stale_group_step",) * 2 + (

@@ -22,6 +22,7 @@ from repro.llm.generation import (
     generate,
     generate_batch,
 )
+from repro.llm.model import _DecodePlan
 from repro.registry import known, resolve
 from repro.workloads.synthetic import SyntheticLanguage
 from repro.workloads.tasks import make_multiple_choice_task, make_summarization_items
@@ -233,6 +234,21 @@ class TestBatchedEval:
                                             batch_size=3)
         assert sequential == pytest.approx(batched, rel=1e-4)
 
+    @pytest.mark.parametrize("spec", [
+        "paged", "kelle:budget=16,sink_tokens=2,recent_window=4,refresh=none"])
+    def test_perplexity_batch_of_four_agrees_with_batch_of_one(self, small_model, spec):
+        """A document's scores depend on its batch company in the last bits
+        only (its dense projections run as ``M >= 2`` GEMMs in a batch, as
+        ``M = 1`` products alone): up to 1.2e-8 relative on four document
+        sets here, so the bound is 1e-7."""
+        rng = np.random.default_rng(2)
+        docs = [rng.integers(0, small_model.config.vocab_size, size=int(n))
+                for n in rng.integers(30, 60, size=4)]
+        alone, batched = (perplexity_over_documents(small_model, docs, resolve("cache", spec),
+                                                    prefill_len=12, batch_size=size)
+                          for size in (1, 4))
+        assert batched == pytest.approx(alone, rel=1e-7, abs=0)
+
     def test_multiple_choice_batched_matches_sequential(self, small_model):
         language = SyntheticLanguage(n_keys=4, n_values=4, n_content=19, n_topics=4,
                                      topic_vocab_size=5, seed=0)
@@ -299,16 +315,15 @@ class TestContiguousKVStore:
 
 
 class TestStackedLooseAttention:
-    """``decode_step_batch`` steps the rows no paged group covers (eviction
-    caches) one group of equal ``group_key()`` at a time: one ``step_group``
-    / ``_attend`` / ``observe_group`` call per group and layer.  One step
-    here holds groups of several, groups of one and a lone contiguous row;
-    their logits must equal the per-row path (``fused=False``, every row a
-    group of one) bit for bit.  The quantized caches are paged stacks: their
-    rows form one fused paged group, which attends each length held beside
-    its equals only, so they too match the per-row path bit for bit.  Every
-    row must match single-sequence ``decode_step`` (whose dense ops run at
-    batch 1) within float tolerance, with identical greedy tokens.
+    """``decode_step_batch`` steps its rows one group of equal
+    ``group_key`` at a time: one group ``step`` / ``_attend`` / ``observe``
+    per group and layer.  One step here holds eviction-slab groups of
+    several, groups of one and a lone oracle full cache; their logits must
+    equal the per-row path (``fused=False``, every row a group of one) bit
+    for bit.  The quantized caches' stacks are keyed ``None``: each row
+    steps alone, the per-row path itself, so they too match it bit for bit.
+    Every row must match single-sequence ``decode_step`` (whose dense ops
+    run at batch 1) within float tolerance, with identical greedy tokens.
     """
 
     KELLE = "kelle:budget=8,sink_tokens=2,recent_window=3,refresh=none"
@@ -370,8 +385,8 @@ class TestStackedLooseAttention:
                                                  aerp_group_steps, spec):
         factory = resolve("cache", spec)
         prompts = _prompts(small_model.config.vocab_size, self.LENGTHS + (9,), seed=21)
-        # The lone contiguous full cache lands on the loose path too, on a
-        # length of its own.
+        # The oracle's full cache steps alone, cache by cache (its default
+        # group), on a length of its own.
         specs = [factory] * len(self.LENGTHS) + [full_cache_factory]
         spy = aerp_group_steps if spec == self.KELLE else stacked_groups
         runs, batched = self._check(small_model, specs, prompts, spy=spy)
@@ -380,13 +395,11 @@ class TestStackedLooseAttention:
         if spec in (self.KELLE, self.H2O):
             assert {2, 3} <= set(batched)
             return
-        # The quantized caches' six stacks are one fused paged group, which
-        # attends its four lengths in runs of equal ones: 2, 1, 2 and 1 rows
-        # per layer-step, and the lone full cache alone.
-        (_rows, group), = runs[0][0][0].pool.decode_plan.groups
-        assert len(group.stacks) == len(self.LENGTHS)
-        steps = 6 * small_model.config.n_layers
-        assert sorted(batched) == [1] * 3 * steps + [2] * 2 * steps
+        # The quantized caches' six stacks step alone (a lone paged group
+        # each), as does the lone full cache: one row per attention call.
+        assert [np.arange(len(specs))[rows].tolist()
+                for rows, _group in _DecodePlan(runs[0]).groups] == [[b] for b in range(len(specs))]
+        assert batched == [1] * len(specs) * 6 * small_model.config.n_layers
 
     def test_kelle_rows_beside_a_paged_group(self, small_model, aerp_group_steps):
         kelle = resolve("cache", self.KELLE)

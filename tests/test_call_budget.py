@@ -6,7 +6,11 @@ call count — unlike wall time on a shared host — repeats to the digit.  Each
 test rebuilds the first quarter of one ``benchmarks/e2e`` workload inline and
 counts ``sys.setprofile`` ``call`` + ``c_call`` events per generated token
 over a whole serving pass (the second pass of one process, so imports and
-workspace growth are behind it; the same on every run).
+workspace growth are behind it; the same on every run).  Each count is
+printed with its parts: every event charged to the ``src/repro`` module of
+the frame it is reported in (NumPy's Python helpers as one part, anything
+else as ``other``); the parts must sum to the total exactly and repeat
+exactly, so a change's table against its parent's names where calls moved.
 
 **The AERP decode path** (``kelle-decode``): 8 requests, 160-token prompts
 over the 128-slot budget, 64 decode steps, the 4-layer d=64 model,
@@ -62,6 +66,10 @@ over the 128-slot budget, 64 decode steps, the 4-layer d=64 model,
   one ``step_group`` / ``_attend`` / ``observe_group`` call per group, with
   no cross-group K/V stacking, no ``_attend_loose_rows`` call per layer and
   no ``_attend_cache`` for the last sequence left): 58.64, same host.
+* one decode-group protocol (the model steps every row through its
+  group's ``step`` / ``observe``, the slab group's ``step`` reusing a lone
+  cache's slots array and finding no per-layer cache list in the model):
+  58.39, same host (``llm/model.py`` -0.61, ``core/kv_cache.py`` +0.37).
 
 The bound sits 10 % above the last reading: a return of per-layer
 grouping (~10 calls per token) or of the row-pool gather trips it; a
@@ -96,12 +104,16 @@ radix match-and-fork, snapshot forks, page allocation, CoW, release and
   (179 796 calls) with Python 3.11.7 and NumPy 2.4.6 on a 2-core Xeon;
 * one decode attention kernel: 149.74 (179 684 calls), same host.
 * one attention kernel for prefill, chunks and decode (each chunk group
-  one ``_attend`` call over its members' stored rows): 144.09, same host.
+  one ``_attend`` call over its members' stored rows): 144.09, same host;
+  144.03 before the next change.
+* one decode-group protocol (a group's first claim is its steady claim
+  on the members' current lengths, no per-member ``reserve_stack_slot``;
+  a lone paged stack claimed once for every layer and its plan kept):
+  139.56, same host (``core/kv_pool.py`` -3.09, ``llm/model.py`` -1.37).
 
-The bound sits between the readings before and after the decode batch
-(192.38 and 178.61): a return of half of what the decode batch saved — or
-of a tenth of the per-layer bookkeeping the page tables removed (~76 calls
-per generated token) — trips it.
+The bound sits 10 % above the last reading (~14 calls per generated
+token): a return of a fifth of the per-layer bookkeeping the page tables
+removed (~76 calls per generated token) trips it.
 
 **The decode batch** (``decode-heavy``): 40 requests of 32-token prompts
 and 64 decode tokens, ``max_concurrency=32``, a ``paged:page_tokens=16``
@@ -122,10 +134,12 @@ pool bounded at ``capacity_tokens=8192``, no token callback — so one wave of
 * one decode attention kernel (a paged group's slab rows written and
   returned by ``PagedGroup.write``): 22.36 (57 242 calls).
 * one attention kernel for prefill, chunks and decode: 20.77.
+* one decode-group protocol: 20.35 (``core/kv_pool.py`` -0.30,
+  ``llm/model.py`` -0.12), Python 3.11.7 and NumPy 2.4.6 on a 2-core Xeon.
 
-The bound sits between the two at 0.65 x the first reading: a return of
-one call per row per layer-step (4 per token) stays under it, per-row
-scheduling or grouping does not.
+The bound sits 10 % above the last reading: a return of one call per row
+per layer-step (4 per token) trips it, as per-row scheduling or grouping
+does.
 
 **The cluster round** (``cluster-zipf``): 50 requests of 256-token Zipf
 templates plus 16-token suffixes and lognormal decodes (mean 24, at most
@@ -150,12 +164,14 @@ cluster's per-round bookkeeping is paid on every replica step.
 * one loose-row decode path (a lone paged row written by its handle's
   ``step_group``, with nothing observed or ended, instead of ``append`` and
   ``_attend_cache``): 123.34 (208 931 calls), same host.
+* one decode-group protocol (the steady claim as the first claim, a lone
+  paged row claimed once for every layer and its plan kept): 117.71
+  (199 409 calls), same host (``core/kv_pool.py`` -4.04,
+  ``llm/model.py`` -1.59).
 
-The bound leaves ~9 % over the first reading for other interpreters'
-``call`` / ``c_call`` counts (3.12 inlines comprehensions, 3.10 does not):
-it trips on cluster work of ~150 calls per round, such as views or load
-snapshots rebuilt per replica step, not on the ~20 calls per round the
-unconfigured phases cost before.
+The bound sits 10 % above the last reading: it trips on cluster work of
+~140 calls per round, such as views or load snapshots rebuilt per
+replica step.
 
 **The speculative path** (``bench_spec.py --quick``'s geometry): 6
 requests per regime — ``repetitive`` (3 repeats of 16-token templates) and
@@ -174,13 +190,19 @@ CI's guarded ``speedup_ngram_vs_baseline`` ratio.  Python 3.11.7, NumPy
   112.45; plain 103.17 / 112.65 before the next change.
 * one loose-row decode path: ngram and plain repetitive unchanged, plain
   random 111.90.
+* one decode-group protocol (a chunk writer per group of equal
+  ``group_key``; plain decode's lone rows claimed once for every layer):
+  ngram 95.99 / 104.69 (``llm/model.py`` -1.08 / -1.06, ``core/kv_pool.py``
+  +0.83 / +0.82), plain 100.74 / 107.67 (``core/kv_pool.py`` -1.69 /
+  -3.19, ``llm/model.py`` -0.74 / -1.04).
 
-The bounds sit 10 % above the first readings.
+The bounds sit 10 % above the last readings.
 """
 
 from __future__ import annotations
 
 import gc
+from collections import Counter
 from dataclasses import replace
 import sys
 import tracemalloc
@@ -196,32 +218,32 @@ from repro.workloads import repetitive_requests, zipf_shared_prefix_requests
 
 CACHE = "kelle:budget=128,sink_tokens=8,recent_window=32,refresh=none"
 N_REQUESTS, PROMPT_LEN, DECODE_LEN, VOCAB = 8, 160, 64, 128
-MAX_CALLS_PER_TOKEN = 64.5
+MAX_CALLS_PER_TOKEN = 64.2
 #: ``kelle-decode``'s group of 16 sequences, read at steady-state engine steps.
 TEMP_REQUESTS, TEMP_STEPS = 16, range(10, 40)
-MAX_STEP_TEMPORARY_BYTES = 189_150
+MAX_STEP_TEMPORARY_BYTES = 188_233
 
 SMALL_TEMPLATES, SMALL_PROMPT_LEN, SMALL_DECODE_LEN = 1500, 36, 3
 SMALL_REQUESTS, SMALL_PER_STEP = 400, 16
 SMALL_ENGINE = dict(cache="paged:page_tokens=16", seed=0, token_budget=512,
                     prefix_cache=True, radix_max_tokens=16384, capacity_tokens=32768)
-MAX_SMALL_CALLS_PER_TOKEN = 185
+MAX_SMALL_CALLS_PER_TOKEN = 153.5
 
 DECODE_REQUESTS, DECODE_PROMPT_LEN, DECODE_HEAVY_LEN = 40, 32, 64
 DECODE_ENGINE = dict(cache="paged:page_tokens=16", seed=0, capacity_tokens=8192)
-MAX_DECODE_CALLS_PER_TOKEN = 60
+MAX_DECODE_CALLS_PER_TOKEN = 22.38
 
 CLUSTER_REQUESTS, CLUSTER_PREFIX_LEN, CLUSTER_SUFFIX_LEN = 50, 256, 16
 CLUSTER_ENGINE = dict(cache="paged:page_tokens=16", max_concurrency=8, seed=0,
                       router="radix-affinity", prefix_cache=True, token_budget=128,
                       capacity_tokens=16384, arrivals_per_step=2)
-MAX_CLUSTER_CALLS_PER_TOKEN = 175
+MAX_CLUSTER_CALLS_PER_TOKEN = 129.4
 
 #: ``table4_refresh.run()``: every sequence a batch of one with 2DRP.
-MAX_TABLE4_CALLS_PER_RUN = 1_095_259
+MAX_TABLE4_CALLS_PER_RUN = 1_087_787
 
-MAX_SPEC_CALLS_PER_TOKEN = {"ngram:k=4": {"repetitive": 115.8, "random": 126.6},
-                            "plain": {"repetitive": 119.3, "random": 130.1}}
+MAX_SPEC_CALLS_PER_TOKEN = {"ngram:k=4": {"repetitive": 105.5, "random": 115.1},
+                            "plain": {"repetitive": 110.8, "random": 118.4}}
 
 
 def _model() -> DecoderLM:
@@ -251,14 +273,30 @@ def _serve_paged(lm: DecoderLM, requests: list[Request]) -> int:
     return sum(len(result.generated_tokens) for result in report.results)
 
 
-def _count_calls(fn, *args) -> tuple[int, int]:
-    """``(call + c_call events, fn's result)`` of one ``fn(*args)``."""
-    events = 0
+def _module(filename: str) -> str:
+    """The part a call is charged to: its ``src/repro`` module (``llm/model.py``),
+    ``numpy`` for all of NumPy's Python helpers, ``other`` for the rest."""
+    path = filename.replace("\\", "/")
+    if "/repro/" in path:
+        return path.rsplit("/repro/", 1)[1]
+    return "numpy" if "/numpy/" in path else "other"
 
-    def hook(_frame, event, _arg):
+
+def _count_calls(fn, *args) -> tuple[Counter, object]:
+    """``(call + c_call events by part, fn's result)`` of one ``fn(*args)``.
+
+    Each event is charged to the :func:`_module` of the frame it is reported
+    in: a ``call`` to the function called, a ``c_call`` to its caller.  The
+    parts must sum to the events counted.
+    """
+    events, by_file = 0, {}
+
+    def hook(frame, event, _arg):
         nonlocal events
         if event == "call" or event == "c_call":
             events += 1
+            name = frame.f_code.co_filename
+            by_file[name] = by_file.get(name, 0) + 1
 
     # A collection in the counted region would run whatever finalizers
     # earlier tests left behind in reference cycles.
@@ -271,7 +309,22 @@ def _count_calls(fn, *args) -> tuple[int, int]:
     finally:
         sys.setprofile(previous)
         gc.enable()
-    return events, result
+    calls = Counter()
+    for name, count in by_file.items():
+        calls[_module(name)] += count
+    assert sum(calls.values()) == events, "the parts must sum to the total"
+    return calls, result
+
+
+def _print_calls(label: str, calls: Counter, tokens: int, unit: str = "generated token",
+                 note: str = "") -> float:
+    """Print the calls per ``unit`` and the table of their parts, largest
+    first; returns the calls per ``unit``."""
+    total = sum(calls.values()) / tokens
+    print(f"{label}: {total:.2f} calls per {unit}{note}")
+    for part, count in calls.most_common():
+        print(f"    {count / tokens:10.2f}  {part}")
+    return total
 
 
 def test_kelle_decode_calls_per_generated_token():
@@ -285,9 +338,9 @@ def test_kelle_decode_calls_per_generated_token():
     first, tokens = _count_calls(_serve, lm, requests)
     second, _ = _count_calls(_serve, lm, requests)
     assert tokens == N_REQUESTS * DECODE_LEN
-    assert first == second, "the count must repeat exactly"
-    print(f"kelle-decode: {first / tokens:.2f} calls per generated token")
-    assert first / tokens <= MAX_CALLS_PER_TOKEN, first / tokens
+    assert first == second, "the count and its parts must repeat exactly"
+    per_token = _print_calls("kelle-decode", first, tokens)
+    assert per_token <= MAX_CALLS_PER_TOKEN, per_token
 
 
 def test_kelle_2drp_calls_per_generated_token():
@@ -314,7 +367,9 @@ def test_kelle_2drp_calls_per_generated_token():
     * one loose-row decode path (both paths lose the same calls), and the
       sampler's exactness check as one ``np.maximum.reduce`` plus a
       distinctness test only when a group fails more than one bit (most
-      fail one): 170.58 (against 58.64), 2.91x.
+      fail one): 170.58 (against 58.64), 2.91x;
+    * one decode-group protocol (both paths lose the same calls): 170.34
+      (against 58.39), 2.92x.
 
     The bound is 3x: a return of a loop over tokens, of a sampler call per
     token or of ~2 more calls per sequence-layer-step trips it.
@@ -327,10 +382,11 @@ def test_kelle_2drp_calls_per_generated_token():
     first, _ = _count_calls(_serve, lm, requests, cache)
     second, _ = _count_calls(_serve, lm, requests, cache)
     assert tokens == N_REQUESTS * DECODE_LEN
-    assert first == second, "the count must repeat exactly"
-    print(f"kelle-decode with 2DRP: {first / tokens:.2f} calls per generated token "
-          f"({plain / tokens:.2f} with refresh=none)")
-    assert first <= 3 * plain, (first / tokens, plain / tokens)
+    assert first == second, "the count and its parts must repeat exactly"
+    plain = sum(plain.values())
+    per_token = _print_calls("kelle-decode with 2DRP", first, tokens,
+                             note=f" ({plain / tokens:.2f} with refresh=none)")
+    assert per_token * tokens <= 3 * plain, (per_token, plain / tokens)
 
 
 def test_table4_refresh_calls_per_run():
@@ -345,7 +401,10 @@ def test_table4_refresh_calls_per_run():
     * one loose-row decode path (a lone row is a group of one through
       ``step_group``) and the sampler's lighter exactness check: 995 690
       (-4.6 %), the same in two processes, Python 3.11.7 and NumPy 2.4.6 on
-      a 2-core Xeon.
+      a 2-core Xeon;
+    * one decode-group protocol (a lone row's slab group reuses its caches'
+      slots arrays and is planned without keys): 988 898 (``core/kv_cache.py``
+      and ``llm/model.py`` -3 396 each), same host.
 
     The bound sits 10 % above that reading.
     """
@@ -357,9 +416,9 @@ def test_table4_refresh_calls_per_run():
     first, table = _count_calls(table4_refresh.run)
     second, _ = _count_calls(table4_refresh.run)
     assert len(table.rows) == 2 * len(table4_refresh.DEFAULT_SCALES)
-    assert first == second, "the count must repeat exactly"
-    print(f"table4_refresh.run(): {first} calls per run")
-    assert first <= MAX_TABLE4_CALLS_PER_RUN, first
+    assert first == second, "the count and its parts must repeat exactly"
+    per_run = _print_calls("table4_refresh.run()", first, 1, unit="run")
+    assert per_run <= MAX_TABLE4_CALLS_PER_RUN, per_run
 
 
 def _kelle_requests(n_requests: int = N_REQUESTS) -> list[Request]:
@@ -385,7 +444,8 @@ def test_kelle_decode_step_temporary_bytes():
       ``scores *= scale``: float32 scores times a float64 scalar, cast
       through ~128 KB of ufunc buffers;
     * one loose-row decode path (no per-layer call and bucket dict of
-      ``_attend_loose_rows``): 171 521 B.
+      ``_attend_loose_rows``): 171 521 B;
+    * one decode-group protocol: 171 121 B.
 
     The bound sits 10 % above the last reading.
     """
@@ -536,9 +596,9 @@ def test_small_requests_calls_per_generated_token():
     first, tokens = _count_calls(_serve_on_step_clock, lm, arrivals)
     second, _ = _count_calls(_serve_on_step_clock, lm, arrivals)
     assert tokens == SMALL_REQUESTS * SMALL_DECODE_LEN
-    assert first == second, "the count must repeat exactly"
-    print(f"small-requests: {first / tokens:.2f} calls per generated token")
-    assert first / tokens <= MAX_SMALL_CALLS_PER_TOKEN, first / tokens
+    assert first == second, "the count and its parts must repeat exactly"
+    per_token = _print_calls("small-requests", first, tokens)
+    assert per_token <= MAX_SMALL_CALLS_PER_TOKEN, per_token
 
 
 def _decode_heavy() -> list[Request]:
@@ -557,9 +617,9 @@ def test_decode_heavy_calls_per_generated_token():
     first, tokens = _count_calls(_serve_paged, lm, requests)
     second, _ = _count_calls(_serve_paged, lm, requests)
     assert tokens == DECODE_REQUESTS * DECODE_HEAVY_LEN
-    assert first == second, "the count must repeat exactly"
-    print(f"decode-heavy: {first / tokens:.2f} calls per generated token")
-    assert first / tokens <= MAX_DECODE_CALLS_PER_TOKEN, first / tokens
+    assert first == second, "the count and its parts must repeat exactly"
+    per_token = _print_calls("decode-heavy", first, tokens)
+    assert per_token <= MAX_DECODE_CALLS_PER_TOKEN, per_token
 
 
 def _cluster_zipf() -> list[Request]:
@@ -594,10 +654,10 @@ def test_cluster_zipf_calls_per_generated_token():
     first, tokens = _count_calls(_serve_cluster, lm, requests)
     second, _ = _count_calls(_serve_cluster, lm, requests)
     assert tokens == sum(request.decode_len for request in requests)
-    assert first == second, "the count must repeat exactly"
-    print(f"cluster-zipf: {first / tokens:.2f} calls per generated token "
-          f"({first} calls, {tokens} tokens)")
-    assert first / tokens <= MAX_CLUSTER_CALLS_PER_TOKEN, first / tokens
+    assert first == second, "the count and its parts must repeat exactly"
+    per_token = _print_calls("cluster-zipf", first, tokens,
+                             note=f" ({sum(first.values())} calls, {tokens} tokens)")
+    assert per_token <= MAX_CLUSTER_CALLS_PER_TOKEN, per_token
 
 
 def _spec_requests(regime: str) -> list[Request]:
@@ -630,9 +690,9 @@ def test_speculative_calls_per_generated_token(regime, drafter):
     first, tokens = _count_calls(_serve_spec, lm, requests, spec)
     second, _ = _count_calls(_serve_spec, lm, requests, spec)
     assert tokens == sum(request.decode_len for request in requests)
-    assert first == second, "the count must repeat exactly"
-    print(f"{regime} {drafter}: {first / tokens:.2f} calls per generated token")
-    assert first / tokens <= MAX_SPEC_CALLS_PER_TOKEN[drafter][regime], first / tokens
+    assert first == second, "the count and its parts must repeat exactly"
+    per_token = _print_calls(f"{regime} {drafter}", first, tokens)
+    assert per_token <= MAX_SPEC_CALLS_PER_TOKEN[drafter][regime], per_token
 
 
 #: Page-to-row copy bounds, layer-token-rows per generated token: a tenth of
@@ -734,7 +794,9 @@ def test_stack_operations_cost_one_table_operation(monkeypatch):
     assert cost == {"fork": 0, "alloc": 2, "release": 0}  # written through: 2 pages, once
     fork, cost = delta(lambda: stack[0].fork_stack(stack))
     assert cost == {"fork": 1, "alloc": 0, "release": 0}  # every token already paged
-    (page, offset), cost = delta(lambda: fork[0].reserve_stack_slot(fork))
+    group = fork[0].decode_group([fork])  # the decode's claim of a lone stack
+    _, cost = delta(group.claim)
+    (page,), (offset,) = group.pages.tolist(), group.offsets.tolist()
     assert offset == 2 and page not in stack[0].pages
     assert cost == {"fork": 0, "alloc": 1, "release": 1}  # the shared tail, CoW'd once
     _, cost = delta(lambda: fork[0].truncate_stack(fork, 5))

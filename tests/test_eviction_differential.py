@@ -174,18 +174,20 @@ class _ArenaDriver:
 
     def group_step(self) -> None:
         """What ``decode_step_batch`` does for one layer: group a subset of the
-        caches by ``group_key`` and step each group with one call."""
+        caches by ``group_key`` and step each group with one ``decode_group``
+        ``step`` and ``observe`` (which ends the step)."""
         size = int(self.rng.integers(1, len(self.pairs) + 1))
         groups: dict = {}
         for i in self.rng.permutation(len(self.pairs))[:size]:
-            groups.setdefault(self.pairs[i].new.group_key(), []).append(self.pairs[i])
+            new = self.pairs[i].new
+            groups.setdefault(new.group_key([new]), []).append(self.pairs[i])
         for group in groups.values():
             caches = [pair.new for pair in group]
             inputs = [pair.inputs(1) for pair in group]
             keys, values, xs = (np.concatenate(part) for part in zip(*inputs))
             positions = np.array([pair.position for pair in group])
-            fetched = caches[0].step_group(caches, keys.copy(), values.copy(), xs.copy(),
-                                           positions.copy())
+            step = caches[0].decode_group([[cache] for cache in caches])
+            fetched = step.step(0, keys.copy(), values.copy(), xs.copy(), positions.copy())[:2]
             permuted = np.empty(fetched[0].shape[:3])
             expected = []
             for g, pair in enumerate(group):
@@ -195,9 +197,10 @@ class _ArenaDriver:
                 probs = pair.probs(pair.ref.num_tokens)
                 permuted[g][:, entry_of_slot] = probs
                 expected.append(probs)
-            caches[0].observe_group(caches, permuted)
+            step.observe(0, permuted)
             for pair, probs in zip(group, expected):
                 pair.ref.observe_attention(probs)
+                pair.ref.end_step()
             self.check()
 
 

@@ -43,7 +43,7 @@ class TestDefaults:
 
     def test_make_caches_default_is_a_fresh_full_stack(self, small_model):
         first, second = small_model.make_caches(), small_model.make_caches()
-        assert first[0].paged_stack and first[0].whole_stack(first)
+        assert first[0].group_key(first) is first[0].pool  # a whole stack of its pool
         assert first[0].pool is not second[0].pool
 
     def test_session_default_is_full(self, small_model):

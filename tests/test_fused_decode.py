@@ -17,7 +17,8 @@ import functools
 import numpy as np
 import pytest
 
-from repro.core.kv_pool import KVPagePool
+from repro.core.kv_pool import KVPagePool, PoolExhausted
+from repro.llm.model import _DecodePlan
 from repro.registry import resolve
 from repro.serve import ServingEngine
 from repro.workloads import decode_heavy_requests
@@ -147,10 +148,17 @@ class TestEngineTokenIdentity:
 
 
 class TestGrouping:
-    """Unit coverage of the layout partition behind the fused path."""
+    """Unit coverage of the decode plan's partition into groups."""
 
     def _caches(self, model, spec):
         return model.make_caches(resolve("cache", spec))
+
+    @staticmethod
+    def _partition(batch):
+        """``(rows, group class)`` of each group of the batch's decode plan
+        (the rows sorted: a placed group orders them by slab slot)."""
+        return [(sorted(np.arange(len(batch))[rows].tolist()), type(group).__name__)
+                for rows, group in _DecodePlan(batch).groups]
 
     def test_mixed_kinds_partition(self, small_model):
         paged_factory = resolve("cache", "paged:page_tokens=4")
@@ -160,27 +168,25 @@ class TestGrouping:
                  small_model.make_caches(full_factory),
                  small_model.make_caches(full_factory),
                  self._caches(small_model, "h2o:budget=8,sink_tokens=2,recent_window=3")]
-        paged_groups, loose = small_model._fused_decode_groups(batch)
-        assert paged_groups == [[0, 1], [2, 3]]  # "full" is a paged pool of its own
-        assert loose == [4]
+        assert self._partition(batch) == [  # "full" is a paged pool of its own
+            ([0, 1], "PagedGroup"), ([2, 3], "PagedGroup"), ([4], "SlabGroup")]
 
     def test_separate_pools_do_not_group(self, small_model):
         batch = [small_model.make_caches(resolve("cache", "paged:page_tokens=4"))
                  for _ in range(2)]  # fresh factory each: disjoint pools
-        paged_groups, loose = small_model._fused_decode_groups(batch)
-        assert paged_groups == []  # singletons fall back per-sequence
-        assert sorted(loose) == [0, 1]
+        # each stack alone on its pool: a lone paged row each
+        assert self._partition(batch) == [([0], "PagedGroup"), ([1], "PagedGroup")]
 
     def test_paged_stack_with_layers_out_of_step_runs_loose(self, small_model):
         """A decode slot is claimed once for every layer, so only stacks
-        whose layers hold equally many tokens group."""
+        whose layers hold equally many tokens group; the other steps cache
+        by cache."""
         factory = resolve("cache", "paged:page_tokens=4")
         batch = [small_model.make_caches(factory) for _ in range(3)]
         n_heads, head_dim = small_model.config.n_heads, small_model.config.head_dim
         keys = np.zeros((n_heads, 2, head_dim), dtype=np.float32)
         batch[2][1].prefill(keys, keys, None, None)  # one layer ahead
-        paged_groups, loose = small_model._fused_decode_groups(batch)
-        assert paged_groups == [[0, 1]] and loose == [2]
+        assert self._partition(batch) == [([0, 1], "PagedGroup"), ([2], "CacheGroup")]
 
     def test_unequal_full_lengths_group_by_length(self, small_model):
         """``full`` stacks of one factory share one pool, so unequal lengths
@@ -194,9 +200,25 @@ class TestGrouping:
             for cache in batch[b]:
                 keys = rng.standard_normal((n_heads, n_tokens, head_dim)).astype(np.float32)
                 cache.prefill(keys, keys, None, None)
-        paged_groups, loose = small_model._fused_decode_groups(batch)
-        assert paged_groups == [[0, 1, 2, 3]]  # one ragged group over one pool
-        assert loose == []
+        assert self._partition(batch) == [([0, 1, 2, 3], "PagedGroup")]  # one ragged group
+
+
+    def test_dry_pool_raises_before_any_layer_writes(self, small_model):
+        """Every group claims before any layer writes: a paged group that
+        finds its bounded pool dry raises before the eviction-slab row
+        stepped ahead of it in the batch stored anything."""
+        kelle = small_model.make_caches(
+            resolve("cache", "kelle:budget=8,sink_tokens=2,recent_window=3,refresh=none"))
+        paged = resolve("cache", "paged:page_tokens=4,initial_pages=2,grow=false")
+        batch = [kelle] + [small_model.make_caches(paged) for _ in range(2)]
+        prompts = _prompts(small_model.config.vocab_size, (6, 4, 4), seed=12)
+        small_model.prefill_batch(prompts, batch)  # both pages taken, each full
+        counts = [[cache.num_tokens for cache in caches] for caches in batch]
+        held = [cache.positions() for cache in kelle]
+        with pytest.raises(PoolExhausted):
+            small_model.decode_step_batch([1, 2, 3], [6, 4, 4], batch)
+        assert [[cache.num_tokens for cache in caches] for caches in batch] == counts
+        assert [cache.positions() for cache in kelle] == held
 
 
 class TestBufferInvalidation:

@@ -4,7 +4,8 @@ A hypothesis ``RuleBasedStateMachine`` drives multi-layer ``paged`` cache
 stacks (``DecoderLM.make_caches`` over one shared ``PagedCacheFactory``),
 lone per-layer forks and a ``RadixPrefixIndex`` through the lifecycle the
 serving stack uses, in random order: make a stack, chunk-extend, decode-
-append through ``reserve_slot`` + ``write_slots`` (pages and slab row),
+append through the stack's decode group (one claim for every layer, then
+each layer's step writing pages and slab row),
 fork a stack or one handle at any length, truncate and release a stack or
 one handle, export a stack and import it into a pool of another page size,
 and radix insert / match-and-fork (of a random query, or of the least
@@ -195,17 +196,22 @@ class PagedKVMachine(RuleBasedStateMachine):
     @precondition(lambda self: self.units)
     @rule(data=st.data(), token=st.integers(0, 2), seed=_seeds)
     def decode_append(self, data, token, seed):
-        """The fused decode write: claim a slot, then scatter into it."""
+        """The decode write: the stack's decode group claims the slot for
+        every layer (a lone handle or a stack out of step: each cache its
+        own), then each layer steps into it."""
         unit = self._pick(data)
         if max(ref[0].shape[1] for ref in unit.refs) + 1 > MAX_TOKENS:
             return
+        group = unit.caches[0].decode_group([unit.caches])
+        if group.claim is not None:
+            group.claim()
         for i, cache in enumerate(unit.caches):
             keys, values = _kv(seed + i, 1)
-            page, offset = cache.reserve_slot()
-            cache.pool.write_slots(cache.layer, np.array([page]), np.array([offset]),
-                                   np.array([cache._table.row]),
-                                   np.array([cache.num_tokens - 1]),
-                                   keys.swapaxes(0, 1), values.swapaxes(0, 1))
+            position = np.array([unit.refs[i][0].shape[1]])
+            group.step(i, keys.swapaxes(0, 1), values.swapaxes(0, 1),
+                       np.zeros((1, N_HEADS * HEAD_DIM), np.float32), position)
+            if group.observe is not None:
+                group.observe(i, np.zeros((1, N_HEADS, 1)))
             old_k, old_v = unit.refs[i]
             unit.refs[i] = (np.concatenate([old_k, keys], 1), np.concatenate([old_v, values], 1))
         if unit.tokens is not None:
