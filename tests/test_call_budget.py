@@ -1,5 +1,5 @@
 """Interpreter calls per generated token on five serving paths (exact),
-and the peak temporary bytes of a ``kelle-decode`` step.
+and the peak temporary bytes of a ``kelle-decode`` and a decode-heavy step.
 
 Every speed-up on these paths has been Python/NumPy call amortisation, and a
 call count — unlike wall time on a shared host — repeats to the digit.  Each
@@ -232,6 +232,10 @@ MAX_SMALL_CALLS_PER_TOKEN = 153.5
 DECODE_REQUESTS, DECODE_PROMPT_LEN, DECODE_HEAVY_LEN = 40, 32, 64
 DECODE_ENGINE = dict(cache="paged:page_tokens=16", seed=0, capacity_tokens=8192)
 MAX_DECODE_CALLS_PER_TOKEN = 22.38
+#: The first wave's 32 rows between two page boundaries, every row past 64
+#: tokens (``_attend``'s float64 cast buffer at its 64 KiB cap).
+DECODE_TEMP_STEPS = range(33, 48)
+MAX_DECODE_STEP_TEMPORARY_BYTES = 215_882
 
 CLUSTER_REQUESTS, CLUSTER_PREFIX_LEN, CLUSTER_SUFFIX_LEN = 50, 256, 16
 CLUSTER_ENGINE = dict(cache="paged:page_tokens=16", max_concurrency=8, seed=0,
@@ -620,6 +624,47 @@ def test_decode_heavy_calls_per_generated_token():
     assert first == second, "the count and its parts must repeat exactly"
     per_token = _print_calls("decode-heavy", first, tokens)
     assert per_token <= MAX_DECODE_CALLS_PER_TOKEN, per_token
+
+
+def test_decode_heavy_step_temporary_bytes():
+    """Peak temporary bytes of one steady-state decode step on the
+    decode-heavy geometry above, exact: the first wave's 32 rows as one
+    paged group at engine steps 33-47, after every row passed 64 tokens and
+    before the next page boundary (a step that claims new pages reads a few
+    KB more), traced by ``tracemalloc`` from the start of the step.
+
+    * first reading: 196 257 B on every step, Python 3.11.7 and NumPy 2.4.6
+      on a 2-core Xeon.  ``DecoderLM._attend``'s ``scores *= scale``
+      sets it: float32 scores times a float64 scalar, cast through a
+      64 KiB ufunc buffer (8192 float64 elements) once ``[32, 4, 1, n]``
+      passes it at ``n = 64``.
+
+    The bound sits 10 % above the last reading.
+    """
+    lm, requests = _model(), _decode_heavy()
+    _serve_paged(lm, requests)  # lazy imports, mask tables, workspace growth
+    session = ServingEngine(max_concurrency=32).start_functional(lm, **DECODE_ENGINE)
+    session.submit(requests)
+    readings, step = [], 0
+    while session.has_work():
+        if step in DECODE_TEMP_STEPS:
+            gc.collect()
+            gc.disable()
+            tracemalloc.start()
+            try:
+                session.step()
+                readings.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+                gc.enable()
+        else:
+            session.step()
+        step += 1
+    session.finish()
+    assert len(readings) == len(DECODE_TEMP_STEPS)
+    assert len(set(readings)) == 1, "the reading must repeat exactly"
+    print(f"decode-heavy: {readings[0]} peak temporary bytes per decode step")
+    assert readings[0] <= MAX_DECODE_STEP_TEMPORARY_BYTES, readings[0]
 
 
 def _cluster_zipf() -> list[Request]:
