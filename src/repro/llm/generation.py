@@ -4,9 +4,11 @@ This is the serving loop of Figure 1 (a) of the paper: the context is
 processed in parallel during pre-filling, then tokens are generated
 auto-regressively, each step reading the KV cache managed by the active
 policy.  The drivers run ``B`` independent sequences through
-:meth:`DecoderLM.prefill_batch` / :meth:`DecoderLM.decode_step_batch`, each
-with its own per-layer caches and generation RNG; one sequence is a batch of
-one (:func:`generate`, :func:`forced_decode_logprobs`).  A sequence's tokens
+:meth:`DecoderLM.prefill_batch` (the prompts as position-0 chunks of
+:meth:`DecoderLM.forward_chunks`, concatenated, no padding) and
+:meth:`DecoderLM.decode_step_batch`, each with its own per-layer caches and
+generation RNG; one sequence is a batch of one (:func:`generate`,
+:func:`forced_decode_logprobs`).  A sequence's tokens
 do not depend on its batch company (batched BLAS reductions may reorder
 float ops, so the last bits of a logit can differ; the equivalence suite pins
 the tokens).

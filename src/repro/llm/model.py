@@ -1,25 +1,27 @@
 """Decoder-only transformer language model on NumPy.
 
 The model owns a flat parameter dictionary (name -> ``np.ndarray``) and
-provides two inference paths:
+three forwards:
 
 * :meth:`DecoderLM.forward_full` -- full-sequence teacher-forced forward pass
-  (used for training-data perplexity and as a reference for testing the
-  incremental path);
-* :meth:`DecoderLM.prefill_batch` / :meth:`DecoderLM.forward_chunks` /
-  :meth:`DecoderLM.decode_step_batch` -- whole-prompt prefill, ragged chunks
-  over existing caches (chunked prefill, speculative verify) and
-  auto-regressive decode of ``B`` sequences, each with a pluggable per-layer
-  KV cache, where the paper's policies plug in.  One sequence is a batch of
-  one: :meth:`DecoderLM.prefill`, :meth:`DecoderLM.prefill_chunk` and
-  :meth:`DecoderLM.decode_step` call the batched forwards.
+  without caches, the oracle of the two cached forwards;
+* :meth:`DecoderLM.forward_chunks` -- one ragged chunk per sequence over its
+  caches: a whole prompt at position 0 (:meth:`DecoderLM.prefill_batch`),
+  chunked prefill and speculative verify
+  (:meth:`DecoderLM.verify_chunk_batch`);
+* :meth:`DecoderLM.decode_step_batch` -- one auto-regressive token for each
+  of ``B`` sequences.
+
+Each sequence has a pluggable per-layer KV cache, where the paper's policies
+plug in.  One sequence is a batch of one: :meth:`DecoderLM.prefill`,
+:meth:`DecoderLM.prefill_chunk` and :meth:`DecoderLM.decode_step` call the
+batched forwards.
 
 Every cached attention runs through one kernel, :meth:`DecoderLM._attend`,
 with ``c >= 1`` queries per row: a decode step (``c = 1``) of a group of
-rows -- and, causally masked, a whole prompt
-(:meth:`DecoderLM.prefill_batch`) and a chunk over its cache (chunked
-prefill and speculative verify).  Only the cache-free oracle
-:meth:`DecoderLM.forward_full` has a softmax of its own.
+rows and, causally masked, a prompt over its own projections or a chunk
+over its cache.  Only the cache-free oracle :meth:`DecoderLM.forward_full`
+has a softmax of its own.
 
 The model reaches every store through the caches' group protocol
 (:mod:`repro.llm.cache`): a decode step groups the rows by their stacks'
@@ -52,6 +54,11 @@ from repro.llm.functional import (
 from repro.llm.workspace import StepWorkspace
 from repro.registry import resolve
 from repro.utils.rng import derive_rng
+
+#: The scores one chunk attention group may hold (``G * H * c * n``, 1 MiB
+#: of float32): equal-length prompts of a large batch attend in several
+#: groups, not in one block that the workspace would then keep.
+_GROUP_SCORES = 1 << 18
 
 
 class _DecodePlan:
@@ -104,9 +111,9 @@ class DecoderLM:
         if config.n_kv_heads is not None:
             raise ValueError("DecoderLM does not instantiate grouped-query configurations")
         self.config = config
-        # Reusable scratch buffers for the batched hot paths (padded token
-        # blocks, context accumulators, fused-attention gather workspaces):
-        # steady-state decode steps perform zero scratch allocations.
+        # Reusable scratch buffers for the batched hot paths (context
+        # accumulators, stacked chunk K/V, attention scores): steady-state
+        # decode steps perform zero scratch allocations.
         self._ws = StepWorkspace()
         # Lazily-built concatenated [C, 3C] QKV weights per layer so the
         # decode hot paths issue one projection GEMM instead of three.
@@ -193,20 +200,6 @@ class DecoderLM:
         nd = y.ndim  # axis -2 to the front (transpose view, no moveaxis overhead)
         return y.transpose((nd - 2,) + tuple(range(nd - 2)) + (nd - 1,))
 
-    def _project_kv(self, x: np.ndarray, layer: int,
-                    positions: np.ndarray | int) -> tuple[np.ndarray, np.ndarray]:
-        """Compute per-head K/V (with RoPE on K) for block input ``x`` ``[T, C]``.
-
-        ``positions`` is either an explicit position array or an int ``T``
-        meaning positions ``0..T-1`` (served from RoPE table views).
-        """
-        prefix = f"layers.{layer}"
-        keys = self._split_heads(x @ self.params[f"{prefix}.wk"])  # [H, T, d]
-        values = self._split_heads(x @ self.params[f"{prefix}.wv"])
-        if self.config.positional == "rope":
-            keys = apply_rope(keys, positions, self._rope_cos, self._rope_sin)
-        return keys, values
-
     def _qkv_weight(self, layer: int) -> np.ndarray:
         """Concatenated ``[C, 3C]`` Q|K|V projection weight for ``layer``.
 
@@ -241,10 +234,10 @@ class DecoderLM:
         params, rope_cos, rope_sin = self.params, self._rope_cos, self._rope_sin
 
         def recompute(x: np.ndarray, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            # :meth:`_project_kv` of each of the ``P`` rows on its own: the
-            # stacked ``[P, 1, C] @ [C, C]`` matmul runs as P independent M=1
-            # GEMMs and RoPE is elementwise, hence the bits a batch-of-one
-            # decode stored for the token (one ``[P, C]`` GEMM would differ).
+            # Each of the ``P`` rows projected on its own: the stacked
+            # ``[P, 1, C] @ [C, C]`` matmul runs as P independent M=1 GEMMs
+            # and RoPE is elementwise, hence the bits a batch-of-one decode
+            # stored for the token (one ``[P, C]`` GEMM would differ).
             rows = x[:, None, :]
             keys = (rows @ params[wk]).reshape(-1, n_heads, head_dim)
             values = (rows @ params[wv]).reshape(-1, n_heads, head_dim)
@@ -311,13 +304,20 @@ class DecoderLM:
                         self.recompute_fn(layer))
                 for layer in range(config.n_layers)]
 
+    def prefill_batch(self, token_seqs: Sequence[Sequence[int]],
+                      caches_batch: Sequence[list[LayerKVCache]]) -> np.ndarray:
+        """Prefill ``B`` ragged prompts into empty caches in one forward:
+        :meth:`forward_chunks` with every chunk at position 0.  Returns each
+        prompt's last-position logits, ``[B, vocab]``."""
+        return self.forward_chunks(token_seqs, [0] * len(token_seqs), caches_batch)
+
     def prefill(self, tokens: Sequence[int], caches: list[LayerKVCache]) -> np.ndarray:
         """:meth:`prefill_batch` of one: process the context tokens, filling
         the caches; returns the last context position's logits ``[vocab]``."""
         return self.prefill_batch([tokens], [caches])[0]
 
     # ------------------------------------------------------------------
-    # The ragged-chunk forward: chunked prefill and speculative verify
+    # The ragged-chunk forward: prompts, chunked prefill, speculative verify
     # ------------------------------------------------------------------
     def forward_chunks(self, token_chunks: Sequence[Sequence[int]],
                        positions: Sequence[int],
@@ -326,16 +326,22 @@ class DecoderLM:
         """Run one chunk of ``n_b >= 1`` tokens per sequence in ONE forward.
 
         ``token_chunks[b]`` starts at absolute position ``positions[b]`` and
-        ``caches_batch[b]`` (per-layer caches with chunked-prefill support)
-        must hold exactly that many tokens.  Each chunk attends causally to
-        everything cached plus itself, exactly as the corresponding rows of
-        :meth:`forward_full` (chunked prefill, resuming after a radix hit,
-        speculative verify).  The dense work runs once over the ``N =
-        sum(n_b)`` concatenated tokens.  Each layer first stores the chunks,
-        one write per group of equal ``group_key`` (its ``chunk_group``),
-        then attends once per group of equal ``(cached_len, chunk_len)``:
-        one causally masked :meth:`_attend` over the members' ``fetch()``
-        rows.
+        ``caches_batch[b]`` (its per-layer caches) must hold exactly that
+        many tokens.  A chunk at position 0 is a whole prompt, on any cache;
+        a later one (chunked prefill, resuming after a radix hit,
+        speculative verify) needs caches with chunked-prefill support.  Each
+        chunk attends causally to everything cached plus itself, exactly as
+        the corresponding rows of :meth:`forward_full`.  The dense work runs
+        once over the ``N = sum(n_b)`` concatenated tokens.  Each layer
+        first stores the chunks, one write per group of equal ``group_key``
+        (its ``chunk_group``), then attends once per group of equal
+        ``(position, chunk_len)``, split where its scores would pass
+        ``_GROUP_SCORES``: one causally masked :meth:`_attend` over the
+        members' ``fetch()`` rows, or, for prompts, over their own fresh
+        projections.  A prompt whose caches cannot take chunks (the eviction
+        caches score a prompt by the attention it pays as a whole, the
+        quantized ones code it as one) attends alone, and each of its caches
+        then stores it with ``prefill(k, v, x, probs)``.
 
         ``logits="last"`` returns ``[B, vocab]``: each chunk's final row, the
         LM head running on those ``B`` rows only.  ``logits="all"`` returns
@@ -350,20 +356,27 @@ class DecoderLM:
             raise ValueError("token_chunks, positions and caches_batch must have "
                              "equal length")
         chunks = [np.asarray(chunk, dtype=np.int64) for chunk in token_chunks]
-        groups: dict[tuple[int, int], list[int]] = {}
+        groups: dict[tuple[int, int, int | None], list[int]] = {}
         keyed: dict = {}  # a lone chunk's writer checks its stack itself
         grouped = len(chunks) > 1
         for b, (chunk, caches) in enumerate(zip(chunks, caches_batch)):
             if chunk.ndim != 1 or chunk.size == 0:
                 raise ValueError("forward_chunks expects non-empty 1-D chunks")
-            if not all(cache.supports_chunked_prefill for cache in caches):
-                raise ValueError("forward_chunks requires caches with chunked-prefill "
-                                 "support (e.g. 'full' or 'paged')")
-            if any(cache.num_tokens != positions[b] for cache in caches):
+            position = int(positions[b])
+            chunkable = caches[0].supports_chunked_prefill  # one factory per stack
+            if position and not chunkable:
+                raise ValueError(f"sequence {b}: caches without chunked-prefill support "
+                                 "(e.g. 'kelle', 'kivi') take whole prompts only")
+            if any(cache.num_tokens != position for cache in caches):
                 raise ValueError(
                     f"sequence {b}: caches hold {caches[0].num_tokens} tokens but "
-                    f"the chunk starts at position {positions[b]}")
-            groups.setdefault((int(positions[b]), chunk.size), []).append(b)
+                    f"the chunk starts at position {position}")
+            # Chunks of equal (position, size) attend as one group; a prompt
+            # its caches take only whole attends alone, keyed by its row.
+            groups.setdefault((position, chunk.size, None if chunkable else b),
+                              []).append(b)
+            if not chunkable:
+                continue
             key = caches[0].group_key(caches) if grouped else None
             keyed.setdefault(caches[0] if key is None else key, []).append(b)
         lengths = np.array([chunk.size for chunk in chunks])
@@ -371,11 +384,27 @@ class DecoderLM:
         starts = ends - lengths
         total = int(ends[-1])
         flat_pos = np.arange(total) + np.repeat(np.asarray(positions) - starts, lengths)
-        # Per group: member sequences, their [G, c] rows of the flat axis and
-        # the causal mask of c queries over the cached tokens plus the chunk.
-        plans = [(rows, starts[rows][:, None] + np.arange(size),
-                  np.arange(position + size) > position + np.arange(size)[:, None])
-                 for (position, size), rows in groups.items()]
+        # Per group: member sequences, their [G, c] rows of the flat axis, the
+        # causal mask of c queries over the cached tokens plus the chunk, a
+        # prompt's index of its own [G, H, c, d] K/V in the [H, N, d]
+        # projections (None past position 0), and whether its caches take it
+        # whole.  The workspace keeps the [G, H, c, n] score block at its
+        # largest, so a group holds at most _GROUP_SCORES scores unless one
+        # member alone needs more.
+        n_heads, plans = self.config.n_heads, []
+        for (position, size, alone), members in groups.items():
+            causal = np.arange(position + size) > position + np.arange(size)[:, None]
+            per_group = _GROUP_SCORES // (n_heads * size * (position + size)) or 1
+            while members:
+                rows, members = members[:per_group], members[per_group:]
+                idx = starts[rows][:, None] + np.arange(size)
+                if position:
+                    own = None
+                elif len(rows) == 1:  # a view
+                    own = (None, slice(None), slice(starts[rows[0]], ends[rows[0]]))
+                else:  # a gather
+                    own = (np.arange(n_heads)[:, None], idx[:, None])
+                plans.append((rows, idx, causal, own, alone is not None))
         # Per group of equal keys: its writer and its members' rows of the flat axis.
         writers = [(caches_batch[rows[0]][0].chunk_group([caches_batch[b] for b in rows],
                                                          lengths[rows].tolist()),
@@ -385,10 +414,10 @@ class DecoderLM:
         hidden = self.params["embed.weight"][np.concatenate(chunks)].astype(np.float32)
         if self.config.positional == "learned":
             hidden = hidden + self.params["pos_embed.weight"][flat_pos]  # [N, C]
-        n_heads, ws = self.config.n_heads, self._ws
+        ws = self._ws
         # A float32 scale keeps the scaling of the [c, n] score blocks in
-        # float32; a float64 one (decode's and prefill's, whose bits it
-        # fixes) casts every score through float64, several times slower.
+        # float32; a float64 one (decode's, whose bits it fixes) casts every
+        # score through float64, several times slower.
         scale = np.float32(1.0 / np.sqrt(self.config.head_dim))
         context = ws.get("chunk.context", (total, self.config.d_model))
         for layer in range(self.config.n_layers):
@@ -404,17 +433,25 @@ class DecoderLM:
             for writer, tokens in writers:
                 writer.write(layer, keys_new[:, tokens], values_new[:, tokens],
                              normed[tokens], flat_pos[tokens])
-            for rows, idx, causal in plans:
-                fetched = [caches_batch[b][layer].fetch() for b in rows]  # [H, n, d] views
-                if len(rows) == 1:
-                    keys, values = fetched[0][0][None], fetched[0][1][None]
+            for rows, idx, causal, prompt, whole in plans:
+                if prompt is not None:  # its own projections: nothing to fetch
+                    keys, values = keys_new[prompt], values_new[prompt]  # [G, H, c, d]
+                elif len(rows) == 1:
+                    keys, values = caches_batch[rows[0]][layer].fetch()  # [H, n, d] views
+                    keys, values = keys[None], values[None]
                 else:
+                    fetched = [caches_batch[b][layer].fetch() for b in rows]
                     shape = (len(rows),) + fetched[0][0].shape
                     keys, values = ws.get("chunk.keys", shape), ws.get("chunk.values", shape)
                     for g, (keys_g, values_g) in enumerate(fetched):
                         keys[g] = keys_g
                         values[g] = values_g
-                self._attend(queries, idx, keys, values, causal, context, scale)
+                probs = self._attend(queries, idx, keys, values, causal, context, scale)
+                if whole:  # stored after its attention, which it is scored by
+                    caches_batch[rows[0]][layer].prefill(keys[0], values[0], normed[idx[0]],
+                                                         probs[0])
+            # The layer's largest arrays, freed before the MLP allocates its own.
+            del qkv, queries, keys_new, values_new, keys, values
             hidden = hidden + context @ self.params[f"{prefix}.wo"]
             normed = self._norm(hidden, f"{prefix}.mlp_norm")
             hidden = hidden + self._mlp(normed, layer)
@@ -445,66 +482,6 @@ class DecoderLM:
         ``position`` using the caches; returns the next-token logits
         ``[vocab]``."""
         return self.decode_step_batch([token], [position], [caches])[0]
-
-    # ------------------------------------------------------------------
-    # Batched prefill + decode (ragged sequences, per-sequence caches)
-    # ------------------------------------------------------------------
-    def prefill_batch(self, token_seqs: Sequence[Sequence[int]],
-                      caches_batch: Sequence[list[LayerKVCache]]) -> np.ndarray:
-        """Prefill ``B`` ragged sequences in one batched forward pass.
-
-        ``caches_batch[b]`` is sequence ``b``'s per-layer cache list.  The
-        prompts are right-padded for the dense projections; attention runs
-        per sequence (one causally masked :meth:`_attend` over its unpadded
-        ``t_b`` tokens), so every sequence's logits and caches match its
-        batch of one.  Returns each last real position's logits, ``[B, vocab]``.
-        """
-        if len(token_seqs) == 0:
-            raise ValueError("prefill_batch expects at least one sequence")
-        if len(token_seqs) != len(caches_batch):
-            raise ValueError("token_seqs and caches_batch must have equal length")
-        seqs = [np.asarray(seq, dtype=np.int64) for seq in token_seqs]
-        for seq in seqs:
-            if seq.ndim != 1 or seq.size == 0:
-                raise ValueError("prefill_batch expects non-empty 1-D token sequences")
-        lengths = np.array([seq.size for seq in seqs])
-        batch, seq_len = len(seqs), int(lengths.max())
-        n_heads, head_dim, d_model = self.config.n_heads, self.config.head_dim, self.config.d_model
-        tokens = self._ws.get("prefill.tokens", (batch, seq_len), np.int64, zero=True)
-        for b, seq in enumerate(seqs):
-            tokens[b, :seq.size] = seq
-        hidden = self._embed(tokens)  # [B, T, C]
-        positions = seq_len
-        scale = 1.0 / np.sqrt(head_dim)
-        # Per sequence: its [1, t] rows of the flat [B * T] token axis and
-        # its causal mask.
-        plans = [(b * seq_len + np.arange(n)[None], np.arange(n) > np.arange(n)[:, None])
-                 for b, n in enumerate(lengths.tolist())]
-        # One reusable context buffer for every layer: padding rows are
-        # zeroed once and never written; real rows are fully overwritten on
-        # each layer, so no per-layer np.zeros is needed.
-        context = self._ws.get("prefill.context", (batch, seq_len, d_model), zero=True)
-        flat_context = context.reshape(batch * seq_len, d_model)
-        for layer in range(self.config.n_layers):
-            prefix = f"layers.{layer}"
-            normed = self._norm(hidden, f"{prefix}.attn_norm")  # [B, T, C]
-            queries = self._split_heads(normed @ self.params[f"{prefix}.wq"])  # [H, B, T, d]
-            if self.config.positional == "rope":
-                queries = apply_rope(queries, positions, self._rope_cos, self._rope_sin)
-            queries = queries.reshape(n_heads, batch * seq_len, head_dim)
-            keys, values = self._project_kv(normed, layer, positions)  # [H, B, T, d]
-            for b, (rows, causal) in enumerate(plans):
-                n = rows.shape[1]
-                k_b, v_b = keys[:, b, :n], values[:, b, :n]
-                probs = self._attend(queries, rows, k_b[None], v_b[None], causal,
-                                     flat_context, scale)
-                caches_batch[b][layer].prefill(k_b, v_b, normed[b, :n], probs[0])
-            hidden = hidden + context @ self.params[f"{prefix}.wo"]
-            normed = self._norm(hidden, f"{prefix}.mlp_norm")
-            hidden = hidden + self._mlp(normed, layer)
-        hidden = self._norm(hidden, "final_norm")
-        last = hidden[np.arange(batch), lengths - 1]  # [B, C]
-        return self._lm_head(last)
 
     def _attend(self, query: np.ndarray, rows: "list[int] | slice | np.ndarray",
                 keys: np.ndarray, values: np.ndarray, masked: "np.ndarray | None",

@@ -199,10 +199,7 @@ class _DraftModelSession(DrafterSession):
             self._caches[0].truncate_stack(self._caches, common)
             del self._tokens[common:]
         chunk = context[common:]
-        if common == 0:
-            logits = model.prefill(chunk, self._caches)
-        else:
-            logits = model.prefill_chunk(chunk, common, self._caches)
+        logits = model.prefill_chunk(chunk, common, self._caches)
         self._tokens.extend(chunk)
         proposals: list[int] = []
         position = len(self._tokens)

@@ -101,8 +101,8 @@ MUTATIONS = (
     Mutation("attend-drops-mask", DecoderLM, "_attend",
              "np.copyto(scores, -np.inf, where=masked)", "pass", harness="decode-batch"),
     Mutation("chunk-mask-off-by-one", DecoderLM, "forward_chunks",
-             "np.arange(position + size) > position + np.arange(size)[:, None])",
-             "np.arange(position + size) > position + 1 + np.arange(size)[:, None])",
+             "causal = np.arange(position + size) > position + np.arange(size)[:, None]",
+             "causal = np.arange(position + size) > position + 1 + np.arange(size)[:, None]",
              harness="decode-batch"),
     Mutation("victim-mask-loses-recent-window", AERPArena, "_evict",
              "eligible = non_sink & (positions <= oldest_recent)", "eligible = non_sink.copy()",

@@ -70,6 +70,11 @@ over the 128-slot budget, 64 decode steps, the 4-layer d=64 model,
   group's ``step`` / ``observe``, the slab group's ``step`` reusing a lone
   cache's slots array and finding no per-layer cache list in the model):
   58.39, same host (``llm/model.py`` -0.61, ``core/kv_cache.py`` +0.37).
+* one prompt forward (``prefill_batch`` is ``forward_chunks`` at position
+  0; each prompt attends alone and is stored by ``prefill`` as before, but
+  the chunk forward checks every cache's ``num_tokens``, which the padded
+  forward never did): 58.55, same host (``llm/model.py`` +0.13,
+  ``core/kv_cache.py`` +0.06), under the bound, which stays.
 
 The bound sits 10 % above the last reading: a return of per-layer
 grouping (~10 calls per token) or of the row-pool gather trips it; a
@@ -110,6 +115,10 @@ radix match-and-fork, snapshot forks, page allocation, CoW, release and
   on the members' current lengths, no per-member ``reserve_stack_slot``;
   a lone paged stack claimed once for every layer and its plan kept):
   139.56, same host (``core/kv_pool.py`` -3.09, ``llm/model.py`` -1.37).
+* one prompt forward (a cold prompt's chunk attends its own projections:
+  no ``fetch`` and no workspace stacking of its group's K/V): 136.19, same
+  host (``llm/model.py`` -2.37, ``llm/workspace.py`` -0.59,
+  ``core/kv_pool.py`` -0.42).
 
 The bound sits 10 % above the last reading (~14 calls per generated
 token): a return of a fifth of the per-layer bookkeeping the page tables
@@ -136,6 +145,11 @@ pool bounded at ``capacity_tokens=8192``, no token callback — so one wave of
 * one attention kernel for prefill, chunks and decode: 20.77.
 * one decode-group protocol: 20.35 (``core/kv_pool.py`` -0.30,
   ``llm/model.py`` -0.12), Python 3.11.7 and NumPy 2.4.6 on a 2-core Xeon.
+* one prompt forward (each wave's prompts one paged chunk write per layer
+  and one attention group over their own projections, instead of one
+  ``prefill`` per cache and one attention call per prompt): 18.86, same
+  host (``core/kv_pool.py`` -0.69, ``llm/workspace.py`` -0.48,
+  ``llm/model.py`` -0.25).
 
 The bound sits 10 % above the last reading: a return of one call per row
 per layer-step (4 per token) trips it, as per-row scheduling or grouping
@@ -168,6 +182,8 @@ cluster's per-round bookkeeping is paid on every replica step.
   paged row claimed once for every layer and its plan kept): 117.71
   (199 409 calls), same host (``core/kv_pool.py`` -4.04,
   ``llm/model.py`` -1.59).
+* one prompt forward: 117.21 (198 550 calls), same host (``llm/model.py``
+  -0.47).
 
 The bound sits 10 % above the last reading: it trips on cluster work of
 ~140 calls per round, such as views or load snapshots rebuilt per
@@ -195,6 +211,9 @@ CI's guarded ``speedup_ngram_vs_baseline`` ratio.  Python 3.11.7, NumPy
   ngram 95.99 / 104.69 (``llm/model.py`` -1.08 / -1.06, ``core/kv_pool.py``
   +0.83 / +0.82), plain 100.74 / 107.67 (``core/kv_pool.py`` -1.69 /
   -3.19, ``llm/model.py`` -0.74 / -1.04).
+* one prompt forward (each prompt one paged chunk write per layer,
+  attending its own projections): ngram 91.03 / 100.72, plain 97.28 /
+  105.99 (``core/kv_pool.py`` -1.76 / -1.58 / -1.76 / -1.59).
 
 The bounds sit 10 % above the last readings.
 """
@@ -227,11 +246,11 @@ SMALL_TEMPLATES, SMALL_PROMPT_LEN, SMALL_DECODE_LEN = 1500, 36, 3
 SMALL_REQUESTS, SMALL_PER_STEP = 400, 16
 SMALL_ENGINE = dict(cache="paged:page_tokens=16", seed=0, token_budget=512,
                     prefix_cache=True, radix_max_tokens=16384, capacity_tokens=32768)
-MAX_SMALL_CALLS_PER_TOKEN = 153.5
+MAX_SMALL_CALLS_PER_TOKEN = 149.8
 
 DECODE_REQUESTS, DECODE_PROMPT_LEN, DECODE_HEAVY_LEN = 40, 32, 64
 DECODE_ENGINE = dict(cache="paged:page_tokens=16", seed=0, capacity_tokens=8192)
-MAX_DECODE_CALLS_PER_TOKEN = 22.38
+MAX_DECODE_CALLS_PER_TOKEN = 20.74
 #: The first wave's 32 rows between two page boundaries, every row past 64
 #: tokens (``_attend``'s float64 cast buffer at its 64 KiB cap).
 DECODE_TEMP_STEPS = range(33, 48)
@@ -241,13 +260,13 @@ CLUSTER_REQUESTS, CLUSTER_PREFIX_LEN, CLUSTER_SUFFIX_LEN = 50, 256, 16
 CLUSTER_ENGINE = dict(cache="paged:page_tokens=16", max_concurrency=8, seed=0,
                       router="radix-affinity", prefix_cache=True, token_budget=128,
                       capacity_tokens=16384, arrivals_per_step=2)
-MAX_CLUSTER_CALLS_PER_TOKEN = 129.4
+MAX_CLUSTER_CALLS_PER_TOKEN = 128.9
 
 #: ``table4_refresh.run()``: every sequence a batch of one with 2DRP.
-MAX_TABLE4_CALLS_PER_RUN = 1_087_787
+MAX_TABLE4_CALLS_PER_RUN = 1_086_956
 
-MAX_SPEC_CALLS_PER_TOKEN = {"ngram:k=4": {"repetitive": 105.5, "random": 115.1},
-                            "plain": {"repetitive": 110.8, "random": 118.4}}
+MAX_SPEC_CALLS_PER_TOKEN = {"ngram:k=4": {"repetitive": 100.1, "random": 110.7},
+                            "plain": {"repetitive": 107.0, "random": 116.5}}
 
 
 def _model() -> DecoderLM:
@@ -408,7 +427,11 @@ def test_table4_refresh_calls_per_run():
       a 2-core Xeon;
     * one decode-group protocol (a lone row's slab group reuses its caches'
       slots arrays and is planned without keys): 988 898 (``core/kv_cache.py``
-      and ``llm/model.py`` -3 396 each), same host.
+      and ``llm/model.py`` -3 396 each), same host;
+    * one prompt forward: 988 142 (``llm/functional.py`` -2 016, NumPy's
+      Python helpers +2 268: the chunk forward's per-cache checks cost
+      about what the padded forward's second projection and RoPE calls
+      did), same host.
 
     The bound sits 10 % above that reading.
     """
@@ -638,6 +661,7 @@ def test_decode_heavy_step_temporary_bytes():
       sets it: float32 scores times a float64 scalar, cast through a
       64 KiB ufunc buffer (8192 float64 elements) once ``[32, 4, 1, n]``
       passes it at ``n = 64``.
+    * one prompt forward: 196 257 B again, same host.
 
     The bound sits 10 % above the last reading.
     """

@@ -1,10 +1,13 @@
 """Differential fuzz test for the one ragged-chunk forward.
 
-:meth:`DecoderLM.forward_chunks` serves every prefill chunk and every
-speculative-verify chunk of a step in one batched pass.  Generated ragged
-batches must agree with (a) the cache-free oracle :meth:`forward_full`, row
-for row, and (b) the same chunks run one sequence at a time through
-:meth:`prefill_chunk` — for logits and for what ends up in the caches.
+:meth:`DecoderLM.forward_chunks` serves every whole prompt, prefill chunk
+and speculative-verify chunk of a step in one batched pass.  Generated
+ragged batches must agree with (a) the cache-free oracle
+:meth:`forward_full`, row for row, and (b) the same chunks run one sequence
+at a time through :meth:`prefill_chunk` — for logits and for what ends up
+in the caches.  Mixed batches of whole prompts on caches without chunked
+prefill, paged prompts and paged chunks past position 0 must give each row
+what its batch of one gives.
 """
 
 from __future__ import annotations
@@ -14,10 +17,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.llm import model
 from repro.llm.config import tiny_config
 from repro.llm.model import DecoderLM
 from repro.registry import resolve
 
+from cache_specs import ALL_CACHE_SPECS
 from reference_full_cache import full_cache_factory
 
 MAX_CACHED, MAX_CHUNK, MAX_EXTRA = 96, 48, 8
@@ -159,6 +164,129 @@ class TestDifferential:
                                               logits="all")[0])
             np.testing.assert_array_equal(rows[0][:5], rows[1][:5])
             assert np.max(np.abs(rows[0][5] - rows[1][5])) > 1e-4  # the change shows
+
+
+#: Specs whose caches take a prompt only whole, at position 0.
+WHOLE_SPECS = [spec for spec in ALL_CACHE_SPECS
+               if not spec.startswith(("full", "paged"))]
+PAGED = "paged:page_tokens=4"
+
+#: Rows of one mixed call: a whole-prompt stack of one of ``WHOLE_SPECS``
+#: (``("whole", spec index, prompt length, 0)``), a paged prompt
+#: (``("prompt", 0, length, 0)``) or a paged chunk past its cached tokens
+#: (``("chunk", 0, length, cached)``).
+mixed_rows = st.lists(
+    st.one_of(
+        st.tuples(st.just("whole"), st.integers(0, len(WHOLE_SPECS) - 1),
+                  st.integers(1, 24), st.just(0)),
+        st.tuples(st.just("prompt"), st.just(0), st.integers(1, 24), st.just(0)),
+        st.tuples(st.just("chunk"), st.just(0), st.integers(1, 16),
+                  st.integers(1, 24))),
+    min_size=1, max_size=8)
+
+
+def _mixed_run(lm, rows, seed):
+    """``rows`` run in one ``forward_chunks`` call and each as its batch of
+    one: ``(logits, stacks, [(logits, stack)] per row)``, each side's
+    stacks made by factories of its own."""
+    rng = np.random.default_rng(seed)
+    tokens = [rng.integers(0, lm.config.vocab_size, size=cached + n).tolist()
+              for _kind, _spec, n, cached in rows]
+    chunks = [toks[cached:] for (_kind, _spec, _n, cached), toks in zip(rows, tokens)]
+    positions = [cached for _kind, _spec, _n, cached in rows]
+
+    def stack(b, factories):
+        kind, spec, _n, cached = rows[b]
+        name = WHOLE_SPECS[spec] if kind == "whole" else PAGED
+        if name not in factories:
+            factories[name] = resolve("cache", name)
+        caches = lm.make_caches(factories[name])
+        if cached:
+            lm.prefill(tokens[b][:cached], caches)
+        return caches
+
+    shared: dict = {}
+    batched = [stack(b, shared) for b in range(len(rows))]
+    logits = lm.forward_chunks(chunks, positions, batched)
+    singles = []
+    for b in range(len(rows)):
+        caches = stack(b, {})
+        singles.append((lm.forward_chunks([chunks[b]], [positions[b]], [caches])[0], caches))
+    return logits, batched, singles
+
+
+class TestMixedBatch:
+    """One call holding whole-prompt stacks that cannot take chunks, paged
+    prompts and paged chunks past position 0: each row is what its batch of
+    one gives, for logits and for what its caches hold."""
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(rows=mixed_rows, seed=st.integers(0, 2**31 - 1))
+    def test_each_row_matches_its_batch_of_one(self, lm, rows, seed):
+        logits, batched, singles = _mixed_run(lm, rows, seed)
+        assert logits.shape == (len(rows), lm.config.vocab_size)
+        for b, (single, single_caches) in enumerate(singles):
+            np.testing.assert_allclose(logits[b], single, atol=1e-5, err_msg=f"row {b}")
+            for mine, theirs in zip(batched[b], single_caches):
+                assert mine.num_tokens == theirs.num_tokens
+                for got, want in zip(mine.fetch(), theirs.fetch()):
+                    np.testing.assert_allclose(got, want, atol=1e-5, err_msg=f"row {b}")
+
+    def test_prompts_their_caches_score_attend_alone(self, lm, monkeypatch):
+        """Equal-length ``kelle`` prompts never share a score block (each
+        cache is scored by its own prompt's probabilities); equal-length
+        paged prompts attend as one group."""
+        groups = []
+        attend = DecoderLM._attend
+
+        def spy(self, query, rows, keys, *args):
+            groups.append(keys.shape[0])
+            return attend(self, query, rows, keys, *args)
+
+        monkeypatch.setattr(DecoderLM, "_attend", spy)
+        kelle = resolve("cache", "kelle:budget=8,sink_tokens=2,recent_window=3,refresh=none")
+        paged = resolve("cache", PAGED)
+        stacks = [lm.make_caches(kelle) for _ in range(3)] + \
+            [lm.make_caches(paged) for _ in range(2)]
+        lm.prefill_batch([[1, 2, 3, 4]] * 3 + [[5, 6, 7, 8]] * 2, stacks)
+        assert sorted(groups) == sorted([1, 1, 1, 2] * lm.config.n_layers)
+
+    def test_a_group_holds_at_most_group_scores(self, lm, monkeypatch):
+        """Equal-length prompts past one score block of ``_GROUP_SCORES``
+        attend in several groups, each within it."""
+        blocks = []
+        attend = DecoderLM._attend
+
+        def spy(self, query, rows, keys, *args):
+            probs = attend(self, query, rows, keys, *args)
+            blocks.append(probs.shape)
+            return probs
+
+        monkeypatch.setattr(DecoderLM, "_attend", spy)
+        length = 64
+        per_group = model._GROUP_SCORES // (lm.config.n_heads * length * length)
+        paged = resolve("cache", PAGED)
+        stacks = [lm.make_caches(paged) for _ in range(per_group + 1)]
+        rng = np.random.default_rng(3)
+        lm.prefill_batch([rng.integers(0, lm.config.vocab_size, size=length).tolist()
+                          for _ in stacks], stacks)
+        assert sorted(shape[0] for shape in blocks) == sorted([1, per_group] * lm.config.n_layers)
+        assert max(np.prod(shape) for shape in blocks) <= model._GROUP_SCORES
+
+    @pytest.mark.parametrize("spec", WHOLE_SPECS)
+    def test_whole_prompt_stack_past_position_zero_raises_before_any_store(self, lm, spec):
+        paged = resolve("cache", PAGED)
+        fresh, chunked = lm.make_caches(paged), lm.make_caches(paged)
+        lm.prefill([1, 2], chunked)
+        whole = lm.make_caches(resolve("cache", spec))
+        lm.prefill([1, 2, 3], whole)
+        referenced = paged.referenced_pages
+        with pytest.raises(ValueError, match="chunked-prefill"):
+            lm.forward_chunks([[4, 5], [6], [7]], [0, 2, 3], [fresh, chunked, whole])
+        assert [c.num_tokens for c in fresh + chunked + whole] == \
+            [0] * len(fresh) + [2] * len(chunked) + [3] * len(whole)
+        assert paged.referenced_pages == referenced  # nothing claimed either
+        paged.check_accounting()
 
 
 class TestValidation:

@@ -121,14 +121,18 @@ class TestDecoderLM:
         recompute = small_model.recompute_fn(0)
         assert small_model.recompute_fn(0) is recompute  # one object per layer
         k, v = recompute(normed[3:4], np.array([3]))  # rows in, rows out: P = 1
-        keys, values = small_model._project_kv(normed, 0, np.arange(6))
+        keys, values = caches[0].fetch()  # what the prefill stored, [H, 6, d]
         np.testing.assert_allclose(k[0], keys[:, 3, :], atol=1e-5)
         np.testing.assert_allclose(v[0], values[:, 3, :], atol=1e-5)
         assert k.shape == v.shape == (1, config.n_heads, config.head_dim)
-        # ... and, bit for bit, the one-token projection it stands in for.
-        one_k, one_v = small_model._project_kv(normed[3:4], 0, np.array([3]))
-        np.testing.assert_array_equal(k[0], one_k[:, 0, :])
-        np.testing.assert_array_equal(v[0], one_v[:, 0, :])
+        # ... and, bit for bit, the one-token projection it stands in for:
+        # what a batch-of-one decode step stores for that token.
+        stepped = small_model.make_caches()
+        small_model.prefill(tokens[:3], stepped)
+        small_model.decode_step(int(tokens[3]), 3, stepped)
+        one_k, one_v = stepped[0].fetch()
+        np.testing.assert_array_equal(k[0], one_k[:, 3, :])
+        np.testing.assert_array_equal(v[0], one_v[:, 3, :])
         # P rows at once are P one-row calls (M=1 GEMMs), not one [P, C] GEMM.
         xs = rng.standard_normal((16, config.d_model)).astype(np.float32)
         positions = rng.integers(0, config.max_seq_len, size=16)
